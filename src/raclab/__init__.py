@@ -27,15 +27,6 @@ from .dmt import (
     stability_region,
     tradeoff_curve,
 )
-from .channel import (
-    ChannelSet,
-    draw_channels,
-    first_decodable_round,
-    joint_outage,
-    single_user_outage,
-    subset_mutual_information,
-)
-from .protocols import EpochContext, EpochOutcome, run_epoch, run_gta_epoch, run_irarq_epoch, run_ondma_epoch
 from .montecarlo import (
     BetaTable,
     ErrorEstimate,

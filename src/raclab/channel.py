@@ -12,15 +12,13 @@ multiple-access mutual information of the subset (white inputs, per-antenna
 power snr/M so each user is received at total SNR ``snr``).  Outage is the
 sole error mechanism; failed rounds are always detected.
 
-Functions are pure given an explicit numpy Generator; Monte Carlo workers
-each own their own generator stream.
+Functions are pure and vectorised over a leading epoch axis; the callers
+draw the gains from their own generator streams.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -29,131 +27,6 @@ from .system import AntennaConfig
 # A round index safely beyond any deadline, returned when a group of users
 # can never be decoded (zero mutual information at a positive rate).
 NEVER = 10**9
-
-
-@dataclass
-class ChannelSet:
-    """One epoch's frozen fading state for all users."""
-
-    gains: np.ndarray   # complex, shape (users, rx, tx)
-    snr: float          # linear average received SNR per user
-    epoch: int = 0
-
-    def __post_init__(self):
-        if self.gains.ndim != 3:
-            raise ValueError("gains must have shape (users, rx, tx)")
-        if self.snr <= 0:
-            raise ValueError("snr must be positive")
-
-    @property
-    def users(self) -> int:
-        return self.gains.shape[0]
-
-
-def draw_channels(
-    config: AntennaConfig, snr: float, rng: np.random.Generator, epoch: int = 0
-) -> ChannelSet:
-    """Draw i.i.d. circularly-symmetric unit-variance gains for every user."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    shape = (config.users, config.rx, config.tx)
-    gains = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    return ChannelSet(gains=gains, snr=snr, epoch=epoch)
-
-
-def subset_mutual_information(channels: ChannelSet, subset, snr: float | None = None) -> float:
-    """log2 det(I + (snr/M) * sum of subset Gram matrices), in bits/channel-use."""
-    users = list(subset)
-    if not users:
-        raise ValueError("subset must be nonempty")
-    rho = channels.snr if snr is None else snr
-    tx = channels.gains.shape[2]
-    rx = channels.gains.shape[1]
-    gram = np.zeros((rx, rx), dtype=complex)
-    for i in users:
-        h = channels.gains[i]
-        gram += h @ h.conj().T
-    sign, logdet = np.linalg.slogdet(np.eye(rx) + (rho / tx) * gram)
-    return float(logdet / math.log(2.0))
-
-
-def joint_outage(channels: ChannelSet, active, snr: float, rate: float, rounds: int) -> bool:
-    """True iff some subset of the active users is undecodable after ``rounds``.
-
-    A subset condition fails strictly: equality decodes.  Outage is
-    monotone nonincreasing in ``rounds`` because the accumulated mutual
-    information grows linearly while the bit demand is fixed.
-    """
-    users = list(active)
-    if not users:
-        raise ValueError("active set must be nonempty")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
-    for size in range(1, len(users) + 1):
-        for subset in combinations(users, size):
-            if rounds * subset_mutual_information(channels, subset, snr) < size * rate:
-                return True
-    return False
-
-
-def single_user_outage(
-    channel: np.ndarray,
-    snr: float,
-    rate: float,
-    combining_slots: int = 1,
-    matched_combining: bool = False,
-) -> bool:
-    """Outage of one user's link after interference cancellation.
-
-    ``channel`` is the user's rx-by-tx matrix.  By default the decoder sees
-    the nominal SNR regardless of how many repetition slots were combined
-    (gain 1); ``matched_combining`` switches to a gain equal to
-    ``combining_slots``, the matched-filter alternative.  The two choices
-    have identical diversity; finite-SNR curves differ.
-    """
-    if combining_slots < 1:
-        raise ValueError("combining_slots must be >= 1")
-    gain = float(combining_slots) if matched_combining else 1.0
-    h = np.atleast_2d(channel)
-    rx, tx = h.shape
-    sign, logdet = np.linalg.slogdet(np.eye(rx) + (gain * snr / tx) * (h @ h.conj().T))
-    return float(logdet / math.log(2.0)) < rate
-
-
-def first_decodable_round(channels: ChannelSet, active, snr: float, rate: float) -> int:
-    """Smallest round count after which no subset condition fails.
-
-    Equals ceil of the worst subset demand |S|*rate / I_S; returns NEVER if
-    some subset has zero mutual information at a positive rate.  Agrees
-    with :func:`joint_outage` at every round by the nesting property.
-    """
-    users = list(active)
-    if not users:
-        raise ValueError("active set must be nonempty")
-    if rate <= 0:
-        return 1
-    worst = 0.0
-    if channels.gains.shape[1] == 1:
-        # single receive antenna: determinants collapse to scaled power sums
-        tx = channels.gains.shape[2]
-        power = {i: float(np.sum(np.abs(channels.gains[i]) ** 2)) for i in users}
-        for size in range(1, len(users) + 1):
-            for subset in combinations(users, size):
-                info = math.log2(1.0 + (snr / tx) * sum(power[i] for i in subset))
-                if info <= 0.0:
-                    return NEVER
-                worst = max(worst, size * rate / info)
-    else:
-        for size in range(1, len(users) + 1):
-            for subset in combinations(users, size):
-                info = subset_mutual_information(channels, subset, snr)
-                if info <= 0.0:
-                    return NEVER
-                worst = max(worst, size * rate / info)
-    # boundary ties decode: shave one ulp-scale epsilon before the ceil
-    return max(1, int(math.ceil(worst * (1.0 - 1e-12))))
 
 
 def _subset_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,16 +40,15 @@ def _subset_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, masks.sum(axis=1)
 
 
-def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> np.ndarray:
-    """Vectorised :func:`first_decodable_round` over a batch of epochs.
+def subset_demand(gains: np.ndarray, snr: float, rate: float) -> np.ndarray:
+    """Round demand |S|*rate / I_S of every nonempty user subset S, per epoch.
 
-    ``gains`` has shape (epochs, k, rx, tx) with all k users active.  The
-    single-receive-antenna case avoids determinants entirely.  Callers are
-    expected to chunk the batch; subset enumeration is exponential in k.
+    ``gains`` has shape (epochs, k, rx, tx).  Column s-1 belongs to the
+    subset whose bitmask is s (bit i set for user i); a subset with no
+    mutual information demands inf.  The single-receive-antenna case
+    avoids determinants entirely.  Subset enumeration is exponential in k.
     """
-    n, k, rx, tx = gains.shape
-    if rate <= 0:
-        return np.ones(n, dtype=np.int64)
+    k, rx, tx = gains.shape[1:]
     masks, sizes = _subset_masks(k)
     if rx == 1:
         power = np.sum(np.abs(gains) ** 2, axis=(2, 3))            # (n, k)
@@ -189,13 +61,30 @@ def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> n
         info = np.log2(np.maximum(dets.real, 1e-300))
     demand = sizes[None, :] * rate
     with np.errstate(divide="ignore"):
-        ratio = np.where(info > 0.0, demand / np.maximum(info, 1e-300), np.inf)
-    worst = ratio.max(axis=1)
+        return np.where(info > 0.0, demand / np.maximum(info, 1e-300), np.inf)
+
+
+def rounds_from_demand(worst: np.ndarray) -> np.ndarray:
+    """Smallest round count meeting a worst-case demand; NEVER for inf."""
+    # boundary ties decode: shave one ulp-scale epsilon before the ceil
     rounds = np.ceil(worst * (1.0 - 1e-12))
-    out = np.full(n, NEVER, dtype=np.int64)
+    out = np.full(worst.shape, NEVER, dtype=np.int64)
     finite = np.isfinite(rounds)
     out[finite] = np.maximum(rounds[finite].astype(np.int64), 1)
     return out
+
+
+def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> np.ndarray:
+    """First round after which no subset condition fails, per epoch.
+
+    ``gains`` has shape (epochs, k, rx, tx) with all k users active.  The
+    result is the ceil of the worst subset demand |S|*rate / I_S, or NEVER
+    if some subset has zero mutual information at a positive rate.
+    Callers are expected to chunk the batch.
+    """
+    if rate <= 0:
+        return np.ones(gains.shape[0], dtype=np.int64)
+    return rounds_from_demand(subset_demand(gains, snr, rate).max(axis=1))
 
 
 def asymptotic_first_decodable_round(k: int, config: AntennaConfig, r: float) -> int:

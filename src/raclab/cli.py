@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import dmt, montecarlo, queueing
+from .protocols import MAX_TABLE_USERS
 from .system import GTA, IRARQ, ONDMA, PROTOCOLS, AntennaConfig, ProtocolParams
 
 SIM_HEADER = "snr_db,protocol,L,p_t,r,metric,value,stderr,trials,seed".split(",")
@@ -58,6 +59,13 @@ class ExperimentConfig:
             return AntennaConfig(users=self.users, tx=self.tx_ant, rx=self.rx_ant)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+    def queue_antenna(self) -> AntennaConfig:
+        """Antenna geometry of a random-arrival run, whose tables grow as 2^K."""
+        antenna = self.antenna()
+        if antenna.users > MAX_TABLE_USERS:
+            raise ConfigError(f"random-arrival runs take at most {MAX_TABLE_USERS} users")
+        return antenna
 
     def pt_for(self, protocol: str) -> float:
         return self.pt if self.pt is not None else DEFAULT_PT[protocol]
@@ -224,7 +232,7 @@ def cmd_throughput(cfg: ExperimentConfig) -> int:
             params = cfg.params_for(protocol, ell)
             for snr_db in cfg.snr_db:
                 est = montecarlo.fully_loaded_throughput(
-                    protocol, antenna, params, snr_db, cfg.horizon, seed, workers=cfg.workers
+                    protocol, antenna, params, snr_db, cfg.horizon, seed
                 )
                 beta = None
                 if protocol == IRARQ:
@@ -283,7 +291,7 @@ def _delay_row(antenna, protocol, ell, params, cfg, snr_db, lam, delay, ci, pe, 
 
 def cmd_delay(cfg: ExperimentConfig) -> int:
     seed = cfg.require_seed()
-    antenna = cfg.antenna()
+    antenna = cfg.queue_antenna()
     for lam in cfg.lam:
         if not (0.0 <= lam <= antenna.users):
             raise ConfigError(f"arrival rate {lam} outside [0, K]")
@@ -333,6 +341,7 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
                          f"lambda_max={lam_max:.6f}")
             if cfg.scan:
                 seed = cfg.require_seed()
+                cfg.queue_antenna()
                 grid = [lam_max + s for s in (-0.15, -0.10, -0.05, 0.05, 0.10, 0.15)]
                 grid = [g for g in grid if g > 0]
                 scan = queueing.stability_boundary_scan(
@@ -344,7 +353,7 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
                                            rep.total_rate, rep.delay, rep.delay_ci, rep.pe,
                                            rep.verdict, cfg.seed))
     print("\n".join(lines))
-    if cfg.scan and cfg.out:
+    if cfg.scan:
         _write_rows(cfg, DELAY_HEADER, rows)
     return 0
 

@@ -94,9 +94,10 @@ class GtaRecursionTable:
 
     def __post_init__(self):
         x, j = self.expected_slots, self.expected_successes
-        assert x[0] == 1 and j[0] == 0
-        if len(x) > 1:
-            assert x[1] == 1 and j[1] == 1
+        if x[0] != 1 or j[0] != 0:
+            raise ValueError("an idle epoch takes one slot and delivers nothing")
+        if len(x) > 1 and (x[1] != 1 or j[1] != 1):
+            raise ValueError("a singleton epoch takes one slot and delivers one packet")
 
     @property
     def k_max(self) -> int:

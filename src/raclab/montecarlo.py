@@ -163,9 +163,7 @@ def estimate_beta(
     for k in range(1, users + 1):
         def one_chunk(idx, n, k=k):
             rng = np.random.default_rng([seed, _TAG_BETA + k, idx])
-            gains = (
-                rng.standard_normal((n, k, rx, tx)) + 1j * rng.standard_normal((n, k, rx, tx))
-            ) / math.sqrt(2.0)
+            gains = _draw_gains(rng, (n, k, rx, tx))
             needed = batch_first_decodable_round(gains, snr, rate)
             exceed = np.array([(needed > ell).sum() for ell in range(1, deadline + 1)])
             capped = np.minimum(needed, deadline).astype(float)
@@ -440,7 +438,6 @@ def fully_loaded_throughput(
     slots: int,
     seed: int,
     chunk: int = DEFAULT_CHUNK,
-    workers: int = 1,
 ) -> ThroughputEstimate:
     """Simulate epochs until at least ``slots`` slots elapse; ratio estimator.
 

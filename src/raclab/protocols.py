@@ -1,246 +1,148 @@
-"""Slot-level execution of one collision-resolution epoch per protocol.
+"""Epoch outcomes of the three protocols, tabulated by participant set.
 
 An epoch starts after the previous receiver ACK.  The participant set is
 decided before entry (each non-empty queue transmits with probability p_t)
-and stays fixed until the epoch ends.  The three state machines:
+and stays fixed until the epoch ends.  Given the participant set, the
+outcome does not depend on the queues, so :func:`epoch_tables` draws a
+block of epochs at once and tabulates, for every participant bitmask S
+(bit i set for user i; S = 0 is the idle epoch), the epoch length and the
+bitmasks of delivered and of wrongly decoded packets:
 
 * IR-ARQ: every participant sends a fresh redundancy block each round and
   the receiver jointly decodes across users and rounds, up to the deadline
   L; at round L an ACK is sent regardless, so failed packets still drain.
+  The rounds S needs are ceil of the worst demand |T|*R / I_T over the
+  nonempty T contained in S.
 * O-NDMA: a k-user collision is resolved in exactly k orthogonal slots and
-  each message is decoded by a single-user decoder after combining.
+  each message is decoded by a single-user decoder after combining (gain 1,
+  or k with ``matched_combining``).
 * Tree splitting (GTA): colliding users split fairly; an empty left group
   costs no data slot (membership is known via the perfect control
   channels) and the full group re-collides; a singleton left group gets a
   clean slot and the remainder re-enters; a left group of two or more
   re-collides while the right group is pruned for the rest of the epoch.
   Pruned packets are not errors; they stay with their owners.  Delivered
-  packets are decoded from their single clean slot.
+  packets, a uniform subset of S, are decoded from their single clean slot.
 
-Epochs are replayable: outcomes depend only on (participants, channel set,
-params, generator stream), and the generator is consumed in a fixed order.
-Passing ``channels=None`` runs the infinite-SNR limit, where decoding
+Passing ``snr=None`` tabulates the infinite-SNR limit, where decoding
 outcomes are the deterministic indicator thresholds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import (
-    ChannelSet,
     asymptotic_first_decodable_round,
     asymptotic_single_user_outage,
-    first_decodable_round,
-    single_user_outage,
+    rounds_from_demand,
+    subset_demand,
 )
-from .system import AntennaConfig, ProtocolParams
+from .montecarlo import _draw_gains, _gta_tree_batch, _single_user_info
+from .system import GTA, IRARQ, ONDMA, AntennaConfig, ProtocolParams
+
+# Tables hold 2^K entries per epoch; beyond this many users they stop being cheap.
+MAX_TABLE_USERS = 8
 
 
-@dataclass
-class EpochOutcome:
-    """Result of one collision-resolution epoch."""
-
-    length: int                      # slots consumed, >= 1
-    participants: tuple[int, ...]
-    delivered: dict[int, bool]       # packet left the transmitter's queue
-    decoded_ok: dict[int, bool]      # no outage error for this packet
-    pruned: dict[int, bool]          # dropped by the tree, packet retained by owner
-    collision_size: int
-    trace: list[str] | None = None
-
-    def __post_init__(self):
-        assert self.length >= 1
-        if not self.participants:
-            assert self.length == 1
-        for u in self.participants:
-            assert not (self.pruned.get(u) and self.delivered.get(u))
-
-    @property
-    def idle(self) -> bool:
-        return not self.participants
-
-    @property
-    def any_error(self) -> bool:
-        return any(self.delivered[u] and not self.decoded_ok[u] for u in self.participants)
+def _bits(flags: np.ndarray) -> np.ndarray:
+    """Per-epoch bitmask of an (epochs, users) boolean array."""
+    return (flags.astype(np.int64) << np.arange(flags.shape[1])).sum(axis=1)
 
 
-@dataclass
-class EpochContext:
-    """Inputs fixed for the duration of one epoch."""
-
-    participants: tuple[int, ...]
-    params: ProtocolParams
-    rng: np.random.Generator
-    channels: ChannelSet | None = None    # None: infinite-SNR indicator decoding
-    config: AntennaConfig | None = None   # required in the infinite-SNR mode
-    epoch_id: int = 0
-    collect_trace: bool = False
-
-    def __post_init__(self):
-        if self.channels is None:
-            if self.config is None or self.params.multiplexing_gain is None:
-                raise ValueError(
-                    "infinite-SNR mode needs an AntennaConfig and multiplexing-gain params"
-                )
+def _subset_max(demand: np.ndarray, users: int) -> np.ndarray:
+    """Max of ``demand`` over the nonempty subsets of every mask; column 0 is 0."""
+    worst = np.zeros((demand.shape[0], 1 << users))
+    worst[:, 1:] = demand
+    masks = np.arange(1 << users)
+    for i in range(users):
+        has = masks[masks >> i & 1 == 1]
+        worst[:, has] = np.maximum(worst[:, has], worst[:, has ^ (1 << i)])
+    return worst
 
 
-def _idle(ctx: EpochContext) -> EpochOutcome:
-    trace = [f"epoch={ctx.epoch_id} slot=0 active=() decision=idle"] if ctx.collect_trace else None
-    return EpochOutcome(1, (), {}, {}, {}, 0, trace)
+def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, gains, gain: float):
+    if snr is None:
+        out = asymptotic_single_user_outage(config, params.multiplexing_gain)
+        return (1 << config.users) - 1 if out else 0
+    info = _single_user_info(gains, snr, gain, config.tx)
+    return _bits(info < params.rate_at(snr))
 
 
-def _clean_slot_ok(ctx: EpochContext, user: int, combining_slots: int = 1) -> bool:
-    """Decode one user's packet from an interference-free slot."""
-    if ctx.channels is None:
-        return not asymptotic_single_user_outage(ctx.config, ctx.params.multiplexing_gain)
-    return not single_user_outage(
-        ctx.channels.gains[user],
-        ctx.channels.snr,
-        ctx.params.rate_at(ctx.channels.snr),
-        combining_slots=combining_slots,
-        matched_combining=ctx.params.matched_combining,
-    )
+def epoch_tables(
+    protocol: str,
+    config: AntennaConfig,
+    params: ProtocolParams,
+    snr: float | None,
+    n: int,
+    rng: np.random.Generator,
+):
+    """Outcomes of n independent epochs for every participant bitmask.
 
-
-def run_irarq_epoch(ctx: EpochContext) -> EpochOutcome:
-    """One incremental-redundancy epoch with joint decoding and deadline."""
-    users = ctx.participants
-    if not users:
-        return _idle(ctx)
-    deadline = ctx.params.deadline
-    if deadline is None or deadline < 1:
-        raise ValueError("IR-ARQ needs deadline >= 1")
-    if ctx.channels is None:
-        needed = asymptotic_first_decodable_round(
-            len(users), ctx.config, ctx.params.multiplexing_gain
-        )
-    else:
-        needed = first_decodable_round(
-            ctx.channels, users, ctx.channels.snr, ctx.params.rate_at(ctx.channels.snr)
-        )
-    length = min(needed, deadline)
-    ok = needed <= deadline
-    trace = None
-    if ctx.collect_trace:
-        trace = [
-            f"epoch={ctx.epoch_id} slot={s} active={users} "
-            f"decision={'ACK' if s == length - 1 and ok else ('FAIL' if s == length - 1 else 'NACK')}"
-            for s in range(length)
-        ]
-    return EpochOutcome(
-        length=length,
-        participants=users,
-        delivered={u: True for u in users},
-        decoded_ok={u: ok for u in users},
-        pruned={u: False for u in users},
-        collision_size=len(users),
-        trace=trace,
-    )
-
-
-def run_ondma_epoch(ctx: EpochContext) -> EpochOutcome:
-    """One orthogonal-repetition epoch: k slots resolve a k-user collision."""
-    users = ctx.participants
-    if not users:
-        return _idle(ctx)
-    k = len(users)
-    decoded = {u: _clean_slot_ok(ctx, u, combining_slots=k) for u in users}
-    trace = None
-    if ctx.collect_trace:
-        trace = [
-            f"epoch={ctx.epoch_id} slot={s} active={users} decision="
-            + ("ACK" if s == k - 1 else "repeat")
-            for s in range(k)
-        ]
-    return EpochOutcome(
-        length=k,
-        participants=users,
-        delivered={u: True for u in users},
-        decoded_ok=decoded,
-        pruned={u: False for u in users},
-        collision_size=k,
-        trace=trace,
-    )
-
-
-def run_gta_epoch(ctx: EpochContext) -> EpochOutcome:
-    """One tree-splitting epoch.
-
-    The generator is consumed in a fixed order: one uniform per member of
-    the current group (in participant order) at every split.
+    Returns (lengths, delivered, errors), each an (n, 2^K) int64 array
+    indexed by [epoch, mask]; ``delivered`` and ``errors`` are bitmasks of
+    users.  The generator is consumed in a fixed order per protocol, so a
+    block replays bitwise for a given generator state.
     """
-    users = ctx.participants
-    if not users:
-        return _idle(ctx)
-    trace: list[str] | None = [] if ctx.collect_trace else None
+    users, rx, tx = config.users, config.rx, config.tx
+    if users > MAX_TABLE_USERS:
+        raise ValueError(
+            f"outcome tables grow as 2^K; at most {MAX_TABLE_USERS} users, got {users}"
+        )
+    if snr is None and params.multiplexing_gain is None:
+        raise ValueError("infinite-SNR mode needs multiplexing-gain params")
+    masks = np.arange(1 << users)
+    sizes = np.array([int(s).bit_count() for s in masks])
+    lengths = np.ones((n, masks.size), dtype=np.int64)
+    delivered = np.tile(masks, (n, 1))
 
-    delivered = {u: False for u in users}
-    decoded = {u: False for u in users}
-    pruned = {u: False for u in users}
+    if protocol == IRARQ:
+        deadline = params.deadline
+        if deadline is None:
+            raise ValueError("IR-ARQ needs a deadline")
+        if snr is None:
+            needed = np.array([1] + [
+                asymptotic_first_decodable_round(int(k), config, params.multiplexing_gain)
+                for k in sizes[1:]
+            ])[None, :]
+        else:
+            gains = _draw_gains(rng, (n, users, rx, tx))
+            rate = params.rate_at(snr)
+            if rate <= 0:
+                needed = np.ones((1, masks.size), dtype=np.int64)
+            else:
+                needed = rounds_from_demand(_subset_max(subset_demand(gains, snr, rate), users))
+        lengths[:] = np.minimum(needed, deadline)
+        errors = np.where(needed > deadline, masks, 0)
 
-    def log(slot, active, decision):
-        if trace is not None:
-            trace.append(
-                f"epoch={ctx.epoch_id} slot={slot} active={tuple(active)} decision={decision}"
-            )
+    elif protocol == ONDMA:
+        lengths[:, 1:] = sizes[1:]
+        gains = None if snr is None else _draw_gains(rng, (n, users, rx, tx))
+        if snr is not None and params.matched_combining:
+            by_size = [np.zeros(n, dtype=np.int64)] + [
+                _outage_bits(config, params, snr, gains, float(k)) for k in range(1, users + 1)
+            ]
+            out = np.stack(by_size, axis=1)[:, sizes]
+        else:
+            out = np.reshape(_outage_bits(config, params, snr, gains, 1.0), (-1, 1))
+        errors = masks & out
 
-    def deliver(slot, user):
-        delivered[user] = True
-        decoded[user] = _clean_slot_ok(ctx, user)
-        log(slot, (user,), "clean")
+    elif protocol == GTA:
+        count = np.zeros((n, masks.size), dtype=np.int64)
+        for k in range(2, users + 1):
+            tree_len, tree_del, _pruned = _gta_tree_batch(np.full(n, k, dtype=np.int64), rng)
+            lengths[:, sizes == k] = tree_len[:, None]
+            count[:, sizes == k] = tree_del[:, None]
+        order = np.argsort(rng.random((n, users)), axis=1)
+        for s in masks[sizes >= 2]:
+            # the count[s] first members of s under a uniform ranking of the users
+            member = s >> order & 1
+            take = member & (np.cumsum(member, axis=1) <= count[:, s, None])
+            delivered[:, s] = (take << order).sum(axis=1)
+        gains = None if snr is None else _draw_gains(rng, (n, users, rx, tx))
+        errors = delivered & np.reshape(_outage_bits(config, params, snr, gains, 1.0), (-1, 1))
 
-    if len(users) == 1:
-        deliver(0, users[0])
-        return EpochOutcome(1, users, delivered, decoded, pruned, 1, trace)
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
 
-    group = list(users)
-    slots = 1
-    log(0, group, "collision")
-    while True:
-        coins = ctx.rng.random(len(group)) < 0.5
-        left = [u for u, c in zip(group, coins) if c]
-        right = [u for u, c in zip(group, coins) if not c]
-        if len(left) == 0:
-            # empty split is observed on the control channels; the whole
-            # group retransmits and collides again
-            log(slots, group, "collision")
-            slots += 1
-            continue
-        if len(left) == 1:
-            deliver(slots, left[0])
-            slots += 1
-            group = right
-            if len(group) == 1:
-                deliver(slots, group[0])
-                slots += 1
-                break
-            log(slots, group, "collision")
-            slots += 1
-            continue
-        # two consecutive collisions: drop the right group for this epoch
-        for u in right:
-            pruned[u] = True
-        if right:
-            log(slots, right, "pruned")
-        log(slots, left, "collision")
-        slots += 1
-        group = left
-    return EpochOutcome(slots, users, delivered, decoded, pruned, len(users), trace)
-
-
-EPOCH_RUNNERS = {
-    "gta": run_gta_epoch,
-    "ondma": run_ondma_epoch,
-    "irarq": run_irarq_epoch,
-}
-
-
-def run_epoch(protocol: str, ctx: EpochContext) -> EpochOutcome:
-    try:
-        runner = EPOCH_RUNNERS[protocol]
-    except KeyError:
-        raise ValueError(f"unknown protocol {protocol!r}") from None
-    return runner(ctx)
+    return lengths, delivered, np.broadcast_to(errors, (n, masks.size))

@@ -19,35 +19,20 @@ and are eligible again at the very next epoch.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dmt
-from .channel import draw_channels
 from .montecarlo import BetaTable
-from .protocols import EpochContext, run_epoch
+from .protocols import _bits, epoch_tables
 from .system import AntennaConfig, ProtocolParams, binom_pmf, snr_from_db
 
 STABILITY_SLOPE_EPS = 1e-3   # packets/slot; backlog-trend threshold
 WARMUP_FRACTION = 0.2        # leading slots excluded from delay statistics
-
-
-@dataclass
-class QueueState:
-    """One user's FIFO backlog of arrival timestamps."""
-
-    packets: deque = field(default_factory=deque)
-
-    def __len__(self) -> int:
-        return len(self.packets)
-
-    def push(self, timestamp: float):
-        self.packets.append(timestamp)
-
-    def pop_head(self) -> float:
-        return self.packets.popleft()
+_TABLE_ENTRIES = 1 << 14     # epochs per outcome-table block times 2^K
+_ARRIVAL_BLOCK_SLOTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -217,15 +202,19 @@ def simulate_random_arrivals(
     horizon_slots: int,
     seed,
     arrivals: str = "poisson",
-    trace: bool = False,
 ) -> DelayReport:
     """Drive the protocol with randomly arriving packets for ``horizon_slots``.
 
-    The stability verdict regresses the total backlog against time over the
-    second half of the horizon: trend below STABILITY_SLOPE_EPS in absolute
-    value is stable, a positive trend above it is unstable, anything else
-    is inconclusive.  Work conservation (arrivals = departures + final
-    backlog) is asserted exactly.
+    Epoch outcomes come in fixed-size blocks of :func:`protocols.epoch_tables`
+    and arrival stamps in fixed-size blocks of slots, each drawn from the one
+    generator when the loop first needs it, so the sequential part is
+    integer bookkeeping: each queue is a sorted list of stamps with a head
+    pointer.  The stability verdict regresses the
+    total backlog against time over the second half of the horizon: trend
+    below STABILITY_SLOPE_EPS in absolute value is stable, a positive trend
+    above it is unstable, anything else is inconclusive.  The packet ledger
+    is checked: no queue departs a packet that has not arrived, and
+    departures equal the delivered epoch outcomes.
     """
     if horizon_slots < 10:
         raise ValueError("horizon too short")
@@ -234,12 +223,21 @@ def simulate_random_arrivals(
     rng = np.random.default_rng(seed)
     snr = None if snr_db is None else snr_from_db(snr_db)
     process = ArrivalProcess(arrivals, total_rate / config.users)
-    queues = [QueueState() for _ in range(config.users)]
+    users = range(config.users)
+    everyone = (1 << config.users) - 1
+    block = max(1, _TABLE_ENTRIES >> config.users)
     warmup_time = WARMUP_FRACTION * horizon_slots
 
+    # per user: sorted stamps of packets not yet departed (future ones included),
+    # the head-of-line index into them, and how many departed ones were dropped
+    stamps: list[list[float]] = [[] for _ in users]
+    head = [0] * config.users
+    dropped = [0] * config.users
+    drawn = 0                    # arrivals are drawn for slots [0, drawn)
+
     slot = 0
-    epoch_id = 0
-    n_arrivals = 0
+    epoch = block                # index into the current table block
+    ready = 0                    # bitmask of non-empty queues at ``slot``
     n_delivered = 0
     delays: list[float] = []
     errors = 0
@@ -248,57 +246,59 @@ def simulate_random_arrivals(
     backlog_v: list[int] = []
 
     while slot < horizon_slots:
-        candidates = [i for i in range(config.users) if len(queues[i]) > 0]
-        if params.p_t < 1.0 and candidates:
-            coins = rng.random(len(candidates))
-            participants = tuple(u for u, c in zip(candidates, coins) if c < params.p_t)
-        else:
-            participants = tuple(candidates)
-
-        channels = None
-        if snr is not None:
-            channels = draw_channels(config, snr, rng, epoch=epoch_id)
-        ctx = EpochContext(
-            participants=participants,
-            params=params,
-            rng=rng,
-            channels=channels,
-            config=config,
-            epoch_id=epoch_id,
-            collect_trace=trace,
-        )
-        outcome = run_epoch(protocol, ctx)
-        end_time = slot + outcome.length
-
+        if epoch == block:
+            if params.p_t < 1.0:
+                coins = _bits(rng.random((block, config.users)) < params.p_t).tolist()
+            else:
+                coins = [everyone] * block
+            tables = epoch_tables(protocol, config, params, snr, block, rng)
+            lengths, delivered, erred = (t.ravel().tolist() for t in tables)
+            epoch = 0
+        participants = ready & coins[epoch]
+        cell = (epoch << config.users) | participants
+        end = slot + lengths[cell]
         if participants:
             nonidle += 1
-            if outcome.any_error:
+            if erred[cell]:
                 errors += 1
-        for u in participants:
-            if outcome.delivered[u]:
-                stamp = queues[u].pop_head()
-                n_delivered += 1
-                if stamp >= warmup_time:
-                    delays.append(end_time - stamp)
+            gone = delivered[cell]
+            n_delivered += gone.bit_count()
+            for u in users:
+                if gone >> u & 1:
+                    stamp = stamps[u][head[u]]
+                    if stamp >= slot:
+                        raise AssertionError("packet ledger: departure before arrival")
+                    head[u] += 1
+                    if stamp >= warmup_time:
+                        delays.append(end - stamp)
             # pruned packets stay at the head, eligible next epoch
+        slot = end
+        epoch += 1
 
-        counts = process.draw(rng, outcome.length, config.users)
-        for offset in range(outcome.length):
-            base = slot + offset
-            for u in range(config.users):
-                c = int(counts[offset, u])
-                if c:
-                    n_arrivals += c
-                    for frac in np.sort(rng.random(c)):
-                        queues[u].push(base + float(frac))
+        while drawn < slot:
+            counts = process.draw(rng, _ARRIVAL_BLOCK_SLOTS, config.users)
+            base = np.arange(drawn, drawn + _ARRIVAL_BLOCK_SLOTS)
+            for u in users:
+                new = np.repeat(base, counts[:, u])
+                new = np.sort(new + rng.random(new.size))
+                dropped[u] += head[u]
+                stamps[u] = stamps[u][head[u]:] + new.tolist()
+                head[u] = 0
+            drawn += _ARRIVAL_BLOCK_SLOTS
 
-        slot = end_time
-        epoch_id += 1
+        ready = 0
+        backlog = 0
+        for u in users:
+            waiting = bisect_left(stamps[u], slot, head[u]) - head[u]
+            if waiting:
+                ready |= 1 << u
+                backlog += waiting
         backlog_t.append(slot)
-        backlog_v.append(sum(len(q) for q in queues))
+        backlog_v.append(backlog)
 
-    if n_arrivals != n_delivered + sum(len(q) for q in queues):
-        raise AssertionError("packet ledger out of balance")
+    if sum(dropped) + sum(head) != n_delivered:
+        raise AssertionError("packet ledger: departures differ from delivered outcomes")
+    n_arrivals = sum(dropped[u] + bisect_left(stamps[u], slot) for u in users)
 
     t = np.asarray(backlog_t, dtype=float)
     v = np.asarray(backlog_v, dtype=float)

@@ -1,6 +1,6 @@
 """Shared system description for the random-access channel laboratory.
 
-Everything downstream (analytics, physical layer, protocol state machines,
+Everything downstream (analytics, physical layer, protocol outcome tables,
 Monte Carlo engines, queueing) is parameterised by the same two records:
 the antenna geometry of the symmetric multi-user channel and the knobs of
 the access protocol under test.

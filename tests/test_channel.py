@@ -1,20 +1,64 @@
-"""Physical-layer behaviour: fading statistics, mutual information, outage."""
+"""Physical-layer behaviour: fading statistics, mutual information, outage.
+
+The subset mutual information and the joint-outage predicate below are the
+definitional oracle, one subset and one determinant at a time over a plain
+(users, rx, tx) gains array; the batched kernels are checked against it.
+"""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from raclab import AntennaConfig, ChannelSet, draw_channels, first_decodable_round, joint_outage, single_user_outage, subset_mutual_information
+from raclab import AntennaConfig, ProtocolParams
 from raclab.channel import NEVER, batch_first_decodable_round
+from raclab.montecarlo import _draw_gains, _single_user_info
+from raclab.protocols import epoch_tables
 
 SCALAR2 = AntennaConfig(users=2, tx=1, rx=1)
 
 
-def scalar_channels(powers, snr):
-    """Channel set with real scalar gains of the given squared magnitudes."""
-    gains = np.array([[[math.sqrt(p)]] for p in powers], dtype=complex)
-    return ChannelSet(gains=gains, snr=snr)
+def subset_mutual_information(gains, subset, snr):
+    """log2 det(I + (snr/M) * sum of subset Gram matrices), in bits/channel-use."""
+    users = list(subset)
+    if not users:
+        raise ValueError("subset must be nonempty")
+    rx, tx = gains.shape[1:]
+    gram = np.zeros((rx, rx), dtype=complex)
+    for i in users:
+        gram += gains[i] @ gains[i].conj().T
+    _, logdet = np.linalg.slogdet(np.eye(rx) + (snr / tx) * gram)
+    return float(logdet / math.log(2.0))
+
+
+def joint_outage(gains, active, snr, rate, rounds):
+    """True iff some subset of the active users is undecodable after ``rounds``.
+
+    A subset condition fails strictly: equality decodes.
+    """
+    users = list(active)
+    if not users:
+        raise ValueError("active set must be nonempty")
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    if rate < 0:
+        raise ValueError("rate must be nonnegative")
+    for size in range(1, len(users) + 1):
+        for subset in combinations(users, size):
+            if rounds * subset_mutual_information(gains, subset, snr) < size * rate:
+                return True
+    return False
+
+
+def scalar_gains(powers):
+    """(users, 1, 1) real scalar gains of the given squared magnitudes."""
+    return np.array([[[math.sqrt(p)]] for p in powers], dtype=complex)
+
+
+def draw(cfg, rng, n=None):
+    shape = (cfg.users, cfg.rx, cfg.tx) if n is None else (n, cfg.users, cfg.rx, cfg.tx)
+    return _draw_gains(rng, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -23,34 +67,24 @@ def scalar_channels(powers, snr):
 
 def test_draw_shapes_and_determinism():
     cfg = AntennaConfig(users=3, tx=2, rx=4)
-    a = draw_channels(cfg, 10.0, np.random.default_rng(5))
-    b = draw_channels(cfg, 10.0, np.random.default_rng(5))
-    assert a.gains.shape == (3, 4, 2)
-    assert np.array_equal(a.gains, b.gains)
-    with pytest.raises(ValueError):
-        draw_channels(cfg, 0.0, np.random.default_rng(1))
+    a = draw(cfg, np.random.default_rng(5), n=7)
+    b = draw(cfg, np.random.default_rng(5), n=7)
+    assert a.shape == (7, 3, 4, 2)
+    assert np.array_equal(a, b)
 
 
 def test_unit_mean_power():
-    rng = np.random.default_rng(7)
-    cs = draw_channels(AntennaConfig(users=1), 1.0, rng)
     n = 10**6
-    gains = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
+    gains = _draw_gains(np.random.default_rng(7), (n, 1, 1, 1))
     mean = float(np.mean(np.abs(gains) ** 2))
     # exponential power: sd of the mean is 1/sqrt(n) = 1e-3
     assert abs(mean - 1.0) < 0.01
-    assert abs(cs.gains[0, 0, 0]) > 0  # smoke: a draw happened
 
 
 def test_successive_epochs_uncorrelated():
-    cfg = AntennaConfig(users=1)
-    rng = np.random.default_rng(11)
     n = 10**5
-    first = np.empty(n)
-    second = np.empty(n)
-    for i in range(n):
-        first[i] = abs(draw_channels(cfg, 1.0, rng, epoch=2 * i).gains[0, 0, 0]) ** 2
-        second[i] = abs(draw_channels(cfg, 1.0, rng, epoch=2 * i + 1).gains[0, 0, 0]) ** 2
+    power = np.abs(_draw_gains(np.random.default_rng(11), (2 * n, 1, 1, 1)).ravel()) ** 2
+    first, second = power[0::2], power[1::2]
     corr = np.corrcoef(first, second)[0, 1]
     assert abs(corr) < 3.0 / math.sqrt(n)
 
@@ -60,40 +94,40 @@ def test_successive_epochs_uncorrelated():
 # ---------------------------------------------------------------------------
 
 def test_subset_mi_zero_channels():
-    cs = scalar_channels([0.0, 0.0], snr=10.0)
-    assert subset_mutual_information(cs, [0, 1]) == pytest.approx(0.0)
+    assert subset_mutual_information(scalar_gains([0.0, 0.0]), [0, 1], 10.0) == pytest.approx(0.0)
 
 
 def test_subset_mi_scalar_values():
-    cs = scalar_channels([1.0, 1.0], snr=3.0)
-    assert subset_mutual_information(cs, [0]) == pytest.approx(2.0)
-    assert subset_mutual_information(cs, [0, 1]) == pytest.approx(math.log2(7))
+    g = scalar_gains([1.0, 1.0])
+    assert subset_mutual_information(g, [0], 3.0) == pytest.approx(2.0)
+    assert subset_mutual_information(g, [0, 1], 3.0) == pytest.approx(math.log2(7))
 
 
 def test_subset_mi_rejects_empty():
-    cs = scalar_channels([1.0], snr=1.0)
     with pytest.raises(ValueError):
-        subset_mutual_information(cs, [])
+        subset_mutual_information(scalar_gains([1.0]), [], 1.0)
 
 
 def test_subset_mi_monotone_in_snr_and_subset():
     rng = np.random.default_rng(3)
     cfg = AntennaConfig(users=3, tx=2, rx=2)
     for _ in range(50):
-        cs = draw_channels(cfg, 5.0, rng)
-        i_single = subset_mutual_information(cs, [0])
-        i_pair = subset_mutual_information(cs, [0, 1])
-        i_all = subset_mutual_information(cs, [0, 1, 2])
+        g = draw(cfg, rng)
+        i_single = subset_mutual_information(g, [0], 5.0)
+        i_pair = subset_mutual_information(g, [0, 1], 5.0)
+        i_all = subset_mutual_information(g, [0, 1, 2], 5.0)
         assert 0.0 <= i_single <= i_pair <= i_all + 1e-12
-        assert subset_mutual_information(cs, [0], snr=50.0) >= i_single
+        assert subset_mutual_information(g, [0], 50.0) >= i_single
 
 
 def test_per_antenna_power_normalisation():
     # two transmit antennas split the power: unit-gain columns give
     # log2(1 + 2 * (snr/2)) = log2(1 + snr)
     gains = np.array([[[1.0, 1.0]]], dtype=complex)
-    cs = ChannelSet(gains=gains, snr=3.0)
-    assert subset_mutual_information(cs, [0]) == pytest.approx(2.0)
+    assert subset_mutual_information(gains, [0], 3.0) == pytest.approx(2.0)
+    assert _single_user_info(gains[None], 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
+    wide = np.array([[[1.0, 1.0], [0.0, 0.0]]], dtype=complex)    # rx=2: determinant branch
+    assert _single_user_info(wide[None], 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -101,35 +135,34 @@ def test_per_antenna_power_normalisation():
 # ---------------------------------------------------------------------------
 
 def test_joint_outage_boundary_is_decodable():
-    cs = scalar_channels([1.0], snr=3.0)
-    assert joint_outage(cs, [0], 3.0, rate=2.0, rounds=1) is False
+    assert joint_outage(scalar_gains([1.0]), [0], 3.0, rate=2.0, rounds=1) is False
 
 
 def test_joint_outage_two_user_examples():
-    cs = scalar_channels([1.0, 1.0], snr=3.0)
+    g = scalar_gains([1.0, 1.0])
     # sum condition: 2 * 1.6 = 3.2 > log2(7) = 2.807
-    assert joint_outage(cs, [0, 1], 3.0, rate=1.6, rounds=1) is True
+    assert joint_outage(g, [0, 1], 3.0, rate=1.6, rounds=1) is True
     # 2.807 >= 2.6 and 2.0 >= 1.3
-    assert joint_outage(cs, [0, 1], 3.0, rate=1.3, rounds=1) is False
+    assert joint_outage(g, [0, 1], 3.0, rate=1.3, rounds=1) is False
 
 
 def test_joint_outage_validation():
-    cs = scalar_channels([1.0], snr=3.0)
+    g = scalar_gains([1.0])
     with pytest.raises(ValueError):
-        joint_outage(cs, [], 3.0, 1.0, 1)
+        joint_outage(g, [], 3.0, 1.0, 1)
     with pytest.raises(ValueError):
-        joint_outage(cs, [0], 3.0, 1.0, 0)
+        joint_outage(g, [0], 3.0, 1.0, 0)
 
 
 def test_joint_outage_nested_in_rounds():
     rng = np.random.default_rng(9)
     cfg = AntennaConfig(users=3, tx=1, rx=2)
     for _ in range(200):
-        cs = draw_channels(cfg, 2.0, rng)
+        g = draw(cfg, rng)
         rate = float(rng.uniform(0.2, 3.0))
         decodable_seen = False
         for rounds in range(1, 7):
-            out = joint_outage(cs, [0, 1, 2], 2.0, rate, rounds)
+            out = joint_outage(g, [0, 1, 2], 2.0, rate, rounds)
             if not out:
                 decodable_seen = True
             if decodable_seen:
@@ -139,11 +172,11 @@ def test_joint_outage_nested_in_rounds():
 def test_joint_outage_monotone_in_snr():
     rng = np.random.default_rng(13)
     for _ in range(200):
-        cs = draw_channels(SCALAR2, 1.0, rng)
+        g = draw(SCALAR2, rng)
         rate = float(rng.uniform(0.2, 3.0))
         flipped = False
         for snr in (0.5, 1.0, 2.0, 8.0, 64.0, 1e4):
-            out = joint_outage(cs, [0, 1], snr, rate, 1)
+            out = joint_outage(g, [0, 1], snr, rate, 1)
             if not out:
                 flipped = True
             if flipped:
@@ -153,68 +186,99 @@ def test_joint_outage_monotone_in_snr():
 def test_subset_consistency_removing_users():
     rng = np.random.default_rng(17)
     for _ in range(200):
-        cs = draw_channels(AntennaConfig(users=3), 4.0, rng)
+        g = draw(AntennaConfig(users=3), rng)
         rate = float(rng.uniform(0.1, 2.0))
-        if not joint_outage(cs, [0, 1, 2], 4.0, rate, 1):
-            assert not joint_outage(cs, [0, 1], 4.0, rate, 1)
-            assert not joint_outage(cs, [2], 4.0, rate, 1)
+        if not joint_outage(g, [0, 1, 2], 4.0, rate, 1):
+            assert not joint_outage(g, [0, 1], 4.0, rate, 1)
+            assert not joint_outage(g, [2], 4.0, rate, 1)
 
 
 def test_single_user_outage_examples():
-    h = np.array([[1.0]], dtype=complex)
-    assert single_user_outage(h, 3.0, 2.0) is False
-    assert single_user_outage(h, 3.0, 2.1) is True
+    h = np.ones((1, 1, 1, 1), dtype=complex)
+    assert not _single_user_info(h, 3.0, 1.0, 1)[0, 0] < 2.0     # boundary decodes
+    assert _single_user_info(h, 3.0, 1.0, 1)[0, 0] < 2.1
     # matched combining over 3 slots triples the effective SNR
-    assert single_user_outage(h, 1.0, 1.9, combining_slots=3, matched_combining=True) is False
-    assert single_user_outage(h, 1.0, 1.9, combining_slots=3) is True
-    with pytest.raises(ValueError):
-        single_user_outage(h, 1.0, 1.0, combining_slots=0)
+    assert not _single_user_info(h, 1.0, 3.0, 1)[0, 0] < 1.9
+    assert _single_user_info(h, 1.0, 1.0, 1)[0, 0] < 1.9
 
 
 def test_single_user_outage_matches_exponential_law():
     rng = np.random.default_rng(23)
     n = 10**6
     for rate, snr in [(1.0, 10.0), (2.0, 3.0)]:
-        gains = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
-        freq = float(np.mean(np.log2(1 + snr * np.abs(gains) ** 2) < rate))
+        info = _single_user_info(_draw_gains(rng, (n, 1, 1, 1)), snr, 1.0, 1)
+        freq = float(np.mean(info < rate))
         exact = 1 - math.exp(-(2**rate - 1) / snr)
         assert abs(freq - exact) < 3 * math.sqrt(exact * (1 - exact) / n)
 
 
 # ---------------------------------------------------------------------------
-# first decodable round (scalar and batch agree with the predicate)
+# first decodable round: the batched kernel and the outcome table against
+# the oracle
 # ---------------------------------------------------------------------------
+
+def first_round_by_predicate(gains, snr, rate, cap=64):
+    """Smallest round count with no joint outage, by direct search."""
+    for rounds in range(1, cap + 1):
+        if not joint_outage(gains, range(gains.shape[0]), snr, rate, rounds):
+            return rounds
+    return NEVER
+
 
 def test_first_decodable_round_agrees_with_outage_predicate():
     rng = np.random.default_rng(29)
     for cfg in (SCALAR2, AntennaConfig(users=3, tx=1, rx=2)):
         users = tuple(range(cfg.users))
         for _ in range(100):
-            cs = draw_channels(cfg, 3.0, rng)
+            g = draw(cfg, rng)
             rate = float(rng.uniform(0.2, 2.5))
-            needed = first_decodable_round(cs, users, 3.0, rate)
+            needed = int(batch_first_decodable_round(g[None], 3.0, rate)[0])
             if needed < NEVER:
-                assert joint_outage(cs, users, 3.0, rate, needed) is False
+                assert joint_outage(g, users, 3.0, rate, needed) is False
                 if needed > 1:
-                    assert joint_outage(cs, users, 3.0, rate, needed - 1) is True
+                    assert joint_outage(g, users, 3.0, rate, needed - 1) is True
 
 
 def test_batch_first_decodable_round_matches_scalar_path():
     rng = np.random.default_rng(31)
     for cfg in (SCALAR2, AntennaConfig(users=2, tx=1, rx=2), AntennaConfig(users=3, tx=2, rx=2)):
-        n = 200
-        shape = (n, cfg.users, cfg.rx, cfg.tx)
-        gains = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-        rate = 1.1
-        batch = batch_first_decodable_round(gains, 3.0, rate)
-        for i in range(n):
-            cs = ChannelSet(gains=gains[i], snr=3.0)
-            assert batch[i] == first_decodable_round(cs, range(cfg.users), 3.0, rate)
+        gains = draw(cfg, rng, n=200)
+        batch = batch_first_decodable_round(gains, 3.0, 1.1)
+        for i in range(gains.shape[0]):
+            assert batch[i] == first_round_by_predicate(gains[i], 3.0, 1.1)
 
 
 def test_first_decodable_round_boundary_and_zero_rate():
-    cs = scalar_channels([1.0], snr=3.0)
-    assert first_decodable_round(cs, [0], 3.0, 2.0) == 1   # exact boundary decodes
-    assert first_decodable_round(cs, [0], 3.0, 0.0) == 1
-    dead = scalar_channels([0.0], snr=3.0)
-    assert first_decodable_round(dead, [0], 3.0, 1.0) == NEVER
+    unit = scalar_gains([1.0])[None]
+    assert batch_first_decodable_round(unit, 3.0, 2.0)[0] == 1   # exact boundary decodes
+    assert batch_first_decodable_round(unit, 3.0, 0.0)[0] == 1
+    dead = scalar_gains([0.0])[None]
+    assert batch_first_decodable_round(dead, 3.0, 1.0)[0] == NEVER
+
+
+@pytest.mark.parametrize("cfg", [AntennaConfig(users=3), AntennaConfig(users=3, tx=2, rx=2)],
+                         ids=["scalar", "2x2"])
+def test_outcome_table_per_mask_matches_kernel_and_oracle(cfg):
+    # the IR-ARQ table draws its gains first, so a twin generator sees them
+    n, snr, deadline = 300, 2.0, 50
+    params = ProtocolParams(p_t=1.0, rate=1.2, deadline=deadline)
+    lengths, delivered, errors = epoch_tables("irarq", cfg, params, snr, n,
+                                              np.random.default_rng(37))
+    gains = draw(cfg, np.random.default_rng(37), n=n)
+    assert lengths.shape == (n, 8)
+    assert np.all(lengths[:, 0] == 1) and np.all(errors[:, 0] == 0)
+    checked = 0
+    for mask in range(1, 8):
+        members = [i for i in range(3) if mask >> i & 1]
+        needed = batch_first_decodable_round(gains[:, members], snr, params.rate)
+        assert np.array_equal(lengths[:, mask], np.minimum(needed, deadline))
+        assert np.array_equal(errors[:, mask], np.where(needed > deadline, mask, 0))
+        assert np.all(delivered[:, mask] == mask)
+        for i in range(40):
+            ell = int(lengths[i, mask])
+            if ell < deadline:
+                assert joint_outage(gains[i], members, snr, params.rate, ell) is False
+                if ell > 1:
+                    assert joint_outage(gains[i], members, snr, params.rate, ell - 1) is True
+                    checked += 1
+    assert checked > 0   # some masks needed more than one round

@@ -105,6 +105,17 @@ def test_stability_table(capsys):
     assert "lambda_max=2.000000" in text   # deadline ARQ below the rate knee
 
 
+def test_stability_scan_rows_go_to_stdout(capsys):
+    assert main(["stability", "--protocol", "ondma", "--scan", "--snr-db", "30",
+                 "--horizon", "2000", "--seed", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index(",".join(DELAY_HEADER))
+    rows = list(csv.reader(lines[start + 1:]))
+    assert len(rows) == 6                               # one per load on the scan grid
+    assert {r[0] for r in rows} == {"ondma"}
+    assert {r[12] for r in rows} <= {"stable", "unstable", "inconclusive"}
+
+
 def test_config_file_with_overrides(tmp_path):
     cfg = {"users": 2, "protocols": ["ondma"], "r": 0.3, "seed": 11}
     path = tmp_path / "exp.json"
@@ -120,6 +131,9 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["delay", "--lambda", "5.0", "--seed", "1"]) == 2
     # simulation without a seed
     assert main(["beta", "--users", "2"]) == 2
+    # more users than the random-arrival simulator tabulates
+    assert main(["delay", "--users", "9", "--lambda", "0.5", "--seed", "1"]) == 2
+    assert main(["stability", "--users", "9", "--scan", "--seed", "1"]) == 2
     # empty protocol list via config file
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"protocols": []}))

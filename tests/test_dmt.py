@@ -7,6 +7,7 @@ import pytest
 
 from raclab import (
     AntennaConfig,
+    GtaRecursionTable,
     TradeoffPoint,
     beta_highsnr,
     gta_dmt,
@@ -103,6 +104,13 @@ def test_gta_recursion_base_cases():
     t = gta_recursion(1)
     assert t.expected_slots == (1, 1)
     assert t.expected_successes == (0, 1)
+
+
+def test_gta_recursion_table_rejects_bad_base_cases():
+    # raised, not asserted: the check survives python -O
+    for slots, successes in (((2, 1), (0, 1)), ((1, 1), (1, 1)), ((1, 2), (0, 1)), ((1, 1), (0, 0))):
+        with pytest.raises(ValueError):
+            GtaRecursionTable(expected_slots=slots, expected_successes=successes)
 
 
 def test_gta_recursion_hand_solved_values():

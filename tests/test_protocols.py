@@ -1,42 +1,44 @@
-"""Epoch state machines: scripted traces, accounting, and recursion consistency."""
+"""Epoch outcome tables: scripted trees, unit-gain decisions, recursion consistency."""
 
 import math
 
 import numpy as np
 import pytest
 
-from raclab import AntennaConfig, ChannelSet, EpochContext, ProtocolParams, gta_recursion, run_epoch, run_gta_epoch, run_irarq_epoch, run_ondma_epoch
-from raclab.montecarlo import gta_collision_stats
+from raclab import AntennaConfig, ProtocolParams, gta_recursion, simulate_random_arrivals
+from raclab.montecarlo import _gta_tree_batch, gta_collision_stats
+from raclab.protocols import MAX_TABLE_USERS, epoch_tables
 
 SCALAR2 = AntennaConfig(users=2, tx=1, rx=1)
+BOTH = 0b11
 
 
-class ScriptedRng:
-    """Feeds pre-arranged uniforms to the tree splitter."""
+class UnitGainRng:
+    """Draws every channel as a unit-power gain: (1 + 1j) / sqrt(2)."""
 
-    def __init__(self, draws):
-        self.draws = [np.asarray(d, dtype=float) for d in draws]
+    def standard_normal(self, shape):
+        return np.ones(shape)
 
-    def random(self, size=None):
-        out = self.draws.pop(0)
-        assert size is None or out.shape == (size,)
+
+class ScriptedTreeRng:
+    """Feeds pre-arranged left-group sizes to the vectorised splitting tree."""
+
+    def __init__(self, lefts):
+        self.lefts = [np.asarray(x, dtype=np.int64) for x in lefts]
+
+    def binomial(self, size, p):
+        out = self.lefts.pop(0)
+        assert p == 0.5 and out.shape == np.shape(size)
         return out
 
 
-def unit_channels(users, snr):
-    gains = np.ones((users, 1, 1), dtype=complex)
-    return ChannelSet(gains=gains, snr=snr)
+def tables(protocol, params, snr=3.0, config=SCALAR2, n=1, rng=None):
+    rng = rng if rng is not None else UnitGainRng()
+    return epoch_tables(protocol, config, params, snr, n, rng)
 
 
-def ctx_for(participants, params, channels=None, config=None, rng=None, trace=False):
-    return EpochContext(
-        participants=tuple(participants),
-        params=params,
-        rng=rng if rng is not None else np.random.default_rng(0),
-        channels=channels,
-        config=config,
-        collect_trace=trace,
-    )
+def popcount(x):
+    return np.vectorize(lambda v: int(v).bit_count())(x)
 
 
 # ---------------------------------------------------------------------------
@@ -44,54 +46,55 @@ def ctx_for(participants, params, channels=None, config=None, rng=None, trace=Fa
 # ---------------------------------------------------------------------------
 
 def test_irarq_idle_epoch():
-    params = ProtocolParams(p_t=1.0, rate=1.0, deadline=2)
-    out = run_irarq_epoch(ctx_for([], params, channels=unit_channels(2, 3.0)))
-    assert out.idle and out.length == 1 and out.collision_size == 0
+    lengths, delivered, errors = tables("irarq", ProtocolParams(p_t=1.0, rate=1.0, deadline=2))
+    assert lengths[0, 0] == 1 and delivered[0, 0] == 0 and errors[0, 0] == 0
 
 
 def test_irarq_decodes_first_round():
-    params = ProtocolParams(p_t=1.0, rate=1.3, deadline=2)
-    out = run_irarq_epoch(ctx_for([0, 1], params, channels=unit_channels(2, 3.0)))
-    assert out.length == 1
-    assert all(out.decoded_ok.values()) and all(out.delivered.values())
+    lengths, delivered, errors = tables("irarq", ProtocolParams(p_t=1.0, rate=1.3, deadline=2))
+    assert lengths[0, BOTH] == 1
+    assert delivered[0, BOTH] == BOTH and errors[0, BOTH] == 0
+    # a zero rate decodes in one round whatever the channel
+    lengths, _, errors = tables("irarq", ProtocolParams(p_t=1.0, rate=0.0, deadline=2), n=50,
+                                rng=np.random.default_rng(4))
+    assert np.all(lengths == 1) and np.all(errors == 0)
 
 
 def test_irarq_second_round_rescues_sum_constraint():
     # round 1: log2(7) = 2.807 < 2*1.6; round 2: 5.614 >= 3.2 decodes
-    params = ProtocolParams(p_t=1.0, rate=1.6, deadline=2)
-    out = run_irarq_epoch(ctx_for([0, 1], params, channels=unit_channels(2, 3.0)))
-    assert out.length == 2
-    assert all(out.decoded_ok.values())
+    lengths, _, errors = tables("irarq", ProtocolParams(p_t=1.0, rate=1.6, deadline=2))
+    assert lengths[0, BOTH] == 2 and errors[0, BOTH] == 0
+    # each user alone decodes at once: log2(4) = 2 >= 1.6
+    assert lengths[0, 0b01] == 1 and lengths[0, 0b10] == 1
 
 
 def test_irarq_deadline_failure_still_drains():
     # rate 3: round 2 accumulates 2*log2(7) = 5.61 < 2*3, still in outage
-    params = ProtocolParams(p_t=1.0, rate=3.0, deadline=2)
-    out = run_irarq_epoch(ctx_for([0, 1], params, channels=unit_channels(2, 3.0)))
-    assert out.length == 2
-    assert not any(out.decoded_ok.values())
-    assert all(out.delivered.values())
-    assert out.any_error
+    lengths, delivered, errors = tables("irarq", ProtocolParams(p_t=1.0, rate=3.0, deadline=2))
+    assert lengths[0, BOTH] == 2
+    assert errors[0, BOTH] == BOTH
+    assert delivered[0, BOTH] == BOTH
 
 
 def test_irarq_length_capped_by_deadline():
-    rng = np.random.default_rng(1)
     params = ProtocolParams(p_t=1.0, multiplexing_gain=0.45, deadline=3)
-    from raclab import draw_channels
-
-    for _ in range(200):
-        cs = draw_channels(SCALAR2, 2.0, rng)
-        out = run_irarq_epoch(ctx_for([0, 1], params, channels=cs))
-        assert 1 <= out.length <= 3
+    lengths, _, _ = tables("irarq", params, snr=2.0, n=200, rng=np.random.default_rng(1))
+    assert lengths.min() >= 1 and lengths.max() <= 3
+    assert lengths[:, BOTH].max() == 3   # the cap is reached
 
 
 def test_irarq_asymptotic_mode():
     params = ProtocolParams(p_t=1.0, multiplexing_gain=0.45, deadline=2)
-    out = run_irarq_epoch(ctx_for([0, 1], params, config=SCALAR2))
-    assert out.length == 1 and all(out.decoded_ok.values())
+    lengths, _, errors = tables("irarq", params, snr=None)
+    assert lengths[0, BOTH] == 1 and errors[0, BOTH] == 0
     hot = ProtocolParams(p_t=1.0, multiplexing_gain=0.7, deadline=2)
-    out = run_irarq_epoch(ctx_for([0, 1], hot, config=SCALAR2))
-    assert out.length == 2 and all(out.decoded_ok.values())  # 2 rounds at r=0.7
+    lengths, _, errors = tables("irarq", hot, snr=None)
+    assert lengths[0, BOTH] == 2 and errors[0, BOTH] == 0   # 2 rounds at r=0.7
+    assert lengths[0, 0b01] == 1
+    with pytest.raises(ValueError):
+        tables("irarq", ProtocolParams(p_t=1.0, rate=1.0, deadline=2), snr=None)
+    with pytest.raises(ValueError):
+        tables("irarq", ProtocolParams(p_t=1.0, rate=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -99,31 +102,27 @@ def test_irarq_asymptotic_mode():
 # ---------------------------------------------------------------------------
 
 def test_ondma_lengths():
-    params = ProtocolParams(p_t=1.0, rate=2.0)
-    cs = unit_channels(3, 3.0)
-    assert run_ondma_epoch(ctx_for([], params, channels=cs)).length == 1
-    assert run_ondma_epoch(ctx_for([0], params, channels=cs)).length == 1
-    assert run_ondma_epoch(ctx_for([0, 1, 2], params, channels=cs)).length == 3
+    lengths, delivered, _ = tables("ondma", ProtocolParams(p_t=1.0, rate=2.0),
+                                   config=AntennaConfig(users=3))
+    assert lengths[0].tolist() == [1, 1, 1, 2, 1, 2, 2, 3]
+    assert delivered[0].tolist() == list(range(8))
 
 
 def test_ondma_single_user_decode():
-    params = ProtocolParams(p_t=1.0, rate=2.0)
-    out = run_ondma_epoch(ctx_for([0], params, channels=unit_channels(1, 3.0)))
-    assert out.decoded_ok[0] is True
-    hot = ProtocolParams(p_t=1.0, rate=2.1)
-    out = run_ondma_epoch(ctx_for([0], hot, channels=unit_channels(1, 3.0)))
-    assert out.decoded_ok[0] is False and out.delivered[0] is True
+    _, delivered, errors = tables("ondma", ProtocolParams(p_t=1.0, rate=2.0))
+    assert errors[0, 0b01] == 0
+    _, delivered, errors = tables("ondma", ProtocolParams(p_t=1.0, rate=2.1))
+    assert errors[0, 0b01] == 0b01 and delivered[0, 0b01] == 0b01
 
 
 def test_ondma_matched_combining_helps():
     # log2(1 + 3) = 2 < 2.5 but log2(1 + 2*3) = 2.807 >= 2.5
-    base = ProtocolParams(p_t=1.0, rate=2.5)
-    cs = unit_channels(2, 3.0)
-    out = run_ondma_epoch(ctx_for([0, 1], base, channels=cs))
-    assert not any(out.decoded_ok.values())
+    _, _, errors = tables("ondma", ProtocolParams(p_t=1.0, rate=2.5))
+    assert errors[0, BOTH] == BOTH
     matched = ProtocolParams(p_t=1.0, rate=2.5, matched_combining=True)
-    out = run_ondma_epoch(ctx_for([0, 1], matched, channels=cs))
-    assert all(out.decoded_ok.values())
+    _, _, errors = tables("ondma", matched)
+    assert errors[0, BOTH] == 0
+    assert errors[0, 0b10] == 0b10   # a lone user combines one slot only
 
 
 # ---------------------------------------------------------------------------
@@ -134,89 +133,85 @@ GOOD = ProtocolParams(p_t=1.0, rate=1.0)  # unit gains at snr 3 decode rate 1
 
 
 def test_gta_scripted_split_both_clean():
-    # first split sends user 0 left (coin < .5) and user 1 right
-    rng = ScriptedRng([[0.1, 0.9]])
-    out = run_gta_epoch(ctx_for([0, 1], GOOD, channels=unit_channels(2, 3.0), rng=rng, trace=True))
-    assert out.length == 3
-    assert out.delivered == {0: True, 1: True}
-    assert out.decoded_ok == {0: True, 1: True}
-    assert not any(out.pruned.values())
-    decisions = [line.split("decision=")[1] for line in out.trace]
-    assert decisions == ["collision", "clean", "clean"]
+    # one user goes left, the other right: collision, clean, clean
+    lengths, delivered, pruned = _gta_tree_batch(np.array([2]), ScriptedTreeRng([[1]]))
+    assert (lengths[0], delivered[0], pruned[0]) == (3, 2, 0)
 
 
 def test_gta_scripted_empty_left_then_resolve():
     # both users go right (empty left), then split cleanly
-    rng = ScriptedRng([[0.9, 0.8], [0.2, 0.7]])
-    out = run_gta_epoch(ctx_for([0, 1], GOOD, channels=unit_channels(2, 3.0), rng=rng))
-    assert out.length == 4
-    assert all(out.delivered.values())
+    lengths, delivered, pruned = _gta_tree_batch(np.array([2]), ScriptedTreeRng([[0], [1]]))
+    assert (lengths[0], delivered[0], pruned[0]) == (4, 2, 0)
 
 
 def test_gta_scripted_prune():
-    # users 0,1 go left together, user 2 right: right is pruned after the
+    # two users go left together, one right: right is pruned after the
     # second collision, then the left pair resolves in two clean slots
-    rng = ScriptedRng([[0.1, 0.2, 0.9], [0.1, 0.9]])
-    out = run_gta_epoch(ctx_for([0, 1, 2], GOOD, channels=unit_channels(3, 3.0), rng=rng, trace=True))
-    assert out.pruned == {0: False, 1: False, 2: True}
-    assert out.delivered == {0: True, 1: True, 2: False}
-    assert out.length == 4  # collision, left collision, clean, clean
-    assert not out.any_error  # pruning is not a decoding error
+    lengths, delivered, pruned = _gta_tree_batch(np.array([3]), ScriptedTreeRng([[2], [1]]))
+    assert (lengths[0], delivered[0], pruned[0]) == (4, 2, 1)
 
 
 def test_gta_single_and_idle():
-    out = run_gta_epoch(ctx_for([], GOOD, channels=unit_channels(2, 3.0)))
-    assert out.idle and out.length == 1
-    out = run_gta_epoch(ctx_for([1], GOOD, channels=unit_channels(2, 3.0)))
-    assert out.length == 1 and out.delivered[1]
+    lengths, delivered, errors = tables("gta", GOOD, rng=np.random.default_rng(2))
+    assert lengths[0, 0] == 1 and delivered[0, 0] == 0
+    for single in (0b01, 0b10):
+        assert lengths[0, single] == 1 and delivered[0, single] == single
+        assert errors[0, single] == 0
 
 
 def test_gta_loop_mean_length_matches_recursion():
-    rng = np.random.default_rng(41)
-    table = gta_recursion(3)
+    n = 4000
+    cfg = AntennaConfig(users=3)
     params = ProtocolParams(p_t=1.0, multiplexing_gain=0.1)
-    for k, n in ((2, 4000), (3, 4000)):
-        lengths = []
-        delivered = []
-        for _ in range(n):
-            out = run_gta_epoch(ctx_for(range(k), params, config=SCALAR2, rng=rng))
-            lengths.append(out.length)
-            delivered.append(sum(out.delivered.values()))
-        for sample, exact in ((lengths, table.expected_slots[k]),
-                              (delivered, table.expected_successes[k])):
+    lengths, delivered, errors = tables("gta", params, snr=None, config=cfg, n=n,
+                                        rng=np.random.default_rng(41))
+    table = gta_recursion(3)
+    masks = np.arange(8)
+    assert np.all(delivered & ~masks == 0)        # only participants are delivered
+    assert np.all(errors == 0)                    # no outage below full gain
+    for k, mask in ((2, 0b101), (3, 0b111)):
+        count = popcount(delivered[:, mask])
+        for sample, exact in ((lengths[:, mask], table.expected_slots[k]),
+                              (count, table.expected_successes[k])):
             mean = float(np.mean(sample))
             se = float(np.std(sample, ddof=1)) / math.sqrt(n)
             assert abs(mean - float(exact)) < max(4 * se, 1e-9)
+    # the delivered subset of a full collision is uniform over the users
+    share = [(delivered[:, 0b111] >> u & 1).mean() for u in range(3)]
+    assert max(share) - min(share) < 0.05
 
 
 def test_gta_loop_agrees_with_vectorised_tree():
-    # dual route: per-epoch state machine vs array state machine
-    rng = np.random.default_rng(43)
-    params = ProtocolParams(p_t=1.0, multiplexing_gain=0.1)
+    # the full-collision column against the collision statistics of the tree
     n = 4000
-    loop_len = np.empty(n)
-    for i in range(n):
-        loop_len[i] = run_gta_epoch(ctx_for(range(4), params, config=AntennaConfig(users=4), rng=rng)).length
+    cfg = AntennaConfig(users=4)
+    params = ProtocolParams(p_t=1.0, multiplexing_gain=0.1)
+    lengths, _, _ = tables("gta", params, snr=None, config=cfg, n=n,
+                           rng=np.random.default_rng(43))
+    full = lengths[:, 0b1111].astype(float)
     vec_mean, vec_se, _, _ = gta_collision_stats(4, 10**5, seed=44)
-    se = float(np.std(loop_len, ddof=1)) / math.sqrt(n)
-    assert abs(loop_len.mean() - vec_mean) < 4 * math.sqrt(se**2 + vec_se**2)
+    se = float(np.std(full, ddof=1)) / math.sqrt(n)
+    assert abs(full.mean() - vec_mean) < 4 * math.sqrt(se**2 + vec_se**2)
 
 
 def test_epoch_replay_is_deterministic():
     params = ProtocolParams(p_t=1.0, multiplexing_gain=0.45, deadline=2)
     for protocol in ("gta", "ondma", "irarq"):
-        traces = []
-        for _ in range(2):
-            rng = np.random.default_rng(77)
-            from raclab import draw_channels
-
-            cs = draw_channels(SCALAR2, 10.0, rng)
-            ctx = ctx_for([0, 1], params, channels=cs, rng=rng, trace=True)
-            traces.append(run_epoch(protocol, ctx).trace)
-        assert traces[0] == traces[1]
+        runs = [tables(protocol, params, snr=10.0, n=500, rng=np.random.default_rng(77))
+                for _ in range(2)]
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
 
 
 def test_unknown_protocol_rejected():
-    params = ProtocolParams(p_t=1.0, rate=1.0)
     with pytest.raises(ValueError):
-        run_epoch("tdma", ctx_for([0], params, channels=unit_channels(1, 3.0)))
+        tables("tdma", GOOD)
+
+
+def test_large_user_count_rejected():
+    big = AntennaConfig(users=MAX_TABLE_USERS + 1)
+    params = ProtocolParams(p_t=1.0, multiplexing_gain=0.45, deadline=2)
+    with pytest.raises(ValueError, match="2\\^K"):
+        tables("irarq", params, config=big, rng=np.random.default_rng(3))
+    with pytest.raises(ValueError, match="2\\^K"):
+        simulate_random_arrivals("irarq", big, params, 0.5, None, 100, seed=3)

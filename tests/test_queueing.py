@@ -17,6 +17,7 @@ from raclab import (
     solve_transmission_probability,
     stability_boundary_scan,
 )
+from raclab import queueing
 from raclab.channel import batch_first_decodable_round
 from raclab.system import binom_pmf
 
@@ -224,6 +225,21 @@ def test_delay_monotone_in_load():
         for lam in (0.3, 0.9, 1.5)
     ]
     assert delays[0] < delays[1] < delays[2]
+
+
+@pytest.mark.parametrize("extra", [0b11, 0b100], ids=["non-participant", "no-such-user"])
+def test_ledger_rejects_corrupt_outcome_tables(monkeypatch, extra):
+    # delivering an empty queue's packet, or a user that does not exist,
+    # must trip the ledger rather than skew the statistics
+    real = queueing.epoch_tables
+
+    def corrupt(*args):
+        lengths, delivered, errors = real(*args)
+        return lengths, delivered | extra, errors
+
+    monkeypatch.setattr(queueing, "epoch_tables", corrupt)
+    with pytest.raises(AssertionError, match="ledger"):
+        simulate_random_arrivals("irarq", SCALAR2, IR_PARAMS, 0.5, None, 20_000, seed=65)
 
 
 def test_gta_queue_conserves_packets_under_pruning():
