@@ -39,7 +39,6 @@ from .montecarlo import (
     system_error_probability,
 )
 from .queueing import (
-    ArrivalProcess,
     DelayReport,
     ScanResult,
     analytic_delay,

@@ -90,9 +90,10 @@ def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> n
 def asymptotic_first_decodable_round(k: int, config: AntennaConfig, r: float) -> int:
     """Deterministic round count in the infinite-SNR limit.
 
-    The persistent-outage indicator vanishes as soon as
-    min(rounds*M, rounds*N/k) >= r, so the epoch length is
-    max(ceil(r/M), ceil(k*r/N), 1); boundary equality decodes.
+    This is the one statement of the infinite-SNR outage indicator: a
+    k-user collision at first-round gain r is in persistent outage after
+    ``rounds`` rounds iff r > min(rounds*M, rounds*N/k), so the epoch
+    length is max(ceil(r/M), ceil(k*r/N), 1); boundary equality decodes.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -103,6 +104,11 @@ def asymptotic_first_decodable_round(k: int, config: AntennaConfig, r: float) ->
     return max(1, need_tx, need_rx)
 
 
-def asymptotic_single_user_outage(config: AntennaConfig, r: float) -> bool:
-    """Infinite-SNR single-user outage: only above the channel's full gain."""
-    return r > min(config.tx, config.rx)
+def asymptotic_survival(config: AntennaConfig, r: float, deadline: int) -> np.ndarray:
+    """Infinite-SNR survival indicators as a (K, deadline+1) array.
+
+    Entry [k-1, ell] is 1 while a k-user collision still needs more than
+    ``ell`` rounds, the layout of a Monte Carlo beta table's values.
+    """
+    needed = [asymptotic_first_decodable_round(k, config, r) for k in range(1, config.users + 1)]
+    return (np.arange(deadline + 1)[None, :] < np.array(needed)[:, None]).astype(float)

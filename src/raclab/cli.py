@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import dmt, montecarlo, queueing
 from .protocols import MAX_TABLE_USERS
-from .system import GTA, IRARQ, ONDMA, PROTOCOLS, AntennaConfig, ProtocolParams
+from .system import GTA, IRARQ, ONDMA, PROTOCOLS, AntennaConfig, ProtocolParams, snr_from_db
 
 SIM_HEADER = "snr_db,protocol,L,p_t,r,metric,value,stderr,trials,seed".split(",")
 DELAY_HEADER = "protocol,K,M,N,L,p_t,r_A,snr_db,lambda,delay,delay_ci,pe,verdict,seed".split(",")
@@ -207,7 +207,7 @@ def cmd_beta(cfg: ExperimentConfig) -> int:
     rows = []
     for snr_db in cfg.snr_db:
         params = cfg.params_for(IRARQ, deadline)
-        rate = params.rate_at(10 ** (snr_db / 10.0))
+        rate = params.rate_at(snr_from_db(snr_db))
         table = montecarlo.estimate_beta(
             antenna, snr_db, rate, deadline, cfg.trials, seed, workers=cfg.workers
         )
@@ -237,7 +237,7 @@ def cmd_throughput(cfg: ExperimentConfig) -> int:
                 beta = None
                 if protocol == IRARQ:
                     beta = montecarlo.estimate_beta(
-                        antenna, snr_db, params.rate_at(10 ** (snr_db / 10.0)), ell,
+                        antenna, snr_db, params.rate_at(snr_from_db(snr_db)), ell,
                         cfg.trials, seed + 1, workers=cfg.workers,
                     )
                 pred, pred_se = montecarlo.renewal_prediction(protocol, antenna, params, beta)
@@ -273,7 +273,7 @@ def cmd_pe(cfg: ExperimentConfig) -> int:
                     rows.append(base + [f"per_user_error_prob_{u}", _fmt(float(est.per_user[u])),
                                         _fmt(float(est.per_user_stderr[u])), cfg.trials, seed])
                 if est.value > 0:
-                    samples.append((10 ** (snr_db / 10.0), est.value))
+                    samples.append((snr_from_db(snr_db), est.value))
             if len(samples) >= 3:
                 slope = montecarlo.diversity_slope(samples)
                 rows.append([_fmt(max(cfg.snr_db)), protocol, _fmt(ell), _fmt(params.p_t),
@@ -303,7 +303,7 @@ def cmd_delay(cfg: ExperimentConfig) -> int:
             for snr_db in cfg.snr_db:
                 analytic_beta = None
                 if protocol == IRARQ:
-                    rate = params.rate_at(10 ** (snr_db / 10.0))
+                    rate = params.rate_at(snr_from_db(snr_db))
                     analytic_beta = montecarlo.estimate_beta(
                         antenna, snr_db, rate, ell, cfg.trials, seed + 1, workers=cfg.workers
                     )
@@ -332,8 +332,11 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
         for ell in deadlines:
             params = cfg.params_for(protocol, ell)
             if protocol == IRARQ:
+                if params.multiplexing_gain is None:
+                    raise ConfigError("the IR-ARQ stability region needs --rate-mode multiplexing")
                 lam_max = dmt.stability_region(
-                    protocol, antenna, params.p_t, arrival_gain=cfg.r, deadline=ell
+                    protocol, antenna, params.p_t,
+                    arrival_gain=params.multiplexing_gain, deadline=ell,
                 )
             else:
                 lam_max = dmt.stability_region(protocol, antenna, params.p_t)
@@ -352,7 +355,8 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
                     rows.append(_delay_row(antenna, protocol, ell, params, cfg, cfg.snr_db[0],
                                            rep.total_rate, rep.delay, rep.delay_ci, rep.pe,
                                            rep.verdict, cfg.seed))
-    print("\n".join(lines))
+    # scan rows without --out own stdout, so the summary goes to stderr
+    print("\n".join(lines), file=sys.stderr if cfg.scan and not cfg.out else sys.stdout)
     if cfg.scan:
         _write_rows(cfg, DELAY_HEADER, rows)
     return 0

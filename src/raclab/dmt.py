@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .channel import asymptotic_survival
 from .system import GTA, IRARQ, ONDMA, AntennaConfig, binom_pmf
 
 
@@ -192,26 +193,23 @@ def ondma_dmt(config: AntennaConfig, p_t: float, r_e: float) -> float:
 
     The k-slot repetition structure reduces decoding to single-user links,
     so the tradeoff is the single-user curve evaluated at r_e scaled by the
-    slots-per-delivery factor (K*p_t + (1-p_t)^K) / (K*p_t); p_t = 1 makes
-    the factor 1 and gives the optimal form.
+    slots-per-delivery factor, the reciprocal of the O-NDMA stability
+    boundary; p_t = 1 makes the factor 1 and gives the optimal form.
     """
-    if not (0.0 < p_t <= 1.0):
-        raise ValueError(f"p_t must lie in (0, 1], got {p_t}")
-    k = config.users
-    scale = (k * p_t + (1.0 - p_t) ** k) / (k * p_t)
-    return mac_dmt(1, config.tx, config.rx, scale * r_e)
+    return mac_dmt(1, config.tx, config.rx, r_e / stability_region(ONDMA, config, p_t))
 
 
 def beta_highsnr(k: int, tx: int, rx: int, r: float, rounds: int) -> float:
     """Infinite-SNR limit of the persistent-outage probability after ``rounds``.
 
-    Indicator of r > min(rounds*M, rounds*N/k).  At the exact boundary the
-    limit is not defined by the outage exponent; this returns 0 there (no
-    persistent outage), and callers avoid exact-boundary inputs.
+    Indicator of r > min(rounds*M, rounds*N/k), read off
+    :func:`channel.asymptotic_survival`.  At the exact boundary the limit is
+    not defined by the outage exponent; this returns 0 there (no persistent
+    outage), and callers avoid exact-boundary inputs.
     """
-    if k < 1 or rounds < 1:
-        raise ValueError("k and rounds must be >= 1")
-    return 1.0 if r > min(rounds * tx, rounds * rx / k) else 0.0
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    return float(asymptotic_survival(AntennaConfig(k, tx, rx), r, rounds)[k - 1, rounds])
 
 
 def irarq_effective_multiplexing(
@@ -219,10 +217,10 @@ def irarq_effective_multiplexing(
 ) -> float:
     """Effective multiplexing gain delivered by IR-ARQ at first-round gain r.
 
-    High-SNR renewal accounting: the throughput penalty is one plus the mean
-    number of extra rounds, with the round-survival probabilities replaced
-    by their infinite-SNR indicators.  Below the first discontinuity
-    (r < min(M, N/K)) this reduces to r_e = p_t*K*r.
+    High-SNR renewal accounting: r times the packets delivered per slot,
+    i.e. the infinite-SNR IR-ARQ stability boundary at arrival gain r.
+    Below the first discontinuity (r < min(M, N/K)) this reduces to
+    r_e = p_t*K*r.
     """
     if not (0.0 < p_t <= 1.0):
         raise ValueError(f"p_t must lie in (0, 1], got {p_t}")
@@ -230,13 +228,7 @@ def irarq_effective_multiplexing(
         raise ValueError("first-round gain must lie in [0, min(M, N)]")
     if deadline < 1:
         raise ValueError("deadline must be >= 1")
-    extra = 0.0
-    for k in range(1, config.users + 1):
-        w = binom_pmf(config.users, k, p_t)
-        extra += w * sum(
-            beta_highsnr(k, config.tx, config.rx, r, ell) for ell in range(1, deadline)
-        )
-    return p_t * config.users * r / (1.0 + extra)
+    return r * stability_region(IRARQ, config, p_t, r, deadline)
 
 
 def irarq_dmdt(config: AntennaConfig, r_e: float, deadline: int) -> float:
@@ -277,12 +269,16 @@ def random_arrival_diversity(
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def irarq_round_penalty(config: AntennaConfig, p_t: float, beta_values) -> float:
-    """1 + mean number of extra rounds, from a (K, L+1) survival-probability array."""
+def irarq_round_penalty(users: int, p_t: float, beta_values) -> float:
+    """1 + mean number of extra rounds, from a (users, L+1) survival-probability array.
+
+    Each of ``users`` queues joins with probability p_t; a k-user collision
+    survives round ell with probability ``beta_values[k-1, ell]``.
+    """
     deadline = beta_values.shape[1] - 1
     extra = 0.0
-    for k in range(1, config.users + 1):
-        w = binom_pmf(config.users, k, p_t)
+    for k in range(1, users + 1):
+        w = binom_pmf(users, k, p_t)
         extra += w * float(sum(beta_values[k - 1, ell] for ell in range(1, deadline)))
     return 1.0 + extra
 
@@ -297,8 +293,10 @@ def stability_region(
 ) -> float:
     """Supremum total arrival rate (packets/slot) the protocol can stabilise.
 
-    GTA and O-NDMA boundaries are channel-independent ratios of delivered
-    packets to slots per epoch.  The IR-ARQ boundary needs the per-round
+    This is the one statement of each protocol's delivered-packets-per-slot
+    ratio.  GTA and O-NDMA boundaries are channel-independent ratios of
+    delivered packets to slots per epoch.  The IR-ARQ boundary, p_t*K over
+    the round penalty of :func:`irarq_round_penalty`, needs the per-round
     survival probabilities: pass ``beta`` (any object with a ``values``
     array of shape (K, L+1), e.g. a Monte Carlo table) for a finite-SNR
     region, or leave it None to use the infinite-SNR indicators derived
@@ -313,19 +311,12 @@ def stability_region(
         return k * p_t / (k * p_t + (1.0 - p_t) ** k)
     if protocol == IRARQ:
         if beta is not None:
-            penalty = irarq_round_penalty(config, p_t, beta.values)
+            values = beta.values
+        elif arrival_gain is None or deadline is None:
+            raise ValueError("IR-ARQ needs either a beta table or (arrival_gain, deadline)")
         else:
-            if arrival_gain is None or deadline is None:
-                raise ValueError("IR-ARQ needs either a beta table or (arrival_gain, deadline)")
-            extra = 0.0
-            for k in range(1, config.users + 1):
-                w = binom_pmf(config.users, k, p_t)
-                extra += w * sum(
-                    beta_highsnr(k, config.tx, config.rx, arrival_gain, ell)
-                    for ell in range(1, deadline)
-                )
-            penalty = 1.0 + extra
-        return p_t * config.users / penalty
+            values = asymptotic_survival(config, arrival_gain, deadline)
+        return p_t * config.users / irarq_round_penalty(config.users, p_t, values)
     raise ValueError(f"unknown protocol {protocol!r}")
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import dmt
 from .channel import (
     asymptotic_first_decodable_round,
-    asymptotic_single_user_outage,
+    asymptotic_survival,
     batch_first_decodable_round,
 )
 from .system import GTA, IRARQ, ONDMA, AntennaConfig, ProtocolParams, binom_pmf, snr_from_db
@@ -94,24 +94,19 @@ class BetaTable:
     def from_indicators(
         cls, config: AntennaConfig, multiplexing_gain: float, deadline: int
     ) -> "BetaTable":
-        """Infinite-SNR table: survival indicators and deterministic lengths."""
-        vals = np.ones((config.users, deadline + 1))
-        length = np.zeros(config.users)
-        for k in range(1, config.users + 1):
-            for ell in range(1, deadline + 1):
-                vals[k - 1, ell] = dmt.beta_highsnr(
-                    k, config.tx, config.rx, multiplexing_gain, ell
-                )
-            length[k - 1] = min(
-                asymptotic_first_decodable_round(k, config, multiplexing_gain), deadline
-            )
+        """Infinite-SNR table: survival indicators and deterministic lengths.
+
+        The capped length min(rounds needed, L) is the number of rounds
+        0..L-1 that the collision survives.
+        """
+        vals = asymptotic_survival(config, multiplexing_gain, deadline)
         return cls(
             values=vals,
             source="high-snr-indicator",
             trials=0,
             snr=None,
             stderr=np.zeros_like(vals),
-            epoch_length_mean=length,
+            epoch_length_mean=vals[:, :-1].sum(axis=1),
             epoch_length_var=np.zeros(config.users),
         )
 
@@ -300,7 +295,7 @@ def _epoch_batch(
     elif protocol == ONDMA:
         lengths = np.maximum(k_arr, 1).astype(np.int64)
         if snr is None:
-            out = asymptotic_single_user_outage(config, params.multiplexing_gain)
+            out = asymptotic_first_decodable_round(1, config, params.multiplexing_gain) > 1
             outage = np.full((n, users), out, dtype=bool)
         elif params.matched_combining:
             outage = np.zeros((n, users), dtype=bool)
@@ -322,7 +317,7 @@ def _epoch_batch(
         ranks = _ranks_among_participants(tx_mask, rng)
         delivered_mask = tx_mask & (ranks < delivered[:, None])
         if snr is None:
-            out = asymptotic_single_user_outage(config, params.multiplexing_gain)
+            out = asymptotic_first_decodable_round(1, config, params.multiplexing_gain) > 1
             outage = np.full((n, users), out, dtype=bool)
         else:
             gains = _draw_gains(rng, (n, users, rx, tx))
@@ -486,32 +481,24 @@ def renewal_prediction(
 ) -> tuple[float, float]:
     """Renewal-reward throughput prediction in multiples of R, with stderr.
 
-    GTA and O-NDMA epochs are channel-independent, so their predictions are
-    exact closed forms.  The IR-ARQ prediction divides p_t*K by one plus
-    the mean number of extra rounds and inherits uncertainty from a Monte
-    Carlo beta table through the stored epoch-length variances.
+    The prediction is the protocol's stability boundary, packets delivered
+    per slot: exact closed forms for the channel-independent GTA and O-NDMA
+    epochs.  The IR-ARQ value is read at the given beta table and inherits
+    uncertainty from a Monte Carlo table through the stored epoch-length
+    variances.
     """
     p_t = params.p_t
-    if protocol == GTA:
-        return 1.0 / dmt.gta_multiplexing_penalty(config, p_t), 0.0
-    if protocol == ONDMA:
-        k = config.users
-        return k * p_t / (k * p_t + (1.0 - p_t) ** k), 0.0
-    if protocol == IRARQ:
-        if beta is None:
-            raise ValueError("IR-ARQ prediction needs a beta table")
-        penalty = dmt.irarq_round_penalty(config, p_t, beta.values)
-        value = p_t * config.users / penalty
-        if beta.trials and beta.epoch_length_var is not None:
-            var_pen = sum(
-                binom_pmf(config.users, k, p_t) ** 2 * beta.epoch_length_var[k - 1] / beta.trials
-                for k in range(1, config.users + 1)
-            )
-            se = value / penalty * math.sqrt(var_pen)
-        else:
-            se = 0.0
-        return value, se
-    raise ValueError(f"unknown protocol {protocol!r}")
+    if protocol == IRARQ and beta is None:
+        raise ValueError("IR-ARQ prediction needs a beta table")
+    value = dmt.stability_region(protocol, config, p_t, beta=beta)
+    if protocol != IRARQ or not beta.trials or beta.epoch_length_var is None:
+        return value, 0.0
+    penalty = dmt.irarq_round_penalty(config.users, p_t, beta.values)
+    var_pen = sum(
+        binom_pmf(config.users, k, p_t) ** 2 * beta.epoch_length_var[k - 1] / beta.trials
+        for k in range(1, config.users + 1)
+    )
+    return value, value / penalty * math.sqrt(var_pen)
 
 
 def gta_collision_stats(k: int, epochs: int, seed: int, chunk: int = DEFAULT_CHUNK,

@@ -32,12 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import (
-    asymptotic_first_decodable_round,
-    asymptotic_single_user_outage,
-    rounds_from_demand,
-    subset_demand,
-)
+from .channel import asymptotic_first_decodable_round, rounds_from_demand, subset_demand
 from .montecarlo import _draw_gains, _gta_tree_batch, _single_user_info
 from .system import GTA, IRARQ, ONDMA, AntennaConfig, ProtocolParams
 
@@ -63,7 +58,7 @@ def _subset_max(demand: np.ndarray, users: int) -> np.ndarray:
 
 def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, gains, gain: float):
     if snr is None:
-        out = asymptotic_single_user_outage(config, params.multiplexing_gain)
+        out = asymptotic_first_decodable_round(1, config, params.multiplexing_gain) > 1
         return (1 << config.users) - 1 if out else 0
     info = _single_user_info(gains, snr, gain, config.tx)
     return _bits(info < params.rate_at(snr))

@@ -35,27 +35,6 @@ _TABLE_ENTRIES = 1 << 14     # epochs per outcome-table block times 2^K
 _ARRIVAL_BLOCK_SLOTS = 1 << 12
 
 
-@dataclass(frozen=True)
-class ArrivalProcess:
-    """Independent per-user, per-slot packet arrivals."""
-
-    kind: str          # "poisson" (default) or "bernoulli"
-    rate_per_user: float
-
-    def __post_init__(self):
-        if self.kind not in ("poisson", "bernoulli"):
-            raise ValueError(f"unknown arrival kind {self.kind!r}")
-        if self.rate_per_user < 0:
-            raise ValueError("arrival rate must be nonnegative")
-        if self.kind == "bernoulli" and self.rate_per_user > 1:
-            raise ValueError("bernoulli arrival rate cannot exceed 1 per slot")
-
-    def draw(self, rng: np.random.Generator, slots: int, users: int) -> np.ndarray:
-        if self.kind == "poisson":
-            return rng.poisson(self.rate_per_user, size=(slots, users))
-        return (rng.random((slots, users)) < self.rate_per_user).astype(np.int64)
-
-
 @dataclass
 class DelayReport:
     """Outcome of one random-arrival simulation at a single load point."""
@@ -80,17 +59,13 @@ class DelayReport:
 # analytic side (deadline-ARQ protocol)
 # ---------------------------------------------------------------------------
 
-def _beta_round_sums(beta: BetaTable, weights) -> tuple[float, float]:
-    """Sum of survival probabilities and their (2*round+1)-weighted sum."""
-    plain = 0.0
-    squared = 0.0
-    deadline = beta.deadline
-    for k, w in weights:
-        for ell in range(1, deadline):
-            b = beta.beta(k, ell)
-            plain += w * b
-            squared += w * (2 * ell + 1) * b
-    return plain, squared
+def _round_second_moment(beta: BetaTable, weights) -> float:
+    """E[length^2] - 1 of an epoch in which collision size k has weight w.
+
+    The (2*round+1)-weighted survival sum over the (k, w) pairs.
+    """
+    rounds = range(1, beta.deadline)
+    return sum(w * (2 * ell + 1) * beta.beta(k, ell) for k, w in weights for ell in rounds)
 
 
 def solve_transmission_probability(
@@ -112,12 +87,10 @@ def solve_transmission_probability(
     if total_rate == 0.0:
         return 0.0
 
+    rounds = beta.values[:, : deadline + 1]
+
     def g(p: float) -> float:
-        extra = sum(
-            binom_pmf(users, k, p) * sum(beta.beta(k, ell) for ell in range(1, deadline))
-            for k in range(1, users + 1)
-        )
-        return users * p - total_rate * (1.0 + extra)
+        return users * p - total_rate * dmt.irarq_round_penalty(users, p, rounds)
 
     if g(p_t) < 0.0:
         return None
@@ -144,11 +117,16 @@ def epoch_length_moments(
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    relevant = [(k, binom_pmf(users - 1, k - 1, p)) for k in range(1, users + 1)]
-    other = [(k, binom_pmf(users - 1, k, p)) for k in range(1, users)]
-    u1, u2 = _beta_round_sums(beta, relevant)
-    v1, v2 = _beta_round_sums(beta, other)
-    return 1.0 + u1, 1.0 + u2, 1.0 + v1, 1.0 + v2
+    others = users - 1
+    relevant = [(k, binom_pmf(others, k - 1, p)) for k in range(1, users + 1)]
+    other = [(k, binom_pmf(others, k, p)) for k in range(1, users)]
+    # alone with probability (1-p)^(K-1), else the tagged user joins j >= 1 others
+    alone = binom_pmf(others, 0, p) * sum(beta.beta(1, ell) for ell in range(1, beta.deadline))
+    eu = alone + dmt.irarq_round_penalty(others, p, beta.values[1:])
+    ev = dmt.irarq_round_penalty(others, p, beta.values)
+    eu2 = 1.0 + _round_second_moment(beta, relevant)
+    ev2 = 1.0 + _round_second_moment(beta, other)
+    return eu, eu2, ev, ev2
 
 
 def analytic_delay(
@@ -168,7 +146,7 @@ def analytic_delay(
     """
     if not (0.0 < p_t <= 1.0):
         raise ValueError(f"p_t must lie in (0, 1], got {p_t}")
-    penalty = dmt.irarq_round_penalty(_users_config(users), p_t, beta.values)
+    penalty = dmt.irarq_round_penalty(users, p_t, beta.values)
     if total_rate >= p_t * users / penalty:
         return math.inf
     p = solve_transmission_probability(total_rate, users, p_t, deadline, beta)
@@ -184,11 +162,6 @@ def analytic_delay(
     return service + total_rate * second / denom + ev2 / (2.0 * ev)
 
 
-def _users_config(users: int) -> AntennaConfig:
-    # antenna counts are irrelevant for the round-penalty weights
-    return AntennaConfig(users=users, tx=1, rx=1)
-
-
 # ---------------------------------------------------------------------------
 # simulation side
 # ---------------------------------------------------------------------------
@@ -201,7 +174,6 @@ def simulate_random_arrivals(
     snr_db: float | None,
     horizon_slots: int,
     seed,
-    arrivals: str = "poisson",
 ) -> DelayReport:
     """Drive the protocol with randomly arriving packets for ``horizon_slots``.
 
@@ -222,7 +194,7 @@ def simulate_random_arrivals(
         raise ValueError("arrival rate must be nonnegative")
     rng = np.random.default_rng(seed)
     snr = None if snr_db is None else snr_from_db(snr_db)
-    process = ArrivalProcess(arrivals, total_rate / config.users)
+    rate_per_user = total_rate / config.users
     users = range(config.users)
     everyone = (1 << config.users) - 1
     block = max(1, _TABLE_ENTRIES >> config.users)
@@ -276,7 +248,7 @@ def simulate_random_arrivals(
         epoch += 1
 
         while drawn < slot:
-            counts = process.draw(rng, _ARRIVAL_BLOCK_SLOTS, config.users)
+            counts = rng.poisson(rate_per_user, size=(_ARRIVAL_BLOCK_SLOTS, config.users))
             base = np.arange(drawn, drawn + _ARRIVAL_BLOCK_SLOTS)
             for u in users:
                 new = np.repeat(base, counts[:, u])
@@ -371,7 +343,6 @@ def stability_boundary_scan(
     rate_grid,
     seed: int,
     horizon_slots: int = 40_000,
-    arrivals: str = "poisson",
 ) -> ScanResult:
     """Classify each load on the grid and bracket the stability boundary.
 
@@ -386,7 +357,7 @@ def stability_boundary_scan(
     reports = []
     for i, lam in enumerate(grid):
         rep = simulate_random_arrivals(
-            protocol, config, params, lam, snr_db, horizon_slots, [seed, i], arrivals
+            protocol, config, params, lam, snr_db, horizon_slots, [seed, i]
         )
         reports.append(rep)
         verdicts.append(rep.verdict)

@@ -108,9 +108,10 @@ def test_stability_table(capsys):
 def test_stability_scan_rows_go_to_stdout(capsys):
     assert main(["stability", "--protocol", "ondma", "--scan", "--snr-db", "30",
                  "--horizon", "2000", "--seed", "5"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    start = lines.index(",".join(DELAY_HEADER))
-    rows = list(csv.reader(lines[start + 1:]))
+    captured = capsys.readouterr()
+    header, *rows = csv.reader(captured.out.splitlines())
+    assert header == DELAY_HEADER
+    assert "lambda_max=1.000000" in captured.err        # the summary stays off the CSV
     assert len(rows) == 6                               # one per load on the scan grid
     assert {r[0] for r in rows} == {"ondma"}
     assert {r[12] for r in rows} <= {"stable", "unstable", "inconclusive"}
@@ -134,6 +135,9 @@ def test_config_errors_exit_2(tmp_path):
     # more users than the random-arrival simulator tabulates
     assert main(["delay", "--users", "9", "--lambda", "0.5", "--seed", "1"]) == 2
     assert main(["stability", "--users", "9", "--scan", "--seed", "1"]) == 2
+    # a fixed rate in bits/use is not an arrival multiplexing gain
+    assert main(["stability", "--protocol", "irarq", "--rate-mode", "fixed-R",
+                 "--r", "1.5"]) == 2
     # empty protocol list via config file
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"protocols": []}))

@@ -201,17 +201,34 @@ def test_ondma_dmt_zero_gain_full_diversity():
 # deadline-ARQ protocol
 # ---------------------------------------------------------------------------
 
+BETA_HIGHSNR_ROWS = [
+    # (k, tx, rx, r, rounds, expected)
+    (2, 1, 1, 0.3, 1, 0.0),
+    (2, 1, 1, 0.7, 1, 1.0),
+    (2, 1, 1, 0.7, 2, 0.0),
+    (2, 1, 1, 0.5, 1, 0.0),   # boundary convention: no persistent outage
+    (2, 1, 2, 1.0, 1, 0.0),   # boundary r = N/k
+    (1, 2, 1, 1.0, 1, 0.0),   # boundary r = N
+    (2, 2, 2, 2.0, 1, 1.0),
+    (2, 2, 2, 2.0, 2, 0.0),   # boundary r = 2N/k
+    (3, 2, 2, 1.5, 2, 1.0),
+    (3, 2, 2, 1.5, 3, 0.0),
+]
+
+
+def _beta_highsnr_id(row):
+    k, tx, rx, r, rounds, expected = row
+    antennas = "" if (tx, rx) == (1, 1) else f"{tx}x{rx}-"
+    return f"{k}-{antennas}{r}-{rounds}-{expected}"
+
+
 @pytest.mark.parametrize(
-    "k,r,rounds,expected",
-    [
-        (2, 0.3, 1, 0.0),
-        (2, 0.7, 1, 1.0),
-        (2, 0.7, 2, 0.0),
-        (2, 0.5, 1, 0.0),   # boundary convention: no persistent outage
-    ],
+    "k,tx,rx,r,rounds,expected",
+    BETA_HIGHSNR_ROWS,
+    ids=[_beta_highsnr_id(row) for row in BETA_HIGHSNR_ROWS],
 )
-def test_beta_highsnr_indicator(k, r, rounds, expected):
-    assert beta_highsnr(k, 1, 1, r, rounds) == expected
+def test_beta_highsnr_indicator(k, tx, rx, r, rounds, expected):
+    assert beta_highsnr(k, tx, rx, r, rounds) == expected
 
 
 @pytest.mark.parametrize(
@@ -286,6 +303,10 @@ def test_stability_ondma_pt_one_is_one_for_any_antennas():
 
 def test_stability_vector_irarq():
     assert stability_region("irarq", VECTOR2, 1.0, 0.9, 2) == pytest.approx(2.0)
+    # r = 1.5 needs two rounds for one user (r > M) and for two (2r > N), none after
+    for p in (0.3, 0.5, 0.8, 1.0):
+        closed = 2 * p / (2 - (1 - p) ** 2)
+        assert stability_region("irarq", VECTOR2, p, 1.5, 3) == pytest.approx(closed, rel=1e-12)
 
 
 def test_stability_rejects_bad_inputs():

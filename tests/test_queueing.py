@@ -7,7 +7,6 @@ import pytest
 
 from raclab import (
     AntennaConfig,
-    ArrivalProcess,
     BetaTable,
     ProtocolParams,
     analytic_delay,
@@ -286,16 +285,3 @@ def test_boundary_scan_trivial_grid():
                                    horizon_slots=5_000)
     assert scan.verdicts == ["stable"]
     assert scan.boundary is None
-
-
-def test_arrival_process_validation():
-    with pytest.raises(ValueError):
-        ArrivalProcess("uniform", 0.5)
-    with pytest.raises(ValueError):
-        ArrivalProcess("bernoulli", 1.5)
-    bern = ArrivalProcess("bernoulli", 0.4)
-    counts = bern.draw(np.random.default_rng(1), 1000, 2)
-    assert counts.max() <= 1
-    rep = simulate_random_arrivals("irarq", SCALAR2, IR_PARAMS, 0.5, None, 20_000, seed=64,
-                                   arrivals="bernoulli")
-    assert rep.verdict == "stable"
