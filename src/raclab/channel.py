@@ -13,7 +13,7 @@ power snr/M so each user is received at total SNR ``snr``).  Outage is the
 sole error mechanism; failed rounds are always detected.
 
 Functions are pure and vectorised over a leading epoch axis; the callers
-draw the gains from their own generator streams.
+draw the gains with :func:`_draw_gains` from their own generator streams.
 """
 
 from __future__ import annotations
@@ -40,25 +40,42 @@ def _subset_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, masks.sum(axis=1)
 
 
+def _draw_gains(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unit-power circularly symmetric complex Gaussian gains of the given shape."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+
+def _information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarray:
+    """log2 det(I_N + coef * sum_{i in S} H_i H_i^H) per epoch and per row S of ``masks``.
+
+    ``gains`` has shape (epochs, k, rx, tx) and ``masks`` is a (subsets, k)
+    0/1 matrix; the result is (epochs, subsets).  The single-receive-antenna
+    case avoids determinants entirely.
+    """
+    rx = gains.shape[2]
+    if rx == 1:
+        power = np.sum(np.abs(gains) ** 2, axis=(2, 3))            # (n, k)
+        return np.log2(1.0 + (coef * power) @ masks.T)
+    grams = np.einsum("nkab,nkcb->nkac", gains, gains.conj())       # H H^H per user
+    pooled = np.einsum("sk,nkac->nsac", masks, grams)
+    dets = np.linalg.det(np.eye(rx) + coef * pooled)
+    return np.log2(np.maximum(dets.real, 1e-300))
+
+
+def _single_user_info(gains: np.ndarray, snr: float, gain: float, tx: int) -> np.ndarray:
+    """Per-user mutual information for a batch of (epochs, users, rx, tx) gains."""
+    return _information(gains, gain * snr / tx, np.eye(gains.shape[1]))
+
+
 def subset_demand(gains: np.ndarray, snr: float, rate: float) -> np.ndarray:
     """Round demand |S|*rate / I_S of every nonempty user subset S, per epoch.
 
     ``gains`` has shape (epochs, k, rx, tx).  Column s-1 belongs to the
     subset whose bitmask is s (bit i set for user i); a subset with no
-    mutual information demands inf.  The single-receive-antenna case
-    avoids determinants entirely.  Subset enumeration is exponential in k.
+    mutual information demands inf.  Subset enumeration is exponential in k.
     """
-    k, rx, tx = gains.shape[1:]
-    masks, sizes = _subset_masks(k)
-    if rx == 1:
-        power = np.sum(np.abs(gains) ** 2, axis=(2, 3))            # (n, k)
-        info = np.log2(1.0 + (snr / tx) * power @ masks.T)          # (n, subsets)
-    else:
-        grams = np.einsum("nkab,nkcb->nkac", gains, gains.conj())   # H H^H per user
-        pooled = np.einsum("sk,nkac->nsac", masks, grams)
-        eye = np.eye(rx)
-        dets = np.linalg.det(eye + (snr / tx) * pooled)
-        info = np.log2(np.maximum(dets.real, 1e-300))
+    masks, sizes = _subset_masks(gains.shape[1])
+    info = _information(gains, snr / gains.shape[3], masks)
     demand = sizes[None, :] * rate
     with np.errstate(divide="ignore"):
         return np.where(info > 0.0, demand / np.maximum(info, 1e-300), np.inf)

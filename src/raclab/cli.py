@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass, field
 
 from . import dmt, montecarlo, queueing
-from .protocols import MAX_TABLE_USERS
 from .system import GTA, IRARQ, ONDMA, PROTOCOLS, AntennaConfig, ProtocolParams, snr_from_db
 
 SIM_HEADER = "snr_db,protocol,L,p_t,r,metric,value,stderr,trials,seed".split(",")
@@ -63,8 +62,10 @@ class ExperimentConfig:
     def queue_antenna(self) -> AntennaConfig:
         """Antenna geometry of a random-arrival run, whose tables grow as 2^K."""
         antenna = self.antenna()
-        if antenna.users > MAX_TABLE_USERS:
-            raise ConfigError(f"random-arrival runs take at most {MAX_TABLE_USERS} users")
+        if antenna.users > queueing.MAX_TABLE_USERS:
+            raise ConfigError(
+                f"random-arrival runs take at most {queueing.MAX_TABLE_USERS} users"
+            )
         return antenna
 
     def pt_for(self, protocol: str) -> float:

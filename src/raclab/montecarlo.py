@@ -22,12 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dmt
-from .channel import (
-    asymptotic_first_decodable_round,
-    asymptotic_survival,
-    batch_first_decodable_round,
-)
-from .system import GTA, IRARQ, ONDMA, AntennaConfig, ProtocolParams, binom_pmf, snr_from_db
+from .channel import _draw_gains, asymptotic_survival, batch_first_decodable_round
+from .protocols import _bits, _gta_tree_batch, epoch_outcomes
+from .system import IRARQ, AntennaConfig, ProtocolParams, binom_pmf, snr_from_db
 
 DEFAULT_CHUNK = 1 << 18
 
@@ -185,72 +182,7 @@ def estimate_beta(
     )
 
 
-# ---------------------------------------------------------------------------
-# vectorised epoch batches (fully-loaded queues)
-# ---------------------------------------------------------------------------
-
-def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
-    """Vectorised splitting tree on group sizes only.
-
-    Returns per-epoch (length, delivered count, pruned count); identities
-    are exchangeable so callers may assign them as uniform subsets.
-    """
-    n = k_init.shape[0]
-    lengths = np.ones(n, dtype=np.int64)
-    delivered = np.zeros(n, dtype=np.int64)
-    pruned = np.zeros(n, dtype=np.int64)
-    delivered[k_init == 1] = 1
-    group = k_init.copy()
-    active = k_init >= 2
-    while active.any():
-        idx = np.flatnonzero(active)
-        size = group[idx]
-        left = rng.binomial(size, 0.5)
-        empty = left == 0
-        lengths[idx[empty]] += 1
-        single = left == 1
-        rest = size - 1
-        done = single & (rest == 1)
-        lengths[idx[done]] += 2
-        delivered[idx[done]] += 2
-        active[idx[done]] = False
-        cont = single & (rest >= 2)
-        lengths[idx[cont]] += 2
-        delivered[idx[cont]] += 1
-        group[idx[cont]] = rest[cont]
-        big = left >= 2
-        pruned[idx[big]] += (size - left)[big]
-        lengths[idx[big]] += 1
-        group[idx[big]] = left[big]
-    return lengths, delivered, pruned
-
-
-def _single_user_info(gains: np.ndarray, snr: float, gain: float, tx: int) -> np.ndarray:
-    """Per-user mutual information for a batch of (epochs, users, rx, tx) gains."""
-    rx = gains.shape[2]
-    if rx == 1:
-        power = np.sum(np.abs(gains) ** 2, axis=(2, 3))
-        return np.log2(1.0 + (gain * snr / tx) * power)
-    grams = np.einsum("nkab,nkcb->nkac", gains, gains.conj())
-    dets = np.linalg.det(np.eye(rx) + (gain * snr / tx) * grams)
-    return np.log2(np.maximum(dets.real, 1e-300))
-
-
-def _draw_gains(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-
-
-def _ranks_among_participants(tx_mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rank of each participant within its epoch's participant set."""
-    keys = rng.random(tx_mask.shape)
-    keys[~tx_mask] = np.inf
-    order = np.argsort(keys, axis=1)
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(tx_mask.shape[1])[None, :], axis=1)
-    return ranks
-
-
-def _epoch_batch(
+def _fully_loaded_epochs(
     protocol: str,
     config: AntennaConfig,
     params: ProtocolParams,
@@ -258,82 +190,16 @@ def _epoch_batch(
     n: int,
     rng: np.random.Generator,
 ):
-    """Simulate n independent fully-loaded epochs; returns per-epoch arrays.
+    """n back-to-back epochs of always-backlogged users, each at its coin mask.
 
     The generator is consumed in a fixed order (participation coins, then
-    protocol-specific draws), so runs with the same seed share channel
-    realisations across deadlines and SNR points.
+    the protocol's draws), so runs with the same seed share channel
+    realisations across deadlines and SNR points.  Returns the coin masks
+    and the epochs' (lengths, delivered, errors), each of shape (n,).
     """
-    users, rx, tx = config.users, config.rx, config.tx
-    rate = None if snr is None else params.rate_at(snr)
-    tx_mask = rng.random((n, users)) < params.p_t
-    k_arr = tx_mask.sum(axis=1)
-    error_user = np.zeros((n, users), dtype=bool)
-
-    if protocol == IRARQ:
-        deadline = params.deadline
-        if deadline is None:
-            raise ValueError("IR-ARQ needs a deadline")
-        needed = np.ones(n, dtype=np.int64)
-        for k in range(1, users + 1):
-            sel = k_arr == k
-            m = int(sel.sum())
-            if m == 0:
-                continue
-            if snr is None:
-                needed[sel] = asymptotic_first_decodable_round(
-                    k, config, params.multiplexing_gain
-                )
-            else:
-                gains = _draw_gains(rng, (m, k, rx, tx))
-                needed[sel] = batch_first_decodable_round(gains, snr, rate)
-        lengths = np.minimum(needed, deadline)
-        failed = (needed > deadline) & (k_arr >= 1)
-        error_user = tx_mask & failed[:, None]
-        delivered = k_arr.astype(np.int64)
-
-    elif protocol == ONDMA:
-        lengths = np.maximum(k_arr, 1).astype(np.int64)
-        if snr is None:
-            out = asymptotic_first_decodable_round(1, config, params.multiplexing_gain) > 1
-            outage = np.full((n, users), out, dtype=bool)
-        elif params.matched_combining:
-            outage = np.zeros((n, users), dtype=bool)
-            gains = _draw_gains(rng, (n, users, rx, tx))
-            for k in range(1, users + 1):
-                sel = k_arr == k
-                if not sel.any():
-                    continue
-                info = _single_user_info(gains[sel], snr, float(k), tx)
-                outage[sel] = info < rate
-        else:
-            gains = _draw_gains(rng, (n, users, rx, tx))
-            outage = _single_user_info(gains, snr, 1.0, tx) < rate
-        error_user = tx_mask & outage
-        delivered = k_arr.astype(np.int64)
-
-    elif protocol == GTA:
-        lengths, delivered, _pruned = _gta_tree_batch(k_arr.astype(np.int64), rng)
-        ranks = _ranks_among_participants(tx_mask, rng)
-        delivered_mask = tx_mask & (ranks < delivered[:, None])
-        if snr is None:
-            out = asymptotic_first_decodable_round(1, config, params.multiplexing_gain) > 1
-            outage = np.full((n, users), out, dtype=bool)
-        else:
-            gains = _draw_gains(rng, (n, users, rx, tx))
-            outage = _single_user_info(gains, snr, 1.0, tx) < rate
-        error_user = delivered_mask & outage
-
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-
-    return {
-        "lengths": lengths,
-        "delivered": delivered,
-        "nonidle": k_arr >= 1,
-        "error_user": error_user,
-        "error_epoch": error_user.any(axis=1),
-    }
+    coins = _bits(rng.random((n, config.users)) < params.p_t)
+    outcomes = epoch_outcomes(protocol, config, params, snr, coins[:, None], rng)
+    return (coins, *(x[:, 0] for x in outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +243,11 @@ def system_error_probability(
 
     def one_chunk(idx, n):
         rng = np.random.default_rng([seed, _TAG_ERROR, idx])
-        batch = _epoch_batch(protocol, config, params, snr, n, rng)
+        coins, _, _, errors = _fully_loaded_epochs(protocol, config, params, snr, n, rng)
         return (
-            int(batch["nonidle"].sum()),
-            int(batch["error_epoch"].sum()),
-            batch["error_user"].sum(axis=0),
+            int(np.count_nonzero(coins)),
+            int(np.count_nonzero(errors)),
+            (errors[:, None] >> np.arange(config.users) & 1).sum(axis=0),
         )
 
     partials = _map_chunks(one_chunk, sizes, workers)
@@ -443,16 +309,20 @@ def fully_loaded_throughput(
     if slots < 1:
         raise ValueError("slots must be >= 1")
     snr = None if snr_db is None else snr_from_db(snr_db)
+    n = int(min(chunk, max(1024, slots)))
+
+    def one_chunk(idx):
+        rng = np.random.default_rng([seed, _TAG_THROUGHPUT, idx])
+        _, lengths, delivered, _ = _fully_loaded_epochs(protocol, config, params, snr, n, rng)
+        w = np.bitwise_count(delivered).astype(float)
+        ell = lengths.astype(float)
+        return w.sum(), ell.sum(), (w * w).sum(), (ell * ell).sum(), (w * ell).sum()
+
     sums = np.zeros(5)  # W, L, WW, LL, WL
     epochs = 0
     idx = 0
     while sums[1] < slots:
-        rng = np.random.default_rng([seed, _TAG_THROUGHPUT, idx])
-        n = int(min(chunk, max(1024, slots)))
-        batch = _epoch_batch(protocol, config, params, snr, n, rng)
-        w = batch["delivered"].astype(float)
-        ell = batch["lengths"].astype(float)
-        sums += (w.sum(), ell.sum(), (w * w).sum(), (ell * ell).sum(), (w * ell).sum())
+        sums += one_chunk(idx)
         epochs += n
         idx += 1
     w_sum, l_sum, ww, ll, wl = sums

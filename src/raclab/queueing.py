@@ -26,13 +26,16 @@ import numpy as np
 
 from . import dmt
 from .montecarlo import BetaTable
-from .protocols import _bits, epoch_tables
+from .protocols import _bits, epoch_outcomes
 from .system import AntennaConfig, ProtocolParams, binom_pmf, snr_from_db
 
 STABILITY_SLOPE_EPS = 1e-3   # packets/slot; backlog-trend threshold
 WARMUP_FRACTION = 0.2        # leading slots excluded from delay statistics
 _TABLE_ENTRIES = 1 << 14     # epochs per outcome-table block times 2^K
 _ARRIVAL_BLOCK_SLOTS = 1 << 12
+# The simulator evaluates every epoch at all 2^K participant sets; beyond
+# this many users that stops being cheap.
+MAX_TABLE_USERS = 8
 
 
 @dataclass
@@ -59,6 +62,11 @@ class DelayReport:
 # analytic side (deadline-ARQ protocol)
 # ---------------------------------------------------------------------------
 
+def _check_deadline(deadline: int, beta: BetaTable) -> None:
+    if deadline != beta.deadline:
+        raise ValueError(f"deadline {deadline} differs from the beta table's {beta.deadline}")
+
+
 def _round_second_moment(beta: BetaTable, weights) -> float:
     """E[length^2] - 1 of an epoch in which collision size k has weight w.
 
@@ -82,15 +90,14 @@ def solve_transmission_probability(
     empty system (zero arrivals) and None when no root exists below p_t,
     which signals an unstable load.
     """
+    _check_deadline(deadline, beta)
     if total_rate < 0:
         raise ValueError("arrival rate must be nonnegative")
     if total_rate == 0.0:
         return 0.0
 
-    rounds = beta.values[:, : deadline + 1]
-
     def g(p: float) -> float:
-        return users * p - total_rate * dmt.irarq_round_penalty(users, p, rounds)
+        return users * p - total_rate * dmt.irarq_round_penalty(users, p, beta.values)
 
     if g(p_t) < 0.0:
         return None
@@ -115,6 +122,7 @@ def epoch_length_moments(
     contribute Binomial(K-1, p) colliders on top of it; irrelevant epochs
     see only the others.  Returns (E[U], E[U^2], E[V], E[V^2]).
     """
+    _check_deadline(deadline, beta)
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     others = users - 1
@@ -144,6 +152,7 @@ def analytic_delay(
     fixed-point transmission probability.  Returns inf outside the
     stability region.  Exact in the regime where U and V are i.i.d.
     """
+    _check_deadline(deadline, beta)
     if not (0.0 < p_t <= 1.0):
         raise ValueError(f"p_t must lie in (0, 1], got {p_t}")
     penalty = dmt.irarq_round_penalty(users, p_t, beta.values)
@@ -177,8 +186,8 @@ def simulate_random_arrivals(
 ) -> DelayReport:
     """Drive the protocol with randomly arriving packets for ``horizon_slots``.
 
-    Epoch outcomes come in fixed-size blocks of :func:`protocols.epoch_tables`
-    and arrival stamps in fixed-size blocks of slots, each drawn from the one
+    Epoch outcomes come in fixed-size blocks of :func:`protocols.epoch_outcomes`
+    evaluated at all 2^K participant sets, and arrival stamps in fixed-size blocks of slots, each drawn from the one
     generator when the loop first needs it, so the sequential part is
     integer bookkeeping: each queue is a sorted list of stamps with a head
     pointer.  The stability verdict regresses the
@@ -192,12 +201,17 @@ def simulate_random_arrivals(
         raise ValueError("horizon too short")
     if total_rate < 0:
         raise ValueError("arrival rate must be nonnegative")
+    if config.users > MAX_TABLE_USERS:
+        raise ValueError(
+            f"outcome tables grow as 2^K; at most {MAX_TABLE_USERS} users, got {config.users}"
+        )
     rng = np.random.default_rng(seed)
     snr = None if snr_db is None else snr_from_db(snr_db)
     rate_per_user = total_rate / config.users
     users = range(config.users)
     everyone = (1 << config.users) - 1
     block = max(1, _TABLE_ENTRIES >> config.users)
+    all_sets = np.broadcast_to(np.arange(1 << config.users), (block, 1 << config.users))
     warmup_time = WARMUP_FRACTION * horizon_slots
 
     # per user: sorted stamps of packets not yet departed (future ones included),
@@ -223,7 +237,7 @@ def simulate_random_arrivals(
                 coins = _bits(rng.random((block, config.users)) < params.p_t).tolist()
             else:
                 coins = [everyone] * block
-            tables = epoch_tables(protocol, config, params, snr, block, rng)
+            tables = epoch_outcomes(protocol, config, params, snr, all_sets, rng)
             lengths, delivered, erred = (t.ravel().tolist() for t in tables)
             epoch = 0
         participants = ready & coins[epoch]

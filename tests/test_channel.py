@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from raclab import AntennaConfig, ProtocolParams
-from raclab.channel import NEVER, batch_first_decodable_round
-from raclab.montecarlo import _draw_gains, _single_user_info
-from raclab.protocols import epoch_tables
+from raclab.channel import NEVER, _draw_gains, _single_user_info, batch_first_decodable_round
+from raclab.protocols import epoch_outcomes
 
 SCALAR2 = AntennaConfig(users=2, tx=1, rx=1)
 
@@ -262,8 +261,9 @@ def test_outcome_table_per_mask_matches_kernel_and_oracle(cfg):
     # the IR-ARQ table draws its gains first, so a twin generator sees them
     n, snr, deadline = 300, 2.0, 50
     params = ProtocolParams(p_t=1.0, rate=1.2, deadline=deadline)
-    lengths, delivered, errors = epoch_tables("irarq", cfg, params, snr, n,
-                                              np.random.default_rng(37))
+    all_sets = np.broadcast_to(np.arange(8), (n, 8))
+    lengths, delivered, errors = epoch_outcomes("irarq", cfg, params, snr, all_sets,
+                                                np.random.default_rng(37))
     gains = draw(cfg, np.random.default_rng(37), n=n)
     assert lengths.shape == (n, 8)
     assert np.all(lengths[:, 0] == 1) and np.all(errors[:, 0] == 0)

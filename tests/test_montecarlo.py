@@ -175,6 +175,20 @@ def test_error_probability_deterministic_and_worker_invariant():
     assert a.value == b.value and np.array_equal(a.per_user, b.per_user)
 
 
+def test_error_probability_beyond_queue_user_cap():
+    # fully-loaded epochs are evaluated at one participant set each, so the
+    # 2^K cap of the random-arrival simulator does not apply here
+    ten = AntennaConfig(users=10)
+    params = ProtocolParams(p_t=1.0, rate=1.0)
+    q = 1 - math.exp(-0.1)                                   # single-user outage at 10 dB
+    ondma = system_error_probability("ondma", ten, params, 10.0, trials=2 * 10**4, seed=41)
+    assert ondma.per_user.shape == (10,) and ondma.nonidle == 2 * 10**4
+    assert abs(ondma.value - (1 - (1 - q) ** 10)) < 4 * ondma.stderr
+    gta = system_error_probability("gta", ten, params, 10.0, trials=2 * 10**4, seed=41)
+    assert gta.per_user.max() <= gta.value <= gta.per_user.sum()
+    assert 0.0 < gta.value < ondma.value
+
+
 # ---------------------------------------------------------------------------
 # tree statistics and slope fitting
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Epoch outcome tables: scripted trees, unit-gain decisions, recursion consistency."""
+"""Epoch outcomes: scripted trees, unit-gain decisions, recursion consistency."""
 
 import math
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from raclab import AntennaConfig, ProtocolParams, gta_recursion, simulate_random_arrivals
-from raclab.montecarlo import _gta_tree_batch, gta_collision_stats
-from raclab.protocols import MAX_TABLE_USERS, epoch_tables
+from raclab.montecarlo import gta_collision_stats
+from raclab.protocols import _gta_tree_batch, epoch_outcomes
+from raclab.queueing import MAX_TABLE_USERS
 
 SCALAR2 = AntennaConfig(users=2, tx=1, rx=1)
 BOTH = 0b11
@@ -33,8 +34,10 @@ class ScriptedTreeRng:
 
 
 def tables(protocol, params, snr=3.0, config=SCALAR2, n=1, rng=None):
+    """Outcomes of n epochs at every participant set, indexed [epoch, mask]."""
     rng = rng if rng is not None else UnitGainRng()
-    return epoch_tables(protocol, config, params, snr, n, rng)
+    all_sets = np.broadcast_to(np.arange(1 << config.users), (n, 1 << config.users))
+    return epoch_outcomes(protocol, config, params, snr, all_sets, rng)
 
 
 def popcount(x):
@@ -209,9 +212,28 @@ def test_unknown_protocol_rejected():
 
 
 def test_large_user_count_rejected():
+    # only the simulator asks for all 2^K participant sets
     big = AntennaConfig(users=MAX_TABLE_USERS + 1)
     params = ProtocolParams(p_t=1.0, multiplexing_gain=0.45, deadline=2)
     with pytest.raises(ValueError, match="2\\^K"):
-        tables("irarq", params, config=big, rng=np.random.default_rng(3))
-    with pytest.raises(ValueError, match="2\\^K"):
         simulate_random_arrivals("irarq", big, params, 0.5, None, 100, seed=3)
+
+
+@pytest.mark.parametrize("protocol, params", [
+    ("irarq", ProtocolParams(p_t=1.0, rate=1.2, deadline=2)),
+    ("ondma", ProtocolParams(p_t=1.0, rate=1.2)),
+    ("ondma", ProtocolParams(p_t=1.0, rate=1.2, matched_combining=True)),
+], ids=["irarq", "ondma", "ondma-matched"])
+@pytest.mark.parametrize("config", [AntennaConfig(users=3), AntennaConfig(users=3, tx=2, rx=2)],
+                         ids=["scalar", "2x2"])
+def test_outcomes_at_coin_masks_match_full_table(protocol, params, config):
+    # the channel draws do not depend on the masks, so one column per epoch
+    # reads the same outcome as that epoch's cell of the full table
+    n = 400
+    coins = np.random.default_rng(5).integers(0, 8, size=n)
+    full = tables(protocol, params, snr=2.0, config=config, n=n, rng=np.random.default_rng(6))
+    at_coins = epoch_outcomes(protocol, config, params, 2.0, coins[:, None],
+                              np.random.default_rng(6))
+    for table, column in zip(full, at_coins):
+        assert column.shape == (n, 1)
+        assert np.array_equal(column[:, 0], table[np.arange(n), coins])

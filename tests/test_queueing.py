@@ -77,6 +77,16 @@ def test_fixed_point_boundaries():
     assert solve_transmission_probability(2.5, 2, 1.0, 2, ZERO_BETA) is None
 
 
+def test_deadline_must_match_beta_table():
+    table = BetaTable.from_indicators(SCALAR2, multiplexing_gain=0.7, deadline=2)
+    with pytest.raises(ValueError, match="deadline"):
+        solve_transmission_probability(0.5, 2, 1.0, 1, table)
+    with pytest.raises(ValueError, match="deadline"):
+        epoch_length_moments(0.5, 2, 1, table)
+    with pytest.raises(ValueError, match="deadline"):
+        analytic_delay(0.5, 2, 1.0, 1, table)
+
+
 # ---------------------------------------------------------------------------
 # epoch-length moments
 # ---------------------------------------------------------------------------
@@ -230,13 +240,13 @@ def test_delay_monotone_in_load():
 def test_ledger_rejects_corrupt_outcome_tables(monkeypatch, extra):
     # delivering an empty queue's packet, or a user that does not exist,
     # must trip the ledger rather than skew the statistics
-    real = queueing.epoch_tables
+    real = queueing.epoch_outcomes
 
     def corrupt(*args):
         lengths, delivered, errors = real(*args)
         return lengths, delivered | extra, errors
 
-    monkeypatch.setattr(queueing, "epoch_tables", corrupt)
+    monkeypatch.setattr(queueing, "epoch_outcomes", corrupt)
     with pytest.raises(AssertionError, match="ledger"):
         simulate_random_arrivals("irarq", SCALAR2, IR_PARAMS, 0.5, None, 20_000, seed=65)
 
