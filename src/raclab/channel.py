@@ -12,6 +12,12 @@ multiple-access mutual information of the subset (white inputs, per-antenna
 power snr/M so each user is received at total SNR ``snr``).  Outage is the
 sole error mechanism; failed rounds are always detected.
 
+One kernel, :func:`_information`, evaluates I_S for a batch of epochs and
+any list of subsets.  With one receive antenna the determinant is the
+scalar 1 + (snr/M) * power.  With N > 1 it is the product of the pivots of
+an LDL^H elimination of I_N + (snr/M) * G_S, run on the lower triangle for
+all epochs and subsets at once; every pivot is at least 1.
+
 Functions are pure and vectorised over a leading epoch axis; the callers
 draw the gains with :func:`_draw_gains` from their own generator streams.
 """
@@ -30,13 +36,11 @@ NEVER = 10**9
 
 
 def _subset_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All nonempty subsets of k users as a (2^k - 1, k) 0/1 matrix plus sizes."""
-    count = (1 << k) - 1
-    masks = np.zeros((count, k))
-    for s in range(1, count + 1):
-        for i in range(k):
-            if s >> i & 1:
-                masks[s - 1, i] = 1.0
+    """All nonempty subsets of k users as a (2^k - 1, k) 0/1 matrix plus sizes.
+
+    Row s-1 is the subset whose bitmask is s (bit i set for user i).
+    """
+    masks = ((np.arange(1, 1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
     return masks, masks.sum(axis=1)
 
 
@@ -49,17 +53,45 @@ def _information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarra
     """log2 det(I_N + coef * sum_{i in S} H_i H_i^H) per epoch and per row S of ``masks``.
 
     ``gains`` has shape (epochs, k, rx, tx) and ``masks`` is a (subsets, k)
-    0/1 matrix; the result is (epochs, subsets).  The single-receive-antenna
-    case avoids determinants entirely.
+    0/1 matrix; the result is (epochs, subsets).  With one receive antenna
+    the determinant is 1 + coef * power.  Otherwise the lower triangles of
+    the users' Gram matrices H H^H are pooled over the subsets by one real
+    matmul, and an LDL^H elimination of A = I + coef * G_S runs over the
+    lower triangle, vectorised across all epochs and subsets: log2 det A
+    is the sum of the log2 pivots.  Each pivot is the leading entry of a
+    Schur complement of I + PSD, which is again I + PSD, so in exact
+    arithmetic every pivot is at least 1 and a subset whose gains are all
+    zero gets exactly 0 bits.
     """
     rx = gains.shape[2]
     if rx == 1:
         power = np.sum(np.abs(gains) ** 2, axis=(2, 3))            # (n, k)
         return np.log2(1.0 + (coef * power) @ masks.T)
-    grams = np.einsum("nkab,nkcb->nkac", gains, gains.conj())       # H H^H per user
-    pooled = np.einsum("sk,nkac->nsac", masks, grams)
-    dets = np.linalg.det(np.eye(rx) + coef * pooled)
-    return np.log2(np.maximum(dets.real, 1e-300))
+    n, k = gains.shape[:2]
+    # epoch axis last: each matrix entry of a user, and later of a subset, is a row of epochs
+    h = np.ascontiguousarray(np.moveaxis(gains, 0, -1))            # (k, rx, tx, n)
+    rows, cols = np.tril_indices(rx, -1)
+    below = list(zip(rows.tolist(), cols.tolist()))                 # strict lower triangle
+    cross = np.sum(h[:, rows] * h[:, cols].conj(), axis=2)          # (k, pairs, n)
+    grams = np.concatenate([np.sum(h.real**2 + h.imag**2, axis=2), cross.real, cross.imag],
+                           axis=1)                                  # (k, rx + 2 * pairs, n)
+    grams *= coef
+    a = (masks @ grams.reshape(k, -1)).reshape(len(masks), -1, n)  # (subsets, entries, n)
+    a[:, :rx] += 1.0                                                # A = I + coef * G_S
+    diag = [a[:, i] for i in range(rx)]
+    re = {rc: a[:, rx + p] for p, rc in enumerate(below)}
+    im = {rc: a[:, rx + len(below) + p] for p, rc in enumerate(below)}
+    info = np.zeros((len(masks), n))
+    for j in range(rx):
+        info += np.log2(diag[j])
+        inv = 1.0 / diag[j]
+        for i in range(j + 1, rx):
+            lr, li = re[i, j] * inv, im[i, j] * inv                  # L[i, j]
+            diag[i] -= lr * re[i, j] + li * im[i, j]
+            for m in range(j + 1, i):                               # A[i, m] -= L[i, j] A[m, j]^*
+                re[i, m] -= lr * re[m, j] + li * im[m, j]
+                im[i, m] -= li * re[m, j] - lr * im[m, j]
+    return info.T
 
 
 def _single_user_info(gains: np.ndarray, snr: float, gain: float, tx: int) -> np.ndarray:

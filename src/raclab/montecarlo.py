@@ -45,9 +45,9 @@ class BetaTable:
 
     ``values[k-1, ell]`` is the probability that joint decoding still fails
     after ``ell`` rounds given k initial colliders; column 0 is 1 by
-    definition and rows are nonincreasing.  ``epoch_length_mean/var`` hold
-    the matching min(first success, deadline) statistics used to propagate
-    uncertainty into renewal-reward predictions.
+    definition and rows are nonincreasing.  ``epoch_length_mean/var`` are
+    the matching min(first success, deadline) moments, read off ``values``;
+    they propagate uncertainty into renewal-reward predictions.
     """
 
     values: np.ndarray            # shape (users, deadline + 1)
@@ -55,8 +55,6 @@ class BetaTable:
     trials: int
     snr: float | None             # linear SNR, None for the infinite-SNR table
     stderr: np.ndarray | None = None
-    epoch_length_mean: np.ndarray | None = None
-    epoch_length_var: np.ndarray | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -78,6 +76,17 @@ class BetaTable:
     def deadline(self) -> int:
         return self.values.shape[1] - 1
 
+    @property
+    def epoch_length_mean(self) -> np.ndarray:
+        """E[min(N, L)] = sum_{l<L} beta(l) per collision size, N the first decodable round."""
+        return self.values[:, :-1].sum(axis=1)
+
+    @property
+    def epoch_length_var(self) -> np.ndarray:
+        """Var[min(N, L)] from E[min(N, L)^2] = sum_{l<L} (2l+1) beta(l) per collision size."""
+        second = self.values[:, :-1] @ (2.0 * np.arange(self.deadline) + 1.0)
+        return np.maximum(second - self.epoch_length_mean**2, 0.0)
+
     def beta(self, k: int, rounds: int) -> float:
         return float(self.values[k - 1, rounds])
 
@@ -91,10 +100,10 @@ class BetaTable:
     def from_indicators(
         cls, config: AntennaConfig, multiplexing_gain: float, deadline: int
     ) -> "BetaTable":
-        """Infinite-SNR table: survival indicators and deterministic lengths.
+        """Infinite-SNR table of survival indicators.
 
-        The capped length min(rounds needed, L) is the number of rounds
-        0..L-1 that the collision survives.
+        Its epoch lengths are deterministic: min(rounds needed, L) is the
+        number of rounds 0..L-1 that the collision survives.
         """
         vals = asymptotic_survival(config, multiplexing_gain, deadline)
         return cls(
@@ -103,8 +112,6 @@ class BetaTable:
             trials=0,
             snr=None,
             stderr=np.zeros_like(vals),
-            epoch_length_mean=vals[:, :-1].sum(axis=1),
-            epoch_length_var=np.zeros(config.users),
         )
 
 
@@ -148,8 +155,6 @@ def estimate_beta(
     users, rx, tx = config.users, config.rx, config.tx
     values = np.ones((users, deadline + 1))
     stderr = np.zeros((users, deadline + 1))
-    len_mean = np.zeros(users)
-    len_var = np.zeros(users)
     sizes = _chunk_plan(trials, chunk)
 
     for k in range(1, users + 1):
@@ -157,19 +162,11 @@ def estimate_beta(
             rng = np.random.default_rng([seed, _TAG_BETA + k, idx])
             gains = _draw_gains(rng, (n, k, rx, tx))
             needed = batch_first_decodable_round(gains, snr, rate)
-            exceed = np.array([(needed > ell).sum() for ell in range(1, deadline + 1)])
-            capped = np.minimum(needed, deadline).astype(float)
-            return exceed, capped.sum(), (capped**2).sum()
+            return np.array([(needed > ell).sum() for ell in range(1, deadline + 1)])
 
-        partials = _map_chunks(one_chunk, sizes, workers)
-        exceed = sum(p[0] for p in partials)
-        s1 = sum(p[1] for p in partials)
-        s2 = sum(p[2] for p in partials)
-        beta = exceed / trials
+        beta = sum(_map_chunks(one_chunk, sizes, workers)) / trials
         values[k - 1, 1:] = beta
         stderr[k - 1, 1:] = np.sqrt(np.maximum(beta * (1 - beta), 0.0) / trials)
-        len_mean[k - 1] = s1 / trials
-        len_var[k - 1] = max(s2 / trials - (s1 / trials) ** 2, 0.0)
 
     return BetaTable(
         values=values,
@@ -177,8 +174,6 @@ def estimate_beta(
         trials=trials,
         snr=snr,
         stderr=stderr,
-        epoch_length_mean=len_mean,
-        epoch_length_var=len_var,
     )
 
 
@@ -361,7 +356,7 @@ def renewal_prediction(
     if protocol == IRARQ and beta is None:
         raise ValueError("IR-ARQ prediction needs a beta table")
     value = dmt.stability_region(protocol, config, p_t, beta=beta)
-    if protocol != IRARQ or not beta.trials or beta.epoch_length_var is None:
+    if protocol != IRARQ or not beta.trials:
         return value, 0.0
     penalty = dmt.irarq_round_penalty(config.users, p_t, beta.values)
     var_pen = sum(

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 from raclab import AntennaConfig, ProtocolParams
-from raclab.channel import NEVER, _draw_gains, _single_user_info, batch_first_decodable_round
+from raclab.channel import (
+    NEVER,
+    _draw_gains,
+    _information,
+    _single_user_info,
+    _subset_masks,
+    batch_first_decodable_round,
+    subset_demand,
+)
 from raclab.protocols import epoch_outcomes
 
 SCALAR2 = AntennaConfig(users=2, tx=1, rx=1)
@@ -127,6 +135,82 @@ def test_per_antenna_power_normalisation():
     assert _single_user_info(gains[None], 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
     wide = np.array([[[1.0, 1.0], [0.0, 0.0]]], dtype=complex)    # rx=2: determinant branch
     assert _single_user_info(wide[None], 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
+
+
+def subset_masks_by_loop(k):
+    """The (2^k - 1, k) subset matrix built one bit at a time."""
+    masks = np.zeros(((1 << k) - 1, k))
+    for s in range(1, 1 << k):
+        for i in range(k):
+            if s >> i & 1:
+                masks[s - 1, i] = 1.0
+    return masks
+
+
+def test_subset_masks_match_loop():
+    for k in range(1, 9):
+        masks, sizes = _subset_masks(k)
+        assert masks.dtype == np.float64
+        assert np.array_equal(masks, subset_masks_by_loop(k))
+        assert np.array_equal(sizes, subset_masks_by_loop(k).sum(axis=1))
+
+
+# Relative tolerance of the kernel against the oracle, fixed up front.
+MI_RTOL = 1e-12
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def mi_tolerance(gains, members, snr, info):
+    """|kernel - oracle| allowed for one subset, in bits.
+
+    MI_RTOL * info plus the first-order effect of rounding the entries of
+    A = I + (snr/M) * G_S, which both the kernel and the oracle form: each
+    entry carries at most (N + |S| * M) roundings of size u * (1 + c tr G),
+    and log det moves by at most N * ||E||_F <= N^2 * max |E| because
+    ||A^-1|| <= 1.  For a rank-deficient G_S at 60 dB this term is what
+    separates the two: the oracle's own slogdet departs from the exact
+    log2(1 + c ||h||^2) of a rank-1 Gram by up to about 6e-11 relative there.
+    """
+    _, rx, tx = gains.shape
+    trace = float(np.sum(np.abs(gains[list(members)]) ** 2))
+    per_entry = (rx + len(members) * tx) * UNIT_ROUNDOFF * (1.0 + snr / tx * trace)
+    return MI_RTOL * abs(info) + 2 * rx**2 * per_entry / math.log(2.0)
+
+
+def mimo_battery(k, tx, rx, rng):
+    """Random epochs plus rank-deficient ones: a silent user, twin users, rank-1 wide gains."""
+    gains = _draw_gains(rng, (12, k, rx, tx))
+    gains[3:6, 0] = 0.0                                   # user 0 silent
+    if k >= 2:
+        gains[6:9, 1] = gains[6:9, 0]                     # users 0 and 1 identical
+    gains[9:12, :, 1:, :] = 0.0                           # every user on receive row 0 only
+    return gains
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 20.0, 60.0])
+def test_information_matches_oracle_on_mimo_battery(snr_db):
+    snr, rate = 10.0 ** (snr_db / 10.0), 1.5
+    rng = np.random.default_rng(41)
+    for k in range(1, 5):
+        masks, sizes = _subset_masks(k)
+        subsets = [np.flatnonzero(row).tolist() for row in masks]
+        for tx in range(1, 4):
+            for rx in range(2, 5):
+                gains = mimo_battery(k, tx, rx, rng)
+                info = _information(gains, snr / tx, masks)
+                demand = subset_demand(gains, snr, rate)
+                assert info.shape == demand.shape == (len(gains), len(subsets))
+                for n, g in enumerate(gains):
+                    for s, members in enumerate(subsets):
+                        want = subset_mutual_information(g, members, snr)
+                        tol = mi_tolerance(g, members, snr, want)
+                        where = f"K={k} {tx}x{rx} epoch {n} subset {members}"
+                        assert abs(info[n, s] - want) <= tol, where
+                        if want == 0.0:
+                            assert info[n, s] == 0.0 and demand[n, s] == math.inf, where
+                        else:
+                            want_demand = sizes[s] * rate / want
+                            assert abs(demand[n, s] - want_demand) <= want_demand * tol / want, where
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +337,22 @@ def test_first_decodable_round_boundary_and_zero_rate():
     assert batch_first_decodable_round(unit, 3.0, 0.0)[0] == 1
     dead = scalar_gains([0.0])[None]
     assert batch_first_decodable_round(dead, 3.0, 1.0)[0] == NEVER
+
+
+@pytest.mark.parametrize("columns", [[0], [1], [0, 1]], ids=["e1", "e2", "e1+e2"])
+def test_mimo_boundary_tie_decodes(columns):
+    # orthonormal unit columns, rx=2, tx=1, snr=3: every subset S has
+    # I_S = 2|S| bits exactly, so rate 2 sits on the boundary of each
+    gains = np.zeros((len(columns), 2, 1), dtype=complex)
+    for user, axis in enumerate(columns):
+        gains[user, axis, 0] = 1.0
+    users = range(len(columns))
+    for rate, expected in [(2.0, 1), (2.0 + 1e-9, 2)]:
+        needed = int(batch_first_decodable_round(gains[None], 3.0, rate)[0])
+        assert needed == expected
+        assert joint_outage(gains, users, 3.0, rate, needed) is False
+        if needed > 1:
+            assert joint_outage(gains, users, 3.0, rate, needed - 1) is True
 
 
 @pytest.mark.parametrize("cfg", [AntennaConfig(users=3), AntennaConfig(users=3, tx=2, rx=2)],

@@ -74,12 +74,24 @@ def test_beta_deterministic_and_worker_invariant():
     c = estimate_beta(SCALAR2, workers=4, **kw)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.values, c.values)
+    # the MIMO kernel, chunked: K=3 2x2, 20k trials in 4096-trial chunks
+    mimo = AntennaConfig(users=3, tx=2, rx=2)
+    kw = dict(snr_db=10.0, rate=2.0, deadline=3, trials=20_000, seed=12, chunk=4096)
+    a = estimate_beta(mimo, **kw)
+    c = estimate_beta(mimo, workers=4, **kw)
+    assert np.array_equal(a.values, c.values)
+    assert np.array_equal(a.stderr, c.stderr)
 
 
 def test_indicator_table_construction():
     table = BetaTable.from_indicators(SCALAR2, multiplexing_gain=0.7, deadline=3)
     assert table.values.tolist() == [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]
     assert table.epoch_length_mean.tolist() == [1.0, 2.0]
+    assert table.epoch_length_var.tolist() == [0.0, 0.0]
+    # min(N, 2) is 1 or 2 with probability 1/2 each
+    half = BetaTable(values=np.array([[1.0, 0.5, 0.25]]), source="closed-form", trials=0, snr=None)
+    assert half.epoch_length_mean.tolist() == [1.5]
+    assert half.epoch_length_var.tolist() == [0.25]
 
 
 # ---------------------------------------------------------------------------
