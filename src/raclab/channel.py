@@ -76,7 +76,7 @@ def _information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarra
     grams = np.concatenate([np.sum(h.real**2 + h.imag**2, axis=2), cross.real, cross.imag],
                            axis=1)                                  # (k, rx + 2 * pairs, n)
     grams *= coef
-    a = (masks @ grams.reshape(k, -1)).reshape(len(masks), -1, n)  # (subsets, entries, n)
+    a = (masks @ grams.reshape(k, -1)).reshape(len(masks), grams.shape[1], n)  # (subsets, entries, n)
     a[:, :rx] += 1.0                                                # A = I + coef * G_S
     diag = [a[:, i] for i in range(rx)]
     re = {rc: a[:, rx + p] for p, rc in enumerate(below)}

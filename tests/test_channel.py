@@ -158,23 +158,30 @@ def test_subset_masks_match_loop():
 # Relative tolerance of the kernel against the oracle, fixed up front.
 MI_RTOL = 1e-12
 UNIT_ROUNDOFF = 2.0**-53
+# From this SNR on, the oracle's own slogdet of a rank-deficient Gram
+# departs from the exact log2 det by more than MI_RTOL (up to about 6e-11).
+ROUNDING_LIMITED_DB = 60.0
 
 
-def mi_tolerance(gains, members, snr, info):
+def mi_tolerance(gains, members, snr_db, info):
     """|kernel - oracle| allowed for one subset, in bits.
 
-    MI_RTOL * info plus the first-order effect of rounding the entries of
-    A = I + (snr/M) * G_S, which both the kernel and the oracle form: each
-    entry carries at most (N + |S| * M) roundings of size u * (1 + c tr G),
-    and log det moves by at most N * ||E||_F <= N^2 * max |E| because
-    ||A^-1|| <= 1.  For a rank-deficient G_S at 60 dB this term is what
-    separates the two: the oracle's own slogdet departs from the exact
-    log2(1 + c ||h||^2) of a rank-1 Gram by up to about 6e-11 relative there.
+    MI_RTOL * info, except for a rank-deficient G_S at ROUNDING_LIMITED_DB
+    and above, which also gets the first-order effect of rounding the
+    entries of A = I + (snr/M) * G_S that both the kernel and the oracle
+    form: each entry carries at most (N + |S| * M) roundings of size
+    u * (1 + c tr G), and log det moves by at most N * ||E||_F <= N^2 * max |E|
+    because ||A^-1|| <= 1.
     """
+    tol = MI_RTOL * abs(info)
     _, rx, tx = gains.shape
+    gram = sum(gains[i] @ gains[i].conj().T for i in members)
+    if snr_db < ROUNDING_LIMITED_DB or np.linalg.matrix_rank(gram) == rx:
+        return tol
+    snr = 10.0 ** (snr_db / 10.0)
     trace = float(np.sum(np.abs(gains[list(members)]) ** 2))
     per_entry = (rx + len(members) * tx) * UNIT_ROUNDOFF * (1.0 + snr / tx * trace)
-    return MI_RTOL * abs(info) + 2 * rx**2 * per_entry / math.log(2.0)
+    return tol + 2 * rx**2 * per_entry / math.log(2.0)
 
 
 def mimo_battery(k, tx, rx, rng):
@@ -203,7 +210,7 @@ def test_information_matches_oracle_on_mimo_battery(snr_db):
                 for n, g in enumerate(gains):
                     for s, members in enumerate(subsets):
                         want = subset_mutual_information(g, members, snr)
-                        tol = mi_tolerance(g, members, snr, want)
+                        tol = mi_tolerance(g, members, snr_db, want)
                         where = f"K={k} {tx}x{rx} epoch {n} subset {members}"
                         assert abs(info[n, s] - want) <= tol, where
                         if want == 0.0:
@@ -212,6 +219,14 @@ def test_information_matches_oracle_on_mimo_battery(snr_db):
                             want_demand = sizes[s] * rate / want
                             assert abs(demand[n, s] - want_demand) <= want_demand * tol / want, where
 
+
+
+@pytest.mark.parametrize("rx", [1, 2, 3])
+def test_information_of_no_epochs_is_empty(rx):
+    masks, _ = _subset_masks(3)
+    gains = np.zeros((0, 3, rx, 2), dtype=complex)
+    assert _information(gains, 1.0, masks).shape == (0, 7)
+    assert subset_demand(gains, 10.0, 1.0).shape == (0, 7)
 
 # ---------------------------------------------------------------------------
 # outage predicates

@@ -187,6 +187,22 @@ def test_error_probability_deterministic_and_worker_invariant():
     assert a.value == b.value and np.array_equal(a.per_user, b.per_user)
 
 
+def test_matched_combining_ondma_on_mimo():
+    # at p_t = 1 no epoch has a one-user set, and 8-trial chunks at p_t = 0.5
+    # leave some sizes out of a chunk: the kernel must take empty batches.
+    # Same draws with and without combining, so gain k >= 1 never adds errors.
+    mimo = AntennaConfig(users=2, tx=2, rx=2)
+    for p_t, chunk in ((1.0, 4096), (0.5, 8)):
+        kw = dict(trials=4000, seed=43, chunk=chunk)
+        matched, plain = (
+            system_error_probability(
+                "ondma", mimo, ProtocolParams(p_t=p_t, rate=3.0, matched_combining=mc), 5.0, **kw)
+            for mc in (True, False)
+        )
+        assert matched.nonidle == plain.nonidle > 0
+        assert 0.0 < matched.value < plain.value
+        assert np.all(matched.per_user <= plain.per_user)
+
 def test_error_probability_beyond_queue_user_cap():
     # fully-loaded epochs are evaluated at one participant set each, so the
     # 2^K cap of the random-arrival simulator does not apply here
