@@ -19,6 +19,7 @@ Everything here is a pure function of its arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,6 +106,7 @@ class GtaRecursionTable:
         return len(self.expected_slots) - 1
 
 
+@functools.cache
 def gta_recursion(k_max: int) -> GtaRecursionTable:
     """Solve the tree-splitting recursions exactly for collision sizes 0..k_max.
 
@@ -113,7 +115,8 @@ def gta_recursion(k_max: int) -> GtaRecursionTable:
     i = 0 re-enters the same k-collision, i = 1 yields one clean slot plus a
     fresh (k-1)-group, i >= 2 recurses on the left group while the right
     group is pruned.  The unknown appears on both sides with coefficient
-    2^(1-k), so each level is a one-unknown linear solve.
+    2^(1-k), so each level is a one-unknown linear solve.  The table is
+    immutable, so solves are cached per k_max.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")

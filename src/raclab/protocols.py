@@ -30,6 +30,8 @@ outcomes are the deterministic indicator thresholds.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .channel import (
@@ -59,40 +61,56 @@ def _subset_max(demand: np.ndarray, users: int) -> np.ndarray:
     return worst
 
 
+# the tree's per-epoch accumulator packs (length, delivered, pruned) into one int64
+_SLOT, _DELIVERED, _PRUNED = 1 << 32, 1 << 16, 1
+
+
+@functools.cache
+def _tree_step(k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulator increment and next group size, indexed [group, left].
+
+    A next group of 0 ends the epoch.  An empty left group (or an all-left
+    one) costs one slot and re-collides at the same size; a singleton left
+    group costs its clean slot plus the remainder's next collision slot,
+    which is the remainder's own clean slot when one user is left; a left
+    group of two or more re-collides while the right group is pruned.
+    """
+    step = np.zeros((k_max + 1, k_max + 1), dtype=np.int64)
+    after = np.zeros((k_max + 1, k_max + 1), dtype=np.int64)
+    for group in range(2, k_max + 1):
+        for left in range(group + 1):
+            if left == 1:
+                step[group, left] = 2 * _SLOT + (2 if group == 2 else 1) * _DELIVERED
+                after[group, left] = group - 1 if group > 2 else 0
+            else:
+                step[group, left] = _SLOT + (group - left if left else 0) * _PRUNED
+                after[group, left] = left or group
+    step.flags.writeable = after.flags.writeable = False   # shared by every caller
+    return step, after
+
+
 def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
     """Vectorised splitting tree on group sizes only.
 
     Returns per-epoch (length, delivered count, pruned count); identities
-    are exchangeable so callers may assign them as uniform subsets.
+    are exchangeable so callers may assign them as uniform subsets.  Each
+    step draws the left-group sizes of the epochs still in the tree, in
+    epoch order, and drops the epochs that finish.
     """
-    n = k_init.shape[0]
-    lengths = np.ones(n, dtype=np.int64)
-    delivered = np.zeros(n, dtype=np.int64)
-    pruned = np.zeros(n, dtype=np.int64)
-    delivered[k_init == 1] = 1
-    group = k_init.copy()
-    active = k_init >= 2
-    while active.any():
-        idx = np.flatnonzero(active)
-        size = group[idx]
-        left = rng.binomial(size, 0.5)
-        empty = left == 0
-        lengths[idx[empty]] += 1
-        single = left == 1
-        rest = size - 1
-        done = single & (rest == 1)
-        lengths[idx[done]] += 2
-        delivered[idx[done]] += 2
-        active[idx[done]] = False
-        cont = single & (rest >= 2)
-        lengths[idx[cont]] += 2
-        delivered[idx[cont]] += 1
-        group[idx[cont]] = rest[cont]
-        big = left >= 2
-        pruned[idx[big]] += (size - left)[big]
-        lengths[idx[big]] += 1
-        group[idx[big]] = left[big]
-    return lengths, delivered, pruned
+    k_max = int(k_init.max(initial=1))
+    if k_max >= _DELIVERED:
+        raise ValueError(f"splitting tree counts at most {_DELIVERED - 1} users, got {k_max}")
+    step, after = _tree_step(k_max)
+    acc = np.where(k_init == 1, _SLOT + _DELIVERED, _SLOT).astype(np.int64)
+    idx = np.flatnonzero(k_init >= 2)
+    group = k_init[idx]
+    while idx.size:
+        left = rng.binomial(group, 0.5)
+        acc[idx] += step[group, left]
+        group = after[group, left]
+        live = group > 0
+        idx, group = idx[live], group[live]
+    return acc // _SLOT, acc // _DELIVERED % (_SLOT // _DELIVERED), acc % _DELIVERED
 
 
 def _tree_members(masks, count, users: int, rng: np.random.Generator):

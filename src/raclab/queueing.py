@@ -14,12 +14,18 @@ probability p_t and then keeps transmitting (or stays silent) until the
 epoch ends.  Delivered packets leave the queue whether or not they decoded
 correctly; tree-pruned packets return to the head of their owner's queue
 and are eligible again at the very next epoch.
+
+The simulator keeps each queue as counts: arrival stamps are drawn in
+blocks of slots, and with each block every user's stamps are counted below
+every slot of it, so a queue holds its arrivals before the current slot
+minus its departures.  Queues are FIFO, so a user's j-th departure is its
+j-th arrival; the loop records only each departure's end slot, and the
+sojourns are formed with numpy at every block boundary.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,15 +193,17 @@ def simulate_random_arrivals(
     """Drive the protocol with randomly arriving packets for ``horizon_slots``.
 
     Epoch outcomes come in fixed-size blocks of :func:`protocols.epoch_outcomes`
-    evaluated at all 2^K participant sets, and arrival stamps in fixed-size blocks of slots, each drawn from the one
-    generator when the loop first needs it, so the sequential part is
-    integer bookkeeping: each queue is a sorted list of stamps with a head
-    pointer.  The stability verdict regresses the
-    total backlog against time over the second half of the horizon: trend
-    below STABILITY_SLOPE_EPS in absolute value is stable, a positive trend
-    above it is unstable, anything else is inconclusive.  The packet ledger
-    is checked: no queue departs a packet that has not arrived, and
-    departures equal the delivered epoch outcomes.
+    evaluated at all 2^K participant sets, and arrival stamps in fixed-size
+    blocks of slots, each drawn from the one generator when the loop first
+    needs it.  Between draws the loop does integer arithmetic on per-slot
+    arrival counts (module docstring); the sojourns are formed with numpy
+    at each arrival-block boundary, in epoch-then-user order.  The
+    stability verdict regresses the total backlog against time over the
+    second half of the horizon: trend below STABILITY_SLOPE_EPS in absolute
+    value is stable, a positive trend above it is unstable, anything else
+    is inconclusive.  The packet ledger is checked: no queue departs a
+    packet that has not arrived, and departures equal the delivered epoch
+    outcomes.
     """
     if horizon_slots < 10:
         raise ValueError("horizon too short")
@@ -214,22 +222,42 @@ def simulate_random_arrivals(
     all_sets = np.broadcast_to(np.arange(1 << config.users), (block, 1 << config.users))
     warmup_time = WARMUP_FRACTION * horizon_slots
 
-    # per user: sorted stamps of packets not yet departed (future ones included),
-    # the head-of-line index into them, and how many departed ones were dropped
-    stamps: list[list[float]] = [[] for _ in users]
-    head = [0] * config.users
-    dropped = [0] * config.users
+    # per user: sorted stamps of packets not yet departed at the last block
+    # boundary (future ones included), numbered from first[u]; before[u][t]
+    # counts the stamps below slot base + t, t = 0.._ARRIVAL_BLOCK_SLOTS
+    stamps = [np.empty(0) for _ in users]
+    first = [0] * config.users
+    before = [[0] for _ in users]
+    departed = [0] * config.users
+    ends: list[list[int]] = [[] for _ in users]   # end slots of departures since the boundary
+    base = 0
     drawn = 0                    # arrivals are drawn for slots [0, drawn)
 
     slot = 0
     epoch = block                # index into the current table block
     ready = 0                    # bitmask of non-empty queues at ``slot``
     n_delivered = 0
-    delays: list[float] = []
+    sojourns: list[np.ndarray] = []   # one array per settled block
     errors = 0
     nonidle = 0
     backlog_t: list[int] = []
     backlog_v: list[int] = []
+
+    def settle():
+        """Sojourns of the departures since the last boundary, in loop order."""
+        key, out = [], []
+        for u in users:
+            done = np.asarray(ends[u])
+            stamp = stamps[u][: done.size]
+            counted = stamp >= warmup_time
+            key.append(done[counted])
+            out.append(done[counted] - stamp[counted])
+            stamps[u] = stamps[u][done.size :]
+            first[u] += done.size
+            ends[u].clear()
+        # epochs last at least one slot, so end slots order the epochs
+        key, out = np.concatenate(key), np.concatenate(out)
+        sojourns.append(out[np.argsort(key, kind="stable")])
 
     while slot < horizon_slots:
         if epoch == block:
@@ -238,6 +266,8 @@ def simulate_random_arrivals(
             else:
                 coins = [everyone] * block
             tables = epoch_outcomes(protocol, config, params, snr, all_sets, rng)
+            if tables[0].min() < 1:
+                raise AssertionError("epoch outcomes: an epoch shorter than one slot")
             lengths, delivered, erred = (t.ravel().tolist() for t in tables)
             epoch = 0
         participants = ready & coins[epoch]
@@ -251,40 +281,41 @@ def simulate_random_arrivals(
             n_delivered += gone.bit_count()
             for u in users:
                 if gone >> u & 1:
-                    stamp = stamps[u][head[u]]
-                    if stamp >= slot:
+                    if departed[u] >= before[u][slot - base]:
                         raise AssertionError("packet ledger: departure before arrival")
-                    head[u] += 1
-                    if stamp >= warmup_time:
-                        delays.append(end - stamp)
+                    departed[u] += 1
+                    ends[u].append(end)
             # pruned packets stay at the head, eligible next epoch
         slot = end
         epoch += 1
 
         while drawn < slot:
+            settle()
             counts = rng.poisson(rate_per_user, size=(_ARRIVAL_BLOCK_SLOTS, config.users))
-            base = np.arange(drawn, drawn + _ARRIVAL_BLOCK_SLOTS)
+            base = drawn
+            grid = np.arange(base, base + _ARRIVAL_BLOCK_SLOTS + 1)
             for u in users:
-                new = np.repeat(base, counts[:, u])
+                new = np.repeat(grid[:-1], counts[:, u])
                 new = np.sort(new + rng.random(new.size))
-                dropped[u] += head[u]
-                stamps[u] = stamps[u][head[u]:] + new.tolist()
-                head[u] = 0
+                stamps[u] = np.concatenate((stamps[u], new))
+                before[u] = (first[u] + np.searchsorted(stamps[u], grid)).tolist()
             drawn += _ARRIVAL_BLOCK_SLOTS
 
         ready = 0
         backlog = 0
         for u in users:
-            waiting = bisect_left(stamps[u], slot, head[u]) - head[u]
+            waiting = before[u][slot - base] - departed[u]
             if waiting:
                 ready |= 1 << u
                 backlog += waiting
         backlog_t.append(slot)
         backlog_v.append(backlog)
 
-    if sum(dropped) + sum(head) != n_delivered:
+    settle()
+    if sum(departed) != n_delivered:
         raise AssertionError("packet ledger: departures differ from delivered outcomes")
-    n_arrivals = sum(dropped[u] + bisect_left(stamps[u], slot) for u in users)
+    n_arrivals = sum(before[u][slot - base] for u in users)
+    delays = np.concatenate(sojourns)
 
     t = np.asarray(backlog_t, dtype=float)
     v = np.asarray(backlog_v, dtype=float)
@@ -300,7 +331,7 @@ def simulate_random_arrivals(
     else:
         verdict = "inconclusive"
 
-    if delays:
+    if delays.size:
         mean_delay = float(np.mean(delays))
         ci = _batch_means_ci(delays)
     else:
@@ -326,7 +357,7 @@ def simulate_random_arrivals(
     )
 
 
-def _batch_means_ci(delays: list[float], batches: int = 20) -> float:
+def _batch_means_ci(delays: np.ndarray, batches: int = 20) -> float:
     """95% half-width from batch means; sojourns are serially correlated."""
     n = len(delays)
     if n < 2 * batches:

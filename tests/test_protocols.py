@@ -154,6 +154,54 @@ def test_gta_scripted_prune():
     assert (lengths[0], delivered[0], pruned[0]) == (4, 2, 1)
 
 
+def tree_by_masks(k_init, rng):
+    """Oracle: the splitting tree with boolean masks over all epochs at every step."""
+    n = k_init.shape[0]
+    lengths = np.ones(n, dtype=np.int64)
+    delivered = np.zeros(n, dtype=np.int64)
+    pruned = np.zeros(n, dtype=np.int64)
+    delivered[k_init == 1] = 1
+    group = k_init.copy()
+    active = k_init >= 2
+    while active.any():
+        idx = np.flatnonzero(active)
+        size = group[idx]
+        left = rng.binomial(size, 0.5)
+        empty = left == 0
+        lengths[idx[empty]] += 1
+        single = left == 1
+        rest = size - 1
+        done = single & (rest == 1)
+        lengths[idx[done]] += 2
+        delivered[idx[done]] += 2
+        active[idx[done]] = False
+        cont = single & (rest >= 2)
+        lengths[idx[cont]] += 2
+        delivered[idx[cont]] += 1
+        group[idx[cont]] = rest[cont]
+        big = left >= 2
+        pruned[idx[big]] += (size - left)[big]
+        lengths[idx[big]] += 1
+        group[idx[big]] = left[big]
+    return lengths, delivered, pruned
+
+
+@pytest.mark.parametrize("k_max", [2, 3, 4, 8])
+def test_gta_tree_matches_mask_oracle(k_max):
+    seeds = np.random.default_rng(k_max).integers(1 << 30, size=2)
+    mixed = np.random.default_rng(seeds[0]).integers(0, k_max + 1, 5000)
+    for k_init in (np.full(5000, k_max), mixed):
+        rngs = [np.random.default_rng(seeds[1]) for _ in range(2)]
+        got = _gta_tree_batch(k_init, rngs[0])
+        want = tree_by_masks(k_init, rngs[1])
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert rngs[0].random() == rngs[1].random()   # same draws consumed
+    assert all(x.size == 0 for x in _gta_tree_batch(np.zeros(0, dtype=np.int64), rngs[0]))
+    with pytest.raises(ValueError, match="at most"):
+        _gta_tree_batch(np.array([1 << 16]), rngs[0])   # overflows the packed counts
+
+
 def test_gta_single_and_idle():
     lengths, delivered, errors = tables("gta", GOOD, rng=np.random.default_rng(2))
     assert lengths[0, 0] == 1 and delivered[0, 0] == 0
