@@ -16,7 +16,8 @@ One kernel, :func:`_information`, evaluates I_S for a batch of epochs and
 any list of subsets.  With one receive antenna the determinant is the
 scalar 1 + (snr/M) * power.  With N > 1 it is the product of the pivots of
 an LDL^H elimination of I_N + (snr/M) * G_S, run on the lower triangle for
-all epochs and subsets at once; every pivot is at least 1.
+all subsets at once, one cache-sized tile of epochs at a time; every
+pivot is at least 1.
 
 Functions are pure and vectorised over a leading epoch axis; the callers
 draw the gains with :func:`_draw_gains` from their own generator streams.
@@ -34,6 +35,10 @@ from .system import AntennaConfig
 # can never be decoded (zero mutual information at a positive rate).
 NEVER = 10**9
 
+# Subset-matrix entries (epochs * subsets * rx^2) per tile of the rx > 1
+# kernel: 1 MiB of pooled entries, about 2 MiB with the tile's temporaries.
+_TILE_ENTRIES = 1 << 17
+
 
 def _subset_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
     """All nonempty subsets of k users as a (2^k - 1, k) 0/1 matrix plus sizes.
@@ -45,8 +50,18 @@ def _subset_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw_gains(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-power circularly symmetric complex Gaussian gains of the given shape."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    """Unit-power circularly symmetric complex Gaussian gains of the given shape.
+
+    One draw of both halves, real then imaginary, written straight into the
+    complex result; bitwise equal to ``(a + 1j * b) / sqrt(2)`` from two
+    successive draws, since numpy divides by a real scalar by multiplying
+    with its reciprocal.
+    """
+    pair = rng.standard_normal((2, *shape))
+    gains = np.empty(pair.shape[1:], dtype=complex)
+    np.multiply(pair[0], 1.0 / math.sqrt(2.0), out=gains.real)
+    np.multiply(pair[1], 1.0 / math.sqrt(2.0), out=gains.imag)
+    return gains
 
 
 def _information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarray:
@@ -54,25 +69,46 @@ def _information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarra
 
     ``gains`` has shape (epochs, k, rx, tx) and ``masks`` is a (subsets, k)
     0/1 matrix; the result is (epochs, subsets).  With one receive antenna
-    the determinant is 1 + coef * power.  Otherwise the lower triangles of
-    the users' Gram matrices H H^H are pooled over the subsets by one real
-    matmul, and an LDL^H elimination of A = I + coef * G_S runs over the
-    lower triangle, vectorised across all epochs and subsets: log2 det A
-    is the sum of the log2 pivots.  Each pivot is the leading entry of a
-    Schur complement of I + PSD, which is again I + PSD, so in exact
-    arithmetic every pivot is at least 1 and a subset whose gains are all
-    zero gets exactly 0 bits.
+    the determinant is 1 + coef * power, one streaming pass (tiling it
+    measured no faster).  Otherwise :func:`_ldl_information` runs over
+    consecutive tiles of max(1, _TILE_ENTRIES // (subsets * rx^2)) epochs,
+    each written into the result.  Tiles are sized in matrix entries
+    because the working set, the pooled subset entries and the
+    elimination's temporaries, grows as subsets * rx^2 per epoch: so it
+    stays near cache size for every (K, N), and beyond the result the
+    kernel's memory does not grow with the batch.
     """
     rx = gains.shape[2]
     if rx == 1:
         power = np.sum(np.abs(gains) ** 2, axis=(2, 3))            # (n, k)
         return np.log2(1.0 + (coef * power) @ masks.T)
-    n, k = gains.shape[:2]
+    info = np.empty((gains.shape[0], len(masks)))
+    step = max(1, _TILE_ENTRIES // (len(masks) * rx * rx))
+    for start in range(0, gains.shape[0], step):
+        info[start : start + step] = _ldl_information(gains[start : start + step], coef, masks)
+    return info
+
+
+def _ldl_information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarray:
+    """The rx > 1 body of :func:`_information` for one tile of epochs.
+
+    The lower triangles of the users' Gram matrices H H^H are pooled over
+    the subsets by one real matmul, and an LDL^H elimination of
+    A = I + coef * G_S runs over the lower triangle, vectorised across the
+    tile's epochs and all subsets: log2 det A is the sum of the log2
+    pivots.  Each pivot is the leading entry of a Schur complement of
+    I + PSD, which is again I + PSD, so in exact arithmetic every pivot is
+    at least 1 and a subset whose gains are all zero gets exactly 0 bits.
+    """
+    n, k, rx = gains.shape[:3]
     # epoch axis last: each matrix entry of a user, and later of a subset, is a row of epochs
     h = np.ascontiguousarray(np.moveaxis(gains, 0, -1))            # (k, rx, tx, n)
     rows, cols = np.tril_indices(rx, -1)
     below = list(zip(rows.tolist(), cols.tolist()))                 # strict lower triangle
-    cross = np.sum(h[:, rows] * h[:, cols].conj(), axis=2)          # (k, pairs, n)
+    # conj operand first: numpy's complex multiply rounds the imaginary part
+    # differently with swapped operands, and on a large array it evaluates
+    # a * b.conj() in place as b.conj() * a; this order holds at every size
+    cross = np.sum(h[:, cols].conj() * h[:, rows], axis=2)          # (k, pairs, n)
     grams = np.concatenate([np.sum(h.real**2 + h.imag**2, axis=2), cross.real, cross.imag],
                            axis=1)                                  # (k, rx + 2 * pairs, n)
     grams *= coef

@@ -20,7 +20,9 @@ blocks of slots, and with each block every user's stamps are counted below
 every slot of it, so a queue holds its arrivals before the current slot
 minus its departures.  Queues are FIFO, so a user's j-th departure is its
 j-th arrival; the loop records only each departure's end slot, and the
-sojourns are formed with numpy at every block boundary.
+sojourns are formed with numpy at every block boundary.  There, too, the
+backlog samples become int64 arrays, and only those the stability slope
+regresses, in the second half of the horizon, are kept.
 """
 
 from __future__ import annotations
@@ -240,11 +242,24 @@ def simulate_random_arrivals(
     sojourns: list[np.ndarray] = []   # one array per settled block
     errors = 0
     nonidle = 0
-    backlog_t: list[int] = []
+    backlog_t: list[int] = []    # (slot, backlog) after each epoch since the boundary
     backlog_v: list[int] = []
+    half_t: list[np.ndarray] = []    # the settled samples at t >= horizon/2
+    half_v: list[np.ndarray] = []
 
     def settle():
-        """Sojourns of the departures since the last boundary, in loop order."""
+        """Sojourns of the departures since the last boundary, in loop order.
+
+        The backlog samples since the boundary become int64 arrays, of which
+        only the second half of the horizon, the part the slope regresses, is
+        kept.
+        """
+        t = np.array(backlog_t, dtype=np.int64)
+        late = t >= horizon_slots / 2.0
+        half_t.append(t[late])
+        half_v.append(np.array(backlog_v, dtype=np.int64)[late])
+        backlog_t.clear()
+        backlog_v.clear()
         key, out = [], []
         for u in users:
             done = np.asarray(ends[u])
@@ -317,11 +332,10 @@ def simulate_random_arrivals(
     n_arrivals = sum(before[u][slot - base] for u in users)
     delays = np.concatenate(sojourns)
 
-    t = np.asarray(backlog_t, dtype=float)
-    v = np.asarray(backlog_v, dtype=float)
-    half = t >= horizon_slots / 2.0
-    if half.sum() >= 2 and np.ptp(t[half]) > 0:
-        slope = float(np.polyfit(t[half], v[half], 1)[0])
+    t = np.concatenate(half_t).astype(float)
+    v = np.concatenate(half_v).astype(float)
+    if t.size >= 2 and np.ptp(t) > 0:
+        slope = float(np.polyfit(t, v, 1)[0])
     else:
         slope = 0.0
     if abs(slope) < STABILITY_SLOPE_EPS:

@@ -6,6 +6,7 @@ definitional oracle, one subset and one determinant at a time over a plain
 """
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from raclab import AntennaConfig, ProtocolParams
 from raclab.channel import (
+    _TILE_ENTRIES,
     NEVER,
     _draw_gains,
     _information,
@@ -78,6 +80,17 @@ def test_draw_shapes_and_determinism():
     b = draw(cfg, np.random.default_rng(5), n=7)
     assert a.shape == (7, 3, 4, 2)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 1, 1), (5, 1, 1, 1), (7, 3, 2, 4)])
+def test_draw_pins_the_two_call_stream(shape):
+    # real halves first, then imaginary halves, scaled by 1/sqrt(2)
+    rng, twin = np.random.default_rng(43), np.random.default_rng(43)
+    got = _draw_gains(rng, shape)
+    want = (twin.standard_normal(shape) + 1j * twin.standard_normal(shape)) / math.sqrt(2.0)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_unit_mean_power():
@@ -219,6 +232,64 @@ def test_information_matches_oracle_on_mimo_battery(snr_db):
                             want_demand = sizes[s] * rate / want
                             assert abs(demand[n, s] - want_demand) <= want_demand * tol / want, where
 
+
+
+def stacked_mutual_information(gains, masks, snr):
+    """subset_mutual_information for every epoch and row of ``masks`` at once."""
+    rx, tx = gains.shape[2:]
+    grams = gains @ gains.conj().swapaxes(-1, -2)                  # (n, k, rx, rx)
+    pooled = np.einsum("sk,nkij->nsij", masks, grams)
+    _, logdet = np.linalg.slogdet(np.eye(rx) + (snr / tx) * pooled)
+    return logdet / math.log(2.0)
+
+
+def tile_epochs(masks, rx):
+    return max(1, _TILE_ENTRIES // (len(masks) * rx * rx))
+
+
+@pytest.mark.parametrize("k, tx, rx", [(4, 2, 4), (3, 2, 2)], ids=["K4-2x4", "K3-2x2"])
+def test_information_across_tile_edges_matches_oracle(k, tx, rx):
+    snr_db = 20.0
+    snr = 10.0 ** (snr_db / 10.0)
+    masks, _ = _subset_masks(k)
+    subsets = [np.flatnonzero(row).tolist() for row in masks]
+    tile = tile_epochs(masks, rx)
+    rng = np.random.default_rng(47)
+    for n in (0, 1, tile - 1, tile, tile + 1, 3 * tile + 17):
+        gains = _draw_gains(rng, (n, k, rx, tx))
+        got = _information(gains, snr / tx, masks)
+        want = stacked_mutual_information(gains, masks, snr)
+        assert got.shape == want.shape == (n, len(masks))
+        # mi_tolerance is at least MI_RTOL * info; evaluate it where that is exceeded
+        for e, s in np.argwhere(np.abs(got - want) > MI_RTOL * np.abs(want)):
+            tol = mi_tolerance(gains[e], subsets[s], snr_db, want[e, s])
+            assert abs(got[e, s] - want[e, s]) <= tol, f"n={n} epoch {e} subset {subsets[s]}"
+
+
+def test_first_decodable_round_on_several_tiles_matches_oracle():
+    cfg, snr, rate = AntennaConfig(users=4, tx=2, rx=4), 3.0, 2.5
+    masks, _ = _subset_masks(cfg.users)
+    n = 2 * tile_epochs(masks, cfg.rx) + 17
+    gains = draw(cfg, np.random.default_rng(49), n=n)
+    batch = batch_first_decodable_round(gains, snr, rate)
+    assert len(set(batch.tolist())) > 1
+    for i in range(n):
+        assert batch[i] == first_round_by_predicate(gains[i], snr, rate), f"epoch {i}"
+
+
+def test_information_memory_beyond_result_is_flat_in_epochs():
+    # the parent untiled kernel held about four times as much at 80k as at 20k
+    masks, _ = _subset_masks(4)
+    extra = []
+    for n in (20_000, 80_000):
+        gains = _draw_gains(np.random.default_rng(53), (n, 4, 4, 2))
+        tracemalloc.start()
+        try:
+            info = _information(gains, 50.0, masks)
+            extra.append(tracemalloc.get_traced_memory()[1] - info.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert extra[1] < 2 * extra[0]
 
 
 @pytest.mark.parametrize("rx", [1, 2, 3])

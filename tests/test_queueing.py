@@ -391,11 +391,14 @@ def simulate_by_stamp_lists(protocol, config, params, total_rate, snr_db, horizo
     ("ondma", SCALAR2, ProtocolParams(p_t=1.0, multiplexing_gain=0.45), 0.8, 10.0, 70),
 ], ids=["irarq-15dB", "irarq-inf", "gta-K3-inf", "gta-K3-10dB", "ondma-10dB"])
 def test_simulation_matches_stamp_list_oracle(protocol, config, params, rate, snr_db, seed):
-    args = (protocol, config, params, rate, snr_db, 20_000, seed)
-    got = simulate_random_arrivals(*args)
-    want = simulate_by_stamp_lists(*args)
-    assert got.packets > 0 and got.nonidle_epochs > 0
-    assert report_bits(got) == report_bits(want)
+    # at 1 000 and 10 001 slots the midpoint, where the slope's samples
+    # start, falls inside an arrival block
+    for horizon in (20_000, 1_000, 10_001):
+        args = (protocol, config, params, rate, snr_db, horizon, seed)
+        got = simulate_random_arrivals(*args)
+        want = simulate_by_stamp_lists(*args)
+        assert got.packets > 0 and got.nonidle_epochs > 0
+        assert report_bits(got) == report_bits(want), f"horizon {horizon}"
 
 
 class StampsOnSlotEdges:
