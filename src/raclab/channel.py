@@ -72,11 +72,11 @@ def _information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarra
     the determinant is 1 + coef * power, one streaming pass (tiling it
     measured no faster).  Otherwise :func:`_ldl_information` runs over
     consecutive tiles of max(1, _TILE_ENTRIES // (subsets * rx^2)) epochs,
-    each written into the result.  Tiles are sized in matrix entries
-    because the working set, the pooled subset entries and the
-    elimination's temporaries, grows as subsets * rx^2 per epoch: so it
-    stays near cache size for every (K, N), and beyond the result the
-    kernel's memory does not grow with the batch.
+    each written into the result.  Tiles are sized in matrix entries, not
+    epochs, because the working set (pooled subset entries and elimination
+    temporaries) grows as subsets * rx^2 per epoch; so it stays near cache
+    size for every (K, N), and beyond the result the kernel's memory does
+    not grow with the batch.
     """
     rx = gains.shape[2]
     if rx == 1:
