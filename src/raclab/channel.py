@@ -14,13 +14,19 @@ sole error mechanism; failed rounds are always detected.
 
 One kernel, :func:`_information`, evaluates I_S for a batch of epochs and
 any list of subsets.  With one receive antenna the determinant is the
-scalar 1 + (snr/M) * power.  With N > 1 it is the product of the pivots of
-an LDL^H elimination of I_N + (snr/M) * G_S, run on the lower triangle for
-all subsets at once, one cache-sized tile of epochs at a time; every
-pivot is at least 1.
+scalar 1 + (snr/M) * power, and the subset powers are built member by
+member: the sum of S is the sum of S without its top user plus that
+user's power.  With N > 1 it is the product of the pivots of an LDL^H
+elimination of I_N + (snr/M) * G_S, run on the lower triangle for all
+subsets at once, one cache-sized tile of epochs at a time; every pivot is
+at least 1.
 
-Functions are pure and vectorised over a leading epoch axis; the callers
-draw the gains with :func:`_draw_gains` from their own generator streams.
+Gains come in as (epochs, users, rx, tx) arrays, drawn by the callers with
+:func:`_draw_gains` from their own generator streams.  Inside the layer
+the epoch axis is last: per-user and per-subset quantities are
+(users or subsets, epochs) arrays, one contiguous row of epochs each, so
+every elementwise step and every reduction over subsets streams along
+long rows.  Functions are pure.
 """
 
 from __future__ import annotations
@@ -52,40 +58,70 @@ def _subset_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
 def _draw_gains(rng: np.random.Generator, shape) -> np.ndarray:
     """Unit-power circularly symmetric complex Gaussian gains of the given shape.
 
-    One draw of both halves, real then imaginary, written straight into the
-    complex result; bitwise equal to ``(a + 1j * b) / sqrt(2)`` from two
-    successive draws, since numpy divides by a real scalar by multiplying
-    with its reciprocal.
+    The real halves are drawn first, then the imaginary halves, each into
+    one reused float buffer and scaled straight into the complex result, so
+    a draw holds 1.5 times the gains at its peak.  Bitwise equal to
+    ``(a + 1j * b) / sqrt(2)`` from two successive draws, since numpy
+    divides by a real scalar by multiplying with its reciprocal.
     """
-    pair = rng.standard_normal((2, *shape))
-    gains = np.empty(pair.shape[1:], dtype=complex)
-    np.multiply(pair[0], 1.0 / math.sqrt(2.0), out=gains.real)
-    np.multiply(pair[1], 1.0 / math.sqrt(2.0), out=gains.imag)
+    gains = np.empty(shape, dtype=complex)
+    buf = np.empty(shape)
+    for half in (gains.real, gains.imag):
+        rng.standard_normal(out=buf)
+        np.multiply(buf, 1.0 / math.sqrt(2.0), out=half)
     return gains
 
 
+def _user_powers(gains: np.ndarray) -> np.ndarray:
+    """Received power sum_tx |h|^2 of each user as (users, epochs) rows; rx = 1.
+
+    ``np.abs(h) ** 2``, not re^2 + im^2, which rounds differently; the
+    transmit antennas are added in index order.
+    """
+    n, k, _, tx = gains.shape
+    power = np.abs(gains.reshape(n, k * tx).T, out=np.empty((k * tx, n)))
+    power *= power
+    return power.reshape(k, tx, n).sum(axis=1) if tx > 1 else power
+
+
 def _information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarray:
-    """log2 det(I_N + coef * sum_{i in S} H_i H_i^H) per epoch and per row S of ``masks``.
+    """log2 det(I_N + coef * sum_{i in S} H_i H_i^H) per row S of ``masks`` and per epoch.
 
     ``gains`` has shape (epochs, k, rx, tx) and ``masks`` is a (subsets, k)
-    0/1 matrix; the result is (epochs, subsets).  With one receive antenna
-    the determinant is 1 + coef * power, one streaming pass (tiling it
-    measured no faster).  Otherwise :func:`_ldl_information` runs over
-    consecutive tiles of max(1, _TILE_ENTRIES // (subsets * rx^2)) epochs,
-    each written into the result.  Tiles are sized in matrix entries, not
-    epochs, because the working set (pooled subset entries and elimination
-    temporaries) grows as subsets * rx^2 per epoch; so it stays near cache
-    size for every (K, N), and beyond the result the kernel's memory does
-    not grow with the batch.
+    0/1 matrix; the result is (subsets, epochs), one row of epochs per
+    subset.  With one receive antenna the determinant is 1 + coef * power,
+    one streaming pass (tiling it measured no faster), and the power of S
+    is that of S without its top user plus the top user's own, so a sum
+    never depends on the batch shape.  Otherwise :func:`_ldl_information`
+    runs over consecutive tiles of max(1, _TILE_ENTRIES // (subsets * rx^2))
+    epochs, each written into the result.  Tiles are sized in matrix
+    entries, not epochs, because the working set (pooled subset entries and
+    elimination temporaries) grows as subsets * rx^2 per epoch; so it stays
+    near cache size for every (K, N), and beyond the result the kernel's
+    memory does not grow with the batch.
     """
-    rx = gains.shape[2]
+    n, _, rx, _ = gains.shape
+    info = np.empty((len(masks), n))
     if rx == 1:
-        power = np.sum(np.abs(gains) ** 2, axis=(2, 3))            # (n, k)
-        return np.log2(1.0 + (coef * power) @ masks.T)
-    info = np.empty((gains.shape[0], len(masks)))
+        power = _user_powers(gains)
+        power *= coef
+        row_of = {}                          # bitmask -> its row of info
+        for s, row in enumerate(masks):
+            members = np.flatnonzero(row).tolist()
+            bits = sum(1 << i for i in members)
+            rest = bits ^ (1 << members[-1]) if members else 0
+            if members and rest in row_of:
+                np.add(info[row_of[rest]], power[members[-1]], out=info[s])
+            else:                           # the same sum, member by member
+                info[s] = power[members[0]] if members else 0.0
+                for i in members[1:]:
+                    info[s] += power[i]
+            row_of[bits] = s
+        info += 1.0
+        return np.log2(info, out=info)
     step = max(1, _TILE_ENTRIES // (len(masks) * rx * rx))
-    for start in range(0, gains.shape[0], step):
-        info[start : start + step] = _ldl_information(gains[start : start + step], coef, masks)
+    for start in range(0, n, step):
+        info[:, start : start + step] = _ldl_information(gains[start : start + step], coef, masks)
     return info
 
 
@@ -127,36 +163,45 @@ def _ldl_information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.nd
             for m in range(j + 1, i):                               # A[i, m] -= L[i, j] A[m, j]^*
                 re[i, m] -= lr * re[m, j] + li * im[m, j]
                 im[i, m] -= li * re[m, j] - lr * im[m, j]
-    return info.T
+    return info
 
 
 def _single_user_info(gains: np.ndarray, snr: float, gain: float, tx: int) -> np.ndarray:
-    """Per-user mutual information for a batch of (epochs, users, rx, tx) gains."""
-    return _information(gains, gain * snr / tx, np.eye(gains.shape[1]))
+    """Per-user mutual information as (users, epochs) rows, for (epochs, users, rx, tx) gains."""
+    coef = gain * snr / tx
+    if gains.shape[2] > 1:
+        return _information(gains, coef, np.eye(gains.shape[1]))
+    info = _user_powers(gains)
+    info *= coef
+    info += 1.0
+    return np.log2(info, out=info)
 
 
 def subset_demand(gains: np.ndarray, snr: float, rate: float) -> np.ndarray:
     """Round demand |S|*rate / I_S of every nonempty user subset S, per epoch.
 
-    ``gains`` has shape (epochs, k, rx, tx).  Column s-1 belongs to the
-    subset whose bitmask is s (bit i set for user i); a subset with no
-    mutual information demands inf.  Subset enumeration is exponential in k.
+    ``gains`` has shape (epochs, k, rx, tx); the result is (subsets,
+    epochs).  Row s-1 belongs to the subset whose bitmask is s (bit i set
+    for user i); a subset with no mutual information demands inf.  Subset
+    enumeration is exponential in k.
     """
     masks, sizes = _subset_masks(gains.shape[1])
     info = _information(gains, snr / gains.shape[3], masks)
-    demand = sizes[None, :] * rate
-    with np.errstate(divide="ignore"):
-        return np.where(info > 0.0, demand / np.maximum(info, 1e-300), np.inf)
+    silent = ~(info > 0.0)
+    # a positive I_S is a sum of log2 terms of 1e-16 or more, so the quotient is finite
+    np.divide((sizes * rate)[:, None], info, out=info, where=~silent)
+    np.copyto(info, np.inf, where=silent)
+    return info
 
 
 def rounds_from_demand(worst: np.ndarray) -> np.ndarray:
     """Smallest round count meeting a worst-case demand; NEVER for inf."""
     # boundary ties decode: shave one ulp-scale epsilon before the ceil
-    rounds = np.ceil(worst * (1.0 - 1e-12))
-    out = np.full(worst.shape, NEVER, dtype=np.int64)
-    finite = np.isfinite(rounds)
-    out[finite] = np.maximum(rounds[finite].astype(np.int64), 1)
-    return out
+    rounds = np.multiply(worst, 1.0 - 1e-12)
+    np.ceil(rounds, out=rounds)
+    np.copyto(rounds, NEVER, where=~np.isfinite(rounds))
+    np.maximum(rounds, 1.0, out=rounds)
+    return rounds.astype(np.int64)
 
 
 def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> np.ndarray:
@@ -169,7 +214,7 @@ def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> n
     """
     if rate <= 0:
         return np.ones(gains.shape[0], dtype=np.int64)
-    return rounds_from_demand(subset_demand(gains, snr, rate).max(axis=1))
+    return rounds_from_demand(subset_demand(gains, snr, rate).max(axis=0))
 
 
 def asymptotic_first_decodable_round(k: int, config: AntennaConfig, r: float) -> int:

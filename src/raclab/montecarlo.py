@@ -116,6 +116,8 @@ class BetaTable:
 
 
 def _chunk_plan(total: int, chunk: int) -> list[int]:
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     sizes = [chunk] * (total // chunk)
     if total % chunk:
         sizes.append(total % chunk)
@@ -151,6 +153,8 @@ def estimate_beta(
         raise ValueError("trials must be >= 1")
     if deadline < 1:
         raise ValueError("deadline must be >= 1")
+    if rate < 0:
+        raise ValueError("rate must be nonnegative")
     snr = snr_from_db(snr_db)
     users, rx, tx = config.users, config.rx, config.tx
     values = np.ones((users, deadline + 1))
@@ -242,7 +246,7 @@ def system_error_probability(
         return (
             int(np.count_nonzero(coins)),
             int(np.count_nonzero(errors)),
-            (errors[:, None] >> np.arange(config.users) & 1).sum(axis=0),
+            np.array([np.count_nonzero(errors >> u & 1) for u in range(config.users)]),
         )
 
     partials = _map_chunks(one_chunk, sizes, workers)
@@ -303,6 +307,8 @@ def fully_loaded_throughput(
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     snr = None if snr_db is None else snr_from_db(snr_db)
     n = int(min(chunk, max(1024, slots)))
 
@@ -373,6 +379,8 @@ def gta_collision_stats(k: int, epochs: int, seed: int, chunk: int = DEFAULT_CHU
     Returns (mean_length, se_length, mean_delivered, se_delivered); the
     Monte Carlo counterpart of the exact splitting-tree recursions.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     sizes = _chunk_plan(epochs, chunk)

@@ -46,18 +46,26 @@ from .system import GTA, IRARQ, ONDMA, AntennaConfig, ProtocolParams
 
 def _bits(flags: np.ndarray) -> np.ndarray:
     """Per-epoch bitmask of an (epochs, users) boolean array."""
-    return flags @ (1 << np.arange(flags.shape[1]))
+    # up to 8 users the bits are packed in bytes, reading the bool columns as uint8 without a cast
+    cols = flags.view(np.uint8) if flags.shape[1] <= 8 else flags.astype(np.int64)
+    out = np.zeros(flags.shape[0], dtype=cols.dtype)
+    for i in range(flags.shape[1]):
+        out |= cols[:, i] << i
+    return out.astype(np.int64)
 
 
 def _subset_max(demand: np.ndarray, users: int) -> np.ndarray:
-    """Max of ``demand`` over the nonempty subsets of every mask; column 0 is 0."""
-    n = demand.shape[0]
-    worst = np.zeros((n, 1 << users))
-    worst[:, 1:] = demand
+    """Max of (subsets, epochs) ``demand`` over the nonempty subsets of every mask.
+
+    The result is (2^users, epochs), row m for mask m; row 0 is 0.
+    """
+    worst = np.empty((1 << users, demand.shape[1]))
+    worst[0] = 0.0
+    worst[1:] = demand
     for i in range(users):
-        # v[:, :, 1] are the masks with bit i set, v[:, :, 0] the same masks without it
-        v = worst.reshape(n, -1, 2, 1 << i)
-        np.maximum(v[:, :, 1], v[:, :, 0], out=v[:, :, 1])
+        # v[:, 1] are the masks with bit i set, v[:, 0] the same masks without it
+        v = worst.reshape(1 << (users - 1 - i), 2, 1 << i, demand.shape[1])
+        np.maximum(v[:, 1], v[:, 0], out=v[:, 1])
     return worst
 
 
@@ -114,11 +122,25 @@ def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
 
 
 def _tree_members(masks, count, users: int, rng: np.random.Generator):
-    """The count[e, j] first members of masks[e, j] under a uniform ranking of the users."""
-    order = np.argsort(rng.random((masks.shape[0], users)), axis=1)[:, None, :]
-    member = masks[:, :, None] >> order & 1
-    take = member & (np.cumsum(member, axis=2) <= count[:, :, None])
-    return (take << order).sum(axis=2)
+    """The count[e, j] first members of masks[e, j] under a uniform ranking of the users.
+
+    The users are ranked by one uniform draw each, lower index first on
+    ties (the order a stable sort gives), by pairwise comparison: before[u]
+    is the bitmask of the users ranked ahead of u.  A member is taken while
+    fewer than ``count`` members of its mask rank ahead of it.
+    """
+    draw = rng.random((masks.shape[0], users))
+    before = np.zeros((users, masks.shape[0]), dtype=np.int64)
+    for u in range(users):
+        for v in range(u + 1, users):
+            first = draw[:, v] < draw[:, u]                 # v ranks ahead of u
+            before[u] |= first * (1 << v)
+            before[v] |= ~first * (1 << u)
+    taken = np.zeros(masks.shape, dtype=np.int64)
+    for u in range(users):
+        keep = np.bitwise_count(masks & before[u][:, None]) < count
+        taken |= (masks & (1 << u)) * keep
+    return taken
 
 
 def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, gains, gain: float):
@@ -126,7 +148,7 @@ def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, gains, gain
         out = asymptotic_first_decodable_round(1, config, params.multiplexing_gain) > 1
         return (1 << config.users) - 1 if out else 0
     info = _single_user_info(gains, snr, gain, config.tx)
-    return _bits(info < params.rate_at(snr))
+    return _bits((info < params.rate_at(snr)).T)
 
 
 def epoch_outcomes(
@@ -169,7 +191,8 @@ def epoch_outcomes(
                 needed = np.ones(masks.shape, dtype=np.int64)
             else:
                 worst = _subset_max(subset_demand(gains, snr, rate), users)
-                needed = rounds_from_demand(np.take_along_axis(worst, masks, axis=1))
+                # worst[masks[e, j], e] for every cell, as one flat gather
+                needed = rounds_from_demand(worst.ravel()[masks * n + np.arange(n)[:, None]])
         lengths = np.minimum(needed, deadline)
         errors = np.where(needed > deadline, masks, 0)
 

@@ -18,6 +18,7 @@ from raclab.channel import (
     NEVER,
     _draw_gains,
     _information,
+    _ldl_information,
     _single_user_info,
     _subset_masks,
     batch_first_decodable_round,
@@ -91,6 +92,19 @@ def test_draw_pins_the_two_call_stream(shape):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_draw_holds_one_and_a_half_gains_at_peak():
+    # the complex result plus one float buffer for a half; the single
+    # two-half draw it replaced peaked at twice the gains
+    shape = (20_000, 4, 4, 2)
+    tracemalloc.start()
+    try:
+        gains = _draw_gains(np.random.default_rng(3), shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * gains.nbytes + 65536
 
 
 def test_unit_mean_power():
@@ -219,18 +233,18 @@ def test_information_matches_oracle_on_mimo_battery(snr_db):
                 gains = mimo_battery(k, tx, rx, rng)
                 info = _information(gains, snr / tx, masks)
                 demand = subset_demand(gains, snr, rate)
-                assert info.shape == demand.shape == (len(gains), len(subsets))
+                assert info.shape == demand.shape == (len(subsets), len(gains))
                 for n, g in enumerate(gains):
                     for s, members in enumerate(subsets):
                         want = subset_mutual_information(g, members, snr)
                         tol = mi_tolerance(g, members, snr_db, want)
                         where = f"K={k} {tx}x{rx} epoch {n} subset {members}"
-                        assert abs(info[n, s] - want) <= tol, where
+                        assert abs(info[s, n] - want) <= tol, where
                         if want == 0.0:
-                            assert info[n, s] == 0.0 and demand[n, s] == math.inf, where
+                            assert info[s, n] == 0.0 and demand[s, n] == math.inf, where
                         else:
                             want_demand = sizes[s] * rate / want
-                            assert abs(demand[n, s] - want_demand) <= want_demand * tol / want, where
+                            assert abs(demand[s, n] - want_demand) <= want_demand * tol / want, where
 
 
 
@@ -257,7 +271,7 @@ def test_information_across_tile_edges_matches_oracle(k, tx, rx):
     rng = np.random.default_rng(47)
     for n in (0, 1, tile - 1, tile, tile + 1, 3 * tile + 17):
         gains = _draw_gains(rng, (n, k, rx, tx))
-        got = _information(gains, snr / tx, masks)
+        got = _information(gains, snr / tx, masks).T
         want = stacked_mutual_information(gains, masks, snr)
         assert got.shape == want.shape == (n, len(masks))
         # mi_tolerance is at least MI_RTOL * info; evaluate it where that is exceeded
@@ -296,8 +310,8 @@ def test_information_memory_beyond_result_is_flat_in_epochs():
 def test_information_of_no_epochs_is_empty(rx):
     masks, _ = _subset_masks(3)
     gains = np.zeros((0, 3, rx, 2), dtype=complex)
-    assert _information(gains, 1.0, masks).shape == (0, 7)
-    assert subset_demand(gains, 10.0, 1.0).shape == (0, 7)
+    assert _information(gains, 1.0, masks).shape == (7, 0)
+    assert subset_demand(gains, 10.0, 1.0).shape == (7, 0)
 
 # ---------------------------------------------------------------------------
 # outage predicates
@@ -468,3 +482,141 @@ def test_outcome_table_per_mask_matches_kernel_and_oracle(cfg):
                     assert joint_outage(gains[i], members, snr, params.rate, ell - 1) is True
                     checked += 1
     assert checked > 0   # some masks needed more than one round
+
+
+# ---------------------------------------------------------------------------
+# the epochs-last layout against the epochs-first code it replaced
+# ---------------------------------------------------------------------------
+# The functions below are the kernel as it was with (epochs, subsets)
+# results, kept as bitwise oracles: the scalar branch sums the subset
+# powers with a BLAS matmul, the rx > 1 branch transposes each tile.
+
+def information_epochs_first(gains, coef, masks):
+    rx = gains.shape[2]
+    if rx == 1:
+        power = np.sum(np.abs(gains) ** 2, axis=(2, 3))
+        return np.log2(1.0 + (coef * power) @ masks.T)
+    info = np.empty((gains.shape[0], len(masks)))
+    step = max(1, _TILE_ENTRIES // (len(masks) * rx * rx))
+    for start in range(0, gains.shape[0], step):
+        info[start : start + step] = _ldl_information(gains[start : start + step], coef, masks).T
+    return info
+
+
+def first_round_epochs_first(gains, snr, rate):
+    if rate <= 0:
+        return np.ones(gains.shape[0], dtype=np.int64)
+    masks, sizes = _subset_masks(gains.shape[1])
+    info = information_epochs_first(gains, snr / gains.shape[3], masks)
+    with np.errstate(divide="ignore"):
+        demand = np.where(info > 0.0, sizes[None, :] * rate / np.maximum(info, 1e-300), np.inf)
+    rounds = np.ceil(demand.max(axis=1) * (1.0 - 1e-12))
+    out = np.full(rounds.shape, NEVER, dtype=np.int64)
+    finite = np.isfinite(rounds)
+    out[finite] = np.maximum(rounds[finite].astype(np.int64), 1)
+    return out
+
+
+def outage_bits_epochs_first(gains, snr, rate):
+    k, tx = gains.shape[1], gains.shape[3]
+    info = information_epochs_first(gains, snr / tx, np.eye(k))
+    return (info < rate) @ (1 << np.arange(k))
+
+
+def scalar_battery(k, tx, n, seed):
+    """Rayleigh epochs plus a silent user and a one-user-only block."""
+    gains = _draw_gains(np.random.default_rng(seed), (n, k, 1, tx))
+    gains[: n // 8, 0] = 0.0
+    gains[n // 8 : n // 4, 1:] = 0.0
+    return gains
+
+
+SNRS = (0.1, 3.0, 100.0, 1e6)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scalar_information_is_bitwise_the_epochs_first_kernel(k):
+    masks, _ = _subset_masks(k)
+    for tx in (1, 2, 3):
+        gains = scalar_battery(k, tx, 4000, seed=100 + 10 * k + tx)
+        for snr in SNRS:
+            got = _information(gains, snr / tx, masks)
+            assert got.shape == (len(masks), len(gains))
+            assert got.T.tobytes() == information_epochs_first(gains, snr / tx, masks).tobytes()
+
+
+def test_scalar_information_of_any_mask_order_matches_the_lattice():
+    # rows out of lattice order, repeated and empty rows get the same sums
+    k = 4
+    lattice, _ = _subset_masks(k)
+    gains = scalar_battery(k, 2, 500, seed=150)
+    full = _information(gains, 5.0, lattice)
+    picks = [14, 0, 6, 6, 2, 9]                       # bitmasks 15, 1, 7, 7, 3, 10
+    rows = np.vstack([np.zeros((1, k)), lattice[picks], np.zeros((1, k))])
+    got = _information(gains, 5.0, rows)
+    assert np.all(got[0] == 0.0) and np.all(got[-1] == 0.0)
+    assert got[1:-1].tobytes() == full[picks].tobytes()
+
+
+# Tolerance of the kernel against exactly rounded subset sums, fixed before
+# the first run: a running sum of |S| nonnegative terms is within
+# (|S| - 1) u of the exact sum (u = 2^-53), forming 1 + x adds u and log2
+# adds an ulp of the result; d log2(1 + x) = dx / ((1 + x) ln 2), so a
+# relative error d in x moves the result by at most d / ln 2 bits.
+def member_sum_tolerance(size, info):
+    return (size + 1) * 2.0**-53 / math.log(2.0) + 2 * np.spacing(info)
+
+
+@pytest.mark.parametrize("k", [4, 5, 8])
+def test_scalar_information_beyond_three_users(k):
+    # from four users on the BLAS matmul of the replaced kernel may add a
+    # subset in another order, so only round counts and outage bits must
+    # match it bitwise; I_S itself is held to exactly rounded sums
+    masks, sizes = _subset_masks(k)
+    gains = scalar_battery(k, 2, 400, seed=200 + k)
+    for snr in SNRS:
+        info = _information(gains, snr / 2, masks)
+        power = (snr / 2) * np.sum(np.abs(gains) ** 2, axis=(2, 3))        # (n, k)
+        for s, row in enumerate(masks.astype(bool)):
+            exact = np.array([math.fsum(p) for p in power[:, row]])
+            want = np.log2(1.0 + exact)
+            assert np.all(np.abs(info[s] - want) <= member_sum_tolerance(sizes[s], want))
+        for rate in (0.3, 1.0, 2.5):
+            rate *= math.log2(1.0 + snr)
+            assert np.array_equal(batch_first_decodable_round(gains, snr, rate),
+                                  first_round_epochs_first(gains, snr, rate))
+            got = (_single_user_info(gains, snr, 1.0, 2) < rate).T @ (1 << np.arange(k))
+            assert np.array_equal(got, outage_bits_epochs_first(gains, snr, rate))
+
+
+@pytest.mark.parametrize("k, tx, rx", [(1, 1, 1), (2, 1, 1), (3, 2, 1), (3, 2, 2), (4, 2, 4)],
+                         ids=["K1", "K2", "K3-2x1", "K3-2x2", "K4-2x4"])
+def test_first_decodable_round_is_bitwise_the_epochs_first_kernel(k, tx, rx):
+    masks, _ = _subset_masks(k)
+    n = 2 * tile_epochs(masks, rx) + 5 if rx > 1 else 3000
+    gains = _draw_gains(np.random.default_rng(300 + k), (n, k, rx, tx))
+    gains[:20, 0] = 0.0                                       # some subsets with no information
+    seen = set()
+    for snr in (1.0, 100.0):
+        for rate in (0.0, 0.5, 2.0, 6.0):
+            got = batch_first_decodable_round(gains, snr, rate)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, first_round_epochs_first(gains, snr, rate))
+            seen.update(got.tolist())
+        if rx > 1:
+            info = _information(gains, snr / tx, masks)
+            assert info.T.tobytes() == information_epochs_first(gains, snr / tx, masks).tobytes()
+    assert NEVER in seen and len(seen) > 3                     # several round counts and NEVER
+    empty = gains[:0]
+    assert batch_first_decodable_round(empty, 100.0, 2.0).shape == (0,)
+    assert batch_first_decodable_round(empty, 100.0, 0.0).shape == (0,)
+
+
+@pytest.mark.parametrize("rx", [1, 2])
+def test_single_user_info_is_bitwise_the_identity_mask_kernel(rx):
+    gains = _draw_gains(np.random.default_rng(400 + rx), (3000, 3, rx, 2))
+    for gain in (1.0, 3.0):
+        got = _single_user_info(gains, 7.0, gain, 2)
+        want = information_epochs_first(gains, gain * 7.0 / 2, np.eye(3))
+        assert got.shape == (3, 3000)
+        assert got.T.tobytes() == want.tobytes()

@@ -254,3 +254,38 @@ def test_diversity_slope_validation():
         diversity_slope([(10.0, 0.1), (100.0, 0.01)])
     with pytest.raises(ValueError):
         diversity_slope([(10.0, 0.1), (100.0, 0.0), (1000.0, 0.001)])
+
+
+# ---------------------------------------------------------------------------
+# invalid inputs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_gta_collision_stats_rejects_empty_collisions(k):
+    with pytest.raises(ValueError, match="k must be"):
+        gta_collision_stats(k, 100, seed=1)
+
+
+def test_beta_rejects_zero_chunk():
+    with pytest.raises(ValueError, match="chunk"):
+        estimate_beta(SCALAR2, 10.0, 1.0, 2, trials=100, seed=1, chunk=0)
+
+
+def test_error_probability_rejects_zero_chunk():
+    params = ProtocolParams(p_t=1.0, rate=1.0, deadline=2)
+    with pytest.raises(ValueError, match="chunk"):
+        system_error_probability("irarq", SCALAR2, params, 10.0, trials=100, seed=1, chunk=0)
+
+
+def test_throughput_rejects_zero_chunk():
+    params = ProtocolParams(p_t=1.0, rate=1.0)
+    with pytest.raises(ValueError, match="chunk"):
+        fully_loaded_throughput("ondma", SCALAR2, params, 10.0, slots=100, seed=1, chunk=0)
+
+
+def test_beta_rejects_negative_rate():
+    with pytest.raises(ValueError, match="rate"):
+        estimate_beta(SCALAR2, 10.0, -0.5, 2, trials=100, seed=1)
+    # a zero rate is valid: every collision decodes in the first round
+    table = estimate_beta(SCALAR2, 10.0, 0.0, 2, trials=100, seed=1)
+    assert np.all(table.values[:, 1:] == 0.0)

@@ -7,7 +7,7 @@ import pytest
 
 from raclab import AntennaConfig, ProtocolParams, gta_recursion, simulate_random_arrivals
 from raclab.montecarlo import gta_collision_stats
-from raclab.protocols import _gta_tree_batch, epoch_outcomes
+from raclab.protocols import _bits, _gta_tree_batch, _subset_max, _tree_members, epoch_outcomes
 from raclab.queueing import MAX_TABLE_USERS
 
 SCALAR2 = AntennaConfig(users=2, tx=1, rx=1)
@@ -17,8 +17,11 @@ BOTH = 0b11
 class UnitGainRng:
     """Draws every channel as a unit-power gain: (1 + 1j) / sqrt(2)."""
 
-    def standard_normal(self, shape):
-        return np.ones(shape)
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.ones(size)
+        out[...] = 1.0
+        return out
 
 
 class ScriptedTreeRng:
@@ -285,3 +288,77 @@ def test_outcomes_at_coin_masks_match_full_table(protocol, params, config):
     for table, column in zip(full, at_coins):
         assert column.shape == (n, 1)
         assert np.array_equal(column[:, 0], table[np.arange(n), coins])
+
+
+# ---------------------------------------------------------------------------
+# sort-free and epochs-last helpers against the code they replaced
+# ---------------------------------------------------------------------------
+
+def tree_members_by_argsort(masks, count, users, rng, kind=None):
+    """The argsort ranking the pairwise one replaced, kept as its bitwise oracle."""
+    order = np.argsort(rng.random((masks.shape[0], users)), axis=1, kind=kind)[:, None, :]
+    member = masks[:, :, None] >> order & 1
+    take = member & (np.cumsum(member, axis=2) <= count[:, :, None])
+    return (take << order).sum(axis=2)
+
+
+class TiedRng:
+    """Uniform draws on a grid of three values, so rankings tie often."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, shape):
+        return self.rng.integers(0, 3, shape) / 4.0
+
+
+@pytest.mark.parametrize("users", [2, 3, 5, 8])
+def test_tree_members_match_argsort_oracle(users):
+    rng = np.random.default_rng(60 + users)
+    masks = rng.integers(0, 1 << users, (3000, 6))
+    count = rng.integers(0, users + 1, (3000, 6))
+    got_rng, want_rng = np.random.default_rng(61), np.random.default_rng(61)
+    got = _tree_members(masks, count, users, got_rng)
+    assert got.dtype == np.int64 and got.shape == masks.shape
+    assert np.array_equal(got, tree_members_by_argsort(masks, count, users, want_rng))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # ties rank the lower user index first, as a stable sort does (numpy's
+    # default argsort need not: with AVX-512, numpy 2.4 reorders ties in rows
+    # of four or more); uniform doubles tie with probability about K^2 2^-53
+    tied = _tree_members(masks, count, users, TiedRng(62))
+    want = tree_members_by_argsort(masks, count, users, TiedRng(62), kind="stable")
+    assert np.array_equal(tied, want)
+    # the taken users are members, as many as the count allows
+    assert np.all(got & ~masks == 0)
+    assert np.array_equal(np.bitwise_count(got), np.minimum(np.bitwise_count(masks), count))
+
+
+def subset_max_epochs_first(demand, users):
+    """The (epochs, 2^K) subset max the row layout replaced, kept as its oracle."""
+    n = demand.shape[0]
+    worst = np.zeros((n, 1 << users))
+    worst[:, 1:] = demand
+    for i in range(users):
+        v = worst.reshape(n, -1, 2, 1 << i)
+        np.maximum(v[:, :, 1], v[:, :, 0], out=v[:, :, 1])
+    return worst
+
+
+@pytest.mark.parametrize("users", [1, 2, 3, 4])
+def test_subset_max_matches_epochs_first_oracle(users):
+    rng = np.random.default_rng(70 + users)
+    demand = rng.exponential(size=(500, (1 << users) - 1))
+    demand[rng.random(demand.shape) < 0.05] = np.inf
+    got = _subset_max(np.ascontiguousarray(demand.T), users)
+    assert got.shape == (1 << users, 500)
+    assert got.T.tobytes() == subset_max_epochs_first(demand, users).tobytes()
+    assert _subset_max(np.zeros(((1 << users) - 1, 0)), users).shape == (1 << users, 0)
+
+
+@pytest.mark.parametrize("users", [0, 1, 2, 8, 9, 12])
+def test_bits_match_matmul(users):
+    flags = np.random.default_rng(80 + users).random((700, users)) < 0.4
+    want = flags.astype(np.int64) @ (1 << np.arange(users, dtype=np.int64))
+    for layout in (flags, np.asfortranarray(flags)):
+        got = _bits(layout)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
