@@ -14,9 +14,8 @@ sole error mechanism; failed rounds are always detected.
 
 One kernel, :func:`_information`, evaluates I_S for a batch of epochs and
 any list of subsets.  With one receive antenna the determinant is the
-scalar 1 + (snr/M) * power, and the subset powers are built member by
-member: the sum of S is the sum of S without its top user plus that
-user's power.  With N > 1 it is the product of the pivots of an LDL^H
+scalar 1 + (snr/M) * power, and the power of S is the sum of its
+members' powers, added in index order.  With N > 1 it is the product of the pivots of an LDL^H
 elimination of I_N + (snr/M) * G_S, run on the lower triangle for all
 subsets at once, one cache-sized tile of epochs at a time; every pivot is
 at least 1.
@@ -91,8 +90,8 @@ def _information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarra
     0/1 matrix; the result is (subsets, epochs), one row of epochs per
     subset.  With one receive antenna the determinant is 1 + coef * power,
     one streaming pass (tiling it measured no faster), and the power of S
-    is that of S without its top user plus the top user's own, so a sum
-    never depends on the batch shape.  Otherwise :func:`_ldl_information`
+    is added member by member in index order, so a sum never depends on
+    the batch shape.  Otherwise :func:`_ldl_information`
     runs over consecutive tiles of max(1, _TILE_ENTRIES // (subsets * rx^2))
     epochs, each written into the result.  Tiles are sized in matrix
     entries, not epochs, because the working set (pooled subset entries and
@@ -105,18 +104,11 @@ def _information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarra
     if rx == 1:
         power = _user_powers(gains)
         power *= coef
-        row_of = {}                          # bitmask -> its row of info
-        for s, row in enumerate(masks):
-            members = np.flatnonzero(row).tolist()
-            bits = sum(1 << i for i in members)
-            rest = bits ^ (1 << members[-1]) if members else 0
-            if members and rest in row_of:
-                np.add(info[row_of[rest]], power[members[-1]], out=info[s])
-            else:                           # the same sum, member by member
-                info[s] = power[members[0]] if members else 0.0
-                for i in members[1:]:
-                    info[s] += power[i]
-            row_of[bits] = s
+        for row, mask in zip(info, masks):
+            members = np.flatnonzero(mask)
+            row[:] = power[members[0]] if members.size else 0.0
+            for i in members[1:]:
+                row += power[i]
         info += 1.0
         return np.log2(info, out=info)
     step = max(1, _TILE_ENTRIES // (len(masks) * rx * rx))
@@ -168,13 +160,7 @@ def _ldl_information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.nd
 
 def _single_user_info(gains: np.ndarray, snr: float, gain: float, tx: int) -> np.ndarray:
     """Per-user mutual information as (users, epochs) rows, for (epochs, users, rx, tx) gains."""
-    coef = gain * snr / tx
-    if gains.shape[2] > 1:
-        return _information(gains, coef, np.eye(gains.shape[1]))
-    info = _user_powers(gains)
-    info *= coef
-    info += 1.0
-    return np.log2(info, out=info)
+    return _information(gains, gain * snr / tx, np.eye(gains.shape[1]))
 
 
 def subset_demand(gains: np.ndarray, snr: float, rate: float) -> np.ndarray:
@@ -188,18 +174,22 @@ def subset_demand(gains: np.ndarray, snr: float, rate: float) -> np.ndarray:
     masks, sizes = _subset_masks(gains.shape[1])
     info = _information(gains, snr / gains.shape[3], masks)
     silent = ~(info > 0.0)
-    # a positive I_S is a sum of log2 terms of 1e-16 or more, so the quotient is finite
     np.divide((sizes * rate)[:, None], info, out=info, where=~silent)
     np.copyto(info, np.inf, where=silent)
     return info
 
 
 def rounds_from_demand(worst: np.ndarray) -> np.ndarray:
-    """Smallest round count meeting a worst-case demand; NEVER for inf."""
+    """Smallest round count meeting a worst-case demand; NEVER for inf.
+
+    A finite count is returned as it is, even beyond NEVER, unless it does
+    not fit in an int64.
+    """
     # boundary ties decode: shave one ulp-scale epsilon before the ceil
     rounds = np.multiply(worst, 1.0 - 1e-12)
     np.ceil(rounds, out=rounds)
-    np.copyto(rounds, NEVER, where=~np.isfinite(rounds))
+    # before the cast: inf, nan and counts beyond int64 become NEVER
+    np.copyto(rounds, NEVER, where=~(rounds < 2.0**63))
     np.maximum(rounds, 1.0, out=rounds)
     return rounds.astype(np.int64)
 

@@ -46,12 +46,10 @@ from .system import GTA, IRARQ, ONDMA, AntennaConfig, ProtocolParams
 
 def _bits(flags: np.ndarray) -> np.ndarray:
     """Per-epoch bitmask of an (epochs, users) boolean array."""
-    # up to 8 users the bits are packed in bytes, reading the bool columns as uint8 without a cast
-    cols = flags.view(np.uint8) if flags.shape[1] <= 8 else flags.astype(np.int64)
-    out = np.zeros(flags.shape[0], dtype=cols.dtype)
+    out = np.zeros(flags.shape[0], dtype=np.int64)
     for i in range(flags.shape[1]):
-        out |= cols[:, i] << i
-    return out.astype(np.int64)
+        out |= flags[:, i].astype(np.int64) << i
+    return out
 
 
 def _subset_max(demand: np.ndarray, users: int) -> np.ndarray:

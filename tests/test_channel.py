@@ -22,6 +22,7 @@ from raclab.channel import (
     _single_user_info,
     _subset_masks,
     batch_first_decodable_round,
+    rounds_from_demand,
     subset_demand,
 )
 from raclab.protocols import epoch_outcomes
@@ -437,6 +438,15 @@ def test_first_decodable_round_boundary_and_zero_rate():
     assert batch_first_decodable_round(unit, 3.0, 0.0)[0] == 1
     dead = scalar_gains([0.0])[None]
     assert batch_first_decodable_round(dead, 3.0, 1.0)[0] == NEVER
+
+
+def test_rounds_from_demand_maps_what_int64_cannot_hold_to_never():
+    # a positive I_S from rx > 1 pivots can be tiny, so a finite demand can pass 2^63
+    demand = np.array([0.0, 0.5, 2.0, 2.5, 3e9, 2.0**62, 2.0**64, 1e300, np.inf, np.nan])
+    want = [1, 1, 2, 3, 3_000_000_000, math.ceil(2.0**62 * (1.0 - 1e-12)), NEVER, NEVER, NEVER, NEVER]
+    got = rounds_from_demand(demand)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("columns", [[0], [1], [0, 1]], ids=["e1", "e2", "e1+e2"])
