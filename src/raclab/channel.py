@@ -20,12 +20,17 @@ elimination of I_N + (snr/M) * G_S, run on the lower triangle for all
 subsets at once, one cache-sized tile of epochs at a time; every pivot is
 at least 1.
 
-Gains come in as (epochs, users, rx, tx) arrays, drawn by the callers with
-:func:`_draw_gains` from their own generator streams.  Inside the layer
-the epoch axis is last: per-user and per-subset quantities are
-(users or subsets, epochs) arrays, one contiguous row of epochs each, so
-every elementwise step and every reduction over subsets streams along
-long rows.  Functions are pure.
+A block of channels is what the kernel reads, drawn by the callers with
+:func:`_draw_channel` from their own generator streams.  With one receive
+antenna that is each user's received power sum_tx |h|^2, Gamma(tx, 1)
+distributed, as (users, epochs) power rows: no gain is ever drawn.  With
+N > 1 it is the (epochs, users, rx, tx) complex gains of
+:func:`_draw_gains`.  Only :func:`batch_first_decodable_round` takes gains
+at every shape; it turns rx = 1 gains into power rows with
+:func:`_user_powers`.  Inside the layer the epoch axis is last:
+per-user and per-subset quantities are (users or subsets, epochs) arrays,
+one contiguous row of epochs each, so every elementwise step and every
+reduction over subsets streams along long rows.  Functions are pure.
 """
 
 from __future__ import annotations
@@ -71,11 +76,39 @@ def _draw_gains(rng: np.random.Generator, shape) -> np.ndarray:
     return gains
 
 
+def _draw_channel(rng: np.random.Generator, shape) -> np.ndarray:
+    """One block of channels for an (epochs, users, rx, tx) ``shape``, as the kernel reads it.
+
+    With rx = 1 these are (users, epochs) power rows: sum_tx |h|^2 of
+    unit-power complex Gaussian gains is Gamma(tx, 1), drawn as tx standard
+    exponentials added in antenna order.  With rx > 1 they are the gains of
+    :func:`_draw_gains`.
+    """
+    n, k, rx, tx = shape
+    if rx > 1:
+        return _draw_gains(rng, shape)
+    power = rng.standard_exponential((k, n))
+    for _ in range(tx - 1):
+        power += rng.standard_exponential((k, n))
+    return power
+
+
+def _shape(channel: np.ndarray) -> tuple[int, int]:
+    """(epochs, users) of (users, epochs) power rows or of (epochs, users, rx, tx) gains."""
+    return channel.shape[::-1] if channel.ndim == 2 else channel.shape[:2]
+
+
+def _pick_epochs(channel: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The epochs selected by the boolean ``rows`` of a block of channels."""
+    return channel[:, rows] if channel.ndim == 2 else channel[rows]
+
+
 def _user_powers(gains: np.ndarray) -> np.ndarray:
     """Received power sum_tx |h|^2 of each user as (users, epochs) rows; rx = 1.
 
-    ``np.abs(h) ** 2``, not re^2 + im^2, which rounds differently; the
-    transmit antennas are added in index order.
+    The one step from given gains to power rows.  ``np.abs(h) ** 2``, not
+    re^2 + im^2, which rounds differently; the transmit antennas are added
+    in index order.
     """
     n, k, _, tx = gains.shape
     power = np.abs(gains.reshape(n, k * tx).T, out=np.empty((k * tx, n)))
@@ -83,27 +116,27 @@ def _user_powers(gains: np.ndarray) -> np.ndarray:
     return power.reshape(k, tx, n).sum(axis=1) if tx > 1 else power
 
 
-def _information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarray:
+def _information(channel: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarray:
     """log2 det(I_N + coef * sum_{i in S} H_i H_i^H) per row S of ``masks`` and per epoch.
 
-    ``gains`` has shape (epochs, k, rx, tx) and ``masks`` is a (subsets, k)
-    0/1 matrix; the result is (subsets, epochs), one row of epochs per
-    subset.  With one receive antenna the determinant is 1 + coef * power,
-    one streaming pass (tiling it measured no faster), and the power of S
-    is added member by member in index order, so a sum never depends on
-    the batch shape.  Otherwise :func:`_ldl_information`
-    runs over consecutive tiles of max(1, _TILE_ENTRIES // (subsets * rx^2))
-    epochs, each written into the result.  Tiles are sized in matrix
-    entries, not epochs, because the working set (pooled subset entries and
-    elimination temporaries) grows as subsets * rx^2 per epoch; so it stays
-    near cache size for every (K, N), and beyond the result the kernel's
-    memory does not grow with the batch.
+    ``channel`` is (k, epochs) power rows for one receive antenna, else
+    (epochs, k, rx, tx) gains, and ``masks`` is a (subsets, k) 0/1 matrix;
+    the result is (subsets, epochs), one row of epochs per subset.  With
+    power rows the determinant is 1 + coef * power, one streaming pass
+    (tiling it measured no faster), and the power of S is added member by
+    member in index order, so a sum never depends on the batch shape.
+    Otherwise :func:`_ldl_information` runs over consecutive tiles of
+    max(1, _TILE_ENTRIES // (subsets * rx^2)) epochs, each written into the
+    result.  Tiles are sized in matrix entries, not epochs, because the
+    working set (pooled subset entries and elimination temporaries) grows
+    as subsets * rx^2 per epoch; so it stays near cache size for every
+    (K, N), and beyond the result the kernel's memory does not grow with
+    the batch.
     """
-    n, _, rx, _ = gains.shape
+    n, _ = _shape(channel)
     info = np.empty((len(masks), n))
-    if rx == 1:
-        power = _user_powers(gains)
-        power *= coef
+    if channel.ndim == 2:
+        power = coef * channel
         for row, mask in zip(info, masks):
             members = np.flatnonzero(mask)
             row[:] = power[members[0]] if members.size else 0.0
@@ -111,9 +144,10 @@ def _information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarra
                 row += power[i]
         info += 1.0
         return np.log2(info, out=info)
+    rx = channel.shape[2]
     step = max(1, _TILE_ENTRIES // (len(masks) * rx * rx))
     for start in range(0, n, step):
-        info[:, start : start + step] = _ldl_information(gains[start : start + step], coef, masks)
+        info[:, start : start + step] = _ldl_information(channel[start : start + step], coef, masks)
     return info
 
 
@@ -158,21 +192,22 @@ def _ldl_information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.nd
     return info
 
 
-def _single_user_info(gains: np.ndarray, snr: float, gain: float, tx: int) -> np.ndarray:
-    """Per-user mutual information as (users, epochs) rows, for (epochs, users, rx, tx) gains."""
-    return _information(gains, gain * snr / tx, np.eye(gains.shape[1]))
+def _single_user_info(channel: np.ndarray, snr: float, gain: float, tx: int) -> np.ndarray:
+    """Per-user mutual information as (users, epochs) rows, for a block of channels."""
+    return _information(channel, gain * snr / tx, np.eye(_shape(channel)[1]))
 
 
-def subset_demand(gains: np.ndarray, snr: float, rate: float) -> np.ndarray:
+def subset_demand(channel: np.ndarray, snr: float, rate: float, tx: int) -> np.ndarray:
     """Round demand |S|*rate / I_S of every nonempty user subset S, per epoch.
 
-    ``gains`` has shape (epochs, k, rx, tx); the result is (subsets,
-    epochs).  Row s-1 belongs to the subset whose bitmask is s (bit i set
-    for user i); a subset with no mutual information demands inf.  Subset
-    enumeration is exponential in k.
+    ``channel`` is a block of k users' channels (see :func:`_information`)
+    with ``tx`` transmit antennas; the result is (subsets, epochs).  Row
+    s-1 belongs to the subset whose bitmask is s (bit i set for user i); a
+    subset with no mutual information demands inf.  Subset enumeration is
+    exponential in k.
     """
-    masks, sizes = _subset_masks(gains.shape[1])
-    info = _information(gains, snr / gains.shape[3], masks)
+    masks, sizes = _subset_masks(_shape(channel)[1])
+    info = _information(channel, snr / tx, masks)
     silent = ~(info > 0.0)
     np.divide((sizes * rate)[:, None], info, out=info, where=~silent)
     np.copyto(info, np.inf, where=silent)
@@ -194,17 +229,25 @@ def rounds_from_demand(worst: np.ndarray) -> np.ndarray:
     return rounds.astype(np.int64)
 
 
-def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> np.ndarray:
-    """First round after which no subset condition fails, per epoch.
+def _first_round(channel: np.ndarray, snr: float, rate: float, tx: int) -> np.ndarray:
+    """First round after which no subset condition fails, per epoch of a block of channels.
 
-    ``gains`` has shape (epochs, k, rx, tx) with all k users active.  The
-    result is the ceil of the worst subset demand |S|*rate / I_S, or NEVER
-    if some subset has zero mutual information at a positive rate.
-    Callers are expected to chunk the batch.
+    All k users of the block are active.  The result is the ceil of the
+    worst subset demand |S|*rate / I_S, or NEVER if some subset has zero
+    mutual information at a positive rate.
     """
     if rate <= 0:
-        return np.ones(gains.shape[0], dtype=np.int64)
-    return rounds_from_demand(subset_demand(gains, snr, rate).max(axis=0))
+        return np.ones(_shape(channel)[0], dtype=np.int64)
+    return rounds_from_demand(subset_demand(channel, snr, rate, tx).max(axis=0))
+
+
+def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> np.ndarray:
+    """:func:`_first_round` of (epochs, k, rx, tx) gains, for every antenna shape.
+
+    Callers are expected to chunk the batch.
+    """
+    channel = _user_powers(gains) if gains.shape[2] == 1 else gains
+    return _first_round(channel, snr, rate, gains.shape[3])
 
 
 def asymptotic_first_decodable_round(k: int, config: AntennaConfig, r: float) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dmt
-from .channel import _draw_gains, asymptotic_survival, batch_first_decodable_round
+from .channel import _draw_channel, _first_round, asymptotic_survival
 from .protocols import _bits, _gta_tree_batch, epoch_outcomes
 from .system import IRARQ, AntennaConfig, ProtocolParams, binom_pmf, snr_from_db
 
@@ -164,8 +164,7 @@ def estimate_beta(
     for k in range(1, users + 1):
         def one_chunk(idx, n, k=k):
             rng = np.random.default_rng([seed, _TAG_BETA + k, idx])
-            gains = _draw_gains(rng, (n, k, rx, tx))
-            needed = batch_first_decodable_round(gains, snr, rate)
+            needed = _first_round(_draw_channel(rng, (n, k, rx, tx)), snr, rate, tx)
             return np.array([(needed > ell).sum() for ell in range(1, deadline + 1)])
 
         beta = sum(_map_chunks(one_chunk, sizes, workers)) / trials

@@ -35,7 +35,8 @@ import functools
 import numpy as np
 
 from .channel import (
-    _draw_gains,
+    _draw_channel,
+    _pick_epochs,
     _single_user_info,
     asymptotic_first_decodable_round,
     rounds_from_demand,
@@ -95,23 +96,45 @@ def _tree_step(k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return step, after
 
 
+@functools.cache
+def _split_masks(k_max: int) -> np.ndarray:
+    """Masks of the first ``group`` bits of ceil(k_max / 64) words, indexed [group, word]."""
+    low = np.array([(1 << bits) - 1 for bits in range(65)], dtype=np.uint64)
+    masks = low[np.clip(np.arange(k_max + 1)[:, None] - 64 * np.arange(-(-k_max // 64)), 0, 64)]
+    masks.flags.writeable = False                          # shared by every caller
+    return masks
+
+
+def _split(group: np.ndarray, masks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Left-group sizes, Binomial(group, 1/2) exactly: popcounts of ``group`` uniform bits.
+
+    Each entry takes one uniform 64-bit word per column of ``masks``
+    (from :func:`_split_masks`), in entry order.
+    """
+    words = rng.integers(0, 1 << 64, size=(group.size, masks.shape[1]), dtype=np.uint64)
+    return np.bitwise_count(words & masks[group]).sum(axis=1)
+
+
 def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
     """Vectorised splitting tree on group sizes only.
 
     Returns per-epoch (length, delivered count, pruned count); identities
     are exchangeable so callers may assign them as uniform subsets.  Each
     step draws the left-group sizes of the epochs still in the tree, in
-    epoch order, and drops the epochs that finish.
+    epoch order, and drops the epochs that finish.  Every live epoch takes
+    ceil(k_max / 64) uniform 64-bit words per step (:func:`_split`), one
+    for up to 64 users.
     """
     k_max = int(k_init.max(initial=1))
     if k_max >= _DELIVERED:
         raise ValueError(f"splitting tree counts at most {_DELIVERED - 1} users, got {k_max}")
     step, after = _tree_step(k_max)
+    masks = _split_masks(k_max)
     acc = np.where(k_init == 1, _SLOT + _DELIVERED, _SLOT).astype(np.int64)
     idx = np.flatnonzero(k_init >= 2)
     group = k_init[idx]
     while idx.size:
-        left = rng.binomial(group, 0.5)
+        left = _split(group, masks, rng)
         acc[idx] += step[group, left]
         group = after[group, left]
         live = group > 0
@@ -141,11 +164,11 @@ def _tree_members(masks, count, users: int, rng: np.random.Generator):
     return taken
 
 
-def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, gains, gain: float):
+def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, channel, gain: float):
     if snr is None:
         out = asymptotic_first_decodable_round(1, config, params.multiplexing_gain) > 1
         return (1 << config.users) - 1 if out else 0
-    info = _single_user_info(gains, snr, gain, config.tx)
+    info = _single_user_info(channel, snr, gain, config.tx)
     return _bits((info < params.rate_at(snr)).T)
 
 
@@ -166,10 +189,11 @@ def epoch_outcomes(
     bitwise for a given generator state; the channel draws of an epoch do
     not depend on the masks it is evaluated at.
     """
-    users, rx, tx = config.users, config.rx, config.tx
+    users = config.users
     if snr is None and params.multiplexing_gain is None:
         raise ValueError("infinite-SNR mode needs multiplexing-gain params")
     n = masks.shape[0]
+    shape = (n, users, config.rx, config.tx)
     sizes = np.bitwise_count(masks).astype(np.int64)
     delivered = masks
 
@@ -183,12 +207,12 @@ def epoch_outcomes(
                 for k in range(1, users + 1)
             ])[sizes]
         else:
-            gains = _draw_gains(rng, (n, users, rx, tx))
+            channel = _draw_channel(rng, shape)
             rate = params.rate_at(snr)
             if rate <= 0:
                 needed = np.ones(masks.shape, dtype=np.int64)
             else:
-                worst = _subset_max(subset_demand(gains, snr, rate), users)
+                worst = _subset_max(subset_demand(channel, snr, rate, config.tx), users)
                 # worst[masks[e, j], e] for every cell, as one flat gather
                 needed = rounds_from_demand(worst.ravel()[masks * n + np.arange(n)[:, None]])
         lengths = np.minimum(needed, deadline)
@@ -196,24 +220,25 @@ def epoch_outcomes(
 
     elif protocol == ONDMA:
         lengths = np.maximum(sizes, 1)
-        gains = None if snr is None else _draw_gains(rng, (n, users, rx, tx))
+        channel = None if snr is None else _draw_channel(rng, shape)
         if snr is not None and params.matched_combining:
             # outage bits at combining gain k, for the epochs that have a k-user set
             by_size = np.zeros((n, users + 1), dtype=np.int64)
             for k in range(1, users + 1):
                 rows = (sizes == k).any(axis=1)
-                by_size[rows, k] = _outage_bits(config, params, snr, gains[rows], float(k))
+                picked = _pick_epochs(channel, rows)
+                by_size[rows, k] = _outage_bits(config, params, snr, picked, float(k))
             out = np.take_along_axis(by_size, sizes, axis=1)
         else:
-            out = np.reshape(_outage_bits(config, params, snr, gains, 1.0), (-1, 1))
+            out = np.reshape(_outage_bits(config, params, snr, channel, 1.0), (-1, 1))
         errors = masks & out
 
     elif protocol == GTA:
         tree_len, tree_del, _pruned = _gta_tree_batch(sizes.ravel(), rng)
         lengths = tree_len.reshape(masks.shape)
         delivered = _tree_members(masks, tree_del.reshape(masks.shape), users, rng)
-        gains = None if snr is None else _draw_gains(rng, (n, users, rx, tx))
-        errors = delivered & np.reshape(_outage_bits(config, params, snr, gains, 1.0), (-1, 1))
+        channel = None if snr is None else _draw_channel(rng, shape)
+        errors = delivered & np.reshape(_outage_bits(config, params, snr, channel, 1.0), (-1, 1))
 
     else:
         raise ValueError(f"unknown protocol {protocol!r}")

@@ -372,8 +372,13 @@ def simulate_random_arrivals(
 
 
 def _batch_means_ci(delays: np.ndarray, batches: int = 20) -> float:
-    """95% half-width from batch means; sojourns are serially correlated."""
+    """95% half-width from batch means; sojourns are serially correlated.
+
+    nan for fewer than two sojourns, which carry no spread.
+    """
     n = len(delays)
+    if n < 2:
+        return math.nan
     if n < 2 * batches:
         return float(1.96 * np.std(delays, ddof=1) / math.sqrt(n))
     size = n // batches

@@ -16,16 +16,20 @@ from raclab import AntennaConfig, ProtocolParams
 from raclab.channel import (
     _TILE_ENTRIES,
     NEVER,
+    _draw_channel,
     _draw_gains,
+    _first_round,
     _information,
     _ldl_information,
     _single_user_info,
     _subset_masks,
+    _user_powers,
     batch_first_decodable_round,
     rounds_from_demand,
     subset_demand,
 )
-from raclab.protocols import epoch_outcomes
+from raclab.montecarlo import _TAG_BETA, estimate_beta
+from raclab.protocols import _gta_tree_batch, epoch_outcomes
 
 SCALAR2 = AntennaConfig(users=2, tx=1, rx=1)
 
@@ -110,18 +114,53 @@ def test_draw_holds_one_and_a_half_gains_at_peak():
 
 def test_unit_mean_power():
     n = 10**6
-    gains = _draw_gains(np.random.default_rng(7), (n, 1, 1, 1))
-    mean = float(np.mean(np.abs(gains) ** 2))
+    power = _draw_channel(np.random.default_rng(7), (n, 1, 1, 1))
+    assert power.shape == (1, n)
+    mean = float(np.mean(power))
     # exponential power: sd of the mean is 1/sqrt(n) = 1e-3
     assert abs(mean - 1.0) < 0.01
 
 
 def test_successive_epochs_uncorrelated():
     n = 10**5
-    power = np.abs(_draw_gains(np.random.default_rng(11), (2 * n, 1, 1, 1)).ravel()) ** 2
+    power = _draw_channel(np.random.default_rng(11), (2 * n, 1, 1, 1))[0]
     first, second = power[0::2], power[1::2]
     corr = np.corrcoef(first, second)[0, 1]
     assert abs(corr) < 3.0 / math.sqrt(n)
+
+
+def gamma_cdf(x, shape):
+    """CDF of Gamma(shape, 1) for a whole shape: 1 - exp(-x) sum_{j<shape} x^j / j!."""
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for j in range(1, shape):
+        term = term * x / j
+        total += term
+    return 1.0 - np.exp(-x) * total
+
+
+# Kolmogorov-Smirnov bound at level 0.001 for n samples, fixed before the
+# first run: sqrt(-ln(0.0005) / 2) / sqrt(n) = 1.95 / sqrt(n).
+KS_LEVEL_0001 = 1.95
+
+
+@pytest.mark.parametrize("tx", [1, 2])
+def test_power_rows_follow_the_gamma_law(tx):
+    # sum_tx |h|^2 of unit-power Rayleigh gains is Gamma(tx, 1), drawn directly
+    n, users = 200_000, 3
+    power = _draw_channel(np.random.default_rng(90 + tx), (n, users, 1, tx))
+    assert power.shape == (users, n) and power.dtype == np.float64
+    for row in power:
+        x = np.sort(row)
+        cdf = gamma_cdf(x, tx)
+        grid = np.arange(n + 1) / n
+        ks = max(np.max(grid[1:] - cdf), np.max(cdf - grid[:-1]))
+        assert ks < KS_LEVEL_0001 / math.sqrt(n)
+        # lag-one correlation across epochs: sd 1/sqrt(n) under independence
+        corr = np.corrcoef(row[:-1], row[1:])[0, 1]
+        assert abs(corr) < 4.0 / math.sqrt(n)
+    # users are independent of each other as well
+    assert abs(np.corrcoef(power[0], power[1])[0, 1]) < 4.0 / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +199,7 @@ def test_per_antenna_power_normalisation():
     # log2(1 + 2 * (snr/2)) = log2(1 + snr)
     gains = np.array([[[1.0, 1.0]]], dtype=complex)
     assert subset_mutual_information(gains, [0], 3.0) == pytest.approx(2.0)
-    assert _single_user_info(gains[None], 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
+    assert _single_user_info(_user_powers(gains[None]), 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
     wide = np.array([[[1.0, 1.0], [0.0, 0.0]]], dtype=complex)    # rx=2: determinant branch
     assert _single_user_info(wide[None], 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
 
@@ -233,7 +272,7 @@ def test_information_matches_oracle_on_mimo_battery(snr_db):
             for rx in range(2, 5):
                 gains = mimo_battery(k, tx, rx, rng)
                 info = _information(gains, snr / tx, masks)
-                demand = subset_demand(gains, snr, rate)
+                demand = subset_demand(gains, snr, rate, tx)
                 assert info.shape == demand.shape == (len(subsets), len(gains))
                 for n, g in enumerate(gains):
                     for s, members in enumerate(subsets):
@@ -310,9 +349,10 @@ def test_information_memory_beyond_result_is_flat_in_epochs():
 @pytest.mark.parametrize("rx", [1, 2, 3])
 def test_information_of_no_epochs_is_empty(rx):
     masks, _ = _subset_masks(3)
-    gains = np.zeros((0, 3, rx, 2), dtype=complex)
-    assert _information(gains, 1.0, masks).shape == (7, 0)
-    assert subset_demand(gains, 10.0, 1.0).shape == (7, 0)
+    channel = _draw_channel(np.random.default_rng(0), (0, 3, rx, 2))
+    assert channel.shape == ((3, 0) if rx == 1 else (0, 3, rx, 2))
+    assert _information(channel, 1.0, masks).shape == (7, 0)
+    assert subset_demand(channel, 10.0, 1.0, 2).shape == (7, 0)
 
 # ---------------------------------------------------------------------------
 # outage predicates
@@ -378,7 +418,7 @@ def test_subset_consistency_removing_users():
 
 
 def test_single_user_outage_examples():
-    h = np.ones((1, 1, 1, 1), dtype=complex)
+    h = np.ones((1, 1))                                            # one user's unit power row
     assert not _single_user_info(h, 3.0, 1.0, 1)[0, 0] < 2.0     # boundary decodes
     assert _single_user_info(h, 3.0, 1.0, 1)[0, 0] < 2.1
     # matched combining over 3 slots triples the effective SNR
@@ -390,7 +430,7 @@ def test_single_user_outage_matches_exponential_law():
     rng = np.random.default_rng(23)
     n = 10**6
     for rate, snr in [(1.0, 10.0), (2.0, 3.0)]:
-        info = _single_user_info(_draw_gains(rng, (n, 1, 1, 1)), snr, 1.0, 1)
+        info = _single_user_info(_draw_channel(rng, (n, 1, 1, 1)), snr, 1.0, 1)
         freq = float(np.mean(info < rate))
         exact = 1 - math.exp(-(2**rate - 1) / snr)
         assert abs(freq - exact) < 3 * math.sqrt(exact * (1 - exact) / n)
@@ -425,7 +465,8 @@ def test_first_decodable_round_agrees_with_outage_predicate():
 
 def test_batch_first_decodable_round_matches_scalar_path():
     rng = np.random.default_rng(31)
-    for cfg in (SCALAR2, AntennaConfig(users=2, tx=1, rx=2), AntennaConfig(users=3, tx=2, rx=2)):
+    for cfg in (SCALAR2, AntennaConfig(users=3, tx=2, rx=1), AntennaConfig(users=2, tx=1, rx=2),
+                AntennaConfig(users=3, tx=2, rx=2)):
         gains = draw(cfg, rng, n=200)
         batch = batch_first_decodable_round(gains, 3.0, 1.1)
         for i in range(gains.shape[0]):
@@ -468,19 +509,23 @@ def test_mimo_boundary_tie_decodes(columns):
 @pytest.mark.parametrize("cfg", [AntennaConfig(users=3), AntennaConfig(users=3, tx=2, rx=2)],
                          ids=["scalar", "2x2"])
 def test_outcome_table_per_mask_matches_kernel_and_oracle(cfg):
-    # the IR-ARQ table draws its gains first, so a twin generator sees them
+    # the IR-ARQ table draws its channels first, so a twin generator sees
+    # them; the oracle reads power rows as real gains sqrt(power)
     n, snr, deadline = 300, 2.0, 50
     params = ProtocolParams(p_t=1.0, rate=1.2, deadline=deadline)
     all_sets = np.broadcast_to(np.arange(8), (n, 8))
     lengths, delivered, errors = epoch_outcomes("irarq", cfg, params, snr, all_sets,
                                                 np.random.default_rng(37))
-    gains = draw(cfg, np.random.default_rng(37), n=n)
+    channel = _draw_channel(np.random.default_rng(37), (n, 3, cfg.rx, cfg.tx))
+    rows = cfg.rx == 1
+    gains = np.sqrt(channel.T)[:, :, None, None].astype(complex) if rows else channel
     assert lengths.shape == (n, 8)
     assert np.all(lengths[:, 0] == 1) and np.all(errors[:, 0] == 0)
     checked = 0
     for mask in range(1, 8):
         members = [i for i in range(3) if mask >> i & 1]
-        needed = batch_first_decodable_round(gains[:, members], snr, params.rate)
+        picked = channel[members] if rows else channel[:, members]
+        needed = _first_round(picked, snr, params.rate, cfg.tx)
         assert np.array_equal(lengths[:, mask], np.minimum(needed, deadline))
         assert np.array_equal(errors[:, mask], np.where(needed > deadline, mask, 0))
         assert np.all(delivered[:, mask] == mask)
@@ -550,7 +595,7 @@ def test_scalar_information_is_bitwise_the_epochs_first_kernel(k):
     for tx in (1, 2, 3):
         gains = scalar_battery(k, tx, 4000, seed=100 + 10 * k + tx)
         for snr in SNRS:
-            got = _information(gains, snr / tx, masks)
+            got = _information(_user_powers(gains), snr / tx, masks)
             assert got.shape == (len(masks), len(gains))
             assert got.T.tobytes() == information_epochs_first(gains, snr / tx, masks).tobytes()
 
@@ -559,11 +604,11 @@ def test_scalar_information_of_any_mask_order_matches_the_lattice():
     # rows out of lattice order, repeated and empty rows get the same sums
     k = 4
     lattice, _ = _subset_masks(k)
-    gains = scalar_battery(k, 2, 500, seed=150)
-    full = _information(gains, 5.0, lattice)
+    power = _user_powers(scalar_battery(k, 2, 500, seed=150))
+    full = _information(power, 5.0, lattice)
     picks = [14, 0, 6, 6, 2, 9]                       # bitmasks 15, 1, 7, 7, 3, 10
     rows = np.vstack([np.zeros((1, k)), lattice[picks], np.zeros((1, k))])
-    got = _information(gains, 5.0, rows)
+    got = _information(power, 5.0, rows)
     assert np.all(got[0] == 0.0) and np.all(got[-1] == 0.0)
     assert got[1:-1].tobytes() == full[picks].tobytes()
 
@@ -585,7 +630,7 @@ def test_scalar_information_beyond_three_users(k):
     masks, sizes = _subset_masks(k)
     gains = scalar_battery(k, 2, 400, seed=200 + k)
     for snr in SNRS:
-        info = _information(gains, snr / 2, masks)
+        info = _information(_user_powers(gains), snr / 2, masks)
         power = (snr / 2) * np.sum(np.abs(gains) ** 2, axis=(2, 3))        # (n, k)
         for s, row in enumerate(masks.astype(bool)):
             exact = np.array([math.fsum(p) for p in power[:, row]])
@@ -595,7 +640,7 @@ def test_scalar_information_beyond_three_users(k):
             rate *= math.log2(1.0 + snr)
             assert np.array_equal(batch_first_decodable_round(gains, snr, rate),
                                   first_round_epochs_first(gains, snr, rate))
-            got = (_single_user_info(gains, snr, 1.0, 2) < rate).T @ (1 << np.arange(k))
+            got = (_single_user_info(_user_powers(gains), snr, 1.0, 2) < rate).T @ (1 << np.arange(k))
             assert np.array_equal(got, outage_bits_epochs_first(gains, snr, rate))
 
 
@@ -625,8 +670,92 @@ def test_first_decodable_round_is_bitwise_the_epochs_first_kernel(k, tx, rx):
 @pytest.mark.parametrize("rx", [1, 2])
 def test_single_user_info_is_bitwise_the_identity_mask_kernel(rx):
     gains = _draw_gains(np.random.default_rng(400 + rx), (3000, 3, rx, 2))
+    channel = _user_powers(gains) if rx == 1 else gains
     for gain in (1.0, 3.0):
-        got = _single_user_info(gains, 7.0, gain, 2)
+        got = _single_user_info(channel, 7.0, gain, 2)
         want = information_epochs_first(gains, gain * 7.0 / 2, np.eye(3))
         assert got.shape == (3, 3000)
         assert got.T.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# rx > 1 keeps the gains stream; batch_first_decodable_round keeps its oracles
+# ---------------------------------------------------------------------------
+
+MIMO_SHAPES = [AntennaConfig(users=3, tx=2, rx=2), AntennaConfig(users=4, tx=2, rx=4),
+               AntennaConfig(users=2, tx=1, rx=3)]
+
+
+@pytest.mark.parametrize("protocol, params", [
+    ("irarq", ProtocolParams(p_t=1.0, rate=1.2, deadline=2)),
+    ("ondma", ProtocolParams(p_t=1.0, rate=1.2)),
+    ("ondma", ProtocolParams(p_t=1.0, rate=1.2, matched_combining=True)),
+    ("gta", ProtocolParams(p_t=1.0, rate=1.2)),
+], ids=["irarq", "ondma", "ondma-matched", "gta"])
+@pytest.mark.parametrize("cfg", MIMO_SHAPES, ids=["K3-2x2", "K4-2x4", "K2-1x3"])
+def test_mimo_epochs_draw_the_gains_stream(protocol, params, cfg):
+    # at rx > 1 the generator is consumed as by _draw_gains (GTA: after its
+    # tree splits and its ranking draw), and the outcomes read those gains
+    n = 300
+    masks = np.random.default_rng(8).integers(0, 1 << cfg.users, size=(n, 2))
+    rng, twin = np.random.default_rng(81), np.random.default_rng(81)
+    lengths, _, errors = epoch_outcomes(protocol, cfg, params, 2.0, masks, rng)
+    if protocol == "gta":
+        _gta_tree_batch(np.bitwise_count(masks).astype(np.int64).ravel(), twin)
+        twin.random((n, cfg.users))
+    gains = _draw_gains(twin, (n, cfg.users, cfg.rx, cfg.tx))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    if protocol == "irarq":
+        for e in range(0, n, 37):
+            for j, mask in enumerate(masks[e]):
+                members = [i for i in range(cfg.users) if mask >> i & 1]
+                if members:
+                    want = batch_first_decodable_round(gains[e : e + 1, members], 2.0, params.rate)
+                    assert lengths[e, j] == min(int(want[0]), params.deadline)
+    elif protocol == "ondma" and not params.matched_combining:
+        out = _single_user_info(gains, 2.0, 1.0, cfg.tx) < params.rate
+        assert np.array_equal(errors, masks & (out.T @ (1 << np.arange(cfg.users)))[:, None])
+
+
+@pytest.mark.parametrize("cfg", [AntennaConfig(users=3, tx=2, rx=2), AntennaConfig(users=4, tx=2, rx=4)],
+                         ids=["K3-2x2", "K4-2x4"])
+def test_mimo_beta_chunk_reads_the_gains_stream(cfg):
+    # one chunk of estimate_beta per collision size k reads the gains that
+    # _draw_gains makes from that chunk's generator
+    trials, snr_db, rate, deadline, seed = 3000, 20.0, 3.0, 3, 17
+    table = estimate_beta(cfg, snr_db, rate, deadline, trials, seed=seed)
+    for k in range(1, cfg.users + 1):
+        rng = np.random.default_rng([seed, _TAG_BETA + k, 0])          # chunk 0
+        gains = _draw_gains(rng, (trials, k, cfg.rx, cfg.tx))
+        needed = batch_first_decodable_round(gains, 10.0 ** (snr_db / 10.0), rate)
+        want = np.array([(needed > ell).sum() for ell in range(1, deadline + 1)]) / trials
+        assert table.values[k - 1, 1:].tobytes() == want.tobytes()
+
+
+def first_round_by_slogdet(gains, snr, rate):
+    """Ceil of the worst subset demand from stacked slogdets, with the kernel's 1e-12 shave."""
+    masks, sizes = _subset_masks(gains.shape[1])
+    info = stacked_mutual_information(gains, masks, snr)           # (n, subsets)
+    with np.errstate(divide="ignore"):
+        demand = np.where(info > 0.0, sizes * rate / np.where(info > 0.0, info, 1.0), np.inf)
+    worst = demand.max(axis=1)
+    rounds = np.full(len(gains), NEVER, dtype=np.int64)
+    finite = np.isfinite(worst)
+    rounds[finite] = np.maximum(np.ceil(worst[finite] * (1.0 - 1e-12)), 1.0)
+    return rounds
+
+
+@pytest.mark.parametrize("k, tx, rx", [(1, 1, 1), (2, 1, 1), (3, 2, 1), (2, 3, 1), (4, 1, 1),
+                                       (2, 1, 2), (3, 2, 2), (2, 2, 3), (4, 2, 4)])
+def test_batch_first_decodable_round_on_given_gains_matches_slogdet(k, tx, rx):
+    rng = np.random.default_rng(500 + 16 * k + 4 * tx + rx)
+    gains = _draw_gains(rng, (600, k, rx, tx))
+    gains[:10, 0] = 0.0                                           # subsets with no information
+    seen = set()
+    for snr in (1.0, 100.0):
+        for rate in (0.0, 0.7, 3.0):
+            got = batch_first_decodable_round(gains, snr, rate)
+            want = np.ones(len(gains), dtype=np.int64) if rate == 0 else first_round_by_slogdet(gains, snr, rate)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            seen.update(got.tolist())
+    assert NEVER in seen and len(seen) > 3

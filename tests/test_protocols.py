@@ -7,7 +7,15 @@ import pytest
 
 from raclab import AntennaConfig, ProtocolParams, gta_recursion, simulate_random_arrivals
 from raclab.montecarlo import gta_collision_stats
-from raclab.protocols import _bits, _gta_tree_batch, _subset_max, _tree_members, epoch_outcomes
+from raclab.protocols import (
+    _bits,
+    _gta_tree_batch,
+    _split,
+    _split_masks,
+    _subset_max,
+    _tree_members,
+    epoch_outcomes,
+)
 from raclab.queueing import MAX_TABLE_USERS
 
 SCALAR2 = AntennaConfig(users=2, tx=1, rx=1)
@@ -15,25 +23,25 @@ BOTH = 0b11
 
 
 class UnitGainRng:
-    """Draws every channel as a unit-power gain: (1 + 1j) / sqrt(2)."""
+    """Draws every channel as a unit-power one: each single-antenna user's power is 1."""
 
-    def standard_normal(self, size=None, out=None):
-        if out is None:
-            return np.ones(size)
-        out[...] = 1.0
-        return out
+    def standard_exponential(self, size):
+        return np.ones(size)
 
 
 class ScriptedTreeRng:
-    """Feeds pre-arranged left-group sizes to the vectorised splitting tree."""
+    """Feeds pre-arranged left-group sizes to the vectorised splitting tree.
+
+    Each split word carries its left-group size as that many low bits set.
+    """
 
     def __init__(self, lefts):
         self.lefts = [np.asarray(x, dtype=np.int64) for x in lefts]
 
-    def binomial(self, size, p):
-        out = self.lefts.pop(0)
-        assert p == 0.5 and out.shape == np.shape(size)
-        return out
+    def integers(self, low, high, size, dtype):
+        left = self.lefts.pop(0)
+        assert (low, high, dtype) == (0, 1 << 64, np.uint64) and size == (left.size, 1)
+        return ((np.uint64(1) << left.astype(np.uint64)) - np.uint64(1))[:, None]
 
 
 def tables(protocol, params, snr=3.0, config=SCALAR2, n=1, rng=None):
@@ -157,6 +165,13 @@ def test_gta_scripted_prune():
     assert (lengths[0], delivered[0], pruned[0]) == (4, 2, 1)
 
 
+def popcount_splits(size, words, rng):
+    """Left-group sizes: the count of set bits among the first ``size`` bits of ``words`` uniform words."""
+    draw = rng.integers(0, 1 << 64, size=(len(size), words), dtype=np.uint64)
+    bits = np.unpackbits(draw.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    return np.sum(bits * (np.arange(64 * words) < size[:, None]), axis=1, dtype=np.int64)
+
+
 def tree_by_masks(k_init, rng):
     """Oracle: the splitting tree with boolean masks over all epochs at every step."""
     n = k_init.shape[0]
@@ -166,10 +181,11 @@ def tree_by_masks(k_init, rng):
     delivered[k_init == 1] = 1
     group = k_init.copy()
     active = k_init >= 2
+    words = -(-int(k_init.max(initial=1)) // 64)
     while active.any():
         idx = np.flatnonzero(active)
         size = group[idx]
-        left = rng.binomial(size, 0.5)
+        left = popcount_splits(size, words, rng)
         empty = left == 0
         lengths[idx[empty]] += 1
         single = left == 1
@@ -189,7 +205,7 @@ def tree_by_masks(k_init, rng):
     return lengths, delivered, pruned
 
 
-@pytest.mark.parametrize("k_max", [2, 3, 4, 8])
+@pytest.mark.parametrize("k_max", [2, 3, 4, 8, 64, 65, 130])
 def test_gta_tree_matches_mask_oracle(k_max):
     seeds = np.random.default_rng(k_max).integers(1 << 30, size=2)
     mixed = np.random.default_rng(seeds[0]).integers(0, k_max + 1, 5000)
@@ -203,6 +219,49 @@ def test_gta_tree_matches_mask_oracle(k_max):
     assert all(x.size == 0 for x in _gta_tree_batch(np.zeros(0, dtype=np.int64), rngs[0]))
     with pytest.raises(ValueError, match="at most"):
         _gta_tree_batch(np.array([1 << 16]), rngs[0])   # overflows the packed counts
+
+
+# Chi-square acceptance at level 0.001, fixed before the first run: the
+# Wilson-Hilferty quantile df (1 - 2/(9 df) + z sqrt(2/(9 df)))^3 with
+# z = 3.0902, bins merged at the tails until each expects at least 5 draws.
+CHI2_Z_0001 = 3.0902
+
+
+def chi2_critical(df):
+    a = 2.0 / (9.0 * df)
+    return df * (1.0 - a + CHI2_Z_0001 * math.sqrt(a)) ** 3
+
+
+@pytest.mark.parametrize("group", [2, 3, 8, 63, 64, 65, 130])
+def test_popcount_splits_are_binomial_half(group):
+    n = 200_000
+    pmf = np.array([math.comb(group, j) for j in range(group + 1)], dtype=float) / 2.0**group
+    expected = n * pmf
+    keep = np.flatnonzero(expected >= 5.0)
+    lo, hi = int(keep[0]), int(keep[-1])
+    # the group's own word count, and more words than it needs
+    for k_max in (group, 130):
+        rng = np.random.default_rng([group, k_max])
+        left = _split(np.full(n, group), _split_masks(k_max), rng)
+        assert left.min() >= 0 and left.max() <= group
+        counts = np.bincount(left.astype(np.int64), minlength=group + 1)
+        observed = np.concatenate([[counts[: lo + 1].sum()], counts[lo + 1 : hi], [counts[hi:].sum()]])
+        want = np.concatenate([[expected[: lo + 1].sum()], expected[lo + 1 : hi], [expected[hi:].sum()]])
+        stat = float(np.sum((observed - want) ** 2 / want))
+        assert stat < chi2_critical(len(want) - 1), f"group {group}, {k_max} users at most"
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 64, 65, 128, 129])
+def test_split_takes_ceil_k_max_over_64_words_per_group(k_max):
+    masks = _split_masks(k_max)
+    words = -(-k_max // 64)
+    assert masks.shape == (k_max + 1, words) and masks.dtype == np.uint64
+    assert np.array_equal(np.bitwise_count(masks).sum(axis=1), np.arange(k_max + 1))
+    group = np.random.default_rng(9).integers(0, k_max + 1, 1000)
+    rng, twin = np.random.default_rng(10), np.random.default_rng(10)
+    _split(group, masks, rng)
+    twin.integers(0, 1 << 64, size=(1000, words), dtype=np.uint64)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_gta_single_and_idle():

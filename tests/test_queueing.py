@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from bisect import bisect_left
 
 import numpy as np
@@ -441,6 +442,18 @@ def test_boundary_scan_brackets_tree_protocol():
                                    horizon_slots=30_000)
     assert scan.boundary is not None
     assert abs(scan.boundary - target) <= 0.05
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 39, 40, 400])
+def test_batch_means_ci_is_quiet_for_any_sojourn_count(n):
+    delays = np.random.default_rng(n).exponential(size=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ci = queueing._batch_means_ci(delays)
+    if n < 2:
+        assert math.isnan(ci)
+    else:
+        assert math.isfinite(ci) and ci > 0.0
 
 
 def test_boundary_scan_trivial_grid():
