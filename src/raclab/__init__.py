@@ -12,13 +12,13 @@ from .dmt import (
     GtaRecursionTable,
     TradeoffPoint,
     beta_highsnr,
+    binomial_mix,
+    epoch_law,
     gta_dmt,
-    gta_multiplexing_penalty,
     gta_optimal_pt,
     gta_recursion,
     irarq_dmdt,
     irarq_effective_multiplexing,
-    irarq_round_penalty,
     irarq_stability_pt_scan,
     mac_dmt,
     ondma_dmt,

@@ -123,8 +123,12 @@ def _information(channel: np.ndarray, coef: float, masks: np.ndarray) -> np.ndar
     (epochs, k, rx, tx) gains, and ``masks`` is a (subsets, k) 0/1 matrix;
     the result is (subsets, epochs), one row of epochs per subset.  With
     power rows the determinant is 1 + coef * power, one streaming pass
-    (tiling it measured no faster), and the power of S is added member by
-    member in index order, so a sum never depends on the batch shape.
+    (tiling it measured no faster).  The power of S is that of the largest
+    subset summed so far that S extends by its top members, plus those
+    members' powers: the members are added in index order, so a sum never
+    depends on the batch shape or the other rows.  Both callers pass masks
+    closed under removing the top member (the full lattice, the identity),
+    so each row is a copy and at most one add.
     Otherwise :func:`_ldl_information` runs over consecutive tiles of
     max(1, _TILE_ENTRIES // (subsets * rx^2)) epochs, each written into the
     result.  Tiles are sized in matrix entries, not epochs, because the
@@ -133,15 +137,20 @@ def _information(channel: np.ndarray, coef: float, masks: np.ndarray) -> np.ndar
     (K, N), and beyond the result the kernel's memory does not grow with
     the batch.
     """
-    n, _ = _shape(channel)
+    n, k = _shape(channel)
     info = np.empty((len(masks), n))
     if channel.ndim == 2:
         power = coef * channel
-        for row, mask in zip(info, masks):
-            members = np.flatnonzero(mask)
-            row[:] = power[members[0]] if members.size else 0.0
-            for i in members[1:]:
-                row += power[i]
+        sums = {0: 0.0} | {1 << i: power[i] for i in range(k)}   # subset bitmask -> its power row
+        for row, s in zip(info, ((masks != 0) @ (1 << np.arange(k))).tolist()):
+            rest, tops = s, []
+            while rest not in sums:       # strip top users down to a summed subset
+                tops.append(rest.bit_length() - 1)
+                rest ^= 1 << tops[-1]
+            row[:] = sums[rest]
+            for top in reversed(tops):
+                row += power[top]
+            sums[s] = row
         info += 1.0
         return np.log2(info, out=info)
     rx = channel.shape[2]

@@ -332,15 +332,10 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
         deadlines = cfg.deadline if protocol == IRARQ else [None]
         for ell in deadlines:
             params = cfg.params_for(protocol, ell)
-            if protocol == IRARQ:
-                if params.multiplexing_gain is None:
-                    raise ConfigError("the IR-ARQ stability region needs --rate-mode multiplexing")
-                lam_max = dmt.stability_region(
-                    protocol, antenna, params.p_t,
-                    arrival_gain=params.multiplexing_gain, deadline=ell,
-                )
-            else:
-                lam_max = dmt.stability_region(protocol, antenna, params.p_t)
+            if protocol == IRARQ and params.multiplexing_gain is None:
+                raise ConfigError("the IR-ARQ stability region needs --rate-mode multiplexing")
+            lam_max = dmt.stability_region(protocol, antenna, params.p_t,
+                                           arrival_gain=params.multiplexing_gain, deadline=ell)
             lines.append(f"{protocol:8s} L={_fmt(ell):4s} p_t={params.p_t:.6f}  "
                          f"lambda_max={lam_max:.6f}")
             if cfg.scan:

@@ -5,14 +5,15 @@ tradeoff (DMT) of a point-to-point MIMO link, d(r) interpolating the points
 (k, (M-k)(N-k)).  The coordinated multiple-access tradeoff d_k^MAC wraps it
 with an antenna-pooling branch.  On top of those sit:
 
-* the tree-splitting (GTA) expected epoch-length / delivered-packet
-  recursions, solved in exact rational arithmetic, and the resulting
-  multiplexing penalty and tradeoff curve;
-* the orthogonal repetition protocol (O-NDMA) tradeoff;
+* one per-size epoch law for all three protocols, :func:`epoch_law`, with
+  the tree-splitting (GTA) recursions solved in exact rational arithmetic.
+  Mixed over Binomial(K, p_t) collision sizes by :func:`binomial_mix`, it
+  gives the stability regions, the slots-per-delivery factor of the GTA
+  and O-NDMA tradeoffs, and the moments that ``queueing`` and
+  ``montecarlo`` read;
 * the incremental-redundancy ARQ tradeoff with a round deadline, including
   the high-SNR persistent-outage indicators and the mapping between the
-  first-round and the effective (throughput) multiplexing gain;
-* analytic stability regions for all three protocols under random arrivals.
+  first-round and the effective (throughput) multiplexing gain.
 
 Everything here is a pure function of its arguments.
 """
@@ -23,6 +24,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .channel import asymptotic_survival
 from .system import GTA, IRARQ, ONDMA, AntennaConfig, binom_pmf
@@ -135,48 +138,31 @@ def gta_recursion(k_max: int) -> GtaRecursionTable:
     return GtaRecursionTable(tuple(slots[: k_max + 1]), tuple(succ[: k_max + 1]))
 
 
-def gta_multiplexing_penalty(config: AntennaConfig, p_t: float) -> float:
-    """Ratio of mean slots spent to mean packets delivered per epoch.
-
-    This factor multiplies the effective multiplexing gain inside the GTA
-    tradeoff; its reciprocal is the GTA stability boundary in packets/slot.
-    """
-    if not (0.0 < p_t <= 1.0):
-        raise ValueError(f"p_t must lie in (0, 1], got {p_t}")
-    table = gta_recursion(config.users)
-    num = 0.0
-    den = 0.0
-    for k in range(config.users + 1):
-        w = binom_pmf(config.users, k, p_t)
-        num += w * float(table.expected_slots[k])
-        den += w * float(table.expected_successes[k])
-    return num / den
-
-
 def gta_dmt(config: AntennaConfig, p_t: float, r_e: float) -> float:
-    """Tree-splitting diversity gain at effective multiplexing gain r_e."""
-    penalty = gta_multiplexing_penalty(config, p_t)
-    return mac_dmt(1, config.tx, config.rx, penalty * r_e)
+    """Tree-splitting diversity gain at effective multiplexing gain r_e.
+
+    The single-user curve at r_e scaled by the slots spent per delivered
+    packet, the reciprocal of the GTA stability boundary.
+    """
+    return mac_dmt(1, config.tx, config.rx, r_e / stability_region(GTA, config, p_t))
 
 
 def gta_optimal_pt(config: AntennaConfig) -> float:
     """Transmission probability maximising the GTA effective-multiplexing span.
 
-    Equivalently, the minimiser of the slots-per-delivery penalty over
+    Equivalently, the maximiser of the GTA stability boundary over
     p_t in (0, 1].  Grid search plus staged local refinement; ties break
     toward larger p_t.  (For two single-antenna users the optimum is
     1/sqrt(3); for one user it is 1.)
     """
-    def objective(p):
-        return gta_multiplexing_penalty(config, p)
-
+    objective = functools.partial(stability_region, GTA, config)
     best_p, best_val = 1.0, objective(1.0)
     step = 1e-3
     n = int(round(1.0 / step))
     for i in range(1, n + 1):
         p = i * step
         v = objective(p)
-        if v <= best_val:
+        if v >= best_val:
             best_p, best_val = p, v
     # shrink a centered window by 10x per stage down to 1e-7 resolution
     while step > 1e-7:
@@ -186,7 +172,7 @@ def gta_optimal_pt(config: AntennaConfig) -> float:
         for i in range(int(round((hi - lo) / step)) + 1):
             p = min(lo + i * step, 1.0)
             v = objective(p)
-            if v <= best_val:
+            if v >= best_val:
                 best_p, best_val = p, v
     return min(best_p, 1.0)
 
@@ -272,18 +258,47 @@ def random_arrival_diversity(
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def irarq_round_penalty(users: int, p_t: float, beta_values) -> float:
-    """1 + mean number of extra rounds, from a (users, L+1) survival-probability array.
+@functools.cache
+def _gta_columns(users: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """:func:`gta_recursion`'s slots and successes as floats, converted once per K."""
+    table = gta_recursion(users)
+    return tuple(map(float, table.expected_slots)), tuple(map(float, table.expected_successes))
 
-    Each of ``users`` queues joins with probability p_t; a k-user collision
-    survives round ell with probability ``beta_values[k-1, ell]``.
+
+def epoch_law(protocol: str, config: AntennaConfig, beta_values=None):
+    """(mean length, mean squared length, mean delivered) of an epoch per collision size k = 0..K.
+
+    The one statement of what each protocol's epoch costs and delivers; an
+    idle epoch takes one slot and delivers nothing.  GTA reads the exact
+    tree recursions (pruned packets are not delivered; the tree's second
+    moment is not derived, so that column is None).  O-NDMA takes k slots
+    and delivers k.  IR-ARQ lasts min(N, L) rounds, N the first decodable
+    round, and delivers k: from the (K, L+1) survival array ``beta_values``,
+    E[min(N, L)] = sum_{l<L} beta(l) and E[min(N, L)^2] = sum_{l<L} (2l+1) beta(l).
     """
-    deadline = beta_values.shape[1] - 1
-    extra = 0.0
-    for k in range(1, users + 1):
-        w = binom_pmf(users, k, p_t)
-        extra += w * float(sum(beta_values[k - 1, ell] for ell in range(1, deadline)))
-    return 1.0 + extra
+    users = config.users
+    if protocol == GTA:
+        slots, successes = _gta_columns(users)
+        return slots, None, successes
+    delivered = tuple(map(float, range(users + 1)))
+    if protocol == ONDMA:
+        length = (1.0,) + delivered[1:]
+        return length, tuple(x * x for x in length), delivered
+    if protocol == IRARQ:
+        if beta_values is None:
+            raise ValueError("the IR-ARQ epoch law needs a (K, L+1) survival table")
+        survival = np.asarray(beta_values, dtype=float)[:, :-1]    # rounds 0..L-1
+        if survival.shape[0] != users:
+            raise ValueError(f"survival table has {survival.shape[0]} rows for {users} users")
+        length = (1.0, *survival.sum(axis=1).tolist())
+        square = (1.0, *(survival @ (2.0 * np.arange(survival.shape[1]) + 1.0)).tolist())
+        return length, square, delivered
+    raise ValueError(f"unknown protocol {protocol!r}")
+
+
+def binomial_mix(column, n: int, p: float, shift: int = 0) -> float:
+    """sum_k Binomial(n, p)[k] * column[k + shift]: a per-size column mixed over n colliders."""
+    return sum(binom_pmf(n, k, p) * column[k + shift] for k in range(n + 1))
 
 
 def stability_region(
@@ -296,31 +311,22 @@ def stability_region(
 ) -> float:
     """Supremum total arrival rate (packets/slot) the protocol can stabilise.
 
-    This is the one statement of each protocol's delivered-packets-per-slot
-    ratio.  GTA and O-NDMA boundaries are channel-independent ratios of
-    delivered packets to slots per epoch.  The IR-ARQ boundary, p_t*K over
-    the round penalty of :func:`irarq_round_penalty`, needs the per-round
-    survival probabilities: pass ``beta`` (any object with a ``values``
-    array of shape (K, L+1), e.g. a Monte Carlo table) for a finite-SNR
-    region, or leave it None to use the infinite-SNR indicators derived
-    from ``arrival_gain`` and ``deadline``.
+    Mean packets delivered over mean slots spent per epoch, each mixed
+    over Binomial(K, p_t) collision sizes from :func:`epoch_law`.  The
+    IR-ARQ law needs the per-round survival probabilities: pass ``beta``
+    (any object with a ``values`` array of shape (K, L+1), e.g. a Monte
+    Carlo table) for a finite-SNR region, or leave it None to use the
+    infinite-SNR indicators derived from ``arrival_gain`` and ``deadline``.
     """
     if not (0.0 < p_t <= 1.0):
         raise ValueError(f"p_t must lie in (0, 1], got {p_t}")
-    if protocol == GTA:
-        return 1.0 / gta_multiplexing_penalty(config, p_t)
-    if protocol == ONDMA:
-        k = config.users
-        return k * p_t / (k * p_t + (1.0 - p_t) ** k)
-    if protocol == IRARQ:
-        if beta is not None:
-            values = beta.values
-        elif arrival_gain is None or deadline is None:
+    values = None if beta is None else beta.values
+    if protocol == IRARQ and values is None:
+        if arrival_gain is None or deadline is None:
             raise ValueError("IR-ARQ needs either a beta table or (arrival_gain, deadline)")
-        else:
-            values = asymptotic_survival(config, arrival_gain, deadline)
-        return p_t * config.users / irarq_round_penalty(config.users, p_t, values)
-    raise ValueError(f"unknown protocol {protocol!r}")
+        values = asymptotic_survival(config, arrival_gain, deadline)
+    length, _, delivered = epoch_law(protocol, config, values)
+    return binomial_mix(delivered, config.users, p_t) / binomial_mix(length, config.users, p_t)
 
 
 def irarq_stability_pt_scan(

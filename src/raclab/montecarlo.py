@@ -45,9 +45,8 @@ class BetaTable:
 
     ``values[k-1, ell]`` is the probability that joint decoding still fails
     after ``ell`` rounds given k initial colliders; column 0 is 1 by
-    definition and rows are nonincreasing.  ``epoch_length_mean/var`` are
-    the matching min(first success, deadline) moments, read off ``values``;
-    they propagate uncertainty into renewal-reward predictions.
+    definition and rows are nonincreasing.  :func:`dmt.epoch_law` reads the
+    matching min(first success, deadline) moments off ``values``.
     """
 
     values: np.ndarray            # shape (users, deadline + 1)
@@ -75,17 +74,6 @@ class BetaTable:
     @property
     def deadline(self) -> int:
         return self.values.shape[1] - 1
-
-    @property
-    def epoch_length_mean(self) -> np.ndarray:
-        """E[min(N, L)] = sum_{l<L} beta(l) per collision size, N the first decodable round."""
-        return self.values[:, :-1].sum(axis=1)
-
-    @property
-    def epoch_length_var(self) -> np.ndarray:
-        """Var[min(N, L)] from E[min(N, L)^2] = sum_{l<L} (2l+1) beta(l) per collision size."""
-        second = self.values[:, :-1] @ (2.0 * np.arange(self.deadline) + 1.0)
-        return np.maximum(second - self.epoch_length_mean**2, 0.0)
 
     def beta(self, k: int, rounds: int) -> float:
         return float(self.values[k - 1, rounds])
@@ -354,8 +342,8 @@ def renewal_prediction(
     The prediction is the protocol's stability boundary, packets delivered
     per slot: exact closed forms for the channel-independent GTA and O-NDMA
     epochs.  The IR-ARQ value is read at the given beta table and inherits
-    uncertainty from a Monte Carlo table through the stored epoch-length
-    variances.
+    uncertainty from a Monte Carlo table through the per-size epoch-length
+    variances of :func:`dmt.epoch_law`.
     """
     p_t = params.p_t
     if protocol == IRARQ and beta is None:
@@ -363,12 +351,11 @@ def renewal_prediction(
     value = dmt.stability_region(protocol, config, p_t, beta=beta)
     if protocol != IRARQ or not beta.trials:
         return value, 0.0
-    penalty = dmt.irarq_round_penalty(config.users, p_t, beta.values)
-    var_pen = sum(
-        binom_pmf(config.users, k, p_t) ** 2 * beta.epoch_length_var[k - 1] / beta.trials
-        for k in range(1, config.users + 1)
-    )
-    return value, value / penalty * math.sqrt(var_pen)
+    # a table's mean length for k colliders has variance Var[min(N, L)] / trials
+    length, square, _ = dmt.epoch_law(IRARQ, config, beta.values)
+    var = sum(binom_pmf(config.users, k, p_t) ** 2 * max(s - m * m, 0.0)
+              for k, (m, s) in enumerate(zip(length, square)))
+    return value, value / dmt.binomial_mix(length, config.users, p_t) * math.sqrt(var / beta.trials)
 
 
 def gta_collision_stats(k: int, epochs: int, seed: int, chunk: int = DEFAULT_CHUNK,

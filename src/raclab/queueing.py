@@ -35,7 +35,7 @@ import numpy as np
 from . import dmt
 from .montecarlo import BetaTable
 from .protocols import _bits, epoch_outcomes
-from .system import AntennaConfig, ProtocolParams, binom_pmf, snr_from_db
+from .system import IRARQ, AntennaConfig, ProtocolParams, snr_from_db
 
 STABILITY_SLOPE_EPS = 1e-3   # packets/slot; backlog-trend threshold
 WARMUP_FRACTION = 0.2        # leading slots excluded from delay statistics
@@ -70,18 +70,11 @@ class DelayReport:
 # analytic side (deadline-ARQ protocol)
 # ---------------------------------------------------------------------------
 
-def _check_deadline(deadline: int, beta: BetaTable) -> None:
+def _epoch_law(users: int, deadline: int, beta: BetaTable):
+    """:func:`dmt.epoch_law` of the deadline-ARQ protocol at the given table."""
     if deadline != beta.deadline:
         raise ValueError(f"deadline {deadline} differs from the beta table's {beta.deadline}")
-
-
-def _round_second_moment(beta: BetaTable, weights) -> float:
-    """E[length^2] - 1 of an epoch in which collision size k has weight w.
-
-    The (2*round+1)-weighted survival sum over the (k, w) pairs.
-    """
-    rounds = range(1, beta.deadline)
-    return sum(w * (2 * ell + 1) * beta.beta(k, ell) for k, w in weights for ell in rounds)
+    return dmt.epoch_law(IRARQ, AntennaConfig(users), beta.values)
 
 
 def solve_transmission_probability(
@@ -93,19 +86,19 @@ def solve_transmission_probability(
 ) -> float | None:
     """Steady-state per-epoch transmission probability of a single user.
 
-    Root of  K*p = total_rate * (1 + mean extra rounds at collision mix p),
+    Root of  K*p = total_rate * (mean epoch length at collision mix p),
     located by bisection on (0, p_t] to width 1e-14.  Returns 0.0 for an
     empty system (zero arrivals) and None when no root exists below p_t,
     which signals an unstable load.
     """
-    _check_deadline(deadline, beta)
+    length, _, _ = _epoch_law(users, deadline, beta)
     if total_rate < 0:
         raise ValueError("arrival rate must be nonnegative")
     if total_rate == 0.0:
         return 0.0
 
     def g(p: float) -> float:
-        return users * p - total_rate * dmt.irarq_round_penalty(users, p, beta.values)
+        return users * p - total_rate * dmt.binomial_mix(length, users, p)
 
     if g(p_t) < 0.0:
         return None
@@ -127,22 +120,20 @@ def epoch_length_moments(
     """First two moments of the tagged user's relevant and irrelevant epochs.
 
     Relevant epochs include the tagged transmission, so the other K-1 users
-    contribute Binomial(K-1, p) colliders on top of it; irrelevant epochs
-    see only the others.  Returns (E[U], E[U^2], E[V], E[V^2]).
+    contribute Binomial(K-1, p) colliders on top of it (the per-size
+    columns shifted by one); irrelevant epochs see only the others.
+    Returns (E[U], E[U^2], E[V], E[V^2]).
     """
-    _check_deadline(deadline, beta)
+    length, square, _ = _epoch_law(users, deadline, beta)
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     others = users - 1
-    relevant = [(k, binom_pmf(others, k - 1, p)) for k in range(1, users + 1)]
-    other = [(k, binom_pmf(others, k, p)) for k in range(1, users)]
-    # alone with probability (1-p)^(K-1), else the tagged user joins j >= 1 others
-    alone = binom_pmf(others, 0, p) * sum(beta.beta(1, ell) for ell in range(1, beta.deadline))
-    eu = alone + dmt.irarq_round_penalty(others, p, beta.values[1:])
-    ev = dmt.irarq_round_penalty(others, p, beta.values)
-    eu2 = 1.0 + _round_second_moment(beta, relevant)
-    ev2 = 1.0 + _round_second_moment(beta, other)
-    return eu, eu2, ev, ev2
+    return (
+        dmt.binomial_mix(length, others, p, shift=1),
+        dmt.binomial_mix(square, others, p, shift=1),
+        dmt.binomial_mix(length, others, p),
+        dmt.binomial_mix(square, others, p),
+    )
 
 
 def analytic_delay(
@@ -160,11 +151,10 @@ def analytic_delay(
     fixed-point transmission probability.  Returns inf outside the
     stability region.  Exact in the regime where U and V are i.i.d.
     """
-    _check_deadline(deadline, beta)
+    length, _, _ = _epoch_law(users, deadline, beta)
     if not (0.0 < p_t <= 1.0):
         raise ValueError(f"p_t must lie in (0, 1], got {p_t}")
-    penalty = dmt.irarq_round_penalty(users, p_t, beta.values)
-    if total_rate >= p_t * users / penalty:
+    if total_rate >= p_t * users / dmt.binomial_mix(length, users, p_t):
         return math.inf
     p = solve_transmission_probability(total_rate, users, p_t, deadline, beta)
     if p is None:

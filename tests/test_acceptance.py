@@ -27,7 +27,6 @@ from raclab import (
     estimate_beta,
     fully_loaded_throughput,
     gta_dmt,
-    gta_multiplexing_penalty,
     gta_optimal_pt,
     gta_recursion,
     irarq_dmdt,
@@ -65,7 +64,7 @@ def test_criterion_01_tree_closed_form():
     worst = 0.0
     for i in range(1, 101):
         p = i / 100.0
-        worst = max(worst, abs(gta_multiplexing_penalty(SCALAR2, p) - (1 + 3 * p * p) / (2 * p)))
+        worst = max(worst, abs(1 / stability_region("gta", SCALAR2, p) - (1 + 3 * p * p) / (2 * p)))
     checks.append((worst < 1e-12, f"coefficient vs (1+3p^2)/(2p) on 100-point grid: max err {worst:.2e}"))
     p_star = gta_optimal_pt(SCALAR2)
     checks.append((abs(p_star - INV_SQRT3) < 1e-4, f"optimal p_t {p_star:.6f} vs 3^-0.5 within 1e-4"))

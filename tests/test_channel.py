@@ -600,6 +600,30 @@ def test_scalar_information_is_bitwise_the_epochs_first_kernel(k):
             assert got.T.tobytes() == information_epochs_first(gains, snr / tx, masks).tobytes()
 
 
+def member_by_member_information(power, coef, masks):
+    """log2(1 + coef * power of S) with the members of S added one by one in index order."""
+    scaled = coef * power
+    total = np.zeros((len(masks), power.shape[1]))
+    for row, mask in zip(total, masks):
+        members = np.flatnonzero(mask)
+        if members.size:
+            row[:] = scaled[members[0]]
+            for i in members[1:]:
+                row += scaled[i]
+    return np.log2(1.0 + total)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_scalar_subset_sums_are_bitwise_member_by_member(k):
+    rng = np.random.default_rng(160 + k)
+    lattice, _ = _subset_masks(k)
+    for n in (1, 64, 4097):
+        power = _draw_channel(rng, (n, k, 1, 2))
+        for masks in (lattice, np.eye(k)):
+            got = _information(power, 3.0, masks)
+            assert got.tobytes() == member_by_member_information(power, 3.0, masks).tobytes()
+
+
 def test_scalar_information_of_any_mask_order_matches_the_lattice():
     # rows out of lattice order, repeated and empty rows get the same sums
     k = 4

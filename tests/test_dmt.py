@@ -10,8 +10,8 @@ from raclab import (
     GtaRecursionTable,
     TradeoffPoint,
     beta_highsnr,
+    epoch_law,
     gta_dmt,
-    gta_multiplexing_penalty,
     gta_optimal_pt,
     gta_recursion,
     irarq_dmdt,
@@ -137,9 +137,10 @@ def test_gta_recursion_residuals_vanish_exactly():
 
 
 def test_gta_penalty_two_user_closed_form():
+    # slots per delivered packet, the reciprocal of the tree's stability region
     for i in range(1, 101):
         p = i / 100.0
-        assert gta_multiplexing_penalty(SCALAR2, p) == pytest.approx(
+        assert 1 / stability_region("gta", SCALAR2, p) == pytest.approx(
             (1 + 3 * p * p) / (2 * p), abs=1e-12
         )
 
@@ -171,12 +172,12 @@ def test_gta_optimal_pt_single_user():
 
 def test_gta_optimal_pt_three_users_vs_grid_oracle():
     cfg = AntennaConfig(users=3)
-    # independent dense-grid minimisation of the same penalty ratio
-    best_p, best_v = 1.0, gta_multiplexing_penalty(cfg, 1.0)
+    # independent dense-grid minimisation of the slots-per-delivery ratio
+    best_p, best_v = 1.0, 1 / stability_region("gta", cfg, 1.0)
     n = 100_000
     for i in range(1, n + 1):
         p = i / n
-        v = gta_multiplexing_penalty(cfg, p)
+        v = 1 / stability_region("gta", cfg, p)
         if v <= best_v:
             best_p, best_v = p, v
     assert gta_optimal_pt(cfg) == pytest.approx(best_p, abs=2e-5)
@@ -294,6 +295,37 @@ def test_stability_two_user_closed_forms():
         assert stability_region("irarq", SCALAR2, p, 0.7, 2) == pytest.approx(
             2 * p / (1 + p * p), abs=1e-12
         )
+
+
+def test_stability_ondma_closed_form_for_any_user_count():
+    # a k-collision takes max(k, 1) slots and delivers k packets
+    for users in range(1, 9):
+        cfg = AntennaConfig(users=users)
+        for i in range(1, 41):
+            p = i / 40
+            closed = users * p / (users * p + (1 - p) ** users)
+            assert stability_region("ondma", cfg, p) == pytest.approx(closed, abs=1e-12)
+
+
+def test_epoch_law_columns():
+    length, square, delivered = epoch_law("ondma", AntennaConfig(users=3))
+    assert length == (1.0, 1.0, 2.0, 3.0)
+    assert square == (1.0, 1.0, 4.0, 9.0)
+    assert delivered == (0.0, 1.0, 2.0, 3.0)
+    length, square, delivered = epoch_law("gta", AntennaConfig(users=3))
+    t = gta_recursion(3)
+    assert length == tuple(map(float, t.expected_slots))
+    assert delivered == tuple(map(float, t.expected_successes))
+    assert square is None
+
+
+def test_epoch_law_rejects_bad_inputs():
+    with pytest.raises(ValueError):
+        epoch_law("irarq", SCALAR2)                         # no survival table
+    with pytest.raises(ValueError):
+        epoch_law("irarq", SCALAR2, [[1.0, 0.0]])           # one row for two users
+    with pytest.raises(ValueError):
+        epoch_law("aloha", SCALAR2)
 
 
 def test_stability_ondma_pt_one_is_one_for_any_antennas():

@@ -11,6 +11,7 @@ from raclab import (
     ProtocolParams,
     beta_highsnr,
     diversity_slope,
+    epoch_law,
     estimate_beta,
     fully_loaded_throughput,
     gta_recursion,
@@ -86,12 +87,15 @@ def test_beta_deterministic_and_worker_invariant():
 def test_indicator_table_construction():
     table = BetaTable.from_indicators(SCALAR2, multiplexing_gain=0.7, deadline=3)
     assert table.values.tolist() == [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]
-    assert table.epoch_length_mean.tolist() == [1.0, 2.0]
-    assert table.epoch_length_var.tolist() == [0.0, 0.0]
-    # min(N, 2) is 1 or 2 with probability 1/2 each
+    # the epoch-length columns read off the table, idle epochs first
+    length, square, _ = epoch_law("irarq", SCALAR2, table.values)
+    assert length == (1.0, 1.0, 2.0)
+    assert square == (1.0, 1.0, 4.0)
+    # min(N, 2) is 1 or 2 with probability 1/2 each: mean 1.5, variance 0.25
     half = BetaTable(values=np.array([[1.0, 0.5, 0.25]]), source="closed-form", trials=0, snr=None)
-    assert half.epoch_length_mean.tolist() == [1.5]
-    assert half.epoch_length_var.tolist() == [0.25]
+    length, square, _ = epoch_law("irarq", SCALAR1, half.values)
+    assert length == (1.0, 1.5)
+    assert square[1] - length[1] ** 2 == 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from raclab import AntennaConfig, ProtocolParams, gta_recursion, simulate_random_arrivals
+from raclab import (
+    AntennaConfig,
+    ProtocolParams,
+    epoch_law,
+    estimate_beta,
+    gta_recursion,
+    simulate_random_arrivals,
+)
 from raclab.montecarlo import gta_collision_stats
 from raclab.protocols import (
     _bits,
@@ -292,6 +299,32 @@ def test_gta_loop_mean_length_matches_recursion():
     # the delivered subset of a full collision is uniform over the users
     share = [(delivered[:, 0b111] >> u & 1).mean() for u in range(3)]
     assert max(share) - min(share) < 0.05
+
+
+@pytest.mark.parametrize("protocol", ["gta", "ondma", "irarq"])
+def test_epoch_outcomes_follow_the_per_size_law(protocol):
+    # every epoch evaluated at the size-k sets {0..k-1}, k = 0..3; trial
+    # counts and the 4-se bound fixed before the first run
+    cfg = AntennaConfig(users=3)
+    params = ProtocolParams(p_t=1.0, multiplexing_gain=0.5, deadline=3)
+    snr_db, n = 15.0, 40_000
+    snr = 10 ** (snr_db / 10)
+    values, law_se = None, np.zeros(4)
+    if protocol == "irarq":
+        beta = estimate_beta(cfg, snr_db, params.rate_at(snr), 3, trials=200_000, seed=61)
+        values = beta.values
+    length, square, delivered = epoch_law(protocol, cfg, values)
+    if protocol == "irarq":
+        # the table's mean length for k colliders has variance Var[min(N, L)] / trials
+        law_se = np.sqrt((np.array(square) - np.array(length) ** 2) / beta.trials)
+    masks = np.tile((1 << np.arange(4)) - 1, (n, 1))
+    lengths, got, _ = epoch_outcomes(protocol, cfg, params, snr, masks, np.random.default_rng(62))
+    for k in range(4):
+        for sample, want, extra in ((lengths[:, k], length[k], law_se[k]),
+                                    (np.bitwise_count(got[:, k]), delivered[k], 0.0)):
+            sample = sample.astype(float)
+            se = math.sqrt(sample.var(ddof=1) / n + extra**2)
+            assert abs(sample.mean() - want) <= 4 * se, (k, sample.mean(), want, se)
 
 
 def test_gta_loop_agrees_with_vectorised_tree():
