@@ -13,28 +13,28 @@ power snr/M so each user is received at total SNR ``snr``).  Outage is the
 sole error mechanism; failed rounds are always detected.
 
 One kernel, :func:`_information`, evaluates I_S for a batch of epochs and
-any list of subsets.  With one receive antenna the determinant is the
-scalar 1 + (snr/M) * power, and the power of S is the sum of its
-members' powers, added in index order.  With N > 1 it is the product of the pivots of an LDL^H
-elimination of I_N + (snr/M) * G_S, run on the lower triangle for all
-subsets at once, one cache-sized tile of epochs at a time; every pivot is
-at least 1.
+any sequence of subset bitmasks, with one body for every antenna shape.
+Each user's Gram matrix H H^H is a set of rows of epochs (one row of
+power with one receive antenna); the rows of S are its members' rows added
+one by one in index order, and log2 det is the sum of the log2 pivots of
+an LDL^H elimination of I_N + (snr/M) * G_S, whose only pivot with one
+receive antenna is 1 + (snr/M) * power.  Every pivot is at least 1.
 
 A block of channels is what the kernel reads, drawn by the callers with
 :func:`_draw_channel` from their own generator streams.  With one receive
 antenna that is each user's received power sum_tx |h|^2, Gamma(tx, 1)
 distributed, as (users, epochs) power rows: no gain is ever drawn.  With
 N > 1 it is the (epochs, users, rx, tx) complex gains of
-:func:`_draw_gains`.  Only :func:`batch_first_decodable_round` takes gains
-at every shape; it turns rx = 1 gains into power rows with
-:func:`_user_powers`.  Inside the layer the epoch axis is last:
-per-user and per-subset quantities are (users or subsets, epochs) arrays,
-one contiguous row of epochs each, so every elementwise step and every
-reduction over subsets streams along long rows.  Functions are pure.
+:func:`_draw_gains`; given gains of any shape are read the same way.
+Inside the layer the epoch axis is last: per-user and per-subset
+quantities are (users or subsets, epochs) arrays, one contiguous row of
+epochs each, so every elementwise step streams along long rows.  Functions
+are pure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,15 +48,6 @@ NEVER = 10**9
 # Subset-matrix entries (epochs * subsets * rx^2) per tile of the rx > 1
 # kernel: 1 MiB of pooled entries, about 2 MiB with the tile's temporaries.
 _TILE_ENTRIES = 1 << 17
-
-
-def _subset_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All nonempty subsets of k users as a (2^k - 1, k) 0/1 matrix plus sizes.
-
-    Row s-1 is the subset whose bitmask is s (bit i set for user i).
-    """
-    masks = ((np.arange(1, 1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
-    return masks, masks.sum(axis=1)
 
 
 def _draw_gains(rng: np.random.Generator, shape) -> np.ndarray:
@@ -103,94 +94,59 @@ def _pick_epochs(channel: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return channel[:, rows] if channel.ndim == 2 else channel[rows]
 
 
-def _user_powers(gains: np.ndarray) -> np.ndarray:
-    """Received power sum_tx |h|^2 of each user as (users, epochs) rows; rx = 1.
+def _gram_entries(gains: np.ndarray) -> np.ndarray:
+    """Each user's Gram matrix H H^H of (epochs, users, rx, tx) gains, as (users, rx^2, epochs) rows.
 
-    The one step from given gains to power rows.  ``np.abs(h) ** 2``, not
-    re^2 + im^2, which rounds differently; the transmit antennas are added
-    in index order.
+    The diagonal (sum_tx re^2 + im^2), then the real and the imaginary parts
+    of the strict lower triangle in ``np.tril_indices`` order.
     """
-    n, k, _, tx = gains.shape
-    power = np.abs(gains.reshape(n, k * tx).T, out=np.empty((k * tx, n)))
-    power *= power
-    return power.reshape(k, tx, n).sum(axis=1) if tx > 1 else power
-
-
-def _information(channel: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarray:
-    """log2 det(I_N + coef * sum_{i in S} H_i H_i^H) per row S of ``masks`` and per epoch.
-
-    ``channel`` is (k, epochs) power rows for one receive antenna, else
-    (epochs, k, rx, tx) gains, and ``masks`` is a (subsets, k) 0/1 matrix;
-    the result is (subsets, epochs), one row of epochs per subset.  With
-    power rows the determinant is 1 + coef * power, one streaming pass
-    (tiling it measured no faster).  The power of S is that of the largest
-    subset summed so far that S extends by its top members, plus those
-    members' powers: the members are added in index order, so a sum never
-    depends on the batch shape or the other rows.  Both callers pass masks
-    closed under removing the top member (the full lattice, the identity),
-    so each row is a copy and at most one add.
-    Otherwise :func:`_ldl_information` runs over consecutive tiles of
-    max(1, _TILE_ENTRIES // (subsets * rx^2)) epochs, each written into the
-    result.  Tiles are sized in matrix entries, not epochs, because the
-    working set (pooled subset entries and elimination temporaries) grows
-    as subsets * rx^2 per epoch; so it stays near cache size for every
-    (K, N), and beyond the result the kernel's memory does not grow with
-    the batch.
-    """
-    n, k = _shape(channel)
-    info = np.empty((len(masks), n))
-    if channel.ndim == 2:
-        power = coef * channel
-        sums = {0: 0.0} | {1 << i: power[i] for i in range(k)}   # subset bitmask -> its power row
-        for row, s in zip(info, ((masks != 0) @ (1 << np.arange(k))).tolist()):
-            rest, tops = s, []
-            while rest not in sums:       # strip top users down to a summed subset
-                tops.append(rest.bit_length() - 1)
-                rest ^= 1 << tops[-1]
-            row[:] = sums[rest]
-            for top in reversed(tops):
-                row += power[top]
-            sums[s] = row
-        info += 1.0
-        return np.log2(info, out=info)
-    rx = channel.shape[2]
-    step = max(1, _TILE_ENTRIES // (len(masks) * rx * rx))
-    for start in range(0, n, step):
-        info[:, start : start + step] = _ldl_information(channel[start : start + step], coef, masks)
-    return info
-
-
-def _ldl_information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.ndarray:
-    """The rx > 1 body of :func:`_information` for one tile of epochs.
-
-    The lower triangles of the users' Gram matrices H H^H are pooled over
-    the subsets by one real matmul, and an LDL^H elimination of
-    A = I + coef * G_S runs over the lower triangle, vectorised across the
-    tile's epochs and all subsets: log2 det A is the sum of the log2
-    pivots.  Each pivot is the leading entry of a Schur complement of
-    I + PSD, which is again I + PSD, so in exact arithmetic every pivot is
-    at least 1 and a subset whose gains are all zero gets exactly 0 bits.
-    """
-    n, k, rx = gains.shape[:3]
-    # epoch axis last: each matrix entry of a user, and later of a subset, is a row of epochs
+    rx = gains.shape[2]
+    # epoch axis last: each matrix entry of a user is a row of epochs
     h = np.ascontiguousarray(np.moveaxis(gains, 0, -1))            # (k, rx, tx, n)
     rows, cols = np.tril_indices(rx, -1)
-    below = list(zip(rows.tolist(), cols.tolist()))                 # strict lower triangle
     # conj operand first: numpy's complex multiply rounds the imaginary part
     # differently with swapped operands, and on a large array it evaluates
     # a * b.conj() in place as b.conj() * a; this order holds at every size
     cross = np.sum(h[:, cols].conj() * h[:, rows], axis=2)          # (k, pairs, n)
-    grams = np.concatenate([np.sum(h.real**2 + h.imag**2, axis=2), cross.real, cross.imag],
-                           axis=1)                                  # (k, rx + 2 * pairs, n)
-    grams *= coef
-    a = (masks @ grams.reshape(k, -1)).reshape(len(masks), grams.shape[1], n)  # (subsets, entries, n)
-    a[:, :rx] += 1.0                                                # A = I + coef * G_S
+    return np.concatenate([np.sum(h.real**2 + h.imag**2, axis=2), cross.real, cross.imag], axis=1)
+
+
+@functools.cache
+def _pooling_plan(subsets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The terms to add, in order, into the pooled rows of each subset bitmask.
+
+    Term j < len(subsets) is the pooled rows of subsets[j], term
+    len(subsets) + i the rows of user i.  A subset starts from the last one
+    pooled that it extends by its top members, then adds those in index
+    order: every sum adds its members in index order, whatever came before.
+    """
+    pooled, plan = {}, []
+    for j, s in enumerate(subsets):
+        rest, tops = s, []
+        while rest and rest not in pooled:        # strip top users down to a pooled subset
+            tops.append(rest.bit_length() - 1)
+            rest ^= 1 << tops[-1]
+        start = (pooled[rest],) if rest else ()
+        plan.append(start + tuple(len(subsets) + top for top in reversed(tops)))
+        pooled[s] = j
+    return tuple(plan)
+
+
+def _log_det(a: np.ndarray, rx: int, out: np.ndarray) -> None:
+    """log2 det(I + A) of pooled (subsets, rx^2, epochs) Gram rows A, written into ``out``.
+
+    The sum of the log2 pivots of an LDL^H elimination of the lower triangle,
+    in place.  Each pivot leads a Schur complement of I + PSD, again I + PSD,
+    so in exact arithmetic it is at least 1 and a subset whose gains are all
+    zero gets exactly 0 bits.  With rx = 1 the only pivot is 1 + A.
+    """
+    rows, cols = np.tril_indices(rx, -1)
+    below = list(zip(rows.tolist(), cols.tolist()))                 # strict lower triangle
+    a[:, :rx] += 1.0                                                # I + A, in place
     diag = [a[:, i] for i in range(rx)]
     re = {rc: a[:, rx + p] for p, rc in enumerate(below)}
     im = {rc: a[:, rx + len(below) + p] for p, rc in enumerate(below)}
-    info = np.zeros((len(masks), n))
-    for j in range(rx):
-        info += np.log2(diag[j])
+    for j in range(rx - 1):
         inv = 1.0 / diag[j]
         for i in range(j + 1, rx):
             lr, li = re[i, j] * inv, im[i, j] * inv                  # L[i, j]
@@ -198,12 +154,49 @@ def _ldl_information(gains: np.ndarray, coef: float, masks: np.ndarray) -> np.nd
             for m in range(j + 1, i):                               # A[i, m] -= L[i, j] A[m, j]^*
                 re[i, m] -= lr * re[m, j] + li * im[m, j]
                 im[i, m] -= li * re[m, j] - lr * im[m, j]
+    np.log2(diag[0], out=out)
+    for pivot in diag[1:]:
+        out += np.log2(pivot)
+
+
+def _information(channel: np.ndarray, coef: float, subsets) -> np.ndarray:
+    """log2 det(I_N + coef * sum_{i in S} H_i H_i^H) per subset bitmask S and per epoch.
+
+    ``channel`` is (k, epochs) power rows (the 1 x 1 Gram) or (epochs, k,
+    rx, tx) gains, ``subsets`` a sequence of bitmasks (bit i for user i);
+    the result is (subsets, epochs).  A subset's rows are its members'
+    scaled Gram rows added in index order (:func:`_pooling_plan`), so a sum
+    never depends on the batch shape or the other subsets.  A 1 x 1 Gram is
+    pooled straight into the result.  Otherwise the kernel runs over tiles
+    of max(1, _TILE_ENTRIES // (subsets * rx^2)) epochs: the pooled entries
+    and the elimination temporaries grow as subsets * rx^2 per epoch, so the
+    working set stays near cache size for every (K, N), and beyond the
+    result the kernel's memory does not grow with the batch.
+    """
+    n = _shape(channel)[0]
+    rx = 1 if channel.ndim == 2 else channel.shape[2]
+    plan = _pooling_plan(tuple(map(int, subsets)))
+    info = np.empty((len(plan), n))
+    step = max(1, n if rx == 1 else _TILE_ENTRIES // (len(plan) * rx * rx))
+    for start in range(0, n, step):
+        tile = slice(start, start + step)
+        rows = coef * (channel[:, None, tile] if channel.ndim == 2 else _gram_entries(channel[tile]))
+        pooled = info[:, None, tile] if rx == 1 else np.empty((len(plan), rx * rx, rows.shape[2]))
+        terms = [*pooled, *rows]
+        for row, adds in zip(pooled, plan):
+            if len(adds) > 1:
+                np.add(terms[adds[0]], terms[adds[1]], out=row)
+                for t in adds[2:]:
+                    row += terms[t]
+            else:
+                row[...] = terms[adds[0]] if adds else 0.0
+        _log_det(pooled, rx, info[:, tile])
     return info
 
 
 def _single_user_info(channel: np.ndarray, snr: float, gain: float, tx: int) -> np.ndarray:
     """Per-user mutual information as (users, epochs) rows, for a block of channels."""
-    return _information(channel, gain * snr / tx, np.eye(_shape(channel)[1]))
+    return _information(channel, gain * snr / tx, 1 << np.arange(_shape(channel)[1]))
 
 
 def subset_demand(channel: np.ndarray, snr: float, rate: float, tx: int) -> np.ndarray:
@@ -215,8 +208,9 @@ def subset_demand(channel: np.ndarray, snr: float, rate: float, tx: int) -> np.n
     subset with no mutual information demands inf.  Subset enumeration is
     exponential in k.
     """
-    masks, sizes = _subset_masks(_shape(channel)[1])
-    info = _information(channel, snr / tx, masks)
+    subsets = range(1, 1 << _shape(channel)[1])
+    info = _information(channel, snr / tx, subsets)
+    sizes = np.bitwise_count(np.array(subsets))
     silent = ~(info > 0.0)
     np.divide((sizes * rate)[:, None], info, out=info, where=~silent)
     np.copyto(info, np.inf, where=silent)
@@ -255,8 +249,7 @@ def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> n
 
     Callers are expected to chunk the batch.
     """
-    channel = _user_powers(gains) if gains.shape[2] == 1 else gains
-    return _first_round(channel, snr, rate, gains.shape[3])
+    return _first_round(gains, snr, rate, gains.shape[3])
 
 
 def asymptotic_first_decodable_round(k: int, config: AntennaConfig, r: float) -> int:

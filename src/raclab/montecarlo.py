@@ -24,7 +24,7 @@ import numpy as np
 from . import dmt
 from .channel import _draw_channel, _first_round, asymptotic_survival
 from .protocols import _bits, _gta_tree_batch, epoch_outcomes
-from .system import IRARQ, AntennaConfig, ProtocolParams, binom_pmf, snr_from_db
+from .system import IRARQ, AntennaConfig, ProtocolParams, binom_pmf, check_rate, is_count, snr_from_db
 
 DEFAULT_CHUNK = 1 << 18
 
@@ -139,10 +139,9 @@ def estimate_beta(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if deadline < 1:
-        raise ValueError("deadline must be >= 1")
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
+    if not is_count(deadline):
+        raise ValueError("deadline must be an integer >= 1")
+    check_rate("rate", rate)
     snr = snr_from_db(snr_db)
     users, rx, tx = config.users, config.rx, config.tx
     values = np.ones((users, deadline + 1))

@@ -385,9 +385,6 @@ class ScanResult:
     reports: list[DelayReport]
     boundary: float | None     # midpoint between last stable and first unstable
 
-    def verdict_at(self, rate: float) -> str:
-        return self.verdicts[self.grid.index(rate)]
-
 
 def stability_boundary_scan(
     protocol: str,

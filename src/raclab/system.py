@@ -18,6 +18,17 @@ IRARQ = "irarq"      # incremental redundancy ARQ with joint decoding and deadli
 PROTOCOLS = (GTA, ONDMA, IRARQ)
 
 
+def is_count(value) -> bool:
+    """True for an integer >= 1 that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def check_rate(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is finite and nonnegative (nan is neither)."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def snr_from_db(snr_db: float) -> float:
     """dB to linear power ratio."""
     return 10.0 ** (snr_db / 10.0)
@@ -34,7 +45,7 @@ class AntennaConfig:
     def __post_init__(self):
         for name in ("users", "tx", "rx"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not is_count(v):
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
     @property
@@ -63,11 +74,10 @@ class ProtocolParams:
             raise ValueError(f"p_t must lie in (0, 1], got {self.p_t}")
         if (self.rate is None) == (self.multiplexing_gain is None):
             raise ValueError("set exactly one of rate / multiplexing_gain")
-        if self.rate is not None and self.rate < 0:
-            raise ValueError("rate must be nonnegative")
-        if self.multiplexing_gain is not None and self.multiplexing_gain < 0:
-            raise ValueError("multiplexing_gain must be nonnegative")
-        if self.deadline is not None and (not isinstance(self.deadline, int) or self.deadline < 1):
+        for name in ("rate", "multiplexing_gain"):
+            if getattr(self, name) is not None:
+                check_rate(name, getattr(self, name))
+        if self.deadline is not None and not is_count(self.deadline):
             raise ValueError("deadline must be an integer >= 1")
 
     def rate_at(self, snr: float | None) -> float:

@@ -20,10 +20,7 @@ from raclab.channel import (
     _draw_gains,
     _first_round,
     _information,
-    _ldl_information,
     _single_user_info,
-    _subset_masks,
-    _user_powers,
     batch_first_decodable_round,
     rounds_from_demand,
     subset_demand,
@@ -199,27 +196,9 @@ def test_per_antenna_power_normalisation():
     # log2(1 + 2 * (snr/2)) = log2(1 + snr)
     gains = np.array([[[1.0, 1.0]]], dtype=complex)
     assert subset_mutual_information(gains, [0], 3.0) == pytest.approx(2.0)
-    assert _single_user_info(_user_powers(gains[None]), 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
+    assert _single_user_info(gains[None], 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
     wide = np.array([[[1.0, 1.0], [0.0, 0.0]]], dtype=complex)    # rx=2: determinant branch
     assert _single_user_info(wide[None], 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
-
-
-def subset_masks_by_loop(k):
-    """The (2^k - 1, k) subset matrix built one bit at a time."""
-    masks = np.zeros(((1 << k) - 1, k))
-    for s in range(1, 1 << k):
-        for i in range(k):
-            if s >> i & 1:
-                masks[s - 1, i] = 1.0
-    return masks
-
-
-def test_subset_masks_match_loop():
-    for k in range(1, 9):
-        masks, sizes = _subset_masks(k)
-        assert masks.dtype == np.float64
-        assert np.array_equal(masks, subset_masks_by_loop(k))
-        assert np.array_equal(sizes, subset_masks_by_loop(k).sum(axis=1))
 
 
 # Relative tolerance of the kernel against the oracle, fixed up front.
@@ -266,12 +245,11 @@ def test_information_matches_oracle_on_mimo_battery(snr_db):
     snr, rate = 10.0 ** (snr_db / 10.0), 1.5
     rng = np.random.default_rng(41)
     for k in range(1, 5):
-        masks, sizes = _subset_masks(k)
-        subsets = [np.flatnonzero(row).tolist() for row in masks]
+        subsets = [members_of(s, k) for s in lattice(k)]
         for tx in range(1, 4):
             for rx in range(2, 5):
                 gains = mimo_battery(k, tx, rx, rng)
-                info = _information(gains, snr / tx, masks)
+                info = _information(gains, snr / tx, lattice(k))
                 demand = subset_demand(gains, snr, rate, tx)
                 assert info.shape == demand.shape == (len(subsets), len(gains))
                 for n, g in enumerate(gains):
@@ -283,37 +261,46 @@ def test_information_matches_oracle_on_mimo_battery(snr_db):
                         if want == 0.0:
                             assert info[s, n] == 0.0 and demand[s, n] == math.inf, where
                         else:
-                            want_demand = sizes[s] * rate / want
+                            want_demand = len(members) * rate / want
                             assert abs(demand[s, n] - want_demand) <= want_demand * tol / want, where
 
 
 
-def stacked_mutual_information(gains, masks, snr):
-    """subset_mutual_information for every epoch and row of ``masks`` at once."""
-    rx, tx = gains.shape[2:]
+def stacked_mutual_information(gains, subsets, snr):
+    """subset_mutual_information for every epoch and subset bitmask at once."""
+    k, rx, tx = gains.shape[1:]
+    masks = (np.array(subsets)[:, None] >> np.arange(k)) & 1
     grams = gains @ gains.conj().swapaxes(-1, -2)                  # (n, k, rx, rx)
     pooled = np.einsum("sk,nkij->nsij", masks, grams)
     _, logdet = np.linalg.slogdet(np.eye(rx) + (snr / tx) * pooled)
     return logdet / math.log(2.0)
 
 
-def tile_epochs(masks, rx):
-    return max(1, _TILE_ENTRIES // (len(masks) * rx * rx))
+def lattice(k):
+    """Every nonempty subset of k users as bitmasks, in the order of subset_demand's rows."""
+    return range(1, 1 << k)
+
+
+def members_of(subset, k):
+    return [i for i in range(k) if subset >> i & 1]
+
+
+def tile_epochs(subsets, rx):
+    return max(1, _TILE_ENTRIES // (len(subsets) * rx * rx))
 
 
 @pytest.mark.parametrize("k, tx, rx", [(4, 2, 4), (3, 2, 2)], ids=["K4-2x4", "K3-2x2"])
 def test_information_across_tile_edges_matches_oracle(k, tx, rx):
     snr_db = 20.0
     snr = 10.0 ** (snr_db / 10.0)
-    masks, _ = _subset_masks(k)
-    subsets = [np.flatnonzero(row).tolist() for row in masks]
-    tile = tile_epochs(masks, rx)
+    subsets = [members_of(s, k) for s in lattice(k)]
+    tile = tile_epochs(lattice(k), rx)
     rng = np.random.default_rng(47)
     for n in (0, 1, tile - 1, tile, tile + 1, 3 * tile + 17):
         gains = _draw_gains(rng, (n, k, rx, tx))
-        got = _information(gains, snr / tx, masks).T
-        want = stacked_mutual_information(gains, masks, snr)
-        assert got.shape == want.shape == (n, len(masks))
+        got = _information(gains, snr / tx, lattice(k)).T
+        want = stacked_mutual_information(gains, lattice(k), snr)
+        assert got.shape == want.shape == (n, len(subsets))
         # mi_tolerance is at least MI_RTOL * info; evaluate it where that is exceeded
         for e, s in np.argwhere(np.abs(got - want) > MI_RTOL * np.abs(want)):
             tol = mi_tolerance(gains[e], subsets[s], snr_db, want[e, s])
@@ -322,8 +309,7 @@ def test_information_across_tile_edges_matches_oracle(k, tx, rx):
 
 def test_first_decodable_round_on_several_tiles_matches_oracle():
     cfg, snr, rate = AntennaConfig(users=4, tx=2, rx=4), 3.0, 2.5
-    masks, _ = _subset_masks(cfg.users)
-    n = 2 * tile_epochs(masks, cfg.rx) + 17
+    n = 2 * tile_epochs(lattice(cfg.users), cfg.rx) + 17
     gains = draw(cfg, np.random.default_rng(49), n=n)
     batch = batch_first_decodable_round(gains, snr, rate)
     assert len(set(batch.tolist())) > 1
@@ -333,13 +319,12 @@ def test_first_decodable_round_on_several_tiles_matches_oracle():
 
 def test_information_memory_beyond_result_is_flat_in_epochs():
     # the parent untiled kernel held about four times as much at 80k as at 20k
-    masks, _ = _subset_masks(4)
     extra = []
     for n in (20_000, 80_000):
         gains = _draw_gains(np.random.default_rng(53), (n, 4, 4, 2))
         tracemalloc.start()
         try:
-            info = _information(gains, 50.0, masks)
+            info = _information(gains, 50.0, lattice(4))
             extra.append(tracemalloc.get_traced_memory()[1] - info.nbytes)
         finally:
             tracemalloc.stop()
@@ -348,10 +333,9 @@ def test_information_memory_beyond_result_is_flat_in_epochs():
 
 @pytest.mark.parametrize("rx", [1, 2, 3])
 def test_information_of_no_epochs_is_empty(rx):
-    masks, _ = _subset_masks(3)
     channel = _draw_channel(np.random.default_rng(0), (0, 3, rx, 2))
     assert channel.shape == ((3, 0) if rx == 1 else (0, 3, rx, 2))
-    assert _information(channel, 1.0, masks).shape == (7, 0)
+    assert _information(channel, 1.0, lattice(3)).shape == (7, 0)
     assert subset_demand(channel, 10.0, 1.0, 2).shape == (7, 0)
 
 # ---------------------------------------------------------------------------
@@ -542,27 +526,63 @@ def test_outcome_table_per_mask_matches_kernel_and_oracle(cfg):
 # ---------------------------------------------------------------------------
 # the epochs-last layout against the epochs-first code it replaced
 # ---------------------------------------------------------------------------
-# The functions below are the kernel as it was with (epochs, subsets)
-# results, kept as bitwise oracles: the scalar branch sums the subset
-# powers with a BLAS matmul, the rx > 1 branch transposes each tile.
+# The functions below compute the kernel's quantities as (epochs, subsets)
+# arrays in one untiled batch, as bitwise oracles.  Each subset's entries
+# are its members' entries added one by one in index order; the scalar
+# power is |h|^2 by np.abs, and the rx > 1 log det is the same LDL^H
+# elimination.
 
-def information_epochs_first(gains, coef, masks):
+def member_sums(terms, subsets):
+    """Each subset's members' terms added one by one in index order; zeros for no member."""
+    sums = []
+    for s in subsets:
+        members = members_of(s, len(terms))
+        total = terms[members[0]].copy() if members else np.zeros_like(terms[0])
+        for i in members[1:]:
+            total += terms[i]
+        sums.append(total)
+    return sums
+
+
+def power_rows(gains):
+    """sum_tx |h|^2 of rx = 1 gains as (users, epochs) rows, |h| by np.abs."""
+    return np.sum(np.abs(gains) ** 2, axis=(2, 3)).T
+
+
+def information_epochs_first(gains, coef, subsets):
     rx = gains.shape[2]
     if rx == 1:
-        power = np.sum(np.abs(gains) ** 2, axis=(2, 3))
-        return np.log2(1.0 + (coef * power) @ masks.T)
-    info = np.empty((gains.shape[0], len(masks)))
-    step = max(1, _TILE_ENTRIES // (len(masks) * rx * rx))
-    for start in range(0, gains.shape[0], step):
-        info[start : start + step] = _ldl_information(gains[start : start + step], coef, masks).T
-    return info
+        power = coef * np.sum(np.abs(gains) ** 2, axis=(2, 3))           # (n, k)
+        return np.log2(1.0 + np.stack(member_sums(list(power.T), subsets), axis=1))
+    rows, cols = np.tril_indices(rx, -1)
+    cross = np.sum(gains[:, :, cols].conj() * gains[:, :, rows], axis=3)
+    # per user: diagonal, then re and im of conj(h_col) h_row below it
+    entries = np.concatenate([np.sum(gains.real**2 + gains.imag**2, axis=3), cross.real, cross.imag],
+                             axis=2)                                 # (n, k, entries)
+    entries *= coef
+    pooled = np.stack(member_sums(list(entries.swapaxes(0, 1)), subsets), axis=1)
+    pooled[..., :rx] += 1.0
+    below = list(zip(rows.tolist(), cols.tolist()))
+    diag = [pooled[..., i] for i in range(rx)]
+    re = {rc: pooled[..., rx + p] for p, rc in enumerate(below)}
+    im = {rc: pooled[..., rx + len(below) + p] for p, rc in enumerate(below)}
+    for j in range(rx):
+        inv = 1.0 / diag[j]
+        for i in range(j + 1, rx):
+            lr, li = re[i, j] * inv, im[i, j] * inv
+            diag[i] -= lr * re[i, j] + li * im[i, j]
+            for m in range(j + 1, i):
+                re[i, m] -= lr * re[m, j] + li * im[m, j]
+                im[i, m] -= li * re[m, j] - lr * im[m, j]
+    return sum(np.log2(d) for d in diag)
 
 
 def first_round_epochs_first(gains, snr, rate):
     if rate <= 0:
         return np.ones(gains.shape[0], dtype=np.int64)
-    masks, sizes = _subset_masks(gains.shape[1])
-    info = information_epochs_first(gains, snr / gains.shape[3], masks)
+    k = gains.shape[1]
+    sizes = np.array([len(members_of(s, k)) for s in lattice(k)])
+    info = information_epochs_first(gains, snr / gains.shape[3], lattice(k))
     with np.errstate(divide="ignore"):
         demand = np.where(info > 0.0, sizes[None, :] * rate / np.maximum(info, 1e-300), np.inf)
     rounds = np.ceil(demand.max(axis=1) * (1.0 - 1e-12))
@@ -574,7 +594,7 @@ def first_round_epochs_first(gains, snr, rate):
 
 def outage_bits_epochs_first(gains, snr, rate):
     k, tx = gains.shape[1], gains.shape[3]
-    info = information_epochs_first(gains, snr / tx, np.eye(k))
+    info = information_epochs_first(gains, snr / tx, [1 << i for i in range(k)])
     return (info < rate) @ (1 << np.arange(k))
 
 
@@ -591,50 +611,41 @@ SNRS = (0.1, 3.0, 100.0, 1e6)
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_scalar_information_is_bitwise_the_epochs_first_kernel(k):
-    masks, _ = _subset_masks(k)
     for tx in (1, 2, 3):
         gains = scalar_battery(k, tx, 4000, seed=100 + 10 * k + tx)
         for snr in SNRS:
-            got = _information(_user_powers(gains), snr / tx, masks)
-            assert got.shape == (len(masks), len(gains))
-            assert got.T.tobytes() == information_epochs_first(gains, snr / tx, masks).tobytes()
+            got = _information(power_rows(gains), snr / tx, lattice(k))
+            assert got.shape == (len(lattice(k)), len(gains))
+            assert got.T.tobytes() == information_epochs_first(gains, snr / tx, lattice(k)).tobytes()
 
 
-def member_by_member_information(power, coef, masks):
+def member_by_member_information(power, coef, subsets):
     """log2(1 + coef * power of S) with the members of S added one by one in index order."""
-    scaled = coef * power
-    total = np.zeros((len(masks), power.shape[1]))
-    for row, mask in zip(total, masks):
-        members = np.flatnonzero(mask)
-        if members.size:
-            row[:] = scaled[members[0]]
-            for i in members[1:]:
-                row += scaled[i]
-    return np.log2(1.0 + total)
+    return np.log2(1.0 + np.array(member_sums(list(coef * power), subsets)))
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_scalar_subset_sums_are_bitwise_member_by_member(k):
     rng = np.random.default_rng(160 + k)
-    lattice, _ = _subset_masks(k)
     for n in (1, 64, 4097):
         power = _draw_channel(rng, (n, k, 1, 2))
-        for masks in (lattice, np.eye(k)):
-            got = _information(power, 3.0, masks)
-            assert got.tobytes() == member_by_member_information(power, 3.0, masks).tobytes()
+        for subsets in (lattice(k), [1 << i for i in range(k)]):
+            got = _information(power, 3.0, subsets)
+            assert got.tobytes() == member_by_member_information(power, 3.0, subsets).tobytes()
 
 
 def test_scalar_information_of_any_mask_order_matches_the_lattice():
-    # rows out of lattice order, repeated and empty rows get the same sums
+    # subsets out of lattice order, repeated and empty ones get the same
+    # bits, from power rows and from rx > 1 gains alike
     k = 4
-    lattice, _ = _subset_masks(k)
-    power = _user_powers(scalar_battery(k, 2, 500, seed=150))
-    full = _information(power, 5.0, lattice)
-    picks = [14, 0, 6, 6, 2, 9]                       # bitmasks 15, 1, 7, 7, 3, 10
-    rows = np.vstack([np.zeros((1, k)), lattice[picks], np.zeros((1, k))])
-    got = _information(power, 5.0, rows)
-    assert np.all(got[0] == 0.0) and np.all(got[-1] == 0.0)
-    assert got[1:-1].tobytes() == full[picks].tobytes()
+    picks = [15, 1, 7, 7, 3, 10]
+    gains = _draw_gains(np.random.default_rng(151), (500, k, 2, 2))
+    gains[:50, 1] = 0.0
+    for channel in (power_rows(scalar_battery(k, 2, 500, seed=150)), gains):
+        full = _information(channel, 5.0, lattice(k))
+        got = _information(channel, 5.0, [0, *picks, 0])
+        assert np.all(got[0] == 0.0) and np.all(got[-1] == 0.0)
+        assert got[1:-1].tobytes() == full[np.array(picks) - 1].tobytes()
 
 
 # Tolerance of the kernel against exactly rounded subset sums, fixed before
@@ -648,31 +659,29 @@ def member_sum_tolerance(size, info):
 
 @pytest.mark.parametrize("k", [4, 5, 8])
 def test_scalar_information_beyond_three_users(k):
-    # from four users on the BLAS matmul of the replaced kernel may add a
-    # subset in another order, so only round counts and outage bits must
-    # match it bitwise; I_S itself is held to exactly rounded sums
-    masks, sizes = _subset_masks(k)
+    # I_S is held to exactly rounded sums; round counts and outage bits,
+    # read from the gains, must match the epochs-first oracle bitwise
     gains = scalar_battery(k, 2, 400, seed=200 + k)
     for snr in SNRS:
-        info = _information(_user_powers(gains), snr / 2, masks)
+        info = _information(power_rows(gains), snr / 2, lattice(k))
         power = (snr / 2) * np.sum(np.abs(gains) ** 2, axis=(2, 3))        # (n, k)
-        for s, row in enumerate(masks.astype(bool)):
-            exact = np.array([math.fsum(p) for p in power[:, row]])
+        for s, subset in enumerate(lattice(k)):
+            members = members_of(subset, k)
+            exact = np.array([math.fsum(p) for p in power[:, members]])
             want = np.log2(1.0 + exact)
-            assert np.all(np.abs(info[s] - want) <= member_sum_tolerance(sizes[s], want))
+            assert np.all(np.abs(info[s] - want) <= member_sum_tolerance(len(members), want))
         for rate in (0.3, 1.0, 2.5):
             rate *= math.log2(1.0 + snr)
             assert np.array_equal(batch_first_decodable_round(gains, snr, rate),
                                   first_round_epochs_first(gains, snr, rate))
-            got = (_single_user_info(_user_powers(gains), snr, 1.0, 2) < rate).T @ (1 << np.arange(k))
+            got = (_single_user_info(gains, snr, 1.0, 2) < rate).T @ (1 << np.arange(k))
             assert np.array_equal(got, outage_bits_epochs_first(gains, snr, rate))
 
 
 @pytest.mark.parametrize("k, tx, rx", [(1, 1, 1), (2, 1, 1), (3, 2, 1), (3, 2, 2), (4, 2, 4)],
                          ids=["K1", "K2", "K3-2x1", "K3-2x2", "K4-2x4"])
 def test_first_decodable_round_is_bitwise_the_epochs_first_kernel(k, tx, rx):
-    masks, _ = _subset_masks(k)
-    n = 2 * tile_epochs(masks, rx) + 5 if rx > 1 else 3000
+    n = 2 * tile_epochs(lattice(k), rx) + 5 if rx > 1 else 3000
     gains = _draw_gains(np.random.default_rng(300 + k), (n, k, rx, tx))
     gains[:20, 0] = 0.0                                       # some subsets with no information
     seen = set()
@@ -683,8 +692,8 @@ def test_first_decodable_round_is_bitwise_the_epochs_first_kernel(k, tx, rx):
             assert np.array_equal(got, first_round_epochs_first(gains, snr, rate))
             seen.update(got.tolist())
         if rx > 1:
-            info = _information(gains, snr / tx, masks)
-            assert info.T.tobytes() == information_epochs_first(gains, snr / tx, masks).tobytes()
+            info = _information(gains, snr / tx, lattice(k))
+            assert info.T.tobytes() == information_epochs_first(gains, snr / tx, lattice(k)).tobytes()
     assert NEVER in seen and len(seen) > 3                     # several round counts and NEVER
     empty = gains[:0]
     assert batch_first_decodable_round(empty, 100.0, 2.0).shape == (0,)
@@ -694,12 +703,23 @@ def test_first_decodable_round_is_bitwise_the_epochs_first_kernel(k, tx, rx):
 @pytest.mark.parametrize("rx", [1, 2])
 def test_single_user_info_is_bitwise_the_identity_mask_kernel(rx):
     gains = _draw_gains(np.random.default_rng(400 + rx), (3000, 3, rx, 2))
-    channel = _user_powers(gains) if rx == 1 else gains
+    channel = power_rows(gains) if rx == 1 else gains
     for gain in (1.0, 3.0):
         got = _single_user_info(channel, 7.0, gain, 2)
-        want = information_epochs_first(gains, gain * 7.0 / 2, np.eye(3))
+        want = information_epochs_first(gains, gain * 7.0 / 2, [1, 2, 4])
         assert got.shape == (3, 3000)
         assert got.T.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k, tx, rx", [(3, 2, 2), (4, 2, 4), (5, 1, 2)], ids=["K3-2x2", "K4-2x4", "K5-1x2"])
+def test_information_bits_do_not_depend_on_batch_or_tile_size(k, tx, rx, monkeypatch):
+    gains = _draw_gains(np.random.default_rng(600 + k), (10_000, k, rx, tx))
+    gains[:50, 0] = 0.0
+    full = _information(gains, 50.0, lattice(k))
+    assert _information(gains[1:], 50.0, lattice(k)).tobytes() == full[:, 1:].tobytes()
+    for entries in (1 << 10, 1 << 20):
+        monkeypatch.setattr("raclab.channel._TILE_ENTRIES", entries)
+        assert _information(gains, 50.0, lattice(k)).tobytes() == full.tobytes(), entries
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +778,9 @@ def test_mimo_beta_chunk_reads_the_gains_stream(cfg):
 
 def first_round_by_slogdet(gains, snr, rate):
     """Ceil of the worst subset demand from stacked slogdets, with the kernel's 1e-12 shave."""
-    masks, sizes = _subset_masks(gains.shape[1])
-    info = stacked_mutual_information(gains, masks, snr)           # (n, subsets)
+    k = gains.shape[1]
+    sizes = np.array([len(members_of(s, k)) for s in lattice(k)])
+    info = stacked_mutual_information(gains, lattice(k), snr)      # (n, subsets)
     with np.errstate(divide="ignore"):
         demand = np.where(info > 0.0, sizes * rate / np.where(info > 0.0, info, 1.0), np.inf)
     worst = demand.max(axis=1)

@@ -293,3 +293,23 @@ def test_beta_rejects_negative_rate():
     # a zero rate is valid: every collision decodes in the first round
     table = estimate_beta(SCALAR2, 10.0, 0.0, 2, trials=100, seed=1)
     assert np.all(table.values[:, 1:] == 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ProtocolParams(p_t=1.0, rate=math.nan, deadline=2),
+    lambda: ProtocolParams(p_t=1.0, rate=math.inf, deadline=2),
+    lambda: ProtocolParams(p_t=1.0, multiplexing_gain=math.nan, deadline=2),
+    lambda: ProtocolParams(p_t=1.0, multiplexing_gain=math.inf, deadline=2),
+    lambda: ProtocolParams(p_t=1.0, rate=1.0, deadline=True),
+    lambda: AntennaConfig(users=True),
+    lambda: AntennaConfig(users=2, tx=True),
+    lambda: AntennaConfig(users=2, rx=True),
+    lambda: estimate_beta(SCALAR2, 10.0, math.nan, 2, trials=100, seed=1),
+    lambda: estimate_beta(SCALAR2, 10.0, math.inf, 2, trials=100, seed=1),
+    lambda: estimate_beta(SCALAR2, 10.0, 1.0, True, trials=100, seed=1),
+], ids=["rate-nan", "rate-inf", "gain-nan", "gain-inf", "deadline-bool", "users-bool", "tx-bool",
+        "rx-bool", "beta-rate-nan", "beta-rate-inf", "beta-deadline-bool"])
+def test_invalid_rates_and_counts_fail_loudly(build):
+    # unchecked, a nan rate would give pe = 1.0 or an all-ones beta table
+    with pytest.raises(ValueError):
+        build()
