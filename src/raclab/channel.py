@@ -167,17 +167,18 @@ def _information(channel: np.ndarray, coef: float, subsets) -> np.ndarray:
     the result is (subsets, epochs).  A subset's rows are its members'
     scaled Gram rows added in index order (:func:`_pooling_plan`), so a sum
     never depends on the batch shape or the other subsets.  A 1 x 1 Gram is
-    pooled straight into the result.  Otherwise the kernel runs over tiles
-    of max(1, _TILE_ENTRIES // (subsets * rx^2)) epochs: the pooled entries
-    and the elimination temporaries grow as subsets * rx^2 per epoch, so the
-    working set stays near cache size for every (K, N), and beyond the
-    result the kernel's memory does not grow with the batch.
+    pooled straight into the result, power rows in one pass.  Gains run over
+    tiles of max(1, _TILE_ENTRIES // (subsets * rx^2)) epochs: their Gram
+    rows, the pooled entries and the elimination temporaries grow as
+    subsets * rx^2 per epoch, so the working set stays near cache size for
+    every (K, N), and beyond the result the kernel's memory does not grow
+    with the batch.
     """
     n = _shape(channel)[0]
     rx = 1 if channel.ndim == 2 else channel.shape[2]
     plan = _pooling_plan(tuple(map(int, subsets)))
     info = np.empty((len(plan), n))
-    step = max(1, n if rx == 1 else _TILE_ENTRIES // (len(plan) * rx * rx))
+    step = max(1, n if channel.ndim == 2 else _TILE_ENTRIES // (len(plan) * rx * rx))
     for start in range(0, n, step):
         tile = slice(start, start + step)
         rows = coef * (channel[:, None, tile] if channel.ndim == 2 else _gram_entries(channel[tile]))
@@ -204,16 +205,17 @@ def subset_demand(channel: np.ndarray, snr: float, rate: float, tx: int) -> np.n
 
     ``channel`` is a block of k users' channels (see :func:`_information`)
     with ``tx`` transmit antennas; the result is (subsets, epochs).  Row
-    s-1 belongs to the subset whose bitmask is s (bit i set for user i); a
-    subset with no mutual information demands inf.  Subset enumeration is
-    exponential in k.
+    s-1 belongs to the subset whose bitmask is s (bit i set for user i).  At
+    a positive rate a subset with no mutual information demands inf; at rate
+    <= 0 every subset demands 0, so it decodes in one round.  Subset
+    enumeration is exponential in k.
     """
     subsets = range(1, 1 << _shape(channel)[1])
     info = _information(channel, snr / tx, subsets)
     sizes = np.bitwise_count(np.array(subsets))
     silent = ~(info > 0.0)
-    np.divide((sizes * rate)[:, None], info, out=info, where=~silent)
-    np.copyto(info, np.inf, where=silent)
+    np.divide((sizes * max(rate, 0.0))[:, None], info, out=info, where=~silent)
+    np.copyto(info, np.inf if rate > 0 else 0.0, where=silent)
     return info
 
 
@@ -236,11 +238,9 @@ def _first_round(channel: np.ndarray, snr: float, rate: float, tx: int) -> np.nd
     """First round after which no subset condition fails, per epoch of a block of channels.
 
     All k users of the block are active.  The result is the ceil of the
-    worst subset demand |S|*rate / I_S, or NEVER if some subset has zero
-    mutual information at a positive rate.
+    worst subset demand |S|*rate / I_S (at least 1), or NEVER if some subset
+    has zero mutual information at a positive rate.
     """
-    if rate <= 0:
-        return np.ones(_shape(channel)[0], dtype=np.int64)
     return rounds_from_demand(subset_demand(channel, snr, rate, tx).max(axis=0))
 
 

@@ -190,6 +190,8 @@ def epoch_outcomes(
     not depend on the masks it is evaluated at.
     """
     users = config.users
+    if users > 63:
+        raise ValueError(f"participant bitmasks are int64: at most 63 users, got {users}")
     if snr is None and params.multiplexing_gain is None:
         raise ValueError("infinite-SNR mode needs multiplexing-gain params")
     n = masks.shape[0]
@@ -208,13 +210,10 @@ def epoch_outcomes(
             ])[sizes]
         else:
             channel = _draw_channel(rng, shape)
-            rate = params.rate_at(snr)
-            if rate <= 0:
-                needed = np.ones(masks.shape, dtype=np.int64)
-            else:
-                worst = _subset_max(subset_demand(channel, snr, rate, config.tx), users)
-                # worst[masks[e, j], e] for every cell, as one flat gather
-                needed = rounds_from_demand(worst.ravel()[masks * n + np.arange(n)[:, None]])
+            demand = subset_demand(channel, snr, params.rate_at(snr), config.tx)
+            worst = _subset_max(demand, users)
+            # worst[masks[e, j], e] for every cell, as one flat gather
+            needed = rounds_from_demand(worst.ravel()[masks * n + np.arange(n)[:, None]])
         lengths = np.minimum(needed, deadline)
         errors = np.where(needed > deadline, masks, 0)
 

@@ -318,17 +318,19 @@ def test_first_decodable_round_on_several_tiles_matches_oracle():
 
 
 def test_information_memory_beyond_result_is_flat_in_epochs():
-    # the parent untiled kernel held about four times as much at 80k as at 20k
-    extra = []
-    for n in (20_000, 80_000):
-        gains = _draw_gains(np.random.default_rng(53), (n, 4, 4, 2))
-        tracemalloc.start()
-        try:
-            info = _information(gains, 50.0, lattice(4))
-            extra.append(tracemalloc.get_traced_memory()[1] - info.nbytes)
-        finally:
-            tracemalloc.stop()
-    assert extra[1] < 2 * extra[0]
+    # an untiled kernel holds about four times as much at 4n epochs as at n;
+    # given gains are tiled at one receive antenna too
+    for n, shape in ((20_000, (4, 4, 2)), (1 << 16, (2, 1, 2))):
+        extra = []
+        for epochs in (n, 4 * n):
+            gains = _draw_gains(np.random.default_rng(53), (epochs, *shape))
+            tracemalloc.start()
+            try:
+                info = _information(gains, 50.0, lattice(shape[0]))
+                extra.append(tracemalloc.get_traced_memory()[1] - info.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert extra[1] < 2 * extra[0], shape
 
 
 @pytest.mark.parametrize("rx", [1, 2, 3])

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from raclab.cli import DELAY_HEADER, DMT_HEADER, SIM_HEADER, main
+from raclab.cli import DELAY_HEADER, DMT_HEADER, SIM_HEADER, build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -147,6 +151,16 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["dmt", "--config", str(path)]) == 2
     # unreadable config
     assert main(["dmt", "--config", str(tmp_path / "missing.json")]) == 2
+    # values the library rejects
+    assert main(["delay", "--horizon", "5", "--lambda", "0.5", "--seed", "1"]) == 2
+    assert main(["gta-recursion", "--kmax", "-1"]) == 2
+    assert main(["throughput", "--horizon", "0", "--seed", "1"]) == 2
+    assert main(["dmt", "--pt", "0"]) == 2
+    # config values of the wrong type, and a config that is not an object
+    for bad in ({"trials": "100"}, {"lambda": 0.5}, [1, 2], {"seed": "7"},
+                {"users": True}, {"deadline": 2}, {"snr_db": [10, "20"]}):
+        path.write_text(json.dumps(bad))
+        assert main(["beta", "--config", str(path), "--trials", "100"]) == 2, bad
     # invalid protocol choice is an argparse error, also exit code 2
     with pytest.raises(SystemExit) as exc:
         main(["dmt", "--protocol", "csma"])
@@ -163,3 +177,34 @@ def test_fixed_rate_mode(tmp_path):
     sys_rows = [r for r in rows if r[5] == "system_error_prob"]
     # fixed rate: error probability falls roughly like 1/snr
     assert float(sys_rows[0][6]) > float(sys_rows[-1][6])
+
+
+def test_config_error_is_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"seed": "7"}))
+    for argv in (["beta", "--config", str(path)], ["gta-recursion", "--kmax", "-1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+def test_config_file_values_of_every_field_type(tmp_path):
+    # ints stand for floats; null for optional fields; lambda is the key of --lambda
+    cfg = {"protocols": ["gta"], "users": 2, "deadline": [1], "pt": None, "snr_db": [10, 20.5],
+           "lambda": [1], "rate_mode": "multiplexing", "r": 1, "seed": 3, "out": None,
+           "scan": False}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["stability", "--config", str(path)]) == 0
+    path.write_text(json.dumps({"lam": [1.0]}))
+    assert main(["stability", "--config", str(path)]) == 2
+
+
+def test_readme_examples_parse():
+    # every documented command line must keep parsing when an option moves
+    text = README.read_text().split("## Command line", 1)[1]
+    block = text.split("```bash", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("raclab ")]
+    assert len(commands) >= 7
+    for argv in commands:
+        build_parser().parse_args(argv)

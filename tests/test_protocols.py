@@ -13,7 +13,7 @@ from raclab import (
     gta_recursion,
     simulate_random_arrivals,
 )
-from raclab.montecarlo import gta_collision_stats
+from raclab.montecarlo import gta_collision_stats, system_error_probability
 from raclab.protocols import (
     _bits,
     _gta_tree_batch,
@@ -360,6 +360,29 @@ def test_large_user_count_rejected():
     params = ProtocolParams(p_t=1.0, multiplexing_gain=0.45, deadline=2)
     with pytest.raises(ValueError, match="2\\^K"):
         simulate_random_arrivals("irarq", big, params, 0.5, None, 100, seed=3)
+
+
+@pytest.mark.parametrize("protocol", ["irarq", "ondma", "gta"])
+def test_bitmask_engine_takes_at_most_63_users(protocol):
+    # participant bitmasks are int64, so a 64th user would land on the sign bit
+    params = ProtocolParams(p_t=1.0, rate=1.0, deadline=2)
+    rng = np.random.default_rng(11)
+    with pytest.raises(ValueError, match="at most 63 users"):
+        epoch_outcomes(protocol, AntennaConfig(users=64), params, 10.0,
+                       np.zeros((4, 1), dtype=np.int64), rng)
+    with pytest.raises(ValueError, match="at most 63 users"):
+        system_error_probability(protocol, AntennaConfig(users=64), params, 10.0, 100, seed=1)
+    if protocol == "irarq":
+        return                                  # 2^63 subsets: the joint decoder stops far below
+    masks = np.array([[(1 << 63) - 1], [1 << 62], [0]])
+    lengths, delivered, errors = epoch_outcomes(protocol, AntennaConfig(users=63), params, 10.0,
+                                                masks, rng)
+    assert (lengths >= 1).all() and (delivered & ~masks == 0).all()
+    assert (errors & ~delivered == 0).all() and delivered[2, 0] == 0
+    if protocol == "ondma":
+        assert lengths.ravel().tolist() == [63, 1, 1]
+    est = system_error_probability(protocol, AntennaConfig(users=63), params, 10.0, 200, seed=1)
+    assert est.per_user.shape == (63,) and 0.0 <= est.value <= 1.0
 
 
 @pytest.mark.parametrize("protocol, params", [
