@@ -129,6 +129,11 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         if getattr(args, name, None) is not None:
             setattr(cfg, name, getattr(args, name))
     cfg.validate()
+    if cfg.out:
+        try:     # fail before any simulation runs, not after; an existing file is kept as is
+            open(cfg.out, "a").close()
+        except OSError as exc:
+            raise ValueError(f"cannot write --out file: {exc}") from None
     return cfg
 
 

@@ -114,7 +114,9 @@ def _chunk_plan(total: int, chunk: int) -> list[int]:
 
 def _map_chunks(fn, sizes: list[int], workers: int) -> list:
     """Run fn(chunk_index, chunk_size) over all chunks, results in index order."""
-    if workers <= 1 or len(sizes) <= 1:
+    if not is_count(workers):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    if workers == 1 or len(sizes) <= 1:
         return [fn(i, n) for i, n in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, i, n) for i, n in enumerate(sizes)]
@@ -372,7 +374,7 @@ def gta_collision_stats(k: int, epochs: int, seed: int, chunk: int = DEFAULT_CHU
 
     def one_chunk(idx, n):
         rng = np.random.default_rng([seed, _TAG_GTA_STATS, idx])
-        lengths, delivered, _ = _gta_tree_batch(np.full(n, k, dtype=np.int64), rng)
+        lengths, delivered = _gta_tree_batch(np.full(n, k, dtype=np.int64), rng)
         lf = lengths.astype(float)
         df = delivered.astype(float)
         return lf.sum(), (lf**2).sum(), df.sum(), (df**2).sum()

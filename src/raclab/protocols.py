@@ -30,8 +30,6 @@ outcomes are the deterministic indicator thresholds.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .channel import (
@@ -68,99 +66,138 @@ def _subset_max(demand: np.ndarray, users: int) -> np.ndarray:
     return worst
 
 
-# the tree's per-epoch accumulator packs (length, delivered, pruned) into one int64
-_SLOT, _DELIVERED, _PRUNED = 1 << 32, 1 << 16, 1
+# the tree's per-epoch accumulator packs length << 32 | users not yet pruned
+_SLOT = 1 << 32
+_MAX_TREE_USERS = (1 << 16) - 1     # the documented cap; the packed fields hold more
+_TREE_TILE = 1 << 14                # colliding epochs run to their end together, cache-sized
 
 
-@functools.cache
-def _tree_step(k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulator increment and next group size, indexed [group, left].
+def _chunk_tables():
+    """Chunk layout of one 64-bit word per group size g = 0..64.
 
-    A next group of 0 ends the epoch.  An empty left group (or an all-left
-    one) costs one slot and re-collides at the same size; a singleton left
-    group costs its clean slot plus the remainder's next collision slot,
-    which is the remainder's own clean slot when one user is left; a left
-    group of two or more re-collides while the right group is pruned.
+    The word holds 64 / s chunks of g bits at stride s = bit_ceil(g).
+    Returns log2(s), the mask of bits 0..g-2 of every chunk (each compared
+    with its upper neighbour) and the mask of the first g bits.
     """
-    step = np.zeros((k_max + 1, k_max + 1), dtype=np.int64)
-    after = np.zeros((k_max + 1, k_max + 1), dtype=np.int64)
-    for group in range(2, k_max + 1):
-        for left in range(group + 1):
-            if left == 1:
-                step[group, left] = 2 * _SLOT + (2 if group == 2 else 1) * _DELIVERED
-                after[group, left] = group - 1 if group > 2 else 0
-            else:
-                step[group, left] = _SLOT + (group - left if left else 0) * _PRUNED
-                after[group, left] = left or group
-    step.flags.writeable = after.flags.writeable = False   # shared by every caller
-    return step, after
+    log2 = [(g - 1).bit_length() if g else 0 for g in range(65)]
+    pairs = [sum(((1 << (g - 1)) - 1) << c for c in range(0, 64, 1 << s)) if g else 0
+             for g, s in enumerate(log2)]
+    return (np.array(log2, dtype=np.uint8), np.array(pairs, dtype=np.uint64),
+            np.array([(1 << g) - 1 for g in range(65)], dtype=np.uint64))
 
 
-@functools.cache
-def _split_masks(k_max: int) -> np.ndarray:
-    """Masks of the first ``group`` bits of ceil(k_max / 64) words, indexed [group, word]."""
-    low = np.array([(1 << bits) - 1 for bits in range(65)], dtype=np.uint64)
-    masks = low[np.clip(np.arange(k_max + 1)[:, None] - 64 * np.arange(-(-k_max // 64)), 0, 64)]
-    masks.flags.writeable = False                          # shared by every caller
-    return masks
-
-
-def _split(group: np.ndarray, masks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Left-group sizes, Binomial(group, 1/2) exactly: popcounts of ``group`` uniform bits.
-
-    Each entry takes one uniform 64-bit word per column of ``masks``
-    (from :func:`_split_masks`), in entry order.
-    """
-    words = rng.integers(0, 1 << 64, size=(group.size, masks.shape[1]), dtype=np.uint64)
-    return np.bitwise_count(words & masks[group]).sum(axis=1)
+_STRIDE_LOG2, _PAIRS, _LOW = _chunk_tables()
 
 
 def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
     """Vectorised splitting tree on group sizes only.
 
-    Returns per-epoch (length, delivered count, pruned count); identities
-    are exchangeable so callers may assign them as uniform subsets.  Each
-    step draws the left-group sizes of the epochs still in the tree, in
-    epoch order, and drops the epochs that finish.  Every live epoch takes
-    ceil(k_max / 64) uniform 64-bit words per step (:func:`_split`), one
-    for up to 64 users.
+    Returns per-epoch (length, delivered count); the other users of an
+    epoch are pruned.  Identities are exchangeable, so callers may assign
+    the delivered users as uniform subsets.  The colliding epochs run in
+    tiles of ``_TREE_TILE``, in epoch order, each tile to its end before
+    the next.  Each step moves every live epoch of the tile to its next
+    distinct group size and drops the epochs that finish, so an epoch of k
+    users takes at most k - 1 steps, bar redraws of probability at most
+    2^-32 each.
+
+    A step draws one uniform 64-bit word per live epoch, in epoch order
+    (ceil(g_max / 64) words each while a group of g_max > 64 users is
+    live).  The word holds 64 / s disjoint chunks of g bits at stride
+    s = bit_ceil(g), each a fair split whose popcount is the left-group
+    size.  A chunk with all bits equal (left group empty or full) is a
+    re-collision: one slot, same group.  The step takes the first chunk
+    that splits, after one slot per chunk before it (:func:`_split`); if
+    none splits, the epoch adds one slot per chunk and draws again.  A
+    group above 64 users has one chunk, its first g bits over
+    ceil(g / 64) words.
     """
     k_max = int(k_init.max(initial=1))
-    if k_max >= _DELIVERED:
-        raise ValueError(f"splitting tree counts at most {_DELIVERED - 1} users, got {k_max}")
-    step, after = _tree_step(k_max)
-    masks = _split_masks(k_max)
-    acc = np.where(k_init == 1, _SLOT + _DELIVERED, _SLOT).astype(np.int64)
-    idx = np.flatnonzero(k_init >= 2)
-    group = k_init[idx]
-    while idx.size:
-        left = _split(group, masks, rng)
-        acc[idx] += step[group, left]
-        group = after[group, left]
-        live = group > 0
-        idx, group = idx[live], group[live]
-    return acc // _SLOT, acc // _DELIVERED % (_SLOT // _DELIVERED), acc % _DELIVERED
+    if k_max > _MAX_TREE_USERS:
+        raise ValueError(f"splitting tree counts at most {_MAX_TREE_USERS} users, got {k_max}")
+    acc = np.add(k_init, _SLOT, dtype=np.int64)     # the first slot; no user pruned yet
+    colliding = np.flatnonzero(k_init >= 2)
+    for lo in range(0, colliding.size, _TREE_TILE):
+        idx = colliding[lo : lo + _TREE_TILE]
+        group = k_init[idx].astype(np.int64, copy=False)
+        while idx.size:
+            words = (int(group.max()) + 63) >> 6
+            draw = rng.integers(0, 1 << 64, size=(idx.size, words), dtype=np.uint64)
+            loops, left = _split(draw, group)
+            one = left == 1
+            # a singleton left group takes its clean slot and the rest collides
+            # again (a lone rest sends in that slot); a larger one prunes the right
+            after = np.where(one, group - 1, left)
+            inc = (loops + one + 1).astype(np.int64) << 32
+            inc -= group - after - one               # the users pruned
+            if not left.all():                       # every chunk re-collided
+                stuck = left == 0
+                inc[stuck] = loops[stuck].astype(np.int64) << 32
+                after[stuck] = group[stuck]
+            acc[idx] += inc
+            live = after >= 2
+            idx, group = idx[live], after[live]
+    return acc >> 32, acc & (_SLOT - 1)              # every user not pruned is delivered
+
+
+def _split(draw: np.ndarray, group: np.ndarray):
+    """Re-collisions and left-group size of the first split in each row of ``draw``.
+
+    Row e holds uniform 64-bit words for a group of group[e] >= 2 users,
+    laid out as :func:`_gta_tree_batch` says.  Returns (loops, left): the
+    chunks that re-collided before the first that splits, and that chunk's
+    popcount, 1 <= left < group.  Where no chunk splits, left is 0 and
+    loops is the number of chunks.
+    """
+    wide = draw.shape[1] > 1
+    g = np.minimum(group, 64) if wide else group
+    w, log2 = draw[:, 0], _STRIDE_LOG2[g]
+    y = w >> 1
+    y ^= w
+    y &= _PAIRS[g]                                   # set where neighbours in a chunk differ
+    # popcount(y ^ (y - 1)) is ctz(y) + 1, which stays inside the chunk of
+    # y's lowest set bit (a chunk's top bit is never set in y); at y = 0 it
+    # is 64, so loops is then the number of chunks
+    loops = np.bitwise_count((y - 1) ^ y) >> log2
+    left = np.bitwise_count((w >> (loops << log2)) & _LOW[g])   # a shift by 64 gives 0
+    if wide:
+        big = np.flatnonzero(group > 64)
+        bits = np.clip(group[big, None] - 64 * np.arange(draw.shape[1]), 0, 64)
+        count = np.bitwise_count(draw[big] & _LOW[bits]).sum(axis=1)
+        whole = (count == 0) | (count == group[big])
+        left = left.astype(np.int64)
+        left[big], loops[big] = np.where(whole, 0, count), whole
+    return loops, left
 
 
 def _tree_members(masks, count, users: int, rng: np.random.Generator):
     """The count[e, j] first members of masks[e, j] under a uniform ranking of the users.
 
-    The users are ranked by one uniform draw each, lower index first on
-    ties (the order a stable sort gives), by pairwise comparison: before[u]
-    is the bitmask of the users ranked ahead of u.  A member is taken while
-    fewer than ``count`` members of its mask rank ahead of it.
+    Only the epochs with a cell whose count falls short of its mask's size
+    draw a ranking, one uniform draw per user, in epoch order; every other
+    cell delivers its whole mask whatever the ranking.  The users are
+    ranked lower index first on ties (the order a stable sort gives), by
+    pairwise comparison: before[u] is the bitmask of the users ranked ahead
+    of u.  A member is taken while fewer than ``count`` members of its mask
+    rank ahead of it.
     """
-    draw = rng.random((masks.shape[0], users))
-    before = np.zeros((users, masks.shape[0]), dtype=np.int64)
+    taken = np.array(masks, dtype=np.int64)
+    short = np.flatnonzero((count < np.bitwise_count(masks)).any(axis=1))
+    if not short.size:
+        return taken
+    masks, count = taken[short], count[short]
+    draw = rng.random((short.size, users))
+    before = np.zeros((users, short.size), dtype=np.int64)
     for u in range(users):
         for v in range(u + 1, users):
             first = draw[:, v] < draw[:, u]                 # v ranks ahead of u
             before[u] |= first * (1 << v)
             before[v] |= ~first * (1 << u)
-    taken = np.zeros(masks.shape, dtype=np.int64)
+    picked = np.zeros(masks.shape, dtype=np.int64)
     for u in range(users):
         keep = np.bitwise_count(masks & before[u][:, None]) < count
-        taken |= (masks & (1 << u)) * keep
+        picked |= (masks & (1 << u)) * keep
+    taken[short] = picked
     return taken
 
 
@@ -233,7 +270,7 @@ def epoch_outcomes(
         errors = masks & out
 
     elif protocol == GTA:
-        tree_len, tree_del, _pruned = _gta_tree_batch(sizes.ravel(), rng)
+        tree_len, tree_del = _gta_tree_batch(sizes.ravel(), rng)
         lengths = tree_len.reshape(masks.shape)
         delivered = _tree_members(masks, tree_del.reshape(masks.shape), users, rng)
         channel = None if snr is None else _draw_channel(rng, shape)

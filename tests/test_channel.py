@@ -741,14 +741,18 @@ MIMO_SHAPES = [AntennaConfig(users=3, tx=2, rx=2), AntennaConfig(users=4, tx=2, 
 @pytest.mark.parametrize("cfg", MIMO_SHAPES, ids=["K3-2x2", "K4-2x4", "K2-1x3"])
 def test_mimo_epochs_draw_the_gains_stream(protocol, params, cfg):
     # at rx > 1 the generator is consumed as by _draw_gains (GTA: after its
-    # tree splits and its ranking draw), and the outcomes read those gains
+    # tree words, then a ranking for each epoch with a cell the tree pruned,
+    # none at K=2), and the outcomes read those gains
     n = 300
     masks = np.random.default_rng(8).integers(0, 1 << cfg.users, size=(n, 2))
     rng, twin = np.random.default_rng(81), np.random.default_rng(81)
     lengths, _, errors = epoch_outcomes(protocol, cfg, params, 2.0, masks, rng)
     if protocol == "gta":
-        _gta_tree_batch(np.bitwise_count(masks).astype(np.int64).ravel(), twin)
-        twin.random((n, cfg.users))
+        sizes = np.bitwise_count(masks).astype(np.int64)
+        _, delivered = _gta_tree_batch(sizes.ravel(), twin)
+        short = np.count_nonzero((delivered.reshape(masks.shape) < sizes).any(axis=1))
+        assert (short > 0) == (cfg.users > 2)
+        twin.random((short, cfg.users))
     gains = _draw_gains(twin, (n, cfg.users, cfg.rx, cfg.tx))
     assert rng.bit_generator.state == twin.bit_generator.state
     if protocol == "irarq":

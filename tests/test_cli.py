@@ -156,6 +156,8 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["gta-recursion", "--kmax", "-1"]) == 2
     assert main(["throughput", "--horizon", "0", "--seed", "1"]) == 2
     assert main(["dmt", "--pt", "0"]) == 2
+    assert main(["beta", "--workers", "0", "--trials", "100", "--seed", "1"]) == 2
+    assert main(["beta", "--workers", "-1", "--trials", "100", "--seed", "1"]) == 2
     # config values of the wrong type, and a config that is not an object
     for bad in ({"trials": "100"}, {"lambda": 0.5}, [1, 2], {"seed": "7"},
                 {"users": True}, {"deadline": 2}, {"snr_db": [10, "20"]}):
@@ -186,6 +188,22 @@ def test_config_error_is_one_line(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+def test_unwritable_out_fails_before_any_simulation(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr("raclab.montecarlo.system_error_probability", no_run)
+    for argv in (["dmt"], ["pe", "--trials", "100", "--seed", "1"]):
+        assert main(argv + ["--out", str(tmp_path / "missing" / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+    # a writable path keeps its contents until the rows are written
+    out = tmp_path / "kept.csv"
+    out.write_text("old\n")
+    assert main(["dmt", "--pt", "0", "--out", str(out)]) == 2
+    assert out.read_text() == "old\n"
 
 
 def test_config_file_values_of_every_field_type(tmp_path):

@@ -313,3 +313,15 @@ def test_invalid_rates_and_counts_fail_loudly(build):
     # unchecked, a nan rate would give pe = 1.0 or an all-ones beta table
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 1.5])
+def test_worker_count_must_be_positive(workers):
+    # a nonpositive count once ran serially as if it were 1
+    params = ProtocolParams(p_t=1.0, rate=1.0, deadline=2)
+    for run in (lambda: estimate_beta(SCALAR2, 10.0, 1.0, 2, trials=100, seed=1, workers=workers),
+                lambda: system_error_probability("gta", SCALAR2, params, 10.0, 100, seed=1,
+                                                 workers=workers),
+                lambda: gta_collision_stats(3, 100, seed=1, workers=workers)):
+        with pytest.raises(ValueError, match="workers"):
+            run()

@@ -1,6 +1,8 @@
 """Epoch outcomes: scripted trees, unit-gain decisions, recursion consistency."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,12 +15,12 @@ from raclab import (
     gta_recursion,
     simulate_random_arrivals,
 )
+from raclab import protocols
 from raclab.montecarlo import gta_collision_stats, system_error_probability
 from raclab.protocols import (
     _bits,
     _gta_tree_batch,
     _split,
-    _split_masks,
     _subset_max,
     _tree_members,
     epoch_outcomes,
@@ -30,25 +32,34 @@ BOTH = 0b11
 
 
 class UnitGainRng:
-    """Draws every channel as a unit-power one: each single-antenna user's power is 1."""
+    """Draws every channel as a unit-power one: each single-antenna user's power is 1.
+
+    The splitting tree's words and rankings come from a seeded generator.
+    """
+
+    def __init__(self, seed=0):
+        self.rng = np.random.default_rng(seed)
 
     def standard_exponential(self, size):
         return np.ones(size)
 
+    def integers(self, low, high, size, dtype):
+        return self.rng.integers(low, high, size=size, dtype=dtype)
+
+    def random(self, size):
+        return self.rng.random(size)
+
 
 class ScriptedTreeRng:
-    """Feeds pre-arranged left-group sizes to the vectorised splitting tree.
+    """Feeds pre-arranged 64-bit words to the splitting tree, one list of rows per step."""
 
-    Each split word carries its left-group size as that many low bits set.
-    """
-
-    def __init__(self, lefts):
-        self.lefts = [np.asarray(x, dtype=np.int64) for x in lefts]
+    def __init__(self, steps):
+        self.steps = [np.array(rows, dtype=np.uint64).reshape(len(rows), -1) for rows in steps]
 
     def integers(self, low, high, size, dtype):
-        left = self.lefts.pop(0)
-        assert (low, high, dtype) == (0, 1 << 64, np.uint64) and size == (left.size, 1)
-        return ((np.uint64(1) << left.astype(np.uint64)) - np.uint64(1))[:, None]
+        words = self.steps.pop(0)
+        assert (low, high, dtype) == (0, 1 << 64, np.uint64) and size == words.shape
+        return words
 
 
 def tables(protocol, params, snr=3.0, config=SCALAR2, n=1, rng=None):
@@ -155,77 +166,98 @@ GOOD = ProtocolParams(p_t=1.0, rate=1.0)  # unit gains at snr 3 decode rate 1
 
 def test_gta_scripted_split_both_clean():
     # one user goes left, the other right: collision, clean, clean
-    lengths, delivered, pruned = _gta_tree_batch(np.array([2]), ScriptedTreeRng([[1]]))
-    assert (lengths[0], delivered[0], pruned[0]) == (3, 2, 0)
+    lengths, delivered = _gta_tree_batch(np.array([2]), ScriptedTreeRng([[0b01]]))
+    assert (lengths[0], delivered[0]) == (3, 2)
 
 
 def test_gta_scripted_empty_left_then_resolve():
-    # both users go right (empty left), then split cleanly
-    lengths, delivered, pruned = _gta_tree_batch(np.array([2]), ScriptedTreeRng([[0], [1]]))
-    assert (lengths[0], delivered[0], pruned[0]) == (4, 2, 0)
+    # chunk 0 (bits 0-1) sends both users right (empty left); chunk 1 of the
+    # same word (bits 2-3) splits them cleanly
+    lengths, delivered = _gta_tree_batch(np.array([2]), ScriptedTreeRng([[0b01_00]]))
+    assert (lengths[0], delivered[0]) == (4, 2)
 
 
 def test_gta_scripted_prune():
-    # two users go left together, one right: right is pruned after the
-    # second collision, then the left pair resolves in two clean slots
-    lengths, delivered, pruned = _gta_tree_batch(np.array([3]), ScriptedTreeRng([[2], [1]]))
-    assert (lengths[0], delivered[0], pruned[0]) == (4, 2, 1)
+    # three users, chunks of stride 4: two go left together, one right; the
+    # right one is pruned after the second collision, then the left pair
+    # resolves in two clean slots
+    lengths, delivered = _gta_tree_batch(np.array([3]), ScriptedTreeRng([[0b011], [0b01]]))
+    assert (lengths[0], delivered[0]) == (4, 2)       # 3 - 2 = 1 pruned
 
 
-def popcount_splits(size, words, rng):
-    """Left-group sizes: the count of set bits among the first ``size`` bits of ``words`` uniform words."""
-    draw = rng.integers(0, 1 << 64, size=(len(size), words), dtype=np.uint64)
-    bits = np.unpackbits(draw.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-    return np.sum(bits * (np.arange(64 * words) < size[:, None]), axis=1, dtype=np.int64)
+def test_gta_scripted_words_whose_chunks_all_recollide():
+    # step 1: epoch 0 (2 users) reads 32 chunks 00, epoch 1 (3 users) 16
+    # chunks 111, epoch 2 (65 users) 65 ones over two words (bits of word 1
+    # past the group ignored): each adds a slot per chunk and draws again;
+    # epoch 3 splits at once.  Step 2: epoch 0 splits cleanly, epoch 1 sends
+    # one user left, epoch 2 two users left (63 pruned).  Step 3: both pairs split.
+    every = (1 << 64) - 1
+    steps = [[[0, 5], [0x7777_7777_7777_7777, 0], [every, 0b11], [0b10, every]],
+             [[0b01, 0], [0b001, 0], [0b11, 0]],
+             [[0b01], [0b10]]]
+    lengths, delivered = _gta_tree_batch(np.array([2, 3, 65, 2]), ScriptedTreeRng(steps))
+    assert lengths.tolist() == [1 + 32 + 2, 1 + 16 + 2 + 2, 1 + 1 + 1 + 2, 3]
+    assert delivered.tolist() == [2, 3, 2, 2]
+    want = tree_by_chunks(np.array([2, 3, 65, 2]), ScriptedTreeRng(steps), protocols._TREE_TILE)
+    assert [x.tolist() for x in want] == [lengths.tolist(), delivered.tolist()]
 
 
-def tree_by_masks(k_init, rng):
-    """Oracle: the splitting tree with boolean masks over all epochs at every step."""
-    n = k_init.shape[0]
-    lengths = np.ones(n, dtype=np.int64)
-    delivered = np.zeros(n, dtype=np.int64)
-    pruned = np.zeros(n, dtype=np.int64)
-    delivered[k_init == 1] = 1
-    group = k_init.copy()
-    active = k_init >= 2
-    words = -(-int(k_init.max(initial=1)) // 64)
-    while active.any():
-        idx = np.flatnonzero(active)
-        size = group[idx]
-        left = popcount_splits(size, words, rng)
-        empty = left == 0
-        lengths[idx[empty]] += 1
-        single = left == 1
-        rest = size - 1
-        done = single & (rest == 1)
-        lengths[idx[done]] += 2
-        delivered[idx[done]] += 2
-        active[idx[done]] = False
-        cont = single & (rest >= 2)
-        lengths[idx[cont]] += 2
-        delivered[idx[cont]] += 1
-        group[idx[cont]] = rest[cont]
-        big = left >= 2
-        pruned[idx[big]] += (size - left)[big]
-        lengths[idx[big]] += 1
-        group[idx[big]] = left[big]
-    return lengths, delivered, pruned
+def tree_by_chunks(k_init, rng, tile):
+    """Oracle: the splitting tree one epoch at a time, reading each step's words chunk by chunk.
+
+    Tiles of ``tile`` colliding epochs run to their end in turn; a step
+    draws ceil(g_max / 64) words per live epoch of the tile.  A group of
+    g <= 64 users reads the chunks of g bits at stride bit_ceil(g) in its
+    first word, a larger group the first g bits of its words, until one
+    splits; every chunk read costs a slot.
+    """
+    lengths = [1] * len(k_init)
+    delivered = [int(k == 1) for k in k_init]
+    colliding = [e for e, k in enumerate(k_init) if k >= 2]
+    for lo in range(0, len(colliding), tile):
+        group = {e: int(k_init[e]) for e in colliding[lo : lo + tile]}
+        while group:
+            words = -(-max(group.values()) // 64)
+            draw = rng.integers(0, 1 << 64, size=(len(group), words), dtype=np.uint64)
+            for row, e in zip(draw, list(group)):
+                g = group[e]
+                bits = sum(int(x) << 64 * j for j, x in enumerate(row))
+                starts = range(0, 64, 1 << (g - 1).bit_length()) if g <= 64 else [0]
+                for start in starts:
+                    lengths[e] += 1
+                    left = (bits >> start & ((1 << g) - 1)).bit_count()
+                    if 0 < left < g:
+                        break
+                else:
+                    continue                            # every chunk re-collided: draw again
+                if left == 1:                           # clean slot, then the rest collides
+                    lengths[e] += 1
+                    delivered[e] += 1 + (g == 2)        # a lone rest is clean at once
+                    left = g - 1
+                if left >= 2:
+                    group[e] = left
+                else:
+                    del group[e]
+    return np.array(lengths), np.array(delivered)
 
 
 @pytest.mark.parametrize("k_max", [2, 3, 4, 8, 64, 65, 130])
-def test_gta_tree_matches_mask_oracle(k_max):
+def test_gta_tree_matches_mask_oracle(k_max, monkeypatch):
     seeds = np.random.default_rng(k_max).integers(1 << 30, size=2)
     mixed = np.random.default_rng(seeds[0]).integers(0, k_max + 1, 5000)
-    for k_init in (np.full(5000, k_max), mixed):
-        rngs = [np.random.default_rng(seeds[1]) for _ in range(2)]
-        got = _gta_tree_batch(k_init, rngs[0])
-        want = tree_by_masks(k_init, rngs[1])
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
-        assert rngs[0].random() == rngs[1].random()   # same draws consumed
+    # one tile, then tiles of 777 colliding epochs
+    for tile in (protocols._TREE_TILE, 777):
+        monkeypatch.setattr(protocols, "_TREE_TILE", tile)
+        for k_init in (np.full(5000, k_max), mixed):
+            rngs = [np.random.default_rng(seeds[1]) for _ in range(2)]
+            got = _gta_tree_batch(k_init, rngs[0])
+            want = tree_by_chunks(k_init, rngs[1], tile)
+            for a, b in zip(got, want, strict=True):
+                np.testing.assert_array_equal(a, b)
+            assert rngs[0].random() == rngs[1].random()   # same draws consumed
     assert all(x.size == 0 for x in _gta_tree_batch(np.zeros(0, dtype=np.int64), rngs[0]))
     with pytest.raises(ValueError, match="at most"):
-        _gta_tree_batch(np.array([1 << 16]), rngs[0])   # overflows the packed counts
+        _gta_tree_batch(np.array([1 << 16]), rngs[0])   # past the documented cap
 
 
 # Chi-square acceptance at level 0.001, fixed before the first run: the
@@ -239,40 +271,144 @@ def chi2_critical(df):
     return df * (1.0 - a + CHI2_Z_0001 * math.sqrt(a)) ** 3
 
 
+def chi2_pooled(counts, pmf, n):
+    """Chi-square statistic and df over the cells of a joint pmf (dicts keyed alike).
+
+    Cells expecting at least 5 draws are bins of their own; all others,
+    and the mass outside the listed cells, form one pooled bin, which joins
+    the own bin expecting least if it expects fewer than 5 itself.
+    """
+    own = sorted((cell for cell, p in pmf.items() if n * p >= 5.0), key=lambda c: pmf[c])
+    observed = [counts.get(cell, 0) for cell in own]
+    expected = [n * float(pmf[cell]) for cell in own]
+    rest = n - sum(observed), n - sum(expected)
+    if rest[1] < 5.0:
+        observed[0] += rest[0]
+        expected[0] += rest[1]
+    else:
+        observed.append(rest[0])
+        expected.append(rest[1])
+    observed, expected = np.array(observed, dtype=float), np.array(expected)
+    return float(np.sum((observed - expected) ** 2 / expected)), len(expected) - 1
+
+
 @pytest.mark.parametrize("group", [2, 3, 8, 63, 64, 65, 130])
 def test_popcount_splits_are_binomial_half(group):
+    # the first split of a row: each chunk re-collides with probability
+    # q = 2^(1-g), independently, and a chunk that splits has its left size
+    # Binomial(g, 1/2) given 0 < left < g; no split at all reads left 0
     n = 200_000
-    pmf = np.array([math.comb(group, j) for j in range(group + 1)], dtype=float) / 2.0**group
-    expected = n * pmf
-    keep = np.flatnonzero(expected >= 5.0)
-    lo, hi = int(keep[0]), int(keep[-1])
+    chunks = 64 >> (group - 1).bit_length() if group <= 64 else 1
+    q = Fraction(2, 2**group)
+    pmf = {(j, left): q**j * Fraction(math.comb(group, left), 2**group)
+           for j in range(min(chunks, 40)) for left in range(1, group)}
+    pmf[chunks, 0] = q**chunks
     # the group's own word count, and more words than it needs
-    for k_max in (group, 130):
-        rng = np.random.default_rng([group, k_max])
-        left = _split(np.full(n, group), _split_masks(k_max), rng)
-        assert left.min() >= 0 and left.max() <= group
-        counts = np.bincount(left.astype(np.int64), minlength=group + 1)
-        observed = np.concatenate([[counts[: lo + 1].sum()], counts[lo + 1 : hi], [counts[hi:].sum()]])
-        want = np.concatenate([[expected[: lo + 1].sum()], expected[lo + 1 : hi], [expected[hi:].sum()]])
-        stat = float(np.sum((observed - want) ** 2 / want))
-        assert stat < chi2_critical(len(want) - 1), f"group {group}, {k_max} users at most"
+    for words in (-(-group // 64), 3):
+        draw = np.random.default_rng([group, words]).integers(
+            0, 1 << 64, size=(n, words), dtype=np.uint64)
+        loops, left = _split(draw, np.full(n, group))
+        loops, left = loops.astype(np.int64), left.astype(np.int64)
+        assert left.min() >= 0 and left.max() < group and loops.max() <= chunks
+        assert np.array_equal(left == 0, loops == chunks)
+        cells, counts = np.unique(np.stack([loops, left]), axis=1, return_counts=True)
+        stat, df = chi2_pooled(dict(zip(map(tuple, cells.T.tolist()), counts.tolist())), pmf, n)
+        assert stat < chi2_critical(df), f"group {group}, {words} words"
+
+
+class RecordingRng:
+    """A generator that records the size of every ``integers`` call."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def integers(self, low, high, size, dtype):
+        self.sizes.append(size)
+        return self.rng.integers(low, high, size=size, dtype=dtype)
 
 
 @pytest.mark.parametrize("k_max", [1, 2, 64, 65, 128, 129])
 def test_split_takes_ceil_k_max_over_64_words_per_group(k_max):
-    masks = _split_masks(k_max)
-    words = -(-k_max // 64)
-    assert masks.shape == (k_max + 1, words) and masks.dtype == np.uint64
-    assert np.array_equal(np.bitwise_count(masks).sum(axis=1), np.arange(k_max + 1))
+    # a step takes ceil(g_max / 64) words per live epoch, so one word per
+    # epoch once every live group has at most 64 users
     group = np.random.default_rng(9).integers(0, k_max + 1, 1000)
-    rng, twin = np.random.default_rng(10), np.random.default_rng(10)
-    _split(group, masks, rng)
-    twin.integers(0, 1 << 64, size=(1000, words), dtype=np.uint64)
-    assert rng.bit_generator.state == twin.bit_generator.state
+    group[0] = k_max
+    rng = RecordingRng(10)
+    _gta_tree_batch(group, rng)
+    words = [w for _, w in rng.sizes]
+    if k_max < 2:
+        assert words == []
+        return
+    assert rng.sizes[0] == (np.count_nonzero(group >= 2), -(-k_max // 64))
+    assert words == sorted(words, reverse=True) and words[-1] == 1   # groups only shrink
+    assert (k_max > 64) == (max(words) > 1)
+    twin = np.random.default_rng(10)
+    for size in rng.sizes:
+        twin.integers(0, 1 << 64, size=size, dtype=np.uint64)
+    assert rng.rng.bit_generator.state == twin.bit_generator.state
+
+
+def tree_pmf(k, cap):
+    """Exact pmf of (length, delivered) of a k-user epoch, lengths up to ``cap``.
+
+    From the group-size chain: a collided group of g users re-collides with
+    probability 2^(1-g) (one slot); otherwise its left group has l users,
+    0 < l < g, with probability C(g, l) / 2^g.  l = 1 costs two slots, one
+    delivered, and the other g - 1 go on (a lone one is delivered in the
+    second slot); l >= 2 costs one slot and goes on with l users, the other
+    g - l pruned.  ``after[g][s][d]`` is the probability that a collided
+    g-user group needs s more slots and delivers d.
+    """
+    after = {1: [[Fraction(d == 1) for d in range(k + 1)]] + [[Fraction(0)] * (k + 1)] * cap}
+    for g in range(2, k + 1):
+        p = [Fraction(math.comb(g, left), 2**g) for left in range(g + 1)]
+        rows = [[Fraction(0)] * (k + 1) for _ in range(cap + 1)]
+        for s in range(1, cap + 1):
+            for d in range(k + 1):
+                total = 2 * p[0] * rows[s - 1][d]
+                total += sum(p[left] * after[left][s - 1][d] for left in range(2, g))
+                if s >= 2 and d >= 1:
+                    total += p[1] * after[g - 1][s - 2][d - 1]
+                rows[s][d] = total
+        after[g] = rows
+    return {(1 + s, d): after[k][s][d] for s in range(cap) for d in range(k + 1) if after[k][s][d]}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_gta_tree_joint_law_is_exact(k):
+    # (length, delivered) of k-user epochs against the exact chain; the
+    # pruned count is k - delivered.  200k epochs, cells below 5 expected
+    # draws and lengths past 40 pooled, level 0.001: all fixed before the first run
+    n = 200_000
+    lengths, delivered = _gta_tree_batch(np.full(n, k), np.random.default_rng(1400 + k))
+    assert delivered.min() >= 1 and delivered.max() <= k
+    cells, counts = np.unique(np.stack([lengths, delivered]), axis=1, return_counts=True)
+    stat, df = chi2_pooled(dict(zip(map(tuple, cells.T.tolist()), counts.tolist())),
+                           tree_pmf(k, 40), n)
+    assert stat < chi2_critical(df), (k, stat, df)
+
+
+def test_gta_tree_holds_no_table_quadratic_in_users():
+    # the tree's own data is O(k_max): a call at k_max = 2000 leaves at most
+    # 16 bytes per user behind (per-size step tables would hold 64 MB); the
+    # first call, at 130 users, takes the lazy imports out of the count
+    _gta_tree_batch(np.array([130, 2]), np.random.default_rng(6))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = _gta_tree_batch(np.array([2000, 65, 2, 0]), np.random.default_rng(7))
+        assert out[0][0] >= 3 and out[1][0] >= 1
+        del out
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 16 * 2000, held
+    # chunk tables for g <= 64 only: a byte and two words per size
+    assert sum(t.nbytes for t in (protocols._STRIDE_LOG2, protocols._PAIRS, protocols._LOW)) == 17 * 65
 
 
 def test_gta_single_and_idle():
-    lengths, delivered, errors = tables("gta", GOOD, rng=np.random.default_rng(2))
+    lengths, delivered, errors = tables("gta", GOOD, rng=UnitGainRng(2))
     assert lengths[0, 0] == 1 and delivered[0, 0] == 0
     for single in (0b01, 0b10):
         assert lengths[0, single] == 1 and delivered[0, single] == single
@@ -427,25 +563,39 @@ class TiedRng:
         return self.rng.integers(0, 3, shape) / 4.0
 
 
+def tree_members_of_short_epochs(masks, count, users, rng, kind=None):
+    """Whole masks, except in the epochs where some count falls short: the argsort oracle there."""
+    short = (count < np.bitwise_count(masks)).any(axis=1)
+    taken = masks.copy()
+    taken[short] = tree_members_by_argsort(masks[short], count[short], users, rng, kind)
+    return taken
+
+
 @pytest.mark.parametrize("users", [2, 3, 5, 8])
 def test_tree_members_match_argsort_oracle(users):
     rng = np.random.default_rng(60 + users)
     masks = rng.integers(0, 1 << users, (3000, 6))
     count = rng.integers(0, users + 1, (3000, 6))
+    count[::3] = users                              # whole masks: these epochs draw no ranking
     got_rng, want_rng = np.random.default_rng(61), np.random.default_rng(61)
     got = _tree_members(masks, count, users, got_rng)
     assert got.dtype == np.int64 and got.shape == masks.shape
-    assert np.array_equal(got, tree_members_by_argsort(masks, count, users, want_rng))
+    assert np.array_equal(got, tree_members_of_short_epochs(masks, count, users, want_rng))
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     # ties rank the lower user index first, as a stable sort does (numpy's
     # default argsort need not: with AVX-512, numpy 2.4 reorders ties in rows
     # of four or more); uniform doubles tie with probability about K^2 2^-53
     tied = _tree_members(masks, count, users, TiedRng(62))
-    want = tree_members_by_argsort(masks, count, users, TiedRng(62), kind="stable")
+    want = tree_members_of_short_epochs(masks, count, users, TiedRng(62), kind="stable")
     assert np.array_equal(tied, want)
     # the taken users are members, as many as the count allows
     assert np.all(got & ~masks == 0)
     assert np.array_equal(np.bitwise_count(got), np.minimum(np.bitwise_count(masks), count))
+    # no cell short of its mask: no ranking drawn
+    untouched = np.random.default_rng(63)
+    state = untouched.bit_generator.state
+    assert np.array_equal(_tree_members(masks, np.bitwise_count(masks), users, untouched), masks)
+    assert untouched.bit_generator.state == state
 
 
 def subset_max_epochs_first(demand, users):
