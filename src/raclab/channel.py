@@ -12,15 +12,23 @@ multiple-access mutual information of the subset (white inputs, per-antenna
 power snr/M so each user is received at total SNR ``snr``).  Outage is the
 sole error mechanism; failed rounds are always detected.
 
-One kernel, :func:`_information`, evaluates I_S for a batch of epochs and
-any sequence of subset bitmasks, with one body for every antenna shape.
-Each user's Gram matrix H H^H is a set of rows of epochs (one row of
-power with one receive antenna); the rows of S are its members' rows added
-one by one in index order, and log2 det is the sum of the log2 pivots of
-an LDL^H elimination of I_N + (snr/M) * G_S, whose only pivot with one
-receive antenna is 1 + (snr/M) * power.  Every pivot is at least 1.
+Each user's Gram matrix H H^H is a set of rows of epochs (one row of power
+with one receive antenna); the rows of S are its members' rows added one by
+one in index order, and det(I_N + (snr/M) * G_S) is the product of the
+pivots of an LDL^H elimination, whose only pivot with one receive antenna
+is 1 + (snr/M) * power.  Every pivot is at least 1.  Where a deadline L
+caps the count, as in every estimator and protocol, the decision needs no
+log: S fails after ell rounds iff det < 2^(|S| * rate / ell), and with one
+receive antenna iff its power sum is below (2^(|S| * rate / ell) - 1) * M /
+snr.  :func:`capped_rounds` compares against these thresholds, computed
+once per (|S|, ell), and returns min(rounds needed, L + 1) per subset in
+the smallest unsigned type.  The uncapped round count,
+:func:`batch_first_decodable_round`, reads I_S = log2 det from
+:func:`_information` and rounds up the worst demand |S| * rate / I_S.  Both
+share one tie rule: the rate is shaved by a factor 1 - 1e-12, so a subset
+exactly on its boundary decodes.
 
-A block of channels is what the kernel reads, drawn by the callers with
+A block of channels is what the kernels read, drawn by the callers with
 :func:`_draw_channel` from their own generator streams.  With one receive
 antenna that is each user's received power sum_tx |h|^2, Gamma(tx, 1)
 distributed, as (users, epochs) power rows: no gain is ever drawn.  With
@@ -45,8 +53,9 @@ from .system import AntennaConfig
 # can never be decoded (zero mutual information at a positive rate).
 NEVER = 10**9
 
-# Subset-matrix entries (epochs * subsets * rx^2) per tile of the rx > 1
-# kernel: 1 MiB of pooled entries, about 2 MiB with the tile's temporaries.
+# Subset-matrix entries (epochs * subsets * rx^2, rx = 1 for power rows) per
+# tile of the kernels: 1 MiB of pooled entries, about 2 MiB with the tile's
+# temporaries.
 _TILE_ENTRIES = 1 << 17
 
 
@@ -89,8 +98,8 @@ def _shape(channel: np.ndarray) -> tuple[int, int]:
     return channel.shape[::-1] if channel.ndim == 2 else channel.shape[:2]
 
 
-def _pick_epochs(channel: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The epochs selected by the boolean ``rows`` of a block of channels."""
+def _pick_epochs(channel: np.ndarray, rows) -> np.ndarray:
+    """The epochs selected by the boolean ``rows``, or the slice ``rows``, of a block of channels."""
     return channel[:, rows] if channel.ndim == 2 else channel[rows]
 
 
@@ -132,13 +141,57 @@ def _pooling_plan(subsets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(plan)
 
 
-def _log_det(a: np.ndarray, rx: int, out: np.ndarray) -> None:
-    """log2 det(I + A) of pooled (subsets, rx^2, epochs) Gram rows A, written into ``out``.
+def _tiles(channel: np.ndarray, subsets: int) -> list[slice]:
+    """Consecutive epoch slices of a block of channels, sized for ``subsets`` subsets.
 
-    The sum of the log2 pivots of an LDL^H elimination of the lower triangle,
+    Each holds max(1, _TILE_ENTRIES // (subsets * rx^2)) epochs (power rows
+    count as rx = 1).  A tile's Gram rows, pooled entries and elimination
+    temporaries grow as subsets * rx^2 per epoch, so the working set stays
+    near cache size for every (K, N), and beyond its result a kernel's
+    memory does not grow with the batch.
+    """
+    step = max(1, _TILE_ENTRIES // (subsets * _rx(channel) ** 2))
+    return [slice(start, start + step) for start in range(0, _shape(channel)[0], step)]
+
+
+def _rx(channel: np.ndarray) -> int:
+    """Receive antennas of a block of channels; power rows have one."""
+    return 1 if channel.ndim == 2 else channel.shape[2]
+
+
+def _gram_rows(channel: np.ndarray, tile: slice) -> np.ndarray:
+    """The (users, rx^2, epochs) Gram rows of a tile: a view of power rows, built from gains."""
+    return channel[:, None, tile] if channel.ndim == 2 else _gram_entries(channel[tile])
+
+
+def _pool(rows: np.ndarray, plan, out: np.ndarray | None = None):
+    """Each subset's rows: its members' ``rows`` added in index order, by a :func:`_pooling_plan`.
+
+    Written into ``out``, one row per subset, when it is given.  Otherwise
+    the result is a list in which a one-member subset is its member's rows
+    themselves, not a copy, so it must not be written to.
+    """
+    pooled = [None] * len(plan) if out is None else list(out)
+    for s, adds in enumerate(plan):
+        terms = [pooled[t] if t < len(plan) else rows[t - len(plan)] for t in adds]
+        if len(terms) > 1:
+            pooled[s] = np.add(terms[0], terms[1], out=pooled[s])
+            for term in terms[2:]:
+                pooled[s] += term
+        elif out is None:
+            pooled[s] = terms[0] if terms else np.zeros_like(rows[0])
+        else:
+            pooled[s][...] = terms[0] if terms else 0.0
+    return pooled if out is None else out
+
+
+def _det(a: np.ndarray, rx: int) -> np.ndarray:
+    """det(I + A) of pooled (subsets, rx^2, epochs) Gram rows A, as (subsets, epochs) rows of ``a``.
+
+    The product of the pivots of an LDL^H elimination of the lower triangle,
     in place.  Each pivot leads a Schur complement of I + PSD, again I + PSD,
     so in exact arithmetic it is at least 1 and a subset whose gains are all
-    zero gets exactly 0 bits.  With rx = 1 the only pivot is 1 + A.
+    zero gets exactly 1.  With rx = 1 the only pivot is 1 + A.
     """
     rows, cols = np.tril_indices(rx, -1)
     below = list(zip(rows.tolist(), cols.tolist()))                 # strict lower triangle
@@ -154,9 +207,10 @@ def _log_det(a: np.ndarray, rx: int, out: np.ndarray) -> None:
             for m in range(j + 1, i):                               # A[i, m] -= L[i, j] A[m, j]^*
                 re[i, m] -= lr * re[m, j] + li * im[m, j]
                 im[i, m] -= li * re[m, j] - lr * im[m, j]
-    np.log2(diag[0], out=out)
+    det = diag[0]
     for pivot in diag[1:]:
-        out += np.log2(pivot)
+        det *= pivot
+    return det
 
 
 def _information(channel: np.ndarray, coef: float, subsets) -> np.ndarray:
@@ -166,38 +220,81 @@ def _information(channel: np.ndarray, coef: float, subsets) -> np.ndarray:
     rx, tx) gains, ``subsets`` a sequence of bitmasks (bit i for user i);
     the result is (subsets, epochs).  A subset's rows are its members'
     scaled Gram rows added in index order (:func:`_pooling_plan`), so a sum
-    never depends on the batch shape or the other subsets.  A 1 x 1 Gram is
-    pooled straight into the result, power rows in one pass.  Gains run over
-    tiles of max(1, _TILE_ENTRIES // (subsets * rx^2)) epochs: their Gram
-    rows, the pooled entries and the elimination temporaries grow as
-    subsets * rx^2 per epoch, so the working set stays near cache size for
-    every (K, N), and beyond the result the kernel's memory does not grow
-    with the batch.
+    never depends on the batch shape or the other subsets, and I_S is the
+    log2 of their :func:`_det`, one log2 per subset.  A 1 x 1 Gram is
+    pooled straight into the result.  The epochs run in :func:`_tiles`.
+    Only the uncapped round count, :func:`_first_round`, reads it; the
+    decisions of the estimators and the protocols are :func:`capped_rounds`.
     """
-    n = _shape(channel)[0]
-    rx = 1 if channel.ndim == 2 else channel.shape[2]
     plan = _pooling_plan(tuple(map(int, subsets)))
-    info = np.empty((len(plan), n))
-    step = max(1, n if channel.ndim == 2 else _TILE_ENTRIES // (len(plan) * rx * rx))
-    for start in range(0, n, step):
-        tile = slice(start, start + step)
-        rows = coef * (channel[:, None, tile] if channel.ndim == 2 else _gram_entries(channel[tile]))
-        pooled = info[:, None, tile] if rx == 1 else np.empty((len(plan), rx * rx, rows.shape[2]))
-        terms = [*pooled, *rows]
-        for row, adds in zip(pooled, plan):
-            if len(adds) > 1:
-                np.add(terms[adds[0]], terms[adds[1]], out=row)
-                for t in adds[2:]:
-                    row += terms[t]
-            else:
-                row[...] = terms[adds[0]] if adds else 0.0
-        _log_det(pooled, rx, info[:, tile])
+    rx = _rx(channel)
+    info = np.empty((len(plan), _shape(channel)[0]))
+    for tile in _tiles(channel, len(plan)):
+        rows = coef * _gram_rows(channel, tile)
+        pooled = info[:, None, tile] if rx == 1 else np.empty((len(plan), *rows.shape[1:]))
+        np.log2(_det(_pool(rows, plan, pooled), rx), out=info[:, tile])
     return info
 
 
-def _single_user_info(channel: np.ndarray, snr: float, gain: float, tx: int) -> np.ndarray:
-    """Per-user mutual information as (users, epochs) rows, for a block of channels."""
-    return _information(channel, gain * snr / tx, 1 << np.arange(_shape(channel)[1]))
+def _thresholds(size: int, snr: float, rate: float, tx: int, rx: int, deadline: int) -> list[float]:
+    """The values below which a subset of ``size`` users fails after ell = 1..deadline rounds.
+
+    ell * log2 det(I + (snr/M) G_S) < |S| * R' is det < 2^(|S| R' / ell),
+    and with one receive antenna the power sum P_S < (2^(|S| R' / ell) - 1)
+    * M / snr.  R' = rate * (1 - 1e-12), so a boundary tie decodes, as in
+    :func:`rounds_from_demand`.  A threshold beyond the float range is inf:
+    every finite value fails.  At a positive rate each threshold lies above
+    the value of zero gains (power 0, det 1), so those never decode; a
+    subset of no users at any rate, or any subset at rate <= 0, never fails.
+    """
+    if size == 0 or not rate > 0:
+        return []
+    limits = []
+    for ell in range(1, deadline + 1):
+        bits = size * rate * (1.0 - 1e-12) / ell
+        try:
+            if rx == 1:
+                limits.append(max(math.expm1(bits * math.log(2.0)) * tx / snr, math.ulp(0.0)))
+            else:
+                limits.append(max(2.0**bits, math.nextafter(1.0, 2.0)))
+        except OverflowError:
+            limits.append(math.inf)
+    return limits
+
+
+def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadline: int, subsets) -> np.ndarray:
+    """min(rounds needed, deadline + 1) per subset bitmask S and per epoch, without a log.
+
+    ``channel`` is a block of k users' channels (see :func:`_information`)
+    with ``tx`` transmit antennas and ``subsets`` a sequence of bitmasks;
+    the result is (subsets, epochs) of the smallest unsigned type holding
+    deadline + 1 (uint8 up to deadline 254).  Each entry is 1 plus the
+    number of rounds ell = 1..deadline after which S still fails, by
+    comparison with the per-size :func:`_thresholds`: with one receive
+    antenna against the power sum of S, its members' power rows added in
+    index order (a single member's row is read as drawn), and with N > 1
+    against the :func:`_det` of the scaled pooled Gram rows.  The epochs
+    run in :func:`_tiles`.
+    """
+    masks = tuple(map(int, subsets))
+    plan = _pooling_plan(masks)
+    rx = _rx(channel)
+    out = np.ones((len(plan), _shape(channel)[0]), dtype=np.min_scalar_type(deadline + 1))
+    limits = {size: _thresholds(size, snr, rate, tx, rx, deadline)
+              for size in {m.bit_count() for m in masks}}
+    limits = [limits[m.bit_count()] for m in masks]
+    if not any(limits):
+        return out
+    for tile in _tiles(channel, len(plan)):
+        rows = _gram_rows(channel, tile)
+        if rx == 1:
+            values = _pool(rows[:, 0], plan)
+        else:
+            values = _det(_pool((snr / tx) * rows, plan, np.empty((len(plan), *rows.shape[1:]))), rx)
+        for count, value, bounds in zip(out[:, tile], values, limits):
+            for bound in bounds:
+                count += value < bound
+    return out
 
 
 def subset_demand(channel: np.ndarray, snr: float, rate: float, tx: int) -> np.ndarray:
@@ -208,7 +305,8 @@ def subset_demand(channel: np.ndarray, snr: float, rate: float, tx: int) -> np.n
     s-1 belongs to the subset whose bitmask is s (bit i set for user i).  At
     a positive rate a subset with no mutual information demands inf; at rate
     <= 0 every subset demands 0, so it decodes in one round.  Subset
-    enumeration is exponential in k.
+    enumeration is exponential in k.  The uncapped :func:`_first_round`
+    takes its worst row per tile.
     """
     subsets = range(1, 1 << _shape(channel)[1])
     info = _information(channel, snr / tx, subsets)
@@ -239,9 +337,14 @@ def _first_round(channel: np.ndarray, snr: float, rate: float, tx: int) -> np.nd
 
     All k users of the block are active.  The result is the ceil of the
     worst subset demand |S|*rate / I_S (at least 1), or NEVER if some subset
-    has zero mutual information at a positive rate.
+    has zero mutual information at a positive rate.  The worst demand is
+    taken per tile of :func:`_tiles`, so only it outlives a tile.
     """
-    return rounds_from_demand(subset_demand(channel, snr, rate, tx).max(axis=0))
+    n, k = _shape(channel)
+    worst = np.empty(n)
+    for tile in _tiles(channel, (1 << k) - 1):
+        worst[tile] = subset_demand(_pick_epochs(channel, tile), snr, rate, tx).max(axis=0)
+    return rounds_from_demand(worst)
 
 
 def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> np.ndarray:

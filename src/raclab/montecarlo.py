@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dmt
-from .channel import _draw_channel, _first_round, asymptotic_survival
+from .channel import _draw_channel, asymptotic_survival, capped_rounds
 from .protocols import _bits, _gta_tree_batch, epoch_outcomes
 from .system import IRARQ, AntennaConfig, ProtocolParams, binom_pmf, check_rate, is_count, snr_from_db
 
@@ -153,7 +153,8 @@ def estimate_beta(
     for k in range(1, users + 1):
         def one_chunk(idx, n, k=k):
             rng = np.random.default_rng([seed, _TAG_BETA + k, idx])
-            needed = _first_round(_draw_channel(rng, (n, k, rx, tx)), snr, rate, tx)
+            channel = _draw_channel(rng, (n, k, rx, tx))
+            needed = capped_rounds(channel, snr, rate, tx, deadline, range(1, 1 << k)).max(axis=0)
             return np.array([(needed > ell).sum() for ell in range(1, deadline + 1)])
 
         beta = sum(_map_chunks(one_chunk, sizes, workers)) / trials

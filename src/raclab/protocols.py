@@ -11,11 +11,12 @@ and the bitmasks of delivered and of wrongly decoded packets.
 * IR-ARQ: every participant sends a fresh redundancy block each round and
   the receiver jointly decodes across users and rounds, up to the deadline
   L; at round L an ACK is sent regardless, so failed packets still drain.
-  The rounds S needs are ceil of the worst demand |T|*R / I_T over the
-  nonempty T contained in S.
+  The rounds S needs, capped at L + 1, are the most any nonempty T
+  contained in S needs (:func:`channel.capped_rounds`).
 * O-NDMA: a k-user collision is resolved in exactly k orthogonal slots and
   each message is decoded by a single-user decoder after combining (gain 1,
-  or k with ``matched_combining``).
+  or k with ``matched_combining``): the same decision for one user and one
+  round, with the same tie rule.
 * Tree splitting (GTA): colliding users split fairly; an empty left group
   costs no data slot (membership is known via the perfect control
   channels) and the full group re-collides; a singleton left group gets a
@@ -32,14 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import (
-    _draw_channel,
-    _pick_epochs,
-    _single_user_info,
-    asymptotic_first_decodable_round,
-    rounds_from_demand,
-    subset_demand,
-)
+from .channel import _draw_channel, _pick_epochs, asymptotic_first_decodable_round, capped_rounds
 from .system import GTA, IRARQ, ONDMA, AntennaConfig, ProtocolParams
 
 
@@ -51,17 +45,18 @@ def _bits(flags: np.ndarray) -> np.ndarray:
     return out
 
 
-def _subset_max(demand: np.ndarray, users: int) -> np.ndarray:
-    """Max of (subsets, epochs) ``demand`` over the nonempty subsets of every mask.
+def _subset_max(rows: np.ndarray, users: int) -> np.ndarray:
+    """Max of (subsets, epochs) ``rows`` over the nonempty subsets of every mask.
 
-    The result is (2^users, epochs), row m for mask m; row 0 is 0.
+    The result is (2^users, epochs) of the type of ``rows``, row m for mask
+    m; row 0 is 0.
     """
-    worst = np.empty((1 << users, demand.shape[1]))
-    worst[0] = 0.0
-    worst[1:] = demand
+    worst = np.empty((1 << users, rows.shape[1]), dtype=rows.dtype)
+    worst[0] = 0
+    worst[1:] = rows
     for i in range(users):
         # v[:, 1] are the masks with bit i set, v[:, 0] the same masks without it
-        v = worst.reshape(1 << (users - 1 - i), 2, 1 << i, demand.shape[1])
+        v = worst.reshape(1 << (users - 1 - i), 2, 1 << i, rows.shape[1])
         np.maximum(v[:, 1], v[:, 0], out=v[:, 1])
     return worst
 
@@ -205,8 +200,10 @@ def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, channel, ga
     if snr is None:
         out = asymptotic_first_decodable_round(1, config, params.multiplexing_gain) > 1
         return (1 << config.users) - 1 if out else 0
-    info = _single_user_info(channel, snr, gain, config.tx)
-    return _bits((info < params.rate_at(snr)).T)
+    # one round per user at combining gain ``gain``: the IR-ARQ decision at deadline 1
+    rounds = capped_rounds(channel, gain * snr, params.rate_at(snr), config.tx, 1,
+                           1 << np.arange(config.users))
+    return _bits((rounds > 1).T)
 
 
 def epoch_outcomes(
@@ -247,11 +244,13 @@ def epoch_outcomes(
             ])[sizes]
         else:
             channel = _draw_channel(rng, shape)
-            demand = subset_demand(channel, snr, params.rate_at(snr), config.tx)
-            worst = _subset_max(demand, users)
-            # worst[masks[e, j], e] for every cell, as one flat gather
-            needed = rounds_from_demand(worst.ravel()[masks * n + np.arange(n)[:, None]])
-        lengths = np.minimum(needed, deadline)
+            rounds = capped_rounds(channel, snr, params.rate_at(snr), config.tx, deadline,
+                                   range(1, 1 << users))
+            worst = _subset_max(rounds, users)
+            worst[0] = 1                                 # the idle epoch takes one slot
+            # worst[masks[e, j], e] for every cell, as one flat gather: min(needed, L + 1)
+            needed = worst.ravel()[masks * n + np.arange(n)[:, None]]
+        lengths = np.minimum(needed, deadline, dtype=np.int64)
         errors = np.where(needed > deadline, masks, 0)
 
     elif protocol == ONDMA:

@@ -16,12 +16,15 @@ from raclab import AntennaConfig, ProtocolParams
 from raclab.channel import (
     _TILE_ENTRIES,
     NEVER,
+    _det,
     _draw_channel,
     _draw_gains,
     _first_round,
+    _gram_entries,
     _information,
-    _single_user_info,
+    _shape,
     batch_first_decodable_round,
+    capped_rounds,
     rounds_from_demand,
     subset_demand,
 )
@@ -61,6 +64,16 @@ def joint_outage(gains, active, snr, rate, rounds):
             if rounds * subset_mutual_information(gains, subset, snr) < size * rate:
                 return True
     return False
+
+
+def single_user_info(channel, snr, gain, tx):
+    """Per-user mutual information as (users, epochs) rows of a block of channels.
+
+    The log form of the single-user outage decision: a user is in outage
+    iff its information is below the rate.  The protocols decide by
+    :func:`capped_rounds` instead, with the joint decision's tie rule.
+    """
+    return _information(channel, gain * snr / tx, 1 << np.arange(_shape(channel)[1]))
 
 
 def scalar_gains(powers):
@@ -196,9 +209,9 @@ def test_per_antenna_power_normalisation():
     # log2(1 + 2 * (snr/2)) = log2(1 + snr)
     gains = np.array([[[1.0, 1.0]]], dtype=complex)
     assert subset_mutual_information(gains, [0], 3.0) == pytest.approx(2.0)
-    assert _single_user_info(gains[None], 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
+    assert single_user_info(gains[None], 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
     wide = np.array([[[1.0, 1.0], [0.0, 0.0]]], dtype=complex)    # rx=2: determinant branch
-    assert _single_user_info(wide[None], 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
+    assert single_user_info(wide[None], 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
 
 
 # Relative tolerance of the kernel against the oracle, fixed up front.
@@ -405,18 +418,18 @@ def test_subset_consistency_removing_users():
 
 def test_single_user_outage_examples():
     h = np.ones((1, 1))                                            # one user's unit power row
-    assert not _single_user_info(h, 3.0, 1.0, 1)[0, 0] < 2.0     # boundary decodes
-    assert _single_user_info(h, 3.0, 1.0, 1)[0, 0] < 2.1
+    assert not single_user_info(h, 3.0, 1.0, 1)[0, 0] < 2.0     # boundary decodes
+    assert single_user_info(h, 3.0, 1.0, 1)[0, 0] < 2.1
     # matched combining over 3 slots triples the effective SNR
-    assert not _single_user_info(h, 1.0, 3.0, 1)[0, 0] < 1.9
-    assert _single_user_info(h, 1.0, 1.0, 1)[0, 0] < 1.9
+    assert not single_user_info(h, 1.0, 3.0, 1)[0, 0] < 1.9
+    assert single_user_info(h, 1.0, 1.0, 1)[0, 0] < 1.9
 
 
 def test_single_user_outage_matches_exponential_law():
     rng = np.random.default_rng(23)
     n = 10**6
     for rate, snr in [(1.0, 10.0), (2.0, 3.0)]:
-        info = _single_user_info(_draw_channel(rng, (n, 1, 1, 1)), snr, 1.0, 1)
+        info = single_user_info(_draw_channel(rng, (n, 1, 1, 1)), snr, 1.0, 1)
         freq = float(np.mean(info < rate))
         exact = 1 - math.exp(-(2**rate - 1) / snr)
         assert abs(freq - exact) < 3 * math.sqrt(exact * (1 - exact) / n)
@@ -531,8 +544,8 @@ def test_outcome_table_per_mask_matches_kernel_and_oracle(cfg):
 # The functions below compute the kernel's quantities as (epochs, subsets)
 # arrays in one untiled batch, as bitwise oracles.  Each subset's entries
 # are its members' entries added one by one in index order; the scalar
-# power is |h|^2 by np.abs, and the rx > 1 log det is the same LDL^H
-# elimination.
+# power is |h|^2 by np.abs, and the rx > 1 log det is log2 of the product
+# of the pivots of the same LDL^H elimination.
 
 def member_sums(terms, subsets):
     """Each subset's members' terms added one by one in index order; zeros for no member."""
@@ -576,7 +589,10 @@ def information_epochs_first(gains, coef, subsets):
             for m in range(j + 1, i):
                 re[i, m] -= lr * re[m, j] + li * im[m, j]
                 im[i, m] -= li * re[m, j] - lr * im[m, j]
-    return sum(np.log2(d) for d in diag)
+    det = diag[0]
+    for d in diag[1:]:
+        det = det * d
+    return np.log2(det)
 
 
 def first_round_epochs_first(gains, snr, rate):
@@ -676,7 +692,7 @@ def test_scalar_information_beyond_three_users(k):
             rate *= math.log2(1.0 + snr)
             assert np.array_equal(batch_first_decodable_round(gains, snr, rate),
                                   first_round_epochs_first(gains, snr, rate))
-            got = (_single_user_info(gains, snr, 1.0, 2) < rate).T @ (1 << np.arange(k))
+            got = (single_user_info(gains, snr, 1.0, 2) < rate).T @ (1 << np.arange(k))
             assert np.array_equal(got, outage_bits_epochs_first(gains, snr, rate))
 
 
@@ -707,7 +723,7 @@ def test_single_user_info_is_bitwise_the_identity_mask_kernel(rx):
     gains = _draw_gains(np.random.default_rng(400 + rx), (3000, 3, rx, 2))
     channel = power_rows(gains) if rx == 1 else gains
     for gain in (1.0, 3.0):
-        got = _single_user_info(channel, 7.0, gain, 2)
+        got = single_user_info(channel, 7.0, gain, 2)
         want = information_epochs_first(gains, gain * 7.0 / 2, [1, 2, 4])
         assert got.shape == (3, 3000)
         assert got.T.tobytes() == want.tobytes()
@@ -763,7 +779,7 @@ def test_mimo_epochs_draw_the_gains_stream(protocol, params, cfg):
                     want = batch_first_decodable_round(gains[e : e + 1, members], 2.0, params.rate)
                     assert lengths[e, j] == min(int(want[0]), params.deadline)
     elif protocol == "ondma" and not params.matched_combining:
-        out = _single_user_info(gains, 2.0, 1.0, cfg.tx) < params.rate
+        out = single_user_info(gains, 2.0, 1.0, cfg.tx) < params.rate
         assert np.array_equal(errors, masks & (out.T @ (1 << np.arange(cfg.users)))[:, None])
 
 
@@ -810,3 +826,110 @@ def test_batch_first_decodable_round_on_given_gains_matches_slogdet(k, tx, rx):
             assert got.dtype == np.int64 and np.array_equal(got, want)
             seen.update(got.tolist())
     assert NEVER in seen and len(seen) > 3
+
+
+# ---------------------------------------------------------------------------
+# capped round counts: the threshold decision against the log form
+# ---------------------------------------------------------------------------
+# min(rounds_from_demand(subset_demand(...)), L + 1), per subset, is the log
+# form that capped_rounds replaced in the estimators and the protocols.
+
+def capped_by_demand(channel, snr, rate, tx, deadline):
+    """Every lattice subset's min(ceil of its demand, deadline + 1), as (subsets, epochs)."""
+    return np.minimum(rounds_from_demand(subset_demand(channel, snr, rate, tx)), deadline + 1)
+
+
+@pytest.mark.parametrize("k, tx, rx", [(1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 1, 1), (2, 2, 1), (2, 3, 1),
+                                       (3, 1, 1), (3, 2, 1), (3, 3, 1), (4, 1, 1), (4, 2, 1), (4, 3, 1),
+                                       (5, 1, 1), (5, 2, 1), (5, 3, 1), (3, 2, 2), (4, 2, 4)])
+def test_capped_rounds_are_bitwise_the_capped_demand_rounds(k, tx, rx):
+    n = 2 * tile_epochs(lattice(k), rx) + 17                  # three tiles, the last one short
+    channel = _draw_channel(np.random.default_rng(700 + 16 * k + 4 * tx + rx), (n, k, rx, tx))
+    if rx == 1:
+        channel[0, : n // 8] = 0.0                            # a silent user
+    else:
+        channel[: n // 8, 0] = 0.0
+    seen = set()
+    for snr_db in (0.0, 20.0, 40.0):
+        snr = 10.0 ** (snr_db / 10.0)
+        for r in (0.4, 0.9):
+            rate = r * math.log2(1.0 + snr)
+            for deadline in range(1, 5):
+                got = capped_rounds(channel, snr, rate, tx, deadline, lattice(k))
+                assert got.dtype == np.uint8 and got.shape == (len(lattice(k)), n)
+                want = capped_by_demand(channel, snr, rate, tx, deadline)
+                assert np.array_equal(got, want), (snr_db, r, deadline)
+                seen.update(got.ravel().tolist())
+    assert seen == {1, 2, 3, 4, 5}
+
+
+def test_rate_zero_decodes_in_round_one_at_every_antenna_shape():
+    # h = (1e9, 30) at coefficient 1 is rank one, and its trailing LDL pivot,
+    # 1 + 900 / (1 + 1e18) exactly, rounds to just below 1
+    rank_one = np.array([[[[1e9], [30.0]]]], dtype=complex)
+    pivots = _gram_entries(rank_one)
+    _det(pivots, 2)
+    assert pivots[0, 1, 0] < 1.0
+    assert capped_rounds(rank_one, 1.0, 0.0, 1, 3, [1]).tolist() == [[1]]
+    assert batch_first_decodable_round(rank_one, 1.0, 0.0).tolist() == [1]
+    rng = np.random.default_rng(710)
+    for k, tx, rx in [(2, 1, 1), (3, 2, 1), (2, 1, 2), (3, 2, 2), (4, 2, 4), (2, 1, 3)]:
+        gains = mimo_battery(k, tx, rx, rng)
+        channel = power_rows(gains) if rx == 1 else gains
+        for snr in (1.0, 1e6):
+            assert np.all(capped_rounds(channel, snr, 0.0, tx, 3, lattice(k)) == 1)
+            assert np.all(batch_first_decodable_round(gains, snr, 0.0) == 1)
+
+
+@pytest.mark.parametrize("rx", [1, 2, 4])
+def test_zero_gains_never_decode_at_a_positive_rate(rx):
+    # down to rates whose threshold 2^(|S| R / ell) rounds to 1, and at an
+    # SNR whose power threshold underflows
+    channel = _draw_channel(np.random.default_rng(0), (5, 3, rx, 2)) * 0.0
+    for snr in (1.0, 1e6, 1e300):
+        for rate in (1e-300, 1e-20, 1.0, 30.0):
+            got = capped_rounds(channel, snr, rate, 2, 4, lattice(3))
+            assert np.all(got == 5), (snr, rate)
+            assert np.array_equal(got, capped_by_demand(channel, snr, rate, 2, 4))
+
+
+@pytest.mark.parametrize("k, tx, rx", [(2, 1, 1), (3, 2, 1), (3, 2, 2), (4, 2, 4)])
+def test_a_rate_beyond_the_float_range_survives_every_round(k, tx, rx):
+    # 2^(|S| R / ell) overflows for some or all (|S|, ell): such a threshold
+    # is inf, not an OverflowError, and the counts are those of the log form
+    channel = _draw_channel(np.random.default_rng(720 + k), (300, k, rx, tx))
+    for rate in (1100.0, 3000.0, 1e300):
+        got = capped_rounds(channel, 100.0, rate, tx, 4, lattice(k))
+        assert np.all(got == 5)
+        assert np.array_equal(got, capped_by_demand(channel, 100.0, rate, tx, 4))
+    cfg = AntennaConfig(users=k, tx=tx, rx=rx)
+    table = estimate_beta(cfg, 20.0, 3000.0, 3, trials=200, seed=1)
+    assert np.all(table.values == 1.0)
+    params = ProtocolParams(p_t=1.0, rate=3000.0, deadline=3)
+    masks = np.full((50, 1), (1 << k) - 1)
+    lengths, _, errors = epoch_outcomes("irarq", cfg, params, 100.0, masks, np.random.default_rng(2))
+    assert np.all(lengths == 3) and np.all(errors == masks)
+
+
+def test_capped_rounds_hold_deadlines_beyond_uint8():
+    channel = _draw_channel(np.random.default_rng(730), (4000, 2, 1, 1))
+    for deadline, dtype in ((254, np.uint8), (255, np.uint16), (300, np.uint16)):
+        got = capped_rounds(channel, 1.0, 2.0, 1, deadline, lattice(2))
+        assert got.dtype == dtype
+        assert np.array_equal(got, capped_by_demand(channel, 1.0, 2.0, 1, deadline))
+        assert got.max() == deadline + 1
+
+
+def test_first_round_memory_beyond_result_is_flat_in_epochs():
+    # only the (epochs,) worst demand outlives a tile; the untiled
+    # (subsets, epochs) demand grew about fourfold from 20k to 80k epochs
+    extra = []
+    for epochs in (20_000, 80_000):
+        gains = _draw_gains(np.random.default_rng(57), (epochs, 4, 4, 2))
+        tracemalloc.start()
+        try:
+            rounds = batch_first_decodable_round(gains, 100.0, 2.0)
+            extra.append(tracemalloc.get_traced_memory()[1] - rounds.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert extra[1] < 2 * extra[0]

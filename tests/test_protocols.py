@@ -32,16 +32,17 @@ BOTH = 0b11
 
 
 class UnitGainRng:
-    """Draws every channel as a unit-power one: each single-antenna user's power is 1.
+    """Draws every channel with one power: each single-antenna user's power is ``power``, 1 by default.
 
     The splitting tree's words and rankings come from a seeded generator.
     """
 
-    def __init__(self, seed=0):
+    def __init__(self, seed=0, power=1.0):
         self.rng = np.random.default_rng(seed)
+        self.power = power
 
     def standard_exponential(self, size):
-        return np.ones(size)
+        return np.full(size, self.power)
 
     def integers(self, low, high, size, dtype):
         return self.rng.integers(low, high, size=size, dtype=dtype)
@@ -127,6 +128,26 @@ def test_irarq_asymptotic_mode():
         tables("irarq", ProtocolParams(p_t=1.0, rate=1.0, deadline=2), snr=None)
     with pytest.raises(ValueError):
         tables("irarq", ProtocolParams(p_t=1.0, rate=1.0))
+
+
+@pytest.mark.parametrize("protocol, mask, gain, extra", [
+    ("irarq", 0b01, 1, {"deadline": 1}),
+    ("ondma", BOTH, 1, {}),
+    ("ondma", BOTH, 2, {"matched_combining": True}),
+    ("gta", BOTH, 1, {}),
+], ids=["irarq", "ondma", "ondma-matched", "gta"])
+def test_single_user_power_at_the_threshold_decodes(protocol, mask, gain, extra):
+    # one tie rule for every decision: a power exactly at (2^R - 1) * M / (gain * snr)
+    # decodes; log2(1 + 3 * power) of this one comes out an ulp below R = 0.45
+    snr, rate = 3.0, 0.45
+    power = (2.0**rate - 1.0) / (gain * snr)
+    params = ProtocolParams(p_t=1.0, rate=rate, **extra)
+    masks = np.full((4, 1), mask)
+    lengths, delivered, errors = epoch_outcomes(protocol, SCALAR2, params, snr, masks,
+                                                UnitGainRng(power=power))
+    assert np.all(errors == 0) and np.all(delivered == masks)
+    if protocol == "irarq":
+        assert np.all(lengths == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +639,11 @@ def test_subset_max_matches_epochs_first_oracle(users):
     assert got.shape == (1 << users, 500)
     assert got.T.tobytes() == subset_max_epochs_first(demand, users).tobytes()
     assert _subset_max(np.zeros(((1 << users) - 1, 0)), users).shape == (1 << users, 0)
+    # capped round counts keep their uint8 type and take the same maxima
+    rounds = rng.integers(1, 6, size=demand.shape, dtype=np.uint8)
+    got = _subset_max(np.ascontiguousarray(rounds.T), users)
+    assert got.dtype == np.uint8
+    assert got.T.astype(float).tobytes() == subset_max_epochs_first(rounds.astype(float), users).tobytes()
 
 
 @pytest.mark.parametrize("users", [0, 1, 2, 8, 9, 12])
