@@ -11,6 +11,14 @@ bitwise identical for a given (arguments, seed) no matter how many worker
 threads execute the chunks.  SNR is expressed in dB at this interface and
 converted to linear internally; ``snr_db=None`` selects the infinite-SNR
 limit in which decoding outcomes are deterministic indicator thresholds.
+
+Within a chunk, the fully-loaded estimators draw the participation coins
+tile by tile and the protocol's randomness whole
+(:func:`protocols._outcome_tiles`), then count each tile of epoch outcomes
+as it is evaluated; ``gta_collision_stats`` runs the splitting tree on
+consecutive tiles of its epochs.  The counts are integers, added exactly,
+so the tile size changes no estimate, and beyond the chunk's coins,
+channels and splitting tree no working array grows with the chunk.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import numpy as np
 
 from . import dmt
 from .channel import _draw_channel, asymptotic_survival, capped_rounds
-from .protocols import _bits, _gta_tree_batch, epoch_outcomes
+from .protocols import _bits, _epoch_tiles, _gta_tree_batch, _outcome_tiles
 from .system import IRARQ, AntennaConfig, ProtocolParams, binom_pmf, check_rate, is_count, snr_from_db
 
 DEFAULT_CHUNK = 1 << 18
@@ -103,9 +111,16 @@ class BetaTable:
         )
 
 
-def _chunk_plan(total: int, chunk: int) -> list[int]:
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
+def _check_counts(**counts) -> None:
+    """Raise ValueError unless every value is an integer >= 1 (not a bool)."""
+    for name, value in counts.items():
+        if not is_count(value):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _chunk_plan(name: str, total: int, chunk: int) -> list[int]:
+    """Chunk sizes for ``total`` items, called ``name`` in errors: whole chunks, then the rest."""
+    _check_counts(**{name: total, "chunk": chunk})
     sizes = [chunk] * (total // chunk)
     if total % chunk:
         sizes.append(total % chunk)
@@ -139,8 +154,7 @@ def estimate_beta(
     is located, and every earlier round counts as a survival.  The derived
     exactly-at-round view is available as :meth:`BetaTable.alpha`.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    sizes = _chunk_plan("trials", trials, chunk)
     if not is_count(deadline):
         raise ValueError("deadline must be an integer >= 1")
     check_rate("rate", rate)
@@ -148,7 +162,6 @@ def estimate_beta(
     users, rx, tx = config.users, config.rx, config.tx
     values = np.ones((users, deadline + 1))
     stderr = np.zeros((users, deadline + 1))
-    sizes = _chunk_plan(trials, chunk)
 
     for k in range(1, users + 1):
         def one_chunk(idx, n, k=k):
@@ -178,16 +191,20 @@ def _fully_loaded_epochs(
     n: int,
     rng: np.random.Generator,
 ):
-    """n back-to-back epochs of always-backlogged users, each at its coin mask.
+    """n back-to-back epochs of always-backlogged users, each at its coin mask, tile by tile.
 
-    The generator is consumed in a fixed order (participation coins, then
-    the protocol's draws), so runs with the same seed share channel
-    realisations across deadlines and SNR points.  Returns the coin masks
-    and the epochs' (lengths, delivered, errors), each of shape (n,).
+    The generator is consumed in a fixed order (participation coins, drawn
+    tile by tile, which is the stream of one whole draw, then the protocol's
+    draws), so runs with the same seed share channel realisations across
+    deadlines and SNR points.  Yields, per tile of :func:`_epoch_tiles`, the
+    coin masks and the epochs' (lengths, delivered, errors), each of shape
+    (epochs of the tile,).
     """
-    coins = _bits(rng.random((n, config.users)) < params.p_t)
-    outcomes = epoch_outcomes(protocol, config, params, snr, coins[:, None], rng)
-    return (coins, *(x[:, 0] for x in outcomes))
+    coins = np.empty((n, 1), dtype=np.int64)
+    for tile in _epoch_tiles(n):
+        coins[tile, 0] = _bits(rng.random((tile.stop - tile.start, config.users)) < params.p_t)
+    for tile, *outcomes in _outcome_tiles(protocol, config, params, snr, coins, rng):
+        yield coins[tile, 0], *(x[:, 0] for x in outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +241,18 @@ def system_error_probability(
     never exceeds the system count, which never exceeds the per-user sum.
     Both hold pathwise, so the check is exact, not statistical.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    sizes = _chunk_plan("trials", trials, chunk)
     snr = None if snr_db is None else snr_from_db(snr_db)
-    sizes = _chunk_plan(trials, chunk)
 
     def one_chunk(idx, n):
         rng = np.random.default_rng([seed, _TAG_ERROR, idx])
-        coins, _, _, errors = _fully_loaded_epochs(protocol, config, params, snr, n, rng)
-        return (
-            int(np.count_nonzero(coins)),
-            int(np.count_nonzero(errors)),
-            np.array([np.count_nonzero(errors >> u & 1) for u in range(config.users)]),
-        )
+        nonidle = errors = 0
+        per_user = np.zeros(config.users, dtype=np.int64)
+        for coins, _, _, erred in _fully_loaded_epochs(protocol, config, params, snr, n, rng):
+            nonidle += int(np.count_nonzero(coins))
+            errors += int(np.count_nonzero(erred))
+            per_user += [np.count_nonzero(erred >> u & 1) for u in range(config.users)]
+        return nonidle, errors, per_user
 
     partials = _map_chunks(one_chunk, sizes, workers)
     nonidle = sum(p[0] for p in partials)
@@ -294,28 +310,26 @@ def fully_loaded_throughput(
     The standard error follows the delta method for the ratio of means of
     per-epoch (delivered, length) pairs.
     """
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
+    _check_counts(slots=slots, chunk=chunk)
     snr = None if snr_db is None else snr_from_db(snr_db)
-    n = int(min(chunk, max(1024, slots)))
+    n = min(chunk, max(1024, slots))
 
     def one_chunk(idx):
         rng = np.random.default_rng([seed, _TAG_THROUGHPUT, idx])
-        _, lengths, delivered, _ = _fully_loaded_epochs(protocol, config, params, snr, n, rng)
-        w = np.bitwise_count(delivered).astype(float)
-        ell = lengths.astype(float)
-        return w.sum(), ell.sum(), (w * w).sum(), (ell * ell).sum(), (w * ell).sum()
+        sums = np.zeros(5, dtype=np.int64)
+        for _, ell, delivered, _ in _fully_loaded_epochs(protocol, config, params, snr, n, rng):
+            w = np.bitwise_count(delivered).astype(np.int64)
+            sums += [w.sum(), ell.sum(), (w * w).sum(), (ell * ell).sum(), (w * ell).sum()]
+        return sums
 
-    sums = np.zeros(5)  # W, L, WW, LL, WL
+    sums = np.zeros(5, dtype=np.int64)  # W, L, WW, LL, WL, exact
     epochs = 0
     idx = 0
     while sums[1] < slots:
         sums += one_chunk(idx)
         epochs += n
         idx += 1
-    w_sum, l_sum, ww, ll, wl = sums
+    w_sum, l_sum, ww, ll, wl = sums.astype(float)
     ratio = w_sum / l_sum
     mean_l = l_sum / epochs
     var_w = ww / epochs - (w_sum / epochs) ** 2
@@ -367,24 +381,19 @@ def gta_collision_stats(k: int, epochs: int, seed: int, chunk: int = DEFAULT_CHU
     Returns (mean_length, se_length, mean_delivered, se_delivered); the
     Monte Carlo counterpart of the exact splitting-tree recursions.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    sizes = _chunk_plan(epochs, chunk)
+    _check_counts(k=k)
+    sizes = _chunk_plan("epochs", epochs, chunk)
 
     def one_chunk(idx, n):
         rng = np.random.default_rng([seed, _TAG_GTA_STATS, idx])
-        lengths, delivered = _gta_tree_batch(np.full(n, k, dtype=np.int64), rng)
-        lf = lengths.astype(float)
-        df = delivered.astype(float)
-        return lf.sum(), (lf**2).sum(), df.sum(), (df**2).sum()
+        sums = np.zeros(4, dtype=np.int64)
+        # every epoch collides (k >= 2), so tiles of epochs are the tree's own tiles
+        for tile in _epoch_tiles(n):
+            ell, w = _gta_tree_batch(np.full(tile.stop - tile.start, k, dtype=np.int64), rng)
+            sums += [ell.sum(), (ell * ell).sum(), w.sum(), (w * w).sum()]
+        return sums
 
-    partials = _map_chunks(one_chunk, sizes, workers)
-    l1 = sum(p[0] for p in partials)
-    l2 = sum(p[1] for p in partials)
-    d1 = sum(p[2] for p in partials)
-    d2 = sum(p[3] for p in partials)
+    l1, l2, d1, d2 = sum(_map_chunks(one_chunk, sizes, workers)).astype(float)
     mean_l = l1 / epochs
     mean_d = d1 / epochs
     se_l = math.sqrt(max(l2 / epochs - mean_l**2, 0.0) / epochs)

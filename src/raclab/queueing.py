@@ -34,12 +34,11 @@ import numpy as np
 
 from . import dmt
 from .montecarlo import BetaTable
-from .protocols import _bits, epoch_outcomes
+from .protocols import _bits, _tile_epochs, epoch_outcomes
 from .system import IRARQ, AntennaConfig, ProtocolParams, snr_from_db
 
 STABILITY_SLOPE_EPS = 1e-3   # packets/slot; backlog-trend threshold
 WARMUP_FRACTION = 0.2        # leading slots excluded from delay statistics
-_TABLE_ENTRIES = 1 << 14     # epochs per outcome-table block times 2^K
 _ARRIVAL_BLOCK_SLOTS = 1 << 12
 # The simulator evaluates every epoch at all 2^K participant sets; beyond
 # this many users that stops being cheap.
@@ -210,7 +209,7 @@ def simulate_random_arrivals(
     rate_per_user = total_rate / config.users
     users = range(config.users)
     everyone = (1 << config.users) - 1
-    block = max(1, _TABLE_ENTRIES >> config.users)
+    block = _tile_epochs(1 << config.users)     # one tile of the engine per block
     all_sets = np.broadcast_to(np.arange(1 << config.users), (block, 1 << config.users))
     warmup_time = WARMUP_FRACTION * horizon_slots
 

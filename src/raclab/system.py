@@ -30,8 +30,18 @@ def check_rate(name: str, value: float) -> None:
 
 
 def snr_from_db(snr_db: float) -> float:
-    """dB to linear power ratio."""
-    return 10.0 ** (snr_db / 10.0)
+    """dB to linear power ratio; ValueError unless it is finite and positive.
+
+    nan, +-inf and any dB whose linear value overflows (or underflows to 0)
+    are rejected: no decision is meaningful there.
+    """
+    try:
+        snr = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        snr = math.inf
+    if not 0.0 < snr < math.inf:
+        raise ValueError(f"SNR must be finite in dB and in linear scale, got {snr_db!r} dB")
+    return snr
 
 
 @dataclass(frozen=True)

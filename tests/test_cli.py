@@ -131,7 +131,7 @@ def test_config_file_with_overrides(tmp_path):
     assert {r[2] for r in rows} == {"ondma"}
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, capsys):
     # arrival rate outside [0, K]
     assert main(["delay", "--lambda", "5.0", "--seed", "1"]) == 2
     # simulation without a seed
@@ -158,6 +158,13 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["dmt", "--pt", "0"]) == 2
     assert main(["beta", "--workers", "0", "--trials", "100", "--seed", "1"]) == 2
     assert main(["beta", "--workers", "-1", "--trials", "100", "--seed", "1"]) == 2
+    # an SNR that is nan or overflows in linear scale: one line, no traceback
+    capsys.readouterr()
+    for snr_db in ("nan", "4000"):
+        assert main(["pe", "--snr-db", snr_db, "--seed", "1", "--protocol", "irarq",
+                     "--deadline", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
     # config values of the wrong type, and a config that is not an object
     for bad in ({"trials": "100"}, {"lambda": 0.5}, [1, 2], {"seed": "7"},
                 {"users": True}, {"deadline": 2}, {"snr_db": [10, "20"]}):

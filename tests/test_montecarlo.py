@@ -16,6 +16,8 @@ from raclab import (
     fully_loaded_throughput,
     gta_recursion,
     renewal_prediction,
+    simulate_random_arrivals,
+    snr_from_db,
     system_error_probability,
 )
 from raclab.montecarlo import gta_collision_stats
@@ -325,3 +327,50 @@ def test_worker_count_must_be_positive(workers):
                 lambda: gta_collision_stats(3, 100, seed=1, workers=workers)):
         with pytest.raises(ValueError, match="workers"):
             run()
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 4000.0, -4000.0, np.float64(4000.0)],
+                         ids=["nan", "inf", "-inf", "overflow", "underflow", "np-overflow"])
+def test_non_finite_snr_fails_loudly(snr_db):
+    # unchecked, nan gave pe = 0 and an all-zero beta table, 4000 dB an OverflowError
+    with pytest.raises(ValueError, match="SNR"):
+        snr_from_db(snr_db)
+    params = ProtocolParams(p_t=1.0, multiplexing_gain=0.45, deadline=2)
+    for run in (lambda: estimate_beta(SCALAR2, snr_db, 1.0, 2, trials=100, seed=1),
+                lambda: system_error_probability("irarq", SCALAR2, params, snr_db, 100, seed=1),
+                lambda: fully_loaded_throughput("ondma", SCALAR2, params, snr_db, 100, seed=1),
+                lambda: simulate_random_arrivals("gta", SCALAR2, params, 0.3, snr_db, 100, seed=1)):
+        with pytest.raises(ValueError, match="SNR"):
+            run()
+
+
+def test_finite_snr_converts_as_before():
+    for snr_db in (-300.0, -3.0, 0.0, 10.0, 23.3, 3080.0):
+        assert snr_from_db(snr_db) == 10.0 ** (snr_db / 10.0)
+    assert snr_from_db(np.float64(23.3)) == 10.0 ** (np.float64(23.3) / 10.0)
+
+
+ERROR_PARAMS = ProtocolParams(p_t=1.0, rate=1.0, deadline=2)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: gta_collision_stats(2.5, 100, seed=1),
+    lambda: gta_collision_stats(True, 100, seed=1),
+    lambda: gta_collision_stats(3, 100.0, seed=1),
+    lambda: gta_collision_stats(3, 100, seed=1, chunk=2.5),
+    lambda: fully_loaded_throughput("ondma", SCALAR2, ERROR_PARAMS, 10.0, slots=100, seed=1, chunk=2.5),
+    lambda: fully_loaded_throughput("ondma", SCALAR2, ERROR_PARAMS, 10.0, slots=100.5, seed=1),
+    lambda: system_error_probability("irarq", SCALAR2, ERROR_PARAMS, 10.0, True, seed=1),
+    lambda: system_error_probability("irarq", SCALAR2, ERROR_PARAMS, 10.0, 1.5, seed=1),
+    lambda: system_error_probability("irarq", SCALAR2, ERROR_PARAMS, 10.0, 100, seed=1, chunk=2.5),
+    lambda: estimate_beta(SCALAR2, 10.0, 1.0, 2, trials=True, seed=1),
+    lambda: estimate_beta(SCALAR2, 10.0, 1.0, 2, trials=1.5, seed=1),
+    lambda: estimate_beta(SCALAR2, 10.0, 1.0, 2, trials=100, seed=1, chunk=64.0),
+], ids=["tree-k-float", "tree-k-bool", "tree-epochs-float", "tree-chunk-float",
+        "throughput-chunk-float", "throughput-slots-float", "pe-trials-bool", "pe-trials-float",
+        "pe-chunk-float", "beta-trials-bool", "beta-trials-float", "beta-chunk-float"])
+def test_counts_must_be_integers(run):
+    # unchecked, k = 2.5 simulated k = 2, chunk = 2.5 ran chunks of 2,
+    # trials = True ran one trial and trials = 1.5 died with a TypeError
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        run()

@@ -15,11 +15,13 @@ from raclab import (
     gta_recursion,
     simulate_random_arrivals,
 )
-from raclab import protocols
-from raclab.montecarlo import gta_collision_stats, system_error_probability
+from raclab import montecarlo, protocols
+from raclab.channel import _draw_channel, _pick_epochs, asymptotic_first_decodable_round, capped_rounds
+from raclab.montecarlo import fully_loaded_throughput, gta_collision_stats, system_error_probability
 from raclab.protocols import (
     _bits,
     _gta_tree_batch,
+    _outage_bits,
     _split,
     _subset_max,
     _tree_members,
@@ -219,7 +221,7 @@ def test_gta_scripted_words_whose_chunks_all_recollide():
     lengths, delivered = _gta_tree_batch(np.array([2, 3, 65, 2]), ScriptedTreeRng(steps))
     assert lengths.tolist() == [1 + 32 + 2, 1 + 16 + 2 + 2, 1 + 1 + 1 + 2, 3]
     assert delivered.tolist() == [2, 3, 2, 2]
-    want = tree_by_chunks(np.array([2, 3, 65, 2]), ScriptedTreeRng(steps), protocols._TREE_TILE)
+    want = tree_by_chunks(np.array([2, 3, 65, 2]), ScriptedTreeRng(steps), protocols._TILE)
     assert [x.tolist() for x in want] == [lengths.tolist(), delivered.tolist()]
 
 
@@ -267,8 +269,8 @@ def test_gta_tree_matches_mask_oracle(k_max, monkeypatch):
     seeds = np.random.default_rng(k_max).integers(1 << 30, size=2)
     mixed = np.random.default_rng(seeds[0]).integers(0, k_max + 1, 5000)
     # one tile, then tiles of 777 colliding epochs
-    for tile in (protocols._TREE_TILE, 777):
-        monkeypatch.setattr(protocols, "_TREE_TILE", tile)
+    for tile in (protocols._TILE, 777):
+        monkeypatch.setattr(protocols, "_TILE", tile)
         for k_init in (np.full(5000, k_max), mixed):
             rngs = [np.random.default_rng(seeds[1]) for _ in range(2)]
             got = _gta_tree_batch(k_init, rngs[0])
@@ -653,3 +655,186 @@ def test_bits_match_matmul(users):
     for layout in (flags, np.asfortranarray(flags)):
         got = _bits(layout)
         assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# tiled evaluation against the whole-block engine it replaced
+# ---------------------------------------------------------------------------
+
+def outcomes_whole_block(protocol, config, params, snr, masks, rng):
+    """The single whole-block pass the tiled engine replaced, kept as its bitwise oracle."""
+    users, n = config.users, masks.shape[0]
+    shape = (n, users, config.rx, config.tx)
+    sizes = np.bitwise_count(masks).astype(np.int64)
+    delivered = masks
+    if protocol == "irarq":
+        deadline = params.deadline
+        if snr is None:
+            needed = np.array([1] + [asymptotic_first_decodable_round(k, config, params.multiplexing_gain)
+                                     for k in range(1, users + 1)])[sizes]
+        else:
+            channel = _draw_channel(rng, shape)
+            rounds = capped_rounds(channel, snr, params.rate_at(snr), config.tx, deadline,
+                                   range(1, 1 << users))
+            worst = _subset_max(rounds, users)
+            worst[0] = 1
+            needed = worst.ravel()[masks * n + np.arange(n)[:, None]]
+        lengths = np.minimum(needed, deadline, dtype=np.int64)
+        errors = np.where(needed > deadline, masks, 0)
+    elif protocol == "ondma":
+        lengths = np.maximum(sizes, 1)
+        channel = None if snr is None else _draw_channel(rng, shape)
+        if snr is not None and params.matched_combining:
+            by_size = np.zeros((n, users + 1), dtype=np.int64)
+            for k in range(1, users + 1):
+                rows = (sizes == k).any(axis=1)
+                by_size[rows, k] = _outage_bits(config, params, snr, _pick_epochs(channel, rows), float(k))
+            out = np.take_along_axis(by_size, sizes, axis=1)
+        else:
+            out = np.reshape(_outage_bits(config, params, snr, channel, 1.0), (-1, 1))
+        errors = masks & out
+    else:
+        tree_len, tree_del = _gta_tree_batch(sizes.ravel(), rng)
+        lengths = tree_len.reshape(masks.shape)
+        delivered = _tree_members(masks, tree_del.reshape(masks.shape), users, rng)
+        channel = None if snr is None else _draw_channel(rng, shape)
+        errors = delivered & np.reshape(_outage_bits(config, params, snr, channel, 1.0), (-1, 1))
+    return lengths, delivered, errors
+
+
+def fully_loaded_whole_chunk(protocol, config, params, snr, n, rng):
+    """Coin masks and outcomes of n fully-loaded epochs, each drawn and evaluated whole."""
+    coins = _bits(rng.random((n, config.users)) < params.p_t)
+    outcomes = outcomes_whole_block(protocol, config, params, snr, coins[:, None], rng)
+    return (coins, *(x[:, 0] for x in outcomes))
+
+
+def whole_chunk_error(protocol, config, params, snr, trials, seed, chunk):
+    """(value, per_user, nonidle) of ``system_error_probability`` from whole chunks, as before."""
+    nonidle = errors = per_user = 0
+    for idx, n in enumerate(montecarlo._chunk_plan("trials", trials, chunk)):
+        rng = np.random.default_rng([seed, montecarlo._TAG_ERROR, idx])
+        coins, _, _, erred = fully_loaded_whole_chunk(protocol, config, params, snr, n, rng)
+        nonidle += int(np.count_nonzero(coins))
+        errors += int(np.count_nonzero(erred))
+        per_user = per_user + np.array([np.count_nonzero(erred >> u & 1) for u in range(config.users)])
+    return errors / nonidle, per_user / nonidle, nonidle
+
+
+def whole_chunk_throughput(protocol, config, params, snr, slots, seed, chunk):
+    """(per_rate, stderr, slots, epochs) of ``fully_loaded_throughput`` from float sums
+    over whole chunks, as before."""
+    n = min(chunk, max(1024, slots))
+    sums, epochs, idx = np.zeros(5), 0, 0
+    while sums[1] < slots:
+        rng = np.random.default_rng([seed, montecarlo._TAG_THROUGHPUT, idx])
+        _, lengths, delivered, _ = fully_loaded_whole_chunk(protocol, config, params, snr, n, rng)
+        w, ell = np.bitwise_count(delivered).astype(float), lengths.astype(float)
+        sums += w.sum(), ell.sum(), (w * w).sum(), (ell * ell).sum(), (w * ell).sum()
+        epochs, idx = epochs + n, idx + 1
+    w_sum, l_sum, ww, ll, wl = sums
+    ratio, mean_l = w_sum / l_sum, l_sum / epochs
+    cov = wl / epochs - (w_sum / epochs) * mean_l
+    var = (ww / epochs - (w_sum / epochs) ** 2 - 2 * ratio * cov
+           + ratio**2 * (ll / epochs - mean_l**2)) / (epochs * mean_l**2)
+    return ratio, math.sqrt(max(var, 0.0)), int(l_sum), epochs
+
+
+def whole_chunk_tree_stats(k, epochs, seed, chunk):
+    """``gta_collision_stats`` from one tree call and float sums per chunk, as before."""
+    sums = np.zeros(4)
+    for idx, n in enumerate(montecarlo._chunk_plan("epochs", epochs, chunk)):
+        rng = np.random.default_rng([seed, montecarlo._TAG_GTA_STATS, idx])
+        lf, df = (x.astype(float) for x in _gta_tree_batch(np.full(n, k), rng))
+        sums += lf.sum(), (lf**2).sum(), df.sum(), (df**2).sum()
+    mean_l, mean_d = sums[0] / epochs, sums[2] / epochs
+    return (mean_l, math.sqrt(max(sums[1] / epochs - mean_l**2, 0.0) / epochs),
+            mean_d, math.sqrt(max(sums[3] / epochs - mean_d**2, 0.0) / epochs))
+
+
+def bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# tile sizes with the epochs, slots and chunk that give each several tiles and chunks
+TILINGS = {"default": (None, 40_000, 1 << 15), "777": (777, 3000, 2048), "1": (1, 120, 64)}
+
+
+@pytest.mark.parametrize("tiling", TILINGS)
+@pytest.mark.parametrize("snr_db", [10.0, None], ids=["10dB", "inf"])
+@pytest.mark.parametrize("p_t", [0.7, 1.0])
+@pytest.mark.parametrize("users", [2, 3, 5])
+@pytest.mark.parametrize("protocol", ["irarq", "ondma", "gta"])
+def test_tiled_estimators_match_whole_chunk_oracle(protocol, users, p_t, snr_db, tiling, monkeypatch):
+    tile, trials, chunk = TILINGS[tiling]
+    if tile is not None:
+        monkeypatch.setattr(protocols, "_TILE", tile)
+    config = AntennaConfig(users=users)
+    snr = None if snr_db is None else 10.0 ** (snr_db / 10.0)
+    variants = ([{"deadline": L} for L in (1, 2, 3)] if protocol == "irarq" else
+                [{}, {"matched_combining": True}] if protocol == "ondma" else [{}])
+    for extra in variants:
+        params = ProtocolParams(p_t=p_t, multiplexing_gain=0.4, **extra)
+        seed = 90 + users
+        est = system_error_probability(protocol, config, params, snr_db, trials, seed, chunk=chunk)
+        value, per_user, nonidle = whole_chunk_error(protocol, config, params, snr, trials, seed, chunk)
+        assert bitwise(est.value, value) and bitwise(est.per_user, per_user)
+        assert est.nonidle == nonidle
+        thr = fully_loaded_throughput(protocol, config, params, snr_db, trials, seed, chunk=chunk)
+        got = (thr.per_rate, thr.per_rate_stderr, thr.slots, thr.epochs)
+        want = whole_chunk_throughput(protocol, config, params, snr, trials, seed, chunk)
+        assert all(bitwise(a, b) for a, b in zip(got, want, strict=True)), (got, want)
+
+
+@pytest.mark.parametrize("tiling", TILINGS)
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_tiled_tree_stats_match_whole_chunk_oracle(k, tiling, monkeypatch):
+    # every epoch collides, so tiles of epochs are the tree's own tiles
+    tile, epochs, chunk = TILINGS[tiling]
+    if tile is not None:
+        monkeypatch.setattr(protocols, "_TILE", tile)
+    got = gta_collision_stats(k, epochs, seed=20 + k, chunk=chunk)
+    want = whole_chunk_tree_stats(k, epochs, 20 + k, chunk)
+    assert all(bitwise(a, b) for a, b in zip(got, want, strict=True)), (got, want)
+
+
+@pytest.mark.parametrize("tile", [None, 777, 1])
+@pytest.mark.parametrize("protocol", ["irarq", "ondma", "gta"])
+def test_epoch_outcomes_match_whole_block_oracle(protocol, tile, monkeypatch):
+    # the queue's layout (every epoch at all 2^K sets) and the estimators'
+    # (one set per epoch), scalar and 2x2, at finite and infinite SNR
+    if tile is not None:
+        monkeypatch.setattr(protocols, "_TILE", tile)
+    n = 300 if tile == 1 else 3000
+    for config in (AntennaConfig(users=3), AntennaConfig(users=3, tx=2, rx=2)):
+        all_sets = np.broadcast_to(np.arange(8), (n, 8))
+        coins = np.random.default_rng(3).integers(0, 8, (n, 1))
+        for masks in (all_sets, coins):
+            for snr, extra in ((2.0, {}), (2.0, {"matched_combining": True}), (None, {})):
+                params = ProtocolParams(p_t=1.0, multiplexing_gain=0.6, deadline=2, **extra)
+                rngs = [np.random.default_rng(4) for _ in range(2)]
+                got = epoch_outcomes(protocol, config, params, snr, masks, rngs[0])
+                want = outcomes_whole_block(protocol, config, params, snr, masks, rngs[1])
+                for a, b in zip(got, want, strict=True):
+                    assert a.dtype == np.int64 and np.array_equal(a, b)
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("protocol", ["irarq", "ondma"])
+def test_error_probability_memory_does_not_grow_with_the_chunk(protocol):
+    # beyond the chunk's coin masks (8 bytes per epoch) and power rows (8 per
+    # user and epoch), a call's traced peak is its tiles' working set: equal
+    # at 2^16 and 2^18 epochs within 64 KiB, a bound fixed before the first run
+    params = ProtocolParams(p_t=0.7, multiplexing_gain=0.45, deadline=2)
+    system_error_probability(protocol, SCALAR2, params, 20.0, 1 << 12, seed=1)
+    peaks = []
+    for n in (1 << 16, 1 << 18):
+        tracemalloc.start()
+        try:
+            system_error_probability(protocol, SCALAR2, params, 20.0, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - n * 8 * (SCALAR2.users + 1))
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks

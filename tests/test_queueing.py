@@ -19,7 +19,7 @@ from raclab import (
     solve_transmission_probability,
     stability_boundary_scan,
 )
-from raclab import queueing
+from raclab import protocols, queueing
 from raclab.channel import batch_first_decodable_round
 from raclab.protocols import _bits, epoch_outcomes
 from raclab.system import binom_pmf
@@ -313,7 +313,7 @@ def simulate_by_stamp_lists(protocol, config, params, total_rate, snr_db, horizo
     snr = None if snr_db is None else 10 ** (snr_db / 10)
     rate_per_user = total_rate / config.users
     users = range(config.users)
-    block = max(1, queueing._TABLE_ENTRIES >> config.users)
+    block = max(1, protocols._TILE >> config.users)
     all_sets = np.broadcast_to(np.arange(1 << config.users), (block, 1 << config.users))
     warmup_time = queueing.WARMUP_FRACTION * horizon_slots
     stamps = [[] for _ in users]
