@@ -155,8 +155,7 @@ def estimate_beta(
     exactly-at-round view is available as :meth:`BetaTable.alpha`.
     """
     sizes = _chunk_plan("trials", trials, chunk)
-    if not is_count(deadline):
-        raise ValueError("deadline must be an integer >= 1")
+    _check_counts(deadline=deadline)
     check_rate("rate", rate)
     snr = snr_from_db(snr_db)
     users, rx, tx = config.users, config.rx, config.tx

@@ -329,8 +329,12 @@ def epoch_outcomes(
     not depend on the masks it is evaluated at.  The tiles of
     :func:`_outcome_tiles`, gathered.
     """
+    tiles = list(_outcome_tiles(protocol, config, params, snr, masks, rng))
+    if len(tiles) == 1:
+        # a queue block is one tile: returned as evaluated, with no fresh pages for a copy
+        return tuple(tiles[0][1:])
     out = np.empty((3, *masks.shape), dtype=np.int64)
-    for tile, *outcomes in _outcome_tiles(protocol, config, params, snr, masks, rng):
+    for tile, *outcomes in tiles:
         for whole, part in zip(out, outcomes):
             whole[tile] = part
     return tuple(out)
