@@ -22,11 +22,11 @@ log: S fails after ell rounds iff det < 2^(|S| * rate / ell), and with one
 receive antenna iff its power sum is below (2^(|S| * rate / ell) - 1) * M /
 snr.  :func:`capped_rounds` compares against these thresholds, computed
 once per (|S|, ell), and returns min(rounds needed, L + 1) per subset in
-the smallest unsigned type.  The uncapped round count,
-:func:`batch_first_decodable_round`, reads I_S = log2 det from
-:func:`_information` and rounds up the worst demand |S| * rate / I_S.  Both
-share one tie rule: the rate is shaved by a factor 1 - 1e-12, so a subset
-exactly on its boundary decodes.
+the smallest unsigned type.  The uncapped count of the benchmark's slogdet
+check, :func:`batch_first_decodable_round`, rounds up the worst demand
+|S| * rate / I_S with I_S = log2 det.  Both share one tie rule: the rate
+is shaved by a factor 1 - 1e-12, so a subset exactly on its boundary
+decodes.
 
 A block of channels is what the kernels read, drawn by the callers with
 :func:`_draw_channel` from their own generator streams.  With one receive
@@ -213,39 +213,16 @@ def _det(a: np.ndarray, rx: int) -> np.ndarray:
     return det
 
 
-def _information(channel: np.ndarray, coef: float, subsets) -> np.ndarray:
-    """log2 det(I_N + coef * sum_{i in S} H_i H_i^H) per subset bitmask S and per epoch.
-
-    ``channel`` is (k, epochs) power rows (the 1 x 1 Gram) or (epochs, k,
-    rx, tx) gains, ``subsets`` a sequence of bitmasks (bit i for user i);
-    the result is (subsets, epochs).  A subset's rows are its members'
-    scaled Gram rows added in index order (:func:`_pooling_plan`), so a sum
-    never depends on the batch shape or the other subsets, and I_S is the
-    log2 of their :func:`_det`, one log2 per subset.  A 1 x 1 Gram is
-    pooled straight into the result.  The epochs run in :func:`_tiles`.
-    Only the uncapped round count, :func:`_first_round`, reads it; the
-    decisions of the estimators and the protocols are :func:`capped_rounds`.
-    """
-    plan = _pooling_plan(tuple(map(int, subsets)))
-    rx = _rx(channel)
-    info = np.empty((len(plan), _shape(channel)[0]))
-    for tile in _tiles(channel, len(plan)):
-        rows = coef * _gram_rows(channel, tile)
-        pooled = info[:, None, tile] if rx == 1 else np.empty((len(plan), *rows.shape[1:]))
-        np.log2(_det(_pool(rows, plan, pooled), rx), out=info[:, tile])
-    return info
-
-
 def _thresholds(size: int, snr: float, rate: float, tx: int, rx: int, deadline: int) -> list[float]:
     """The values below which a subset of ``size`` users fails after ell = 1..deadline rounds.
 
     ell * log2 det(I + (snr/M) G_S) < |S| * R' is det < 2^(|S| R' / ell),
     and with one receive antenna the power sum P_S < (2^(|S| R' / ell) - 1)
-    * M / snr.  R' = rate * (1 - 1e-12), so a boundary tie decodes, as in
-    :func:`rounds_from_demand`.  A threshold beyond the float range is inf:
-    every finite value fails.  At a positive rate each threshold lies above
-    the value of zero gains (power 0, det 1), so those never decode; a
-    subset of no users at any rate, or any subset at rate <= 0, never fails.
+    * M / snr.  R' = rate * (1 - 1e-12), so a boundary tie decodes.  A
+    threshold beyond the float range is inf: every finite value fails.  At
+    a positive rate each threshold lies above the value of zero gains
+    (power 0, det 1), so those never decode; a subset of no users at any
+    rate, or any subset at rate <= 0, never fails.
     """
     if size == 0 or not rate > 0:
         return []
@@ -265,9 +242,9 @@ def _thresholds(size: int, snr: float, rate: float, tx: int, rx: int, deadline: 
 def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadline: int, subsets) -> np.ndarray:
     """min(rounds needed, deadline + 1) per subset bitmask S and per epoch, without a log.
 
-    ``channel`` is a block of k users' channels (see :func:`_information`)
-    with ``tx`` transmit antennas and ``subsets`` a sequence of bitmasks;
-    the result is (subsets, epochs) of the smallest unsigned type holding
+    ``channel`` is a block of k users' channels (module docstring) with
+    ``tx`` transmit antennas and ``subsets`` a sequence of bitmasks; the
+    result is (subsets, epochs) of the smallest unsigned type holding
     deadline + 1 (uint8 up to deadline 254).  Each entry is 1 plus the
     number of rounds ell = 1..deadline after which S still fails, by
     comparison with the per-size :func:`_thresholds`: with one receive
@@ -297,62 +274,32 @@ def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadlin
     return out
 
 
-def subset_demand(channel: np.ndarray, snr: float, rate: float, tx: int) -> np.ndarray:
-    """Round demand |S|*rate / I_S of every nonempty user subset S, per epoch.
-
-    ``channel`` is a block of k users' channels (see :func:`_information`)
-    with ``tx`` transmit antennas; the result is (subsets, epochs).  Row
-    s-1 belongs to the subset whose bitmask is s (bit i set for user i).  At
-    a positive rate a subset with no mutual information demands inf; at rate
-    <= 0 every subset demands 0, so it decodes in one round.  Subset
-    enumeration is exponential in k.  The uncapped :func:`_first_round`
-    takes its worst row per tile.
-    """
-    subsets = range(1, 1 << _shape(channel)[1])
-    info = _information(channel, snr / tx, subsets)
-    sizes = np.bitwise_count(np.array(subsets))
-    silent = ~(info > 0.0)
-    np.divide((sizes * max(rate, 0.0))[:, None], info, out=info, where=~silent)
-    np.copyto(info, np.inf if rate > 0 else 0.0, where=silent)
-    return info
-
-
-def rounds_from_demand(worst: np.ndarray) -> np.ndarray:
-    """Smallest round count meeting a worst-case demand; NEVER for inf.
-
-    A finite count is returned as it is, even beyond NEVER, unless it does
-    not fit in an int64.
-    """
-    # boundary ties decode: shave one ulp-scale epsilon before the ceil
-    rounds = np.multiply(worst, 1.0 - 1e-12)
-    np.ceil(rounds, out=rounds)
-    # before the cast: inf, nan and counts beyond int64 become NEVER
-    np.copyto(rounds, NEVER, where=~(rounds < 2.0**63))
-    np.maximum(rounds, 1.0, out=rounds)
-    return rounds.astype(np.int64)
-
-
-def _first_round(channel: np.ndarray, snr: float, rate: float, tx: int) -> np.ndarray:
-    """First round after which no subset condition fails, per epoch of a block of channels.
-
-    All k users of the block are active.  The result is the ceil of the
-    worst subset demand |S|*rate / I_S (at least 1), or NEVER if some subset
-    has zero mutual information at a positive rate.  The worst demand is
-    taken per tile of :func:`_tiles`, so only it outlives a tile.
-    """
-    n, k = _shape(channel)
-    worst = np.empty(n)
-    for tile in _tiles(channel, (1 << k) - 1):
-        worst[tile] = subset_demand(_pick_epochs(channel, tile), snr, rate, tx).max(axis=0)
-    return rounds_from_demand(worst)
-
-
 def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> np.ndarray:
-    """:func:`_first_round` of (epochs, k, rx, tx) gains, for every antenna shape.
+    """First round after which no subset of all k users fails, per epoch of (epochs, k, rx, tx) gains.
 
-    Callers are expected to chunk the batch.
+    The ceil of the worst demand |S| * rate / I_S, at least 1, with I_S the
+    log2 of each subset's :func:`_det` and the tie rule of :func:`_thresholds`.
+    I_S <= 0 demands inf at a positive rate, and rate <= 0 demands 0; inf,
+    nan and counts beyond an int64 become NEVER.  Only the worst demand
+    outlives a tile of :func:`_tiles`.
     """
-    return _first_round(gains, snr, rate, gains.shape[3])
+    n, k, rx, tx = gains.shape
+    plan = _pooling_plan(tuple(range(1, 1 << k)))
+    bits = (np.bitwise_count(np.arange(1, 1 << k)) * max(rate, 0.0))[:, None]
+    worst = np.empty(n)
+    for tile in _tiles(gains, len(plan)):
+        rows = (snr / tx) * _gram_rows(gains, tile)
+        # I_S per subset, then in place its demand
+        demand = np.log2(_det(_pool(rows, plan, np.empty((len(plan), *rows.shape[1:]))), rx))
+        silent = ~(demand > 0.0)
+        np.divide(bits, demand, out=demand, where=~silent)
+        np.copyto(demand, np.inf if rate > 0 else 0.0, where=silent)
+        worst[tile] = demand.max(axis=0)
+    # boundary ties decode: shave one ulp-scale epsilon before the ceil
+    np.ceil(np.multiply(worst, 1.0 - 1e-12, out=worst), out=worst)
+    # before the cast: inf, nan and counts beyond int64 become NEVER
+    np.copyto(worst, NEVER, where=~(worst < 2.0**63))
+    return np.maximum(worst, 1.0, out=worst).astype(np.int64)
 
 
 def asymptotic_first_decodable_round(k: int, config: AntennaConfig, r: float) -> int:

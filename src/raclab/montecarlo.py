@@ -67,6 +67,8 @@ class BetaTable:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
             raise ValueError("values must be a (users, deadline+1) array")
+        if not np.all(np.isfinite(vals)):      # the checks below let nan through
+            raise ValueError("survival probabilities must be finite")
         if not np.allclose(vals[:, 0], 1.0):
             raise ValueError("survival probability at round 0 must be 1")
         if np.any(vals < -1e-12) or np.any(vals > 1 + 1e-12):
@@ -410,8 +412,8 @@ def diversity_slope(pe_samples) -> float:
     samples = [(float(s), float(p)) for s, p in pe_samples]
     if len(samples) < 3:
         raise ValueError("need at least 3 (snr, pe) samples")
-    if any(p <= 0 for _, p in samples):
-        raise ValueError("error probabilities must be positive")
+    if not all(math.isfinite(s) and 0.0 < p < math.inf for s, p in samples):
+        raise ValueError("SNR samples must be finite, error probabilities finite and positive")
     top = max(s for s, _ in samples)
     window = [(s, p) for s, p in samples if s >= top / 10.0 * (1 - 1e-9)]
     if len(window) < 2:

@@ -35,7 +35,7 @@ import numpy as np
 from . import dmt
 from .montecarlo import BetaTable
 from .protocols import _bits, _tile_epochs, epoch_outcomes
-from .system import IRARQ, AntennaConfig, ProtocolParams, snr_from_db
+from .system import IRARQ, AntennaConfig, ProtocolParams, check_rate, is_count, snr_from_db
 
 STABILITY_SLOPE_EPS = 1e-3   # packets/slot; backlog-trend threshold
 WARMUP_FRACTION = 0.2        # leading slots excluded from delay statistics
@@ -91,8 +91,9 @@ def solve_transmission_probability(
     which signals an unstable load.
     """
     length, _, _ = _epoch_law(users, deadline, beta)
-    if total_rate < 0:
-        raise ValueError("arrival rate must be nonnegative")
+    check_rate("total_rate", total_rate)
+    if not (0.0 < p_t <= 1.0):
+        raise ValueError(f"p_t must lie in (0, 1], got {p_t}")
     if total_rate == 0.0:
         return 0.0
 
@@ -151,6 +152,7 @@ def analytic_delay(
     stability region.  Exact in the regime where U and V are i.i.d.
     """
     length, _, _ = _epoch_law(users, deadline, beta)
+    check_rate("total_rate", total_rate)
     if not (0.0 < p_t <= 1.0):
         raise ValueError(f"p_t must lie in (0, 1], got {p_t}")
     if total_rate >= p_t * users / dmt.binomial_mix(length, users, p_t):
@@ -196,10 +198,9 @@ def simulate_random_arrivals(
     packet that has not arrived, and departures equal the delivered epoch
     outcomes.
     """
-    if horizon_slots < 10:
-        raise ValueError("horizon too short")
-    if total_rate < 0:
-        raise ValueError("arrival rate must be nonnegative")
+    if not is_count(horizon_slots) or horizon_slots < 10:
+        raise ValueError(f"horizon_slots must be an integer >= 10, got {horizon_slots!r}")
+    check_rate("total_rate", total_rate)
     if config.users > MAX_TABLE_USERS:
         raise ValueError(
             f"outcome tables grow as 2^K; at most {MAX_TABLE_USERS} users, got {config.users}"

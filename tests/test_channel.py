@@ -19,14 +19,12 @@ from raclab.channel import (
     _det,
     _draw_channel,
     _draw_gains,
-    _first_round,
     _gram_entries,
-    _information,
+    _pool,
+    _pooling_plan,
     _shape,
     batch_first_decodable_round,
     capped_rounds,
-    rounds_from_demand,
-    subset_demand,
 )
 from raclab.montecarlo import _TAG_BETA, estimate_beta
 from raclab.protocols import _gta_tree_batch, epoch_outcomes
@@ -69,11 +67,22 @@ def joint_outage(gains, active, snr, rate, rounds):
 def single_user_info(channel, snr, gain, tx):
     """Per-user mutual information as (users, epochs) rows of a block of channels.
 
-    The log form of the single-user outage decision: a user is in outage
-    iff its information is below the rate.  The protocols decide by
-    :func:`capped_rounds` instead, with the joint decision's tie rule.
+    The log form of the single-user outage decision, from the oracles
+    below: power rows member by member, gains by the epochs-first kernel.
+    A user is in outage iff its information is below the rate; the
+    protocols decide by :func:`capped_rounds` instead, with the joint
+    decision's tie rule (:func:`single_user_outage`).
     """
-    return _information(channel, gain * snr / tx, 1 << np.arange(_shape(channel)[1]))
+    singles = [1 << i for i in range(_shape(channel)[1])]
+    if channel.ndim == 2:
+        return member_by_member_information(channel, gain * snr / tx, singles)
+    return information_epochs_first(channel, gain * snr / tx, singles).T
+
+
+def single_user_outage(channel, snr, gain, rate, tx):
+    """The protocols' single-user decision: (users, epochs) True where a user fails its one round."""
+    singles = [1 << i for i in range(_shape(channel)[1])]
+    return capped_rounds(channel, gain * snr, rate, tx, 1, singles) > 1
 
 
 def scalar_gains(powers):
@@ -209,9 +218,11 @@ def test_per_antenna_power_normalisation():
     # log2(1 + 2 * (snr/2)) = log2(1 + snr)
     gains = np.array([[[1.0, 1.0]]], dtype=complex)
     assert subset_mutual_information(gains, [0], 3.0) == pytest.approx(2.0)
-    assert single_user_info(gains[None], 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
+    # so rate 2 sits on the kernel's boundary: it decodes, and a hair more fails
     wide = np.array([[[1.0, 1.0], [0.0, 0.0]]], dtype=complex)    # rx=2: determinant branch
-    assert single_user_info(wide[None], 3.0, 1.0, 2)[0, 0] == pytest.approx(2.0)
+    for g in (gains, wide):
+        assert single_user_outage(g[None], 3.0, 1.0, 2.0, 2).tolist() == [[False]]
+        assert single_user_outage(g[None], 3.0, 1.0, 2.0 + 1e-9, 2).tolist() == [[True]]
 
 
 # Relative tolerance of the kernel against the oracle, fixed up front.
@@ -253,30 +264,57 @@ def mimo_battery(k, tx, rx, rng):
     return gains
 
 
+def slogdet_count_range(info, tol, sizes, rate, deadline):
+    """The capped counts that an I_S within ``tol`` of ``info`` allows, as (lowest, highest).
+
+    S fails after ell rounds iff ell * I_S < |S| * rate * (1 - 1e-12), the
+    kernel's tie rule; ``sizes`` broadcasts against ``info``.
+    """
+    bits = sizes * rate * (1.0 - 1e-12)
+    ells = np.arange(1, deadline + 1)
+    lo = 1 + np.sum(np.multiply.outer(ells, info + tol) < bits, axis=0)
+    hi = 1 + np.sum(np.multiply.outer(ells, info - tol) < bits, axis=0)
+    return lo, hi
+
+
+def check_capped_rounds_against_slogdet(gains, snr_db, rate, deadline):
+    """capped_rounds of (epochs, k, rx, tx) gains held to the slogdet oracle; returns the counts.
+
+    Each count must lie in the range that an I_S within mi_tolerance of the
+    oracle allows.  MI_RTOL * I_S settles almost every entry; the full
+    tolerance is evaluated for the rest.  A subset with no information at a
+    positive rate gets tolerance 0 below ROUNDING_LIMITED_DB, so it must
+    never decode.
+    """
+    k, rx, tx = gains.shape[1:]
+    snr = 10.0 ** (snr_db / 10.0)
+    got = capped_rounds(gains, snr, rate, tx, deadline, lattice(k))
+    info = stacked_mutual_information(gains, lattice(k), snr).T          # (subsets, epochs)
+    assert got.shape == info.shape == (len(lattice(k)), len(gains))
+    sizes = np.bitwise_count(np.array(lattice(k)))[:, None]
+    lo, hi = slogdet_count_range(info, MI_RTOL * np.abs(info), sizes, rate, deadline)
+    for s, e in np.argwhere((got < lo) | (got > hi)):
+        members = members_of(lattice(k)[s], k)
+        tol = mi_tolerance(gains[e], members, snr_db, info[s, e])
+        lo_e, hi_e = slogdet_count_range(info[s, e], tol, len(members), rate, deadline)
+        assert lo_e <= got[s, e] <= hi_e, f"K={k} {tx}x{rx} rate {rate} epoch {e} subset {members}"
+    return got
+
+
 @pytest.mark.parametrize("snr_db", [0.0, 20.0, 60.0])
 def test_information_matches_oracle_on_mimo_battery(snr_db):
-    snr, rate = 10.0 ** (snr_db / 10.0), 1.5
+    # capped_rounds reads I_S through thresholds on det(I + (snr/M) G_S);
+    # its counts agree with slogdet, rank-deficient epochs included
+    rates = [scale * math.log2(1.0 + 10.0 ** (snr_db / 10.0)) for scale in (0.5, 2.0)] + [1.5]
     rng = np.random.default_rng(41)
+    seen = set()
     for k in range(1, 5):
-        subsets = [members_of(s, k) for s in lattice(k)]
         for tx in range(1, 4):
             for rx in range(2, 5):
                 gains = mimo_battery(k, tx, rx, rng)
-                info = _information(gains, snr / tx, lattice(k))
-                demand = subset_demand(gains, snr, rate, tx)
-                assert info.shape == demand.shape == (len(subsets), len(gains))
-                for n, g in enumerate(gains):
-                    for s, members in enumerate(subsets):
-                        want = subset_mutual_information(g, members, snr)
-                        tol = mi_tolerance(g, members, snr_db, want)
-                        where = f"K={k} {tx}x{rx} epoch {n} subset {members}"
-                        assert abs(info[s, n] - want) <= tol, where
-                        if want == 0.0:
-                            assert info[s, n] == 0.0 and demand[s, n] == math.inf, where
-                        else:
-                            want_demand = len(members) * rate / want
-                            assert abs(demand[s, n] - want_demand) <= want_demand * tol / want, where
-
+                for rate in rates:
+                    seen.update(check_capped_rounds_against_slogdet(gains, snr_db, rate, 8).ravel().tolist())
+    assert len(seen) > 3
 
 
 def stacked_mutual_information(gains, subsets, snr):
@@ -290,7 +328,7 @@ def stacked_mutual_information(gains, subsets, snr):
 
 
 def lattice(k):
-    """Every nonempty subset of k users as bitmasks, in the order of subset_demand's rows."""
+    """Every nonempty subset of k users as bitmasks, in lattice order (bit i for user i)."""
     return range(1, 1 << k)
 
 
@@ -304,20 +342,16 @@ def tile_epochs(subsets, rx):
 
 @pytest.mark.parametrize("k, tx, rx", [(4, 2, 4), (3, 2, 2)], ids=["K4-2x4", "K3-2x2"])
 def test_information_across_tile_edges_matches_oracle(k, tx, rx):
-    snr_db = 20.0
-    snr = 10.0 ** (snr_db / 10.0)
-    subsets = [members_of(s, k) for s in lattice(k)]
+    # capped_rounds at and around the edges of its tiles, against slogdet
     tile = tile_epochs(lattice(k), rx)
     rng = np.random.default_rng(47)
+    seen = set()
     for n in (0, 1, tile - 1, tile, tile + 1, 3 * tile + 17):
         gains = _draw_gains(rng, (n, k, rx, tx))
-        got = _information(gains, snr / tx, lattice(k)).T
-        want = stacked_mutual_information(gains, lattice(k), snr)
-        assert got.shape == want.shape == (n, len(subsets))
-        # mi_tolerance is at least MI_RTOL * info; evaluate it where that is exceeded
-        for e, s in np.argwhere(np.abs(got - want) > MI_RTOL * np.abs(want)):
-            tol = mi_tolerance(gains[e], subsets[s], snr_db, want[e, s])
-            assert abs(got[e, s] - want[e, s]) <= tol, f"n={n} epoch {e} subset {subsets[s]}"
+        for r in (1.0, 2.5):
+            rate = r * math.log2(101.0)                          # 20 dB
+            seen.update(check_capped_rounds_against_slogdet(gains, 20.0, rate, 4).ravel().tolist())
+    assert len(seen) > 2
 
 
 def test_first_decodable_round_on_several_tiles_matches_oracle():
@@ -331,16 +365,17 @@ def test_first_decodable_round_on_several_tiles_matches_oracle():
 
 
 def test_information_memory_beyond_result_is_flat_in_epochs():
-    # an untiled kernel holds about four times as much at 4n epochs as at n;
-    # given gains are tiled at one receive antenna too
-    for n, shape in ((20_000, (4, 4, 2)), (1 << 16, (2, 1, 2))):
+    # capped_rounds: an untiled kernel holds about four times as much at 4n
+    # epochs as at n; given gains are tiled at one receive antenna too
+    for n, shape, draw_block in ((20_000, (4, 4, 2), _draw_gains), (1 << 16, (2, 1, 2), _draw_gains),
+                                 (1 << 16, (3, 1, 2), _draw_channel)):
         extra = []
         for epochs in (n, 4 * n):
-            gains = _draw_gains(np.random.default_rng(53), (epochs, *shape))
+            channel = draw_block(np.random.default_rng(53), (epochs, *shape))
             tracemalloc.start()
             try:
-                info = _information(gains, 50.0, lattice(shape[0]))
-                extra.append(tracemalloc.get_traced_memory()[1] - info.nbytes)
+                rounds = capped_rounds(channel, 100.0, 2.0, shape[2], 4, lattice(shape[0]))
+                extra.append(tracemalloc.get_traced_memory()[1] - rounds.nbytes)
             finally:
                 tracemalloc.stop()
         assert extra[1] < 2 * extra[0], shape
@@ -350,8 +385,10 @@ def test_information_memory_beyond_result_is_flat_in_epochs():
 def test_information_of_no_epochs_is_empty(rx):
     channel = _draw_channel(np.random.default_rng(0), (0, 3, rx, 2))
     assert channel.shape == ((3, 0) if rx == 1 else (0, 3, rx, 2))
-    assert _information(channel, 1.0, lattice(3)).shape == (7, 0)
-    assert subset_demand(channel, 10.0, 1.0, 2).shape == (7, 0)
+    got = capped_rounds(channel, 10.0, 1.0, 2, 3, lattice(3))
+    assert got.shape == (7, 0) and got.dtype == np.uint8
+    gains = _draw_gains(np.random.default_rng(0), (0, 3, rx, 2))
+    assert batch_first_decodable_round(gains, 10.0, 1.0).shape == (0,)
 
 # ---------------------------------------------------------------------------
 # outage predicates
@@ -418,19 +455,18 @@ def test_subset_consistency_removing_users():
 
 def test_single_user_outage_examples():
     h = np.ones((1, 1))                                            # one user's unit power row
-    assert not single_user_info(h, 3.0, 1.0, 1)[0, 0] < 2.0     # boundary decodes
-    assert single_user_info(h, 3.0, 1.0, 1)[0, 0] < 2.1
+    assert not single_user_outage(h, 3.0, 1.0, 2.0, 1)[0, 0]     # boundary decodes
+    assert single_user_outage(h, 3.0, 1.0, 2.1, 1)[0, 0]
     # matched combining over 3 slots triples the effective SNR
-    assert not single_user_info(h, 1.0, 3.0, 1)[0, 0] < 1.9
-    assert single_user_info(h, 1.0, 1.0, 1)[0, 0] < 1.9
+    assert not single_user_outage(h, 1.0, 3.0, 1.9, 1)[0, 0]
+    assert single_user_outage(h, 1.0, 1.0, 1.9, 1)[0, 0]
 
 
 def test_single_user_outage_matches_exponential_law():
     rng = np.random.default_rng(23)
     n = 10**6
     for rate, snr in [(1.0, 10.0), (2.0, 3.0)]:
-        info = single_user_info(_draw_channel(rng, (n, 1, 1, 1)), snr, 1.0, 1)
-        freq = float(np.mean(info < rate))
+        freq = float(np.mean(single_user_outage(_draw_channel(rng, (n, 1, 1, 1)), snr, 1.0, rate, 1)))
         exact = 1 - math.exp(-(2**rate - 1) / snr)
         assert abs(freq - exact) < 3 * math.sqrt(exact * (1 - exact) / n)
 
@@ -480,13 +516,18 @@ def test_first_decodable_round_boundary_and_zero_rate():
     assert batch_first_decodable_round(dead, 3.0, 1.0)[0] == NEVER
 
 
-def test_rounds_from_demand_maps_what_int64_cannot_hold_to_never():
-    # a positive I_S from rx > 1 pivots can be tiny, so a finite demand can pass 2^63
-    demand = np.array([0.0, 0.5, 2.0, 2.5, 3e9, 2.0**62, 2.0**64, 1e300, np.inf, np.nan])
-    want = [1, 1, 2, 3, 3_000_000_000, math.ceil(2.0**62 * (1.0 - 1e-12)), NEVER, NEVER, NEVER, NEVER]
-    got = rounds_from_demand(demand)
-    assert got.dtype == np.int64
-    assert got.tolist() == want
+def test_first_decodable_round_maps_what_int64_cannot_hold_to_never():
+    # a positive I_S from rx > 1 pivots can be tiny, so a finite demand can
+    # pass 2^63.  One unit-power user at snr 1 has I_S = log2(2) = 1 bit
+    # exactly, so its demand is the rate itself; a silent user demands inf.
+    unit = np.ones((1, 1, 1, 1), dtype=complex)
+    rates = [0.0, 0.5, 2.0, 2.5, 3e9, 2.0**62, 1.5 * 2.0**62, 2.0**64, 1e300, np.inf, np.nan]
+    want = [1, 1, 2, 3, 3_000_000_000, math.ceil(2.0**62 * (1.0 - 1e-12)),
+            math.ceil(1.5 * 2.0**62 * (1.0 - 1e-12)), NEVER, NEVER, NEVER, NEVER]
+    got = [batch_first_decodable_round(unit, 1.0, rate) for rate in rates]
+    assert all(g.dtype == np.int64 for g in got)
+    assert [g.tolist() for g in got] == [[w] for w in want]
+    assert batch_first_decodable_round(0.0 * unit, 1.0, 1.0).tolist() == [NEVER]
 
 
 @pytest.mark.parametrize("columns", [[0], [1], [0, 1]], ids=["e1", "e2", "e1+e2"])
@@ -524,7 +565,7 @@ def test_outcome_table_per_mask_matches_kernel_and_oracle(cfg):
     for mask in range(1, 8):
         members = [i for i in range(3) if mask >> i & 1]
         picked = channel[members] if rows else channel[:, members]
-        needed = _first_round(picked, snr, params.rate, cfg.tx)
+        needed = capped_by_demand(picked, snr, params.rate, cfg.tx, deadline).max(axis=0)
         assert np.array_equal(lengths[:, mask], np.minimum(needed, deadline))
         assert np.array_equal(errors[:, mask], np.where(needed > deadline, mask, 0))
         assert np.all(delivered[:, mask] == mask)
@@ -539,13 +580,14 @@ def test_outcome_table_per_mask_matches_kernel_and_oracle(cfg):
 
 
 # ---------------------------------------------------------------------------
-# the epochs-last layout against the epochs-first code it replaced
+# the kernels against the log form, computed epochs first
 # ---------------------------------------------------------------------------
-# The functions below compute the kernel's quantities as (epochs, subsets)
-# arrays in one untiled batch, as bitwise oracles.  Each subset's entries
-# are its members' entries added one by one in index order; the scalar
-# power is |h|^2 by np.abs, and the rx > 1 log det is log2 of the product
-# of the pivots of the same LDL^H elimination.
+# The functions below compute I_S as (epochs, subsets) arrays in one
+# untiled batch, as bitwise oracles.  Each subset's entries are its
+# members' entries added one by one in index order; the scalar power is
+# |h|^2 by np.abs, and the rx > 1 log det is log2 of the product of the
+# pivots of the same LDL^H elimination.  capped_rounds must decide as the
+# capped ceil of the worst demand |S| * rate / I_S they give, bit for bit.
 
 def member_sums(terms, subsets):
     """Each subset's members' terms added one by one in index order; zeros for no member."""
@@ -565,10 +607,14 @@ def power_rows(gains):
 
 
 def information_epochs_first(gains, coef, subsets):
+    return np.log2(det_epochs_first(gains, coef, subsets))
+
+
+def det_epochs_first(gains, coef, subsets):
     rx = gains.shape[2]
     if rx == 1:
         power = coef * np.sum(np.abs(gains) ** 2, axis=(2, 3))           # (n, k)
-        return np.log2(1.0 + np.stack(member_sums(list(power.T), subsets), axis=1))
+        return 1.0 + np.stack(member_sums(list(power.T), subsets), axis=1)
     rows, cols = np.tril_indices(rx, -1)
     cross = np.sum(gains[:, :, cols].conj() * gains[:, :, rows], axis=3)
     # per user: diagonal, then re and im of conj(h_col) h_row below it
@@ -592,7 +638,7 @@ def information_epochs_first(gains, coef, subsets):
     det = diag[0]
     for d in diag[1:]:
         det = det * d
-    return np.log2(det)
+    return det
 
 
 def first_round_epochs_first(gains, snr, rate):
@@ -610,12 +656,6 @@ def first_round_epochs_first(gains, snr, rate):
     return out
 
 
-def outage_bits_epochs_first(gains, snr, rate):
-    k, tx = gains.shape[1], gains.shape[3]
-    info = information_epochs_first(gains, snr / tx, [1 << i for i in range(k)])
-    return (info < rate) @ (1 << np.arange(k))
-
-
 def scalar_battery(k, tx, n, seed):
     """Rayleigh epochs plus a silent user and a one-user-only block."""
     gains = _draw_gains(np.random.default_rng(seed), (n, k, 1, tx))
@@ -627,19 +667,63 @@ def scalar_battery(k, tx, n, seed):
 SNRS = (0.1, 3.0, 100.0, 1e6)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_scalar_information_is_bitwise_the_epochs_first_kernel(k):
-    for tx in (1, 2, 3):
-        gains = scalar_battery(k, tx, 4000, seed=100 + 10 * k + tx)
-        for snr in SNRS:
-            got = _information(power_rows(gains), snr / tx, lattice(k))
-            assert got.shape == (len(lattice(k)), len(gains))
-            assert got.T.tobytes() == information_epochs_first(gains, snr / tx, lattice(k)).tobytes()
+def kernel_values(channel, coef, subsets):
+    """What capped_rounds compares with its thresholds, as (subsets, epochs), in one tile.
+
+    The power sums of power rows, pooled by the kernel's plan, or the
+    :func:`_det` of gains' Gram rows scaled by ``coef`` and pooled.
+    """
+    plan = _pooling_plan(tuple(subsets))
+    if channel.ndim == 2:
+        return np.array(_pool(channel, plan))
+    rows = coef * _gram_entries(channel)
+    return _det(_pool(rows, plan, np.empty((len(plan), *rows.shape[1:]))), channel.shape[2])
 
 
 def member_by_member_information(power, coef, subsets):
     """log2(1 + coef * power of S) with the members of S added one by one in index order."""
     return np.log2(1.0 + np.array(member_sums(list(coef * power), subsets)))
+
+
+def capped_from_information(info, subsets, rate, deadline):
+    """min(ceil of |S| * rate / I_S, deadline + 1), at least 1, per row of (subsets, epochs) I_S.
+
+    The log form of capped_rounds: a subset with I_S <= 0 demands inf at a
+    positive rate, every subset demands 0 at rate <= 0, and the demand is
+    shaved by 1 - 1e-12 before the ceil, so a boundary tie decodes.
+    """
+    bits = np.bitwise_count(np.array(subsets))[:, None] * max(rate, 0.0)
+    silent = ~(info > 0.0)
+    demand = np.where(silent, np.inf if rate > 0 else 0.0, bits / np.where(silent, 1.0, info))
+    return np.clip(np.ceil(demand * (1.0 - 1e-12)), 1, deadline + 1)
+
+
+def capped_by_demand(channel, snr, rate, tx, deadline, subsets=None):
+    """Each subset's capped round count by the log form, as (subsets, epochs); every lattice subset by default.
+
+    Power rows are pooled member by member, gains go through the
+    epochs-first kernel.
+    """
+    subsets = lattice(_shape(channel)[1]) if subsets is None else subsets
+    if channel.ndim == 2:
+        info = member_by_member_information(channel, snr / tx, subsets)
+    else:
+        info = information_epochs_first(channel, snr / tx, subsets).T
+    return capped_from_information(info, subsets, rate, deadline)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scalar_information_is_bitwise_the_epochs_first_kernel(k):
+    # power rows against the epochs-first I_S of the gains they came from
+    for tx in (1, 2, 3):
+        gains = scalar_battery(k, tx, 4000, seed=100 + 10 * k + tx)
+        for snr in SNRS:
+            info = information_epochs_first(gains, snr / tx, lattice(k)).T
+            for r in (0.4, 0.9):
+                rate = r * math.log2(1.0 + snr)
+                got = capped_rounds(power_rows(gains), snr, rate, tx, 4, lattice(k))
+                assert got.shape == (len(lattice(k)), len(gains))
+                assert np.array_equal(got, capped_from_information(info, lattice(k), rate, 4)), (tx, snr, r)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -648,52 +732,58 @@ def test_scalar_subset_sums_are_bitwise_member_by_member(k):
     for n in (1, 64, 4097):
         power = _draw_channel(rng, (n, k, 1, 2))
         for subsets in (lattice(k), [1 << i for i in range(k)]):
-            got = _information(power, 3.0, subsets)
-            assert got.tobytes() == member_by_member_information(power, 3.0, subsets).tobytes()
+            sums = np.array(member_sums(list(power), subsets))
+            assert kernel_values(power, 3.0, subsets).tobytes() == sums.tobytes()
+            for rate in (2.0, 4.0):
+                got = capped_rounds(power, 6.0, rate, 2, 4, subsets)
+                assert np.array_equal(got, capped_by_demand(power, 6.0, rate, 2, 4, subsets)), (n, rate)
 
 
 def test_scalar_information_of_any_mask_order_matches_the_lattice():
     # subsets out of lattice order, repeated and empty ones get the same
-    # bits, from power rows and from rx > 1 gains alike
+    # counts, from power rows and from rx > 1 gains alike; an empty subset
+    # needs nothing, so it decodes in round one
     k = 4
     picks = [15, 1, 7, 7, 3, 10]
     gains = _draw_gains(np.random.default_rng(151), (500, k, 2, 2))
     gains[:50, 1] = 0.0
     for channel in (power_rows(scalar_battery(k, 2, 500, seed=150)), gains):
-        full = _information(channel, 5.0, lattice(k))
-        got = _information(channel, 5.0, [0, *picks, 0])
-        assert np.all(got[0] == 0.0) and np.all(got[-1] == 0.0)
+        full = capped_rounds(channel, 10.0, 3.0, 2, 4, lattice(k))
+        got = capped_rounds(channel, 10.0, 3.0, 2, 4, [0, *picks, 0])
+        assert len(np.unique(full)) > 2
+        assert np.all(got[0] == 1) and np.all(got[-1] == 1)
         assert got[1:-1].tobytes() == full[np.array(picks) - 1].tobytes()
-
-
-# Tolerance of the kernel against exactly rounded subset sums, fixed before
-# the first run: a running sum of |S| nonnegative terms is within
-# (|S| - 1) u of the exact sum (u = 2^-53), forming 1 + x adds u and log2
-# adds an ulp of the result; d log2(1 + x) = dx / ((1 + x) ln 2), so a
-# relative error d in x moves the result by at most d / ln 2 bits.
-def member_sum_tolerance(size, info):
-    return (size + 1) * 2.0**-53 / math.log(2.0) + 2 * np.spacing(info)
+        # and the values compared are the same bits: no power, or det 1, for no user
+        full = kernel_values(channel, 5.0, lattice(k))
+        got = kernel_values(channel, 5.0, [0, *picks, 0])
+        empty = 0.0 if channel.ndim == 2 else 1.0
+        assert np.all(got[0] == empty) and np.all(got[-1] == empty)
+        assert got[1:-1].tobytes() == full[np.array(picks) - 1].tobytes()
 
 
 @pytest.mark.parametrize("k", [4, 5, 8])
 def test_scalar_information_beyond_three_users(k):
-    # I_S is held to exactly rounded sums; round counts and outage bits,
-    # read from the gains, must match the epochs-first oracle bitwise
+    # the pooled power sums are held to exactly rounded sums: a running sum
+    # of |S| nonnegative terms is within gamma_{|S|-1} of the exact sum
+    # (u = 2^-53), and fsum's rounding of it adds half an ulp; counts and
+    # round counts, read from the gains, must match the epochs-first oracle
+    # bitwise
     gains = scalar_battery(k, 2, 400, seed=200 + k)
+    power = power_rows(gains)
+    sums = kernel_values(power, 1.0, lattice(k))
+    for s, subset in enumerate(lattice(k)):
+        members = members_of(subset, k)
+        exact = np.array([math.fsum(p) for p in power[members].T])
+        gamma = (len(members) - 1) * 2.0**-53 / (1.0 - (len(members) - 1) * 2.0**-53)
+        assert np.all(np.abs(sums[s] - exact) <= gamma * exact + 0.5 * np.spacing(exact))
     for snr in SNRS:
-        info = _information(power_rows(gains), snr / 2, lattice(k))
-        power = (snr / 2) * np.sum(np.abs(gains) ** 2, axis=(2, 3))        # (n, k)
-        for s, subset in enumerate(lattice(k)):
-            members = members_of(subset, k)
-            exact = np.array([math.fsum(p) for p in power[:, members]])
-            want = np.log2(1.0 + exact)
-            assert np.all(np.abs(info[s] - want) <= member_sum_tolerance(len(members), want))
+        info = information_epochs_first(gains, snr / 2, lattice(k)).T
         for rate in (0.3, 1.0, 2.5):
             rate *= math.log2(1.0 + snr)
+            got = capped_rounds(power_rows(gains), snr, rate, 2, 4, lattice(k))
+            assert np.array_equal(got, capped_from_information(info, lattice(k), rate, 4))
             assert np.array_equal(batch_first_decodable_round(gains, snr, rate),
                                   first_round_epochs_first(gains, snr, rate))
-            got = (single_user_info(gains, snr, 1.0, 2) < rate).T @ (1 << np.arange(k))
-            assert np.array_equal(got, outage_bits_epochs_first(gains, snr, rate))
 
 
 @pytest.mark.parametrize("k, tx, rx", [(1, 1, 1), (2, 1, 1), (3, 2, 1), (3, 2, 2), (4, 2, 4)],
@@ -710,8 +800,9 @@ def test_first_decodable_round_is_bitwise_the_epochs_first_kernel(k, tx, rx):
             assert np.array_equal(got, first_round_epochs_first(gains, snr, rate))
             seen.update(got.tolist())
         if rx > 1:
-            info = _information(gains, snr / tx, lattice(k))
-            assert info.T.tobytes() == information_epochs_first(gains, snr / tx, lattice(k)).tobytes()
+            # the det that capped_rounds compares is the epochs-first det, bit for bit
+            det = kernel_values(gains, snr / tx, lattice(k))
+            assert det.T.tobytes() == det_epochs_first(gains, snr / tx, lattice(k)).tobytes()
     assert NEVER in seen and len(seen) > 3                     # several round counts and NEVER
     empty = gains[:0]
     assert batch_first_decodable_round(empty, 100.0, 2.0).shape == (0,)
@@ -720,24 +811,43 @@ def test_first_decodable_round_is_bitwise_the_epochs_first_kernel(k, tx, rx):
 
 @pytest.mark.parametrize("rx", [1, 2])
 def test_single_user_info_is_bitwise_the_identity_mask_kernel(rx):
+    # the single-user decisions of capped_rounds, as the protocols make them
     gains = _draw_gains(np.random.default_rng(400 + rx), (3000, 3, rx, 2))
     channel = power_rows(gains) if rx == 1 else gains
+    shares = []
     for gain in (1.0, 3.0):
-        got = single_user_info(channel, 7.0, gain, 2)
-        want = information_epochs_first(gains, gain * 7.0 / 2, [1, 2, 4])
-        assert got.shape == (3, 3000)
-        assert got.T.tobytes() == want.tobytes()
+        info = information_epochs_first(gains, gain * 7.0 / 2, [1, 2, 4]).T
+        for rate in (2.0, 6.0):
+            got = single_user_outage(channel, 7.0, gain, rate, 2)
+            assert got.shape == (3, 3000)
+            assert np.array_equal(got, capped_from_information(info, [1, 2, 4], rate, 1) > 1)
+            shares.append(got.mean())
+    assert 0.0 < max(shares) and min(shares) < 1.0
 
 
 @pytest.mark.parametrize("k, tx, rx", [(3, 2, 2), (4, 2, 4), (5, 1, 2)], ids=["K3-2x2", "K4-2x4", "K5-1x2"])
 def test_information_bits_do_not_depend_on_batch_or_tile_size(k, tx, rx, monkeypatch):
+    # counts spread over many rounds, so a det that moved would show in some
     gains = _draw_gains(np.random.default_rng(600 + k), (10_000, k, rx, tx))
     gains[:50, 0] = 0.0
-    full = _information(gains, 50.0, lattice(k))
-    assert _information(gains[1:], 50.0, lattice(k)).tobytes() == full[:, 1:].tobytes()
-    for entries in (1 << 10, 1 << 20):
+
+    def counts(g):
+        return (capped_rounds(g, 50.0 * tx, 60.0, tx, 16, lattice(k)).tobytes(),
+                batch_first_decodable_round(g, 50.0 * tx, 60.0).tobytes())
+
+    full = capped_rounds(gains, 50.0 * tx, 60.0, tx, 16, lattice(k))
+    assert len(np.unique(full)) > 8
+    whole = counts(gains)
+    tail = counts(gains[1:])
+    assert tail[0] == full[:, 1:].tobytes()
+    assert tail[1] == batch_first_decodable_round(gains, 50.0 * tx, 60.0)[1:].tobytes()
+    for entries in (1 << 12, 1 << 20):
         monkeypatch.setattr("raclab.channel._TILE_ENTRIES", entries)
-        assert _information(gains, 50.0, lattice(k)).tobytes() == full.tobytes(), entries
+        assert counts(gains) == whole, entries
+    # a tile is a slice of epochs, and the det of a slice is the slice of the det
+    det = kernel_values(gains, 50.0, lattice(k))
+    for a, b in ((1, 10_000), (17, 4113), (5000, 5001)):
+        assert kernel_values(gains[a:b], 50.0, lattice(k)).tobytes() == det[:, a:b].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -831,13 +941,8 @@ def test_batch_first_decodable_round_on_given_gains_matches_slogdet(k, tx, rx):
 # ---------------------------------------------------------------------------
 # capped round counts: the threshold decision against the log form
 # ---------------------------------------------------------------------------
-# min(rounds_from_demand(subset_demand(...)), L + 1), per subset, is the log
-# form that capped_rounds replaced in the estimators and the protocols.
-
-def capped_by_demand(channel, snr, rate, tx, deadline):
-    """Every lattice subset's min(ceil of its demand, deadline + 1), as (subsets, epochs)."""
-    return np.minimum(rounds_from_demand(subset_demand(channel, snr, rate, tx)), deadline + 1)
-
+# capped_by_demand, the log form computed epochs first, is what
+# capped_rounds replaced in the estimators and the protocols.
 
 @pytest.mark.parametrize("k, tx, rx", [(1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 1, 1), (2, 2, 1), (2, 3, 1),
                                        (3, 1, 1), (3, 2, 1), (3, 3, 1), (4, 1, 1), (4, 2, 1), (4, 3, 1),

@@ -68,6 +68,10 @@ def test_beta_alpha_view_and_validation():
         BetaTable(values=np.array([[0.9, 0.5]]), source="closed-form", trials=0, snr=None)
     with pytest.raises(ValueError):
         BetaTable(values=np.array([[1.0, 0.5, 0.6]]), source="closed-form", trials=0, snr=None)
+    # every range and order check is a comparison, which nan fails unseen
+    for bad in ([1.0, math.nan, 0.1], [math.nan, 0.5, 0.1], [1.0, 0.5, -math.inf], [1.0, math.inf, 0.1]):
+        with pytest.raises(ValueError, match="finite"):
+            BetaTable(values=np.array([bad, [1.0, 0.5, 0.2]]), source="closed-form", trials=0, snr=None)
 
 
 def test_beta_deterministic_and_worker_invariant():
@@ -260,6 +264,10 @@ def test_diversity_slope_validation():
         diversity_slope([(10.0, 0.1), (100.0, 0.01)])
     with pytest.raises(ValueError):
         diversity_slope([(10.0, 0.1), (100.0, 0.0), (1000.0, 0.001)])
+    # unchecked, a nan sample made the fitted slope nan
+    for bad in ((math.nan, 0.01), (math.inf, 0.01), (100.0, math.nan), (100.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            diversity_slope([(10.0, 0.1), bad, (1000.0, 0.001), (1e4, 1e-4)])
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,20 @@ def test_fixed_point_boundaries():
     assert solve_transmission_probability(2.5, 2, 1.0, 2, ZERO_BETA) is None
 
 
+@pytest.mark.parametrize("total_rate, p_t, match", [
+    (math.nan, 1.0, "total_rate"), (math.inf, 1.0, "total_rate"), (-math.inf, 1.0, "total_rate"),
+    (-0.5, 1.0, "total_rate"), (0.5, 2.0, "p_t"), (0.5, 0.0, "p_t"), (0.5, -0.1, "p_t"),
+    (0.5, math.nan, "p_t"),
+], ids=["rate-nan", "rate-inf", "rate-neg-inf", "rate-negative", "p_t-2", "p_t-0", "p_t-negative",
+        "p_t-nan"])
+def test_analytics_reject_invalid_rate_and_p_t(total_rate, p_t, match):
+    # unchecked, a nan rate gave p = 3.6e-15 and a nan delay, and p_t = 2
+    # bisected on (0, 2]
+    for run in (solve_transmission_probability, analytic_delay):
+        with pytest.raises(ValueError, match=match):
+            run(total_rate, 2, p_t, 2, ZERO_BETA)
+
+
 def test_deadline_must_match_beta_table():
     table = BetaTable.from_indicators(SCALAR2, multiplexing_gain=0.7, deadline=2)
     with pytest.raises(ValueError, match="deadline"):
@@ -454,6 +468,25 @@ def test_batch_means_ci_is_quiet_for_any_sojourn_count(n):
         assert math.isnan(ci)
     else:
         assert math.isfinite(ci) and ci > 0.0
+
+
+@pytest.mark.parametrize("horizon", [2000.7, 2000.0, True, 9, 0, -100],
+                         ids=["fraction", "float", "bool", "nine", "zero", "negative"])
+def test_simulation_horizon_must_be_an_integer_of_at_least_ten(horizon):
+    # unchecked, 2000.7 ran and was reported as the horizon
+    with pytest.raises(ValueError, match="horizon_slots must be an integer >= 10"):
+        simulate_random_arrivals("irarq", SCALAR2, IR_PARAMS, 0.5, None, horizon, seed=1)
+    with pytest.raises(ValueError, match="horizon_slots must be an integer >= 10"):
+        stability_boundary_scan("irarq", SCALAR2, IR_PARAMS, None, [0.5], seed=1, horizon_slots=horizon)
+
+
+@pytest.mark.parametrize("total_rate", [math.nan, math.inf, -0.5], ids=["nan", "inf", "negative"])
+def test_simulation_rejects_invalid_arrival_rates(total_rate):
+    # unchecked, nan failed only inside numpy's Poisson draw
+    with pytest.raises(ValueError, match="total_rate"):
+        simulate_random_arrivals("irarq", SCALAR2, IR_PARAMS, total_rate, None, 100, seed=1)
+    with pytest.raises(ValueError, match="total_rate"):
+        stability_boundary_scan("irarq", SCALAR2, IR_PARAMS, None, [total_rate], seed=1, horizon_slots=100)
 
 
 def test_boundary_scan_trivial_grid():
