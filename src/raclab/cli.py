@@ -178,21 +178,21 @@ def cmd_gta_recursion(cfg: ExperimentConfig):
 def cmd_beta(cfg: ExperimentConfig):
     seed = cfg.require_seed()
     antenna = cfg.antenna()
-    deadline = cfg.deadline[0]
-    params = cfg.params_for(IRARQ, deadline)
     rows = []
-    for snr_db in cfg.snr_db:
-        rate = params.rate_at(snr_from_db(snr_db))
-        table = montecarlo.estimate_beta(
-            antenna, snr_db, rate, deadline, cfg.trials, seed, workers=cfg.workers
-        )
-        for k in range(1, antenna.users + 1):
-            for ell in range(1, deadline + 1):
-                rows.append([
-                    _fmt(snr_db), IRARQ, deadline, _fmt(params.p_t), _fmt(cfg.r),
-                    f"beta_k{k}_l{ell}", _fmt(table.beta(k, ell)),
-                    _fmt(float(table.stderr[k - 1, ell])), cfg.trials, seed,
-                ])
+    for deadline in cfg.deadline:
+        params = cfg.params_for(IRARQ, deadline)
+        for snr_db in cfg.snr_db:
+            rate = params.rate_at(snr_from_db(snr_db))
+            table = montecarlo.estimate_beta(
+                antenna, snr_db, rate, deadline, cfg.trials, seed, workers=cfg.workers
+            )
+            for k in range(1, antenna.users + 1):
+                for ell in range(1, deadline + 1):
+                    rows.append([
+                        _fmt(snr_db), IRARQ, deadline, _fmt(params.p_t), _fmt(cfg.r),
+                        f"beta_k{k}_l{ell}", _fmt(table.beta(k, ell)),
+                        _fmt(float(table.stderr[k - 1, ell])), cfg.trials, seed,
+                    ])
     _write_rows(cfg, SIM_HEADER, rows)
 
 
@@ -295,15 +295,17 @@ def cmd_stability(cfg: ExperimentConfig):
                                        arrival_gain=params.multiplexing_gain, deadline=ell)
         lines.append(f"{protocol:8s} L={_fmt(ell):4s} p_t={params.p_t:.6f}  "
                      f"lambda_max={lam_max:.6f}")
-        if cfg.scan:
-            grid = [lam_max + s for s in (-0.15, -0.10, -0.05, 0.05, 0.10, 0.15)]
-            grid = [g for g in grid if g > 0]
+        if not cfg.scan:
+            continue
+        grid = [lam_max + s for s in (-0.15, -0.10, -0.05, 0.05, 0.10, 0.15)]
+        grid = [g for g in grid if g > 0]
+        for snr_db in cfg.snr_db:
             scan = queueing.stability_boundary_scan(
-                protocol, antenna, params, cfg.snr_db[0], grid, seed, cfg.horizon
+                protocol, antenna, params, snr_db, grid, seed, cfg.horizon
             )
-            lines.append(f"{'':8s} scan boundary ~ {_fmt(scan.boundary)}")
+            lines.append(f"{'':8s} scan at {_fmt(snr_db)} dB: boundary ~ {_fmt(scan.boundary)}")
             for rep in scan.reports:
-                rows.append(_delay_row(antenna, protocol, ell, params, cfg, cfg.snr_db[0],
+                rows.append(_delay_row(antenna, protocol, ell, params, cfg, snr_db,
                                        rep.total_rate, rep.delay, rep.delay_ci, rep.pe,
                                        rep.verdict, seed))
     # scan rows without --out own stdout, so the summary goes to stderr

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import asymptotic_survival
-from .system import GTA, IRARQ, ONDMA, AntennaConfig, binom_pmf
+from .system import GTA, IRARQ, ONDMA, AntennaConfig, binom_pmf, is_count
 
 
 @dataclass(frozen=True)
@@ -342,6 +342,8 @@ def irarq_stability_pt_scan(
     only scans ``points`` equispaced probabilities and returns the best
     (p_t, boundary) pair, ties toward larger p_t.
     """
+    if not is_count(points):
+        raise ValueError(f"points must be an integer >= 1, got {points!r}")
     best = (1.0, stability_region(IRARQ, config, 1.0, arrival_gain, deadline, beta=beta))
     for i in range(1, points + 1):
         p = i / points
@@ -364,6 +366,8 @@ def tradeoff_curve(
     exhausted, which is exactly how they fail to reach the channel's full
     degrees of freedom.
     """
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     span = config.degrees_of_freedom
     points = []
     n = int(math.ceil(span / step))

@@ -85,13 +85,23 @@ class BetaTable:
     def deadline(self) -> int:
         return self.values.shape[1] - 1
 
+    def _check_index(self, k: int, rounds: int, first_round: int) -> None:
+        """ValueError unless 1 <= k <= users and first_round <= rounds <= deadline.
+
+        Unchecked, numpy's negative indices would read another row or round.
+        """
+        if not 1 <= k <= self.users:
+            raise ValueError(f"k must lie in [1, {self.users}], got {k!r}")
+        if not first_round <= rounds <= self.deadline:
+            raise ValueError(f"rounds must lie in [{first_round}, {self.deadline}], got {rounds!r}")
+
     def beta(self, k: int, rounds: int) -> float:
+        self._check_index(k, rounds, 0)
         return float(self.values[k - 1, rounds])
 
     def alpha(self, k: int, rounds: int) -> float:
         """Probability the epoch resolves exactly at round ``rounds``."""
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        self._check_index(k, rounds, 1)
         return float(self.values[k - 1, rounds - 1] - self.values[k - 1, rounds])
 
     @classmethod

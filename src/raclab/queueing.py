@@ -18,11 +18,11 @@ and are eligible again at the very next epoch.
 The simulator keeps each queue as counts: arrival stamps are drawn in
 blocks of slots, and with each block every user's stamps are counted below
 every slot of it, so a queue holds its arrivals before the current slot
-minus its departures.  Queues are FIFO, so a user's j-th departure is its
-j-th arrival; the loop records only each departure's end slot, and the
-sojourns are formed with numpy at every block boundary.  There, too, the
-backlog samples become int64 arrays, and only those the stability slope
-regresses, in the second half of the horizon, are kept.
+minus its departures.  The loop keeps only what it needs to carry on: each
+user's stamps, block by block, the end slot of each departure and the
+backlog samples the stability slope regresses, those in the second half of
+the horizon.  Queues are FIFO, so a user's j-th departure is its j-th
+arrival, and the sojourns are formed once, with numpy, after the loop.
 """
 
 from __future__ import annotations
@@ -145,11 +145,13 @@ def analytic_delay(
 ) -> float:
     """M/G/1-with-vacations mean delay of the deadline-ARQ protocol, in slots.
 
-    Service is the head-of-line time E[Y] = E[U] + (1/p_t - 1) E[V] (a
-    geometric number of skipped epochs precedes the transmitted one), the
-    vacation is the irrelevant epoch, and the moments are evaluated at the
-    fixed-point transmission probability.  Returns inf outside the
-    stability region.  Exact in the regime where U and V are i.i.d.
+    Service is the head-of-line time Y = U + V_1 + ... + V_G: a geometric
+    number G of skipped epochs, E[G] = 1/p_t - 1 and E[G(G-1)] = 2 E[G]^2,
+    precedes the transmitted one, so E[Y^2] = E[U^2] + 2 E[G] E[U] E[V] +
+    E[G] E[V^2] + E[G(G-1)] E[V]^2.  The vacation is the irrelevant epoch,
+    and the moments are evaluated at the fixed-point transmission
+    probability.  Returns inf outside the stability region.  Exact in the
+    regime where U and V are i.i.d.
     """
     length, _, _ = _epoch_law(users, deadline, beta)
     check_rate("total_rate", total_rate)
@@ -166,7 +168,7 @@ def analytic_delay(
     denom = 2.0 * (users - total_rate * service)
     if denom <= 0.0:
         return math.inf
-    second = eu2 + (2.0 - p_t) * (1.0 - p_t) / p_t**2 * ev2 + 2.0 * skip * eu * ev
+    second = eu2 + 2.0 * skip * eu * ev + skip * ev2 + 2.0 * skip**2 * ev**2
     return service + total_rate * second / denom + ev2 / (2.0 * ev)
 
 
@@ -190,13 +192,12 @@ def simulate_random_arrivals(
     blocks of slots, each drawn from the one generator when the loop first
     needs it.  Between draws the loop does integer arithmetic on per-slot
     arrival counts (module docstring); the sojourns are formed with numpy
-    at each arrival-block boundary, in epoch-then-user order.  The
-    stability verdict regresses the total backlog against time over the
-    second half of the horizon: trend below STABILITY_SLOPE_EPS in absolute
-    value is stable, a positive trend above it is unstable, anything else
-    is inconclusive.  The packet ledger is checked: no queue departs a
-    packet that has not arrived, and departures equal the delivered epoch
-    outcomes.
+    once, after the loop, in epoch-then-user order.  The stability verdict
+    regresses the total backlog against time over the second half of the
+    horizon: trend below STABILITY_SLOPE_EPS in absolute value is stable, a
+    positive trend above it is unstable, anything else is inconclusive.
+    The packet ledger is checked: no queue departs a packet that has not
+    arrived, and departures equal the delivered epoch outcomes.
     """
     if not is_count(horizon_slots) or horizon_slots < 10:
         raise ValueError(f"horizon_slots must be an integer >= 10, got {horizon_slots!r}")
@@ -212,16 +213,14 @@ def simulate_random_arrivals(
     everyone = (1 << config.users) - 1
     block = _tile_epochs(1 << config.users)     # one tile of the engine per block
     all_sets = np.broadcast_to(np.arange(1 << config.users), (block, 1 << config.users))
-    warmup_time = WARMUP_FRACTION * horizon_slots
+    half = horizon_slots / 2.0
 
-    # per user: sorted stamps of packets not yet departed at the last block
-    # boundary (future ones included), numbered from first[u]; before[u][t]
-    # counts the stamps below slot base + t, t = 0.._ARRIVAL_BLOCK_SLOTS
-    stamps = [np.empty(0) for _ in users]
-    first = [0] * config.users
+    # per user: the sorted stamps of each arrival block, never trimmed;
+    # before[u][t] counts the stamps below slot base + t, t = 1.._ARRIVAL_BLOCK_SLOTS
+    stamps: list[list[np.ndarray]] = [[] for _ in users]
     before = [[0] for _ in users]
     departed = [0] * config.users
-    ends: list[list[int]] = [[] for _ in users]   # end slots of departures since the boundary
+    ends: list[list[int]] = [[] for _ in users]   # end slot of each departure
     base = 0
     drawn = 0                    # arrivals are drawn for slots [0, drawn)
 
@@ -229,40 +228,10 @@ def simulate_random_arrivals(
     epoch = block                # index into the current table block
     ready = 0                    # bitmask of non-empty queues at ``slot``
     n_delivered = 0
-    sojourns: list[np.ndarray] = []   # one array per settled block
     errors = 0
     nonidle = 0
-    backlog_t: list[int] = []    # (slot, backlog) after each epoch since the boundary
-    backlog_v: list[int] = []
-    half_t: list[np.ndarray] = []    # the settled samples at t >= horizon/2
-    half_v: list[np.ndarray] = []
-
-    def settle():
-        """Sojourns of the departures since the last boundary, in loop order.
-
-        The backlog samples since the boundary become int64 arrays, of which
-        only the second half of the horizon, the part the slope regresses, is
-        kept.
-        """
-        t = np.array(backlog_t, dtype=np.int64)
-        late = t >= horizon_slots / 2.0
-        half_t.append(t[late])
-        half_v.append(np.array(backlog_v, dtype=np.int64)[late])
-        backlog_t.clear()
-        backlog_v.clear()
-        key, out = [], []
-        for u in users:
-            done = np.asarray(ends[u])
-            stamp = stamps[u][: done.size]
-            counted = stamp >= warmup_time
-            key.append(done[counted])
-            out.append(done[counted] - stamp[counted])
-            stamps[u] = stamps[u][done.size :]
-            first[u] += done.size
-            ends[u].clear()
-        # epochs last at least one slot, so end slots order the epochs
-        key, out = np.concatenate(key), np.concatenate(out)
-        sojourns.append(out[np.argsort(key, kind="stable")])
+    late_t: list[int] = []       # (slot, backlog) after each epoch at slot >= horizon/2
+    late_v: list[int] = []
 
     while slot < horizon_slots:
         if epoch == block:
@@ -295,15 +264,18 @@ def simulate_random_arrivals(
         epoch += 1
 
         while drawn < slot:
-            settle()
             counts = rng.poisson(rate_per_user, size=(_ARRIVAL_BLOCK_SLOTS, config.users))
             base = drawn
             grid = np.arange(base, base + _ARRIVAL_BLOCK_SLOTS + 1)
             for u in users:
                 new = np.repeat(grid[:-1], counts[:, u])
                 new = np.sort(new + rng.random(new.size))
-                stamps[u] = np.concatenate((stamps[u], new))
-                before[u] = (first[u] + np.searchsorted(stamps[u], grid)).tolist()
+                # an earlier block's stamp is at most base (a slot base - 1
+                # stamp rounded up), so it lies below every slot base + t, t >= 1;
+                # entry 0 is never read, as a block is drawn only once slot > base
+                earlier = sum(s.size for s in stamps[u])
+                before[u] = (earlier + np.searchsorted(new, grid)).tolist()
+                stamps[u].append(new)
             drawn += _ARRIVAL_BLOCK_SLOTS
 
         ready = 0
@@ -313,17 +285,27 @@ def simulate_random_arrivals(
             if waiting:
                 ready |= 1 << u
                 backlog += waiting
-        backlog_t.append(slot)
-        backlog_v.append(backlog)
+        if slot >= half:
+            late_t.append(slot)
+            late_v.append(backlog)
 
-    settle()
     if sum(departed) != n_delivered:
         raise AssertionError("packet ledger: departures differ from delivered outcomes")
     n_arrivals = sum(before[u][slot - base] for u in users)
-    delays = np.concatenate(sojourns)
 
-    t = np.concatenate(half_t).astype(float)
-    v = np.concatenate(half_v).astype(float)
+    # FIFO queues: a user's j-th departure is its j-th arrival
+    key, out = [], []
+    for u in users:
+        done = np.asarray(ends[u])
+        stamp = np.concatenate(stamps[u])[: done.size]
+        counted = stamp >= WARMUP_FRACTION * horizon_slots
+        key.append(done[counted])
+        out.append(done[counted] - stamp[counted])
+    # epochs last at least one slot, so end slots order the epochs
+    delays = np.concatenate(out)[np.argsort(np.concatenate(key), kind="stable")]
+
+    t = np.array(late_t, dtype=float)
+    v = np.array(late_v, dtype=float)
     if t.size >= 2 and np.ptp(t) > 0:
         slope = float(np.polyfit(t, v, 1)[0])
     else:

@@ -63,6 +63,21 @@ def test_beta_csv_schema(tmp_path):
     assert metrics == {"beta_k1_l1", "beta_k1_l2", "beta_k2_l1", "beta_k2_l2"}
 
 
+def test_beta_runs_every_deadline(tmp_path):
+    out = tmp_path / "beta.csv"
+    assert main(["beta", "--deadline", "2", "3", "--snr-db", "10", "--trials", "1000",
+                 "--seed", "1", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert {(r[2], r[5]) for r in rows} == (
+        {("2", f"beta_k{k}_l{ell}") for k in (1, 2) for ell in (1, 2)}
+        | {("3", f"beta_k{k}_l{ell}") for k in (1, 2) for ell in (1, 2, 3)})
+    # each deadline's rows are those of a run at that deadline alone
+    alone = tmp_path / "alone.csv"
+    assert main(["beta", "--deadline", "3", "--snr-db", "10", "--trials", "1000",
+                 "--seed", "1", "--out", str(alone)]) == 0
+    assert [r for r in rows if r[2] == "3"] == read_csv(alone)[1]
+
+
 def test_pe_csv_and_determinism(tmp_path):
     args = ["pe", "--protocol", "irarq", "--deadline", "2", "--snr-db", "10", "15", "20",
             "--trials", "5000", "--seed", "9"]
@@ -119,6 +134,15 @@ def test_stability_scan_rows_go_to_stdout(capsys):
     assert len(rows) == 6                               # one per load on the scan grid
     assert {r[0] for r in rows} == {"ondma"}
     assert {r[12] for r in rows} <= {"stable", "unstable", "inconclusive"}
+
+
+def test_stability_scan_runs_every_snr(capsys):
+    assert main(["stability", "--protocol", "ondma", "--scan", "--snr-db", "20", "30",
+                 "--horizon", "2000", "--seed", "5"]) == 0
+    captured = capsys.readouterr()
+    _, *rows = csv.reader(captured.out.splitlines())
+    assert [r[7] for r in rows] == ["20"] * 6 + ["30"] * 6
+    assert "scan at 20 dB" in captured.err and "scan at 30 dB" in captured.err
 
 
 def test_config_file_with_overrides(tmp_path):

@@ -356,6 +356,13 @@ def test_irarq_stability_pt_scan_prefers_full_transmission():
     assert lam == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("points", [0, -3, 2.5, True])
+def test_irarq_stability_pt_scan_rejects_empty_grids(points):
+    # unchecked, points=0 returned the p_t = 1 boundary without scanning
+    with pytest.raises(ValueError, match="points"):
+        irarq_stability_pt_scan(SCALAR2, 0.45, 2, points=points)
+
+
 # ---------------------------------------------------------------------------
 # curve-level properties
 # ---------------------------------------------------------------------------
@@ -388,6 +395,13 @@ def test_protocol_dominance_at_matched_parameters():
                 d_gta = gta_dmt(cfg, p_star, r_e)
                 assert d_ir >= d_on - 1e-12
                 assert d_on >= d_gta - 1e-12
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
+def test_tradeoff_curve_rejects_invalid_steps(step):
+    # unchecked, 0 divided by zero and -0.1 returned an empty curve
+    with pytest.raises(ValueError, match="step"):
+        tradeoff_curve("ondma", SCALAR2, step=step)
 
 
 def test_tradeoff_point_validation():

@@ -74,6 +74,19 @@ def test_beta_alpha_view_and_validation():
             BetaTable(values=np.array([bad, [1.0, 0.5, 0.2]]), source="closed-form", trials=0, snr=None)
 
 
+def test_beta_alpha_reject_indices_outside_the_table():
+    # unchecked, numpy's index -1 read the last user's row or round L
+    table = BetaTable(values=np.array([[1.0, 0.5, 0.2], [1.0, 0.8, 0.6]]),
+                      source="closed-form", trials=0, snr=None)
+    assert table.beta(2, 2) == 0.6 and table.beta(1, 0) == 1.0 and table.alpha(1, 1) == 0.5
+    for k, rounds in ((0, 1), (3, 1), (-1, 1), (1, -1), (1, 3)):
+        with pytest.raises(ValueError):
+            table.beta(k, rounds)
+    for k, rounds in ((0, 1), (3, 1), (1, 0), (1, -1), (1, 3)):
+        with pytest.raises(ValueError):
+            table.alpha(k, rounds)
+
+
 def test_beta_deterministic_and_worker_invariant():
     kw = dict(snr_db=8.0, rate=1.2, deadline=3, trials=3 * 10**5, seed=11, chunk=1 << 16)
     a = estimate_beta(SCALAR2, **kw)

@@ -216,6 +216,23 @@ def test_analytic_delay_vector_channel():
     assert analytic_delay(1.0, 2, 1.0, 2, table) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("p_t", [0.3, 0.7])
+def test_analytic_delay_sums_skipped_epochs_as_independent(p_t):
+    # Y = U + V_1 + ... + V_G with G ~ Geometric skipped epochs; by the law
+    # of total variance Var Y = Var U + E[G] Var V + Var G E[V]^2
+    table = table_from([[1.0, 0.5, 0.2], [1.0, 0.8, 0.6]])
+    lam = 0.3
+    p = solve_transmission_probability(lam, 2, p_t, 2, table)
+    eu, eu2, ev, ev2 = epoch_length_moments(p, 2, 2, table)
+    assert ev2 - ev**2 > 0.05                 # V has variance
+    mean_g, var_g = (1 - p_t) / p_t, (1 - p_t) / p_t**2
+    mean_y = eu + mean_g * ev
+    var_y = (eu2 - eu**2) + mean_g * (ev2 - ev**2) + var_g * ev**2
+    second = var_y + mean_y**2
+    want = mean_y + lam * second / (2 * (2 - lam * mean_y)) + ev2 / (2 * ev)
+    assert analytic_delay(lam, 2, p_t, 2, table) == pytest.approx(want, rel=1e-12)
+
+
 def test_analytic_delay_unstable_is_infinite():
     assert analytic_delay(2.0, 2, 1.0, 2, ZERO_BETA) == math.inf
     table = table_from([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
@@ -404,7 +421,12 @@ def simulate_by_stamp_lists(protocol, config, params, total_rate, snr_db, horizo
     ("gta", AntennaConfig(users=3), ProtocolParams(p_t=1.0, multiplexing_gain=0.1), 0.35, None, 68),
     ("gta", AntennaConfig(users=3), ProtocolParams(p_t=0.8, multiplexing_gain=0.3), 0.3, 10.0, 69),
     ("ondma", SCALAR2, ProtocolParams(p_t=1.0, multiplexing_gain=0.45), 0.8, 10.0, 70),
-], ids=["irarq-15dB", "irarq-inf", "gta-K3-inf", "gta-K3-10dB", "ondma-10dB"])
+    # overloaded: most stamps never depart
+    ("ondma", SCALAR2, ProtocolParams(p_t=1.0, multiplexing_gain=0.45), 1.3, 10.0, 72),
+    # many users in each table block
+    ("gta", AntennaConfig(users=5), ProtocolParams(p_t=0.8, multiplexing_gain=0.3), 0.3, 10.0, 73),
+], ids=["irarq-15dB", "irarq-inf", "gta-K3-inf", "gta-K3-10dB", "ondma-10dB",
+        "ondma-overloaded", "gta-K5-10dB"])
 def test_simulation_matches_stamp_list_oracle(protocol, config, params, rate, snr_db, seed):
     # at 1 000 and 10 001 slots the midpoint, where the slope's samples
     # start, falls inside an arrival block
