@@ -154,6 +154,18 @@ def _tiles(channel: np.ndarray, subsets: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, _shape(channel)[0], step)]
 
 
+def _check_tile(subsets: int, rx: int) -> None:
+    """ValueError unless one epoch of ``subsets`` subsets at ``rx`` receive antennas fits a tile.
+
+    Past that, a tile of the kernels holds one epoch and the subsets'
+    rows alone outgrow the cache (and soon memory): IR-ARQ's joint decoder
+    takes 2^K - 1 subsets, so at most 17 users with one receive antenna.
+    """
+    if subsets * rx * rx > _TILE_ENTRIES:
+        raise ValueError(f"{subsets} subsets at {rx} receive antennas exceed one kernel tile "
+                         f"of {_TILE_ENTRIES} entries per epoch: too many users for joint decoding")
+
+
 def _rx(channel: np.ndarray) -> int:
     """Receive antennas of a block of channels; power rows have one."""
     return 1 if channel.ndim == 2 else channel.shape[2]
@@ -251,11 +263,13 @@ def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadlin
     antenna against the power sum of S, its members' power rows added in
     index order (a single member's row is read as drawn), and with N > 1
     against the :func:`_det` of the scaled pooled Gram rows.  The epochs
-    run in :func:`_tiles`.
+    run in :func:`_tiles`, and a ``subsets`` that does not fit one epoch
+    in a tile raises ValueError before anything is built.
     """
+    rx = _rx(channel)
+    _check_tile(len(subsets), rx)
     masks = tuple(map(int, subsets))
     plan = _pooling_plan(masks)
-    rx = _rx(channel)
     out = np.ones((len(plan), _shape(channel)[0]), dtype=np.min_scalar_type(deadline + 1))
     limits = {size: _thresholds(size, snr, rate, tx, rx, deadline)
               for size in {m.bit_count() for m in masks}}

@@ -12,13 +12,12 @@ threads execute the chunks.  SNR is expressed in dB at this interface and
 converted to linear internally; ``snr_db=None`` selects the infinite-SNR
 limit in which decoding outcomes are deterministic indicator thresholds.
 
-Within a chunk, the fully-loaded estimators draw the participation coins
-tile by tile and the protocol's randomness whole
-(:func:`protocols._outcome_tiles`), then count each tile of epoch outcomes
-as it is evaluated; ``gta_collision_stats`` runs the splitting tree on
-consecutive tiles of its epochs.  The counts are integers, added exactly,
-so the tile size changes no estimate, and beyond the chunk's coins,
-channels and splitting tree no working array grows with the chunk.
+A chunk is one block of the epoch engine: the fully-loaded estimators
+draw its participation coins, evaluate its epochs in one call of
+:func:`protocols.epoch_outcomes` and add its integer counts exactly;
+``gta_collision_stats`` runs one splitting tree per chunk.  The default
+chunk is the engine's cache-sized block, ``protocols._TILE`` epochs, so
+a call's working memory does not grow with its trials.
 """
 
 from __future__ import annotations
@@ -30,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dmt
-from .channel import _draw_channel, asymptotic_survival, capped_rounds
-from .protocols import _bits, _epoch_tiles, _gta_tree_batch, _outcome_tiles
+from .channel import _check_tile, _draw_channel, asymptotic_survival, capped_rounds
+from .protocols import _TILE, _bits, _gta_tree_batch, epoch_outcomes
 from .system import IRARQ, AntennaConfig, ProtocolParams, binom_pmf, check_rate, is_count, snr_from_db
 
-DEFAULT_CHUNK = 1 << 18
+DEFAULT_CHUNK = _TILE
 
 # stream tags keep the independent estimators on disjoint substreams
 _TAG_ERROR = 1
@@ -171,6 +170,7 @@ def estimate_beta(
     check_rate("rate", rate)
     snr = snr_from_db(snr_db)
     users, rx, tx = config.users, config.rx, config.tx
+    _check_tile((1 << users) - 1, rx)           # the largest collision, before any smaller one runs
     values = np.ones((users, deadline + 1))
     stderr = np.zeros((users, deadline + 1))
 
@@ -202,20 +202,16 @@ def _fully_loaded_epochs(
     n: int,
     rng: np.random.Generator,
 ):
-    """n back-to-back epochs of always-backlogged users, each at its coin mask, tile by tile.
+    """n back-to-back epochs of always-backlogged users, each at its coin mask.
 
-    The generator is consumed in a fixed order (participation coins, drawn
-    tile by tile, which is the stream of one whole draw, then the protocol's
-    draws), so runs with the same seed share channel realisations across
-    deadlines and SNR points.  Yields, per tile of :func:`_epoch_tiles`, the
-    coin masks and the epochs' (lengths, delivered, errors), each of shape
-    (epochs of the tile,).
+    The generator is consumed in a fixed order (participation coins, then
+    the protocol's draws), so runs with the same seed share channel
+    realisations across deadlines and SNR points.  Returns the coin masks
+    and the epochs' (lengths, delivered, errors), each of shape (n,).
     """
-    coins = np.empty((n, 1), dtype=np.int64)
-    for tile in _epoch_tiles(n):
-        coins[tile, 0] = _bits(rng.random((tile.stop - tile.start, config.users)) < params.p_t)
-    for tile, *outcomes in _outcome_tiles(protocol, config, params, snr, coins, rng):
-        yield coins[tile, 0], *(x[:, 0] for x in outcomes)
+    coins = _bits(rng.random((n, config.users)) < params.p_t)
+    outcomes = epoch_outcomes(protocol, config, params, snr, coins[:, None], rng)
+    return coins, *(x[:, 0] for x in outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +253,9 @@ def system_error_probability(
 
     def one_chunk(idx, n):
         rng = np.random.default_rng([seed, _TAG_ERROR, idx])
-        nonidle = errors = 0
-        per_user = np.zeros(config.users, dtype=np.int64)
-        for coins, _, _, erred in _fully_loaded_epochs(protocol, config, params, snr, n, rng):
-            nonidle += int(np.count_nonzero(coins))
-            errors += int(np.count_nonzero(erred))
-            per_user += [np.count_nonzero(erred >> u & 1) for u in range(config.users)]
-        return nonidle, errors, per_user
+        coins, _, _, erred = _fully_loaded_epochs(protocol, config, params, snr, n, rng)
+        per_user = np.array([np.count_nonzero(erred >> u & 1) for u in range(config.users)])
+        return int(np.count_nonzero(coins)), int(np.count_nonzero(erred)), per_user
 
     partials = _map_chunks(one_chunk, sizes, workers)
     nonidle = sum(p[0] for p in partials)
@@ -327,11 +319,9 @@ def fully_loaded_throughput(
 
     def one_chunk(idx):
         rng = np.random.default_rng([seed, _TAG_THROUGHPUT, idx])
-        sums = np.zeros(5, dtype=np.int64)
-        for _, ell, delivered, _ in _fully_loaded_epochs(protocol, config, params, snr, n, rng):
-            w = np.bitwise_count(delivered).astype(np.int64)
-            sums += [w.sum(), ell.sum(), (w * w).sum(), (ell * ell).sum(), (w * ell).sum()]
-        return sums
+        _, ell, delivered, _ = _fully_loaded_epochs(protocol, config, params, snr, n, rng)
+        w = np.bitwise_count(delivered).astype(np.int64)
+        return np.array([w.sum(), ell.sum(), (w * w).sum(), (ell * ell).sum(), (w * ell).sum()])
 
     sums = np.zeros(5, dtype=np.int64)  # W, L, WW, LL, WL, exact
     epochs = 0
@@ -397,12 +387,8 @@ def gta_collision_stats(k: int, epochs: int, seed: int, chunk: int = DEFAULT_CHU
 
     def one_chunk(idx, n):
         rng = np.random.default_rng([seed, _TAG_GTA_STATS, idx])
-        sums = np.zeros(4, dtype=np.int64)
-        # every epoch collides (k >= 2), so tiles of epochs are the tree's own tiles
-        for tile in _epoch_tiles(n):
-            ell, w = _gta_tree_batch(np.full(tile.stop - tile.start, k, dtype=np.int64), rng)
-            sums += [ell.sum(), (ell * ell).sum(), w.sum(), (w * w).sum()]
-        return sums
+        ell, w = _gta_tree_batch(np.full(n, k, dtype=np.int64), rng)
+        return np.array([ell.sum(), (ell * ell).sum(), w.sum(), (w * w).sum()])
 
     l1, l2, d1, d2 = sum(_map_chunks(one_chunk, sizes, workers)).astype(float)
     mean_l = l1 / epochs

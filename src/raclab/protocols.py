@@ -8,15 +8,10 @@ once and each epoch evaluated at the participant bitmasks it is asked for
 (bit i set for user i; 0 is the idle epoch): the epoch length and the
 bitmasks of delivered and of wrongly decoded packets.
 
-The engine splits where the draws end.  :func:`_outcome_tiles` first
-draws the block's randomness whole, in a fixed order per protocol (the
-splitting tree's words and rankings, then the channels), so a block
-replays bitwise whatever the tiling.  It then evaluates the block one tile
-of ``_TILE`` cells (epochs times sets per epoch) at a time, with one body
-per protocol, so the work after the draws stays cache-sized however large
-the block.  :func:`epoch_outcomes` gathers the tiles into whole tables for
-the queue, whose block of 2^K sets per epoch is exactly one tile; the
-fully-loaded estimators count each tile as it comes.
+:func:`epoch_outcomes` draws and evaluates a block in one pass, with one
+body per protocol.  Its callers keep the block cache-sized: the queue asks
+for ``_TILE`` cells (epochs times the 2^K sets of each) per draw, and a
+fully-loaded estimator's default chunk is ``_TILE`` epochs at one set each.
 
 * IR-ARQ: every participant sends a fresh redundancy block each round and
   the receiver jointly decodes across users and rounds, up to the deadline
@@ -71,24 +66,13 @@ def _subset_max(rows: np.ndarray, users: int) -> np.ndarray:
     return worst
 
 
-# Cells (epochs times participant sets per epoch) evaluated together, and the
-# colliding epochs the splitting tree runs to their end together: cache-sized
+# Cells (epochs times participant sets per epoch) of one cache-sized block:
+# the queue's block and the estimators' default chunk
 _TILE = 1 << 14
 
 # the tree's per-epoch accumulator packs length << 32 | users not yet pruned
 _SLOT = 1 << 32
 _MAX_TREE_USERS = (1 << 16) - 1     # the documented cap; the packed fields hold more
-
-
-def _tile_epochs(sets: int = 1) -> int:
-    """Epochs per tile when each is evaluated at ``sets`` participant sets."""
-    return max(1, _TILE // sets)
-
-
-def _epoch_tiles(n: int, sets: int = 1) -> list[slice]:
-    """Consecutive slices of n epochs, :func:`_tile_epochs` each (the last may be short)."""
-    step = _tile_epochs(sets)
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _chunk_tables():
@@ -113,12 +97,10 @@ def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
 
     Returns per-epoch (length, delivered count); the other users of an
     epoch are pruned.  Identities are exchangeable, so callers may assign
-    the delivered users as uniform subsets.  The colliding epochs run in
-    tiles of ``_TILE``, in epoch order, each tile to its end before
-    the next.  Each step moves every live epoch of the tile to its next
-    distinct group size and drops the epochs that finish, so an epoch of k
-    users takes at most k - 1 steps, bar redraws of probability at most
-    2^-32 each.
+    the delivered users as uniform subsets.  The colliding epochs run
+    together: each step moves every live epoch to its next distinct group
+    size and drops the epochs that finish, so an epoch of k users takes at
+    most k - 1 steps, bar redraws of probability at most 2^-32 each.
 
     A step draws one uniform 64-bit word per live epoch, in epoch order
     (ceil(g_max / 64) words each while a group of g_max > 64 users is
@@ -135,27 +117,25 @@ def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
     if k_max > _MAX_TREE_USERS:
         raise ValueError(f"splitting tree counts at most {_MAX_TREE_USERS} users, got {k_max}")
     acc = np.add(k_init, _SLOT, dtype=np.int64)     # the first slot; no user pruned yet
-    colliding = np.flatnonzero(k_init >= 2)
-    for lo in range(0, colliding.size, _TILE):
-        idx = colliding[lo : lo + _TILE]
-        group = k_init[idx].astype(np.int64, copy=False)
-        while idx.size:
-            words = (int(group.max()) + 63) >> 6
-            draw = rng.integers(0, 1 << 64, size=(idx.size, words), dtype=np.uint64)
-            loops, left = _split(draw, group)
-            one = left == 1
-            # a singleton left group takes its clean slot and the rest collides
-            # again (a lone rest sends in that slot); a larger one prunes the right
-            after = np.where(one, group - 1, left)
-            inc = (loops + one + 1).astype(np.int64) << 32
-            inc -= group - after - one               # the users pruned
-            if not left.all():                       # every chunk re-collided
-                stuck = left == 0
-                inc[stuck] = loops[stuck].astype(np.int64) << 32
-                after[stuck] = group[stuck]
-            acc[idx] += inc
-            live = after >= 2
-            idx, group = idx[live], after[live]
+    idx = np.flatnonzero(k_init >= 2)
+    group = k_init[idx].astype(np.int64, copy=False)
+    while idx.size:
+        words = (int(group.max()) + 63) >> 6
+        draw = rng.integers(0, 1 << 64, size=(idx.size, words), dtype=np.uint64)
+        loops, left = _split(draw, group)
+        one = left == 1
+        # a singleton left group takes its clean slot and the rest collides
+        # again (a lone rest sends in that slot); a larger one prunes the right
+        after = np.where(one, group - 1, left)
+        inc = (loops + one + 1).astype(np.int64) << 32
+        inc -= group - after - one               # the users pruned
+        if not left.all():                       # every chunk re-collided
+            stuck = left == 0
+            inc[stuck] = loops[stuck].astype(np.int64) << 32
+            after[stuck] = group[stuck]
+        acc[idx] += inc
+        live = after >= 2
+        idx, group = idx[live], after[live]
     return acc >> 32, acc & (_SLOT - 1)              # every user not pruned is delivered
 
 
@@ -230,87 +210,6 @@ def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, channel, ga
     return _bits((rounds > 1).T)
 
 
-def _outcome_tiles(
-    protocol: str,
-    config: AntennaConfig,
-    params: ProtocolParams,
-    snr: float | None,
-    masks: np.ndarray,
-    rng: np.random.Generator,
-):
-    """Draw a block of epochs whole, then yield its outcomes tile by tile.
-
-    ``masks`` is an (n, m) int64 array of participant bitmasks, epoch e
-    evaluated at the sets masks[e].  The generator is consumed at the first
-    step, in a fixed order per protocol: for GTA the splitting tree over the
-    masks' sizes and the rankings of its short epochs, then for every
-    protocol the block's channels unless ``snr`` is None.  Then for each
-    slice of :func:`_epoch_tiles` (m sets per epoch) it yields (tile,
-    lengths, delivered, errors), the last three int64 arrays shaped like
-    ``masks[tile]``; ``delivered`` and ``errors`` are bitmasks of users.
-    """
-    users = config.users
-    if users > 63:
-        raise ValueError(f"participant bitmasks are int64: at most 63 users, got {users}")
-    if snr is None and params.multiplexing_gain is None:
-        raise ValueError("infinite-SNR mode needs multiplexing-gain params")
-    if protocol not in (IRARQ, ONDMA, GTA):
-        raise ValueError(f"unknown protocol {protocol!r}")
-    deadline = params.deadline
-    if protocol == IRARQ and deadline is None:
-        raise ValueError("IR-ARQ needs a deadline")
-    n = masks.shape[0]
-
-    if protocol == GTA:
-        sizes = np.bitwise_count(masks).astype(np.int64)
-        tree_len, tree_del = _gta_tree_batch(sizes.ravel(), rng)
-        tree_len = tree_len.reshape(masks.shape)
-        taken = _tree_members(masks, tree_del.reshape(masks.shape), users, rng)
-    channel = None if snr is None else _draw_channel(rng, (n, users, config.rx, config.tx))
-    if protocol == IRARQ and snr is None:
-        gain = params.multiplexing_gain
-        by_size = np.array([1] + [asymptotic_first_decodable_round(k, config, gain)
-                                  for k in range(1, users + 1)])
-    rate = None if snr is None else params.rate_at(snr)
-
-    for tile in _epoch_tiles(n, masks.shape[1]):
-        cells = masks[tile]
-        drawn = None if channel is None else _pick_epochs(channel, tile)
-        if protocol == IRARQ:
-            if drawn is None:
-                needed = by_size[np.bitwise_count(cells)]
-            else:
-                rounds = capped_rounds(drawn, snr, rate, config.tx, deadline, range(1, 1 << users))
-                worst = _subset_max(rounds, users)
-                worst[0] = 1                             # the idle epoch takes one slot
-                # worst[cells[e, j], e] for every cell, as one flat gather: min(needed, L + 1)
-                t = cells.shape[0]
-                needed = worst.ravel()[cells * t + np.arange(t)[:, None]]
-            lengths = np.minimum(needed, deadline, dtype=np.int64)
-            delivered = cells
-            errors = np.where(needed > deadline, cells, 0)
-        elif protocol == ONDMA:
-            sizes = np.bitwise_count(cells).astype(np.int64)
-            lengths = np.maximum(sizes, 1)
-            delivered = cells
-            if drawn is not None and params.matched_combining:
-                # outage bits at combining gain k, for the epochs that have a k-user set
-                out = np.zeros((cells.shape[0], users + 1), dtype=np.int64)
-                for k in range(1, users + 1):
-                    rows = (sizes == k).any(axis=1)
-                    picked = _pick_epochs(drawn, rows)
-                    out[rows, k] = _outage_bits(config, params, snr, picked, float(k))
-                out = np.take_along_axis(out, sizes, axis=1)
-            else:
-                out = np.reshape(_outage_bits(config, params, snr, drawn, 1.0), (-1, 1))
-            errors = cells & out
-        else:
-            lengths = tree_len[tile]
-            delivered = taken[tile]
-            errors = delivered & np.reshape(_outage_bits(config, params, snr, drawn, 1.0), (-1, 1))
-        yield tile, lengths, delivered, errors
-
-
 def epoch_outcomes(
     protocol: str,
     config: AntennaConfig,
@@ -324,17 +223,55 @@ def epoch_outcomes(
     ``masks`` is an (n, m) int64 array of participant bitmasks.  Returns
     (lengths, delivered, errors), each an (n, m) int64 array indexed like
     ``masks``; ``delivered`` and ``errors`` are bitmasks of users.  The
-    generator is consumed in a fixed order per protocol, so a block replays
-    bitwise for a given generator state; the channel draws of an epoch do
-    not depend on the masks it is evaluated at.  The tiles of
-    :func:`_outcome_tiles`, gathered.
+    generator is consumed in a fixed order per protocol: for GTA the
+    splitting tree over the masks' sizes and the rankings of its short
+    epochs, then for every protocol the block's channels unless ``snr`` is
+    None.  So a block replays bitwise for a given generator state, and the
+    channel draws of an epoch do not depend on the masks it is evaluated at.
     """
-    tiles = list(_outcome_tiles(protocol, config, params, snr, masks, rng))
-    if len(tiles) == 1:
-        # a queue block is one tile: returned as evaluated, with no fresh pages for a copy
-        return tuple(tiles[0][1:])
-    out = np.empty((3, *masks.shape), dtype=np.int64)
-    for tile, *outcomes in tiles:
-        for whole, part in zip(out, outcomes):
-            whole[tile] = part
-    return tuple(out)
+    users = config.users
+    if users > 63:
+        raise ValueError(f"participant bitmasks are int64: at most 63 users, got {users}")
+    if snr is None and params.multiplexing_gain is None:
+        raise ValueError("infinite-SNR mode needs multiplexing-gain params")
+    if protocol not in (IRARQ, ONDMA, GTA):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    deadline = params.deadline
+    if protocol == IRARQ and deadline is None:
+        raise ValueError("IR-ARQ needs a deadline")
+    n = masks.shape[0]
+    sizes = np.bitwise_count(masks).astype(np.int64)
+
+    if protocol == GTA:
+        tree_len, tree_del = _gta_tree_batch(sizes.ravel(), rng)
+        taken = _tree_members(masks, tree_del.reshape(masks.shape), users, rng)
+    channel = None if snr is None else _draw_channel(rng, (n, users, config.rx, config.tx))
+
+    if protocol == IRARQ:
+        if channel is None:
+            gain = params.multiplexing_gain
+            needed = np.array([1] + [asymptotic_first_decodable_round(k, config, gain)
+                                     for k in range(1, users + 1)])[sizes]
+        else:
+            rounds = capped_rounds(channel, snr, params.rate_at(snr), config.tx, deadline,
+                                   range(1, 1 << users))
+            worst = _subset_max(rounds, users)
+            worst[0] = 1                                 # the idle epoch takes one slot
+            # worst[masks[e, j], e] for every cell, as one flat gather: min(needed, L + 1)
+            needed = worst.ravel()[masks * n + np.arange(n)[:, None]]
+        errors = np.where(needed > deadline, masks, 0)
+        return np.minimum(needed, deadline, dtype=np.int64), masks, errors
+    if protocol == ONDMA:
+        if channel is not None and params.matched_combining:
+            # outage bits at combining gain k, for the epochs that have a k-user set
+            out = np.zeros((n, users + 1), dtype=np.int64)
+            for k in range(1, users + 1):
+                rows = (sizes == k).any(axis=1)
+                picked = _pick_epochs(channel, rows)
+                out[rows, k] = _outage_bits(config, params, snr, picked, float(k))
+            out = np.take_along_axis(out, sizes, axis=1)
+        else:
+            out = np.reshape(_outage_bits(config, params, snr, channel, 1.0), (-1, 1))
+        return np.maximum(sizes, 1), masks, masks & out
+    errors = taken & np.reshape(_outage_bits(config, params, snr, channel, 1.0), (-1, 1))
+    return tree_len.reshape(masks.shape), taken, errors

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import dmt
 from .montecarlo import BetaTable
-from .protocols import _bits, _tile_epochs, epoch_outcomes
+from .protocols import _TILE, _bits, epoch_outcomes
 from .system import IRARQ, AntennaConfig, ProtocolParams, check_rate, is_count, snr_from_db
 
 STABILITY_SLOPE_EPS = 1e-3   # packets/slot; backlog-trend threshold
@@ -211,7 +211,7 @@ def simulate_random_arrivals(
     rate_per_user = total_rate / config.users
     users = range(config.users)
     everyone = (1 << config.users) - 1
-    block = _tile_epochs(1 << config.users)     # one tile of the engine per block
+    block = _TILE >> config.users              # one cache-sized block of the engine
     all_sets = np.broadcast_to(np.arange(1 << config.users), (block, 1 << config.users))
     half = horizon_slots / 2.0
 
@@ -293,17 +293,6 @@ def simulate_random_arrivals(
         raise AssertionError("packet ledger: departures differ from delivered outcomes")
     n_arrivals = sum(before[u][slot - base] for u in users)
 
-    # FIFO queues: a user's j-th departure is its j-th arrival
-    key, out = [], []
-    for u in users:
-        done = np.asarray(ends[u])
-        stamp = np.concatenate(stamps[u])[: done.size]
-        counted = stamp >= WARMUP_FRACTION * horizon_slots
-        key.append(done[counted])
-        out.append(done[counted] - stamp[counted])
-    # epochs last at least one slot, so end slots order the epochs
-    delays = np.concatenate(out)[np.argsort(np.concatenate(key), kind="stable")]
-
     t = np.array(late_t, dtype=float)
     v = np.array(late_v, dtype=float)
     if t.size >= 2 and np.ptp(t) > 0:
@@ -316,6 +305,18 @@ def simulate_random_arrivals(
         verdict = "unstable"
     else:
         verdict = "inconclusive"
+    del late_t, late_v, t, v     # freed first, so their peak and the sojourns' never add
+
+    # FIFO queues: a user's j-th departure is its j-th arrival
+    key, out = [], []
+    for u in users:
+        done = np.asarray(ends[u])
+        stamp = np.concatenate(stamps[u])[: done.size]
+        counted = stamp >= WARMUP_FRACTION * horizon_slots
+        key.append(done[counted])
+        out.append(done[counted] - stamp[counted])
+    # epochs last at least one slot, so end slots order the epochs
+    delays = np.concatenate(out)[np.argsort(np.concatenate(key), kind="stable")]
 
     if delays.size:
         mean_delay = float(np.mean(delays))

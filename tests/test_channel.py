@@ -16,6 +16,7 @@ from raclab import AntennaConfig, ProtocolParams
 from raclab.channel import (
     _TILE_ENTRIES,
     NEVER,
+    _check_tile,
     _det,
     _draw_channel,
     _draw_gains,
@@ -26,7 +27,12 @@ from raclab.channel import (
     batch_first_decodable_round,
     capped_rounds,
 )
-from raclab.montecarlo import _TAG_BETA, estimate_beta
+from raclab.montecarlo import (
+    _TAG_BETA,
+    estimate_beta,
+    fully_loaded_throughput,
+    system_error_probability,
+)
 from raclab.protocols import _gta_tree_batch, epoch_outcomes
 
 SCALAR2 = AntennaConfig(users=2, tx=1, rx=1)
@@ -1023,6 +1029,36 @@ def test_capped_rounds_hold_deadlines_beyond_uint8():
         assert got.dtype == dtype
         assert np.array_equal(got, capped_by_demand(channel, 1.0, 2.0, 1, deadline))
         assert got.max() == deadline + 1
+
+
+def test_subsets_beyond_one_kernel_tile_fail_before_anything_is_built():
+    # one epoch's subsets times rx^2 entries must fit a tile: at most 17
+    # users with one receive antenna and 13 with four
+    assert _TILE_ENTRIES == 1 << 17
+    for users, rx in ((17, 1), (13, 4)):
+        _check_tile((1 << users) - 1, rx)
+        with pytest.raises(ValueError, match="kernel tile"):
+            _check_tile((1 << (users + 1)) - 1, rx)
+    # 2^40 - 1 subsets: a kernel that built its plan first would not return
+    power = np.ones((40, 3))
+    with pytest.raises(ValueError, match="kernel tile"):
+        capped_rounds(power, 10.0, 1.0, 1, 2, range(1, 1 << 40))
+    gains = np.zeros((3, 14, 4, 1), dtype=complex)
+    with pytest.raises(ValueError, match="kernel tile"):
+        capped_rounds(gains, 10.0, 1.0, 1, 2, range(1, 1 << 14))
+    # the estimators reach the joint decoder at 2^K - 1 subsets; estimate_beta
+    # checks its largest collision before it runs the smaller ones
+    params = ProtocolParams(p_t=1.0, rate=1.0, deadline=2)
+    for users in (18, 40):
+        big = AntennaConfig(users=users)
+        with pytest.raises(ValueError, match="kernel tile"):
+            estimate_beta(big, 10.0, 1.0, 2, 100, seed=1)
+        with pytest.raises(ValueError, match="kernel tile"):
+            system_error_probability("irarq", big, params, 10.0, 100, seed=1)
+        with pytest.raises(ValueError, match="kernel tile"):
+            fully_loaded_throughput("irarq", big, params, 10.0, 100, seed=1)
+    with pytest.raises(ValueError, match="kernel tile"):
+        estimate_beta(AntennaConfig(users=14, tx=1, rx=4), 10.0, 1.0, 2, 100, seed=1)
 
 
 def test_first_round_memory_beyond_result_is_flat_in_epochs():

@@ -200,6 +200,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_joint_decoding_past_one_kernel_tile_exits_2(capsys):
+    # 2^40 - 1 subsets per epoch: a config error, not an allocation that never ends
+    for argv in (["beta", "--users", "40"],
+                 ["pe", "--protocol", "irarq", "--users", "40", "--deadline", "2"],
+                 ["throughput", "--protocol", "irarq", "--users", "40", "--deadline", "2"]):
+        capsys.readouterr()
+        assert main(argv + ["--trials", "100", "--seed", "1"]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "kernel tile" in err, err
+
+
 def test_fixed_rate_mode(tmp_path):
     out = tmp_path / "pe.csv"
     code = main(["pe", "--protocol", "ondma", "--rate-mode", "fixed-R", "--r", "1.0",

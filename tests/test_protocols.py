@@ -221,7 +221,7 @@ def test_gta_scripted_words_whose_chunks_all_recollide():
     lengths, delivered = _gta_tree_batch(np.array([2, 3, 65, 2]), ScriptedTreeRng(steps))
     assert lengths.tolist() == [1 + 32 + 2, 1 + 16 + 2 + 2, 1 + 1 + 1 + 2, 3]
     assert delivered.tolist() == [2, 3, 2, 2]
-    want = tree_by_chunks(np.array([2, 3, 65, 2]), ScriptedTreeRng(steps), protocols._TILE)
+    want = tree_by_chunks(np.array([2, 3, 65, 2]), ScriptedTreeRng(steps), 4)
     assert [x.tolist() for x in want] == [lengths.tolist(), delivered.tolist()]
 
 
@@ -265,19 +265,16 @@ def tree_by_chunks(k_init, rng, tile):
 
 
 @pytest.mark.parametrize("k_max", [2, 3, 4, 8, 64, 65, 130])
-def test_gta_tree_matches_mask_oracle(k_max, monkeypatch):
+def test_gta_tree_matches_mask_oracle(k_max):
     seeds = np.random.default_rng(k_max).integers(1 << 30, size=2)
     mixed = np.random.default_rng(seeds[0]).integers(0, k_max + 1, 5000)
-    # one tile, then tiles of 777 colliding epochs
-    for tile in (protocols._TILE, 777):
-        monkeypatch.setattr(protocols, "_TILE", tile)
-        for k_init in (np.full(5000, k_max), mixed):
-            rngs = [np.random.default_rng(seeds[1]) for _ in range(2)]
-            got = _gta_tree_batch(k_init, rngs[0])
-            want = tree_by_chunks(k_init, rngs[1], tile)
-            for a, b in zip(got, want, strict=True):
-                np.testing.assert_array_equal(a, b)
-            assert rngs[0].random() == rngs[1].random()   # same draws consumed
+    for k_init in (np.full(5000, k_max), mixed):
+        rngs = [np.random.default_rng(seeds[1]) for _ in range(2)]
+        got = _gta_tree_batch(k_init, rngs[0])
+        want = tree_by_chunks(k_init, rngs[1], k_init.size)     # every epoch in one pass
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert rngs[0].random() == rngs[1].random()   # same draws consumed
     assert all(x.size == 0 for x in _gta_tree_batch(np.zeros(0, dtype=np.int64), rngs[0]))
     with pytest.raises(ValueError, match="at most"):
         _gta_tree_batch(np.array([1 << 16]), rngs[0])   # past the documented cap
@@ -658,11 +655,11 @@ def test_bits_match_matmul(users):
 
 
 # ---------------------------------------------------------------------------
-# tiled evaluation against the whole-block engine it replaced
+# the engine and the estimators against test-local whole-block oracles
 # ---------------------------------------------------------------------------
 
 def outcomes_whole_block(protocol, config, params, snr, masks, rng):
-    """The single whole-block pass the tiled engine replaced, kept as its bitwise oracle."""
+    """A test-local whole-block pass over the draws, the engine's independent bitwise oracle."""
     users, n = config.users, masks.shape[0]
     shape = (n, users, config.rx, config.tx)
     sizes = np.bitwise_count(masks).astype(np.int64)
@@ -757,19 +754,18 @@ def bitwise(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# tile sizes with the epochs, slots and chunk that give each several tiles and chunks
-TILINGS = {"default": (None, 40_000, 1 << 15), "777": (777, 3000, 2048), "1": (1, 120, 64)}
+# (epochs or slots, chunk) giving each case several chunks, the last one short; the
+# case names are kept from when each also set a tile size inside the chunk
+CHUNKINGS = {"default": (40_000, 1 << 15), "777": (3000, 2048), "1": (120, 64)}
 
 
-@pytest.mark.parametrize("tiling", TILINGS)
+@pytest.mark.parametrize("chunking", CHUNKINGS)
 @pytest.mark.parametrize("snr_db", [10.0, None], ids=["10dB", "inf"])
 @pytest.mark.parametrize("p_t", [0.7, 1.0])
 @pytest.mark.parametrize("users", [2, 3, 5])
 @pytest.mark.parametrize("protocol", ["irarq", "ondma", "gta"])
-def test_tiled_estimators_match_whole_chunk_oracle(protocol, users, p_t, snr_db, tiling, monkeypatch):
-    tile, trials, chunk = TILINGS[tiling]
-    if tile is not None:
-        monkeypatch.setattr(protocols, "_TILE", tile)
+def test_tiled_estimators_match_whole_chunk_oracle(protocol, users, p_t, snr_db, chunking):
+    trials, chunk = CHUNKINGS[chunking]
     config = AntennaConfig(users=users)
     snr = None if snr_db is None else 10.0 ** (snr_db / 10.0)
     variants = ([{"deadline": L} for L in (1, 2, 3)] if protocol == "irarq" else
@@ -787,26 +783,22 @@ def test_tiled_estimators_match_whole_chunk_oracle(protocol, users, p_t, snr_db,
         assert all(bitwise(a, b) for a, b in zip(got, want, strict=True)), (got, want)
 
 
-@pytest.mark.parametrize("tiling", TILINGS)
+@pytest.mark.parametrize("chunking", CHUNKINGS)
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
-def test_tiled_tree_stats_match_whole_chunk_oracle(k, tiling, monkeypatch):
-    # every epoch collides, so tiles of epochs are the tree's own tiles
-    tile, epochs, chunk = TILINGS[tiling]
-    if tile is not None:
-        monkeypatch.setattr(protocols, "_TILE", tile)
+def test_tiled_tree_stats_match_whole_chunk_oracle(k, chunking):
+    epochs, chunk = CHUNKINGS[chunking]
     got = gta_collision_stats(k, epochs, seed=20 + k, chunk=chunk)
     want = whole_chunk_tree_stats(k, epochs, 20 + k, chunk)
     assert all(bitwise(a, b) for a, b in zip(got, want, strict=True)), (got, want)
 
 
-@pytest.mark.parametrize("tile", [None, 777, 1])
+# blocks of 3000, 777 and 300 epochs; the case names are kept from when
+# each set a tile size inside the block
+@pytest.mark.parametrize("n", [3000, 777, 300], ids=["None", "777", "1"])
 @pytest.mark.parametrize("protocol", ["irarq", "ondma", "gta"])
-def test_epoch_outcomes_match_whole_block_oracle(protocol, tile, monkeypatch):
+def test_epoch_outcomes_match_whole_block_oracle(protocol, n):
     # the queue's layout (every epoch at all 2^K sets) and the estimators'
     # (one set per epoch), scalar and 2x2, at finite and infinite SNR
-    if tile is not None:
-        monkeypatch.setattr(protocols, "_TILE", tile)
-    n = 300 if tile == 1 else 3000
     for config in (AntennaConfig(users=3), AntennaConfig(users=3, tx=2, rx=2)):
         all_sets = np.broadcast_to(np.arange(8), (n, 8))
         coins = np.random.default_rng(3).integers(0, 8, (n, 1))
@@ -821,11 +813,10 @@ def test_epoch_outcomes_match_whole_block_oracle(protocol, tile, monkeypatch):
                 assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
-@pytest.mark.parametrize("protocol", ["irarq", "ondma"])
+@pytest.mark.parametrize("protocol", ["irarq", "ondma", "gta"])
 def test_error_probability_memory_does_not_grow_with_the_chunk(protocol):
-    # beyond the chunk's coin masks (8 bytes per epoch) and power rows (8 per
-    # user and epoch), a call's traced peak is its tiles' working set: equal
-    # at 2^16 and 2^18 epochs within 64 KiB, a bound fixed before the first run
+    # a call's traced peak is one default chunk's working set: equal at 2^16
+    # and 2^18 epochs within 64 KiB, a bound fixed before the first run
     params = ProtocolParams(p_t=0.7, multiplexing_gain=0.45, deadline=2)
     system_error_probability(protocol, SCALAR2, params, 20.0, 1 << 12, seed=1)
     peaks = []
@@ -836,5 +827,5 @@ def test_error_probability_memory_does_not_grow_with_the_chunk(protocol):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        peaks.append(peak - n * 8 * (SCALAR2.users + 1))
+        peaks.append(peak)
     assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
