@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .system import AntennaConfig
+from .system import AntennaConfig, check_counts
 
 # A round index safely beyond any deadline, returned when a group of users
 # can never be decoded (zero mutual information at a positive rate).
@@ -324,8 +324,7 @@ def asymptotic_first_decodable_round(k: int, config: AntennaConfig, r: float) ->
     ``rounds`` rounds iff r > min(rounds*M, rounds*N/k), so the epoch
     length is max(ceil(r/M), ceil(k*r/N), 1); boundary equality decodes.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_counts(k=k)
     if r < 0:
         raise ValueError("multiplexing gain must be nonnegative")
     need_tx = math.ceil(r / config.tx - 1e-12)

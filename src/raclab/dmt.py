@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import asymptotic_survival
-from .system import GTA, IRARQ, ONDMA, AntennaConfig, binom_pmf, is_count
+from .system import GTA, IRARQ, ONDMA, AntennaConfig, binom_pmf, check_counts, check_p_t
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,7 @@ def point_to_point_dmt(tx: int, rx: int, r: float) -> float:
     integer k = 0..min(M, N); zero for r >= min(M, N).  This single curve is
     the source of truth for both branches of the multiple-access tradeoff.
     """
-    if tx < 1 or rx < 1:
-        raise ValueError("antenna counts must be >= 1")
+    check_counts(tx=tx, rx=rx)
     if r < 0:
         raise ValueError(f"multiplexing gain must be nonnegative, got {r}")
     kmax = min(tx, rx)
@@ -72,8 +71,7 @@ def mac_dmt(k: int, tx: int, rx: int, r: float) -> float:
     tradeoff becomes that of a kM x N link at multiplexing gain k*r.  The
     two branches agree at the threshold.
     """
-    if k < 1:
-        raise ValueError("user count must be >= 1")
+    check_counts(k=k)
     if r < 0:
         raise ValueError(f"multiplexing gain must be nonnegative, got {r}")
     threshold = min(tx, rx / (k + 1))
@@ -196,8 +194,7 @@ def beta_highsnr(k: int, tx: int, rx: int, r: float, rounds: int) -> float:
     not defined by the outage exponent; this returns 0 there (no persistent
     outage), and callers avoid exact-boundary inputs.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    check_counts(rounds=rounds)
     return float(asymptotic_survival(AntennaConfig(k, tx, rx), r, rounds)[k - 1, rounds])
 
 
@@ -211,12 +208,9 @@ def irarq_effective_multiplexing(
     Below the first discontinuity (r < min(M, N/K)) this reduces to
     r_e = p_t*K*r.
     """
-    if not (0.0 < p_t <= 1.0):
-        raise ValueError(f"p_t must lie in (0, 1], got {p_t}")
+    check_p_t(p_t)
     if not (0.0 <= r <= min(config.tx, config.rx)):
         raise ValueError("first-round gain must lie in [0, min(M, N)]")
-    if deadline < 1:
-        raise ValueError("deadline must be >= 1")
     return r * stability_region(IRARQ, config, p_t, r, deadline)
 
 
@@ -227,8 +221,7 @@ def irarq_dmdt(config: AntennaConfig, r_e: float, deadline: int) -> float:
     which keeps every round below the first outage discontinuity; the value
     is the K-user MAC tradeoff at r_e/(K*L).
     """
-    if deadline < 1:
-        raise ValueError("deadline must be >= 1")
+    check_deadline(deadline)
     span = config.degrees_of_freedom
     if not (0.0 <= r_e <= span):
         raise ValueError(f"effective gain must lie in [0, {span}], got {r_e}")
@@ -252,8 +245,7 @@ def random_arrival_diversity(
     if protocol in (GTA, ONDMA):
         return mac_dmt(1, config.tx, config.rx, arrival_gain)
     if protocol == IRARQ:
-        if deadline is None or deadline < 1:
-            raise ValueError("IR-ARQ needs a deadline >= 1")
+        check_deadline(deadline)
         return mac_dmt(config.users, config.tx, config.rx, arrival_gain / deadline)
     raise ValueError(f"unknown protocol {protocol!r}")
 
@@ -296,6 +288,15 @@ def epoch_law(protocol: str, config: AntennaConfig, beta_values=None):
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
+def check_deadline(deadline: int, values=None) -> None:
+    """ValueError unless ``deadline`` is an integer >= 1 and, given a (K, L+1)
+    survival array ``values``, equals the table's deadline L."""
+    check_counts(deadline=deadline)
+    table = None if values is None else np.shape(values)[1] - 1
+    if table is not None and deadline != table:
+        raise ValueError(f"deadline {deadline} differs from the beta table's {table}")
+
+
 def binomial_mix(column, n: int, p: float, shift: int = 0) -> float:
     """sum_k Binomial(n, p)[k] * column[k + shift]: a per-size column mixed over n colliders."""
     return sum(binom_pmf(n, k, p) * column[k + shift] for k in range(n + 1))
@@ -317,10 +318,12 @@ def stability_region(
     (any object with a ``values`` array of shape (K, L+1), e.g. a Monte
     Carlo table) for a finite-SNR region, or leave it None to use the
     infinite-SNR indicators derived from ``arrival_gain`` and ``deadline``.
+    A ``deadline`` given with a table must be the table's.
     """
-    if not (0.0 < p_t <= 1.0):
-        raise ValueError(f"p_t must lie in (0, 1], got {p_t}")
+    check_p_t(p_t)
     values = None if beta is None else beta.values
+    if deadline is not None:
+        check_deadline(deadline, values)
     if protocol == IRARQ and values is None:
         if arrival_gain is None or deadline is None:
             raise ValueError("IR-ARQ needs either a beta table or (arrival_gain, deadline)")
@@ -342,8 +345,7 @@ def irarq_stability_pt_scan(
     only scans ``points`` equispaced probabilities and returns the best
     (p_t, boundary) pair, ties toward larger p_t.
     """
-    if not is_count(points):
-        raise ValueError(f"points must be an integer >= 1, got {points!r}")
+    check_counts(points=points)
     best = (1.0, stability_region(IRARQ, config, 1.0, arrival_gain, deadline, beta=beta))
     for i in range(1, points + 1):
         p = i / points

@@ -6,18 +6,21 @@ diversity exponents fitted from error-probability samples.
 
 Reproducibility contract: work is split into fixed-size chunks and chunk i
 of a run tagged ``tag`` uses the generator ``default_rng([seed, tag, i])``.
-Partial results are pure sums merged in chunk order, so estimates are
-bitwise identical for a given (arguments, seed) no matter how many worker
-threads execute the chunks.  SNR is expressed in dB at this interface and
-converted to linear internally; ``snr_db=None`` selects the infinite-SNR
-limit in which decoding outcomes are deterministic indicator thresholds.
+Each chunk's integer counts are added exactly in chunk order (by
+``_sum_chunks``; ``fully_loaded_throughput`` runs its chunks in turn until
+its slots are spent), so estimates are bitwise identical for a given
+(arguments, seed) no matter how many worker threads execute the chunks.
+SNR is expressed in dB at this interface and converted to linear
+internally; ``snr_db=None`` selects the infinite-SNR limit in which
+decoding outcomes are deterministic indicator thresholds.
 
 A chunk is one block of the epoch engine: the fully-loaded estimators
 draw its participation coins, evaluate its epochs in one call of
-:func:`protocols.epoch_outcomes` and add its integer counts exactly;
-``gta_collision_stats`` runs one splitting tree per chunk.  The default
-chunk is the engine's cache-sized block, ``protocols._TILE`` epochs, so
-a call's working memory does not grow with its trials.
+:func:`protocols.epoch_outcomes` and count its outcomes;
+``gta_collision_stats`` runs one splitting tree per chunk.  The chunk is
+the engine's cache-sized block, ``DEFAULT_CHUNK`` = ``protocols._TILE``
+epochs, so a call's working memory does not grow with its trials.  Only
+``estimate_beta`` takes another chunk size.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import numpy as np
 from . import dmt
 from .channel import _check_tile, _draw_channel, asymptotic_survival, capped_rounds
 from .protocols import _TILE, _bits, _gta_tree_batch, epoch_outcomes
-from .system import IRARQ, AntennaConfig, ProtocolParams, binom_pmf, check_rate, is_count, snr_from_db
+from .system import (IRARQ, AntennaConfig, ProtocolParams, binom_pmf, check_counts, check_rate,
+                     snr_from_db)
 
 DEFAULT_CHUNK = _TILE
 
@@ -122,31 +126,25 @@ class BetaTable:
         )
 
 
-def _check_counts(**counts) -> None:
-    """Raise ValueError unless every value is an integer >= 1 (not a bool)."""
-    for name, value in counts.items():
-        if not is_count(value):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _sum_chunks(fn, seed: int, tag: int, total: int, name: str,
+                chunk: int = DEFAULT_CHUNK, workers: int = 1):
+    """Exact sum of the integer counts fn(rng, n) over ``total`` items, called ``name`` in errors.
 
+    The items are cut into whole chunks, then the rest; chunk i draws from
+    ``default_rng([seed, tag, i])`` and the parts are added in chunk order,
+    serially or on ``workers`` threads.
+    """
+    check_counts(**{name: total, "chunk": chunk, "workers": workers})
+    whole, rest = divmod(total, chunk)
+    sizes = [chunk] * whole + [rest] * (rest > 0)
 
-def _chunk_plan(name: str, total: int, chunk: int) -> list[int]:
-    """Chunk sizes for ``total`` items, called ``name`` in errors: whole chunks, then the rest."""
-    _check_counts(**{name: total, "chunk": chunk})
-    sizes = [chunk] * (total // chunk)
-    if total % chunk:
-        sizes.append(total % chunk)
-    return sizes
+    def part(i, n):
+        return fn(np.random.default_rng([seed, tag, i]), n)
 
-
-def _map_chunks(fn, sizes: list[int], workers: int) -> list:
-    """Run fn(chunk_index, chunk_size) over all chunks, results in index order."""
-    if not is_count(workers):
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    if workers == 1 or len(sizes) <= 1:
-        return [fn(i, n) for i, n in enumerate(sizes)]
+    if workers == 1 or len(sizes) == 1:
+        return sum(map(part, range(len(sizes)), sizes))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, i, n) for i, n in enumerate(sizes)]
-        return [f.result() for f in futures]
+        return sum(pool.map(part, range(len(sizes)), sizes))
 
 
 def estimate_beta(
@@ -165,8 +163,7 @@ def estimate_beta(
     is located, and every earlier round counts as a survival.  The derived
     exactly-at-round view is available as :meth:`BetaTable.alpha`.
     """
-    sizes = _chunk_plan("trials", trials, chunk)
-    _check_counts(deadline=deadline)
+    check_counts(deadline=deadline)
     check_rate("rate", rate)
     snr = snr_from_db(snr_db)
     users, rx, tx = config.users, config.rx, config.tx
@@ -175,13 +172,12 @@ def estimate_beta(
     stderr = np.zeros((users, deadline + 1))
 
     for k in range(1, users + 1):
-        def one_chunk(idx, n, k=k):
-            rng = np.random.default_rng([seed, _TAG_BETA + k, idx])
+        def survivals(rng, n, k=k):
             channel = _draw_channel(rng, (n, k, rx, tx))
             needed = capped_rounds(channel, snr, rate, tx, deadline, range(1, 1 << k)).max(axis=0)
             return np.array([(needed > ell).sum() for ell in range(1, deadline + 1)])
 
-        beta = sum(_map_chunks(one_chunk, sizes, workers)) / trials
+        beta = _sum_chunks(survivals, seed, _TAG_BETA + k, trials, "trials", chunk, workers) / trials
         values[k - 1, 1:] = beta
         stderr[k - 1, 1:] = np.sqrt(np.maximum(beta * (1 - beta), 0.0) / trials)
 
@@ -239,7 +235,6 @@ def system_error_probability(
     snr_db: float | None,
     trials: int,
     seed: int,
-    chunk: int = DEFAULT_CHUNK,
     workers: int = 1,
 ) -> ErrorEstimate:
     """Fraction of non-idle epochs in which at least one message is lost.
@@ -248,19 +243,15 @@ def system_error_probability(
     never exceeds the system count, which never exceeds the per-user sum.
     Both hold pathwise, so the check is exact, not statistical.
     """
-    sizes = _chunk_plan("trials", trials, chunk)
     snr = None if snr_db is None else snr_from_db(snr_db)
 
-    def one_chunk(idx, n):
-        rng = np.random.default_rng([seed, _TAG_ERROR, idx])
+    def counts(rng, n):
         coins, _, _, erred = _fully_loaded_epochs(protocol, config, params, snr, n, rng)
-        per_user = np.array([np.count_nonzero(erred >> u & 1) for u in range(config.users)])
-        return int(np.count_nonzero(coins)), int(np.count_nonzero(erred)), per_user
+        return np.array([np.count_nonzero(coins), np.count_nonzero(erred),
+                         *(np.count_nonzero(erred >> u & 1) for u in range(config.users))])
 
-    partials = _map_chunks(one_chunk, sizes, workers)
-    nonidle = sum(p[0] for p in partials)
-    errors = sum(p[1] for p in partials)
-    per_user_counts = sum(p[2] for p in partials)
+    sums = _sum_chunks(counts, seed, _TAG_ERROR, trials, "trials", workers=workers)
+    nonidle, errors, per_user_counts = int(sums[0]), int(sums[1]), sums[2:]
 
     # hard pathwise invariant, checked on every run
     if not per_user_counts.max(initial=0) <= errors <= per_user_counts.sum():
@@ -305,7 +296,6 @@ def fully_loaded_throughput(
     snr_db: float | None,
     slots: int,
     seed: int,
-    chunk: int = DEFAULT_CHUNK,
 ) -> ThroughputEstimate:
     """Simulate epochs until at least ``slots`` slots elapse; ratio estimator.
 
@@ -313,23 +303,21 @@ def fully_loaded_throughput(
     The standard error follows the delta method for the ratio of means of
     per-epoch (delivered, length) pairs.
     """
-    _check_counts(slots=slots, chunk=chunk)
+    check_counts(slots=slots)
     snr = None if snr_db is None else snr_from_db(snr_db)
-    n = min(chunk, max(1024, slots))
+    n = min(DEFAULT_CHUNK, max(1024, slots))
 
-    def one_chunk(idx):
-        rng = np.random.default_rng([seed, _TAG_THROUGHPUT, idx])
+    def moments(rng, n):
         _, ell, delivered, _ = _fully_loaded_epochs(protocol, config, params, snr, n, rng)
         w = np.bitwise_count(delivered).astype(np.int64)
         return np.array([w.sum(), ell.sum(), (w * w).sum(), (ell * ell).sum(), (w * ell).sum()])
 
     sums = np.zeros(5, dtype=np.int64)  # W, L, WW, LL, WL, exact
-    epochs = 0
-    idx = 0
-    while sums[1] < slots:
-        sums += one_chunk(idx)
-        epochs += n
-        idx += 1
+    chunks = 0
+    while sums[1] < slots:             # chunk i as in _sum_chunks, until the slots are spent
+        sums += moments(np.random.default_rng([seed, _TAG_THROUGHPUT, chunks]), n)
+        chunks += 1
+    epochs = chunks * n
     w_sum, l_sum, ww, ll, wl = sums.astype(float)
     ratio = w_sum / l_sum
     mean_l = l_sum / epochs
@@ -365,7 +353,7 @@ def renewal_prediction(
     p_t = params.p_t
     if protocol == IRARQ and beta is None:
         raise ValueError("IR-ARQ prediction needs a beta table")
-    value = dmt.stability_region(protocol, config, p_t, beta=beta)
+    value = dmt.stability_region(protocol, config, p_t, deadline=params.deadline, beta=beta)
     if protocol != IRARQ or not beta.trials:
         return value, 0.0
     # a table's mean length for k colliders has variance Var[min(N, L)] / trials
@@ -375,22 +363,19 @@ def renewal_prediction(
     return value, value / dmt.binomial_mix(length, config.users, p_t) * math.sqrt(var / beta.trials)
 
 
-def gta_collision_stats(k: int, epochs: int, seed: int, chunk: int = DEFAULT_CHUNK,
-                        workers: int = 1):
+def gta_collision_stats(k: int, epochs: int, seed: int):
     """Mean epoch length and delivered count for forced k-user collisions.
 
     Returns (mean_length, se_length, mean_delivered, se_delivered); the
     Monte Carlo counterpart of the exact splitting-tree recursions.
     """
-    _check_counts(k=k)
-    sizes = _chunk_plan("epochs", epochs, chunk)
+    check_counts(k=k)
 
-    def one_chunk(idx, n):
-        rng = np.random.default_rng([seed, _TAG_GTA_STATS, idx])
+    def moments(rng, n):
         ell, w = _gta_tree_batch(np.full(n, k, dtype=np.int64), rng)
         return np.array([ell.sum(), (ell * ell).sum(), w.sum(), (w * w).sum()])
 
-    l1, l2, d1, d2 = sum(_map_chunks(one_chunk, sizes, workers)).astype(float)
+    l1, l2, d1, d2 = _sum_chunks(moments, seed, _TAG_GTA_STATS, epochs, "epochs").astype(float)
     mean_l = l1 / epochs
     mean_d = d1 / epochs
     se_l = math.sqrt(max(l2 / epochs - mean_l**2, 0.0) / epochs)

@@ -35,7 +35,8 @@ import numpy as np
 from . import dmt
 from .montecarlo import BetaTable
 from .protocols import _TILE, _bits, epoch_outcomes
-from .system import IRARQ, AntennaConfig, ProtocolParams, check_rate, is_count, snr_from_db
+from .system import (IRARQ, AntennaConfig, ProtocolParams, check_p_t, check_rate, is_count,
+                     snr_from_db)
 
 STABILITY_SLOPE_EPS = 1e-3   # packets/slot; backlog-trend threshold
 WARMUP_FRACTION = 0.2        # leading slots excluded from delay statistics
@@ -71,8 +72,7 @@ class DelayReport:
 
 def _epoch_law(users: int, deadline: int, beta: BetaTable):
     """:func:`dmt.epoch_law` of the deadline-ARQ protocol at the given table."""
-    if deadline != beta.deadline:
-        raise ValueError(f"deadline {deadline} differs from the beta table's {beta.deadline}")
+    dmt.check_deadline(deadline, beta.values)
     return dmt.epoch_law(IRARQ, AntennaConfig(users), beta.values)
 
 
@@ -92,8 +92,7 @@ def solve_transmission_probability(
     """
     length, _, _ = _epoch_law(users, deadline, beta)
     check_rate("total_rate", total_rate)
-    if not (0.0 < p_t <= 1.0):
-        raise ValueError(f"p_t must lie in (0, 1], got {p_t}")
+    check_p_t(p_t)
     if total_rate == 0.0:
         return 0.0
 
@@ -155,8 +154,7 @@ def analytic_delay(
     """
     length, _, _ = _epoch_law(users, deadline, beta)
     check_rate("total_rate", total_rate)
-    if not (0.0 < p_t <= 1.0):
-        raise ValueError(f"p_t must lie in (0, 1], got {p_t}")
+    check_p_t(p_t)
     if total_rate >= p_t * users / dmt.binomial_mix(length, users, p_t):
         return math.inf
     p = solve_transmission_probability(total_rate, users, p_t, deadline, beta)

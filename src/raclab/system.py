@@ -23,6 +23,19 @@ def is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def check_counts(**counts) -> None:
+    """Raise ValueError unless every value is an integer >= 1 (not a bool)."""
+    for name, value in counts.items():
+        if not is_count(value):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_p_t(p_t: float) -> None:
+    """Raise ValueError unless the transmission probability lies in (0, 1] (nan does not)."""
+    if not (0.0 < p_t <= 1.0):
+        raise ValueError(f"p_t must lie in (0, 1], got {p_t}")
+
+
 def check_rate(name: str, value: float) -> None:
     """Raise ValueError unless ``value`` is finite and nonnegative (nan is neither)."""
     if not 0.0 <= value < math.inf:
@@ -53,10 +66,7 @@ class AntennaConfig:
     rx: int = 1      # receive antennas at the base station
 
     def __post_init__(self):
-        for name in ("users", "tx", "rx"):
-            v = getattr(self, name)
-            if not is_count(v):
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        check_counts(users=self.users, tx=self.tx, rx=self.rx)
 
     @property
     def degrees_of_freedom(self) -> float:
@@ -80,15 +90,14 @@ class ProtocolParams:
     matched_combining: bool = False         # O-NDMA decoder gain k instead of 1
 
     def __post_init__(self):
-        if not (0.0 < self.p_t <= 1.0):
-            raise ValueError(f"p_t must lie in (0, 1], got {self.p_t}")
+        check_p_t(self.p_t)
         if (self.rate is None) == (self.multiplexing_gain is None):
             raise ValueError("set exactly one of rate / multiplexing_gain")
         for name in ("rate", "multiplexing_gain"):
             if getattr(self, name) is not None:
                 check_rate(name, getattr(self, name))
-        if self.deadline is not None and not is_count(self.deadline):
-            raise ValueError("deadline must be an integer >= 1")
+        if self.deadline is not None:
+            check_counts(deadline=self.deadline)
 
     def rate_at(self, snr: float | None) -> float:
         """First-round rate in bits/channel-use at linear SNR ``snr``."""

@@ -7,7 +7,9 @@ import pytest
 
 from raclab import (
     AntennaConfig,
+    BetaTable,
     GtaRecursionTable,
+    ProtocolParams,
     TradeoffPoint,
     beta_highsnr,
     epoch_law,
@@ -21,9 +23,11 @@ from raclab import (
     ondma_dmt,
     point_to_point_dmt,
     random_arrival_diversity,
+    renewal_prediction,
     stability_region,
     tradeoff_curve,
 )
+from raclab.channel import asymptotic_first_decodable_round
 
 SCALAR2 = AntennaConfig(users=2, tx=1, rx=1)
 VECTOR2 = AntennaConfig(users=2, tx=1, rx=2)
@@ -348,6 +352,47 @@ def test_stability_rejects_bad_inputs():
         stability_region("aloha", SCALAR2, 0.5)
     with pytest.raises(ValueError):
         stability_region("irarq", SCALAR2, 0.5)  # no beta, no (gain, deadline)
+
+
+def test_deadline_must_match_the_beta_table():
+    # unchecked, the table's deadline silently won: the IR-ARQ prediction at
+    # L = 2 read an L = 3 table and returned 1.579
+    table = BetaTable(values=[[1.0, 0.4, 0.1, 0.0], [1.0, 0.9, 0.5, 0.2]],
+                      source="closed-form", trials=0, snr=None)
+    params = ProtocolParams(p_t=1.0, multiplexing_gain=0.45, deadline=2)
+    for run in (lambda: stability_region("irarq", SCALAR2, 1.0, 0.45, 2, beta=table),
+                lambda: irarq_stability_pt_scan(SCALAR2, 0.45, 2, points=10, beta=table),
+                lambda: renewal_prediction("irarq", SCALAR2, params, table)):
+        with pytest.raises(ValueError, match="deadline 2 differs from the beta table's 3"):
+            run()
+    at_three = ProtocolParams(p_t=1.0, multiplexing_gain=0.45, deadline=3)
+    assert renewal_prediction("irarq", SCALAR2, at_three, table)[0] == stability_region(
+        "irarq", SCALAR2, 1.0, deadline=3, beta=table)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: irarq_dmdt(SCALAR2, 0.5, deadline=1.5),
+    lambda: irarq_dmdt(SCALAR2, 0.5, deadline=True),
+    lambda: stability_region("irarq", SCALAR2, 1.0, 0.45, 2.5),
+    lambda: irarq_effective_multiplexing(SCALAR2, 1.0, 0.3, 2.0),
+    lambda: random_arrival_diversity("irarq", SCALAR2, 0.3, deadline=1.5),
+    lambda: tradeoff_curve("irarq", SCALAR2, deadline=2.0),
+    lambda: beta_highsnr(2, 1, 1, 0.5, rounds=1.5),
+    lambda: mac_dmt(2.5, 1, 1, 0.3),
+    lambda: mac_dmt(True, 1, 1, 0.3),
+    lambda: point_to_point_dmt(1.5, 2, 0.3),
+    lambda: point_to_point_dmt(2, True, 0.3),
+    lambda: asymptotic_first_decodable_round(1.5, SCALAR2, 0.3),
+    lambda: asymptotic_first_decodable_round(True, SCALAR2, 0.3),
+], ids=["dmdt-deadline-float", "dmdt-deadline-bool", "stability-deadline-float",
+        "effective-deadline-float", "random-arrival-deadline-float", "curve-deadline-float",
+        "highsnr-rounds-float", "mac-k-float", "mac-k-bool", "p2p-tx-float", "p2p-rx-bool",
+        "first-round-k-float", "first-round-k-bool"])
+def test_counts_must_be_integers(run):
+    # unchecked, deadline = 1.5 gave irarq_dmdt 0.833 and deadline = True 0.75,
+    # deadline = 2.5 a stability region of 2.0, rounds = 1.5 an IndexError
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        run()
 
 
 def test_irarq_stability_pt_scan_prefers_full_transmission():

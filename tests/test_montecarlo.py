@@ -21,6 +21,7 @@ from raclab import (
     system_error_probability,
 )
 from raclab.montecarlo import gta_collision_stats
+from raclab.protocols import epoch_outcomes
 
 SCALAR1 = AntennaConfig(users=1)
 SCALAR2 = AntennaConfig(users=2)
@@ -204,27 +205,36 @@ def test_error_probability_monotone_in_snr_pathwise():
 
 def test_error_probability_deterministic_and_worker_invariant():
     params = ProtocolParams(p_t=0.8, multiplexing_gain=0.45, deadline=2)
-    kw = dict(trials=2 * 10**5, seed=37, chunk=1 << 15)
+    kw = dict(trials=2 * 10**5, seed=37)
     a = system_error_probability("gta", SCALAR2, params, 15.0, **kw)
     b = system_error_probability("gta", SCALAR2, params, 15.0, workers=4, **kw)
     assert a.value == b.value and np.array_equal(a.per_user, b.per_user)
 
 
 def test_matched_combining_ondma_on_mimo():
-    # at p_t = 1 no epoch has a one-user set, and 8-trial chunks at p_t = 0.5
-    # leave some sizes out of a chunk: the kernel must take empty batches.
+    # at p_t = 1 no epoch has a one-user set: the kernel must take empty batches.
     # Same draws with and without combining, so gain k >= 1 never adds errors.
     mimo = AntennaConfig(users=2, tx=2, rx=2)
-    for p_t, chunk in ((1.0, 4096), (0.5, 8)):
-        kw = dict(trials=4000, seed=43, chunk=chunk)
+    matched, plain = (
+        system_error_probability(
+            "ondma", mimo, ProtocolParams(p_t=1.0, rate=3.0, matched_combining=mc), 5.0,
+            trials=4000, seed=43)
+        for mc in (True, False)
+    )
+    assert matched.nonidle == plain.nonidle > 0
+    assert 0.0 < matched.value < plain.value
+    assert np.all(matched.per_user <= plain.per_user)
+    # engine blocks whose masks leave a size out: no two-user set (no combining
+    # gain, so the same errors), then no one-user set (never more errors)
+    for sets, same in (((0, 1, 2), True), ((0, 3), False)):
+        masks = np.resize(np.array(sets, dtype=np.int64), (300, 1))
         matched, plain = (
-            system_error_probability(
-                "ondma", mimo, ProtocolParams(p_t=p_t, rate=3.0, matched_combining=mc), 5.0, **kw)
+            epoch_outcomes("ondma", mimo, ProtocolParams(p_t=0.5, rate=3.0, matched_combining=mc),
+                           10 ** 0.5, masks, np.random.default_rng(43))[2]
             for mc in (True, False)
         )
-        assert matched.nonidle == plain.nonidle > 0
-        assert 0.0 < matched.value < plain.value
-        assert np.all(matched.per_user <= plain.per_user)
+        assert np.array_equal(matched & plain, matched) and np.any(plain)
+        assert np.array_equal(matched, plain) == same
 
 def test_error_probability_beyond_queue_user_cap():
     # fully-loaded epochs are evaluated at one participant set each, so the
@@ -298,18 +308,6 @@ def test_beta_rejects_zero_chunk():
         estimate_beta(SCALAR2, 10.0, 1.0, 2, trials=100, seed=1, chunk=0)
 
 
-def test_error_probability_rejects_zero_chunk():
-    params = ProtocolParams(p_t=1.0, rate=1.0, deadline=2)
-    with pytest.raises(ValueError, match="chunk"):
-        system_error_probability("irarq", SCALAR2, params, 10.0, trials=100, seed=1, chunk=0)
-
-
-def test_throughput_rejects_zero_chunk():
-    params = ProtocolParams(p_t=1.0, rate=1.0)
-    with pytest.raises(ValueError, match="chunk"):
-        fully_loaded_throughput("ondma", SCALAR2, params, 10.0, slots=100, seed=1, chunk=0)
-
-
 def test_beta_rejects_negative_rate():
     with pytest.raises(ValueError, match="rate"):
         estimate_beta(SCALAR2, 10.0, -0.5, 2, trials=100, seed=1)
@@ -344,8 +342,7 @@ def test_worker_count_must_be_positive(workers):
     params = ProtocolParams(p_t=1.0, rate=1.0, deadline=2)
     for run in (lambda: estimate_beta(SCALAR2, 10.0, 1.0, 2, trials=100, seed=1, workers=workers),
                 lambda: system_error_probability("gta", SCALAR2, params, 10.0, 100, seed=1,
-                                                 workers=workers),
-                lambda: gta_collision_stats(3, 100, seed=1, workers=workers)):
+                                                 workers=workers)):
         with pytest.raises(ValueError, match="workers"):
             run()
 
@@ -378,18 +375,15 @@ ERROR_PARAMS = ProtocolParams(p_t=1.0, rate=1.0, deadline=2)
     lambda: gta_collision_stats(2.5, 100, seed=1),
     lambda: gta_collision_stats(True, 100, seed=1),
     lambda: gta_collision_stats(3, 100.0, seed=1),
-    lambda: gta_collision_stats(3, 100, seed=1, chunk=2.5),
-    lambda: fully_loaded_throughput("ondma", SCALAR2, ERROR_PARAMS, 10.0, slots=100, seed=1, chunk=2.5),
     lambda: fully_loaded_throughput("ondma", SCALAR2, ERROR_PARAMS, 10.0, slots=100.5, seed=1),
     lambda: system_error_probability("irarq", SCALAR2, ERROR_PARAMS, 10.0, True, seed=1),
     lambda: system_error_probability("irarq", SCALAR2, ERROR_PARAMS, 10.0, 1.5, seed=1),
-    lambda: system_error_probability("irarq", SCALAR2, ERROR_PARAMS, 10.0, 100, seed=1, chunk=2.5),
     lambda: estimate_beta(SCALAR2, 10.0, 1.0, 2, trials=True, seed=1),
     lambda: estimate_beta(SCALAR2, 10.0, 1.0, 2, trials=1.5, seed=1),
     lambda: estimate_beta(SCALAR2, 10.0, 1.0, 2, trials=100, seed=1, chunk=64.0),
-], ids=["tree-k-float", "tree-k-bool", "tree-epochs-float", "tree-chunk-float",
-        "throughput-chunk-float", "throughput-slots-float", "pe-trials-bool", "pe-trials-float",
-        "pe-chunk-float", "beta-trials-bool", "beta-trials-float", "beta-chunk-float"])
+], ids=["tree-k-float", "tree-k-bool", "tree-epochs-float", "throughput-slots-float",
+        "pe-trials-bool", "pe-trials-float", "beta-trials-bool", "beta-trials-float",
+        "beta-chunk-float"])
 def test_counts_must_be_integers(run):
     # unchecked, k = 2.5 simulated k = 2, chunk = 2.5 ran chunks of 2,
     # trials = True ran one trial and trials = 1.5 died with a TypeError

@@ -706,10 +706,16 @@ def fully_loaded_whole_chunk(protocol, config, params, snr, n, rng):
     return (coins, *(x[:, 0] for x in outcomes))
 
 
-def whole_chunk_error(protocol, config, params, snr, trials, seed, chunk):
+def chunk_sizes(total):
+    """Whole default chunks, then the rest."""
+    chunk = montecarlo.DEFAULT_CHUNK
+    return [chunk] * (total // chunk) + [total % chunk] * (total % chunk > 0)
+
+
+def whole_chunk_error(protocol, config, params, snr, trials, seed):
     """(value, per_user, nonidle) of ``system_error_probability`` from whole chunks, as before."""
     nonidle = errors = per_user = 0
-    for idx, n in enumerate(montecarlo._chunk_plan("trials", trials, chunk)):
+    for idx, n in enumerate(chunk_sizes(trials)):
         rng = np.random.default_rng([seed, montecarlo._TAG_ERROR, idx])
         coins, _, _, erred = fully_loaded_whole_chunk(protocol, config, params, snr, n, rng)
         nonidle += int(np.count_nonzero(coins))
@@ -718,10 +724,10 @@ def whole_chunk_error(protocol, config, params, snr, trials, seed, chunk):
     return errors / nonidle, per_user / nonidle, nonidle
 
 
-def whole_chunk_throughput(protocol, config, params, snr, slots, seed, chunk):
+def whole_chunk_throughput(protocol, config, params, snr, slots, seed):
     """(per_rate, stderr, slots, epochs) of ``fully_loaded_throughput`` from float sums
     over whole chunks, as before."""
-    n = min(chunk, max(1024, slots))
+    n = min(montecarlo.DEFAULT_CHUNK, max(1024, slots))
     sums, epochs, idx = np.zeros(5), 0, 0
     while sums[1] < slots:
         rng = np.random.default_rng([seed, montecarlo._TAG_THROUGHPUT, idx])
@@ -737,10 +743,10 @@ def whole_chunk_throughput(protocol, config, params, snr, slots, seed, chunk):
     return ratio, math.sqrt(max(var, 0.0)), int(l_sum), epochs
 
 
-def whole_chunk_tree_stats(k, epochs, seed, chunk):
+def whole_chunk_tree_stats(k, epochs, seed):
     """``gta_collision_stats`` from one tree call and float sums per chunk, as before."""
     sums = np.zeros(4)
-    for idx, n in enumerate(montecarlo._chunk_plan("epochs", epochs, chunk)):
+    for idx, n in enumerate(chunk_sizes(epochs)):
         rng = np.random.default_rng([seed, montecarlo._TAG_GTA_STATS, idx])
         lf, df = (x.astype(float) for x in _gta_tree_batch(np.full(n, k), rng))
         sums += lf.sum(), (lf**2).sum(), df.sum(), (df**2).sum()
@@ -754,9 +760,10 @@ def bitwise(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# (epochs or slots, chunk) giving each case several chunks, the last one short; the
-# case names are kept from when each also set a tile size inside the chunk
-CHUNKINGS = {"default": (40_000, 1 << 15), "777": (3000, 2048), "1": (120, 64)}
+# epochs or slots at the default 2^14 chunk: two whole chunks and a short
+# one (40 000 = 2 * 16 384 + 7 232), or one short chunk; the case names are
+# kept from when each also set a chunk and a tile size
+CHUNKINGS = {"default": 40_000, "777": 3000, "1": 120}
 
 
 @pytest.mark.parametrize("chunking", CHUNKINGS)
@@ -765,7 +772,7 @@ CHUNKINGS = {"default": (40_000, 1 << 15), "777": (3000, 2048), "1": (120, 64)}
 @pytest.mark.parametrize("users", [2, 3, 5])
 @pytest.mark.parametrize("protocol", ["irarq", "ondma", "gta"])
 def test_tiled_estimators_match_whole_chunk_oracle(protocol, users, p_t, snr_db, chunking):
-    trials, chunk = CHUNKINGS[chunking]
+    trials = CHUNKINGS[chunking]
     config = AntennaConfig(users=users)
     snr = None if snr_db is None else 10.0 ** (snr_db / 10.0)
     variants = ([{"deadline": L} for L in (1, 2, 3)] if protocol == "irarq" else
@@ -773,22 +780,22 @@ def test_tiled_estimators_match_whole_chunk_oracle(protocol, users, p_t, snr_db,
     for extra in variants:
         params = ProtocolParams(p_t=p_t, multiplexing_gain=0.4, **extra)
         seed = 90 + users
-        est = system_error_probability(protocol, config, params, snr_db, trials, seed, chunk=chunk)
-        value, per_user, nonidle = whole_chunk_error(protocol, config, params, snr, trials, seed, chunk)
+        est = system_error_probability(protocol, config, params, snr_db, trials, seed)
+        value, per_user, nonidle = whole_chunk_error(protocol, config, params, snr, trials, seed)
         assert bitwise(est.value, value) and bitwise(est.per_user, per_user)
         assert est.nonidle == nonidle
-        thr = fully_loaded_throughput(protocol, config, params, snr_db, trials, seed, chunk=chunk)
+        thr = fully_loaded_throughput(protocol, config, params, snr_db, trials, seed)
         got = (thr.per_rate, thr.per_rate_stderr, thr.slots, thr.epochs)
-        want = whole_chunk_throughput(protocol, config, params, snr, trials, seed, chunk)
+        want = whole_chunk_throughput(protocol, config, params, snr, trials, seed)
         assert all(bitwise(a, b) for a, b in zip(got, want, strict=True)), (got, want)
 
 
 @pytest.mark.parametrize("chunking", CHUNKINGS)
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_tiled_tree_stats_match_whole_chunk_oracle(k, chunking):
-    epochs, chunk = CHUNKINGS[chunking]
-    got = gta_collision_stats(k, epochs, seed=20 + k, chunk=chunk)
-    want = whole_chunk_tree_stats(k, epochs, 20 + k, chunk)
+    epochs = CHUNKINGS[chunking]
+    got = gta_collision_stats(k, epochs, seed=20 + k)
+    want = whole_chunk_tree_stats(k, epochs, 20 + k)
     assert all(bitwise(a, b) for a, b in zip(got, want, strict=True)), (got, want)
 
 
