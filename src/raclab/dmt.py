@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,7 +108,6 @@ class GtaRecursionTable:
         return len(self.expected_slots) - 1
 
 
-@functools.cache
 def gta_recursion(k_max: int) -> GtaRecursionTable:
     """Solve the tree-splitting recursions exactly for collision sizes 0..k_max.
 
@@ -117,10 +117,17 @@ def gta_recursion(k_max: int) -> GtaRecursionTable:
     fresh (k-1)-group, i >= 2 recurses on the left group while the right
     group is pruned.  The unknown appears on both sides with coefficient
     2^(1-k), so each level is a one-unknown linear solve.  The table is
-    immutable, so solves are cached per k_max.
+    immutable, so solves are cached per k_max.  ``k_max`` is an integer
+    >= 0 (numpy integers too) and not a bool; it is checked before the
+    cache, where True would find the k_max = 1 entry.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral) or k_max < 0:
+        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
+    return _gta_recursion(int(k_max))
+
+
+@functools.cache
+def _gta_recursion(k_max: int) -> GtaRecursionTable:
     slots = [Fraction(1), Fraction(1)]
     succ = [Fraction(0), Fraction(1)]
     for k in range(2, k_max + 1):

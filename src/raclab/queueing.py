@@ -1,12 +1,12 @@
 """Random-arrival dynamics: per-user queues, empirical stability and delay,
 and the analytic M/G/1-with-vacations delay for the deadline-ARQ protocol.
 
-Time is slotted but arrivals are Poisson in continuous time: a packet
-landing in slot s is stamped s + U(0,1), and its sojourn runs until the
-end of the slot in which its epoch finishes.  That is the convention under
-which the vacation-queue delay formula (residual vacation E[V^2]/2E[V],
-service from the head of the queue) is exact, and it is what the simulator
-measures.
+Time is slotted but arrivals are Poisson in continuous time: the packets
+landing in a slot arrive uniformly within it, wait at least until its end,
+and leave at the end of the slot in which their epoch finishes.  That is
+the convention under which the vacation-queue delay formula (residual
+vacation E[V^2]/2E[V], service from the head of the queue) is exact, and
+it is what the simulator measures.
 
 Participation decisions happen only at epoch starts: every user whose
 queue is non-empty at that instant transmits its head-of-line packet with
@@ -15,14 +15,19 @@ epoch ends.  Delivered packets leave the queue whether or not they decoded
 correctly; tree-pruned packets return to the head of their owner's queue
 and are eligible again at the very next epoch.
 
-The simulator keeps each queue as counts: arrival stamps are drawn in
-blocks of slots, and with each block every user's stamps are counted below
-every slot of it, so a queue holds its arrivals before the current slot
-minus its departures.  The loop keeps only what it needs to carry on: each
-user's stamps, block by block, the end slot of each departure and the
-backlog samples the stability slope regresses, those in the second half of
-the horizon.  Queues are FIFO, so a user's j-th departure is its j-th
-arrival, and the sojourns are formed once, with numpy, after the loop.
+The simulator keeps each queue as counts only.  Arrivals are drawn as
+per-slot Poisson counts in blocks of slots; a user's arrivals before each
+slot of a block are the running sum of its counts, and its queue holds
+those less its departures.  The loop keeps the per-slot arrival totals,
+the end slot of each departure and the backlog samples the stability slope
+regresses, those in the second half of the horizon.  No packet is paired
+with its departure: by Little's law the time in system summed over the
+packets is the number in system summed over time.  A slot's occupancy is
+the packets that arrived before it and have not departed, plus half of
+those arriving in it (the mean share of the slot a uniform arrival spends
+in it), and the mean delay is the occupancy summed over the slots after
+the warm-up divided by their arrivals.  Packets still queued at the
+horizon count for the time they have waited.
 """
 
 from __future__ import annotations
@@ -53,13 +58,13 @@ class DelayReport:
     protocol: str
     total_rate: float            # packets/slot summed over users
     snr_db: float | None
-    delay: float                 # mean sojourn, slots
-    delay_ci: float              # 95% half-width via batch means
+    delay: float                 # mean sojourn, slots: window occupancy / window arrivals
+    delay_ci: float              # 95% half-width, batch means of both sums
     pe: float                    # fraction of non-idle epochs with a decode error
     nonidle_epochs: int
     verdict: str                 # stable | unstable | inconclusive
     backlog_slope: float         # packets/slot trend over the second half
-    packets: int                 # departures counted in the delay statistics
+    packets: int                 # arrivals in the delay window, after the warm-up
     arrivals: int
     delivered: int
     horizon_slots: int
@@ -186,16 +191,18 @@ def simulate_random_arrivals(
     """Drive the protocol with randomly arriving packets for ``horizon_slots``.
 
     Epoch outcomes come in fixed-size blocks of :func:`protocols.epoch_outcomes`
-    evaluated at all 2^K participant sets, and arrival stamps in fixed-size
-    blocks of slots, each drawn from the one generator when the loop first
-    needs it.  Between draws the loop does integer arithmetic on per-slot
-    arrival counts (module docstring); the sojourns are formed with numpy
-    once, after the loop, in epoch-then-user order.  The stability verdict
-    regresses the total backlog against time over the second half of the
-    horizon: trend below STABILITY_SLOPE_EPS in absolute value is stable, a
-    positive trend above it is unstable, anything else is inconclusive.
-    The packet ledger is checked: no queue departs a packet that has not
-    arrived, and departures equal the delivered epoch outcomes.
+    evaluated at all 2^K participant sets, and per-slot Poisson arrival
+    counts in fixed-size blocks of slots, each drawn from the one generator
+    when the loop first needs it.  Between draws the loop does integer
+    arithmetic on counts (module docstring).  The delay is the occupancy
+    summed over the window [W, H), W = int(WARMUP_FRACTION * H), divided
+    by the window's arrivals, and its CI comes from batch means of both
+    sums (:func:`_ratio_ci`).  The stability verdict regresses the total
+    backlog against time over the second half of the horizon: trend below
+    STABILITY_SLOPE_EPS in absolute value is stable, a positive trend above
+    it is unstable, anything else is inconclusive.  The packet ledger is
+    checked: no queue departs a packet that has not arrived, and departures
+    equal the delivered epoch outcomes.
     """
     if not is_count(horizon_slots) or horizon_slots < 10:
         raise ValueError(f"horizon_slots must be an integer >= 10, got {horizon_slots!r}")
@@ -213,12 +220,11 @@ def simulate_random_arrivals(
     all_sets = np.broadcast_to(np.arange(1 << config.users), (block, 1 << config.users))
     half = horizon_slots / 2.0
 
-    # per user: the sorted stamps of each arrival block, never trimmed;
-    # before[u][t] counts the stamps below slot base + t, t = 1.._ARRIVAL_BLOCK_SLOTS
-    stamps: list[list[np.ndarray]] = [[] for _ in users]
+    # before[u][t] counts user u's arrivals in the slots below base + t
     before = [[0] for _ in users]
     departed = [0] * config.users
-    ends: list[list[int]] = [[] for _ in users]   # end slot of each departure
+    arrived: list[np.ndarray] = []   # arrivals per slot, all users, block by block
+    ends: list[int] = []             # end slot of each departure
     base = 0
     drawn = 0                    # arrivals are drawn for slots [0, drawn)
 
@@ -247,8 +253,7 @@ def simulate_random_arrivals(
         end = slot + lengths[cell]
         if participants:
             nonidle += 1
-            if erred[cell]:
-                errors += 1
+            errors += erred[cell] != 0
             gone = delivered[cell]
             n_delivered += gone.bit_count()
             for u in users:
@@ -256,24 +261,17 @@ def simulate_random_arrivals(
                     if departed[u] >= before[u][slot - base]:
                         raise AssertionError("packet ledger: departure before arrival")
                     departed[u] += 1
-                    ends[u].append(end)
+                    ends.append(end)
             # pruned packets stay at the head, eligible next epoch
         slot = end
         epoch += 1
 
         while drawn < slot:
             counts = rng.poisson(rate_per_user, size=(_ARRIVAL_BLOCK_SLOTS, config.users))
+            # row 0 is each user's arrivals before ``drawn``, the last block's last entry
+            before = np.concatenate(([[b[-1] for b in before]], counts)).cumsum(axis=0).T.tolist()
+            arrived.append(counts.sum(axis=1))
             base = drawn
-            grid = np.arange(base, base + _ARRIVAL_BLOCK_SLOTS + 1)
-            for u in users:
-                new = np.repeat(grid[:-1], counts[:, u])
-                new = np.sort(new + rng.random(new.size))
-                # an earlier block's stamp is at most base (a slot base - 1
-                # stamp rounded up), so it lies below every slot base + t, t >= 1;
-                # entry 0 is never read, as a block is drawn only once slot > base
-                earlier = sum(s.size for s in stamps[u])
-                before[u] = (earlier + np.searchsorted(new, grid)).tolist()
-                stamps[u].append(new)
             drawn += _ARRIVAL_BLOCK_SLOTS
 
         ready = 0
@@ -291,50 +289,38 @@ def simulate_random_arrivals(
         raise AssertionError("packet ledger: departures differ from delivered outcomes")
     n_arrivals = sum(before[u][slot - base] for u in users)
 
-    t = np.array(late_t, dtype=float)
-    v = np.array(late_v, dtype=float)
-    if t.size >= 2 and np.ptp(t) > 0:
-        slope = float(np.polyfit(t, v, 1)[0])
-    else:
-        slope = 0.0
+    # epochs last at least a slot, so two samples have distinct times
+    slope = float(np.polyfit(late_t, late_v, 1)[0]) if len(late_t) >= 2 else 0.0
     if abs(slope) < STABILITY_SLOPE_EPS:
         verdict = "stable"
     elif slope > STABILITY_SLOPE_EPS:
         verdict = "unstable"
     else:
         verdict = "inconclusive"
-    del late_t, late_v, t, v     # freed first, so their peak and the sojourns' never add
+    del late_t, late_v           # freed first, so their peak and the occupancy's never add
 
-    # FIFO queues: a user's j-th departure is its j-th arrival
-    key, out = [], []
-    for u in users:
-        done = np.asarray(ends[u])
-        stamp = np.concatenate(stamps[u])[: done.size]
-        counted = stamp >= WARMUP_FRACTION * horizon_slots
-        key.append(done[counted])
-        out.append(done[counted] - stamp[counted])
-    # epochs last at least one slot, so end slots order the epochs
-    delays = np.concatenate(out)[np.argsort(np.concatenate(key), kind="stable")]
-
-    if delays.size:
-        mean_delay = float(np.mean(delays))
-        ci = _batch_means_ci(delays)
-    else:
-        mean_delay = math.nan
-        ci = math.nan
-    pe = errors / nonidle if nonidle else 0.0
+    # twice the time in system during each slot: the packets that arrived
+    # before it and have not departed, plus half of those arriving in it
+    per_slot = np.concatenate(arrived)[:horizon_slots]
+    left = np.bincount(np.asarray(ends, dtype=np.int64), minlength=horizon_slots)[:horizon_slots]
+    twice = 2 * np.cumsum(per_slot) - per_slot - 2 * np.cumsum(left)
+    start = int(WARMUP_FRACTION * horizon_slots)
+    occupancy = twice[start:] / 2
+    arrivals = per_slot[start:]
+    packets = int(arrivals.sum())
+    delay = float(occupancy.sum()) / packets if packets else math.nan
 
     return DelayReport(
         protocol=protocol,
         total_rate=total_rate,
         snr_db=snr_db,
-        delay=mean_delay,
-        delay_ci=ci,
-        pe=pe,
+        delay=delay,
+        delay_ci=_ratio_ci(delay, occupancy, arrivals),
+        pe=errors / nonidle if nonidle else 0.0,
         nonidle_epochs=nonidle,
         verdict=verdict,
         backlog_slope=slope,
-        packets=len(delays),
+        packets=packets,
         arrivals=n_arrivals,
         delivered=n_delivered,
         horizon_slots=horizon_slots,
@@ -342,19 +328,24 @@ def simulate_random_arrivals(
     )
 
 
-def _batch_means_ci(delays: np.ndarray, batches: int = 20) -> float:
-    """95% half-width from batch means; sojourns are serially correlated.
+def _ratio_ci(delay: float, occupancy: np.ndarray, arrivals: np.ndarray) -> float:
+    """95% half-width of ``delay`` = sum(occupancy) / sum(arrivals) by batch means.
 
-    nan for fewer than two sojourns, which carry no spread.
+    The per-slot series are cut into B = min(20, slots) consecutive batches
+    of equal length, leaving out the leading slots that do not fill one.
+    With batch sums a_b and c_b the ratio's standard error is
+    sqrt(sum_b (a_b - delay * c_b)^2 / (B (B - 1))) / mean(c_b); occupancy
+    is serially correlated, batches of it far less.  nan when no batch has
+    an arrival.
     """
-    n = len(delays)
-    if n < 2:
+    batches = min(20, arrivals.size)
+    cut = arrivals.size % batches
+    a = occupancy[cut:].reshape(batches, -1).sum(axis=1)
+    c = arrivals[cut:].reshape(batches, -1).sum(axis=1)
+    if not c.any():
         return math.nan
-    if n < 2 * batches:
-        return float(1.96 * np.std(delays, ddof=1) / math.sqrt(n))
-    size = n // batches
-    means = [float(np.mean(delays[i * size : (i + 1) * size])) for i in range(batches)]
-    return float(1.96 * np.std(means, ddof=1) / math.sqrt(batches))
+    spread = np.sum((a - delay * c) ** 2) / (batches * (batches - 1))
+    return float(1.96 * math.sqrt(spread) / c.mean())
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from raclab import (
@@ -108,6 +109,21 @@ def test_gta_recursion_base_cases():
     t = gta_recursion(1)
     assert t.expected_slots == (1, 1)
     assert t.expected_successes == (0, 1)
+
+
+@pytest.mark.parametrize("k_max", [True, False, 2.5, 2.0, -1, np.int64(-1), "3", None])
+def test_gta_recursion_rejects_anything_but_an_integer_of_at_least_zero(k_max):
+    # unchecked, True returned the k_max = 1 table and 2.5 raised TypeError;
+    # the k_max = 1 table is cached first, so True must not reach the cache
+    gta_recursion(1)
+    with pytest.raises(ValueError, match="k_max must be an integer >= 0"):
+        gta_recursion(k_max)
+
+
+def test_gta_recursion_takes_numpy_integers_and_zero():
+    assert gta_recursion(np.int64(3)) == gta_recursion(3)
+    assert gta_recursion(np.uint8(2)).expected_slots == (1, 1, 4)
+    assert gta_recursion(0).expected_slots == (1,)
 
 
 def test_gta_recursion_table_rejects_bad_base_cases():

@@ -332,13 +332,18 @@ def test_simulation_replays_bitwise():
     assert report_bits(reps[0]) == report_bits(reps[1])
 
 
-def simulate_by_stamp_lists(protocol, config, params, total_rate, snr_db, horizon_slots, seed):
-    """Oracle: the simulator with per-user sorted stamp lists and bisects.
+def simulate_packet_by_packet(protocol, config, params, total_rate, snr_db, horizon_slots, seed):
+    """Oracle: the simulator with per-user FIFO lists of arrival slots, one entry per packet.
 
-    It makes the same outcome-table, Poisson and stamp draws as
-    :func:`simulate_random_arrivals` but keeps each queue as a list of
-    stamps with a head pointer, finds the waiting packets by bisection and
-    appends every sojourn as it happens.
+    It makes the same outcome-table, coin and Poisson draws as
+    :func:`simulate_random_arrivals` but keeps each queue as a list of the
+    arrival slots of its packets with a head pointer, finds the waiting
+    packets by bisection and pairs every departure with its packet.  A
+    packet of slot s is taken to arrive at s + 1/2 and to stay until its
+    departure (forever if it has none), and its time in each batch of the
+    delay window, (min(departure, batch end) - max(s + 1/2, batch start))^+,
+    is summed packet by packet.  Every term is a multiple of 1/2, so the
+    sums are exact.
     """
     rng = np.random.default_rng(seed)
     snr = None if snr_db is None else 10 ** (snr_db / 10)
@@ -346,13 +351,12 @@ def simulate_by_stamp_lists(protocol, config, params, total_rate, snr_db, horizo
     users = range(config.users)
     block = max(1, protocols._TILE >> config.users)
     all_sets = np.broadcast_to(np.arange(1 << config.users), (block, 1 << config.users))
-    warmup_time = queueing.WARMUP_FRACTION * horizon_slots
-    stamps = [[] for _ in users]
+    queues = [[] for _ in users]      # arrival slot of every packet, never trimmed
     head = [0] * config.users
-    dropped = [0] * config.users
+    arrival, departure = [], []       # one entry per packet, once it departs
     drawn = slot = n_delivered = errors = nonidle = ready = 0
     epoch = block
-    delays, backlog_t, backlog_v = [], [], []
+    backlog_t, backlog_v = [], []
     while slot < horizon_slots:
         if epoch == block:
             if params.p_t < 1.0:
@@ -371,32 +375,30 @@ def simulate_by_stamp_lists(protocol, config, params, total_rate, snr_db, horizo
             n_delivered += delivered[cell].bit_count()
             for u in users:
                 if delivered[cell] >> u & 1:
-                    stamp = stamps[u][head[u]]
-                    assert stamp < slot
+                    assert queues[u][head[u]] < slot
+                    arrival.append(queues[u][head[u]])
+                    departure.append(end)
                     head[u] += 1
-                    if stamp >= warmup_time:
-                        delays.append(end - stamp)
         slot = end
         epoch += 1
         while drawn < slot:
             counts = rng.poisson(rate_per_user, size=(queueing._ARRIVAL_BLOCK_SLOTS, config.users))
-            base = np.arange(drawn, drawn + queueing._ARRIVAL_BLOCK_SLOTS)
+            new = np.arange(drawn, drawn + queueing._ARRIVAL_BLOCK_SLOTS)
             for u in users:
-                new = np.repeat(base, counts[:, u])
-                new = np.sort(new + rng.random(new.size))
-                dropped[u] += head[u]
-                stamps[u] = stamps[u][head[u]:] + new.tolist()
-                head[u] = 0
+                queues[u] += np.repeat(new, counts[:, u]).tolist()
             drawn += queueing._ARRIVAL_BLOCK_SLOTS
         ready = backlog = 0
         for u in users:
-            waiting = bisect_left(stamps[u], slot, head[u]) - head[u]
+            waiting = bisect_left(queues[u], slot, head[u]) - head[u]
             if waiting:
                 ready |= 1 << u
                 backlog += waiting
         backlog_t.append(slot)
         backlog_v.append(backlog)
-    assert sum(dropped) + sum(head) == n_delivered
+    assert sum(head) == n_delivered
+    for u in users:
+        arrival += queues[u][head[u]:]
+        departure += [math.inf] * (len(queues[u]) - head[u])
 
     t = np.asarray(backlog_t, dtype=float)
     v = np.asarray(backlog_v, dtype=float)
@@ -406,11 +408,33 @@ def simulate_by_stamp_lists(protocol, config, params, total_rate, snr_db, horizo
         verdict = "stable"
     else:
         verdict = "unstable" if slope > 0 else "inconclusive"
+
+    slots = np.asarray(arrival)
+    arrived_at = slots + 0.5
+    departed_at = np.asarray(departure, dtype=float)
+
+    def time_in(lo, hi):
+        inside = np.minimum(departed_at, hi) - np.maximum(arrived_at, lo)
+        return float(np.sum(np.maximum(inside, 0.0)))
+
+    def arrivals_in(lo, hi):
+        return int(np.count_nonzero((slots >= lo) & (slots < hi)))
+
+    # the window [start, horizon) and its batches: B = min(20, slots) of equal
+    # length, ending at the horizon
+    start = int(queueing.WARMUP_FRACTION * horizon_slots)
+    batches = min(20, horizon_slots - start)
+    size = (horizon_slots - start) // batches
+    edges = [horizon_slots - size * (batches - b) for b in range(batches + 1)]
+    occupancy = np.array([time_in(lo, hi) for lo, hi in zip(edges, edges[1:])])
+    arrivals = np.array([arrivals_in(lo, hi) for lo, hi in zip(edges, edges[1:])])
+    packets = arrivals_in(start, horizon_slots)
+    delay = time_in(start, horizon_slots) / packets
     return queueing.DelayReport(
         protocol=protocol, total_rate=total_rate, snr_db=snr_db,
-        delay=float(np.mean(delays)), delay_ci=queueing._batch_means_ci(delays),
+        delay=delay, delay_ci=queueing._ratio_ci(delay, occupancy, arrivals),
         pe=errors / nonidle, nonidle_epochs=nonidle, verdict=verdict, backlog_slope=slope,
-        packets=len(delays), arrivals=sum(dropped[u] + bisect_left(stamps[u], slot) for u in users),
+        packets=packets, arrivals=sum(bisect_left(queues[u], slot) for u in users),
         delivered=n_delivered, horizon_slots=horizon_slots, seed=seed,
     )
 
@@ -421,53 +445,22 @@ def simulate_by_stamp_lists(protocol, config, params, total_rate, snr_db, horizo
     ("gta", AntennaConfig(users=3), ProtocolParams(p_t=1.0, multiplexing_gain=0.1), 0.35, None, 68),
     ("gta", AntennaConfig(users=3), ProtocolParams(p_t=0.8, multiplexing_gain=0.3), 0.3, 10.0, 69),
     ("ondma", SCALAR2, ProtocolParams(p_t=1.0, multiplexing_gain=0.45), 0.8, 10.0, 70),
-    # overloaded: most stamps never depart
+    # overloaded: most packets never depart
     ("ondma", SCALAR2, ProtocolParams(p_t=1.0, multiplexing_gain=0.45), 1.3, 10.0, 72),
     # many users in each table block
     ("gta", AntennaConfig(users=5), ProtocolParams(p_t=0.8, multiplexing_gain=0.3), 0.3, 10.0, 73),
 ], ids=["irarq-15dB", "irarq-inf", "gta-K3-inf", "gta-K3-10dB", "ondma-10dB",
         "ondma-overloaded", "gta-K5-10dB"])
 def test_simulation_matches_stamp_list_oracle(protocol, config, params, rate, snr_db, seed):
-    # at 1 000 and 10 001 slots the midpoint, where the slope's samples
-    # start, falls inside an arrival block
+    # the oracle lists every packet's arrival slot; at 1 000 and 10 001
+    # slots the midpoint, where the slope's samples start, falls inside an
+    # arrival block, and at 10 001 the window leaves one slot out of the batches
     for horizon in (20_000, 1_000, 10_001):
         args = (protocol, config, params, rate, snr_db, horizon, seed)
         got = simulate_random_arrivals(*args)
-        want = simulate_by_stamp_lists(*args)
+        want = simulate_packet_by_packet(*args)
         assert got.packets > 0 and got.nonidle_epochs > 0
         assert report_bits(got) == report_bits(want), f"horizon {horizon}"
-
-
-class StampsOnSlotEdges:
-    """A generator whose every third arrival-stamp uniform is the largest double below 1.
-
-    For a packet of slot s >= 1 that stamp s + U rounds to exactly s + 1,
-    so the packet waits for slot s + 2.  Every other draw is the wrapped
-    generator's own.
-    """
-
-    def __init__(self, rng):
-        self.rng = rng
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-    def random(self, size=None):
-        out = self.rng.random(size)
-        if isinstance(size, int):   # stamps; the coin draws pass a shape tuple
-            out[::3] = np.nextafter(1.0, 0.0)
-        return out
-
-
-def test_stamps_rounded_onto_a_slot_edge_match_oracle(monkeypatch):
-    real = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: StampsOnSlotEdges(real(seed)))
-    args = ("irarq", SCALAR2, ProtocolParams(p_t=0.8, multiplexing_gain=0.45, deadline=2),
-            1.0, 20.0, 12_000, 71)
-    rigged = np.random.default_rng(0).random(3)
-    assert rigged[0] + 5 == 6.0   # a slot-5 packet with this uniform lands on slot 6
-    got = simulate_random_arrivals(*args)
-    assert report_bits(got) == report_bits(simulate_by_stamp_lists(*args))
 
 
 def test_boundary_scan_brackets_tree_protocol():
@@ -482,14 +475,31 @@ def test_boundary_scan_brackets_tree_protocol():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 39, 40, 400])
 def test_batch_means_ci_is_quiet_for_any_sojourn_count(n):
-    delays = np.random.default_rng(n).exponential(size=n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ci = queueing._batch_means_ci(delays)
-    if n < 2:
-        assert math.isnan(ci)
-    else:
-        assert math.isfinite(ci) and ci > 0.0
+    # n packets over windows of 8 to 40 slots, 8 being the shortest window a
+    # horizon of ten slots leaves; most batches of a few packets have none
+    rng = np.random.default_rng(n)
+    for slots in range(8, 41):
+        arrivals = np.bincount(rng.integers(slots, size=n), minlength=slots)
+        occupancy = arrivals / 2 + rng.integers(0, 4, size=slots)
+        delay = occupancy.sum() / n if n else math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ci = queueing._ratio_ci(delay, occupancy, arrivals)
+        batched = arrivals[slots % min(20, slots):]
+        if batched.any():
+            assert math.isfinite(ci) and ci >= 0.0, slots
+        else:
+            assert math.isnan(ci), slots
+
+
+def test_batch_means_ci_hand_computed():
+    # 41 slots: 20 batches of two, the leading slot left out; every batch has
+    # two arrivals and an occupancy of 3 or 5 in turn, so at delay 2 each
+    # a_b - 2 c_b is -1 or +1 and the half-width is 1.96 sqrt(20 / (20 * 19)) / 2
+    arrivals = np.array([7] + [1] * 40)
+    occupancy = np.array([1000.0] + [1.0, 2.0, 2.0, 3.0] * 10)
+    ci = queueing._ratio_ci(2.0, occupancy, arrivals)
+    assert ci == pytest.approx(0.98 / math.sqrt(19), rel=1e-15)
 
 
 @pytest.mark.parametrize("horizon", [2000.7, 2000.0, True, 9, 0, -100],
@@ -512,7 +522,13 @@ def test_simulation_rejects_invalid_arrival_rates(total_rate):
 
 
 def test_boundary_scan_trivial_grid():
-    scan = stability_boundary_scan("irarq", SCALAR2, IR_PARAMS, None, [0.0], seed=63,
-                                   horizon_slots=5_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = stability_boundary_scan("irarq", SCALAR2, IR_PARAMS, None, [0.0], seed=63,
+                                       horizon_slots=5_000)
     assert scan.verdicts == ["stable"]
     assert scan.boundary is None
+    # no arrivals in the delay window: nan, without a warning
+    rep = scan.reports[0]
+    assert rep.packets == rep.arrivals == 0
+    assert math.isnan(rep.delay) and math.isnan(rep.delay_ci)
