@@ -18,16 +18,18 @@ and are eligible again at the very next epoch.
 The simulator keeps each queue as counts only.  Arrivals are drawn as
 per-slot Poisson counts in blocks of slots; a user's arrivals before each
 slot of a block are the running sum of its counts, and its queue holds
-those less its departures.  The loop keeps the per-slot arrival totals,
-the end slot of each departure and the backlog samples the stability slope
-regresses, those in the second half of the horizon.  No packet is paired
-with its departure: by Little's law the time in system summed over the
-packets is the number in system summed over time.  A slot's occupancy is
-the packets that arrived before it and have not departed, plus half of
-those arriving in it (the mean share of the slot a uniform arrival spends
-in it), and the mean delay is the occupancy summed over the slots after
-the warm-up divided by their arrivals.  Packets still queued at the
-horizon count for the time they have waited.
+those less its departures.  Besides the state the next epoch needs, the
+loop keeps only the per-slot arrival totals and the end slot of each
+departure; both statistics are read from them after the loop.  No packet
+is paired with its departure: by Little's law the time in system summed
+over the packets is the number in system summed over time.  A slot's
+occupancy is the packets that arrived before it and have not departed,
+plus half of those arriving in it (the mean share of the slot a uniform
+arrival spends in it), and the mean delay is the occupancy summed over the
+slots after the warm-up divided by their arrivals.  Packets still queued
+at the horizon count for the time they have waited.  The backlog at a
+slot's start is the same count without the half, and the stability slope
+is its least-squares trend over the slots of the second half.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class DelayReport:
     pe: float                    # fraction of non-idle epochs with a decode error
     nonidle_epochs: int
     verdict: str                 # stable | unstable | inconclusive
-    backlog_slope: float         # packets/slot trend over the second half
+    backlog_slope: float         # packets/slot, trend of the per-slot backlog, second half
     packets: int                 # arrivals in the delay window, after the warm-up
     arrivals: int
     delivered: int
@@ -198,7 +200,8 @@ def simulate_random_arrivals(
     summed over the window [W, H), W = int(WARMUP_FRACTION * H), divided
     by the window's arrivals, and its CI comes from batch means of both
     sums (:func:`_ratio_ci`).  The stability verdict regresses the total
-    backlog against time over the second half of the horizon: trend below
+    backlog at each slot start against time over the second half of the
+    horizon, read after the loop from the same per-slot series: trend below
     STABILITY_SLOPE_EPS in absolute value is stable, a positive trend above
     it is unstable, anything else is inconclusive.  The packet ledger is
     checked: no queue departs a packet that has not arrived, and departures
@@ -218,7 +221,6 @@ def simulate_random_arrivals(
     everyone = (1 << config.users) - 1
     block = _TILE >> config.users              # one cache-sized block of the engine
     all_sets = np.broadcast_to(np.arange(1 << config.users), (block, 1 << config.users))
-    half = horizon_slots / 2.0
 
     # before[u][t] counts user u's arrivals in the slots below base + t
     before = [[0] for _ in users]
@@ -234,8 +236,6 @@ def simulate_random_arrivals(
     n_delivered = 0
     errors = 0
     nonidle = 0
-    late_t: list[int] = []       # (slot, backlog) after each epoch at slot >= horizon/2
-    late_v: list[int] = []
 
     while slot < horizon_slots:
         if epoch == block:
@@ -275,35 +275,33 @@ def simulate_random_arrivals(
             drawn += _ARRIVAL_BLOCK_SLOTS
 
         ready = 0
-        backlog = 0
         for u in users:
-            waiting = before[u][slot - base] - departed[u]
-            if waiting:
+            if before[u][slot - base] > departed[u]:
                 ready |= 1 << u
-                backlog += waiting
-        if slot >= half:
-            late_t.append(slot)
-            late_v.append(backlog)
 
     if sum(departed) != n_delivered:
         raise AssertionError("packet ledger: departures differ from delivered outcomes")
     n_arrivals = sum(before[u][slot - base] for u in users)
 
-    # epochs last at least a slot, so two samples have distinct times
-    slope = float(np.polyfit(late_t, late_v, 1)[0]) if len(late_t) >= 2 else 0.0
+    # twice the time in system during each slot: the packets that arrived
+    # before it and have not departed, plus half of those arriving in it
+    per_slot = np.concatenate(arrived)[:horizon_slots]
+    left = np.bincount(np.asarray(ends, dtype=np.int64), minlength=horizon_slots)[:horizon_slots]
+    del arrived, ends            # freed first, so the lists and the fit never add
+    twice = 2 * np.cumsum(per_slot) - per_slot - 2 * np.cumsum(left)
+
+    # the backlog at each slot start of the second half, the arrivals before
+    # the slot less the departures ending at or before it
+    late = (horizon_slots + 1) // 2
+    slope = float(np.polyfit(np.arange(late, horizon_slots),
+                             (twice[late:] - per_slot[late:]) / 2, 1)[0])
     if abs(slope) < STABILITY_SLOPE_EPS:
         verdict = "stable"
     elif slope > STABILITY_SLOPE_EPS:
         verdict = "unstable"
     else:
         verdict = "inconclusive"
-    del late_t, late_v           # freed first, so their peak and the occupancy's never add
 
-    # twice the time in system during each slot: the packets that arrived
-    # before it and have not departed, plus half of those arriving in it
-    per_slot = np.concatenate(arrived)[:horizon_slots]
-    left = np.bincount(np.asarray(ends, dtype=np.int64), minlength=horizon_slots)[:horizon_slots]
-    twice = 2 * np.cumsum(per_slot) - per_slot - 2 * np.cumsum(left)
     start = int(WARMUP_FRACTION * horizon_slots)
     occupancy = twice[start:] / 2
     arrivals = per_slot[start:]

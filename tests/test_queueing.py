@@ -259,6 +259,10 @@ def test_stability_examples():
     ondma = ProtocolParams(p_t=1.0, multiplexing_gain=0.45)
     rep = simulate_random_arrivals("ondma", SCALAR2, ondma, 1.2, None, 100_000, seed=56)
     assert rep.verdict == "unstable"
+    # both queues stay backlogged and serve exactly one packet a slot, so the
+    # backlog drifts at 1.2 - 1; a random walk's fitted slope over the 50k
+    # slots of the second half has a standard deviation of about 0.005
+    assert abs(rep.backlog_slope - 0.2) <= 0.03
     rep = simulate_random_arrivals("irarq", SCALAR2, IR_PARAMS, 1.8, None, 100_000, seed=57)
     assert rep.verdict == "stable"
 
@@ -343,7 +347,9 @@ def simulate_packet_by_packet(protocol, config, params, total_rate, snr_db, hori
     departure (forever if it has none), and its time in each batch of the
     delay window, (min(departure, batch end) - max(s + 1/2, batch start))^+,
     is summed packet by packet.  Every term is a multiple of 1/2, so the
-    sums are exact.
+    sums are exact.  The backlog at each slot start of the second half is
+    counted from the same per-packet arrival slots and departures, and its
+    slope is the simulator's least-squares fit on those (slot, backlog) pairs.
     """
     rng = np.random.default_rng(seed)
     snr = None if snr_db is None else 10 ** (snr_db / 10)
@@ -356,7 +362,6 @@ def simulate_packet_by_packet(protocol, config, params, total_rate, snr_db, hori
     arrival, departure = [], []       # one entry per packet, once it departs
     drawn = slot = n_delivered = errors = nonidle = ready = 0
     epoch = block
-    backlog_t, backlog_v = [], []
     while slot < horizon_slots:
         if epoch == block:
             if params.p_t < 1.0:
@@ -387,31 +392,29 @@ def simulate_packet_by_packet(protocol, config, params, total_rate, snr_db, hori
             for u in users:
                 queues[u] += np.repeat(new, counts[:, u]).tolist()
             drawn += queueing._ARRIVAL_BLOCK_SLOTS
-        ready = backlog = 0
+        ready = 0
         for u in users:
-            waiting = bisect_left(queues[u], slot, head[u]) - head[u]
-            if waiting:
+            if bisect_left(queues[u], slot, head[u]) > head[u]:
                 ready |= 1 << u
-                backlog += waiting
-        backlog_t.append(slot)
-        backlog_v.append(backlog)
     assert sum(head) == n_delivered
     for u in users:
         arrival += queues[u][head[u]:]
         departure += [math.inf] * (len(queues[u]) - head[u])
 
-    t = np.asarray(backlog_t, dtype=float)
-    v = np.asarray(backlog_v, dtype=float)
-    half = t >= horizon_slots / 2.0
-    slope = float(np.polyfit(t[half], v[half], 1)[0]) if half.sum() >= 2 else 0.0
+    slots = np.asarray(arrival)
+    arrived_at = slots + 0.5
+    departed_at = np.asarray(departure, dtype=float)
+
+    # the backlog at each slot start t of the second half: the packets that
+    # arrived in a slot before t, less those departed at or before t
+    late = np.arange((horizon_slots + 1) // 2, horizon_slots)
+    backlog = (np.searchsorted(np.sort(slots), late, side="left")
+               - np.searchsorted(np.sort(departed_at), late, side="right"))
+    slope = float(np.polyfit(late, backlog, 1)[0])
     if abs(slope) < queueing.STABILITY_SLOPE_EPS:
         verdict = "stable"
     else:
         verdict = "unstable" if slope > 0 else "inconclusive"
-
-    slots = np.asarray(arrival)
-    arrived_at = slots + 0.5
-    departed_at = np.asarray(departure, dtype=float)
 
     def time_in(lo, hi):
         inside = np.minimum(departed_at, hi) - np.maximum(arrived_at, lo)
@@ -454,7 +457,8 @@ def simulate_packet_by_packet(protocol, config, params, total_rate, snr_db, hori
 def test_simulation_matches_stamp_list_oracle(protocol, config, params, rate, snr_db, seed):
     # the oracle lists every packet's arrival slot; at 1 000 and 10 001
     # slots the midpoint, where the slope's samples start, falls inside an
-    # arrival block, and at 10 001 the window leaves one slot out of the batches
+    # arrival block; at 10 001 it falls between two slot starts and the
+    # window leaves one slot out of the batches
     for horizon in (20_000, 1_000, 10_001):
         args = (protocol, config, params, rate, snr_db, horizon, seed)
         got = simulate_random_arrivals(*args)
