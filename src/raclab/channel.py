@@ -98,11 +98,6 @@ def _shape(channel: np.ndarray) -> tuple[int, int]:
     return channel.shape[::-1] if channel.ndim == 2 else channel.shape[:2]
 
 
-def _pick_epochs(channel: np.ndarray, rows) -> np.ndarray:
-    """The epochs selected by the boolean ``rows``, or the slice ``rows``, of a block of channels."""
-    return channel[:, rows] if channel.ndim == 2 else channel[rows]
-
-
 def _gram_entries(gains: np.ndarray) -> np.ndarray:
     """Each user's Gram matrix H H^H of (epochs, users, rx, tx) gains, as (users, rx^2, epochs) rows.
 

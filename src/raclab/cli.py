@@ -6,8 +6,9 @@ Options may come from a JSON config file (--config) whose keys are the flag
 names with underscores; any flag given on the command line overrides the
 corresponding JSON field.  Defaults follow the two-user single-antenna
 examples: K=2, arrival gain 0.45, per-protocol transmission probabilities
-(1/sqrt(3) for the splitting tree, 1 otherwise).  Exit code 0 on success, 2
-on any input the CLI or the library rejects.
+(1 for O-NDMA and IR-ARQ; for the splitting tree 1/sqrt(3), its two-user
+optimum, at every K, not :func:`dmt.gta_optimal_pt`).  Exit code 0 on
+success, 2 on any input the CLI or the library rejects.
 """
 
 from __future__ import annotations
@@ -326,7 +327,8 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--rx-ant", type=int)
     sub.add_argument("--deadline", nargs="+", type=int, help="ARQ round limits L (IR-ARQ)")
     sub.add_argument("--pt", type=float,
-                     help="transmission probability (default: per-protocol optimum)")
+                     help="transmission probability (default: 1 for ondma and irarq; 1/sqrt(3), "
+                          "the two-user optimum, for gta at every K)")
     sub.add_argument("--snr-db", nargs="+", type=float)
     sub.add_argument("--lambda", dest="lam", nargs="+", type=float,
                      help="total arrival rates, packets/slot")

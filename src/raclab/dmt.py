@@ -367,21 +367,18 @@ def tradeoff_curve(
     config: AntennaConfig,
     p_t: float = 1.0,
     deadline: int | None = None,
-    step: float = 0.01,
 ) -> list[TradeoffPoint]:
-    """Sample a protocol's tradeoff curve over r_e in [0, min(K*M, N)).
+    """Sample a protocol's tradeoff curve every 0.01 in r_e over [0, min(K*M, N)).
 
     GTA and O-NDMA curves clamp to zero once their (smaller) span is
     exhausted, which is exactly how they fail to reach the channel's full
     degrees of freedom.
     """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be finite and positive, got {step!r}")
     span = config.degrees_of_freedom
     points = []
-    n = int(math.ceil(span / step))
+    n = int(math.ceil(span / 0.01))
     for i in range(n):
-        r_e = i * step
+        r_e = i * 0.01
         if protocol == GTA:
             d = gta_dmt(config, p_t, r_e)
             ell = None

@@ -19,9 +19,8 @@ fully-loaded estimator's default chunk is ``_TILE`` epochs at one set each.
   The rounds S needs, capped at L + 1, are the most any nonempty T
   contained in S needs (:func:`channel.capped_rounds`).
 * O-NDMA: a k-user collision is resolved in exactly k orthogonal slots and
-  each message is decoded by a single-user decoder after combining (gain 1,
-  or k with ``matched_combining``): the same decision for one user and one
-  round, with the same tie rule.
+  each message is decoded by a single-user decoder at combining gain 1: the
+  IR-ARQ decision for one user and one round, with the same tie rule.
 * Tree splitting (GTA): colliding users split fairly; an empty left group
   costs no data slot (membership is known via the perfect control
   channels) and the full group re-collides; a singleton left group gets a
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _draw_channel, _pick_epochs, asymptotic_first_decodable_round, capped_rounds
+from .channel import _draw_channel, asymptotic_first_decodable_round, capped_rounds
 from .system import GTA, IRARQ, ONDMA, AntennaConfig, ProtocolParams
 
 
@@ -200,12 +199,12 @@ def _tree_members(masks, count, users: int, rng: np.random.Generator):
     return taken
 
 
-def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, channel, gain: float):
+def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, channel):
     if snr is None:
         out = asymptotic_first_decodable_round(1, config, params.multiplexing_gain) > 1
         return (1 << config.users) - 1 if out else 0
-    # one round per user at combining gain ``gain``: the IR-ARQ decision at deadline 1
-    rounds = capped_rounds(channel, gain * snr, params.rate_at(snr), config.tx, 1,
+    # one round per user at gain 1: the IR-ARQ decision at deadline 1
+    rounds = capped_rounds(channel, snr, params.rate_at(snr), config.tx, 1,
                            1 << np.arange(config.users))
     return _bits((rounds > 1).T)
 
@@ -261,17 +260,7 @@ def epoch_outcomes(
             needed = worst.ravel()[masks * n + np.arange(n)[:, None]]
         errors = np.where(needed > deadline, masks, 0)
         return np.minimum(needed, deadline, dtype=np.int64), masks, errors
+    out = np.reshape(_outage_bits(config, params, snr, channel), (-1, 1))
     if protocol == ONDMA:
-        if channel is not None and params.matched_combining:
-            # outage bits at combining gain k, for the epochs that have a k-user set
-            out = np.zeros((n, users + 1), dtype=np.int64)
-            for k in range(1, users + 1):
-                rows = (sizes == k).any(axis=1)
-                picked = _pick_epochs(channel, rows)
-                out[rows, k] = _outage_bits(config, params, snr, picked, float(k))
-            out = np.take_along_axis(out, sizes, axis=1)
-        else:
-            out = np.reshape(_outage_bits(config, params, snr, channel, 1.0), (-1, 1))
         return np.maximum(sizes, 1), masks, masks & out
-    errors = taken & np.reshape(_outage_bits(config, params, snr, channel, 1.0), (-1, 1))
-    return tree_len.reshape(masks.shape), taken, errors
+    return tree_len.reshape(masks.shape), taken, taken & out

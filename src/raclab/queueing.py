@@ -369,7 +369,8 @@ def stability_boundary_scan(
 
     A declining backlog (inconclusive verdict with negative trend) counts
     as stable for bracketing purposes; the boundary is the midpoint of the
-    last such load and the first unstable one.
+    last such load and the first unstable one, and half the first load when
+    that one is unstable.
     """
     grid = sorted(float(x) for x in rate_grid)
     if not grid:

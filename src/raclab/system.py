@@ -87,7 +87,6 @@ class ProtocolParams:
     rate: float | None = None               # fixed first-round rate R
     multiplexing_gain: float | None = None  # first-round multiplexing gain r
     deadline: int | None = None             # max ARQ rounds L (IR-ARQ only)
-    matched_combining: bool = False         # O-NDMA decoder gain k instead of 1
 
     def __post_init__(self):
         check_p_t(self.p_t)

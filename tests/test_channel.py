@@ -867,9 +867,8 @@ MIMO_SHAPES = [AntennaConfig(users=3, tx=2, rx=2), AntennaConfig(users=4, tx=2, 
 @pytest.mark.parametrize("protocol, params", [
     ("irarq", ProtocolParams(p_t=1.0, rate=1.2, deadline=2)),
     ("ondma", ProtocolParams(p_t=1.0, rate=1.2)),
-    ("ondma", ProtocolParams(p_t=1.0, rate=1.2, matched_combining=True)),
     ("gta", ProtocolParams(p_t=1.0, rate=1.2)),
-], ids=["irarq", "ondma", "ondma-matched", "gta"])
+], ids=["irarq", "ondma", "gta"])
 @pytest.mark.parametrize("cfg", MIMO_SHAPES, ids=["K3-2x2", "K4-2x4", "K2-1x3"])
 def test_mimo_epochs_draw_the_gains_stream(protocol, params, cfg):
     # at rx > 1 the generator is consumed as by _draw_gains (GTA: after its
@@ -894,7 +893,7 @@ def test_mimo_epochs_draw_the_gains_stream(protocol, params, cfg):
                 if members:
                     want = batch_first_decodable_round(gains[e : e + 1, members], 2.0, params.rate)
                     assert lengths[e, j] == min(int(want[0]), params.deadline)
-    elif protocol == "ondma" and not params.matched_combining:
+    elif protocol == "ondma":
         out = single_user_info(gains, 2.0, 1.0, cfg.tx) < params.rate
         assert np.array_equal(errors, masks & (out.T @ (1 << np.arange(cfg.users)))[:, None])
 

@@ -93,13 +93,16 @@ def test_pe_csv_and_determinism(tmp_path):
 
 def test_throughput_csv(tmp_path):
     out = tmp_path / "tput.csv"
-    code = main(["throughput", "--protocol", "ondma", "--snr-db", "10", "--horizon", "20000",
-                 "--trials", "5000", "--seed", "3", "--out", str(out)])
+    code = main(["throughput", "--protocol", "ondma", "irarq", "--deadline", "2", "--snr-db", "10",
+                 "--horizon", "20000", "--trials", "5000", "--seed", "3", "--out", str(out)])
     assert code == 0
     header, rows = read_csv(out)
     assert header == SIM_HEADER
     metrics = [r[5] for r in rows]
     assert "throughput_per_rate" in metrics and "renewal_prediction_per_rate" in metrics
+    # IR-ARQ's prediction reads a beta table of --trials trials, so it has a stderr
+    pred = next(r for r in rows if r[1] == "irarq" and r[5] == "renewal_prediction_per_rate")
+    assert pred[8] == "5000" and float(pred[7]) > 0.0
 
 
 def test_delay_csv(tmp_path):
@@ -189,6 +192,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
                      "--deadline", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+    # config values of the right type that the config checks or the protocol
+    # parameters reject
+    for bad in ({"protocols": ["csma"]}, {"snr_db": []}, {"deadline": [0]}, {"trials": 0},
+                {"rate_mode": "fixed"}):
+        path.write_text(json.dumps(bad))
+        assert main(["dmt", "--config", str(path)]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, (bad, err)
     # config values of the wrong type, and a config that is not an object
     for bad in ({"trials": "100"}, {"lambda": 0.5}, [1, 2], {"seed": "7"},
                 {"users": True}, {"deadline": 2}, {"snr_db": [10, "20"]}):

@@ -21,7 +21,6 @@ from raclab import (
     system_error_probability,
 )
 from raclab.montecarlo import gta_collision_stats
-from raclab.protocols import epoch_outcomes
 
 SCALAR1 = AntennaConfig(users=1)
 SCALAR2 = AntennaConfig(users=2)
@@ -73,6 +72,10 @@ def test_beta_alpha_view_and_validation():
     for bad in ([1.0, math.nan, 0.1], [math.nan, 0.5, 0.1], [1.0, 0.5, -math.inf], [1.0, math.inf, 0.1]):
         with pytest.raises(ValueError, match="finite"):
             BetaTable(values=np.array([bad, [1.0, 0.5, 0.2]]), source="closed-form", trials=0, snr=None)
+    for bad, match in (([1.0, 0.5], "values must be a"), ([[1.0, 1.5]], r"lie in \[0, 1\]"),
+                       ([[1.0, -0.5]], r"lie in \[0, 1\]")):
+        with pytest.raises(ValueError, match=match):
+            BetaTable(values=np.array(bad), source="closed-form", trials=0, snr=None)
 
 
 def test_beta_alpha_reject_indices_outside_the_table():
@@ -211,31 +214,6 @@ def test_error_probability_deterministic_and_worker_invariant():
     assert a.value == b.value and np.array_equal(a.per_user, b.per_user)
 
 
-def test_matched_combining_ondma_on_mimo():
-    # at p_t = 1 no epoch has a one-user set: the kernel must take empty batches.
-    # Same draws with and without combining, so gain k >= 1 never adds errors.
-    mimo = AntennaConfig(users=2, tx=2, rx=2)
-    matched, plain = (
-        system_error_probability(
-            "ondma", mimo, ProtocolParams(p_t=1.0, rate=3.0, matched_combining=mc), 5.0,
-            trials=4000, seed=43)
-        for mc in (True, False)
-    )
-    assert matched.nonidle == plain.nonidle > 0
-    assert 0.0 < matched.value < plain.value
-    assert np.all(matched.per_user <= plain.per_user)
-    # engine blocks whose masks leave a size out: no two-user set (no combining
-    # gain, so the same errors), then no one-user set (never more errors)
-    for sets, same in (((0, 1, 2), True), ((0, 3), False)):
-        masks = np.resize(np.array(sets, dtype=np.int64), (300, 1))
-        matched, plain = (
-            epoch_outcomes("ondma", mimo, ProtocolParams(p_t=0.5, rate=3.0, matched_combining=mc),
-                           10 ** 0.5, masks, np.random.default_rng(43))[2]
-            for mc in (True, False)
-        )
-        assert np.array_equal(matched & plain, matched) and np.any(plain)
-        assert np.array_equal(matched, plain) == same
-
 def test_error_probability_beyond_queue_user_cap():
     # fully-loaded epochs are evaluated at one participant set each, so the
     # 2^K cap of the random-arrival simulator does not apply here
@@ -328,12 +306,29 @@ def test_beta_rejects_negative_rate():
     lambda: estimate_beta(SCALAR2, 10.0, math.nan, 2, trials=100, seed=1),
     lambda: estimate_beta(SCALAR2, 10.0, math.inf, 2, trials=100, seed=1),
     lambda: estimate_beta(SCALAR2, 10.0, 1.0, True, trials=100, seed=1),
+    lambda: ProtocolParams(p_t=1.0),
+    lambda: ProtocolParams(p_t=1.0, rate=1.0, multiplexing_gain=0.45),
+    lambda: ProtocolParams(p_t=1.0, multiplexing_gain=0.45).rate_at(None),
 ], ids=["rate-nan", "rate-inf", "gain-nan", "gain-inf", "deadline-bool", "users-bool", "tx-bool",
-        "rx-bool", "beta-rate-nan", "beta-rate-inf", "beta-deadline-bool"])
+        "rx-bool", "beta-rate-nan", "beta-rate-inf", "beta-deadline-bool", "no-rate", "both-rates",
+        "gain-rate-at-infinite-snr"])
 def test_invalid_rates_and_counts_fail_loudly(build):
     # unchecked, a nan rate would give pe = 1.0 or an all-ones beta table
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("run, match", [
+    (lambda: system_error_probability("ondma", SCALAR2, ProtocolParams(p_t=1e-9, rate=1.0), 10.0,
+                                      trials=1, seed=1), "no non-idle epochs"),
+    (lambda: renewal_prediction("irarq", SCALAR2,
+                                ProtocolParams(p_t=1.0, multiplexing_gain=0.45, deadline=2)),
+     "needs a beta table"),
+    (lambda: diversity_slope([(1.0, 0.5), (10.0, 0.05), (1000.0, 5e-4)]), "top SNR decade"),
+], ids=["pe-all-idle", "renewal-irarq-no-table", "slope-one-in-top-decade"])
+def test_estimators_reject_bad_inputs(run, match):
+    with pytest.raises(ValueError, match=match):
+        run()
 
 
 @pytest.mark.parametrize("workers", [0, -1, True, 1.5])

@@ -16,7 +16,7 @@ from raclab import (
     simulate_random_arrivals,
 )
 from raclab import montecarlo, protocols
-from raclab.channel import _draw_channel, _pick_epochs, asymptotic_first_decodable_round, capped_rounds
+from raclab.channel import _draw_channel, asymptotic_first_decodable_round, capped_rounds
 from raclab.montecarlo import fully_loaded_throughput, gta_collision_stats, system_error_probability
 from raclab.protocols import (
     _bits,
@@ -132,17 +132,16 @@ def test_irarq_asymptotic_mode():
         tables("irarq", ProtocolParams(p_t=1.0, rate=1.0))
 
 
-@pytest.mark.parametrize("protocol, mask, gain, extra", [
-    ("irarq", 0b01, 1, {"deadline": 1}),
-    ("ondma", BOTH, 1, {}),
-    ("ondma", BOTH, 2, {"matched_combining": True}),
-    ("gta", BOTH, 1, {}),
-], ids=["irarq", "ondma", "ondma-matched", "gta"])
-def test_single_user_power_at_the_threshold_decodes(protocol, mask, gain, extra):
-    # one tie rule for every decision: a power exactly at (2^R - 1) * M / (gain * snr)
+@pytest.mark.parametrize("protocol, mask, extra", [
+    ("irarq", 0b01, {"deadline": 1}),
+    ("ondma", BOTH, {}),
+    ("gta", BOTH, {}),
+], ids=["irarq", "ondma", "gta"])
+def test_single_user_power_at_the_threshold_decodes(protocol, mask, extra):
+    # one tie rule for every decision: a power exactly at (2^R - 1) * M / snr
     # decodes; log2(1 + 3 * power) of this one comes out an ulp below R = 0.45
     snr, rate = 3.0, 0.45
-    power = (2.0**rate - 1.0) / (gain * snr)
+    power = (2.0**rate - 1.0) / snr
     params = ProtocolParams(p_t=1.0, rate=rate, **extra)
     masks = np.full((4, 1), mask)
     lengths, delivered, errors = epoch_outcomes(protocol, SCALAR2, params, snr, masks,
@@ -168,16 +167,6 @@ def test_ondma_single_user_decode():
     assert errors[0, 0b01] == 0
     _, delivered, errors = tables("ondma", ProtocolParams(p_t=1.0, rate=2.1))
     assert errors[0, 0b01] == 0b01 and delivered[0, 0b01] == 0b01
-
-
-def test_ondma_matched_combining_helps():
-    # log2(1 + 3) = 2 < 2.5 but log2(1 + 2*3) = 2.807 >= 2.5
-    _, _, errors = tables("ondma", ProtocolParams(p_t=1.0, rate=2.5))
-    assert errors[0, BOTH] == BOTH
-    matched = ProtocolParams(p_t=1.0, rate=2.5, matched_combining=True)
-    _, _, errors = tables("ondma", matched)
-    assert errors[0, BOTH] == 0
-    assert errors[0, 0b10] == 0b10   # a lone user combines one slot only
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +533,7 @@ def test_bitmask_engine_takes_at_most_63_users(protocol):
 @pytest.mark.parametrize("protocol, params", [
     ("irarq", ProtocolParams(p_t=1.0, rate=1.2, deadline=2)),
     ("ondma", ProtocolParams(p_t=1.0, rate=1.2)),
-    ("ondma", ProtocolParams(p_t=1.0, rate=1.2, matched_combining=True)),
-], ids=["irarq", "ondma", "ondma-matched"])
+], ids=["irarq", "ondma"])
 @pytest.mark.parametrize("config", [AntennaConfig(users=3), AntennaConfig(users=3, tx=2, rx=2)],
                          ids=["scalar", "2x2"])
 def test_outcomes_at_coin_masks_match_full_table(protocol, params, config):
@@ -681,21 +669,13 @@ def outcomes_whole_block(protocol, config, params, snr, masks, rng):
     elif protocol == "ondma":
         lengths = np.maximum(sizes, 1)
         channel = None if snr is None else _draw_channel(rng, shape)
-        if snr is not None and params.matched_combining:
-            by_size = np.zeros((n, users + 1), dtype=np.int64)
-            for k in range(1, users + 1):
-                rows = (sizes == k).any(axis=1)
-                by_size[rows, k] = _outage_bits(config, params, snr, _pick_epochs(channel, rows), float(k))
-            out = np.take_along_axis(by_size, sizes, axis=1)
-        else:
-            out = np.reshape(_outage_bits(config, params, snr, channel, 1.0), (-1, 1))
-        errors = masks & out
+        errors = masks & np.reshape(_outage_bits(config, params, snr, channel), (-1, 1))
     else:
         tree_len, tree_del = _gta_tree_batch(sizes.ravel(), rng)
         lengths = tree_len.reshape(masks.shape)
         delivered = _tree_members(masks, tree_del.reshape(masks.shape), users, rng)
         channel = None if snr is None else _draw_channel(rng, shape)
-        errors = delivered & np.reshape(_outage_bits(config, params, snr, channel, 1.0), (-1, 1))
+        errors = delivered & np.reshape(_outage_bits(config, params, snr, channel), (-1, 1))
     return lengths, delivered, errors
 
 
@@ -775,8 +755,7 @@ def test_tiled_estimators_match_whole_chunk_oracle(protocol, users, p_t, snr_db,
     trials = CHUNKINGS[chunking]
     config = AntennaConfig(users=users)
     snr = None if snr_db is None else 10.0 ** (snr_db / 10.0)
-    variants = ([{"deadline": L} for L in (1, 2, 3)] if protocol == "irarq" else
-                [{}, {"matched_combining": True}] if protocol == "ondma" else [{}])
+    variants = [{"deadline": L} for L in (1, 2, 3)] if protocol == "irarq" else [{}]
     for extra in variants:
         params = ProtocolParams(p_t=p_t, multiplexing_gain=0.4, **extra)
         seed = 90 + users
@@ -810,8 +789,8 @@ def test_epoch_outcomes_match_whole_block_oracle(protocol, n):
         all_sets = np.broadcast_to(np.arange(8), (n, 8))
         coins = np.random.default_rng(3).integers(0, 8, (n, 1))
         for masks in (all_sets, coins):
-            for snr, extra in ((2.0, {}), (2.0, {"matched_combining": True}), (None, {})):
-                params = ProtocolParams(p_t=1.0, multiplexing_gain=0.6, deadline=2, **extra)
+            for snr in (2.0, None):
+                params = ProtocolParams(p_t=1.0, multiplexing_gain=0.6, deadline=2)
                 rngs = [np.random.default_rng(4) for _ in range(2)]
                 got = epoch_outcomes(protocol, config, params, snr, masks, rngs[0])
                 want = outcomes_whole_block(protocol, config, params, snr, masks, rngs[1])

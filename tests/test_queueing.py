@@ -95,6 +95,11 @@ def test_analytics_reject_invalid_rate_and_p_t(total_rate, p_t, match):
             run(total_rate, 2, p_t, 2, ZERO_BETA)
 
 
+def test_moments_reject_a_probability_outside_the_unit_interval():
+    with pytest.raises(ValueError, match="p must lie"):
+        epoch_length_moments(1.5, 2, 2, ZERO_BETA)
+
+
 def test_deadline_must_match_beta_table():
     table = BetaTable.from_indicators(SCALAR2, multiplexing_gain=0.7, deadline=2)
     with pytest.raises(ValueError, match="deadline"):
@@ -536,3 +541,5 @@ def test_boundary_scan_trivial_grid():
     rep = scan.reports[0]
     assert rep.packets == rep.arrivals == 0
     assert math.isnan(rep.delay) and math.isnan(rep.delay_ci)
+    with pytest.raises(ValueError, match="grid must be nonempty"):
+        stability_boundary_scan("irarq", SCALAR2, IR_PARAMS, None, [], seed=63)
