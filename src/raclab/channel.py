@@ -58,21 +58,29 @@ NEVER = 10**9
 # temporaries.
 _TILE_ENTRIES = 1 << 17
 
+# Gaussian samples per piece of a gains draw: a 512 KiB buffer
+_DRAW_PIECE = 1 << 16
+
 
 def _draw_gains(rng: np.random.Generator, shape) -> np.ndarray:
     """Unit-power circularly symmetric complex Gaussian gains of the given shape.
 
-    The real halves are drawn first, then the imaginary halves, each into
-    one reused float buffer and scaled straight into the complex result, so
-    a draw holds 1.5 times the gains at its peak.  Bitwise equal to
-    ``(a + 1j * b) / sqrt(2)`` from two successive draws, since numpy
+    The real halves are drawn first, then the imaginary halves, in pieces
+    of at most _DRAW_PIECE samples through one reused float buffer, each
+    scaled straight into the complex result, so a draw holds little more
+    than the gains at its peak.  The generator fills an array one sample
+    after another, so the pieces draw what one call would.  Bitwise equal
+    to ``(a + 1j * b) / sqrt(2)`` from two successive draws, since numpy
     divides by a real scalar by multiplying with its reciprocal.
     """
     gains = np.empty(shape, dtype=complex)
-    buf = np.empty(shape)
-    for half in (gains.real, gains.imag):
-        rng.standard_normal(out=buf)
-        np.multiply(buf, 1.0 / math.sqrt(2.0), out=half)
+    flat = gains.reshape(-1)
+    buf = np.empty(min(flat.size, _DRAW_PIECE))
+    for half in (flat.real, flat.imag):
+        for start in range(0, flat.size, _DRAW_PIECE):
+            piece = half[start:start + _DRAW_PIECE]
+            rng.standard_normal(out=buf[:piece.size])
+            np.multiply(buf[:piece.size], 1.0 / math.sqrt(2.0), out=piece)
     return gains
 
 

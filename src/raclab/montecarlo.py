@@ -20,7 +20,10 @@ draw its participation coins, evaluate its epochs in one call of
 ``gta_collision_stats`` runs one splitting tree per chunk.  The chunk is
 the engine's cache-sized block, ``DEFAULT_CHUNK`` = ``protocols._TILE``
 epochs, so a call's working memory does not grow with its trials.  Only
-``estimate_beta`` takes another chunk size.
+``estimate_beta`` takes another chunk size.  Its chunk draws one channel
+block of all K users and reads every collision size k = 1..K off the
+first k users, so the rows of a beta table share their draws (common
+random numbers) and the table carries their covariance.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ DEFAULT_CHUNK = _TILE
 # stream tags keep the independent estimators on disjoint substreams
 _TAG_ERROR = 1
 _TAG_THROUGHPUT = 2
-_TAG_BETA = 3          # + k for collision size k
+_TAG_BETA = 3          # + K, the table's users
 _TAG_GTA_STATS = 99
 
 
@@ -58,6 +61,9 @@ class BetaTable:
     after ``ell`` rounds given k initial colliders; column 0 is 1 by
     definition and rows are nonincreasing.  :func:`dmt.epoch_law` reads the
     matching min(first success, deadline) moments off ``values``.
+    ``length_cov[j-1, k-1]`` is the covariance of the epoch lengths of j and
+    of k colliders within one trial; None when the rows were not drawn
+    together (:func:`renewal_prediction` then takes them as independent).
     """
 
     values: np.ndarray            # shape (users, deadline + 1)
@@ -65,6 +71,7 @@ class BetaTable:
     trials: int
     snr: float | None             # linear SNR, None for the infinite-SNR table
     stderr: np.ndarray | None = None
+    length_cov: np.ndarray | None = None   # shape (users, users)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -78,6 +85,8 @@ class BetaTable:
             raise ValueError("survival probabilities must lie in [0, 1]")
         if np.any(np.diff(vals, axis=1) > 1e-12):
             raise ValueError("survival probabilities must be nonincreasing in rounds")
+        if self.length_cov is not None and np.shape(self.length_cov) != (vals.shape[0],) * 2:
+            raise ValueError("length_cov must be a (users, users) array")
         self.values = vals
 
     @property
@@ -159,34 +168,59 @@ def estimate_beta(
 ) -> BetaTable:
     """Monte Carlo survival probabilities for every collision size k = 1..K.
 
-    For each trial a fresh channel set is drawn, the first decodable round
-    is located, and every earlier round counts as a survival.  The derived
-    exactly-at-round view is available as :meth:`BetaTable.alpha`.
+    Each trial draws one channel set of all K users.  The nonempty subsets
+    of its first k users are rows 0 .. 2^k - 2 of one :func:`capped_rounds`
+    call on all 2^K - 1, so every row is read off the same draws (common
+    random numbers): each row keeps its law, and ``length_cov`` carries
+    the covariance of the rows' epoch lengths min(N_k, L) for
+    :func:`renewal_prediction`.  Every round before the first decodable one
+    counts as a survival.  Chunk i draws from ``default_rng([seed,
+    _TAG_BETA + K, i])``.  The exactly-at-round view is :meth:`BetaTable.alpha`.
     """
     check_counts(deadline=deadline)
     check_rate("rate", rate)
     snr = snr_from_db(snr_db)
     users, rx, tx = config.users, config.rx, config.tx
-    _check_tile((1 << users) - 1, rx)           # the largest collision, before any smaller one runs
+    _check_tile((1 << users) - 1, rx)           # before any chunk draws its channels
+
+    def sums(rng, n):
+        """(K, L + K) survival counts at rounds 1..L, then the cross sums of the epoch lengths."""
+        channel = _draw_channel(rng, (n, users, rx, tx))
+        rounds = capped_rounds(channel, snr, rate, tx, deadline, range(1, 1 << users))
+        # the first k + 1 users need what the first k do or what a subset
+        # whose top member is user k does, whichever is more
+        needed = np.empty((users, n), dtype=rounds.dtype)
+        needed[0] = rounds[0]
+        for k in range(1, users):
+            np.max(rounds[(1 << k) - 1:(2 << k) - 1], axis=0, out=needed[k])
+            np.maximum(needed[k], needed[k - 1], out=needed[k])
+        survivals = [[np.count_nonzero(row > ell) for ell in range(1, deadline + 1)] for row in needed]
+        # epoch lengths are at most L, so every partial sum of the cross sums
+        # is an integer at most trials * L^2: exact in float64 below 2^53;
+        # one product per row, as x @ x.T runs slower on so wide an x
+        x = np.minimum(needed, deadline, dtype=float)
+        return np.hstack([survivals, [x @ row for row in x]])
+
+    counts = _sum_chunks(sums, seed, _TAG_BETA + users, trials, "trials", chunk, workers)
     values = np.ones((users, deadline + 1))
-    stderr = np.zeros((users, deadline + 1))
-
-    for k in range(1, users + 1):
-        def survivals(rng, n, k=k):
-            channel = _draw_channel(rng, (n, k, rx, tx))
-            needed = capped_rounds(channel, snr, rate, tx, deadline, range(1, 1 << k)).max(axis=0)
-            return np.array([(needed > ell).sum() for ell in range(1, deadline + 1)])
-
-        beta = _sum_chunks(survivals, seed, _TAG_BETA + k, trials, "trials", chunk, workers) / trials
-        values[k - 1, 1:] = beta
-        stderr[k - 1, 1:] = np.sqrt(np.maximum(beta * (1 - beta), 0.0) / trials)
-
+    values[:, 1:] = counts[:, :deadline] / trials
+    beta = values[:, 1:]
+    stderr = np.zeros_like(values)
+    stderr[:, 1:] = np.sqrt(np.maximum(beta * (1 - beta), 0.0) / trials)
+    # off the diagonal E[x_j x_k] - E[x_j] E[x_k]; on it the variance
+    # square - length^2 of dmt.epoch_law, which a table without length_cov
+    # reads too, so the rows' covariance changes no p_t = 1 prediction
+    length, square, _ = dmt.epoch_law(IRARQ, config, values)
+    mean = np.array(length[1:])
+    cov = counts[:, deadline:] / trials - np.outer(mean, mean)
+    np.fill_diagonal(cov, np.maximum(np.array(square[1:]) - mean * mean, 0.0))
     return BetaTable(
         values=values,
         source="monte-carlo",
         trials=trials,
         snr=snr,
         stderr=stderr,
+        length_cov=cov,
     )
 
 
@@ -202,10 +236,14 @@ def _fully_loaded_epochs(
 
     The generator is consumed in a fixed order (participation coins, then
     the protocol's draws), so runs with the same seed share channel
-    realisations across deadlines and SNR points.  Returns the coin masks
-    and the epochs' (lengths, delivered, errors), each of shape (n,).
+    realisations across deadlines and SNR points.  At p_t = 1 every coin is
+    1 and none is drawn.  Returns the coin masks and the epochs' (lengths,
+    delivered, errors), each of shape (n,).
     """
-    coins = _bits(rng.random((n, config.users)) < params.p_t)
+    if params.p_t < 1.0:
+        coins = _bits(rng.random((n, config.users)) < params.p_t)
+    else:
+        coins = _bits(np.ones((1, config.users), dtype=bool)).repeat(n)
     outcomes = epoch_outcomes(protocol, config, params, snr, coins[:, None], rng)
     return coins, *(x[:, 0] for x in outcomes)
 
@@ -347,8 +385,9 @@ def renewal_prediction(
     The prediction is the protocol's stability boundary, packets delivered
     per slot: exact closed forms for the channel-independent GTA and O-NDMA
     epochs.  The IR-ARQ value is read at the given beta table and inherits
-    uncertainty from a Monte Carlo table through the per-size epoch-length
-    variances of :func:`dmt.epoch_law`.
+    uncertainty from a Monte Carlo table through its ``length_cov``; a
+    table without one is taken to have independent rows, each with the
+    epoch-length variance square - length^2 of :func:`dmt.epoch_law`.
     """
     p_t = params.p_t
     if protocol == IRARQ and beta is None:
@@ -356,10 +395,14 @@ def renewal_prediction(
     value = dmt.stability_region(protocol, config, p_t, deadline=params.deadline, beta=beta)
     if protocol != IRARQ or not beta.trials:
         return value, 0.0
-    # a table's mean length for k colliders has variance Var[min(N, L)] / trials
+    # the mixed mean length w . E[min(N_k, L)], w_k = Binomial(K, p_t)[k], has
+    # variance w' C w / trials for the per-size length covariance C
     length, square, _ = dmt.epoch_law(IRARQ, config, beta.values)
-    var = sum(binom_pmf(config.users, k, p_t) ** 2 * max(s - m * m, 0.0)
-              for k, (m, s) in enumerate(zip(length, square)))
+    cov = beta.length_cov
+    if cov is None:
+        cov = np.diag([max(s - m * m, 0.0) for m, s in zip(length[1:], square[1:])])
+    w = np.array([binom_pmf(config.users, k, p_t) for k in range(1, config.users + 1)])
+    var = max(float(w @ cov @ w), 0.0)
     return value, value / dmt.binomial_mix(length, config.users, p_t) * math.sqrt(var / beta.trials)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from raclab import AntennaConfig, ProtocolParams
 from raclab.channel import (
+    _DRAW_PIECE,
     _TILE_ENTRIES,
     NEVER,
     _check_tile,
@@ -113,7 +114,7 @@ def test_draw_shapes_and_determinism():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("shape", [(0, 2, 1, 1), (5, 1, 1, 1), (7, 3, 2, 4)])
+@pytest.mark.parametrize("shape", [(0, 2, 1, 1), (5, 1, 1, 1), (7, 3, 2, 4), (3000, 4, 4, 2)])
 def test_draw_pins_the_two_call_stream(shape):
     # real halves first, then imaginary halves, scaled by 1/sqrt(2)
     rng, twin = np.random.default_rng(43), np.random.default_rng(43)
@@ -135,6 +136,8 @@ def test_draw_holds_one_and_a_half_gains_at_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * gains.nbytes + 65536
+    # the halves go through a buffer of at most _DRAW_PIECE samples
+    assert peak <= gains.nbytes + 8 * _DRAW_PIECE + 65536
 
 
 def test_unit_mean_power():
@@ -898,19 +901,24 @@ def test_mimo_epochs_draw_the_gains_stream(protocol, params, cfg):
         assert np.array_equal(errors, masks & (out.T @ (1 << np.arange(cfg.users)))[:, None])
 
 
-@pytest.mark.parametrize("cfg", [AntennaConfig(users=3, tx=2, rx=2), AntennaConfig(users=4, tx=2, rx=4)],
+@pytest.mark.parametrize("cfg, rate", [(AntennaConfig(users=3, tx=2, rx=2), 1.2),
+                                       (AntennaConfig(users=4, tx=2, rx=4), 2.0)],
                          ids=["K3-2x2", "K4-2x4"])
-def test_mimo_beta_chunk_reads_the_gains_stream(cfg):
-    # one chunk of estimate_beta per collision size k reads the gains that
-    # _draw_gains makes from that chunk's generator
-    trials, snr_db, rate, deadline, seed = 3000, 20.0, 3.0, 3, 17
-    table = estimate_beta(cfg, snr_db, rate, deadline, trials, seed=seed)
-    for k in range(1, cfg.users + 1):
-        rng = np.random.default_rng([seed, _TAG_BETA + k, 0])          # chunk 0
-        gains = _draw_gains(rng, (trials, k, cfg.rx, cfg.tx))
-        needed = batch_first_decodable_round(gains, 10.0 ** (snr_db / 10.0), rate)
-        want = np.array([(needed > ell).sum() for ell in range(1, deadline + 1)]) / trials
-        assert table.values[k - 1, 1:].tobytes() == want.tobytes()
+def test_mimo_beta_chunk_reads_the_gains_stream(cfg, rate):
+    # chunk i of a K-user table draws the gains _draw_gains makes from
+    # default_rng([seed, _TAG_BETA + K, i]), and row k reads its first k users
+    trials, chunk, snr_db, deadline, seed = 3000, 2048, 0.0, 3, 17
+    table = estimate_beta(cfg, snr_db, rate, deadline, trials, seed=seed, chunk=chunk)
+    # at 0 dB every row survives its first round in some trials, not in all
+    assert np.all((table.values[:, 1] > 0.05) & (table.values[:, 1] < 0.95))
+    counts = np.zeros((cfg.users, deadline), dtype=np.int64)
+    for i, n in enumerate((chunk, trials - chunk)):
+        rng = np.random.default_rng([seed, _TAG_BETA + cfg.users, i])
+        gains = _draw_gains(rng, (n, cfg.users, cfg.rx, cfg.tx))
+        for k in range(1, cfg.users + 1):
+            needed = batch_first_decodable_round(gains[:, :k], 10.0 ** (snr_db / 10.0), rate)
+            counts[k - 1] += [(needed > ell).sum() for ell in range(1, deadline + 1)]
+    assert table.values[:, 1:].tobytes() == (counts / trials).tobytes()
 
 
 def first_round_by_slogdet(gains, snr, rate):

@@ -72,6 +72,9 @@ def test_beta_alpha_view_and_validation():
     for bad in ([1.0, math.nan, 0.1], [math.nan, 0.5, 0.1], [1.0, 0.5, -math.inf], [1.0, math.inf, 0.1]):
         with pytest.raises(ValueError, match="finite"):
             BetaTable(values=np.array([bad, [1.0, 0.5, 0.2]]), source="closed-form", trials=0, snr=None)
+    with pytest.raises(ValueError, match="length_cov"):
+        BetaTable(values=table.values, source="monte-carlo", trials=10**4, snr=10.0,
+                  length_cov=np.zeros((2, 3)))
     for bad, match in (([1.0, 0.5], "values must be a"), ([[1.0, 1.5]], r"lie in \[0, 1\]"),
                        ([[1.0, -0.5]], r"lie in \[0, 1\]")):
         with pytest.raises(ValueError, match=match):
@@ -105,6 +108,43 @@ def test_beta_deterministic_and_worker_invariant():
     c = estimate_beta(mimo, workers=4, **kw)
     assert np.array_equal(a.values, c.values)
     assert np.array_equal(a.stderr, c.stderr)
+
+
+@pytest.mark.parametrize("cfg, snr_db, rate", [(AntennaConfig(users=3), 5.0, 1.0),
+                                               (AntennaConfig(users=3, tx=2, rx=2), 0.0, 1.2),
+                                               (AntennaConfig(users=4, tx=1, rx=2), 10.0, 1.5)],
+                         ids=["K3-scalar", "K3-2x2", "K4-1x2"])
+def test_beta_rows_share_their_draws(cfg, snr_db, rate):
+    # every row reads the same K-user draws, so a trial that k colliders
+    # survive is survived by k + 1 as well: the counts never drop in k
+    table = estimate_beta(cfg, snr_db, rate, 3, trials=5000, seed=41, chunk=2048)
+    assert np.all(np.diff(table.values, axis=0) >= 0.0)
+    assert np.any(np.diff(table.values, axis=0) > 0.0)
+    length, square, _ = epoch_law("irarq", cfg, table.values)
+    var = np.array(square[1:]) - np.array(length[1:]) ** 2
+    cov = table.length_cov
+    assert cov.shape == (cfg.users, cfg.users) and np.array_equal(cov, cov.T)
+    assert np.allclose(np.diag(cov), var, rtol=0.0, atol=1e-12)
+    # here the nested lengths covary positively, and C is positive semidefinite
+    assert np.all(cov > 0.0) and np.linalg.eigvalsh(cov).min() > -1e-12
+    # at p_t = 1 only row K counts: the covariance changes nothing
+    params = ProtocolParams(p_t=1.0, rate=rate, deadline=3)
+    alone = BetaTable(values=table.values, source="monte-carlo", trials=table.trials, snr=table.snr)
+    assert renewal_prediction("irarq", cfg, params, table) == renewal_prediction("irarq", cfg, params, alone)
+
+
+@pytest.mark.parametrize("p_t", [0.7, 0.4])
+def test_renewal_prediction_stderr_is_calibrated(p_t):
+    # over 400 independent tables the predictions spread as their reported
+    # stderr says: var(pred) / mean(se^2) is then about chi^2_399 / 399, and
+    # [0.79, 1.21] is 1 +- 3 sd of that
+    params = ProtocolParams(p_t=p_t, multiplexing_gain=0.45, deadline=3)
+    rate = params.rate_at(snr_from_db(10.0))
+    pred, se = np.array([
+        renewal_prediction("irarq", SCALAR2, params,
+                           estimate_beta(SCALAR2, 10.0, rate, 3, trials=2000, seed=seed))
+        for seed in range(1, 401)]).T
+    assert 0.79 <= np.var(pred, ddof=1) / np.mean(se**2) <= 1.21
 
 
 def test_indicator_table_construction():

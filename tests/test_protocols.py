@@ -681,7 +681,10 @@ def outcomes_whole_block(protocol, config, params, snr, masks, rng):
 
 def fully_loaded_whole_chunk(protocol, config, params, snr, n, rng):
     """Coin masks and outcomes of n fully-loaded epochs, each drawn and evaluated whole."""
-    coins = _bits(rng.random((n, config.users)) < params.p_t)
+    if params.p_t < 1.0:
+        coins = _bits(rng.random((n, config.users)) < params.p_t)
+    else:
+        coins = _bits(np.ones((1, config.users), dtype=bool)).repeat(n)
     outcomes = outcomes_whole_block(protocol, config, params, snr, coins[:, None], rng)
     return (coins, *(x[:, 0] for x in outcomes))
 
