@@ -19,9 +19,9 @@ from .dmt import (
     gta_recursion,
     irarq_dmdt,
     irarq_effective_multiplexing,
-    irarq_stability_pt_scan,
     mac_dmt,
     ondma_dmt,
+    optimal_pt,
     point_to_point_dmt,
     random_arrival_diversity,
     stability_region,

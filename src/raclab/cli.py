@@ -7,8 +7,8 @@ names with underscores; any flag given on the command line overrides the
 corresponding JSON field.  Defaults follow the two-user single-antenna
 examples: K=2, arrival gain 0.45, per-protocol transmission probabilities
 (1 for O-NDMA and IR-ARQ; for the splitting tree 1/sqrt(3), its two-user
-optimum, at every K, not :func:`dmt.gta_optimal_pt`).  Exit code 0 on
-success, 2 on any input the CLI or the library rejects.
+optimum, at every K, not the K-user optimum of :func:`dmt.optimal_pt`).
+Exit code 0 on success, 2 on any input the CLI or the library rejects.
 """
 
 from __future__ import annotations

@@ -103,10 +103,6 @@ class GtaRecursionTable:
         if len(x) > 1 and (x[1] != 1 or j[1] != 1):
             raise ValueError("a singleton epoch takes one slot and delivers one packet")
 
-    @property
-    def k_max(self) -> int:
-        return len(self.expected_slots) - 1
-
 
 def gta_recursion(k_max: int) -> GtaRecursionTable:
     """Solve the tree-splitting recursions exactly for collision sizes 0..k_max.
@@ -156,30 +152,10 @@ def gta_optimal_pt(config: AntennaConfig) -> float:
     """Transmission probability maximising the GTA effective-multiplexing span.
 
     Equivalently, the maximiser of the GTA stability boundary over
-    p_t in (0, 1].  Grid search plus staged local refinement; ties break
-    toward larger p_t.  (For two single-antenna users the optimum is
-    1/sqrt(3); for one user it is 1.)
+    p_t in (0, 1], read off :func:`optimal_pt`.  (For two single-antenna
+    users the optimum is 1/sqrt(3); for one user it is 1.)
     """
-    objective = functools.partial(stability_region, GTA, config)
-    best_p, best_val = 1.0, objective(1.0)
-    step = 1e-3
-    n = int(round(1.0 / step))
-    for i in range(1, n + 1):
-        p = i * step
-        v = objective(p)
-        if v >= best_val:
-            best_p, best_val = p, v
-    # shrink a centered window by 10x per stage down to 1e-7 resolution
-    while step > 1e-7:
-        lo = max(step / 10.0, best_p - step)
-        hi = min(1.0, best_p + step)
-        step /= 10.0
-        for i in range(int(round((hi - lo) / step)) + 1):
-            p = min(lo + i * step, 1.0)
-            v = objective(p)
-            if v >= best_val:
-                best_p, best_val = p, v
-    return min(best_p, 1.0)
+    return optimal_pt(GTA, config)[0]
 
 
 def ondma_dmt(config: AntennaConfig, p_t: float, r_e: float) -> float:
@@ -339,27 +315,41 @@ def stability_region(
     return binomial_mix(delivered, config.users, p_t) / binomial_mix(length, config.users, p_t)
 
 
-def irarq_stability_pt_scan(
+def optimal_pt(
+    protocol: str,
     config: AntennaConfig,
-    arrival_gain: float,
-    deadline: int,
-    points: int = 1000,
+    arrival_gain: float | None = None,
+    deadline: int | None = None,
     beta=None,
 ) -> tuple[float, float]:
-    """Grid search of the IR-ARQ stability boundary over p_t.
+    """(p_t, boundary) maximising :func:`stability_region` over p_t in (0, 1].
 
-    No closed-form optimiser exists for the general region, so this helper
-    only scans ``points`` equispaced probabilities and returns the best
-    (p_t, boundary) pair, ties toward larger p_t.
+    The trailing arguments are passed on to :func:`stability_region`.  No
+    closed-form optimiser exists for the general region, so this is a grid
+    search at step 1e-3 plus staged local refinement down to 1e-7; ties
+    break toward larger p_t.
     """
-    check_counts(points=points)
-    best = (1.0, stability_region(IRARQ, config, 1.0, arrival_gain, deadline, beta=beta))
-    for i in range(1, points + 1):
-        p = i / points
-        lam = stability_region(IRARQ, config, p, arrival_gain, deadline, beta=beta)
-        if lam >= best[1]:
-            best = (p, lam)
-    return best
+    objective = functools.partial(stability_region, protocol, config,
+                                  arrival_gain=arrival_gain, deadline=deadline, beta=beta)
+    best_p, best_val = 1.0, objective(1.0)
+    step = 1e-3
+    n = int(round(1.0 / step))
+    for i in range(1, n + 1):
+        p = i * step
+        v = objective(p)
+        if v >= best_val:
+            best_p, best_val = p, v
+    # shrink a centered window by 10x per stage down to 1e-7 resolution
+    while step > 1e-7:
+        lo = max(step / 10.0, best_p - step)
+        hi = min(1.0, best_p + step)
+        step /= 10.0
+        for i in range(int(round((hi - lo) / step)) + 1):
+            p = min(lo + i * step, 1.0)
+            v = objective(p)
+            if v >= best_val:
+                best_p, best_val = p, v
+    return min(best_p, 1.0), best_val
 
 
 def tradeoff_curve(

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import dmt
 from .channel import _check_tile, _draw_channel, asymptotic_survival, capped_rounds
-from .protocols import _TILE, _bits, _gta_tree_batch, epoch_outcomes
+from .protocols import _TILE, _coins, _gta_tree_batch, epoch_outcomes
 from .system import (IRARQ, AntennaConfig, ProtocolParams, binom_pmf, check_counts, check_rate,
                      snr_from_db)
 
@@ -68,9 +68,8 @@ class BetaTable:
 
     values: np.ndarray            # shape (users, deadline + 1)
     source: str                   # "monte-carlo" | "high-snr-indicator" | "closed-form"
-    trials: int
+    trials: int                   # Monte Carlo trials per entry, 0 for an exact table
     snr: float | None             # linear SNR, None for the infinite-SNR table
-    stderr: np.ndarray | None = None
     length_cov: np.ndarray | None = None   # shape (users, users)
 
     def __post_init__(self):
@@ -96,6 +95,13 @@ class BetaTable:
     @property
     def deadline(self) -> int:
         return self.values.shape[1] - 1
+
+    @property
+    def stderr(self) -> np.ndarray:
+        """Binomial standard error sqrt(beta (1 - beta) / trials) per entry; zeros without trials."""
+        if not self.trials:
+            return np.zeros_like(self.values)
+        return np.sqrt(np.maximum(self.values * (1 - self.values), 0.0) / self.trials)
 
     def _check_index(self, k: int, rounds: int, first_round: int) -> None:
         """ValueError unless 1 <= k <= users and first_round <= rounds <= deadline.
@@ -125,13 +131,11 @@ class BetaTable:
         Its epoch lengths are deterministic: min(rounds needed, L) is the
         number of rounds 0..L-1 that the collision survives.
         """
-        vals = asymptotic_survival(config, multiplexing_gain, deadline)
         return cls(
-            values=vals,
+            values=asymptotic_survival(config, multiplexing_gain, deadline),
             source="high-snr-indicator",
             trials=0,
             snr=None,
-            stderr=np.zeros_like(vals),
         )
 
 
@@ -204,9 +208,6 @@ def estimate_beta(
     counts = _sum_chunks(sums, seed, _TAG_BETA + users, trials, "trials", chunk, workers)
     values = np.ones((users, deadline + 1))
     values[:, 1:] = counts[:, :deadline] / trials
-    beta = values[:, 1:]
-    stderr = np.zeros_like(values)
-    stderr[:, 1:] = np.sqrt(np.maximum(beta * (1 - beta), 0.0) / trials)
     # off the diagonal E[x_j x_k] - E[x_j] E[x_k]; on it the variance
     # square - length^2 of dmt.epoch_law, which a table without length_cov
     # reads too, so the rows' covariance changes no p_t = 1 prediction
@@ -219,7 +220,6 @@ def estimate_beta(
         source="monte-carlo",
         trials=trials,
         snr=snr,
-        stderr=stderr,
         length_cov=cov,
     )
 
@@ -240,10 +240,7 @@ def _fully_loaded_epochs(
     1 and none is drawn.  Returns the coin masks and the epochs' (lengths,
     delivered, errors), each of shape (n,).
     """
-    if params.p_t < 1.0:
-        coins = _bits(rng.random((n, config.users)) < params.p_t)
-    else:
-        coins = _bits(np.ones((1, config.users), dtype=bool)).repeat(n)
+    coins = _coins(rng, n, config.users, params.p_t)
     outcomes = epoch_outcomes(protocol, config, params, snr, coins[:, None], rng)
     return coins, *(x[:, 0] for x in outcomes)
 

@@ -49,6 +49,17 @@ def _bits(flags: np.ndarray) -> np.ndarray:
     return out
 
 
+def _coins(rng: np.random.Generator, n: int, users: int, p_t: float) -> np.ndarray:
+    """Participation bitmasks of n epochs, each user's coin 1 with probability p_t.
+
+    One uniform per epoch and user, in epoch order; at p_t = 1 every coin
+    is 1 and none is drawn.
+    """
+    if p_t < 1.0:
+        return _bits(rng.random((n, users)) < p_t)
+    return _bits(np.ones((1, users), dtype=bool)).repeat(n)
+
+
 def _subset_max(rows: np.ndarray, users: int) -> np.ndarray:
     """Max of (subsets, epochs) ``rows`` over the nonempty subsets of every mask.
 
@@ -71,7 +82,7 @@ _TILE = 1 << 14
 
 # the tree's per-epoch accumulator packs length << 32 | users not yet pruned
 _SLOT = 1 << 32
-_MAX_TREE_USERS = (1 << 16) - 1     # the documented cap; the packed fields hold more
+_MAX_TREE_USERS = 64               # one 64-bit word per group
 
 
 def _chunk_tables():
@@ -101,16 +112,14 @@ def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
     size and drops the epochs that finish, so an epoch of k users takes at
     most k - 1 steps, bar redraws of probability at most 2^-32 each.
 
-    A step draws one uniform 64-bit word per live epoch, in epoch order
-    (ceil(g_max / 64) words each while a group of g_max > 64 users is
-    live).  The word holds 64 / s disjoint chunks of g bits at stride
-    s = bit_ceil(g), each a fair split whose popcount is the left-group
-    size.  A chunk with all bits equal (left group empty or full) is a
-    re-collision: one slot, same group.  The step takes the first chunk
-    that splits, after one slot per chunk before it (:func:`_split`); if
-    none splits, the epoch adds one slot per chunk and draws again.  A
-    group above 64 users has one chunk, its first g bits over
-    ceil(g / 64) words.
+    A step draws one uniform 64-bit word per live epoch, in epoch order,
+    so a group holds at most 64 users.  The word holds 64 / s disjoint
+    chunks of g bits at stride s = bit_ceil(g), each a fair split whose
+    popcount is the left-group size.  A chunk with all bits equal (left
+    group empty or full) is a re-collision: one slot, same group.  The step
+    takes the first chunk that splits, after one slot per chunk before it
+    (:func:`_split`); if none splits, the epoch adds one slot per chunk and
+    draws again.
     """
     k_max = int(k_init.max(initial=1))
     if k_max > _MAX_TREE_USERS:
@@ -119,8 +128,7 @@ def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
     idx = np.flatnonzero(k_init >= 2)
     group = k_init[idx].astype(np.int64, copy=False)
     while idx.size:
-        words = (int(group.max()) + 63) >> 6
-        draw = rng.integers(0, 1 << 64, size=(idx.size, words), dtype=np.uint64)
+        draw = rng.integers(0, 1 << 64, size=idx.size, dtype=np.uint64)
         loops, left = _split(draw, group)
         one = left == 1
         # a singleton left group takes its clean slot and the rest collides
@@ -138,33 +146,24 @@ def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
     return acc >> 32, acc & (_SLOT - 1)              # every user not pruned is delivered
 
 
-def _split(draw: np.ndarray, group: np.ndarray):
-    """Re-collisions and left-group size of the first split in each row of ``draw``.
+def _split(w: np.ndarray, group: np.ndarray):
+    """Re-collisions and left-group size of the first split in each word of ``w``.
 
-    Row e holds uniform 64-bit words for a group of group[e] >= 2 users,
-    laid out as :func:`_gta_tree_batch` says.  Returns (loops, left): the
-    chunks that re-collided before the first that splits, and that chunk's
+    Word e is uniform for a group of 2 <= group[e] <= 64 users, laid out
+    as :func:`_gta_tree_batch` says.  Returns (loops, left): the chunks
+    that re-collided before the first that splits, and that chunk's
     popcount, 1 <= left < group.  Where no chunk splits, left is 0 and
     loops is the number of chunks.
     """
-    wide = draw.shape[1] > 1
-    g = np.minimum(group, 64) if wide else group
-    w, log2 = draw[:, 0], _STRIDE_LOG2[g]
+    log2 = _STRIDE_LOG2[group]
     y = w >> 1
     y ^= w
-    y &= _PAIRS[g]                                   # set where neighbours in a chunk differ
+    y &= _PAIRS[group]                               # set where neighbours in a chunk differ
     # popcount(y ^ (y - 1)) is ctz(y) + 1, which stays inside the chunk of
     # y's lowest set bit (a chunk's top bit is never set in y); at y = 0 it
     # is 64, so loops is then the number of chunks
     loops = np.bitwise_count((y - 1) ^ y) >> log2
-    left = np.bitwise_count((w >> (loops << log2)) & _LOW[g])   # a shift by 64 gives 0
-    if wide:
-        big = np.flatnonzero(group > 64)
-        bits = np.clip(group[big, None] - 64 * np.arange(draw.shape[1]), 0, 64)
-        count = np.bitwise_count(draw[big] & _LOW[bits]).sum(axis=1)
-        whole = (count == 0) | (count == group[big])
-        left = left.astype(np.int64)
-        left[big], loops[big] = np.where(whole, 0, count), whole
+    left = np.bitwise_count((w >> (loops << log2)) & _LOW[group])  # a shift by 64 gives 0
     return loops, left
 
 

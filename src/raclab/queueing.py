@@ -41,7 +41,7 @@ import numpy as np
 
 from . import dmt
 from .montecarlo import BetaTable
-from .protocols import _TILE, _bits, epoch_outcomes
+from .protocols import _TILE, _coins, epoch_outcomes
 from .system import (IRARQ, AntennaConfig, ProtocolParams, check_p_t, check_rate, is_count,
                      snr_from_db)
 
@@ -218,7 +218,6 @@ def simulate_random_arrivals(
     snr = None if snr_db is None else snr_from_db(snr_db)
     rate_per_user = total_rate / config.users
     users = range(config.users)
-    everyone = (1 << config.users) - 1
     block = _TILE >> config.users              # one cache-sized block of the engine
     all_sets = np.broadcast_to(np.arange(1 << config.users), (block, 1 << config.users))
 
@@ -239,10 +238,7 @@ def simulate_random_arrivals(
 
     while slot < horizon_slots:
         if epoch == block:
-            if params.p_t < 1.0:
-                coins = _bits(rng.random((block, config.users)) < params.p_t).tolist()
-            else:
-                coins = [everyone] * block
+            coins = _coins(rng, block, config.users, params.p_t).tolist()
             tables = epoch_outcomes(protocol, config, params, snr, all_sets, rng)
             if tables[0].min() < 1:
                 raise AssertionError("epoch outcomes: an epoch shorter than one slot")
@@ -350,9 +346,7 @@ def _ratio_ci(delay: float, occupancy: np.ndarray, arrivals: np.ndarray) -> floa
 class ScanResult:
     """Stability verdicts across an ascending arrival-rate grid."""
 
-    grid: list[float]
-    verdicts: list[str]
-    reports: list[DelayReport]
+    reports: list[DelayReport]   # one per load, ascending: its total_rate and verdict
     boundary: float | None     # midpoint between last stable and first unstable
 
 
@@ -375,17 +369,11 @@ def stability_boundary_scan(
     grid = sorted(float(x) for x in rate_grid)
     if not grid:
         raise ValueError("rate grid must be nonempty")
-    verdicts = []
-    reports = []
-    for i, lam in enumerate(grid):
-        rep = simulate_random_arrivals(
-            protocol, config, params, lam, snr_db, horizon_slots, [seed, i]
-        )
-        reports.append(rep)
-        verdicts.append(rep.verdict)
+    reports = [simulate_random_arrivals(protocol, config, params, lam, snr_db, horizon_slots,
+                                        [seed, i]) for i, lam in enumerate(grid)]
     boundary = None
     for i, rep in enumerate(reports):
         if rep.verdict == "unstable":
             boundary = (grid[i - 1] + grid[i]) / 2.0 if i > 0 else grid[i] / 2.0
             break
-    return ScanResult(grid=grid, verdicts=verdicts, reports=reports, boundary=boundary)
+    return ScanResult(reports=reports, boundary=boundary)

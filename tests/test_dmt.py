@@ -19,9 +19,9 @@ from raclab import (
     gta_recursion,
     irarq_dmdt,
     irarq_effective_multiplexing,
-    irarq_stability_pt_scan,
     mac_dmt,
     ondma_dmt,
+    optimal_pt,
     point_to_point_dmt,
     random_arrival_diversity,
     renewal_prediction,
@@ -377,7 +377,7 @@ def test_deadline_must_match_the_beta_table():
                       source="closed-form", trials=0, snr=None)
     params = ProtocolParams(p_t=1.0, multiplexing_gain=0.45, deadline=2)
     for run in (lambda: stability_region("irarq", SCALAR2, 1.0, 0.45, 2, beta=table),
-                lambda: irarq_stability_pt_scan(SCALAR2, 0.45, 2, points=10, beta=table),
+                lambda: optimal_pt("irarq", SCALAR2, 0.45, 2, beta=table),
                 lambda: renewal_prediction("irarq", SCALAR2, params, table)):
         with pytest.raises(ValueError, match="deadline 2 differs from the beta table's 3"):
             run()
@@ -427,17 +427,46 @@ def test_gains_and_curves_reject_bad_inputs(run, match):
         run()
 
 
-def test_irarq_stability_pt_scan_prefers_full_transmission():
-    p, lam = irarq_stability_pt_scan(SCALAR2, 0.45, 2, points=500)
-    assert p == pytest.approx(1.0)
-    assert lam == pytest.approx(2.0)
+@pytest.mark.parametrize("users", [1, 2, 3, 4])
+def test_optimal_pt_irarq_takes_full_transmission_below_the_knee(users):
+    # below r = min(M, N/K) every collision decodes in its first round, so
+    # an epoch of k users takes one slot and delivers k: the boundary is K at p_t = 1
+    cfg = AntennaConfig(users=users)
+    for deadline in (1, 2, 3):
+        assert optimal_pt("irarq", cfg, 0.9 / users, deadline) == (1.0, float(users))
 
 
-@pytest.mark.parametrize("points", [0, -3, 2.5, True])
-def test_irarq_stability_pt_scan_rejects_empty_grids(points):
-    # unchecked, points=0 returned the p_t = 1 boundary without scanning
-    with pytest.raises(ValueError, match="points"):
-        irarq_stability_pt_scan(SCALAR2, 0.45, 2, points=points)
+@pytest.mark.parametrize("users", [1, 2, 3, 4, 5, 6])
+def test_optimal_pt_ondma_is_full_transmission(users):
+    cfg = AntennaConfig(users=users)
+    assert optimal_pt("ondma", cfg) == (1.0, stability_region("ondma", cfg, 1.0))
+
+
+def test_optimal_pt_irarq_on_a_finite_table_vs_grid_oracle():
+    # a collision of two always runs to the deadline, so the boundary
+    # 2p / (1 + 0.8p + 1.2p^2) peaks inside (0, 1), at p = sqrt(5/6)
+    table = BetaTable(values=[[1.0, 0.3, 0.1, 0.0], [1.0, 1.0, 1.0, 1.0]],
+                      source="closed-form", trials=0, snr=None)
+    best_p, best_v = 1.0, stability_region("irarq", SCALAR2, 1.0, beta=table)
+    n = 100_000
+    for i in range(1, n + 1):
+        p = i / n
+        v = stability_region("irarq", SCALAR2, p, beta=table)
+        if v >= best_v:
+            best_p, best_v = p, v
+    p, lam = optimal_pt("irarq", SCALAR2, deadline=3, beta=table)
+    assert p == pytest.approx(best_p, abs=2e-5)
+    assert p == pytest.approx(math.sqrt(5 / 6), abs=1e-6)
+    assert lam >= best_v
+    assert lam == stability_region("irarq", SCALAR2, p, beta=table)
+
+
+@pytest.mark.parametrize("cfg", [SCALAR2, VECTOR2, AntennaConfig(users=5, tx=2, rx=2)],
+                         ids=["1x1", "1x2", "K5-2x2"])
+def test_gta_optimal_pt_reads_optimal_pt(cfg):
+    p, lam = optimal_pt("gta", cfg)
+    assert gta_optimal_pt(cfg) == p
+    assert lam == stability_region("gta", cfg, p)
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,14 @@ class UnitGainRng:
 
 
 class ScriptedTreeRng:
-    """Feeds pre-arranged 64-bit words to the splitting tree, one list of rows per step."""
+    """Feeds pre-arranged 64-bit words to the splitting tree, one list of words per step."""
 
     def __init__(self, steps):
-        self.steps = [np.array(rows, dtype=np.uint64).reshape(len(rows), -1) for rows in steps]
+        self.steps = [np.array(rows, dtype=np.uint64) for rows in steps]
 
     def integers(self, low, high, size, dtype):
         words = self.steps.pop(0)
-        assert (low, high, dtype) == (0, 1 << 64, np.uint64) and size == words.shape
+        assert (low, high, dtype) == (0, 1 << 64, np.uint64) and (size,) == words.shape
         return words
 
 
@@ -199,18 +199,18 @@ def test_gta_scripted_prune():
 
 def test_gta_scripted_words_whose_chunks_all_recollide():
     # step 1: epoch 0 (2 users) reads 32 chunks 00, epoch 1 (3 users) 16
-    # chunks 111, epoch 2 (65 users) 65 ones over two words (bits of word 1
-    # past the group ignored): each adds a slot per chunk and draws again;
-    # epoch 3 splits at once.  Step 2: epoch 0 splits cleanly, epoch 1 sends
-    # one user left, epoch 2 two users left (63 pruned).  Step 3: both pairs split.
+    # chunks 111, epoch 2 (64 users) one chunk of 64 ones: each adds a slot
+    # per chunk and draws again; epoch 3 splits at once.  Step 2: epoch 0
+    # splits cleanly, epoch 1 sends one user left, epoch 2 two users left
+    # (62 pruned).  Step 3: both pairs split.
     every = (1 << 64) - 1
-    steps = [[[0, 5], [0x7777_7777_7777_7777, 0], [every, 0b11], [0b10, every]],
-             [[0b01, 0], [0b001, 0], [0b11, 0]],
-             [[0b01], [0b10]]]
-    lengths, delivered = _gta_tree_batch(np.array([2, 3, 65, 2]), ScriptedTreeRng(steps))
+    steps = [[0, 0x7777_7777_7777_7777, every, 0b10],
+             [0b01, 0b001, 0b11],
+             [0b01, 0b10]]
+    lengths, delivered = _gta_tree_batch(np.array([2, 3, 64, 2]), ScriptedTreeRng(steps))
     assert lengths.tolist() == [1 + 32 + 2, 1 + 16 + 2 + 2, 1 + 1 + 1 + 2, 3]
     assert delivered.tolist() == [2, 3, 2, 2]
-    want = tree_by_chunks(np.array([2, 3, 65, 2]), ScriptedTreeRng(steps), 4)
+    want = tree_by_chunks(np.array([2, 3, 64, 2]), ScriptedTreeRng(steps), 4)
     assert [x.tolist() for x in want] == [lengths.tolist(), delivered.tolist()]
 
 
@@ -218,9 +218,8 @@ def tree_by_chunks(k_init, rng, tile):
     """Oracle: the splitting tree one epoch at a time, reading each step's words chunk by chunk.
 
     Tiles of ``tile`` colliding epochs run to their end in turn; a step
-    draws ceil(g_max / 64) words per live epoch of the tile.  A group of
-    g <= 64 users reads the chunks of g bits at stride bit_ceil(g) in its
-    first word, a larger group the first g bits of its words, until one
+    draws one word per live epoch of the tile.  A group of g users reads
+    the chunks of g bits at stride bit_ceil(g) in its word until one
     splits; every chunk read costs a slot.
     """
     lengths = [1] * len(k_init)
@@ -229,13 +228,10 @@ def tree_by_chunks(k_init, rng, tile):
     for lo in range(0, len(colliding), tile):
         group = {e: int(k_init[e]) for e in colliding[lo : lo + tile]}
         while group:
-            words = -(-max(group.values()) // 64)
-            draw = rng.integers(0, 1 << 64, size=(len(group), words), dtype=np.uint64)
-            for row, e in zip(draw, list(group)):
+            draw = rng.integers(0, 1 << 64, size=len(group), dtype=np.uint64)
+            for bits, e in zip(draw.tolist(), list(group)):
                 g = group[e]
-                bits = sum(int(x) << 64 * j for j, x in enumerate(row))
-                starts = range(0, 64, 1 << (g - 1).bit_length()) if g <= 64 else [0]
-                for start in starts:
+                for start in range(0, 64, 1 << (g - 1).bit_length()):
                     lengths[e] += 1
                     left = (bits >> start & ((1 << g) - 1)).bit_count()
                     if 0 < left < g:
@@ -253,7 +249,7 @@ def tree_by_chunks(k_init, rng, tile):
     return np.array(lengths), np.array(delivered)
 
 
-@pytest.mark.parametrize("k_max", [2, 3, 4, 8, 64, 65, 130])
+@pytest.mark.parametrize("k_max", [2, 3, 4, 8, 64])
 def test_gta_tree_matches_mask_oracle(k_max):
     seeds = np.random.default_rng(k_max).integers(1 << 30, size=2)
     mixed = np.random.default_rng(seeds[0]).integers(0, k_max + 1, 5000)
@@ -265,8 +261,17 @@ def test_gta_tree_matches_mask_oracle(k_max):
             np.testing.assert_array_equal(a, b)
         assert rngs[0].random() == rngs[1].random()   # same draws consumed
     assert all(x.size == 0 for x in _gta_tree_batch(np.zeros(0, dtype=np.int64), rngs[0]))
-    with pytest.raises(ValueError, match="at most"):
-        _gta_tree_batch(np.array([1 << 16]), rngs[0])   # past the documented cap
+
+
+def test_gta_tree_takes_at_most_64_users():
+    # one 64-bit word per group: 65 users are refused before any draw
+    rng = np.random.default_rng(65)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="at most 64 users, got 65"):
+        _gta_tree_batch(np.array([2, 65, 3]), rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="at most 64 users, got 65"):
+        gta_collision_stats(65, 100, seed=1)
 
 
 # Chi-square acceptance at level 0.001, fixed before the first run: the
@@ -301,28 +306,25 @@ def chi2_pooled(counts, pmf, n):
     return float(np.sum((observed - expected) ** 2 / expected)), len(expected) - 1
 
 
-@pytest.mark.parametrize("group", [2, 3, 8, 63, 64, 65, 130])
+@pytest.mark.parametrize("group", [2, 3, 8, 63, 64])
 def test_popcount_splits_are_binomial_half(group):
-    # the first split of a row: each chunk re-collides with probability
+    # the first split of a word: each chunk re-collides with probability
     # q = 2^(1-g), independently, and a chunk that splits has its left size
     # Binomial(g, 1/2) given 0 < left < g; no split at all reads left 0
     n = 200_000
-    chunks = 64 >> (group - 1).bit_length() if group <= 64 else 1
+    chunks = 64 >> (group - 1).bit_length()
     q = Fraction(2, 2**group)
     pmf = {(j, left): q**j * Fraction(math.comb(group, left), 2**group)
            for j in range(min(chunks, 40)) for left in range(1, group)}
     pmf[chunks, 0] = q**chunks
-    # the group's own word count, and more words than it needs
-    for words in (-(-group // 64), 3):
-        draw = np.random.default_rng([group, words]).integers(
-            0, 1 << 64, size=(n, words), dtype=np.uint64)
-        loops, left = _split(draw, np.full(n, group))
-        loops, left = loops.astype(np.int64), left.astype(np.int64)
-        assert left.min() >= 0 and left.max() < group and loops.max() <= chunks
-        assert np.array_equal(left == 0, loops == chunks)
-        cells, counts = np.unique(np.stack([loops, left]), axis=1, return_counts=True)
-        stat, df = chi2_pooled(dict(zip(map(tuple, cells.T.tolist()), counts.tolist())), pmf, n)
-        assert stat < chi2_critical(df), f"group {group}, {words} words"
+    draw = np.random.default_rng([group, 1]).integers(0, 1 << 64, size=n, dtype=np.uint64)
+    loops, left = _split(draw, np.full(n, group))
+    loops, left = loops.astype(np.int64), left.astype(np.int64)
+    assert left.min() >= 0 and left.max() < group and loops.max() <= chunks
+    assert np.array_equal(left == 0, loops == chunks)
+    cells, counts = np.unique(np.stack([loops, left]), axis=1, return_counts=True)
+    stat, df = chi2_pooled(dict(zip(map(tuple, cells.T.tolist()), counts.tolist())), pmf, n)
+    assert stat < chi2_critical(df), f"group {group}"
 
 
 class RecordingRng:
@@ -336,21 +338,19 @@ class RecordingRng:
         return self.rng.integers(low, high, size=size, dtype=dtype)
 
 
-@pytest.mark.parametrize("k_max", [1, 2, 64, 65, 128, 129])
+@pytest.mark.parametrize("k_max", [1, 2, 64])
 def test_split_takes_ceil_k_max_over_64_words_per_group(k_max):
-    # a step takes ceil(g_max / 64) words per live epoch, so one word per
-    # epoch once every live group has at most 64 users
+    # groups hold at most 64 users, so a step takes ceil(k_max / 64) = 1
+    # word per live epoch, and live epochs only finish
     group = np.random.default_rng(9).integers(0, k_max + 1, 1000)
     group[0] = k_max
     rng = RecordingRng(10)
     _gta_tree_batch(group, rng)
-    words = [w for _, w in rng.sizes]
     if k_max < 2:
-        assert words == []
+        assert rng.sizes == []
         return
-    assert rng.sizes[0] == (np.count_nonzero(group >= 2), -(-k_max // 64))
-    assert words == sorted(words, reverse=True) and words[-1] == 1   # groups only shrink
-    assert (k_max > 64) == (max(words) > 1)
+    assert rng.sizes[0] == np.count_nonzero(group >= 2)
+    assert rng.sizes == sorted(rng.sizes, reverse=True)
     twin = np.random.default_rng(10)
     for size in rng.sizes:
         twin.integers(0, 1 << 64, size=size, dtype=np.uint64)
@@ -398,20 +398,20 @@ def test_gta_tree_joint_law_is_exact(k):
 
 
 def test_gta_tree_holds_no_table_quadratic_in_users():
-    # the tree's own data is O(k_max): a call at k_max = 2000 leaves at most
-    # 16 bytes per user behind (per-size step tables would hold 64 MB); the
-    # first call, at 130 users, takes the lazy imports out of the count
-    _gta_tree_batch(np.array([130, 2]), np.random.default_rng(6))
+    # the tree's own data is O(k_max): a call at the 64-user cap leaves at
+    # most 16 bytes per user behind (two int64 per-size step tables would
+    # hold 68 kB); the first call takes the lazy imports out of the count
+    _gta_tree_batch(np.array([64, 2]), np.random.default_rng(6))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = _gta_tree_batch(np.array([2000, 65, 2, 0]), np.random.default_rng(7))
+        out = _gta_tree_batch(np.array([64, 63, 2, 0]), np.random.default_rng(7))
         assert out[0][0] >= 3 and out[1][0] >= 1
         del out
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held <= 16 * 2000, held
+    assert held <= 16 * 64, held
     # chunk tables for g <= 64 only: a byte and two words per size
     assert sum(t.nbytes for t in (protocols._STRIDE_LOG2, protocols._PAIRS, protocols._LOW)) == 17 * 65
 

@@ -535,7 +535,7 @@ def test_boundary_scan_trivial_grid():
         warnings.simplefilter("error")
         scan = stability_boundary_scan("irarq", SCALAR2, IR_PARAMS, None, [0.0], seed=63,
                                        horizon_slots=5_000)
-    assert scan.verdicts == ["stable"]
+    assert [rep.verdict for rep in scan.reports] == ["stable"]
     assert scan.boundary is None
     # no arrivals in the delay window: nan, without a warning
     rep = scan.reports[0]
