@@ -11,7 +11,6 @@ from .system import GTA, IRARQ, ONDMA, PROTOCOLS, AntennaConfig, ProtocolParams,
 from .dmt import (
     GtaRecursionTable,
     TradeoffPoint,
-    beta_highsnr,
     binomial_mix,
     epoch_law,
     gta_dmt,

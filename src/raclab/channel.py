@@ -341,5 +341,6 @@ def asymptotic_survival(config: AntennaConfig, r: float, deadline: int) -> np.nd
     Entry [k-1, ell] is 1 while a k-user collision still needs more than
     ``ell`` rounds, the layout of a Monte Carlo beta table's values.
     """
+    check_counts(deadline=deadline)
     needed = [asymptotic_first_decodable_round(k, config, r) for k in range(1, config.users + 1)]
     return (np.arange(deadline + 1)[None, :] < np.array(needed)[:, None]).astype(float)

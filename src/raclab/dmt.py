@@ -10,10 +10,13 @@ with an antenna-pooling branch.  On top of those sit:
   Mixed over Binomial(K, p_t) collision sizes by :func:`binomial_mix`, it
   gives the stability regions, the slots-per-delivery factor of the GTA
   and O-NDMA tradeoffs, and the moments that ``queueing`` and
-  ``montecarlo`` read;
-* the incremental-redundancy ARQ tradeoff with a round deadline, including
-  the high-SNR persistent-outage indicators and the mapping between the
-  first-round and the effective (throughput) multiplexing gain.
+  ``montecarlo`` read.  One private resolver, ``_law``, checks an analytic
+  call's deadline and table and builds that law once per public call
+  (IR-ARQ without a table reads :func:`channel.asymptotic_survival`); there
+  is no separate deadline check and no per-entry indicator alias;
+* the incremental-redundancy ARQ tradeoff with a round deadline and the
+  mapping between the first-round and the effective (throughput)
+  multiplexing gain.
 
 Everything here is a pure function of its arguments.
 """
@@ -169,18 +172,6 @@ def ondma_dmt(config: AntennaConfig, p_t: float, r_e: float) -> float:
     return mac_dmt(1, config.tx, config.rx, r_e / stability_region(ONDMA, config, p_t))
 
 
-def beta_highsnr(k: int, tx: int, rx: int, r: float, rounds: int) -> float:
-    """Infinite-SNR limit of the persistent-outage probability after ``rounds``.
-
-    Indicator of r > min(rounds*M, rounds*N/k), read off
-    :func:`channel.asymptotic_survival`.  At the exact boundary the limit is
-    not defined by the outage exponent; this returns 0 there (no persistent
-    outage), and callers avoid exact-boundary inputs.
-    """
-    check_counts(rounds=rounds)
-    return float(asymptotic_survival(AntennaConfig(k, tx, rx), r, rounds)[k - 1, rounds])
-
-
 def irarq_effective_multiplexing(
     config: AntennaConfig, p_t: float, r: float, deadline: int
 ) -> float:
@@ -204,7 +195,7 @@ def irarq_dmdt(config: AntennaConfig, r_e: float, deadline: int) -> float:
     which keeps every round below the first outage discontinuity; the value
     is the K-user MAC tradeoff at r_e/(K*L).
     """
-    check_deadline(deadline)
+    check_counts(deadline=deadline)
     span = config.degrees_of_freedom
     if not (0.0 <= r_e <= span):
         raise ValueError(f"effective gain must lie in [0, {span}], got {r_e}")
@@ -228,16 +219,9 @@ def random_arrival_diversity(
     if protocol in (GTA, ONDMA):
         return mac_dmt(1, config.tx, config.rx, arrival_gain)
     if protocol == IRARQ:
-        check_deadline(deadline)
+        check_counts(deadline=deadline)
         return mac_dmt(config.users, config.tx, config.rx, arrival_gain / deadline)
     raise ValueError(f"unknown protocol {protocol!r}")
-
-
-@functools.cache
-def _gta_columns(users: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """:func:`gta_recursion`'s slots and successes as floats, converted once per K."""
-    table = gta_recursion(users)
-    return tuple(map(float, table.expected_slots)), tuple(map(float, table.expected_successes))
 
 
 def epoch_law(protocol: str, config: AntennaConfig, beta_values=None):
@@ -253,8 +237,9 @@ def epoch_law(protocol: str, config: AntennaConfig, beta_values=None):
     """
     users = config.users
     if protocol == GTA:
-        slots, successes = _gta_columns(users)
-        return slots, None, successes
+        table = gta_recursion(users)
+        return (tuple(map(float, table.expected_slots)), None,
+                tuple(map(float, table.expected_successes)))
     delivered = tuple(map(float, range(users + 1)))
     if protocol == ONDMA:
         length = (1.0,) + delivered[1:]
@@ -269,15 +254,6 @@ def epoch_law(protocol: str, config: AntennaConfig, beta_values=None):
         square = (1.0, *(survival @ (2.0 * np.arange(survival.shape[1]) + 1.0)).tolist())
         return length, square, delivered
     raise ValueError(f"unknown protocol {protocol!r}")
-
-
-def check_deadline(deadline: int, values=None) -> None:
-    """ValueError unless ``deadline`` is an integer >= 1 and, given a (K, L+1)
-    survival array ``values``, equals the table's deadline L."""
-    check_counts(deadline=deadline)
-    table = None if values is None else np.shape(values)[1] - 1
-    if table is not None and deadline != table:
-        raise ValueError(f"deadline {deadline} differs from the beta table's {table}")
 
 
 def binomial_mix(column, n: int, p: float, shift: int = 0) -> float:
@@ -304,15 +280,31 @@ def stability_region(
     A ``deadline`` given with a table must be the table's.
     """
     check_p_t(p_t)
+    return _region(_law(protocol, config, arrival_gain, deadline, beta), config.users, p_t)
+
+
+def _law(protocol: str, config: AntennaConfig, arrival_gain: float | None = None,
+         deadline: int | None = None, beta=None):
+    """:func:`epoch_law` at an analytic call's arguments, checked here only: a
+    given ``deadline`` is a count and the table's; IR-ARQ without a table
+    reads the infinite-SNR indicators at ``arrival_gain`` and ``deadline``."""
     values = None if beta is None else beta.values
     if deadline is not None:
-        check_deadline(deadline, values)
+        check_counts(deadline=deadline)
+        table = deadline if values is None else np.shape(values)[1] - 1
+        if deadline != table:
+            raise ValueError(f"deadline {deadline} differs from the beta table's {table}")
     if protocol == IRARQ and values is None:
         if arrival_gain is None or deadline is None:
             raise ValueError("IR-ARQ needs either a beta table or (arrival_gain, deadline)")
         values = asymptotic_survival(config, arrival_gain, deadline)
-    length, _, delivered = epoch_law(protocol, config, values)
-    return binomial_mix(delivered, config.users, p_t) / binomial_mix(length, config.users, p_t)
+    return epoch_law(protocol, config, values)
+
+
+def _region(law, users: int, p_t: float) -> float:
+    """Mean delivered over mean length of ``law``, each mixed over Binomial(users, p_t) sizes."""
+    length, _, delivered = law
+    return binomial_mix(delivered, users, p_t) / binomial_mix(length, users, p_t)
 
 
 def optimal_pt(
@@ -324,13 +316,14 @@ def optimal_pt(
 ) -> tuple[float, float]:
     """(p_t, boundary) maximising :func:`stability_region` over p_t in (0, 1].
 
-    The trailing arguments are passed on to :func:`stability_region`.  No
-    closed-form optimiser exists for the general region, so this is a grid
-    search at step 1e-3 plus staged local refinement down to 1e-7; ties
-    break toward larger p_t.
+    The trailing arguments go once to the resolver behind
+    :func:`stability_region`, which builds the epoch law the search reads
+    at every p_t.  No closed-form optimiser exists for the general region,
+    so this is a grid search at step 1e-3 plus staged local refinement
+    down to 1e-7; ties break toward larger p_t.
     """
-    objective = functools.partial(stability_region, protocol, config,
-                                  arrival_gain=arrival_gain, deadline=deadline, beta=beta)
+    objective = functools.partial(_region, _law(protocol, config, arrival_gain, deadline, beta),
+                                  config.users)
     best_p, best_val = 1.0, objective(1.0)
     step = 1e-3
     n = int(round(1.0 / step))
@@ -364,23 +357,11 @@ def tradeoff_curve(
     exhausted, which is exactly how they fail to reach the channel's full
     degrees of freedom.
     """
-    span = config.degrees_of_freedom
-    points = []
-    n = int(math.ceil(span / 0.01))
-    for i in range(n):
-        r_e = i * 0.01
-        if protocol == GTA:
-            d = gta_dmt(config, p_t, r_e)
-            ell = None
-        elif protocol == ONDMA:
-            d = ondma_dmt(config, p_t, r_e)
-            ell = None
-        elif protocol == IRARQ:
-            if deadline is None:
-                raise ValueError("IR-ARQ curve needs a deadline")
-            d = irarq_dmdt(config, r_e, deadline)
-            ell = deadline
-        else:
-            raise ValueError(f"unknown protocol {protocol!r}")
-        points.append(TradeoffPoint(r_e=r_e, d=d, deadline=ell))
-    return points
+    grid = [i * 0.01 for i in range(int(math.ceil(config.degrees_of_freedom / 0.01)))]
+    if protocol == IRARQ:
+        if deadline is None:
+            raise ValueError("IR-ARQ curve needs a deadline")
+        return [TradeoffPoint(r_e, irarq_dmdt(config, r_e, deadline), deadline) for r_e in grid]
+    # gta_dmt and ondma_dmt, with the stability region read once
+    region = stability_region(protocol, config, p_t)
+    return [TradeoffPoint(r_e, mac_dmt(1, config.tx, config.rx, r_e / region)) for r_e in grid]

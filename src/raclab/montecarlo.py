@@ -389,12 +389,13 @@ def renewal_prediction(
     p_t = params.p_t
     if protocol == IRARQ and beta is None:
         raise ValueError("IR-ARQ prediction needs a beta table")
-    value = dmt.stability_region(protocol, config, p_t, deadline=params.deadline, beta=beta)
+    law = dmt._law(protocol, config, deadline=params.deadline, beta=beta)
+    value = dmt._region(law, config.users, p_t)
     if protocol != IRARQ or not beta.trials:
         return value, 0.0
     # the mixed mean length w . E[min(N_k, L)], w_k = Binomial(K, p_t)[k], has
     # variance w' C w / trials for the per-size length covariance C
-    length, square, _ = dmt.epoch_law(IRARQ, config, beta.values)
+    length, square, _ = law
     cov = beta.length_cov
     if cov is None:
         cov = np.diag([max(s - m * m, 0.0) for m, s in zip(length[1:], square[1:])])

@@ -77,12 +77,6 @@ class DelayReport:
 # analytic side (deadline-ARQ protocol)
 # ---------------------------------------------------------------------------
 
-def _epoch_law(users: int, deadline: int, beta: BetaTable):
-    """:func:`dmt.epoch_law` of the deadline-ARQ protocol at the given table."""
-    dmt.check_deadline(deadline, beta.values)
-    return dmt.epoch_law(IRARQ, AntennaConfig(users), beta.values)
-
-
 def solve_transmission_probability(
     total_rate: float,
     users: int,
@@ -97,7 +91,7 @@ def solve_transmission_probability(
     empty system (zero arrivals) and None when no root exists below p_t,
     which signals an unstable load.
     """
-    length, _, _ = _epoch_law(users, deadline, beta)
+    length, _, _ = dmt._law(IRARQ, AntennaConfig(users), deadline=deadline, beta=beta)
     check_rate("total_rate", total_rate)
     check_p_t(p_t)
     if total_rate == 0.0:
@@ -130,7 +124,7 @@ def epoch_length_moments(
     columns shifted by one); irrelevant epochs see only the others.
     Returns (E[U], E[U^2], E[V], E[V^2]).
     """
-    length, square, _ = _epoch_law(users, deadline, beta)
+    length, square, _ = dmt._law(IRARQ, AntennaConfig(users), deadline=deadline, beta=beta)
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     others = users - 1
@@ -159,7 +153,7 @@ def analytic_delay(
     probability.  Returns inf outside the stability region.  Exact in the
     regime where U and V are i.i.d.
     """
-    length, _, _ = _epoch_law(users, deadline, beta)
+    length, _, _ = dmt._law(IRARQ, AntennaConfig(users), deadline=deadline, beta=beta)
     check_rate("total_rate", total_rate)
     check_p_t(p_t)
     if total_rate >= p_t * users / dmt.binomial_mix(length, users, p_t):

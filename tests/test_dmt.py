@@ -12,7 +12,6 @@ from raclab import (
     GtaRecursionTable,
     ProtocolParams,
     TradeoffPoint,
-    beta_highsnr,
     epoch_law,
     gta_dmt,
     gta_optimal_pt,
@@ -28,7 +27,7 @@ from raclab import (
     stability_region,
     tradeoff_curve,
 )
-from raclab.channel import asymptotic_first_decodable_round
+from raclab.channel import asymptotic_first_decodable_round, asymptotic_survival
 
 SCALAR2 = AntennaConfig(users=2, tx=1, rx=1)
 VECTOR2 = AntennaConfig(users=2, tx=1, rx=2)
@@ -249,7 +248,7 @@ def _beta_highsnr_id(row):
     ids=[_beta_highsnr_id(row) for row in BETA_HIGHSNR_ROWS],
 )
 def test_beta_highsnr_indicator(k, tx, rx, r, rounds, expected):
-    assert beta_highsnr(k, tx, rx, r, rounds) == expected
+    assert asymptotic_survival(AntennaConfig(k, tx, rx), r, rounds)[k - 1, rounds] == expected
 
 
 @pytest.mark.parametrize(
@@ -393,20 +392,25 @@ def test_deadline_must_match_the_beta_table():
     lambda: irarq_effective_multiplexing(SCALAR2, 1.0, 0.3, 2.0),
     lambda: random_arrival_diversity("irarq", SCALAR2, 0.3, deadline=1.5),
     lambda: tradeoff_curve("irarq", SCALAR2, deadline=2.0),
-    lambda: beta_highsnr(2, 1, 1, 0.5, rounds=1.5),
+    lambda: asymptotic_survival(SCALAR2, 0.5, 1.5),
     lambda: mac_dmt(2.5, 1, 1, 0.3),
     lambda: mac_dmt(True, 1, 1, 0.3),
     lambda: point_to_point_dmt(1.5, 2, 0.3),
     lambda: point_to_point_dmt(2, True, 0.3),
     lambda: asymptotic_first_decodable_round(1.5, SCALAR2, 0.3),
     lambda: asymptotic_first_decodable_round(True, SCALAR2, 0.3),
+    lambda: BetaTable.from_indicators(SCALAR2, 0.7, 1.5),
+    lambda: BetaTable.from_indicators(SCALAR2, 0.7, True),
+    lambda: BetaTable.from_indicators(SCALAR2, 0.7, 0),
 ], ids=["dmdt-deadline-float", "dmdt-deadline-bool", "stability-deadline-float",
         "effective-deadline-float", "random-arrival-deadline-float", "curve-deadline-float",
         "highsnr-rounds-float", "mac-k-float", "mac-k-bool", "p2p-tx-float", "p2p-rx-bool",
-        "first-round-k-float", "first-round-k-bool"])
+        "first-round-k-float", "first-round-k-bool", "indicators-deadline-float",
+        "indicators-deadline-bool", "indicators-deadline-zero"])
 def test_counts_must_be_integers(run):
     # unchecked, deadline = 1.5 gave irarq_dmdt 0.833 and deadline = True 0.75,
-    # deadline = 2.5 a stability region of 2.0, rounds = 1.5 an IndexError
+    # deadline = 2.5 a stability region of 2.0; an indicator table at
+    # deadline 1.5 had L = 2, at True L = 1, at 0 no rounds
     with pytest.raises(ValueError, match="must be an integer >= 1"):
         run()
 
@@ -469,9 +473,38 @@ def test_gta_optimal_pt_reads_optimal_pt(cfg):
     assert lam == stability_region("gta", cfg, p)
 
 
+K4 = AntennaConfig(users=4)
+
+
+@pytest.mark.parametrize("protocol, cfg, kwargs", [
+    ("irarq", K4, {"arrival_gain": 0.3, "deadline": 3}),
+    ("irarq", K4, {"deadline": 3, "beta": BetaTable.from_indicators(K4, 0.55, 3)}),
+    ("irarq", K4, {"beta": BetaTable.from_indicators(K4, 0.8, 3)}),
+    ("ondma", AntennaConfig(users=4, tx=2, rx=2), {}),
+], ids=["irarq-K4-L3-gain", "irarq-K4-L3-table", "irarq-K4-L3-table-only", "ondma-K4-2x2"])
+def test_optimal_pt_boundary_is_the_region_at_its_p(protocol, cfg, kwargs):
+    # the search reads one law built at entry; its boundary must be what
+    # stability_region, which builds the law afresh, gives at the same p_t
+    # (interior optima at gains 0.3 and 0.55, p_t = 1 at 0.8)
+    p, lam = optimal_pt(protocol, cfg, **kwargs)
+    assert lam == stability_region(protocol, cfg, p, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # curve-level properties
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cfg", [SCALAR2, VECTOR2, AntennaConfig(users=2, tx=2, rx=2)],
+                         ids=["1x1", "1x2", "2x2"])
+@pytest.mark.parametrize("p_t", [0.5, 1.0])
+def test_tradeoff_curve_reads_the_protocol_dmt(cfg, p_t):
+    for protocol, protocol_dmt in (("gta", gta_dmt), ("ondma", ondma_dmt)):
+        curve = tradeoff_curve(protocol, cfg, p_t)
+        assert len(curve) == math.ceil(cfg.degrees_of_freedom / 0.01)
+        for point in curve:
+            assert point.deadline is None
+            assert point.d == protocol_dmt(cfg, p_t, point.r_e)
+
 
 def _curve_values(protocol, cfg, **kw):
     return [(p.r_e, p.d) for p in tradeoff_curve(protocol, cfg, **kw)]

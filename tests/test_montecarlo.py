@@ -9,7 +9,6 @@ from raclab import (
     AntennaConfig,
     BetaTable,
     ProtocolParams,
-    beta_highsnr,
     diversity_slope,
     epoch_law,
     estimate_beta,
@@ -20,6 +19,7 @@ from raclab import (
     snr_from_db,
     system_error_probability,
 )
+from raclab.channel import asymptotic_survival
 from raclab.montecarlo import gta_collision_stats
 
 SCALAR1 = AntennaConfig(users=1)
@@ -44,9 +44,10 @@ def test_beta_matches_highsnr_indicators():
     r = 0.6
     rate = r * math.log2(1 + 10**6)
     table = estimate_beta(SCALAR2, snr_db=60.0, rate=rate, deadline=2, trials=10**5, seed=5)
+    indicators = asymptotic_survival(SCALAR2, r, 2)
     for k in (1, 2):
         for rounds in (1, 2):
-            assert abs(table.beta(k, rounds) - beta_highsnr(k, 1, 1, r, rounds)) < 0.01
+            assert abs(table.beta(k, rounds) - indicators[k - 1, rounds]) < 0.01
 
 
 def test_beta_monotone_in_rounds_and_snr():
