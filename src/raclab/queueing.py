@@ -18,18 +18,23 @@ and are eligible again at the very next epoch.
 The simulator keeps each queue as counts only.  Arrivals are drawn as
 per-slot Poisson counts in blocks of slots; a user's arrivals before each
 slot of a block are the running sum of its counts, and its queue holds
-those less its departures.  Besides the state the next epoch needs, the
-loop keeps only the per-slot arrival totals and the end slot of each
-departure; both statistics are read from them after the loop.  No packet
-is paired with its departure: by Little's law the time in system summed
-over the packets is the number in system summed over time.  A slot's
-occupancy is the packets that arrived before it and have not departed,
-plus half of those arriving in it (the mean share of the slot a uniform
-arrival spends in it), and the mean delay is the occupancy summed over the
-slots after the warm-up divided by their arrivals.  Packets still queued
-at the horizon count for the time they have waited.  The backlog at a
-slot's start is the same count without the half, and the stability slope
-is its least-squares trend over the slots of the second half.
+those less its departures.  Each epoch updates only what the next one
+needs (the mask of non-empty queues, the per-user departure counts and
+the slot) and notes the table cell of a non-idle epoch.  When a block of
+epoch outcomes is used up, its noted cells are folded by array gathers
+into the run's counts of non-idle epochs, erred epochs and delivered
+packets, and into the departures per end slot.  Both statistics are read
+after the loop from the per-slot departures and arrival totals.  No
+packet is paired with its departure: by Little's law the time in system
+summed over the packets is the number in system summed over time.  A
+slot's occupancy is the packets that arrived before it and have not
+departed, plus half of those arriving in it (the mean share of the slot a
+uniform arrival spends in it), and the mean delay is the occupancy summed
+over the slots after the warm-up divided by their arrivals.  Packets
+still queued at the horizon count for the time they have waited.  The
+backlog at a slot's start is the same count without the half, and the
+stability slope is its least-squares trend over the slots of the second
+half.
 """
 
 from __future__ import annotations
@@ -91,11 +96,17 @@ def solve_transmission_probability(
     empty system (zero arrivals) and None when no root exists below p_t,
     which signals an unstable load.
     """
-    length, _, _ = dmt._law(IRARQ, AntennaConfig(users), deadline=deadline, beta=beta)
+    law = dmt._law(IRARQ, AntennaConfig(users), deadline=deadline, beta=beta)
     check_rate("total_rate", total_rate)
     check_p_t(p_t)
+    return _fixed_point(law, total_rate, users, p_t)
+
+
+def _fixed_point(law, total_rate: float, users: int, p_t: float) -> float | None:
+    """:func:`solve_transmission_probability` on a resolved epoch law."""
     if total_rate == 0.0:
         return 0.0
+    length = law[0]
 
     def g(p: float) -> float:
         return users * p - total_rate * dmt.binomial_mix(length, users, p)
@@ -124,9 +135,15 @@ def epoch_length_moments(
     columns shifted by one); irrelevant epochs see only the others.
     Returns (E[U], E[U^2], E[V], E[V^2]).
     """
-    length, square, _ = dmt._law(IRARQ, AntennaConfig(users), deadline=deadline, beta=beta)
+    law = dmt._law(IRARQ, AntennaConfig(users), deadline=deadline, beta=beta)
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
+    return _moments(law, p, users)
+
+
+def _moments(law, p: float, users: int) -> tuple[float, float, float, float]:
+    """:func:`epoch_length_moments` on a resolved epoch law."""
+    length, square, _ = law
     others = users - 1
     return (
         dmt.binomial_mix(length, others, p, shift=1),
@@ -153,15 +170,15 @@ def analytic_delay(
     probability.  Returns inf outside the stability region.  Exact in the
     regime where U and V are i.i.d.
     """
-    length, _, _ = dmt._law(IRARQ, AntennaConfig(users), deadline=deadline, beta=beta)
+    law = dmt._law(IRARQ, AntennaConfig(users), deadline=deadline, beta=beta)
     check_rate("total_rate", total_rate)
     check_p_t(p_t)
-    if total_rate >= p_t * users / dmt.binomial_mix(length, users, p_t):
+    if total_rate >= p_t * users / dmt.binomial_mix(law[0], users, p_t):
         return math.inf
-    p = solve_transmission_probability(total_rate, users, p_t, deadline, beta)
+    p = _fixed_point(law, total_rate, users, p_t)
     if p is None:
         return math.inf
-    eu, eu2, ev, ev2 = epoch_length_moments(p, users, deadline, beta)
+    eu, eu2, ev, ev2 = _moments(law, p, users)
     skip = 1.0 / p_t - 1.0
     service = eu + skip * ev
     denom = 2.0 * (users - total_rate * service)
@@ -190,16 +207,17 @@ def simulate_random_arrivals(
     evaluated at all 2^K participant sets, and per-slot Poisson arrival
     counts in fixed-size blocks of slots, each drawn from the one generator
     when the loop first needs it.  Between draws the loop does integer
-    arithmetic on counts (module docstring).  The delay is the occupancy
-    summed over the window [W, H), W = int(WARMUP_FRACTION * H), divided
-    by the window's arrivals, and its CI comes from batch means of both
-    sums (:func:`_ratio_ci`).  The stability verdict regresses the total
+    arithmetic on counts, and folds a used-up block's non-idle epochs into
+    the statistics (module docstring, :func:`_fold_block`).  The delay is
+    the occupancy summed over the window [W, H), W = int(WARMUP_FRACTION *
+    H), divided by the window's arrivals, and its CI comes from batch means
+    of both sums (:func:`_ratio_ci`).  The stability verdict regresses the total
     backlog at each slot start against time over the second half of the
     horizon, read after the loop from the same per-slot series: trend below
     STABILITY_SLOPE_EPS in absolute value is stable, a positive trend above
     it is unstable, anything else is inconclusive.  The packet ledger is
-    checked: no queue departs a packet that has not arrived, and departures
-    equal the delivered epoch outcomes.
+    checked: an epoch delivers only its participants, whose queues hold a
+    packet, and the departures add up to the delivered epoch outcomes.
     """
     if not is_count(horizon_slots) or horizon_slots < 10:
         raise ValueError(f"horizon_slots must be an integer >= 10, got {horizon_slots!r}")
@@ -212,63 +230,66 @@ def simulate_random_arrivals(
     snr = None if snr_db is None else snr_from_db(snr_db)
     rate_per_user = total_rate / config.users
     users = range(config.users)
+    stride = 1 << config.users               # table cells per epoch
     block = _TILE >> config.users              # one cache-sized block of the engine
-    all_sets = np.broadcast_to(np.arange(1 << config.users), (block, 1 << config.users))
+    all_sets = np.broadcast_to(np.arange(stride), (block, stride))
 
     # before[u][t] counts user u's arrivals in the slots below base + t
     before = [[0] for _ in users]
     departed = [0] * config.users
+    members = [[u for u in users if mask >> u & 1] for mask in range(stride)]  # users of each mask
     arrived: list[np.ndarray] = []   # arrivals per slot, all users, block by block
-    ends: list[int] = []             # end slot of each departure
+    # departures per end slot; only the run's last epoch can end past the
+    # horizon, and its departures land in the last entry
+    left = np.zeros(horizon_slots + 1, dtype=np.int64)
     base = 0
     drawn = 0                    # arrivals are drawn for slots [0, drawn)
 
     slot = 0
-    epoch = block                # index into the current table block
     ready = 0                    # bitmask of non-empty queues at ``slot``
-    n_delivered = 0
-    errors = 0
-    nonidle = 0
+    stats = [0, 0, 0]            # non-idle epochs, erred ones, delivered packets
 
     while slot < horizon_slots:
-        if epoch == block:
-            coins = _coins(rng, block, config.users, params.p_t).tolist()
-            tables = epoch_outcomes(protocol, config, params, snr, all_sets, rng)
-            if tables[0].min() < 1:
-                raise AssertionError("epoch outcomes: an epoch shorter than one slot")
-            lengths, delivered, erred = (t.ravel().tolist() for t in tables)
-            epoch = 0
-        participants = ready & coins[epoch]
-        cell = (epoch << config.users) | participants
-        end = slot + lengths[cell]
-        if participants:
-            nonidle += 1
-            errors += erred[cell] != 0
-            gone = delivered[cell]
-            n_delivered += gone.bit_count()
-            for u in users:
-                if gone >> u & 1:
-                    if departed[u] >= before[u][slot - base]:
-                        raise AssertionError("packet ledger: departure before arrival")
+        coins = _coins(rng, block, config.users, params.p_t).tolist()
+        tables = epoch_outcomes(protocol, config, params, snr, all_sets, rng)
+        if tables[0].min() < 1:
+            raise AssertionError("epoch outcomes: an epoch shorter than one slot")
+        lengths, delivered = tables[0].ravel().tolist(), tables[1].ravel().tolist()
+        first = slot                 # the block's first slot
+        cells = []                   # table cell of each non-idle epoch of the block
+        # offset is the epoch's first cell, its idle one
+        for coin, offset in zip(coins, range(0, block * stride, stride)):
+            participants = ready & coin
+            cell = offset | participants
+            if participants:
+                gone = delivered[cell]
+                if gone & ~participants:
+                    raise AssertionError("packet ledger: a departure from outside the participants")
+                cells.append(cell)
+                for u in members[gone]:
                     departed[u] += 1
-                    ends.append(end)
-            # pruned packets stay at the head, eligible next epoch
-        slot = end
-        epoch += 1
+                # pruned packets stay at the head, eligible next epoch
+            slot += lengths[cell]
 
-        while drawn < slot:
-            counts = rng.poisson(rate_per_user, size=(_ARRIVAL_BLOCK_SLOTS, config.users))
-            # row 0 is each user's arrivals before ``drawn``, the last block's last entry
-            before = np.concatenate(([[b[-1] for b in before]], counts)).cumsum(axis=0).T.tolist()
-            arrived.append(counts.sum(axis=1))
-            base = drawn
-            drawn += _ARRIVAL_BLOCK_SLOTS
+            while drawn < slot:
+                counts = rng.poisson(rate_per_user, size=(_ARRIVAL_BLOCK_SLOTS, config.users))
+                # row 0 is each user's arrivals before ``drawn``, the last block's last entry
+                before = (np.concatenate(([[b[-1] for b in before]], counts))
+                          .cumsum(axis=0).T.tolist())
+                arrived.append(counts.sum(axis=1))
+                base = drawn
+                drawn += _ARRIVAL_BLOCK_SLOTS
+            if slot >= horizon_slots:
+                break
 
-        ready = 0
-        for u in users:
-            if before[u][slot - base] > departed[u]:
-                ready |= 1 << u
+            i = slot - base
+            ready = 0
+            for u in users:
+                if before[u][i] > departed[u]:
+                    ready |= 1 << u
+        _fold_block(tables, cells, first, left, stats)
 
+    nonidle, errors, n_delivered = stats
     if sum(departed) != n_delivered:
         raise AssertionError("packet ledger: departures differ from delivered outcomes")
     n_arrivals = sum(before[u][slot - base] for u in users)
@@ -276,9 +297,8 @@ def simulate_random_arrivals(
     # twice the time in system during each slot: the packets that arrived
     # before it and have not departed, plus half of those arriving in it
     per_slot = np.concatenate(arrived)[:horizon_slots]
-    left = np.bincount(np.asarray(ends, dtype=np.int64), minlength=horizon_slots)[:horizon_slots]
-    del arrived, ends            # freed first, so the lists and the fit never add
-    twice = 2 * np.cumsum(per_slot) - per_slot - 2 * np.cumsum(left)
+    del arrived                  # freed first, so the blocks and the fit never add
+    twice = 2 * np.cumsum(per_slot) - per_slot - 2 * np.cumsum(left[:horizon_slots])
 
     # the backlog at each slot start of the second half, the arrivals before
     # the slot less the departures ending at or before it
@@ -314,6 +334,30 @@ def simulate_random_arrivals(
         horizon_slots=horizon_slots,
         seed=seed,
     )
+
+
+def _fold_block(tables, cells: list[int], start: int, left: np.ndarray,
+                stats: list[int]) -> None:
+    """Fold one table block's non-idle epochs into the run's statistics.
+
+    ``cells`` are the non-idle epochs' cells in the block's ``tables``, and
+    every other epoch of the block up to the last of them was idle (its
+    first cell); the block's first epoch starts at slot ``start``.  Adds
+    each non-idle epoch's delivered packets to ``left`` at its end slot,
+    clipped to the last entry, and the block's non-idle, erred and delivered
+    counts to ``stats``.
+    """
+    lengths, delivered, erred = (t.ravel() for t in tables)
+    at = np.fromiter(cells, np.intp, len(cells))
+    epoch = at // tables[0].shape[1]
+    taken = tables[0][:, 0].copy()           # each epoch's length at its cell
+    taken[epoch] = lengths[at]
+    gone = np.bitwise_count(delivered[at])
+    # the ends ascend strictly, so no index repeats
+    left[np.minimum(start + np.cumsum(taken)[epoch], left.size - 1)] += gone
+    stats[0] += at.size
+    stats[1] += int(np.count_nonzero(erred[at]))
+    stats[2] += int(gone.sum())
 
 
 def _ratio_ci(delay: float, occupancy: np.ndarray, arrivals: np.ndarray) -> float:

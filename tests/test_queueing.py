@@ -1,6 +1,7 @@
 """Random-arrival dynamics: fixed point, vacation-queue delay, stability."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 from bisect import bisect_left
@@ -280,19 +281,29 @@ def test_delay_monotone_in_load():
     assert delays[0] < delays[1] < delays[2]
 
 
-@pytest.mark.parametrize("extra", [0b11, 0b100], ids=["non-participant", "no-such-user"])
-def test_ledger_rejects_corrupt_outcome_tables(monkeypatch, extra):
-    # delivering an empty queue's packet, or a user that does not exist,
-    # must trip the ledger rather than skew the statistics
+@pytest.mark.parametrize("p_t, rate, extra", [
+    (1.0, 0.5, lambda masks, block: 0b11),
+    (1.0, 0.5, lambda masks, block: 0b100),
+    # from the second block on, the users that sat the epoch out; the queues
+    # are overloaded and never empty by then, so a check that each departing
+    # queue holds a packet passes this run
+    (0.6, 1.9, lambda masks, block: (masks ^ 0b11) * (block > 0)),
+], ids=["non-participant", "no-such-user", "ready-non-participant"])
+def test_ledger_rejects_corrupt_outcome_tables(monkeypatch, p_t, rate, extra):
+    # delivering an empty queue's packet, a user that does not exist or one
+    # outside the epoch's participants must trip the ledger rather than skew
+    # the statistics
     real = queueing.epoch_outcomes
+    blocks = itertools.count()
 
     def corrupt(*args):
         lengths, delivered, errors = real(*args)
-        return lengths, delivered | extra, errors
+        return lengths, delivered | extra(args[4], next(blocks)), errors
 
     monkeypatch.setattr(queueing, "epoch_outcomes", corrupt)
+    params = ProtocolParams(p_t=p_t, multiplexing_gain=0.45, deadline=2)
     with pytest.raises(AssertionError, match="ledger"):
-        simulate_random_arrivals("irarq", SCALAR2, IR_PARAMS, 0.5, None, 20_000, seed=65)
+        simulate_random_arrivals("irarq", SCALAR2, params, rate, None, 20_000, seed=65)
 
 
 def test_rejects_epochs_shorter_than_a_slot(monkeypatch):
@@ -457,8 +468,12 @@ def simulate_packet_by_packet(protocol, config, params, total_rate, snr_db, hori
     ("ondma", SCALAR2, ProtocolParams(p_t=1.0, multiplexing_gain=0.45), 1.3, 10.0, 72),
     # many users in each table block
     ("gta", AntennaConfig(users=5), ProtocolParams(p_t=0.8, multiplexing_gain=0.3), 0.3, 10.0, 73),
+    # blocks of 64 epochs, so about 300 of them a run
+    ("ondma", AntennaConfig(users=8), ProtocolParams(p_t=0.5, multiplexing_gain=0.45), 0.4, 15.0, 74),
+    ("irarq", AntennaConfig(users=3), ProtocolParams(p_t=0.6, multiplexing_gain=0.45, deadline=4),
+     0.9, 12.0, 75),
 ], ids=["irarq-15dB", "irarq-inf", "gta-K3-inf", "gta-K3-10dB", "ondma-10dB",
-        "ondma-overloaded", "gta-K5-10dB"])
+        "ondma-overloaded", "gta-K5-10dB", "ondma-K8-15dB", "irarq-K3-L4-12dB"])
 def test_simulation_matches_stamp_list_oracle(protocol, config, params, rate, snr_db, seed):
     # the oracle lists every packet's arrival slot; at 1 000 and 10 001
     # slots the midpoint, where the slope's samples start, falls inside an
