@@ -74,16 +74,13 @@ def joint_outage(gains, active, snr, rate, rounds):
 def single_user_info(channel, snr, gain, tx):
     """Per-user mutual information as (users, epochs) rows of a block of channels.
 
-    The log form of the single-user outage decision, from the oracles
-    below: power rows member by member, gains by the epochs-first kernel.
-    A user is in outage iff its information is below the rate; the
-    protocols decide by :func:`capped_rounds` instead, with the joint
-    decision's tie rule (:func:`single_user_outage`).
+    The log form of the single-user outage decision, by the oracle
+    :func:`subset_information` below.  A user is in outage iff its
+    information is below the rate; the protocols decide by
+    :func:`capped_rounds` instead, with the joint decision's tie rule
+    (:func:`single_user_outage`).
     """
-    singles = [1 << i for i in range(_shape(channel)[1])]
-    if channel.ndim == 2:
-        return member_by_member_information(channel, gain * snr / tx, singles)
-    return information_epochs_first(channel, gain * snr / tx, singles).T
+    return subset_information(channel, gain * snr, tx, [1 << i for i in range(_shape(channel)[1])])
 
 
 def single_user_outage(channel, snr, gain, rate, tx):
@@ -589,14 +586,14 @@ def test_outcome_table_per_mask_matches_kernel_and_oracle(cfg):
 
 
 # ---------------------------------------------------------------------------
-# the kernels against the log form, computed epochs first
+# the kernels against the log form
 # ---------------------------------------------------------------------------
-# The functions below compute I_S as (epochs, subsets) arrays in one
-# untiled batch, as bitwise oracles.  Each subset's entries are its
-# members' entries added one by one in index order; the scalar power is
-# |h|^2 by np.abs, and the rx > 1 log det is log2 of the product of the
-# pivots of the same LDL^H elimination.  capped_rounds must decide as the
-# capped ceil of the worst demand |S| * rate / I_S they give, bit for bit.
+# The helpers below give I_S as (subsets, epochs) rows in one untiled
+# batch: of power rows, log2(1 + c * P_S) with each subset's powers added
+# one by one in index order, the sums capped_rounds compares; of rx > 1
+# gains, the stacked slogdets above.  capped_rounds must decide as the
+# capped ceil of the worst demand |S| * rate / I_S they give, bit for bit
+# (on gains, where no demand lies within rounding of a round boundary).
 
 def member_sums(terms, subsets):
     """Each subset's members' terms added one by one in index order; zeros for no member."""
@@ -613,56 +610,6 @@ def member_sums(terms, subsets):
 def power_rows(gains):
     """sum_tx |h|^2 of rx = 1 gains as (users, epochs) rows, |h| by np.abs."""
     return np.sum(np.abs(gains) ** 2, axis=(2, 3)).T
-
-
-def information_epochs_first(gains, coef, subsets):
-    return np.log2(det_epochs_first(gains, coef, subsets))
-
-
-def det_epochs_first(gains, coef, subsets):
-    rx = gains.shape[2]
-    if rx == 1:
-        power = coef * np.sum(np.abs(gains) ** 2, axis=(2, 3))           # (n, k)
-        return 1.0 + np.stack(member_sums(list(power.T), subsets), axis=1)
-    rows, cols = np.tril_indices(rx, -1)
-    cross = np.sum(gains[:, :, cols].conj() * gains[:, :, rows], axis=3)
-    # per user: diagonal, then re and im of conj(h_col) h_row below it
-    entries = np.concatenate([np.sum(gains.real**2 + gains.imag**2, axis=3), cross.real, cross.imag],
-                             axis=2)                                 # (n, k, entries)
-    entries *= coef
-    pooled = np.stack(member_sums(list(entries.swapaxes(0, 1)), subsets), axis=1)
-    pooled[..., :rx] += 1.0
-    below = list(zip(rows.tolist(), cols.tolist()))
-    diag = [pooled[..., i] for i in range(rx)]
-    re = {rc: pooled[..., rx + p] for p, rc in enumerate(below)}
-    im = {rc: pooled[..., rx + len(below) + p] for p, rc in enumerate(below)}
-    for j in range(rx):
-        inv = 1.0 / diag[j]
-        for i in range(j + 1, rx):
-            lr, li = re[i, j] * inv, im[i, j] * inv
-            diag[i] -= lr * re[i, j] + li * im[i, j]
-            for m in range(j + 1, i):
-                re[i, m] -= lr * re[m, j] + li * im[m, j]
-                im[i, m] -= li * re[m, j] - lr * im[m, j]
-    det = diag[0]
-    for d in diag[1:]:
-        det = det * d
-    return det
-
-
-def first_round_epochs_first(gains, snr, rate):
-    if rate <= 0:
-        return np.ones(gains.shape[0], dtype=np.int64)
-    k = gains.shape[1]
-    sizes = np.array([len(members_of(s, k)) for s in lattice(k)])
-    info = information_epochs_first(gains, snr / gains.shape[3], lattice(k))
-    with np.errstate(divide="ignore"):
-        demand = np.where(info > 0.0, sizes[None, :] * rate / np.maximum(info, 1e-300), np.inf)
-    rounds = np.ceil(demand.max(axis=1) * (1.0 - 1e-12))
-    out = np.full(rounds.shape, NEVER, dtype=np.int64)
-    finite = np.isfinite(rounds)
-    out[finite] = np.maximum(rounds[finite].astype(np.int64), 1)
-    return out
 
 
 def scalar_battery(k, tx, n, seed):
@@ -707,31 +654,32 @@ def capped_from_information(info, subsets, rate, deadline):
     return np.clip(np.ceil(demand * (1.0 - 1e-12)), 1, deadline + 1)
 
 
-def capped_by_demand(channel, snr, rate, tx, deadline, subsets=None):
-    """Each subset's capped round count by the log form, as (subsets, epochs); every lattice subset by default.
-
-    Power rows are pooled member by member, gains go through the
-    epochs-first kernel.
-    """
-    subsets = lattice(_shape(channel)[1]) if subsets is None else subsets
+def subset_information(channel, snr, tx, subsets):
+    """I_S of a block of channels as (subsets, epochs) rows: power rows member by member, gains by slogdet."""
     if channel.ndim == 2:
-        info = member_by_member_information(channel, snr / tx, subsets)
-    else:
-        info = information_epochs_first(channel, snr / tx, subsets).T
-    return capped_from_information(info, subsets, rate, deadline)
+        return member_by_member_information(channel, snr / tx, subsets)
+    return stacked_mutual_information(channel, subsets, snr).T
+
+
+def capped_by_demand(channel, snr, rate, tx, deadline, subsets=None):
+    """Each subset's capped round count by the log form, as (subsets, epochs); every lattice subset by default."""
+    subsets = lattice(_shape(channel)[1]) if subsets is None else subsets
+    return capped_from_information(subset_information(channel, snr, tx, subsets), subsets, rate, deadline)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_scalar_information_is_bitwise_the_epochs_first_kernel(k):
-    # power rows against the epochs-first I_S of the gains they came from
+    # the power rows of given gains, silent and lone users among them, over
+    # one to three transmit antennas and SNRs from -10 to 60 dB, against
+    # their I_S summed member by member
     for tx in (1, 2, 3):
-        gains = scalar_battery(k, tx, 4000, seed=100 + 10 * k + tx)
+        power = power_rows(scalar_battery(k, tx, 4000, seed=100 + 10 * k + tx))
         for snr in SNRS:
-            info = information_epochs_first(gains, snr / tx, lattice(k)).T
+            info = member_by_member_information(power, snr / tx, lattice(k))
             for r in (0.4, 0.9):
                 rate = r * math.log2(1.0 + snr)
-                got = capped_rounds(power_rows(gains), snr, rate, tx, 4, lattice(k))
-                assert got.shape == (len(lattice(k)), len(gains))
+                got = capped_rounds(power, snr, rate, tx, 4, lattice(k))
+                assert got.shape == (len(lattice(k)), power.shape[1])
                 assert np.array_equal(got, capped_from_information(info, lattice(k), rate, 4)), (tx, snr, r)
 
 
@@ -774,9 +722,9 @@ def test_scalar_information_of_any_mask_order_matches_the_lattice():
 def test_scalar_information_beyond_three_users(k):
     # the pooled power sums are held to exactly rounded sums: a running sum
     # of |S| nonnegative terms is within gamma_{|S|-1} of the exact sum
-    # (u = 2^-53), and fsum's rounding of it adds half an ulp; counts and
-    # round counts, read from the gains, must match the epochs-first oracle
-    # bitwise
+    # (u = 2^-53), and fsum's rounding of it adds half an ulp; the counts
+    # must match the log form of the same sums, and the round counts of the
+    # gains the slogdet oracle, bitwise
     gains = scalar_battery(k, 2, 400, seed=200 + k)
     power = power_rows(gains)
     sums = kernel_values(power, 1.0, lattice(k))
@@ -786,36 +734,12 @@ def test_scalar_information_beyond_three_users(k):
         gamma = (len(members) - 1) * 2.0**-53 / (1.0 - (len(members) - 1) * 2.0**-53)
         assert np.all(np.abs(sums[s] - exact) <= gamma * exact + 0.5 * np.spacing(exact))
     for snr in SNRS:
-        info = information_epochs_first(gains, snr / 2, lattice(k)).T
         for rate in (0.3, 1.0, 2.5):
             rate *= math.log2(1.0 + snr)
-            got = capped_rounds(power_rows(gains), snr, rate, 2, 4, lattice(k))
-            assert np.array_equal(got, capped_from_information(info, lattice(k), rate, 4))
+            got = capped_rounds(power, snr, rate, 2, 4, lattice(k))
+            assert np.array_equal(got, capped_by_demand(power, snr, rate, 2, 4))
             assert np.array_equal(batch_first_decodable_round(gains, snr, rate),
-                                  first_round_epochs_first(gains, snr, rate))
-
-
-@pytest.mark.parametrize("k, tx, rx", [(1, 1, 1), (2, 1, 1), (3, 2, 1), (3, 2, 2), (4, 2, 4)],
-                         ids=["K1", "K2", "K3-2x1", "K3-2x2", "K4-2x4"])
-def test_first_decodable_round_is_bitwise_the_epochs_first_kernel(k, tx, rx):
-    n = 2 * tile_epochs(lattice(k), rx) + 5 if rx > 1 else 3000
-    gains = _draw_gains(np.random.default_rng(300 + k), (n, k, rx, tx))
-    gains[:20, 0] = 0.0                                       # some subsets with no information
-    seen = set()
-    for snr in (1.0, 100.0):
-        for rate in (0.0, 0.5, 2.0, 6.0):
-            got = batch_first_decodable_round(gains, snr, rate)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, first_round_epochs_first(gains, snr, rate))
-            seen.update(got.tolist())
-        if rx > 1:
-            # the det that capped_rounds compares is the epochs-first det, bit for bit
-            det = kernel_values(gains, snr / tx, lattice(k))
-            assert det.T.tobytes() == det_epochs_first(gains, snr / tx, lattice(k)).tobytes()
-    assert NEVER in seen and len(seen) > 3                     # several round counts and NEVER
-    empty = gains[:0]
-    assert batch_first_decodable_round(empty, 100.0, 2.0).shape == (0,)
-    assert batch_first_decodable_round(empty, 100.0, 0.0).shape == (0,)
+                                  first_round_by_slogdet(gains, snr, rate))
 
 
 @pytest.mark.parametrize("rx", [1, 2])
@@ -825,7 +749,7 @@ def test_single_user_info_is_bitwise_the_identity_mask_kernel(rx):
     channel = power_rows(gains) if rx == 1 else gains
     shares = []
     for gain in (1.0, 3.0):
-        info = information_epochs_first(gains, gain * 7.0 / 2, [1, 2, 4]).T
+        info = single_user_info(channel, 7.0, gain, 2)
         for rate in (2.0, 6.0):
             got = single_user_outage(channel, 7.0, gain, rate, 2)
             assert got.shape == (3, 3000)
@@ -922,7 +846,12 @@ def test_mimo_beta_chunk_reads_the_gains_stream(cfg, rate):
 
 
 def first_round_by_slogdet(gains, snr, rate):
-    """Ceil of the worst subset demand from stacked slogdets, with the kernel's 1e-12 shave."""
+    """Ceil of the worst subset demand from stacked slogdets, with the kernel's 1e-12 shave.
+
+    At rate <= 0 every subset demands nothing: one round.
+    """
+    if rate <= 0:
+        return np.ones(len(gains), dtype=np.int64)
     k = gains.shape[1]
     sizes = np.array([len(members_of(s, k)) for s in lattice(k)])
     info = stacked_mutual_information(gains, lattice(k), snr)      # (n, subsets)
@@ -945,17 +874,38 @@ def test_batch_first_decodable_round_on_given_gains_matches_slogdet(k, tx, rx):
     for snr in (1.0, 100.0):
         for rate in (0.0, 0.7, 3.0):
             got = batch_first_decodable_round(gains, snr, rate)
-            want = np.ones(len(gains), dtype=np.int64) if rate == 0 else first_round_by_slogdet(gains, snr, rate)
-            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert got.dtype == np.int64 and np.array_equal(got, first_round_by_slogdet(gains, snr, rate))
             seen.update(got.tolist())
     assert NEVER in seen and len(seen) > 3
+
+
+@pytest.mark.parametrize("k, tx, rx", [(1, 1, 1), (2, 1, 1), (3, 2, 1), (3, 2, 2), (4, 2, 4)],
+                         ids=["K1", "K2", "K3-2x1", "K3-2x2", "K4-2x4"])
+def test_first_decodable_round_is_bitwise_the_epochs_first_kernel(k, tx, rx):
+    # three kernel tiles (the last one short) at rx > 1, 3000 epochs at
+    # rx = 1, against the worst demand of the I_S of the whole batch,
+    # computed epochs first by stacked slogdets
+    n = 2 * tile_epochs(lattice(k), rx) + 5 if rx > 1 else 3000
+    gains = _draw_gains(np.random.default_rng(300 + k), (n, k, rx, tx))
+    gains[:20, 0] = 0.0                                       # some subsets with no information
+    seen = set()
+    for snr in (1.0, 100.0):
+        for rate in (0.0, 0.5, 2.0, 6.0):
+            got = batch_first_decodable_round(gains, snr, rate)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, first_round_by_slogdet(gains, snr, rate))
+            seen.update(got.tolist())
+    assert NEVER in seen and len(seen) > 3                     # several round counts and NEVER
+    empty = gains[:0]
+    assert batch_first_decodable_round(empty, 100.0, 2.0).shape == (0,)
+    assert batch_first_decodable_round(empty, 100.0, 0.0).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
 # capped round counts: the threshold decision against the log form
 # ---------------------------------------------------------------------------
-# capped_by_demand, the log form computed epochs first, is what
-# capped_rounds replaced in the estimators and the protocols.
+# capped_by_demand, the log form from member-by-member power sums or stacked
+# slogdets, is what capped_rounds replaced in the estimators and the protocols.
 
 @pytest.mark.parametrize("k, tx, rx", [(1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 1, 1), (2, 2, 1), (2, 3, 1),
                                        (3, 1, 1), (3, 2, 1), (3, 3, 1), (4, 1, 1), (4, 2, 1), (4, 3, 1),
@@ -970,12 +920,13 @@ def test_capped_rounds_are_bitwise_the_capped_demand_rounds(k, tx, rx):
     seen = set()
     for snr_db in (0.0, 20.0, 40.0):
         snr = 10.0 ** (snr_db / 10.0)
+        info = subset_information(channel, snr, tx, lattice(k))
         for r in (0.4, 0.9):
             rate = r * math.log2(1.0 + snr)
             for deadline in range(1, 5):
                 got = capped_rounds(channel, snr, rate, tx, deadline, lattice(k))
                 assert got.dtype == np.uint8 and got.shape == (len(lattice(k)), n)
-                want = capped_by_demand(channel, snr, rate, tx, deadline)
+                want = capped_from_information(info, lattice(k), rate, deadline)
                 assert np.array_equal(got, want), (snr_db, r, deadline)
                 seen.update(got.ravel().tolist())
     assert seen == {1, 2, 3, 4, 5}
@@ -1054,7 +1005,7 @@ def test_subsets_beyond_one_kernel_tile_fail_before_anything_is_built():
     with pytest.raises(ValueError, match="kernel tile"):
         capped_rounds(gains, 10.0, 1.0, 1, 2, range(1, 1 << 14))
     # the estimators reach the joint decoder at 2^K - 1 subsets; estimate_beta
-    # checks its largest collision before it runs the smaller ones
+    # reads every row off one K-user call, checked before any chunk draws
     params = ProtocolParams(p_t=1.0, rate=1.0, deadline=2)
     for users in (18, 40):
         big = AntennaConfig(users=users)

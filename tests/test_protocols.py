@@ -16,12 +16,10 @@ from raclab import (
     simulate_random_arrivals,
 )
 from raclab import montecarlo, protocols
-from raclab.channel import _draw_channel, asymptotic_first_decodable_round, capped_rounds
 from raclab.montecarlo import fully_loaded_throughput, gta_collision_stats, system_error_probability
 from raclab.protocols import (
     _bits,
     _gta_tree_batch,
-    _outage_bits,
     _split,
     _subset_max,
     _tree_members,
@@ -151,6 +149,21 @@ def test_single_user_power_at_the_threshold_decodes(protocol, mask, extra):
         assert np.all(lengths == 1)
 
 
+def test_infinite_snr_single_user_decision():
+    # one user decodes at gain r iff r <= min(M, N): on the boundary every
+    # delivered packet decodes, just past it every one is lost
+    shapes = ((AntennaConfig(users=3), 1.0), (AntennaConfig(users=3, tx=2, rx=2), 2.0),
+              (AntennaConfig(users=3, tx=1, rx=4), 1.0))
+    for protocol in ("ondma", "gta"):
+        for config, edge in shapes:
+            for gain, lost in ((edge, False), (1.01 * edge, True)):
+                params = ProtocolParams(p_t=1.0, multiplexing_gain=gain)
+                _, delivered, errors = tables(protocol, params, snr=None, config=config, n=50,
+                                              rng=np.random.default_rng(12))
+                assert np.all(delivered[:, 1:] > 0)
+                assert np.array_equal(errors, delivered if lost else np.zeros_like(delivered))
+
+
 # ---------------------------------------------------------------------------
 # orthogonal repetition
 # ---------------------------------------------------------------------------
@@ -210,42 +223,39 @@ def test_gta_scripted_words_whose_chunks_all_recollide():
     lengths, delivered = _gta_tree_batch(np.array([2, 3, 64, 2]), ScriptedTreeRng(steps))
     assert lengths.tolist() == [1 + 32 + 2, 1 + 16 + 2 + 2, 1 + 1 + 1 + 2, 3]
     assert delivered.tolist() == [2, 3, 2, 2]
-    want = tree_by_chunks(np.array([2, 3, 64, 2]), ScriptedTreeRng(steps), 4)
+    want = tree_by_chunks(np.array([2, 3, 64, 2]), ScriptedTreeRng(steps))
     assert [x.tolist() for x in want] == [lengths.tolist(), delivered.tolist()]
 
 
-def tree_by_chunks(k_init, rng, tile):
+def tree_by_chunks(k_init, rng):
     """Oracle: the splitting tree one epoch at a time, reading each step's words chunk by chunk.
 
-    Tiles of ``tile`` colliding epochs run to their end in turn; a step
-    draws one word per live epoch of the tile.  A group of g users reads
-    the chunks of g bits at stride bit_ceil(g) in its word until one
-    splits; every chunk read costs a slot.
+    A step draws one word per live colliding epoch, in epoch order.  A
+    group of g users reads the chunks of g bits at stride bit_ceil(g) in
+    its word until one splits; every chunk read costs a slot.
     """
     lengths = [1] * len(k_init)
     delivered = [int(k == 1) for k in k_init]
-    colliding = [e for e, k in enumerate(k_init) if k >= 2]
-    for lo in range(0, len(colliding), tile):
-        group = {e: int(k_init[e]) for e in colliding[lo : lo + tile]}
-        while group:
-            draw = rng.integers(0, 1 << 64, size=len(group), dtype=np.uint64)
-            for bits, e in zip(draw.tolist(), list(group)):
-                g = group[e]
-                for start in range(0, 64, 1 << (g - 1).bit_length()):
-                    lengths[e] += 1
-                    left = (bits >> start & ((1 << g) - 1)).bit_count()
-                    if 0 < left < g:
-                        break
-                else:
-                    continue                            # every chunk re-collided: draw again
-                if left == 1:                           # clean slot, then the rest collides
-                    lengths[e] += 1
-                    delivered[e] += 1 + (g == 2)        # a lone rest is clean at once
-                    left = g - 1
-                if left >= 2:
-                    group[e] = left
-                else:
-                    del group[e]
+    group = {e: int(k) for e, k in enumerate(k_init) if k >= 2}
+    while group:
+        draw = rng.integers(0, 1 << 64, size=len(group), dtype=np.uint64)
+        for bits, e in zip(draw.tolist(), list(group)):
+            g = group[e]
+            for start in range(0, 64, 1 << (g - 1).bit_length()):
+                lengths[e] += 1
+                left = (bits >> start & ((1 << g) - 1)).bit_count()
+                if 0 < left < g:
+                    break
+            else:
+                continue                                # every chunk re-collided: draw again
+            if left == 1:                               # clean slot, then the rest collides
+                lengths[e] += 1
+                delivered[e] += 1 + (g == 2)            # a lone rest is clean at once
+                left = g - 1
+            if left >= 2:
+                group[e] = left
+            else:
+                del group[e]
     return np.array(lengths), np.array(delivered)
 
 
@@ -256,7 +266,7 @@ def test_gta_tree_matches_mask_oracle(k_max):
     for k_init in (np.full(5000, k_max), mixed):
         rngs = [np.random.default_rng(seeds[1]) for _ in range(2)]
         got = _gta_tree_batch(k_init, rngs[0])
-        want = tree_by_chunks(k_init, rngs[1], k_init.size)     # every epoch in one pass
+        want = tree_by_chunks(k_init, rngs[1])
         for a, b in zip(got, want, strict=True):
             np.testing.assert_array_equal(a, b)
         assert rngs[0].random() == rngs[1].random()   # same draws consumed
@@ -538,15 +548,19 @@ def test_bitmask_engine_takes_at_most_63_users(protocol):
                          ids=["scalar", "2x2"])
 def test_outcomes_at_coin_masks_match_full_table(protocol, params, config):
     # the channel draws do not depend on the masks, so one column per epoch
-    # reads the same outcome as that epoch's cell of the full table
+    # reads the same outcome as that epoch's cell of the full table, and the
+    # two calls leave their generators in one state; at infinite SNR too
     n = 400
     coins = np.random.default_rng(5).integers(0, 8, size=n)
-    full = tables(protocol, params, snr=2.0, config=config, n=n, rng=np.random.default_rng(6))
-    at_coins = epoch_outcomes(protocol, config, params, 2.0, coins[:, None],
-                              np.random.default_rng(6))
-    for table, column in zip(full, at_coins):
-        assert column.shape == (n, 1)
-        assert np.array_equal(column[:, 0], table[np.arange(n), coins])
+    limit = ProtocolParams(p_t=1.0, multiplexing_gain=0.6, deadline=2)
+    for params, snr in ((params, 2.0), (limit, None)):
+        rngs = [np.random.default_rng(6) for _ in range(2)]
+        full = tables(protocol, params, snr=snr, config=config, n=n, rng=rngs[0])
+        at_coins = epoch_outcomes(protocol, config, params, snr, coins[:, None], rngs[1])
+        for table, column in zip(full, at_coins, strict=True):
+            assert table.dtype == column.dtype == np.int64 and column.shape == (n, 1)
+            assert np.array_equal(column[:, 0], table[np.arange(n), coins])
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -643,51 +657,8 @@ def test_bits_match_matmul(users):
 
 
 # ---------------------------------------------------------------------------
-# the engine and the estimators against test-local whole-block oracles
+# the estimators: exact sums over their seeded chunks
 # ---------------------------------------------------------------------------
-
-def outcomes_whole_block(protocol, config, params, snr, masks, rng):
-    """A test-local whole-block pass over the draws, the engine's independent bitwise oracle."""
-    users, n = config.users, masks.shape[0]
-    shape = (n, users, config.rx, config.tx)
-    sizes = np.bitwise_count(masks).astype(np.int64)
-    delivered = masks
-    if protocol == "irarq":
-        deadline = params.deadline
-        if snr is None:
-            needed = np.array([1] + [asymptotic_first_decodable_round(k, config, params.multiplexing_gain)
-                                     for k in range(1, users + 1)])[sizes]
-        else:
-            channel = _draw_channel(rng, shape)
-            rounds = capped_rounds(channel, snr, params.rate_at(snr), config.tx, deadline,
-                                   range(1, 1 << users))
-            worst = _subset_max(rounds, users)
-            worst[0] = 1
-            needed = worst.ravel()[masks * n + np.arange(n)[:, None]]
-        lengths = np.minimum(needed, deadline, dtype=np.int64)
-        errors = np.where(needed > deadline, masks, 0)
-    elif protocol == "ondma":
-        lengths = np.maximum(sizes, 1)
-        channel = None if snr is None else _draw_channel(rng, shape)
-        errors = masks & np.reshape(_outage_bits(config, params, snr, channel), (-1, 1))
-    else:
-        tree_len, tree_del = _gta_tree_batch(sizes.ravel(), rng)
-        lengths = tree_len.reshape(masks.shape)
-        delivered = _tree_members(masks, tree_del.reshape(masks.shape), users, rng)
-        channel = None if snr is None else _draw_channel(rng, shape)
-        errors = delivered & np.reshape(_outage_bits(config, params, snr, channel), (-1, 1))
-    return lengths, delivered, errors
-
-
-def fully_loaded_whole_chunk(protocol, config, params, snr, n, rng):
-    """Coin masks and outcomes of n fully-loaded epochs, each drawn and evaluated whole."""
-    if params.p_t < 1.0:
-        coins = _bits(rng.random((n, config.users)) < params.p_t)
-    else:
-        coins = _bits(np.ones((1, config.users), dtype=bool)).repeat(n)
-    outcomes = outcomes_whole_block(protocol, config, params, snr, coins[:, None], rng)
-    return (coins, *(x[:, 0] for x in outcomes))
-
 
 def chunk_sizes(total):
     """Whole default chunks, then the rest."""
@@ -695,26 +666,25 @@ def chunk_sizes(total):
     return [chunk] * (total // chunk) + [total % chunk] * (total % chunk > 0)
 
 
-def whole_chunk_error(protocol, config, params, snr, trials, seed):
-    """(value, per_user, nonidle) of ``system_error_probability`` from whole chunks, as before."""
+def error_by_chunks(protocol, config, params, snr, trials, seed):
+    """(value, per_user, nonidle) of ``system_error_probability``, counted chunk by chunk."""
     nonidle = errors = per_user = 0
     for idx, n in enumerate(chunk_sizes(trials)):
         rng = np.random.default_rng([seed, montecarlo._TAG_ERROR, idx])
-        coins, _, _, erred = fully_loaded_whole_chunk(protocol, config, params, snr, n, rng)
+        coins, _, _, erred = montecarlo._fully_loaded_epochs(protocol, config, params, snr, n, rng)
         nonidle += int(np.count_nonzero(coins))
         errors += int(np.count_nonzero(erred))
         per_user = per_user + np.array([np.count_nonzero(erred >> u & 1) for u in range(config.users)])
     return errors / nonidle, per_user / nonidle, nonidle
 
 
-def whole_chunk_throughput(protocol, config, params, snr, slots, seed):
-    """(per_rate, stderr, slots, epochs) of ``fully_loaded_throughput`` from float sums
-    over whole chunks, as before."""
+def throughput_by_chunks(protocol, config, params, snr, slots, seed):
+    """(per_rate, stderr, slots, epochs) of ``fully_loaded_throughput`` from float sums per chunk."""
     n = min(montecarlo.DEFAULT_CHUNK, max(1024, slots))
     sums, epochs, idx = np.zeros(5), 0, 0
     while sums[1] < slots:
         rng = np.random.default_rng([seed, montecarlo._TAG_THROUGHPUT, idx])
-        _, lengths, delivered, _ = fully_loaded_whole_chunk(protocol, config, params, snr, n, rng)
+        _, lengths, delivered, _ = montecarlo._fully_loaded_epochs(protocol, config, params, snr, n, rng)
         w, ell = np.bitwise_count(delivered).astype(float), lengths.astype(float)
         sums += w.sum(), ell.sum(), (w * w).sum(), (ell * ell).sum(), (w * ell).sum()
         epochs, idx = epochs + n, idx + 1
@@ -726,8 +696,8 @@ def whole_chunk_throughput(protocol, config, params, snr, slots, seed):
     return ratio, math.sqrt(max(var, 0.0)), int(l_sum), epochs
 
 
-def whole_chunk_tree_stats(k, epochs, seed):
-    """``gta_collision_stats`` from one tree call and float sums per chunk, as before."""
+def tree_stats_by_chunks(k, epochs, seed):
+    """``gta_collision_stats`` from one tree call and float sums per chunk."""
     sums = np.zeros(4)
     for idx, n in enumerate(chunk_sizes(epochs)):
         rng = np.random.default_rng([seed, montecarlo._TAG_GTA_STATS, idx])
@@ -738,14 +708,24 @@ def whole_chunk_tree_stats(k, epochs, seed):
             mean_d, math.sqrt(max(sums[3] / epochs - mean_d**2, 0.0) / epochs))
 
 
+def test_stream_tags_are_pairwise_distinct():
+    # the estimators' chunk streams are disjoint only if no two tags meet:
+    # the error, throughput and tree-statistics tags and a beta tag per K
+    tags = [montecarlo._TAG_ERROR, montecarlo._TAG_THROUGHPUT, montecarlo._TAG_GTA_STATS,
+            *(montecarlo._TAG_BETA + k for k in range(1, 64))]
+    assert len(set(tags)) == len(tags)
+
+
 def bitwise(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # epochs or slots at the default 2^14 chunk: two whole chunks and a short
-# one (40 000 = 2 * 16 384 + 7 232), or one short chunk; the case names are
-# kept from when each also set a chunk and a tile size
+# one (40 000 = 2 * 16 384 + 7 232), or one short chunk.  The two tests
+# below check the chunk plan, the default_rng([seed, tag, i]) seeding and
+# the exact sums; their names and these case names are left from when
+# each case also set a tile size
 CHUNKINGS = {"default": 40_000, "777": 3000, "1": 120}
 
 
@@ -763,12 +743,12 @@ def test_tiled_estimators_match_whole_chunk_oracle(protocol, users, p_t, snr_db,
         params = ProtocolParams(p_t=p_t, multiplexing_gain=0.4, **extra)
         seed = 90 + users
         est = system_error_probability(protocol, config, params, snr_db, trials, seed)
-        value, per_user, nonidle = whole_chunk_error(protocol, config, params, snr, trials, seed)
+        value, per_user, nonidle = error_by_chunks(protocol, config, params, snr, trials, seed)
         assert bitwise(est.value, value) and bitwise(est.per_user, per_user)
         assert est.nonidle == nonidle
         thr = fully_loaded_throughput(protocol, config, params, snr_db, trials, seed)
         got = (thr.per_rate, thr.per_rate_stderr, thr.slots, thr.epochs)
-        want = whole_chunk_throughput(protocol, config, params, snr, trials, seed)
+        want = throughput_by_chunks(protocol, config, params, snr, trials, seed)
         assert all(bitwise(a, b) for a, b in zip(got, want, strict=True)), (got, want)
 
 
@@ -777,29 +757,8 @@ def test_tiled_estimators_match_whole_chunk_oracle(protocol, users, p_t, snr_db,
 def test_tiled_tree_stats_match_whole_chunk_oracle(k, chunking):
     epochs = CHUNKINGS[chunking]
     got = gta_collision_stats(k, epochs, seed=20 + k)
-    want = whole_chunk_tree_stats(k, epochs, 20 + k)
+    want = tree_stats_by_chunks(k, epochs, 20 + k)
     assert all(bitwise(a, b) for a, b in zip(got, want, strict=True)), (got, want)
-
-
-# blocks of 3000, 777 and 300 epochs; the case names are kept from when
-# each set a tile size inside the block
-@pytest.mark.parametrize("n", [3000, 777, 300], ids=["None", "777", "1"])
-@pytest.mark.parametrize("protocol", ["irarq", "ondma", "gta"])
-def test_epoch_outcomes_match_whole_block_oracle(protocol, n):
-    # the queue's layout (every epoch at all 2^K sets) and the estimators'
-    # (one set per epoch), scalar and 2x2, at finite and infinite SNR
-    for config in (AntennaConfig(users=3), AntennaConfig(users=3, tx=2, rx=2)):
-        all_sets = np.broadcast_to(np.arange(8), (n, 8))
-        coins = np.random.default_rng(3).integers(0, 8, (n, 1))
-        for masks in (all_sets, coins):
-            for snr in (2.0, None):
-                params = ProtocolParams(p_t=1.0, multiplexing_gain=0.6, deadline=2)
-                rngs = [np.random.default_rng(4) for _ in range(2)]
-                got = epoch_outcomes(protocol, config, params, snr, masks, rngs[0])
-                want = outcomes_whole_block(protocol, config, params, snr, masks, rngs[1])
-                for a, b in zip(got, want, strict=True):
-                    assert a.dtype == np.int64 and np.array_equal(a, b)
-                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 @pytest.mark.parametrize("protocol", ["irarq", "ondma", "gta"])
