@@ -16,8 +16,11 @@ decoding outcomes are deterministic indicator thresholds.
 
 A chunk is one block of the epoch engine: the fully-loaded estimators
 draw its participation coins, evaluate its epochs in one call of
-:func:`protocols.epoch_outcomes` and count its outcomes;
-``gta_collision_stats`` runs one splitting tree per chunk.  The chunk is
+:func:`protocols.epoch_outcomes` and count its outcomes.  Throughput reads
+no errors, so for GTA and O-NDMA, whose epochs end and deliver whatever
+the channel, it runs only the engine's schedule stage and neither draws
+nor decodes the chunk's channels, its last draw; ``gta_collision_stats``
+runs one splitting tree per chunk.  The chunk is
 the engine's cache-sized block, ``DEFAULT_CHUNK`` = ``protocols._TILE``
 epochs, so a call's working memory does not grow with its trials.  Only
 ``estimate_beta`` takes another chunk size.  Its chunk draws one channel
@@ -36,7 +39,7 @@ import numpy as np
 
 from . import dmt
 from .channel import _check_tile, _draw_channel, asymptotic_survival, capped_rounds
-from .protocols import _TILE, _coins, _gta_tree_batch, epoch_outcomes
+from .protocols import _TILE, _coins, _decode, _gta_tree_batch, _schedule, epoch_outcomes
 from .system import (IRARQ, AntennaConfig, ProtocolParams, binom_pmf, check_counts, check_rate,
                      snr_from_db)
 
@@ -343,7 +346,13 @@ def fully_loaded_throughput(
     n = min(DEFAULT_CHUNK, max(1024, slots))
 
     def moments(rng, n):
-        _, ell, delivered, _ = _fully_loaded_epochs(protocol, config, params, snr, n, rng)
+        masks = _coins(rng, n, config.users, params.p_t)[:, None]
+        # GTA and O-NDMA lengths and deliveries are the schedule's; only
+        # IR-ARQ's need the channel, which is each chunk's last draw
+        outcomes = _schedule(protocol, config, params, snr, masks, rng)
+        if outcomes is None:
+            outcomes = _decode(protocol, config, params, snr, masks, rng, None)
+        ell, delivered = (x[:, 0] for x in outcomes[:2])
         w = np.bitwise_count(delivered).astype(np.int64)
         return np.array([w.sum(), ell.sum(), (w * w).sum(), (ell * ell).sum(), (w * ell).sum()])
 

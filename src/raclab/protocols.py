@@ -8,10 +8,16 @@ once and each epoch evaluated at the participant bitmasks it is asked for
 (bit i set for user i; 0 is the idle epoch): the epoch length and the
 bitmasks of delivered and of wrongly decoded packets.
 
-:func:`epoch_outcomes` draws and evaluates a block in one pass, with one
-body per protocol.  Its callers keep the block cache-sized: the queue asks
-for ``_TILE`` cells (epochs times the 2^K sets of each) per draw, and a
-fully-loaded estimator's default chunk is ``_TILE`` epochs at one set each.
+:func:`epoch_outcomes` draws and evaluates a block in two stages, with one
+body per protocol.  The schedule (:func:`_schedule`) checks the inputs and
+makes every draw that no channel decides: GTA and O-NDMA epochs end and
+deliver whatever the channel, so it gives their lengths and delivered
+sets.  The decode (:func:`_decode`) then draws the block's channels, the
+block's last draw, and decides IR-ARQ's lengths and every protocol's
+errors.  Its callers keep the block cache-sized: the queue asks for
+``_TILE`` cells (epochs times the 2^K sets of each) per draw, and a
+fully-loaded estimator's default chunk is ``_TILE`` epochs at one set
+each.
 
 * IR-ARQ: every participant sends a fresh redundancy block each round and
   the receiver jointly decodes across users and rounds, up to the deadline
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _draw_channel, asymptotic_first_decodable_round, capped_rounds
+from .channel import _draw_channel, _thresholds, asymptotic_first_decodable_round, capped_rounds
 from .system import GTA, IRARQ, ONDMA, AntennaConfig, ProtocolParams
 
 
@@ -126,22 +132,28 @@ def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
         raise ValueError(f"splitting tree counts at most {_MAX_TREE_USERS} users, got {k_max}")
     acc = np.add(k_init, _SLOT, dtype=np.int64)     # the first slot; no user pruned yet
     idx = np.flatnonzero(k_init >= 2)
-    group = k_init[idx].astype(np.int64, copy=False)
+    group = k_init[idx].astype(np.uint8)             # at most 64 users: byte-wide arithmetic
     while idx.size:
         draw = rng.integers(0, 1 << 64, size=idx.size, dtype=np.uint64)
         loops, left = _split(draw, group)
         one = left == 1
         # a singleton left group takes its clean slot and the rest collides
         # again (a lone rest sends in that slot); a larger one prunes the right
-        after = np.where(one, group - 1, left)
-        inc = (loops + one + 1).astype(np.int64) << 32
+        after = group - 2
+        after *= one
+        after += left                            # group - 1 where one, else left
+        inc = (loops + one + 1).astype(np.int64)
+        inc <<= 32
         inc -= group - after - one               # the users pruned
         if not left.all():                       # every chunk re-collided
             stuck = left == 0
             inc[stuck] = loops[stuck].astype(np.int64) << 32
             after[stuck] = group[stuck]
-        acc[idx] += inc
-        live = after >= 2
+        if idx.size == acc.size:                 # every epoch is live: idx is 0..n-1
+            acc += inc
+        else:
+            acc[idx] += inc
+        live = np.flatnonzero(after >= 2)        # a gather, faster than a boolean mask
         idx, group = idx[live], after[live]
     return acc >> 32, acc & (_SLOT - 1)              # every user not pruned is delivered
 
@@ -155,15 +167,18 @@ def _split(w: np.ndarray, group: np.ndarray):
     popcount, 1 <= left < group.  Where no chunk splits, left is 0 and
     loops is the number of chunks.
     """
-    log2 = _STRIDE_LOG2[group]
+    if group.min() == group.max():
+        group = group[0]                             # one size: scalar table entries, no gather
+    # take() gathers by a byte-wide index about as fast as by a native one
+    log2 = _STRIDE_LOG2.take(group)
     y = w >> 1
     y ^= w
-    y &= _PAIRS[group]                               # set where neighbours in a chunk differ
+    y &= _PAIRS.take(group)                          # set where neighbours in a chunk differ
     # popcount(y ^ (y - 1)) is ctz(y) + 1, which stays inside the chunk of
     # y's lowest set bit (a chunk's top bit is never set in y); at y = 0 it
     # is 64, so loops is then the number of chunks
     loops = np.bitwise_count((y - 1) ^ y) >> log2
-    left = np.bitwise_count((w >> (loops << log2)) & _LOW[group])  # a shift by 64 gives 0
+    left = np.bitwise_count((w >> (loops << log2)) & _LOW.take(group))  # a shift by 64 gives 0
     return loops, left
 
 
@@ -203,9 +218,64 @@ def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, channel):
         out = asymptotic_first_decodable_round(1, config, params.multiplexing_gain) > 1
         return (1 << config.users) - 1 if out else 0
     # one round per user at gain 1: the IR-ARQ decision at deadline 1
-    rounds = capped_rounds(channel, snr, params.rate_at(snr), config.tx, 1,
-                           1 << np.arange(config.users))
-    return _bits((rounds > 1).T)
+    if config.rx > 1:
+        rounds = capped_rounds(channel, snr, params.rate_at(snr), config.tx, 1,
+                               1 << np.arange(config.users))
+        return _bits((rounds > 1).T)
+    # a lone user's power row against its one threshold, as capped_rounds compares it
+    limits = _thresholds(1, snr, params.rate_at(snr), config.tx, 1, 1)
+    return _bits((channel < limits[0]).T) if limits else 0
+
+
+def _schedule(protocol: str, config: AntennaConfig, params: ProtocolParams,
+              snr: float | None, masks: np.ndarray, rng: np.random.Generator):
+    """The input checks and every draw of :func:`epoch_outcomes` before the channel.
+
+    GTA and O-NDMA epochs end, and deliver their packets, whatever the
+    channel: returns their (lengths, delivered), and None for IR-ARQ.
+    """
+    users = config.users
+    if users > 63:
+        raise ValueError(f"participant bitmasks are int64: at most 63 users, got {users}")
+    if snr is None and params.multiplexing_gain is None:
+        raise ValueError("infinite-SNR mode needs multiplexing-gain params")
+    if protocol not in (IRARQ, ONDMA, GTA):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if protocol == IRARQ:
+        if params.deadline is None:
+            raise ValueError("IR-ARQ needs a deadline")
+        return None
+    sizes = np.bitwise_count(masks).astype(np.int64)
+    if protocol == ONDMA:
+        return np.maximum(sizes, 1), masks
+    tree_len, tree_del = _gta_tree_batch(sizes.ravel(), rng)
+    taken = _tree_members(masks, tree_del.reshape(masks.shape), users, rng)
+    return tree_len.reshape(masks.shape), taken
+
+
+def _decode(protocol: str, config: AntennaConfig, params: ProtocolParams,
+            snr: float | None, masks: np.ndarray, rng: np.random.Generator, schedule):
+    """Draw the block's channels and decode the epochs of a :func:`_schedule`."""
+    users, n = config.users, masks.shape[0]
+    channel = None if snr is None else _draw_channel(rng, (n, users, config.rx, config.tx))
+    if protocol == IRARQ:
+        deadline = params.deadline
+        if channel is None:
+            gain = params.multiplexing_gain
+            needed = np.array([1] + [asymptotic_first_decodable_round(k, config, gain)
+                                     for k in range(1, users + 1)])[np.bitwise_count(masks)]
+        else:
+            rounds = capped_rounds(channel, snr, params.rate_at(snr), config.tx, deadline,
+                                   range(1, 1 << users))
+            worst = _subset_max(rounds, users)
+            worst[0] = 1                                 # the idle epoch takes one slot
+            # worst[masks[e, j], e] for every cell, as one flat gather: min(needed, L + 1)
+            needed = worst.ravel()[masks * n + np.arange(n)[:, None]]
+        errors = np.where(needed > deadline, masks, 0)
+        return np.minimum(needed, deadline, dtype=np.int64), masks, errors
+    lengths, delivered = schedule
+    out = np.reshape(_outage_bits(config, params, snr, channel), (-1, 1))
+    return lengths, delivered, delivered & out
 
 
 def epoch_outcomes(
@@ -223,43 +293,10 @@ def epoch_outcomes(
     ``masks``; ``delivered`` and ``errors`` are bitmasks of users.  The
     generator is consumed in a fixed order per protocol: for GTA the
     splitting tree over the masks' sizes and the rankings of its short
-    epochs, then for every protocol the block's channels unless ``snr`` is
-    None.  So a block replays bitwise for a given generator state, and the
-    channel draws of an epoch do not depend on the masks it is evaluated at.
+    epochs (:func:`_schedule`), then for every protocol the block's
+    channels unless ``snr`` is None (:func:`_decode`).  So a block replays
+    bitwise for a given generator state, and the channel draws of an epoch
+    do not depend on the masks it is evaluated at.
     """
-    users = config.users
-    if users > 63:
-        raise ValueError(f"participant bitmasks are int64: at most 63 users, got {users}")
-    if snr is None and params.multiplexing_gain is None:
-        raise ValueError("infinite-SNR mode needs multiplexing-gain params")
-    if protocol not in (IRARQ, ONDMA, GTA):
-        raise ValueError(f"unknown protocol {protocol!r}")
-    deadline = params.deadline
-    if protocol == IRARQ and deadline is None:
-        raise ValueError("IR-ARQ needs a deadline")
-    n = masks.shape[0]
-    sizes = np.bitwise_count(masks).astype(np.int64)
-
-    if protocol == GTA:
-        tree_len, tree_del = _gta_tree_batch(sizes.ravel(), rng)
-        taken = _tree_members(masks, tree_del.reshape(masks.shape), users, rng)
-    channel = None if snr is None else _draw_channel(rng, (n, users, config.rx, config.tx))
-
-    if protocol == IRARQ:
-        if channel is None:
-            gain = params.multiplexing_gain
-            needed = np.array([1] + [asymptotic_first_decodable_round(k, config, gain)
-                                     for k in range(1, users + 1)])[sizes]
-        else:
-            rounds = capped_rounds(channel, snr, params.rate_at(snr), config.tx, deadline,
-                                   range(1, 1 << users))
-            worst = _subset_max(rounds, users)
-            worst[0] = 1                                 # the idle epoch takes one slot
-            # worst[masks[e, j], e] for every cell, as one flat gather: min(needed, L + 1)
-            needed = worst.ravel()[masks * n + np.arange(n)[:, None]]
-        errors = np.where(needed > deadline, masks, 0)
-        return np.minimum(needed, deadline, dtype=np.int64), masks, errors
-    out = np.reshape(_outage_bits(config, params, snr, channel), (-1, 1))
-    if protocol == ONDMA:
-        return np.maximum(sizes, 1), masks, masks & out
-    return tree_len.reshape(masks.shape), taken, taken & out
+    schedule = _schedule(protocol, config, params, snr, masks, rng)
+    return _decode(protocol, config, params, snr, masks, rng, schedule)

@@ -19,7 +19,9 @@ from raclab import montecarlo, protocols
 from raclab.montecarlo import fully_loaded_throughput, gta_collision_stats, system_error_probability
 from raclab.protocols import (
     _bits,
+    _coins,
     _gta_tree_batch,
+    _schedule,
     _split,
     _subset_max,
     _tree_members,
@@ -225,6 +227,34 @@ def test_gta_scripted_words_whose_chunks_all_recollide():
     assert delivered.tolist() == [2, 3, 2, 2]
     want = tree_by_chunks(np.array([2, 3, 64, 2]), ScriptedTreeRng(steps))
     assert [x.tolist() for x in want] == [lengths.tolist(), delivered.tolist()]
+
+
+def test_gta_scripted_uniform_step_with_a_word_that_never_splits():
+    # step 1: every live epoch has 3 users, and epoch 0's word re-collides
+    # in all 16 chunks (one slot each, same group); epoch 1 sends one user
+    # left, epoch 2 two (one pruned).  Step 2 (sizes 3, 2, 2): all split
+    # once.  Step 3: epoch 0's last pair splits
+    steps = [[0x7777_7777_7777_7777, 0b001, 0b011],
+             [0b010, 0b01, 0b10],
+             [0b01]]
+    lengths, delivered = _gta_tree_batch(np.array([3, 3, 3]), ScriptedTreeRng(steps))
+    assert lengths.tolist() == [1 + 16 + 2 + 2, 1 + 2 + 2, 1 + 1 + 2]
+    assert delivered.tolist() == [3, 3, 2]
+    want = tree_by_chunks(np.array([3, 3, 3]), ScriptedTreeRng(steps))
+    assert [x.tolist() for x in want] == [lengths.tolist(), delivered.tolist()]
+
+
+def test_gta_scripted_all_live_batch_matches_one_with_idle_epochs():
+    # the same words on [2, 3] (every epoch live at the first step) and on
+    # [0, 2, 1, 3] (idle and lone epochs beside them) give the same trees
+    steps = [[0b01, 0b011], [0b10]]
+    live = _gta_tree_batch(np.array([2, 3]), ScriptedTreeRng(steps))
+    mixed = _gta_tree_batch(np.array([0, 2, 1, 3]), ScriptedTreeRng(steps))
+    assert [x.tolist() for x in live] == [[3, 4], [2, 2]]
+    assert [x.tolist() for x in mixed] == [[1, 3, 1, 4], [0, 2, 1, 2]]
+    for k_init, got in (([2, 3], live), ([0, 2, 1, 3], mixed)):
+        want = tree_by_chunks(np.array(k_init), ScriptedTreeRng(steps))
+        assert [x.tolist() for x in want] == [x.tolist() for x in got]
 
 
 def tree_by_chunks(k_init, rng):
@@ -719,6 +749,41 @@ def test_stream_tags_are_pairwise_distinct():
 def bitwise(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class ChannelWatch:
+    """A seeded generator that notes its state when the first channel draw begins."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.before_channel = None
+
+    def __getattr__(self, name):
+        if name in ("standard_exponential", "standard_normal") and self.before_channel is None:
+            self.before_channel = self.rng.bit_generator.state
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("snr", [10.0, None], ids=["10dB", "inf"])
+@pytest.mark.parametrize("p_t", [0.3, 0.7, 1.0])
+@pytest.mark.parametrize("users", [1, 2, 3, 5])
+@pytest.mark.parametrize("protocol", ["ondma", "gta"])
+def test_schedule_is_epoch_outcomes_up_to_the_channel_draw(protocol, users, p_t, snr):
+    # fully_loaded_throughput reads only the schedule of GTA and O-NDMA
+    # epochs: it must give their lengths and delivered sets, and every
+    # draw it makes must come before the channel's
+    config = AntennaConfig(users=users)
+    params = ProtocolParams(p_t=p_t, multiplexing_gain=0.45)
+    watch = ChannelWatch([users, 29])
+    masks = _coins(watch, 5000, users, p_t)[:, None]
+    lengths, delivered, _ = epoch_outcomes(protocol, config, params, snr, masks, watch)
+    assert (watch.before_channel is None) == (snr is None)
+    rng = np.random.default_rng([users, 29])
+    assert bitwise(_coins(rng, 5000, users, p_t)[:, None], masks)
+    got = _schedule(protocol, config, params, snr, masks, rng)
+    assert bitwise(got[0], lengths) and bitwise(got[1], delivered)
+    want = watch.before_channel or watch.rng.bit_generator.state
+    assert rng.bit_generator.state == want
 
 
 # epochs or slots at the default 2^14 chunk: two whole chunks and a short
