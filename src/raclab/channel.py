@@ -13,20 +13,21 @@ power snr/M so each user is received at total SNR ``snr``).  Outage is the
 sole error mechanism; failed rounds are always detected.
 
 Each user's Gram matrix H H^H is a set of rows of epochs (one row of power
-with one receive antenna); the rows of S are its members' rows added one by
-one in index order, and det(I_N + (snr/M) * G_S) is the product of the
-pivots of an LDL^H elimination, whose only pivot with one receive antenna
-is 1 + (snr/M) * power.  Every pivot is at least 1.  Where a deadline L
-caps the count, as in every estimator and protocol, the decision needs no
-log: S fails after ell rounds iff det < 2^(|S| * rate / ell), and with one
-receive antenna iff its power sum is below (2^(|S| * rate / ell) - 1) * M /
-snr.  :func:`capped_rounds` compares against these thresholds, computed
-once per (|S|, ell), and returns min(rounds needed, L + 1) per subset in
-the smallest unsigned type.  The uncapped count of the benchmark's slogdet
-check, :func:`batch_first_decodable_round`, rounds up the worst demand
-|S| * rate / I_S with I_S = log2 det.  Both share one tie rule: the rate
-is shaved by a factor 1 - 1e-12, so a subset exactly on its boundary
-decodes.
+with one receive antenna).  The kernels read the lattice of all nonempty
+subsets S of the k users, bitmask s in row s - 1, and pool the rows of S
+member by member in index order.  det(I_N + (snr/M) * G_S) is the product of
+the pivots of an LDL^H elimination, whose only pivot with one receive
+antenna is 1 + (snr/M) * power.  Every pivot is at least 1.  Where a
+deadline L caps the count, as in every estimator and protocol, the decision
+needs no log: S fails after ell rounds iff det < 2^(|S| * rate / ell), and
+with one receive antenna iff its power sum is below (2^(|S| * rate / ell) -
+1) * M / snr.  :func:`capped_rounds` compares against these thresholds,
+computed once per (|S|, ell), and returns min(rounds needed, L + 1) per
+lattice row in the smallest unsigned type.  The uncapped count of the
+benchmark's slogdet check, :func:`batch_first_decodable_round`, rounds up
+the worst demand |S| * rate / I_S with I_S = log2 det.  Both share one tie
+rule: the rate is shaved by a factor 1 - 1e-12, so a subset exactly on its
+boundary decodes.
 
 A block of channels is what the kernels read, drawn by the callers with
 :func:`_draw_channel` from their own generator streams.  With one receive
@@ -42,7 +43,6 @@ are pure.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -123,27 +123,6 @@ def _gram_entries(gains: np.ndarray) -> np.ndarray:
     return np.concatenate([np.sum(h.real**2 + h.imag**2, axis=2), cross.real, cross.imag], axis=1)
 
 
-@functools.cache
-def _pooling_plan(subsets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The terms to add, in order, into the pooled rows of each subset bitmask.
-
-    Term j < len(subsets) is the pooled rows of subsets[j], term
-    len(subsets) + i the rows of user i.  A subset starts from the last one
-    pooled that it extends by its top members, then adds those in index
-    order: every sum adds its members in index order, whatever came before.
-    """
-    pooled, plan = {}, []
-    for j, s in enumerate(subsets):
-        rest, tops = s, []
-        while rest and rest not in pooled:        # strip top users down to a pooled subset
-            tops.append(rest.bit_length() - 1)
-            rest ^= 1 << tops[-1]
-        start = (pooled[rest],) if rest else ()
-        plan.append(start + tuple(len(subsets) + top for top in reversed(tops)))
-        pooled[s] = j
-    return tuple(plan)
-
-
 def _tiles(channel: np.ndarray, subsets: int) -> list[slice]:
     """Consecutive epoch slices of a block of channels, sized for ``subsets`` subsets.
 
@@ -179,25 +158,25 @@ def _gram_rows(channel: np.ndarray, tile: slice) -> np.ndarray:
     return channel[:, None, tile] if channel.ndim == 2 else _gram_entries(channel[tile])
 
 
-def _pool(rows: np.ndarray, plan, out: np.ndarray | None = None):
-    """Each subset's rows: its members' ``rows`` added in index order, by a :func:`_pooling_plan`.
+def _pool(rows: np.ndarray, out: np.ndarray | None = None):
+    """The rows of every nonempty subset of the users of ``rows``, row s - 1 for bitmask s.
 
-    Written into ``out``, one row per subset, when it is given.  Otherwise
-    the result is a list in which a one-member subset is its member's rows
-    themselves, not a copy, so it must not be written to.
+    Subset s is s without its top member, pooled earlier, plus that
+    member's rows: every sum adds its members in index order.  Written into
+    ``out`` when it is given, else a list in which a one-member subset is
+    its member's rows themselves, not a copy, so it must not be written to.
     """
-    pooled = [None] * len(plan) if out is None else list(out)
-    for s, adds in enumerate(plan):
-        terms = [pooled[t] if t < len(plan) else rows[t - len(plan)] for t in adds]
-        if len(terms) > 1:
-            pooled[s] = np.add(terms[0], terms[1], out=pooled[s])
-            for term in terms[2:]:
-                pooled[s] += term
+    pooled = [None] * ((1 << len(rows)) - 1) if out is None else out
+    for s in range(1, len(pooled) + 1):
+        top = s.bit_length() - 1
+        rest = s ^ (1 << top)
+        if not rest:
+            pooled[s - 1] = rows[top]
         elif out is None:
-            pooled[s] = terms[0] if terms else np.zeros_like(rows[0])
+            pooled[s - 1] = pooled[rest - 1] + rows[top]
         else:
-            pooled[s][...] = terms[0] if terms else 0.0
-    return pooled if out is None else out
+            np.add(out[rest - 1], rows[top], out=out[s - 1])
+    return pooled
 
 
 def _det(a: np.ndarray, rx: int) -> np.ndarray:
@@ -254,39 +233,36 @@ def _thresholds(size: int, snr: float, rate: float, tx: int, rx: int, deadline: 
     return limits
 
 
-def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadline: int, subsets) -> np.ndarray:
-    """min(rounds needed, deadline + 1) per subset bitmask S and per epoch, without a log.
+def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadline: int) -> np.ndarray:
+    """min(rounds needed, deadline + 1) per nonempty subset of the users and per epoch, without a log.
 
     ``channel`` is a block of k users' channels (module docstring) with
-    ``tx`` transmit antennas and ``subsets`` a sequence of bitmasks; the
-    result is (subsets, epochs) of the smallest unsigned type holding
-    deadline + 1 (uint8 up to deadline 254).  Each entry is 1 plus the
-    number of rounds ell = 1..deadline after which S still fails, by
-    comparison with the per-size :func:`_thresholds`: with one receive
-    antenna against the power sum of S, its members' power rows added in
-    index order (a single member's row is read as drawn), and with N > 1
-    against the :func:`_det` of the scaled pooled Gram rows.  The epochs
-    run in :func:`_tiles`, and a ``subsets`` that does not fit one epoch
-    in a tile raises ValueError before anything is built.
+    ``tx`` transmit antennas.  The result is (2^k - 1, epochs), row s - 1
+    for subset bitmask s, of the smallest unsigned type holding deadline +
+    1 (uint8 up to deadline 254).  Each entry is 1 plus the number of
+    rounds ell = 1..deadline after which S still fails, by comparison with
+    the :func:`_thresholds` of its size: with one receive antenna against
+    the power sum of S (:func:`_pool`; a single member's row is read as
+    drawn), and with N > 1 against the :func:`_det` of the scaled pooled
+    Gram rows.  The epochs run in :func:`_tiles`, and a lattice that does
+    not fit one epoch in a tile raises ValueError before anything is built.
     """
     rx = _rx(channel)
-    _check_tile(len(subsets), rx)
-    masks = tuple(map(int, subsets))
-    plan = _pooling_plan(masks)
-    out = np.ones((len(plan), _shape(channel)[0]), dtype=np.min_scalar_type(deadline + 1))
-    limits = {size: _thresholds(size, snr, rate, tx, rx, deadline)
-              for size in {m.bit_count() for m in masks}}
-    limits = [limits[m.bit_count()] for m in masks]
+    n, k = _shape(channel)
+    subsets = (1 << k) - 1
+    _check_tile(subsets, rx)
+    out = np.ones((subsets, n), dtype=np.min_scalar_type(deadline + 1))
+    limits = [_thresholds(size, snr, rate, tx, rx, deadline) for size in range(k + 1)]
     if not any(limits):
         return out
-    for tile in _tiles(channel, len(plan)):
+    for tile in _tiles(channel, subsets):
         rows = _gram_rows(channel, tile)
         if rx == 1:
-            values = _pool(rows[:, 0], plan)
+            values = _pool(rows[:, 0])
         else:
-            values = _det(_pool((snr / tx) * rows, plan, np.empty((len(plan), *rows.shape[1:]))), rx)
-        for count, value, bounds in zip(out[:, tile], values, limits):
-            for bound in bounds:
+            values = _det(_pool((snr / tx) * rows, np.empty((subsets, *rows.shape[1:]))), rx)
+        for s, (count, value) in enumerate(zip(out[:, tile], values), 1):
+            for bound in limits[s.bit_count()]:
                 count += value < bound
     return out
 
@@ -301,13 +277,13 @@ def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> n
     outlives a tile of :func:`_tiles`.
     """
     n, k, rx, tx = gains.shape
-    plan = _pooling_plan(tuple(range(1, 1 << k)))
+    subsets = (1 << k) - 1
     bits = (np.bitwise_count(np.arange(1, 1 << k)) * max(rate, 0.0))[:, None]
     worst = np.empty(n)
-    for tile in _tiles(gains, len(plan)):
+    for tile in _tiles(gains, subsets):
         rows = (snr / tx) * _gram_rows(gains, tile)
         # I_S per subset, then in place its demand
-        demand = np.log2(_det(_pool(rows, plan, np.empty((len(plan), *rows.shape[1:]))), rx))
+        demand = np.log2(_det(_pool(rows, np.empty((subsets, *rows.shape[1:]))), rx))
         silent = ~(demand > 0.0)
         np.divide(bits, demand, out=demand, where=~silent)
         np.copyto(demand, np.inf if rate > 0 else 0.0, where=silent)

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import dmt
 from .channel import _check_tile, _draw_channel, asymptotic_survival, capped_rounds
-from .protocols import _TILE, _coins, _decode, _gta_tree_batch, _schedule, epoch_outcomes
+from .protocols import _TILE, _coins, _decode, _gta_tree_batch, _schedule, _subset_max, epoch_outcomes
 from .system import (IRARQ, AntennaConfig, ProtocolParams, binom_pmf, check_counts, check_rate,
                      snr_from_db)
 
@@ -175,11 +175,11 @@ def estimate_beta(
 ) -> BetaTable:
     """Monte Carlo survival probabilities for every collision size k = 1..K.
 
-    Each trial draws one channel set of all K users.  The nonempty subsets
-    of its first k users are rows 0 .. 2^k - 2 of one :func:`capped_rounds`
-    call on all 2^K - 1, so every row is read off the same draws (common
-    random numbers): each row keeps its law, and ``length_cov`` carries
-    the covariance of the rows' epoch lengths min(N_k, L) for
+    Each trial draws one channel set of all K users.  Row k is the row of
+    mask 2^k - 1 of ``protocols._subset_max`` over one :func:`capped_rounds`
+    call on all 2^K - 1 subsets, so every row is read off the same draws
+    (common random numbers): each row keeps its law, and ``length_cov``
+    carries the covariance of the rows' epoch lengths min(N_k, L) for
     :func:`renewal_prediction`.  Every round before the first decodable one
     counts as a survival.  Chunk i draws from ``default_rng([seed,
     _TAG_BETA + K, i])``.  The exactly-at-round view is :meth:`BetaTable.alpha`.
@@ -193,14 +193,8 @@ def estimate_beta(
     def sums(rng, n):
         """(K, L + K) survival counts at rounds 1..L, then the cross sums of the epoch lengths."""
         channel = _draw_channel(rng, (n, users, rx, tx))
-        rounds = capped_rounds(channel, snr, rate, tx, deadline, range(1, 1 << users))
-        # the first k + 1 users need what the first k do or what a subset
-        # whose top member is user k does, whichever is more
-        needed = np.empty((users, n), dtype=rounds.dtype)
-        needed[0] = rounds[0]
-        for k in range(1, users):
-            np.max(rounds[(1 << k) - 1:(2 << k) - 1], axis=0, out=needed[k])
-            np.maximum(needed[k], needed[k - 1], out=needed[k])
+        worst = _subset_max(capped_rounds(channel, snr, rate, tx, deadline), users)
+        needed = worst[(2 << np.arange(users)) - 1]          # the first k users: mask 2^k - 1
         survivals = [[np.count_nonzero(row > ell) for ell in range(1, deadline + 1)] for row in needed]
         # epoch lengths are at most L, so every partial sum of the cross sums
         # is an integer at most trials * L^2: exact in float64 below 2^53;

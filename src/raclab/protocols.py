@@ -23,7 +23,8 @@ each.
   the receiver jointly decodes across users and rounds, up to the deadline
   L; at round L an ACK is sent regardless, so failed packets still drain.
   The rounds S needs, capped at L + 1, are the most any nonempty T
-  contained in S needs (:func:`channel.capped_rounds`).
+  contained in S needs: :func:`_subset_max` of :func:`channel.capped_rounds`,
+  or at infinite SNR a row sum of :func:`channel.asymptotic_survival`.
 * O-NDMA: a k-user collision is resolved in exactly k orthogonal slots and
   each message is decoded by a single-user decoder at combining gain 1: the
   IR-ARQ decision for one user and one round, with the same tie rule.
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _draw_channel, _thresholds, asymptotic_first_decodable_round, capped_rounds
+from .channel import _draw_channel, _thresholds, asymptotic_survival, capped_rounds
 from .system import GTA, IRARQ, ONDMA, AntennaConfig, ProtocolParams
 
 
@@ -55,15 +56,22 @@ def _bits(flags: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_users(users: int) -> None:
+    """ValueError past 63 users: participant bitmasks are int64."""
+    if users > 63:
+        raise ValueError(f"participant bitmasks are int64: at most 63 users, got {users}")
+
+
 def _coins(rng: np.random.Generator, n: int, users: int, p_t: float) -> np.ndarray:
     """Participation bitmasks of n epochs, each user's coin 1 with probability p_t.
 
     One uniform per epoch and user, in epoch order; at p_t = 1 every coin
     is 1 and none is drawn.
     """
+    _check_users(users)
     if p_t < 1.0:
         return _bits(rng.random((n, users)) < p_t)
-    return _bits(np.ones((1, users), dtype=bool)).repeat(n)
+    return np.full(n, (1 << users) - 1, dtype=np.int64)
 
 
 def _subset_max(rows: np.ndarray, users: int) -> np.ndarray:
@@ -215,12 +223,12 @@ def _tree_members(masks, count, users: int, rng: np.random.Generator):
 
 def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, channel):
     if snr is None:
-        out = asymptotic_first_decodable_round(1, config, params.multiplexing_gain) > 1
-        return (1 << config.users) - 1 if out else 0
-    # one round per user at gain 1: the IR-ARQ decision at deadline 1
+        lost = asymptotic_survival(config, params.multiplexing_gain, 1)[0, 1]    # one user after one round
+        return (1 << config.users) - 1 if lost else 0
+    # one round per user at gain 1: the IR-ARQ decision at deadline 1, one user per call
     if config.rx > 1:
-        rounds = capped_rounds(channel, snr, params.rate_at(snr), config.tx, 1,
-                               1 << np.arange(config.users))
+        rounds = np.vstack([capped_rounds(channel[:, u:u + 1], snr, params.rate_at(snr), config.tx, 1)
+                            for u in range(config.users)])
         return _bits((rounds > 1).T)
     # a lone user's power row against its one threshold, as capped_rounds compares it
     limits = _thresholds(1, snr, params.rate_at(snr), config.tx, 1, 1)
@@ -235,8 +243,7 @@ def _schedule(protocol: str, config: AntennaConfig, params: ProtocolParams,
     channel: returns their (lengths, delivered), and None for IR-ARQ.
     """
     users = config.users
-    if users > 63:
-        raise ValueError(f"participant bitmasks are int64: at most 63 users, got {users}")
+    _check_users(users)
     if snr is None and params.multiplexing_gain is None:
         raise ValueError("infinite-SNR mode needs multiplexing-gain params")
     if protocol not in (IRARQ, ONDMA, GTA):
@@ -261,13 +268,11 @@ def _decode(protocol: str, config: AntennaConfig, params: ProtocolParams,
     if protocol == IRARQ:
         deadline = params.deadline
         if channel is None:
-            gain = params.multiplexing_gain
-            needed = np.array([1] + [asymptotic_first_decodable_round(k, config, gain)
-                                     for k in range(1, users + 1)])[np.bitwise_count(masks)]
+            # the row sums min(needed, L + 1) per size; the idle epoch takes one slot
+            survival = asymptotic_survival(config, params.multiplexing_gain, deadline)
+            needed = np.append(1, np.count_nonzero(survival, axis=1))[np.bitwise_count(masks)]
         else:
-            rounds = capped_rounds(channel, snr, params.rate_at(snr), config.tx, deadline,
-                                   range(1, 1 << users))
-            worst = _subset_max(rounds, users)
+            worst = _subset_max(capped_rounds(channel, snr, params.rate_at(snr), config.tx, deadline), users)
             worst[0] = 1                                 # the idle epoch takes one slot
             # worst[masks[e, j], e] for every cell, as one flat gather: min(needed, L + 1)
             needed = worst.ravel()[masks * n + np.arange(n)[:, None]]

@@ -23,7 +23,6 @@ from raclab.channel import (
     _draw_gains,
     _gram_entries,
     _pool,
-    _pooling_plan,
     _shape,
     batch_first_decodable_round,
     capped_rounds,
@@ -84,9 +83,12 @@ def single_user_info(channel, snr, gain, tx):
 
 
 def single_user_outage(channel, snr, gain, rate, tx):
-    """The protocols' single-user decision: (users, epochs) True where a user fails its one round."""
-    singles = [1 << i for i in range(_shape(channel)[1])]
-    return capped_rounds(channel, gain * snr, rate, tx, 1, singles) > 1
+    """The protocols' single-user decision: (users, epochs) True where a user fails its one round.
+
+    The singleton rows of the lattice, row 2^i - 1 for user i.
+    """
+    singles = (1 << np.arange(_shape(channel)[1])) - 1
+    return capped_rounds(channel, gain * snr, rate, tx, 1)[singles] > 1
 
 
 def scalar_gains(powers):
@@ -294,7 +296,7 @@ def check_capped_rounds_against_slogdet(gains, snr_db, rate, deadline):
     """
     k, rx, tx = gains.shape[1:]
     snr = 10.0 ** (snr_db / 10.0)
-    got = capped_rounds(gains, snr, rate, tx, deadline, lattice(k))
+    got = capped_rounds(gains, snr, rate, tx, deadline)
     info = stacked_mutual_information(gains, lattice(k), snr).T          # (subsets, epochs)
     assert got.shape == info.shape == (len(lattice(k)), len(gains))
     sizes = np.bitwise_count(np.array(lattice(k)))[:, None]
@@ -380,7 +382,7 @@ def test_information_memory_beyond_result_is_flat_in_epochs():
             channel = draw_block(np.random.default_rng(53), (epochs, *shape))
             tracemalloc.start()
             try:
-                rounds = capped_rounds(channel, 100.0, 2.0, shape[2], 4, lattice(shape[0]))
+                rounds = capped_rounds(channel, 100.0, 2.0, shape[2], 4)
                 extra.append(tracemalloc.get_traced_memory()[1] - rounds.nbytes)
             finally:
                 tracemalloc.stop()
@@ -391,7 +393,7 @@ def test_information_memory_beyond_result_is_flat_in_epochs():
 def test_information_of_no_epochs_is_empty(rx):
     channel = _draw_channel(np.random.default_rng(0), (0, 3, rx, 2))
     assert channel.shape == ((3, 0) if rx == 1 else (0, 3, rx, 2))
-    got = capped_rounds(channel, 10.0, 1.0, 2, 3, lattice(3))
+    got = capped_rounds(channel, 10.0, 1.0, 2, 3)
     assert got.shape == (7, 0) and got.dtype == np.uint8
     gains = _draw_gains(np.random.default_rng(0), (0, 3, rx, 2))
     assert batch_first_decodable_round(gains, 10.0, 1.0).shape == (0,)
@@ -623,17 +625,16 @@ def scalar_battery(k, tx, n, seed):
 SNRS = (0.1, 3.0, 100.0, 1e6)
 
 
-def kernel_values(channel, coef, subsets):
-    """What capped_rounds compares with its thresholds, as (subsets, epochs), in one tile.
+def kernel_values(channel, coef):
+    """What capped_rounds compares with its thresholds, as (lattice subsets, epochs), in one tile.
 
-    The power sums of power rows, pooled by the kernel's plan, or the
-    :func:`_det` of gains' Gram rows scaled by ``coef`` and pooled.
+    The lattice's power sums of power rows, or the :func:`_det` of gains'
+    Gram rows scaled by ``coef`` and pooled over the lattice.
     """
-    plan = _pooling_plan(tuple(subsets))
     if channel.ndim == 2:
-        return np.array(_pool(channel, plan))
+        return np.array(_pool(channel))
     rows = coef * _gram_entries(channel)
-    return _det(_pool(rows, plan, np.empty((len(plan), *rows.shape[1:]))), channel.shape[2])
+    return _det(_pool(rows, np.empty(((1 << len(rows)) - 1, *rows.shape[1:]))), channel.shape[2])
 
 
 def member_by_member_information(power, coef, subsets):
@@ -661,9 +662,9 @@ def subset_information(channel, snr, tx, subsets):
     return stacked_mutual_information(channel, subsets, snr).T
 
 
-def capped_by_demand(channel, snr, rate, tx, deadline, subsets=None):
-    """Each subset's capped round count by the log form, as (subsets, epochs); every lattice subset by default."""
-    subsets = lattice(_shape(channel)[1]) if subsets is None else subsets
+def capped_by_demand(channel, snr, rate, tx, deadline):
+    """Each lattice subset's capped round count by the log form, as (subsets, epochs)."""
+    subsets = lattice(_shape(channel)[1])
     return capped_from_information(subset_information(channel, snr, tx, subsets), subsets, rate, deadline)
 
 
@@ -678,44 +679,27 @@ def test_scalar_information_is_bitwise_the_epochs_first_kernel(k):
             info = member_by_member_information(power, snr / tx, lattice(k))
             for r in (0.4, 0.9):
                 rate = r * math.log2(1.0 + snr)
-                got = capped_rounds(power, snr, rate, tx, 4, lattice(k))
+                got = capped_rounds(power, snr, rate, tx, 4)
                 assert got.shape == (len(lattice(k)), power.shape[1])
                 assert np.array_equal(got, capped_from_information(info, lattice(k), rate, 4)), (tx, snr, r)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_scalar_subset_sums_are_bitwise_member_by_member(k):
-    rng = np.random.default_rng(160 + k)
+    # the lattice's pooled rows, of power rows and of rx > 1 Gram rows, in
+    # the pooled and the in-place form, are the member-by-member sums
+    rng, gains_rng = np.random.default_rng(160 + k), np.random.default_rng([160 + k, 2])
     for n in (1, 64, 4097):
         power = _draw_channel(rng, (n, k, 1, 2))
-        for subsets in (lattice(k), [1 << i for i in range(k)]):
-            sums = np.array(member_sums(list(power), subsets))
-            assert kernel_values(power, 3.0, subsets).tobytes() == sums.tobytes()
-            for rate in (2.0, 4.0):
-                got = capped_rounds(power, 6.0, rate, 2, 4, subsets)
-                assert np.array_equal(got, capped_by_demand(power, 6.0, rate, 2, 4, subsets)), (n, rate)
-
-
-def test_scalar_information_of_any_mask_order_matches_the_lattice():
-    # subsets out of lattice order, repeated and empty ones get the same
-    # counts, from power rows and from rx > 1 gains alike; an empty subset
-    # needs nothing, so it decodes in round one
-    k = 4
-    picks = [15, 1, 7, 7, 3, 10]
-    gains = _draw_gains(np.random.default_rng(151), (500, k, 2, 2))
-    gains[:50, 1] = 0.0
-    for channel in (power_rows(scalar_battery(k, 2, 500, seed=150)), gains):
-        full = capped_rounds(channel, 10.0, 3.0, 2, 4, lattice(k))
-        got = capped_rounds(channel, 10.0, 3.0, 2, 4, [0, *picks, 0])
-        assert len(np.unique(full)) > 2
-        assert np.all(got[0] == 1) and np.all(got[-1] == 1)
-        assert got[1:-1].tobytes() == full[np.array(picks) - 1].tobytes()
-        # and the values compared are the same bits: no power, or det 1, for no user
-        full = kernel_values(channel, 5.0, lattice(k))
-        got = kernel_values(channel, 5.0, [0, *picks, 0])
-        empty = 0.0 if channel.ndim == 2 else 1.0
-        assert np.all(got[0] == empty) and np.all(got[-1] == empty)
-        assert got[1:-1].tobytes() == full[np.array(picks) - 1].tobytes()
+        sums = np.array(member_sums(list(power), lattice(k)))
+        assert kernel_values(power, 3.0).tobytes() == sums.tobytes()
+        for rate in (2.0, 4.0):
+            got = capped_rounds(power, 6.0, rate, 2, 4)
+            assert np.array_equal(got, capped_by_demand(power, 6.0, rate, 2, 4)), (n, rate)
+        rows = _gram_entries(_draw_gains(gains_rng, (n, k, 2, 2)))
+        sums = np.array(member_sums(list(rows), lattice(k)))
+        assert np.array(_pool(rows)).tobytes() == sums.tobytes()
+        assert _pool(rows, np.empty_like(sums)).tobytes() == sums.tobytes()
 
 
 @pytest.mark.parametrize("k", [4, 5, 8])
@@ -727,7 +711,7 @@ def test_scalar_information_beyond_three_users(k):
     # gains the slogdet oracle, bitwise
     gains = scalar_battery(k, 2, 400, seed=200 + k)
     power = power_rows(gains)
-    sums = kernel_values(power, 1.0, lattice(k))
+    sums = kernel_values(power, 1.0)
     for s, subset in enumerate(lattice(k)):
         members = members_of(subset, k)
         exact = np.array([math.fsum(p) for p in power[members].T])
@@ -736,7 +720,7 @@ def test_scalar_information_beyond_three_users(k):
     for snr in SNRS:
         for rate in (0.3, 1.0, 2.5):
             rate *= math.log2(1.0 + snr)
-            got = capped_rounds(power, snr, rate, 2, 4, lattice(k))
+            got = capped_rounds(power, snr, rate, 2, 4)
             assert np.array_equal(got, capped_by_demand(power, snr, rate, 2, 4))
             assert np.array_equal(batch_first_decodable_round(gains, snr, rate),
                                   first_round_by_slogdet(gains, snr, rate))
@@ -765,10 +749,10 @@ def test_information_bits_do_not_depend_on_batch_or_tile_size(k, tx, rx, monkeyp
     gains[:50, 0] = 0.0
 
     def counts(g):
-        return (capped_rounds(g, 50.0 * tx, 60.0, tx, 16, lattice(k)).tobytes(),
+        return (capped_rounds(g, 50.0 * tx, 60.0, tx, 16).tobytes(),
                 batch_first_decodable_round(g, 50.0 * tx, 60.0).tobytes())
 
-    full = capped_rounds(gains, 50.0 * tx, 60.0, tx, 16, lattice(k))
+    full = capped_rounds(gains, 50.0 * tx, 60.0, tx, 16)
     assert len(np.unique(full)) > 8
     whole = counts(gains)
     tail = counts(gains[1:])
@@ -778,9 +762,9 @@ def test_information_bits_do_not_depend_on_batch_or_tile_size(k, tx, rx, monkeyp
         monkeypatch.setattr("raclab.channel._TILE_ENTRIES", entries)
         assert counts(gains) == whole, entries
     # a tile is a slice of epochs, and the det of a slice is the slice of the det
-    det = kernel_values(gains, 50.0, lattice(k))
+    det = kernel_values(gains, 50.0)
     for a, b in ((1, 10_000), (17, 4113), (5000, 5001)):
-        assert kernel_values(gains[a:b], 50.0, lattice(k)).tobytes() == det[:, a:b].tobytes()
+        assert kernel_values(gains[a:b], 50.0).tobytes() == det[:, a:b].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +908,7 @@ def test_capped_rounds_are_bitwise_the_capped_demand_rounds(k, tx, rx):
         for r in (0.4, 0.9):
             rate = r * math.log2(1.0 + snr)
             for deadline in range(1, 5):
-                got = capped_rounds(channel, snr, rate, tx, deadline, lattice(k))
+                got = capped_rounds(channel, snr, rate, tx, deadline)
                 assert got.dtype == np.uint8 and got.shape == (len(lattice(k)), n)
                 want = capped_from_information(info, lattice(k), rate, deadline)
                 assert np.array_equal(got, want), (snr_db, r, deadline)
@@ -939,14 +923,14 @@ def test_rate_zero_decodes_in_round_one_at_every_antenna_shape():
     pivots = _gram_entries(rank_one)
     _det(pivots, 2)
     assert pivots[0, 1, 0] < 1.0
-    assert capped_rounds(rank_one, 1.0, 0.0, 1, 3, [1]).tolist() == [[1]]
+    assert capped_rounds(rank_one, 1.0, 0.0, 1, 3).tolist() == [[1]]
     assert batch_first_decodable_round(rank_one, 1.0, 0.0).tolist() == [1]
     rng = np.random.default_rng(710)
     for k, tx, rx in [(2, 1, 1), (3, 2, 1), (2, 1, 2), (3, 2, 2), (4, 2, 4), (2, 1, 3)]:
         gains = mimo_battery(k, tx, rx, rng)
         channel = power_rows(gains) if rx == 1 else gains
         for snr in (1.0, 1e6):
-            assert np.all(capped_rounds(channel, snr, 0.0, tx, 3, lattice(k)) == 1)
+            assert np.all(capped_rounds(channel, snr, 0.0, tx, 3) == 1)
             assert np.all(batch_first_decodable_round(gains, snr, 0.0) == 1)
 
 
@@ -957,7 +941,7 @@ def test_zero_gains_never_decode_at_a_positive_rate(rx):
     channel = _draw_channel(np.random.default_rng(0), (5, 3, rx, 2)) * 0.0
     for snr in (1.0, 1e6, 1e300):
         for rate in (1e-300, 1e-20, 1.0, 30.0):
-            got = capped_rounds(channel, snr, rate, 2, 4, lattice(3))
+            got = capped_rounds(channel, snr, rate, 2, 4)
             assert np.all(got == 5), (snr, rate)
             assert np.array_equal(got, capped_by_demand(channel, snr, rate, 2, 4))
 
@@ -968,7 +952,7 @@ def test_a_rate_beyond_the_float_range_survives_every_round(k, tx, rx):
     # is inf, not an OverflowError, and the counts are those of the log form
     channel = _draw_channel(np.random.default_rng(720 + k), (300, k, rx, tx))
     for rate in (1100.0, 3000.0, 1e300):
-        got = capped_rounds(channel, 100.0, rate, tx, 4, lattice(k))
+        got = capped_rounds(channel, 100.0, rate, tx, 4)
         assert np.all(got == 5)
         assert np.array_equal(got, capped_by_demand(channel, 100.0, rate, tx, 4))
     cfg = AntennaConfig(users=k, tx=tx, rx=rx)
@@ -983,7 +967,7 @@ def test_a_rate_beyond_the_float_range_survives_every_round(k, tx, rx):
 def test_capped_rounds_hold_deadlines_beyond_uint8():
     channel = _draw_channel(np.random.default_rng(730), (4000, 2, 1, 1))
     for deadline, dtype in ((254, np.uint8), (255, np.uint16), (300, np.uint16)):
-        got = capped_rounds(channel, 1.0, 2.0, 1, deadline, lattice(2))
+        got = capped_rounds(channel, 1.0, 2.0, 1, deadline)
         assert got.dtype == dtype
         assert np.array_equal(got, capped_by_demand(channel, 1.0, 2.0, 1, deadline))
         assert got.max() == deadline + 1
@@ -997,13 +981,13 @@ def test_subsets_beyond_one_kernel_tile_fail_before_anything_is_built():
         _check_tile((1 << users) - 1, rx)
         with pytest.raises(ValueError, match="kernel tile"):
             _check_tile((1 << (users + 1)) - 1, rx)
-    # 2^40 - 1 subsets: a kernel that built its plan first would not return
+    # 40 users' 2^40 - 1 subsets: a kernel that built them first would not return
     power = np.ones((40, 3))
     with pytest.raises(ValueError, match="kernel tile"):
-        capped_rounds(power, 10.0, 1.0, 1, 2, range(1, 1 << 40))
+        capped_rounds(power, 10.0, 1.0, 1, 2)
     gains = np.zeros((3, 14, 4, 1), dtype=complex)
     with pytest.raises(ValueError, match="kernel tile"):
-        capped_rounds(gains, 10.0, 1.0, 1, 2, range(1, 1 << 14))
+        capped_rounds(gains, 10.0, 1.0, 1, 2)
     # the estimators reach the joint decoder at 2^K - 1 subsets; estimate_beta
     # reads every row off one K-user call, checked before any chunk draws
     params = ProtocolParams(p_t=1.0, rate=1.0, deadline=2)

@@ -148,6 +148,50 @@ def test_renewal_prediction_stderr_is_calibrated(p_t):
     assert 0.79 <= np.var(pred, ddof=1) / np.mean(se**2) <= 1.21
 
 
+def scalar_outage(snr, rate):
+    """q(R) = 1 - exp(-(2^(R (1 - 1e-12)) - 1) / snr): a one-antenna user's one-round outage.
+
+    Its power is a unit exponential; the rate carries the kernels' tie shave.
+    """
+    return -math.expm1(-math.expm1(rate * (1.0 - 1e-12) * math.log(2.0)) / snr)
+
+
+def check_calibrated(est, se, exact):
+    """N = 400 estimates with their reported se, held to an exact value.
+
+    The 95% interval est +- 1.96 se covers it at a rate within 0.95 +- 3 sd,
+    [0.917, 0.983]; the mean z = (est - exact) / se lies within 3 / sqrt(N)
+    of 0; and var(est) / mean(se^2), about chi^2_399 / 399, lies within
+    [0.79, 1.21], 1 +- 3 sd, so an se too wide fails as one too narrow.
+    """
+    z = (np.asarray(est) - exact) / np.asarray(se)
+    assert len(z) == 400
+    assert 0.917 <= np.mean(np.abs(z) <= 1.96) <= 0.983
+    assert abs(np.mean(z)) <= 3 / math.sqrt(len(z))
+    assert 0.79 <= np.var(est, ddof=1) / np.mean(np.square(se)) <= 1.21
+
+
+def test_error_stderr_is_calibrated_against_exact_values():
+    # O-NDMA at p_t = 1, K = 2 scalar users at 10 dB and R = 2: each user
+    # fails on its own with probability q, so the system error is exactly
+    # 1 - (1 - q)^2 and user 0's is q
+    q = scalar_outage(snr_from_db(10.0), 2.0)
+    params = ProtocolParams(p_t=1.0, rate=2.0)
+    runs = [system_error_probability("ondma", SCALAR2, params, 10.0, trials=1000, seed=seed)
+            for seed in range(1, 401)]
+    check_calibrated([r.value for r in runs], [r.stderr for r in runs], 1.0 - (1.0 - q) ** 2)
+    check_calibrated([r.per_user[0] for r in runs], [r.per_user_stderr[0] for r in runs], q)
+
+
+def test_beta_stderr_is_calibrated_against_exact_values():
+    # one scalar user at 10 dB and R = 2 still fails after ell rounds iff
+    # ell * log2(1 + snr * power) < R: beta(ell) is exactly q at rate R / ell
+    tables = [estimate_beta(SCALAR1, 10.0, 2.0, 2, trials=1000, seed=seed) for seed in range(1, 401)]
+    for ell in (1, 2):
+        check_calibrated([t.values[0, ell] for t in tables], [t.stderr[0, ell] for t in tables],
+                         scalar_outage(snr_from_db(10.0), 2.0 / ell))
+
+
 def test_indicator_table_construction():
     table = BetaTable.from_indicators(SCALAR2, multiplexing_gain=0.7, deadline=3)
     assert table.values.tolist() == [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]

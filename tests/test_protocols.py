@@ -151,6 +151,21 @@ def test_single_user_power_at_the_threshold_decodes(protocol, mask, extra):
         assert np.all(lengths == 1)
 
 
+def test_single_user_decision_splits_power_over_transmit_antennas():
+    # with M = 2 antennas a user's two powers add up to 2 * power: it
+    # decodes at the threshold (2^R - 1) * M / snr, and at 3/4 of it is lost
+    snr, rate = 3.0, 0.45
+    params = ProtocolParams(p_t=1.0, rate=rate)
+    masks = np.full((4, 1), BOTH)
+    for protocol in ("ondma", "gta"):
+        for share, lost in ((1.0, False), (0.75, True)):
+            power = share * (2.0**rate - 1.0) / snr
+            _, delivered, errors = epoch_outcomes(protocol, AntennaConfig(users=2, tx=2), params, snr, masks,
+                                                  UnitGainRng(power=power))
+            assert np.all(delivered > 0)
+            assert np.array_equal(errors, delivered if lost else np.zeros_like(delivered)), (protocol, share)
+
+
 def test_infinite_snr_single_user_decision():
     # one user decodes at gain r iff r <= min(M, N): on the boundary every
     # delivered packet decodes, just past it every one is lost
