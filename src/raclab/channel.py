@@ -62,7 +62,29 @@ _TILE_ENTRIES = 1 << 17
 _DRAW_PIECE = 1 << 16
 
 
-def _draw_gains(rng: np.random.Generator, shape) -> np.ndarray:
+def _scratch(buffers: dict | None, name: str, shape, dtype=np.float64) -> np.ndarray | None:
+    """An uninitialised C-contiguous ``shape`` array of ``dtype`` held in ``buffers``; None without buffers.
+
+    ``buffers`` holds one Monte Carlo call's chunk buffers on one thread
+    (``montecarlo._sum_chunks``): the bytes of one flat buffer per name,
+    allocated on first use and replaced by a larger one when a chunk asks
+    for more.  Every request under a name gets a leading view of its bytes,
+    whatever the type, so a short last chunk reads flat[:size] reshaped
+    (Generator methods fill only contiguous ``out=`` arrays), and a chunk
+    may reuse a name whose contents it no longer needs.  Given None, a
+    helper's ``out=`` stays None and the helper allocates its result.
+    """
+    if buffers is None:
+        return None
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    flat = buffers.get(name)
+    if flat is None or flat.size < nbytes:
+        flat = buffers[name] = np.empty(nbytes, np.uint8)
+    return flat[:nbytes].view(dtype).reshape(shape)
+
+
+def _draw_gains(rng: np.random.Generator, shape, out=None, buf=None) -> np.ndarray:
     """Unit-power circularly symmetric complex Gaussian gains of the given shape.
 
     The real halves are drawn first, then the imaginary halves, in pieces
@@ -71,11 +93,15 @@ def _draw_gains(rng: np.random.Generator, shape) -> np.ndarray:
     than the gains at its peak.  The generator fills an array one sample
     after another, so the pieces draw what one call would.  Bitwise equal
     to ``(a + 1j * b) / sqrt(2)`` from two successive draws, since numpy
-    divides by a real scalar by multiplying with its reciprocal.
+    divides by a real scalar by multiplying with its reciprocal.  The
+    gains are written into ``out`` (C-contiguous complex, of ``shape``)
+    and the pieces drawn into ``buf`` (at least min(size, _DRAW_PIECE)
+    floats) where given.
     """
-    gains = np.empty(shape, dtype=complex)
+    gains = np.empty(shape, dtype=complex) if out is None else out
     flat = gains.reshape(-1)
-    buf = np.empty(min(flat.size, _DRAW_PIECE))
+    if buf is None:
+        buf = np.empty(min(flat.size, _DRAW_PIECE))
     for half in (flat.real, flat.imag):
         for start in range(0, flat.size, _DRAW_PIECE):
             piece = half[start:start + _DRAW_PIECE]
@@ -84,21 +110,33 @@ def _draw_gains(rng: np.random.Generator, shape) -> np.ndarray:
     return gains
 
 
-def _draw_channel(rng: np.random.Generator, shape) -> np.ndarray:
+def _draw_channel(rng: np.random.Generator, shape, out=None, spare=None) -> np.ndarray:
     """One block of channels for an (epochs, users, rx, tx) ``shape``, as the kernel reads it.
 
     With rx = 1 these are (users, epochs) power rows: sum_tx |h|^2 of
     unit-power complex Gaussian gains is Gamma(tx, 1), drawn as tx standard
-    exponentials added in antenna order.  With rx > 1 they are the gains of
-    :func:`_draw_gains`.
+    exponentials added in antenna order, each antenna after the first into
+    ``spare``.  With rx > 1 they are the gains of :func:`_draw_gains`, with
+    ``spare`` its piece buffer.  Where given, ``out`` and ``spare`` are the
+    C-contiguous arrays of :func:`_draw_buffers`; otherwise they are
+    allocated.
     """
     n, k, rx, tx = shape
     if rx > 1:
-        return _draw_gains(rng, shape)
-    power = rng.standard_exponential((k, n))
+        return _draw_gains(rng, shape, out, spare)
+    power = rng.standard_exponential((k, n)) if out is None else rng.standard_exponential(out=out)
     for _ in range(tx - 1):
-        power += rng.standard_exponential((k, n))
+        power += rng.standard_exponential((k, n)) if spare is None else rng.standard_exponential(out=spare)
     return power
+
+
+def _draw_buffers(buffers: dict | None, shape):
+    """:func:`_draw_channel`'s (out, spare) arrays for ``shape``, held in ``buffers`` (:func:`_scratch`)."""
+    n, k, rx, tx = shape
+    if rx > 1:
+        return (_scratch(buffers, "channel", shape, complex),
+                _scratch(buffers, "spare", (min(math.prod(shape), _DRAW_PIECE),)))
+    return _scratch(buffers, "channel", (k, n)), _scratch(buffers, "spare", (k, n)) if tx > 1 else None
 
 
 def _shape(channel: np.ndarray) -> tuple[int, int]:
@@ -233,7 +271,8 @@ def _thresholds(size: int, snr: float, rate: float, tx: int, rx: int, deadline: 
     return limits
 
 
-def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadline: int) -> np.ndarray:
+def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadline: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """min(rounds needed, deadline + 1) per nonempty subset of the users and per epoch, without a log.
 
     ``channel`` is a block of k users' channels (module docstring) with
@@ -246,12 +285,19 @@ def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadlin
     drawn), and with N > 1 against the :func:`_det` of the scaled pooled
     Gram rows.  The epochs run in :func:`_tiles`, and a lattice that does
     not fit one epoch in a tile raises ValueError before anything is built.
+    The counts are written into ``out`` when it is given; it must have the
+    result's shape and type.
     """
     rx = _rx(channel)
     n, k = _shape(channel)
     subsets = (1 << k) - 1
     _check_tile(subsets, rx)
-    out = np.ones((subsets, n), dtype=np.min_scalar_type(deadline + 1))
+    dtype = np.min_scalar_type(deadline + 1)
+    if out is None:
+        out = np.empty((subsets, n), dtype)
+    elif out.shape != (subsets, n) or out.dtype != dtype:
+        raise ValueError(f"out must be a {(subsets, n)} {dtype} array, got {out.shape} {out.dtype}")
+    out.fill(1)
     limits = [_thresholds(size, snr, rate, tx, rx, deadline) for size in range(k + 1)]
     if not any(limits):
         return out

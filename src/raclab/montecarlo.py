@@ -14,8 +14,15 @@ SNR is expressed in dB at this interface and converted to linear
 internally; ``snr_db=None`` selects the infinite-SNR limit in which
 decoding outcomes are deterministic indicator thresholds.
 
+Each thread that runs a call's chunks keeps one set of chunk buffers
+(:func:`channel._scratch`) for all of them, made on its first chunk and
+dropped when the call returns: every chunk draws its channel block, and
+writes its round lattices and epoch lengths, into the same memory.
+The random stream, the chunk plan and the arithmetic are those of freshly
+allocated arrays, so the contract above is unchanged.
+
 A chunk is one block of the epoch engine: the fully-loaded estimators
-draw its participation coins, evaluate its epochs in one call of
+draw its participation coins, evaluate its epochs in the two stages of
 :func:`protocols.epoch_outcomes` and count its outcomes.  Throughput reads
 no errors, so for GTA and O-NDMA, whose epochs end and deliver whatever
 the channel, it runs only the engine's schedule stage and neither draws
@@ -32,14 +39,14 @@ random numbers) and the table carries their covariance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dmt
-from .channel import _check_tile, _draw_channel, asymptotic_survival, capped_rounds
-from .protocols import _TILE, _coins, _decode, _gta_tree_batch, _schedule, _subset_max, epoch_outcomes
+from .channel import _check_tile, _draw_buffers, _draw_channel, _scratch, asymptotic_survival
+from .protocols import _TILE, _coins, _decode, _gta_tree_batch, _mask_rounds, _schedule
 from .system import (IRARQ, AntennaConfig, ProtocolParams, binom_pmf, check_counts, check_rate,
                      snr_from_db)
 
@@ -144,21 +151,27 @@ class BetaTable:
 
 def _sum_chunks(fn, seed: int, tag: int, total: int, name: str,
                 chunk: int = DEFAULT_CHUNK, workers: int = 1):
-    """Exact sum of the integer counts fn(rng, n) over ``total`` items, called ``name`` in errors.
+    """Exact sum of the integer counts fn(rng, n, buffers) over ``total`` items, called ``name`` in errors.
 
     The items are cut into whole chunks, then the rest; chunk i draws from
     ``default_rng([seed, tag, i])`` and the parts are added in chunk order,
-    serially or on ``workers`` threads.
+    serially or on ``workers`` threads.  Each thread passes all of its
+    chunks one dict of chunk buffers (:func:`channel._scratch`), made on
+    its first chunk and dropped when the call returns, so its chunks write
+    into the same memory instead of allocating it anew.
     """
     check_counts(**{name: total, "chunk": chunk, "workers": workers})
     whole, rest = divmod(total, chunk)
     sizes = [chunk] * whole + [rest] * (rest > 0)
+    buffers = {}                                    # thread id -> that thread's chunk buffers
 
     def part(i, n):
-        return fn(np.random.default_rng([seed, tag, i]), n)
+        return fn(np.random.default_rng([seed, tag, i]), n, buffers.setdefault(threading.get_ident(), {}))
 
     if workers == 1 or len(sizes) == 1:
         return sum(map(part, range(len(sizes)), sizes))
+    from concurrent.futures import ThreadPoolExecutor   # only a threaded call pays for the import
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(part, range(len(sizes)), sizes))
 
@@ -190,16 +203,21 @@ def estimate_beta(
     users, rx, tx = config.users, config.rx, config.tx
     _check_tile((1 << users) - 1, rx)           # before any chunk draws its channels
 
-    def sums(rng, n):
+    def sums(rng, n, buffers):
         """(K, L + K) survival counts at rounds 1..L, then the cross sums of the epoch lengths."""
-        channel = _draw_channel(rng, (n, users, rx, tx))
-        worst = _subset_max(capped_rounds(channel, snr, rate, tx, deadline), users)
-        needed = worst[(2 << np.arange(users)) - 1]          # the first k users: mask 2^k - 1
+        shape = (n, users, rx, tx)
+        channel = _draw_channel(rng, shape, *_draw_buffers(buffers, shape))
+        worst = _mask_rounds(channel, snr, rate, tx, deadline, buffers)
+        needed = [worst[(2 << k) - 1] for k in range(users)]      # the first k + 1 users: mask 2^(k+1) - 1
         survivals = [[np.count_nonzero(row > ell) for ell in range(1, deadline + 1)] for row in needed]
         # epoch lengths are at most L, so every partial sum of the cross sums
         # is an integer at most trials * L^2: exact in float64 below 2^53;
-        # one product per row, as x @ x.T runs slower on so wide an x
-        x = np.minimum(needed, deadline, dtype=float)
+        # one product per row, as x @ x.T runs slower on so wide an x.  The
+        # lengths overwrite the channel block, which no later step reads: a
+        # buffer of their own, held through the kernel, would add to the peak
+        x = _scratch(buffers, "channel", (users, n))
+        for row, length in zip(needed, x):
+            np.minimum(row, deadline, dtype=float, out=length)
         return np.hstack([survivals, [x @ row for row in x]])
 
     counts = _sum_chunks(sums, seed, _TAG_BETA + users, trials, "trials", chunk, workers)
@@ -228,18 +246,28 @@ def _fully_loaded_epochs(
     snr: float | None,
     n: int,
     rng: np.random.Generator,
+    buffers: dict | None = None,
+    errors: bool = True,
 ):
     """n back-to-back epochs of always-backlogged users, each at its coin mask.
 
     The generator is consumed in a fixed order (participation coins, then
-    the protocol's draws), so runs with the same seed share channel
-    realisations across deadlines and SNR points.  At p_t = 1 every coin is
-    1 and none is drawn.  Returns the coin masks and the epochs' (lengths,
-    delivered, errors), each of shape (n,).
+    the protocol's draws, as :func:`protocols.epoch_outcomes` makes them),
+    so runs with the same seed share channel realisations across deadlines
+    and SNR points.  At p_t = 1 every coin is 1 and none is drawn.  The
+    channels are held in ``buffers`` when given (:func:`channel._scratch`);
+    the coins' uniforms are not: freed once the coins are set, their
+    memory serves the splitting tree that follows, and holding them made
+    GTA chunks slower.  Returns the coin masks and the epochs' (lengths,
+    delivered, errors), each of shape (n,).  Without ``errors``, GTA and
+    O-NDMA epochs, whose lengths and deliveries are the schedule's, stop
+    there and return no errors: they draw no channel.
     """
-    coins = _coins(rng, n, config.users, params.p_t)
-    outcomes = epoch_outcomes(protocol, config, params, snr, coins[:, None], rng)
-    return coins, *(x[:, 0] for x in outcomes)
+    masks = _coins(rng, n, config.users, params.p_t)[:, None]
+    outcomes = _schedule(protocol, config, params, snr, masks, rng)
+    if errors or outcomes is None:
+        outcomes = _decode(protocol, config, params, snr, masks, rng, outcomes, buffers)
+    return masks[:, 0], *(x[:, 0] for x in outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +305,8 @@ def system_error_probability(
     """
     snr = None if snr_db is None else snr_from_db(snr_db)
 
-    def counts(rng, n):
-        coins, _, _, erred = _fully_loaded_epochs(protocol, config, params, snr, n, rng)
+    def counts(rng, n, buffers):
+        coins, _, _, erred = _fully_loaded_epochs(protocol, config, params, snr, n, rng, buffers)
         return np.array([np.count_nonzero(coins), np.count_nonzero(erred),
                          *(np.count_nonzero(erred >> u & 1) for u in range(config.users))])
 
@@ -339,21 +367,20 @@ def fully_loaded_throughput(
     snr = None if snr_db is None else snr_from_db(snr_db)
     n = min(DEFAULT_CHUNK, max(1024, slots))
 
-    def moments(rng, n):
-        masks = _coins(rng, n, config.users, params.p_t)[:, None]
+    def moments(rng, n, buffers):
         # GTA and O-NDMA lengths and deliveries are the schedule's; only
         # IR-ARQ's need the channel, which is each chunk's last draw
-        outcomes = _schedule(protocol, config, params, snr, masks, rng)
-        if outcomes is None:
-            outcomes = _decode(protocol, config, params, snr, masks, rng, None)
-        ell, delivered = (x[:, 0] for x in outcomes[:2])
+        _, ell, delivered, *_ = _fully_loaded_epochs(protocol, config, params, snr, n, rng, buffers,
+                                                     errors=False)
         w = np.bitwise_count(delivered).astype(np.int64)
-        return np.array([w.sum(), ell.sum(), (w * w).sum(), (ell * ell).sum(), (w * ell).sum()])
+        # integer dot products: exact, and no chunk-sized product arrays
+        return np.array([w.sum(), ell.sum(), w @ w, ell @ ell, w @ ell])
 
     sums = np.zeros(5, dtype=np.int64)  # W, L, WW, LL, WL, exact
     chunks = 0
+    buffers = {}                        # one set of chunk buffers, as _sum_chunks gives a thread
     while sums[1] < slots:             # chunk i as in _sum_chunks, until the slots are spent
-        sums += moments(np.random.default_rng([seed, _TAG_THROUGHPUT, chunks]), n)
+        sums += moments(np.random.default_rng([seed, _TAG_THROUGHPUT, chunks]), n, buffers)
         chunks += 1
     epochs = chunks * n
     w_sum, l_sum, ww, ll, wl = sums.astype(float)
@@ -415,9 +442,9 @@ def gta_collision_stats(k: int, epochs: int, seed: int):
     """
     check_counts(k=k)
 
-    def moments(rng, n):
+    def moments(rng, n, buffers):
         ell, w = _gta_tree_batch(np.full(n, k, dtype=np.int64), rng)
-        return np.array([ell.sum(), (ell * ell).sum(), w.sum(), (w * w).sum()])
+        return np.array([ell.sum(), ell @ ell, w.sum(), w @ w])      # exact integer dot products
 
     l1, l2, d1, d2 = _sum_chunks(moments, seed, _TAG_GTA_STATS, epochs, "epochs").astype(float)
     mean_l = l1 / epochs

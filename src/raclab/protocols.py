@@ -23,8 +23,9 @@ each.
   the receiver jointly decodes across users and rounds, up to the deadline
   L; at round L an ACK is sent regardless, so failed packets still drain.
   The rounds S needs, capped at L + 1, are the most any nonempty T
-  contained in S needs: :func:`_subset_max` of :func:`channel.capped_rounds`,
-  or at infinite SNR a row sum of :func:`channel.asymptotic_survival`.
+  contained in S needs: :func:`_mask_rounds`, the :func:`_subset_max` of
+  :func:`channel.capped_rounds`, or at infinite SNR a row sum of
+  :func:`channel.asymptotic_survival`.
 * O-NDMA: a k-user collision is resolved in exactly k orthogonal slots and
   each message is decoded by a single-user decoder at combining gain 1: the
   IR-ARQ decision for one user and one round, with the same tie rule.
@@ -44,7 +45,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _draw_channel, _thresholds, asymptotic_survival, capped_rounds
+from .channel import (_check_tile, _draw_buffers, _draw_channel, _rx, _scratch, _shape, _thresholds,
+                      asymptotic_survival, capped_rounds)
 from .system import GTA, IRARQ, ONDMA, AntennaConfig, ProtocolParams
 
 
@@ -74,13 +76,14 @@ def _coins(rng: np.random.Generator, n: int, users: int, p_t: float) -> np.ndarr
     return np.full(n, (1 << users) - 1, dtype=np.int64)
 
 
-def _subset_max(rows: np.ndarray, users: int) -> np.ndarray:
+def _subset_max(rows: np.ndarray, users: int, out=None) -> np.ndarray:
     """Max of (subsets, epochs) ``rows`` over the nonempty subsets of every mask.
 
     The result is (2^users, epochs) of the type of ``rows``, row m for mask
-    m; row 0 is 0.
+    m, written into ``out`` when it is given (``rows`` may be ``out[1:]``
+    itself); row 0 is 0.
     """
-    worst = np.empty((1 << users, rows.shape[1]), dtype=rows.dtype)
+    worst = np.empty((1 << users, rows.shape[1]), dtype=rows.dtype) if out is None else out
     worst[0] = 0
     worst[1:] = rows
     for i in range(users):
@@ -88,6 +91,22 @@ def _subset_max(rows: np.ndarray, users: int) -> np.ndarray:
         v = worst.reshape(1 << (users - 1 - i), 2, 1 << i, rows.shape[1])
         np.maximum(v[:, 1], v[:, 0], out=v[:, 1])
     return worst
+
+
+def _mask_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadline: int,
+                 buffers: dict | None = None) -> np.ndarray:
+    """min(rounds needed, L + 1) of every participant mask of a block of k users' channels.
+
+    :func:`_subset_max` of :func:`channel.capped_rounds`, (2^k, epochs) of
+    its count type, row m for mask m (row 0 is 0).  With ``buffers``
+    (:func:`channel._scratch`) the result is held there, and the lattice
+    is written straight into its rows 1.., where the maximum runs in place.
+    """
+    n, k = _shape(channel)
+    _check_tile((1 << k) - 1, _rx(channel))          # before a buffer is sized for the lattice
+    worst = _scratch(buffers, "worst", (1 << k, n), np.min_scalar_type(deadline + 1))
+    rounds = capped_rounds(channel, snr, rate, tx, deadline, None if worst is None else worst[1:])
+    return _subset_max(rounds, k, worst)
 
 
 # Cells (epochs times participant sets per epoch) of one cache-sized block:
@@ -139,10 +158,11 @@ def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
     if k_max > _MAX_TREE_USERS:
         raise ValueError(f"splitting tree counts at most {_MAX_TREE_USERS} users, got {k_max}")
     acc = np.add(k_init, _SLOT, dtype=np.int64)     # the first slot; no user pruned yet
-    idx = np.flatnonzero(k_init >= 2)
-    group = k_init[idx].astype(np.uint8)             # at most 64 users: byte-wide arithmetic
-    while idx.size:
-        draw = rng.integers(0, 1 << 64, size=idx.size, dtype=np.uint64)
+    # idx lists the live epochs; None while every epoch is live (idx = 0..n-1)
+    idx = None if k_init.min(initial=0) >= 2 else np.flatnonzero(k_init >= 2)
+    group = (k_init if idx is None else k_init[idx]).astype(np.uint8)   # at most 64 users: byte-wide
+    while group.size:
+        draw = rng.integers(0, 1 << 64, size=group.size, dtype=np.uint64)
         loops, left = _split(draw, group)
         one = left == 1
         # a singleton left group takes its clean slot and the rest collides
@@ -150,19 +170,18 @@ def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
         after = group - 2
         after *= one
         after += left                            # group - 1 where one, else left
-        inc = (loops + one + 1).astype(np.int64)
-        inc <<= 32
+        inc = np.left_shift(loops + one + 1, 32, dtype=np.int64)
         inc -= group - after - one               # the users pruned
         if not left.all():                       # every chunk re-collided
             stuck = left == 0
             inc[stuck] = loops[stuck].astype(np.int64) << 32
             after[stuck] = group[stuck]
-        if idx.size == acc.size:                 # every epoch is live: idx is 0..n-1
+        if group.size == acc.size:               # every epoch is live: idx is 0..n-1
             acc += inc
         else:
             acc[idx] += inc
         live = np.flatnonzero(after >= 2)        # a gather, faster than a boolean mask
-        idx, group = idx[live], after[live]
+        idx, group = (live if idx is None else idx[live]), after[live]
     return acc >> 32, acc & (_SLOT - 1)              # every user not pruned is delivered
 
 
@@ -261,10 +280,16 @@ def _schedule(protocol: str, config: AntennaConfig, params: ProtocolParams,
 
 
 def _decode(protocol: str, config: AntennaConfig, params: ProtocolParams,
-            snr: float | None, masks: np.ndarray, rng: np.random.Generator, schedule):
-    """Draw the block's channels and decode the epochs of a :func:`_schedule`."""
+            snr: float | None, masks: np.ndarray, rng: np.random.Generator, schedule,
+            buffers: dict | None = None):
+    """Draw the block's channels and decode the epochs of a :func:`_schedule`.
+
+    The channels and IR-ARQ's :func:`_mask_rounds` are held in ``buffers``
+    (:func:`channel._scratch`) when given, else allocated.
+    """
     users, n = config.users, masks.shape[0]
-    channel = None if snr is None else _draw_channel(rng, (n, users, config.rx, config.tx))
+    shape = (n, users, config.rx, config.tx)
+    channel = None if snr is None else _draw_channel(rng, shape, *_draw_buffers(buffers, shape))
     if protocol == IRARQ:
         deadline = params.deadline
         if channel is None:
@@ -272,7 +297,7 @@ def _decode(protocol: str, config: AntennaConfig, params: ProtocolParams,
             survival = asymptotic_survival(config, params.multiplexing_gain, deadline)
             needed = np.append(1, np.count_nonzero(survival, axis=1))[np.bitwise_count(masks)]
         else:
-            worst = _subset_max(capped_rounds(channel, snr, params.rate_at(snr), config.tx, deadline), users)
+            worst = _mask_rounds(channel, snr, params.rate_at(snr), config.tx, deadline, buffers)
             worst[0] = 1                                 # the idle epoch takes one slot
             # worst[masks[e, j], e] for every cell, as one flat gather: min(needed, L + 1)
             needed = worst.ravel()[masks * n + np.arange(n)[:, None]]

@@ -19,10 +19,12 @@ from raclab.channel import (
     NEVER,
     _check_tile,
     _det,
+    _draw_buffers,
     _draw_channel,
     _draw_gains,
     _gram_entries,
     _pool,
+    _scratch,
     _shape,
     batch_first_decodable_round,
     capped_rounds,
@@ -122,6 +124,53 @@ def test_draw_pins_the_two_call_stream(shape):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_scratch_hands_out_leading_views_of_one_buffer_per_name():
+    buffers = {}
+    full = _scratch(buffers, "a", (3, 100))
+    assert full.shape == (3, 100) and full.flags.c_contiguous
+    short = _scratch(buffers, "a", (3, 7))              # a short last chunk: flat[:21], reshaped
+    assert short.flags.c_contiguous and np.shares_memory(short, full)
+    assert short.__array_interface__["data"][0] == full.__array_interface__["data"][0]
+    # another type under the name reads the same bytes; another name is
+    # another buffer, and a larger request replaces the name's buffer
+    as_bytes = _scratch(buffers, "a", (3, 100), np.uint8)
+    assert as_bytes.dtype == np.uint8 and np.shares_memory(as_bytes, full)
+    assert _scratch(buffers, "a", (2,), complex).flags.aligned
+    assert not np.shares_memory(_scratch(buffers, "b", (3, 100)), full)
+    assert not np.shares_memory(_scratch(buffers, "a", (3, 101)), full)
+    assert _scratch(None, "a", (3, 100)) is None
+
+
+@pytest.mark.parametrize("shape", [(300, 3, 1, 1), (300, 3, 1, 2), (300, 2, 1, 3), (300, 2, 2, 2),
+                                   (7000, 3, 4, 2)])
+def test_draw_into_buffers_is_the_allocating_draw(shape):
+    # out= and the spare block draw the same stream and add in the same order,
+    # and a shorter block reads a leading view of the same memory
+    buffers, addresses = {}, set()
+    for n in (shape[0], shape[0] - 17):
+        block = (n, *shape[1:])
+        rng, twin = np.random.default_rng(44), np.random.default_rng(44)
+        out, spare = _draw_buffers(buffers, block)
+        got = _draw_channel(rng, block, out, spare)
+        want = _draw_channel(twin, block)
+        assert got is out and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert (spare is None) == (shape[2] == 1 and shape[3] == 1)
+        addresses.add(out.__array_interface__["data"][0])
+    assert len(addresses) == 1 and len(buffers) == 1 + (spare is not None)
+
+
+def test_capped_rounds_write_into_out():
+    channel = _draw_channel(np.random.default_rng(45), (500, 3, 1, 2))
+    want = capped_rounds(channel, 10.0, 1.5, 2, 3)
+    out = np.full((7, 500), 99, dtype=np.uint8)
+    assert capped_rounds(channel, 10.0, 1.5, 2, 3, out) is out
+    assert np.array_equal(out, want)
+    for bad in (np.empty((7, 500), np.uint16), np.empty((7, 499), np.uint8), np.empty((3, 500), np.uint8)):
+        with pytest.raises(ValueError, match="out must be"):
+            capped_rounds(channel, 10.0, 1.5, 2, 3, bad)
 
 
 def test_draw_holds_one_and_a_half_gains_at_peak():

@@ -1,9 +1,17 @@
 """Monte Carlo engines against closed forms, indicators, and each other."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import raclab
+from raclab import montecarlo, protocols
 
 from raclab import (
     AntennaConfig,
@@ -100,15 +108,86 @@ def test_beta_deterministic_and_worker_invariant():
     a = estimate_beta(SCALAR2, **kw)
     b = estimate_beta(SCALAR2, **kw)
     c = estimate_beta(SCALAR2, workers=4, **kw)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.values, c.values)
-    # the MIMO kernel, chunked: K=3 2x2, 20k trials in 4096-trial chunks
-    mimo = AntennaConfig(users=3, tx=2, rx=2)
-    kw = dict(snr_db=10.0, rate=2.0, deadline=3, trials=20_000, seed=12, chunk=4096)
-    a = estimate_beta(mimo, **kw)
-    c = estimate_beta(mimo, workers=4, **kw)
-    assert np.array_equal(a.values, c.values)
-    assert np.array_equal(a.stderr, c.stderr)
+    assert np.array_equal(a.values, b.values) and np.array_equal(a.length_cov, b.length_cov)
+    assert np.array_equal(a.values, c.values) and np.array_equal(a.length_cov, c.length_cov)
+    # the MIMO kernel, chunked: K=3 2x2, 20k trials in 4096-trial chunks; and
+    # two transmit antennas at one receive antenna (the extra antenna's draw
+    # block), three whole chunks and a short one
+    for cfg, trials in ((AntennaConfig(users=3, tx=2, rx=2), 20_000),
+                        (AntennaConfig(users=3, tx=2, rx=1), 3 * 4096 + 17)):
+        kw = dict(snr_db=10.0, rate=2.0, deadline=3, trials=trials, seed=12, chunk=4096)
+        a = estimate_beta(cfg, **kw)
+        c = estimate_beta(cfg, workers=4, **kw)
+        assert np.array_equal(a.values, c.values)
+        assert np.array_equal(a.stderr, c.stderr)
+        assert np.array_equal(a.length_cov, c.length_cov)
+
+
+def watch_draws(monkeypatch, module):
+    """Thread id -> addresses of the channel blocks drawn through ``module``, and every block.
+
+    Each block is kept alive, so a chunk that allocated its own block could
+    not be handed the memory of an earlier one.
+    """
+    blocks, drawn = {}, []
+    real = module._draw_channel
+
+    def draw(*args, **kwargs):
+        block = real(*args, **kwargs)
+        blocks.setdefault(threading.get_ident(), set()).add(block.__array_interface__["data"][0])
+        drawn.append(block)
+        return block
+
+    monkeypatch.setattr(module, "_draw_channel", draw)
+    return blocks, drawn
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cfg", [AntennaConfig(users=2, tx=2), AntennaConfig(users=2, tx=2, rx=2)],
+                         ids=["2x1", "2x2"])
+def test_each_thread_draws_its_chunks_into_one_block(monkeypatch, cfg, workers):
+    # every chunk of a thread, the short last one too, writes its channel
+    # block into the same memory; another thread has its own
+    params = ProtocolParams(p_t=0.7, multiplexing_gain=0.45, deadline=2)
+    runs = [
+        (montecarlo, 7, lambda: estimate_beta(cfg, 10.0, 1.0, 2, trials=6 * 1000 + 7, seed=3,
+                                              chunk=1000, workers=workers)),
+        # the fully-loaded estimators draw through the engine's decode stage
+        (protocols, 4, lambda: system_error_probability("irarq", cfg, params, 10.0, 3 * 16384 + 5,
+                                                        seed=3, workers=workers)),
+        (protocols, None, lambda: fully_loaded_throughput("irarq", cfg, params, 10.0, 40_000, seed=3)),
+    ]
+    for module, chunks, run in runs:
+        blocks, drawn = watch_draws(monkeypatch, module)
+        run()
+        assert len(drawn) == chunks or (chunks is None and len(drawn) > 1)
+        assert all(len(addresses) == 1 for addresses in blocks.values())
+        assert len(set.union(*blocks.values())) == len(blocks) <= workers
+        monkeypatch.undo()
+
+
+def test_threads_keep_to_their_own_chunk_buffers():
+    # more threads than cores, switching often: a chunk that wrote into
+    # another thread's buffers would change the table
+    cfg = AntennaConfig(users=3, tx=2)
+    kw = dict(snr_db=10.0, rate=1.0, deadline=3, trials=40 * 500 + 3, seed=5, chunk=500)
+    want = estimate_beta(cfg, **kw)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = estimate_beta(cfg, workers=8, **kw)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got.values, want.values) and np.array_equal(got.length_cov, want.length_cov)
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures is imported by a threaded chunk run, not by the package
+    src = str(Path(raclab.__file__).resolve().parents[1])
+    code = "import sys, raclab; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("cfg, snr_db, rate", [(AntennaConfig(users=3), 5.0, 1.0),
@@ -297,6 +376,17 @@ def test_error_probability_deterministic_and_worker_invariant():
     a = system_error_probability("gta", SCALAR2, params, 15.0, **kw)
     b = system_error_probability("gta", SCALAR2, params, 15.0, workers=4, **kw)
     assert a.value == b.value and np.array_equal(a.per_user, b.per_user)
+
+
+@pytest.mark.parametrize("protocol", ["ondma", "gta", "irarq"])
+def test_error_probability_counts_only_nonidle_epochs(protocol):
+    # at infinite SNR and multiplexing gain 1.5 every delivered packet is
+    # lost, so every non-idle epoch errs: exactly 1, while about a quarter
+    # of the epochs (p_t = 0.5, K = 2) are idle and must not count
+    params = ProtocolParams(p_t=0.5, multiplexing_gain=1.5, deadline=1)
+    est = system_error_probability(protocol, SCALAR2, params, None, trials=4096, seed=3)
+    assert est.value == 1.0
+    assert 0 < est.nonidle < est.trials == 4096
 
 
 def test_error_probability_beyond_queue_user_cap():

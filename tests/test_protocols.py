@@ -690,6 +690,10 @@ def test_subset_max_matches_epochs_first_oracle(users):
     got = _subset_max(np.ascontiguousarray(rounds.T), users)
     assert got.dtype == np.uint8
     assert got.T.astype(float).tobytes() == subset_max_epochs_first(rounds.astype(float), users).tobytes()
+    # and write into a given array, as the estimators' chunk buffers
+    out = np.full((1 << users, 500), 200, dtype=np.uint8)
+    assert _subset_max(np.ascontiguousarray(rounds.T), users, out) is out
+    assert np.array_equal(out, got)
 
 
 @pytest.mark.parametrize("users", [0, 1, 2, 8, 9, 12])
