@@ -13,15 +13,12 @@ from .dmt import (
     TradeoffPoint,
     binomial_mix,
     epoch_law,
-    gta_dmt,
     gta_optimal_pt,
     gta_recursion,
-    irarq_dmdt,
-    irarq_effective_multiplexing,
     mac_dmt,
-    ondma_dmt,
     optimal_pt,
     point_to_point_dmt,
+    protocol_dmt,
     random_arrival_diversity,
     stability_region,
     tradeoff_curve,
@@ -41,7 +38,6 @@ from .queueing import (
     DelayReport,
     ScanResult,
     analytic_delay,
-    epoch_length_moments,
     simulate_random_arrivals,
     solve_transmission_probability,
     stability_boundary_scan,

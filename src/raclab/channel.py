@@ -39,6 +39,9 @@ Inside the layer the epoch axis is last: per-user and per-subset
 quantities are (users or subsets, epochs) arrays, one contiguous row of
 epochs each, so every elementwise step streams along long rows.  Functions
 are pure.
+
+In the infinite-SNR limit the decision is deterministic, and
+:func:`asymptotic_survival` gives its round counts as survival indicators.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import math
 
 import numpy as np
 
-from .system import AntennaConfig, check_counts
+from .system import AntennaConfig, check_counts, check_rate
 
 # A round index safely beyond any deadline, returned when a group of users
 # can never be decoded (zero mutual information at a positive rate).
@@ -341,28 +344,19 @@ def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> n
     return np.maximum(worst, 1.0, out=worst).astype(np.int64)
 
 
-def asymptotic_first_decodable_round(k: int, config: AntennaConfig, r: float) -> int:
-    """Deterministic round count in the infinite-SNR limit.
-
-    This is the one statement of the infinite-SNR outage indicator: a
-    k-user collision at first-round gain r is in persistent outage after
-    ``rounds`` rounds iff r > min(rounds*M, rounds*N/k), so the epoch
-    length is max(ceil(r/M), ceil(k*r/N), 1); boundary equality decodes.
-    """
-    check_counts(k=k)
-    if r < 0:
-        raise ValueError("multiplexing gain must be nonnegative")
-    need_tx = math.ceil(r / config.tx - 1e-12)
-    need_rx = math.ceil(k * r / config.rx - 1e-12)
-    return max(1, need_tx, need_rx)
-
-
 def asymptotic_survival(config: AntennaConfig, r: float, deadline: int) -> np.ndarray:
     """Infinite-SNR survival indicators as a (K, deadline+1) array.
 
+    This is the one statement of the infinite-SNR outage indicator: a
+    k-user collision at first-round gain r is in persistent outage after
+    ``rounds`` rounds iff r > min(rounds*M, rounds*N/k), so it needs
+    max(ceil(r/M), ceil(k*r/N), 1) rounds; boundary equality decodes.
     Entry [k-1, ell] is 1 while a k-user collision still needs more than
     ``ell`` rounds, the layout of a Monte Carlo beta table's values.
     """
     check_counts(deadline=deadline)
-    needed = [asymptotic_first_decodable_round(k, config, r) for k in range(1, config.users + 1)]
+    check_rate("multiplexing gain", r)
+    need_tx = math.ceil(r / config.tx - 1e-12)
+    needed = [max(1, need_tx, math.ceil(k * r / config.rx - 1e-12))
+              for k in range(1, config.users + 1)]
     return (np.arange(deadline + 1)[None, :] < np.array(needed)[:, None]).astype(float)

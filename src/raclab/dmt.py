@@ -14,9 +14,12 @@ with an antenna-pooling branch.  On top of those sit:
   call's deadline and table and builds that law once per public call
   (IR-ARQ without a table reads :func:`channel.asymptotic_survival`); there
   is no separate deadline check and no per-entry indicator alias;
-* the incremental-redundancy ARQ tradeoff with a round deadline and the
-  mapping between the first-round and the effective (throughput)
-  multiplexing gain.
+* one tradeoff for the three protocols, :func:`protocol_dmt`, which
+  :func:`tradeoff_curve` samples: GTA and O-NDMA scale the single-user
+  curve by the reciprocal of their :func:`stability_region`, and IR-ARQ
+  with a round deadline reads the K-user MAC curve.  The effective
+  (throughput) gain of IR-ARQ at first-round gain r is r times its
+  infinite-SNR :func:`stability_region` at arrival gain r.
 
 Everything here is a pure function of its arguments.
 """
@@ -56,7 +59,7 @@ def point_to_point_dmt(tx: int, rx: int, r: float) -> float:
     the source of truth for both branches of the multiple-access tradeoff.
     """
     check_counts(tx=tx, rx=rx)
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"multiplexing gain must be nonnegative, got {r}")
     kmax = min(tx, rx)
     if r >= kmax:
@@ -76,7 +79,7 @@ def mac_dmt(k: int, tx: int, rx: int, r: float) -> float:
     two branches agree at the threshold.
     """
     check_counts(k=k)
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"multiplexing gain must be nonnegative, got {r}")
     threshold = min(tx, rx / (k + 1))
     if r <= threshold:
@@ -142,13 +145,35 @@ def _gta_recursion(k_max: int) -> GtaRecursionTable:
     return GtaRecursionTable(tuple(slots[: k_max + 1]), tuple(succ[: k_max + 1]))
 
 
-def gta_dmt(config: AntennaConfig, p_t: float, r_e: float) -> float:
-    """Tree-splitting diversity gain at effective multiplexing gain r_e.
+def protocol_dmt(
+    protocol: str,
+    config: AntennaConfig,
+    r_e: float,
+    p_t: float = 1.0,
+    deadline: int | None = None,
+) -> float:
+    """Diversity gain of ``protocol`` at effective multiplexing gain r_e.
 
-    The single-user curve at r_e scaled by the slots spent per delivered
-    packet, the reciprocal of the GTA stability boundary.
+    GTA and O-NDMA: the single-user curve at r_e scaled by the slots spent
+    per delivered packet, the reciprocal of the protocol's stability
+    boundary at ``p_t``; for O-NDMA p_t = 1 makes the factor 1 and gives
+    the optimal form.  IR-ARQ with round deadline L: first-round gain
+    r_e/K with certain transmission keeps every round below the first
+    outage discontinuity, so the value is the K-user MAC tradeoff at
+    r_e/(K*L).  ``p_t`` is not read for IR-ARQ, whose optimum is at
+    p_t = 1.  The effective gain IR-ARQ delivers at first-round gain r and
+    transmission probability p_t is r * stability_region(IRARQ, config,
+    p_t, arrival_gain=r, deadline=L).
     """
-    return mac_dmt(1, config.tx, config.rx, r_e / stability_region(GTA, config, p_t))
+    if protocol != IRARQ:
+        return mac_dmt(1, config.tx, config.rx, r_e / stability_region(protocol, config, p_t))
+    if deadline is None:
+        raise ValueError("IR-ARQ curve needs a deadline")
+    check_counts(deadline=deadline)
+    span = config.degrees_of_freedom
+    if not (0.0 <= r_e <= span):
+        raise ValueError(f"effective gain must lie in [0, {span}], got {r_e}")
+    return mac_dmt(config.users, config.tx, config.rx, r_e / (config.users * deadline))
 
 
 def gta_optimal_pt(config: AntennaConfig) -> float:
@@ -159,47 +184,6 @@ def gta_optimal_pt(config: AntennaConfig) -> float:
     users the optimum is 1/sqrt(3); for one user it is 1.)
     """
     return optimal_pt(GTA, config)[0]
-
-
-def ondma_dmt(config: AntennaConfig, p_t: float, r_e: float) -> float:
-    """Orthogonal-repetition diversity gain at effective multiplexing gain r_e.
-
-    The k-slot repetition structure reduces decoding to single-user links,
-    so the tradeoff is the single-user curve evaluated at r_e scaled by the
-    slots-per-delivery factor, the reciprocal of the O-NDMA stability
-    boundary; p_t = 1 makes the factor 1 and gives the optimal form.
-    """
-    return mac_dmt(1, config.tx, config.rx, r_e / stability_region(ONDMA, config, p_t))
-
-
-def irarq_effective_multiplexing(
-    config: AntennaConfig, p_t: float, r: float, deadline: int
-) -> float:
-    """Effective multiplexing gain delivered by IR-ARQ at first-round gain r.
-
-    High-SNR renewal accounting: r times the packets delivered per slot,
-    i.e. the infinite-SNR IR-ARQ stability boundary at arrival gain r.
-    Below the first discontinuity (r < min(M, N/K)) this reduces to
-    r_e = p_t*K*r.
-    """
-    check_p_t(p_t)
-    if not (0.0 <= r <= min(config.tx, config.rx)):
-        raise ValueError("first-round gain must lie in [0, min(M, N)]")
-    return r * stability_region(IRARQ, config, p_t, r, deadline)
-
-
-def irarq_dmdt(config: AntennaConfig, r_e: float, deadline: int) -> float:
-    """Optimal IR-ARQ diversity at effective gain r_e and round deadline L.
-
-    Attained by first-round gain r_e/K with certain transmission (p_t = 1),
-    which keeps every round below the first outage discontinuity; the value
-    is the K-user MAC tradeoff at r_e/(K*L).
-    """
-    check_counts(deadline=deadline)
-    span = config.degrees_of_freedom
-    if not (0.0 <= r_e <= span):
-        raise ValueError(f"effective gain must lie in [0, {span}], got {r_e}")
-    return mac_dmt(config.users, config.tx, config.rx, r_e / (config.users * deadline))
 
 
 def random_arrival_diversity(
@@ -214,7 +198,7 @@ def random_arrival_diversity(
     single-user curve at the arrival gain, IR-ARQ like the K-user MAC curve
     at arrival_gain / deadline.
     """
-    if arrival_gain < 0:
+    if not arrival_gain >= 0:
         raise ValueError("arrival multiplexing gain must be nonnegative")
     if protocol in (GTA, ONDMA):
         return mac_dmt(1, config.tx, config.rx, arrival_gain)
@@ -358,10 +342,7 @@ def tradeoff_curve(
     degrees of freedom.
     """
     grid = [i * 0.01 for i in range(int(math.ceil(config.degrees_of_freedom / 0.01)))]
-    if protocol == IRARQ:
-        if deadline is None:
-            raise ValueError("IR-ARQ curve needs a deadline")
-        return [TradeoffPoint(r_e, irarq_dmdt(config, r_e, deadline), deadline) for r_e in grid]
-    # gta_dmt and ondma_dmt, with the stability region read once
-    region = stability_region(protocol, config, p_t)
-    return [TradeoffPoint(r_e, mac_dmt(1, config.tx, config.rx, r_e / region)) for r_e in grid]
+    if protocol != IRARQ:
+        deadline = None
+    return [TradeoffPoint(r_e, protocol_dmt(protocol, config, r_e, p_t, deadline), deadline)
+            for r_e in grid]

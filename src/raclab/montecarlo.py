@@ -113,24 +113,14 @@ class BetaTable:
             return np.zeros_like(self.values)
         return np.sqrt(np.maximum(self.values * (1 - self.values), 0.0) / self.trials)
 
-    def _check_index(self, k: int, rounds: int, first_round: int) -> None:
-        """ValueError unless 1 <= k <= users and first_round <= rounds <= deadline.
-
-        Unchecked, numpy's negative indices would read another row or round.
-        """
+    def beta(self, k: int, rounds: int) -> float:
+        """Probability a k-user collision is undecoded after ``rounds`` rounds; the indices
+        are checked, as numpy's negative ones would read another row or round."""
         if not 1 <= k <= self.users:
             raise ValueError(f"k must lie in [1, {self.users}], got {k!r}")
-        if not first_round <= rounds <= self.deadline:
-            raise ValueError(f"rounds must lie in [{first_round}, {self.deadline}], got {rounds!r}")
-
-    def beta(self, k: int, rounds: int) -> float:
-        self._check_index(k, rounds, 0)
+        if not 0 <= rounds <= self.deadline:
+            raise ValueError(f"rounds must lie in [0, {self.deadline}], got {rounds!r}")
         return float(self.values[k - 1, rounds])
-
-    def alpha(self, k: int, rounds: int) -> float:
-        """Probability the epoch resolves exactly at round ``rounds``."""
-        self._check_index(k, rounds, 1)
-        return float(self.values[k - 1, rounds - 1] - self.values[k - 1, rounds])
 
     @classmethod
     def from_indicators(
@@ -195,7 +185,7 @@ def estimate_beta(
     carries the covariance of the rows' epoch lengths min(N_k, L) for
     :func:`renewal_prediction`.  Every round before the first decodable one
     counts as a survival.  Chunk i draws from ``default_rng([seed,
-    _TAG_BETA + K, i])``.  The exactly-at-round view is :meth:`BetaTable.alpha`.
+    _TAG_BETA + K, i])``.
     """
     check_counts(deadline=deadline)
     check_rate("rate", rate)

@@ -125,24 +125,8 @@ def _fixed_point(law, total_rate: float, users: int, p_t: float) -> float | None
     return 0.5 * (lo + hi)
 
 
-def epoch_length_moments(
-    p: float, users: int, deadline: int, beta: BetaTable
-) -> tuple[float, float, float, float]:
-    """First two moments of the tagged user's relevant and irrelevant epochs.
-
-    Relevant epochs include the tagged transmission, so the other K-1 users
-    contribute Binomial(K-1, p) colliders on top of it (the per-size
-    columns shifted by one); irrelevant epochs see only the others.
-    Returns (E[U], E[U^2], E[V], E[V^2]).
-    """
-    law = dmt._law(IRARQ, AntennaConfig(users), deadline=deadline, beta=beta)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
-    return _moments(law, p, users)
-
-
 def _moments(law, p: float, users: int) -> tuple[float, float, float, float]:
-    """:func:`epoch_length_moments` on a resolved epoch law."""
+    """(E[U], E[U^2], E[V], E[V^2]) of the tagged user's relevant and irrelevant epochs."""
     length, square, _ = law
     others = users - 1
     return (

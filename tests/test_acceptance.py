@@ -26,11 +26,9 @@ from raclab import (
     diversity_slope,
     estimate_beta,
     fully_loaded_throughput,
-    gta_dmt,
     gta_optimal_pt,
     gta_recursion,
-    irarq_dmdt,
-    ondma_dmt,
+    protocol_dmt,
     random_arrival_diversity,
     renewal_prediction,
     simulate_random_arrivals,
@@ -167,21 +165,23 @@ def test_criterion_04_tradeoff_curve_claims():
     for i in range(1, 100):
         r_e = i / 100.0
         for deadline in (1, 2):
-            d_ir = irarq_dmdt(SCALAR2, r_e, deadline)
-            d_on = ondma_dmt(SCALAR2, 1.0, r_e)
-            d_gt = gta_dmt(SCALAR2, p_star, r_e)
+            d_ir = protocol_dmt("irarq", SCALAR2, r_e, deadline=deadline)
+            d_on = protocol_dmt("ondma", SCALAR2, r_e, 1.0)
+            d_gt = protocol_dmt("gta", SCALAR2, r_e, p_star)
             dominance &= d_ir >= d_on - 1e-12 >= d_gt - 2e-12
             strict |= d_ir > d_on + 1e-9 and d_on > d_gt + 1e-9
     checks.append((dominance, "scalar: deadline-ARQ >= repetition >= tree pointwise"))
     checks.append((strict, "scalar: ordering strict somewhere on the span"))
 
-    near_full = irarq_dmdt(VECTOR2, 1.999, 1)
+    near_full = protocol_dmt("irarq", VECTOR2, 1.999, deadline=1)
     checks.append((0.0 < near_full < 0.01, f"vector: d({1.999}) = {near_full:.4f} -> 0 as r_e -> 2"))
-    checks.append((all(irarq_dmdt(VECTOR2, 1.9, ell) > 0 for ell in (1, 2, 4)),
+    checks.append((all(protocol_dmt("irarq", VECTOR2, 1.9, deadline=ell) > 0 for ell in (1, 2, 4)),
                    "vector: positive diversity at r_e=1.9 for every deadline"))
-    checks.append((ondma_dmt(VECTOR2, 1.0, 1.2) == 0.0, "vector: repetition dead beyond r_e=1"))
+    checks.append((protocol_dmt("ondma", VECTOR2, 1.2, 1.0) == 0.0,
+                   "vector: repetition dead beyond r_e=1"))
     p_star_v = gta_optimal_pt(VECTOR2)
-    checks.append((gta_dmt(VECTOR2, p_star_v, 1.2) == 0.0, "vector: tree dead beyond its span"))
+    checks.append((protocol_dmt("gta", VECTOR2, 1.2, p_star_v) == 0.0,
+                   "vector: tree dead beyond its span"))
     report(4, "tradeoff dominance and full-span claims", checks)
 
 

@@ -1,12 +1,15 @@
 """Command-line interface: schemas, config merging, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+import raclab
 from raclab.cli import DELAY_HEADER, DMT_HEADER, SIM_HEADER, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -279,3 +282,39 @@ def test_readme_examples_parse():
     assert len(commands) >= 7
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+# (command, stdout line count, stdout sha256): pure-Python or exact-valued
+# floats printed to 10 digits, so the digests do not depend on numpy
+ANALYTIC_OUTPUTS = [
+    ("dmt --deadline 1 2", 401,
+     "155259b8a6e92e99fad455502f4636c1d1b75a8b18ce17f150ed62f5f99d92e2"),
+    ("dmt --users 4 --tx-ant 2 --rx-ant 2 --deadline 1 3", 801,
+     "f1c462a1127db2a3511cf7b38cc5fe085b08b96ed15b0d71a7cac84140ea2c99"),
+    ("dmt --users 3 --pt 0.5 --deadline 1 2 4", 501,
+     "fb6c5675936be122f2c7a8f420eaf505ddaaa59f610e286728ed0a9110bba959"),
+    ("dmt --users 2 --rx-ant 2 --deadline 1", 601,
+     "226227b63e67f01092c205a47af94d3c44a0047a98dbc835076e53edc78efe48"),
+    ("stability --protocol gta ondma irarq", 3,
+     "7ec6c54c6aa6bc097f2e3d846e381f98e6f3e89ef0bb3d74d9d9c7429d0637c7"),
+    ("stability --users 4 --tx-ant 2 --rx-ant 2 --protocol gta ondma irarq --deadline 2 3", 4,
+     "e2a51d56f9db36558e990f7cb01d39331ae26d01ee53bb4d121c2693b59edcf8"),
+    ("gta-recursion --kmax 3", 5,
+     "ecaae2f4afb4ab7bcc1a73fc606a8c04186285a97c43b918b07f71b70941a560"),
+]
+
+
+@pytest.mark.parametrize("command, lines, digest", ANALYTIC_OUTPUTS, ids=[
+    "-".join(word.lstrip("-") for word in command.split()) for command, _, _ in ANALYTIC_OUTPUTS])
+def test_analytic_output_is_pinned(command, lines, digest, capsys):
+    assert main(shlex.split(command)) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_readme_names_every_public_name():
+    text = README.read_text()
+    public = [name for name in dir(raclab) if not name.startswith("_")
+              and not isinstance(getattr(raclab, name), types.ModuleType)]
+    assert [name for name in public if f"`{name}`" not in text] == []

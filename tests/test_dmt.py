@@ -13,21 +13,18 @@ from raclab import (
     ProtocolParams,
     TradeoffPoint,
     epoch_law,
-    gta_dmt,
     gta_optimal_pt,
     gta_recursion,
-    irarq_dmdt,
-    irarq_effective_multiplexing,
     mac_dmt,
-    ondma_dmt,
     optimal_pt,
     point_to_point_dmt,
+    protocol_dmt,
     random_arrival_diversity,
     renewal_prediction,
     stability_region,
     tradeoff_curve,
 )
-from raclab.channel import asymptotic_first_decodable_round, asymptotic_survival
+from raclab.channel import asymptotic_survival
 
 SCALAR2 = AntennaConfig(users=2, tx=1, rx=1)
 VECTOR2 = AntennaConfig(users=2, tx=1, rx=2)
@@ -173,12 +170,12 @@ def test_gta_penalty_two_user_closed_form():
     ],
 )
 def test_gta_dmt_two_user(p_t, r_e, expected):
-    assert gta_dmt(SCALAR2, p_t, r_e) == pytest.approx(expected, abs=1e-9)
+    assert protocol_dmt("gta", SCALAR2, r_e, p_t) == pytest.approx(expected, abs=1e-9)
 
 
 def test_gta_dmt_rejects_zero_pt():
     with pytest.raises(ValueError):
-        gta_dmt(SCALAR2, 0.0, 0.1)
+        protocol_dmt("gta", SCALAR2, 0.1, 0.0)
 
 
 def test_gta_optimal_pt_two_users():
@@ -207,14 +204,14 @@ def test_gta_optimal_pt_three_users_vs_grid_oracle():
 # ---------------------------------------------------------------------------
 
 def test_ondma_dmt_values():
-    assert ondma_dmt(SCALAR2, 1.0, 0.4) == pytest.approx(0.6)
+    assert protocol_dmt("ondma", SCALAR2, 0.4, 1.0) == pytest.approx(0.6)
     # scaling (2*0.5 + 0.25) / (2*0.5) = 1.25
-    assert ondma_dmt(SCALAR2, 0.5, 0.4) == pytest.approx(0.5)
+    assert protocol_dmt("ondma", SCALAR2, 0.4, 0.5) == pytest.approx(0.5)
 
 
 def test_ondma_dmt_zero_gain_full_diversity():
     for cfg in (SCALAR2, VECTOR2, AntennaConfig(users=3, tx=2, rx=2)):
-        assert ondma_dmt(cfg, 0.7, 0.0) == cfg.tx * cfg.rx
+        assert protocol_dmt("ondma", cfg, 0.0, 0.7) == cfg.tx * cfg.rx
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +257,22 @@ def test_beta_highsnr_indicator(k, tx, rx, r, rounds, expected):
     ],
 )
 def test_irarq_effective_multiplexing(p_t, r, deadline, expected):
-    assert irarq_effective_multiplexing(SCALAR2, p_t, r, deadline) == pytest.approx(expected)
+    # r times the packets delivered per slot: the infinite-SNR region at arrival gain r
+    assert r * stability_region("irarq", SCALAR2, p_t, r, deadline) == pytest.approx(expected)
 
 
 def test_irarq_dmdt_values():
-    assert irarq_dmdt(SCALAR2, 0.5, 1) == pytest.approx(0.75)
-    assert irarq_dmdt(SCALAR2, 1.0, 2) == pytest.approx(0.75)
+    assert protocol_dmt("irarq", SCALAR2, 0.5, deadline=1) == pytest.approx(0.75)
+    assert protocol_dmt("irarq", SCALAR2, 1.0, deadline=2) == pytest.approx(0.75)
     # full degrees of freedom reached in the vector channel
-    assert irarq_dmdt(VECTOR2, 2.0 - 1e-9, 1) == pytest.approx(0.0, abs=1e-6)
+    assert protocol_dmt("irarq", VECTOR2, 2.0 - 1e-9, deadline=1) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_irarq_dmdt_domain():
     with pytest.raises(ValueError):
-        irarq_dmdt(SCALAR2, 1.5, 2)
+        protocol_dmt("irarq", SCALAR2, 1.5, deadline=2)
     with pytest.raises(ValueError):
-        irarq_dmdt(SCALAR2, -0.1, 2)
+        protocol_dmt("irarq", SCALAR2, -0.1, deadline=2)
 
 
 def test_irarq_dmdt_nondecreasing_in_deadline():
@@ -283,7 +281,7 @@ def test_irarq_dmdt_nondecreasing_in_deadline():
             r_e = i * cfg.degrees_of_freedom / 20.0
             prev = -1.0
             for deadline in (1, 2, 3, 4):
-                d = irarq_dmdt(cfg, r_e, deadline)
+                d = protocol_dmt("irarq", cfg, r_e, deadline=deadline)
                 assert d >= prev - 1e-12
                 prev = d
 
@@ -386,10 +384,9 @@ def test_deadline_must_match_the_beta_table():
 
 
 @pytest.mark.parametrize("run", [
-    lambda: irarq_dmdt(SCALAR2, 0.5, deadline=1.5),
-    lambda: irarq_dmdt(SCALAR2, 0.5, deadline=True),
+    lambda: protocol_dmt("irarq", SCALAR2, 0.5, deadline=1.5),
+    lambda: protocol_dmt("irarq", SCALAR2, 0.5, deadline=True),
     lambda: stability_region("irarq", SCALAR2, 1.0, 0.45, 2.5),
-    lambda: irarq_effective_multiplexing(SCALAR2, 1.0, 0.3, 2.0),
     lambda: random_arrival_diversity("irarq", SCALAR2, 0.3, deadline=1.5),
     lambda: tradeoff_curve("irarq", SCALAR2, deadline=2.0),
     lambda: asymptotic_survival(SCALAR2, 0.5, 1.5),
@@ -397,18 +394,15 @@ def test_deadline_must_match_the_beta_table():
     lambda: mac_dmt(True, 1, 1, 0.3),
     lambda: point_to_point_dmt(1.5, 2, 0.3),
     lambda: point_to_point_dmt(2, True, 0.3),
-    lambda: asymptotic_first_decodable_round(1.5, SCALAR2, 0.3),
-    lambda: asymptotic_first_decodable_round(True, SCALAR2, 0.3),
     lambda: BetaTable.from_indicators(SCALAR2, 0.7, 1.5),
     lambda: BetaTable.from_indicators(SCALAR2, 0.7, True),
     lambda: BetaTable.from_indicators(SCALAR2, 0.7, 0),
 ], ids=["dmdt-deadline-float", "dmdt-deadline-bool", "stability-deadline-float",
-        "effective-deadline-float", "random-arrival-deadline-float", "curve-deadline-float",
+        "random-arrival-deadline-float", "curve-deadline-float",
         "highsnr-rounds-float", "mac-k-float", "mac-k-bool", "p2p-tx-float", "p2p-rx-bool",
-        "first-round-k-float", "first-round-k-bool", "indicators-deadline-float",
-        "indicators-deadline-bool", "indicators-deadline-zero"])
+        "indicators-deadline-float", "indicators-deadline-bool", "indicators-deadline-zero"])
 def test_counts_must_be_integers(run):
-    # unchecked, deadline = 1.5 gave irarq_dmdt 0.833 and deadline = True 0.75,
+    # unchecked, deadline = 1.5 gave an IR-ARQ diversity of 0.833 and deadline = True 0.75,
     # deadline = 2.5 a stability region of 2.0; an indicator table at
     # deadline 1.5 had L = 2, at True L = 1, at 0 no rounds
     with pytest.raises(ValueError, match="must be an integer >= 1"):
@@ -416,17 +410,27 @@ def test_counts_must_be_integers(run):
 
 
 @pytest.mark.parametrize("run, match", [
-    (lambda: asymptotic_first_decodable_round(1, SCALAR2, -0.1), "nonnegative"),
+    (lambda: asymptotic_survival(SCALAR2, -0.1, 2), "nonnegative"),
     (lambda: mac_dmt(2, 1, 1, -0.1), "nonnegative"),
     (lambda: random_arrival_diversity("gta", SCALAR2, -0.1), "nonnegative"),
-    (lambda: irarq_effective_multiplexing(SCALAR2, 1.0, 1.5, 2), r"\[0, min\(M, N\)\]"),
-    (lambda: irarq_effective_multiplexing(SCALAR2, 1.0, -0.1, 2), r"\[0, min\(M, N\)\]"),
     (lambda: tradeoff_curve("irarq", SCALAR2), "needs a deadline"),
     (lambda: tradeoff_curve("aloha", SCALAR2), "unknown protocol"),
+    (lambda: stability_region("irarq", SCALAR2, 1.0, arrival_gain=math.inf, deadline=2),
+     "multiplexing gain must be finite"),
+    (lambda: stability_region("irarq", SCALAR2, 1.0, arrival_gain=math.nan, deadline=2),
+     "multiplexing gain must be finite"),
+    (lambda: BetaTable.from_indicators(SCALAR2, math.inf, 2), "multiplexing gain must be finite"),
+    (lambda: BetaTable.from_indicators(SCALAR2, math.nan, 2), "multiplexing gain must be finite"),
+    (lambda: point_to_point_dmt(1, 1, math.nan), "nonnegative"),
+    (lambda: mac_dmt(2, 1, 1, math.nan), "nonnegative"),
+    (lambda: random_arrival_diversity("gta", SCALAR2, math.nan), "nonnegative"),
 ], ids=["first-round-negative-gain", "mac-negative-gain", "random-arrival-negative-gain",
-        "effective-gain-above-span", "effective-gain-negative", "curve-irarq-no-deadline",
-        "curve-unknown-protocol"])
+        "curve-irarq-no-deadline", "curve-unknown-protocol", "stability-gain-inf",
+        "stability-gain-nan", "indicators-gain-inf", "indicators-gain-nan", "p2p-gain-nan",
+        "mac-gain-nan", "random-arrival-gain-nan"])
 def test_gains_and_curves_reject_bad_inputs(run, match):
+    # an infinite gain raised OverflowError and a nan one an unnamed
+    # "cannot convert float NaN to integer" before the gains were checked
     with pytest.raises(ValueError, match=match):
         run()
 
@@ -498,12 +502,13 @@ def test_optimal_pt_boundary_is_the_region_at_its_p(protocol, cfg, kwargs):
                          ids=["1x1", "1x2", "2x2"])
 @pytest.mark.parametrize("p_t", [0.5, 1.0])
 def test_tradeoff_curve_reads_the_protocol_dmt(cfg, p_t):
-    for protocol, protocol_dmt in (("gta", gta_dmt), ("ondma", ondma_dmt)):
-        curve = tradeoff_curve(protocol, cfg, p_t)
+    runs = [("gta", None), ("ondma", None), ("irarq", 1), ("irarq", 2)]
+    for protocol, deadline in runs:
+        curve = tradeoff_curve(protocol, cfg, p_t, deadline)
         assert len(curve) == math.ceil(cfg.degrees_of_freedom / 0.01)
         for point in curve:
-            assert point.deadline is None
-            assert point.d == protocol_dmt(cfg, p_t, point.r_e)
+            assert point.deadline == deadline
+            assert point.d == protocol_dmt(protocol, cfg, point.r_e, p_t, deadline)
 
 
 def _curve_values(protocol, cfg, **kw):
@@ -529,9 +534,9 @@ def test_protocol_dominance_at_matched_parameters():
         for deadline in (1, 2, 4):
             for i in range(1, 100):
                 r_e = i * cfg.degrees_of_freedom / 100.0
-                d_ir = irarq_dmdt(cfg, r_e, deadline)
-                d_on = ondma_dmt(cfg, 1.0, r_e)
-                d_gta = gta_dmt(cfg, p_star, r_e)
+                d_ir = protocol_dmt("irarq", cfg, r_e, deadline=deadline)
+                d_on = protocol_dmt("ondma", cfg, r_e, 1.0)
+                d_gta = protocol_dmt("gta", cfg, r_e, p_star)
                 assert d_ir >= d_on - 1e-12
                 assert d_on >= d_gta - 1e-12
 

@@ -68,9 +68,6 @@ def test_beta_monotone_in_rounds_and_snr():
 
 def test_beta_alpha_view_and_validation():
     table = estimate_beta(SCALAR2, snr_db=10.0, rate=1.5, deadline=3, trials=10**4, seed=9)
-    for k in (1, 2):
-        total = sum(table.alpha(k, ell) for ell in range(1, 4))
-        assert total == pytest.approx(1.0 - table.beta(k, 3))
     with pytest.raises(ValueError):
         estimate_beta(SCALAR2, 10.0, 1.0, 2, trials=0, seed=1)
     with pytest.raises(ValueError):
@@ -94,13 +91,10 @@ def test_beta_alpha_reject_indices_outside_the_table():
     # unchecked, numpy's index -1 read the last user's row or round L
     table = BetaTable(values=np.array([[1.0, 0.5, 0.2], [1.0, 0.8, 0.6]]),
                       source="closed-form", trials=0, snr=None)
-    assert table.beta(2, 2) == 0.6 and table.beta(1, 0) == 1.0 and table.alpha(1, 1) == 0.5
+    assert table.beta(2, 2) == 0.6 and table.beta(1, 0) == 1.0
     for k, rounds in ((0, 1), (3, 1), (-1, 1), (1, -1), (1, 3)):
         with pytest.raises(ValueError):
             table.beta(k, rounds)
-    for k, rounds in ((0, 1), (3, 1), (1, 0), (1, -1), (1, 3)):
-        with pytest.raises(ValueError):
-            table.alpha(k, rounds)
 
 
 def test_beta_deterministic_and_worker_invariant():

@@ -14,19 +14,24 @@ from raclab import (
     BetaTable,
     ProtocolParams,
     analytic_delay,
-    epoch_length_moments,
     estimate_beta,
     simulate_random_arrivals,
     solve_transmission_probability,
     stability_boundary_scan,
 )
-from raclab import protocols, queueing
+from raclab import dmt, protocols, queueing
 from raclab.channel import batch_first_decodable_round
 from raclab.protocols import _bits, epoch_outcomes
 from raclab.system import binom_pmf
 
 SCALAR2 = AntennaConfig(users=2)
 ZERO_BETA = BetaTable.from_indicators(SCALAR2, multiplexing_gain=0.45, deadline=2)
+
+
+def moments(p, users, deadline, table):
+    """(E[U], E[U^2], E[V], E[V^2]) that analytic_delay reads, at transmission probability p."""
+    return queueing._moments(dmt._law("irarq", AntennaConfig(users), deadline=deadline, beta=table),
+                             p, users)
 
 
 def table_from(values):
@@ -96,17 +101,12 @@ def test_analytics_reject_invalid_rate_and_p_t(total_rate, p_t, match):
             run(total_rate, 2, p_t, 2, ZERO_BETA)
 
 
-def test_moments_reject_a_probability_outside_the_unit_interval():
-    with pytest.raises(ValueError, match="p must lie"):
-        epoch_length_moments(1.5, 2, 2, ZERO_BETA)
-
-
 def test_deadline_must_match_beta_table():
     table = BetaTable.from_indicators(SCALAR2, multiplexing_gain=0.7, deadline=2)
     with pytest.raises(ValueError, match="deadline"):
         solve_transmission_probability(0.5, 2, 1.0, 1, table)
     with pytest.raises(ValueError, match="deadline"):
-        epoch_length_moments(0.5, 2, 1, table)
+        moments(0.5, 2, 1, table)
     with pytest.raises(ValueError, match="deadline"):
         analytic_delay(0.5, 2, 1.0, 1, table)
 
@@ -116,13 +116,13 @@ def test_deadline_must_match_beta_table():
 # ---------------------------------------------------------------------------
 
 def test_moments_degenerate_epochs():
-    assert epoch_length_moments(0.7, 2, 2, ZERO_BETA) == (1.0, 1.0, 1.0, 1.0)
+    assert moments(0.7, 2, 2, ZERO_BETA) == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_moments_two_user_substitution():
     table = table_from([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
     for p in (0.2, 0.5, 0.9):
-        eu, eu2, ev, ev2 = epoch_length_moments(p, 2, 2, table)
+        eu, eu2, ev, ev2 = moments(p, 2, 2, table)
         assert eu == pytest.approx(1 + p)
         assert eu2 == pytest.approx(1 + 3 * p)
         assert ev == pytest.approx(1.0)
@@ -171,7 +171,7 @@ def test_moments_match_pmf_enumeration():
             vals = np.hstack([np.ones((users, 1)), raw])
             table = table_from(vals)
             for p in (0.15, 0.6, 1.0):
-                got = epoch_length_moments(p, users, deadline, table)
+                got = moments(p, users, deadline, table)
                 want = _moments_by_pmf_enumeration(p, users, deadline, table)
                 assert got == pytest.approx(want, rel=1e-12)
 
@@ -181,7 +181,7 @@ def test_moments_match_direct_simulation():
     users, deadline, snr_db, p = 2, 2, 12.0, 0.55
     rate = 0.45 * math.log2(1 + 10 ** (snr_db / 10))
     table = estimate_beta(SCALAR2, snr_db, rate, deadline, trials=4 * 10**5, seed=53)
-    eu, eu2, ev, ev2 = epoch_length_moments(p, users, deadline, table)
+    eu, eu2, ev, ev2 = moments(p, users, deadline, table)
 
     rng = np.random.default_rng(54)
     n = 2 * 10**5
@@ -229,7 +229,7 @@ def test_analytic_delay_sums_skipped_epochs_as_independent(p_t):
     table = table_from([[1.0, 0.5, 0.2], [1.0, 0.8, 0.6]])
     lam = 0.3
     p = solve_transmission_probability(lam, 2, p_t, 2, table)
-    eu, eu2, ev, ev2 = epoch_length_moments(p, 2, 2, table)
+    eu, eu2, ev, ev2 = moments(p, 2, 2, table)
     assert ev2 - ev**2 > 0.05                 # V has variance
     mean_g, var_g = (1 - p_t) / p_t, (1 - p_t) / p_t**2
     mean_y = eu + mean_g * ev
