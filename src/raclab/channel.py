@@ -29,16 +29,19 @@ the worst demand |S| * rate / I_S with I_S = log2 det.  Both share one tie
 rule: the rate is shaved by a factor 1 - 1e-12, so a subset exactly on its
 boundary decodes.
 
-A block of channels is what the kernels read, drawn by the callers with
-:func:`_draw_channel` from their own generator streams.  With one receive
-antenna that is each user's received power sum_tx |h|^2, Gamma(tx, 1)
-distributed, as (users, epochs) power rows: no gain is ever drawn.  With
-N > 1 it is the (epochs, users, rx, tx) complex gains of
-:func:`_draw_gains`; given gains of any shape are read the same way.
-Inside the layer the epoch axis is last: per-user and per-subset
-quantities are (users or subsets, epochs) arrays, one contiguous row of
-epochs each, so every elementwise step streams along long rows.  Functions
-are pure.
+A block of channels is what the kernels read, drawn by the callers from
+their own generator streams.  With one receive antenna that is each user's
+received power sum_tx |h|^2, Gamma(tx, 1) distributed, as (users, epochs)
+power rows: no gain is ever drawn.  With N > 1 it is the (epochs, users,
+rx, tx) complex gains of :func:`_draw_gains`, one interleaved stream in
+which n epochs draw what m epochs and then n - m draw, so a block may be
+drawn in any cut.  The estimators and protocols draw through
+:func:`_draw_tiles`: power rows a block at a time, gains one kernel tile
+at a time, each tile decided while it is in cache.  Given gains of any
+shape are read the same way.  Inside the layer the epoch axis is last:
+per-user and per-subset quantities are (users or subsets, epochs) arrays,
+one contiguous row of epochs each, so every elementwise step streams
+along long rows.  Functions other than the draws are pure.
 
 In the infinite-SNR limit the decision is deterministic, and
 :func:`asymptotic_survival` gives its round counts as survival indicators.
@@ -60,9 +63,6 @@ NEVER = 10**9
 # tile of the kernels: 1 MiB of pooled entries, about 2 MiB with the tile's
 # temporaries.
 _TILE_ENTRIES = 1 << 17
-
-# Gaussian samples per piece of a gains draw: a 512 KiB buffer
-_DRAW_PIECE = 1 << 16
 
 
 def _scratch(buffers: dict | None, name: str, shape, dtype=np.float64) -> np.ndarray | None:
@@ -87,29 +87,21 @@ def _scratch(buffers: dict | None, name: str, shape, dtype=np.float64) -> np.nda
     return flat[:nbytes].view(dtype).reshape(shape)
 
 
-def _draw_gains(rng: np.random.Generator, shape, out=None, buf=None) -> np.ndarray:
+def _draw_gains(rng: np.random.Generator, shape, out=None) -> np.ndarray:
     """Unit-power circularly symmetric complex Gaussian gains of the given shape.
 
-    The real halves are drawn first, then the imaginary halves, in pieces
-    of at most _DRAW_PIECE samples through one reused float buffer, each
-    scaled straight into the complex result, so a draw holds little more
-    than the gains at its peak.  The generator fills an array one sample
-    after another, so the pieces draw what one call would.  Bitwise equal
-    to ``(a + 1j * b) / sqrt(2)`` from two successive draws, since numpy
-    divides by a real scalar by multiplying with its reciprocal.  The
-    gains are written into ``out`` (C-contiguous complex, of ``shape``)
-    and the pieces drawn into ``buf`` (at least min(size, _DRAW_PIECE)
-    floats) where given.
+    One ``standard_normal`` fill of the complex array's float view, so each
+    gain's real and imaginary normals are adjacent, epoch after epoch, then
+    scaled in place by 1/sqrt(2): the bytes of ``standard_normal(2 * size)
+    * (1 / sqrt(2))`` viewed as complex, and the draw holds nothing beyond
+    its result.  The generator fills an array one sample after another, so
+    n epochs draw what m epochs and then n - m draw.  The gains are written
+    into ``out`` (C-contiguous complex, of ``shape``) where given.
     """
     gains = np.empty(shape, dtype=complex) if out is None else out
-    flat = gains.reshape(-1)
-    if buf is None:
-        buf = np.empty(min(flat.size, _DRAW_PIECE))
-    for half in (flat.real, flat.imag):
-        for start in range(0, flat.size, _DRAW_PIECE):
-            piece = half[start:start + _DRAW_PIECE]
-            rng.standard_normal(out=buf[:piece.size])
-            np.multiply(buf[:piece.size], 1.0 / math.sqrt(2.0), out=piece)
+    flat = gains.reshape(-1).view(np.float64)
+    rng.standard_normal(out=flat)
+    np.multiply(flat, 1.0 / math.sqrt(2.0), out=flat)
     return gains
 
 
@@ -119,14 +111,15 @@ def _draw_channel(rng: np.random.Generator, shape, out=None, spare=None) -> np.n
     With rx = 1 these are (users, epochs) power rows: sum_tx |h|^2 of
     unit-power complex Gaussian gains is Gamma(tx, 1), drawn as tx standard
     exponentials added in antenna order, each antenna after the first into
-    ``spare``.  With rx > 1 they are the gains of :func:`_draw_gains`, with
-    ``spare`` its piece buffer.  Where given, ``out`` and ``spare`` are the
-    C-contiguous arrays of :func:`_draw_buffers`; otherwise they are
-    allocated.
+    ``spare``.  With rx > 1 they are the gains of :func:`_draw_gains`.
+    Where given, ``out`` and ``spare`` are the C-contiguous arrays of
+    :func:`_draw_buffers`; otherwise they are allocated.  The estimators
+    and protocols draw through :func:`_draw_tiles`, which holds one tile of
+    gains, not a block.
     """
     n, k, rx, tx = shape
     if rx > 1:
-        return _draw_gains(rng, shape, out, spare)
+        return _draw_gains(rng, shape, out)
     power = rng.standard_exponential((k, n)) if out is None else rng.standard_exponential(out=out)
     for _ in range(tx - 1):
         power += rng.standard_exponential((k, n)) if spare is None else rng.standard_exponential(out=spare)
@@ -137,9 +130,32 @@ def _draw_buffers(buffers: dict | None, shape):
     """:func:`_draw_channel`'s (out, spare) arrays for ``shape``, held in ``buffers`` (:func:`_scratch`)."""
     n, k, rx, tx = shape
     if rx > 1:
-        return (_scratch(buffers, "channel", shape, complex),
-                _scratch(buffers, "spare", (min(math.prod(shape), _DRAW_PIECE),)))
+        return _scratch(buffers, "channel", shape, complex), None
     return _scratch(buffers, "channel", (k, n)), _scratch(buffers, "spare", (k, n)) if tx > 1 else None
+
+
+def _draw_tiles(rng: np.random.Generator, shape, subsets: int, buffers: dict | None = None):
+    """A block of channels of an (epochs, users, rx, tx) ``shape``, drawn as the :func:`_tiles` for ``subsets``.
+
+    Yields (epoch slice, channels of those epochs) in epoch order.  With
+    rx = 1 the block's power rows are drawn whole by :func:`_draw_channel`
+    and each tile is a view of them.  With rx > 1 each tile's gains are
+    drawn when it is reached, into one tile of memory that every tile
+    reuses: no more than one tile of gains is held, and the tiles draw the
+    block's :func:`_draw_gains` stream whatever their size.  So a caller
+    reads each tile before it asks for the next.  The memory is held in
+    ``buffers`` (:func:`_scratch`) when given.
+    """
+    n, k, rx, tx = shape
+    if rx == 1:
+        yield from _tiles(_draw_channel(rng, shape, *_draw_buffers(buffers, shape)), subsets)
+        return
+    step = _tile_epochs(subsets, rx)
+    block = _scratch(buffers, "channel", (min(step, n), k, rx, tx), complex)
+    for start in range(0, n, step):
+        size = min(step, n - start)
+        gains = _draw_gains(rng, (size, k, rx, tx), None if block is None else block[:size])
+        yield slice(start, start + size), gains
 
 
 def _shape(channel: np.ndarray) -> tuple[int, int]:
@@ -164,17 +180,26 @@ def _gram_entries(gains: np.ndarray) -> np.ndarray:
     return np.concatenate([np.sum(h.real**2 + h.imag**2, axis=2), cross.real, cross.imag], axis=1)
 
 
-def _tiles(channel: np.ndarray, subsets: int) -> list[slice]:
-    """Consecutive epoch slices of a block of channels, sized for ``subsets`` subsets.
+def _tile_epochs(subsets: int, rx: int) -> int:
+    """Epochs per kernel tile of ``subsets`` subsets at ``rx`` receive antennas: max(1, _TILE_ENTRIES // (subsets * rx^2)).
 
-    Each holds max(1, _TILE_ENTRIES // (subsets * rx^2)) epochs (power rows
-    count as rx = 1).  A tile's Gram rows, pooled entries and elimination
-    temporaries grow as subsets * rx^2 per epoch, so the working set stays
-    near cache size for every (K, N), and beyond its result a kernel's
-    memory does not grow with the batch.
+    A tile's Gram rows, pooled entries and elimination temporaries grow as
+    subsets * rx^2 per epoch, so the working set stays near cache size for
+    every (K, N), and beyond its result a kernel's memory does not grow
+    with the batch.
     """
-    step = max(1, _TILE_ENTRIES // (subsets * _rx(channel) ** 2))
-    return [slice(start, start + step) for start in range(0, _shape(channel)[0], step)]
+    return max(1, _TILE_ENTRIES // (subsets * rx * rx))
+
+
+def _tiles(channel: np.ndarray, subsets: int):
+    """(epoch slice, channels of those epochs) of consecutive :func:`_tile_epochs` tiles of a given block.
+
+    Power rows count as rx = 1; each tile is a view.
+    """
+    step = _tile_epochs(subsets, _rx(channel))
+    for start in range(0, _shape(channel)[0], step):
+        tile = slice(start, start + step)
+        yield tile, channel[:, tile] if channel.ndim == 2 else channel[tile]
 
 
 def _check_tile(subsets: int, rx: int) -> None:
@@ -194,9 +219,9 @@ def _rx(channel: np.ndarray) -> int:
     return 1 if channel.ndim == 2 else channel.shape[2]
 
 
-def _gram_rows(channel: np.ndarray, tile: slice) -> np.ndarray:
+def _gram_rows(channel: np.ndarray) -> np.ndarray:
     """The (users, rx^2, epochs) Gram rows of a tile: a view of power rows, built from gains."""
-    return channel[:, None, tile] if channel.ndim == 2 else _gram_entries(channel[tile])
+    return channel[:, None] if channel.ndim == 2 else _gram_entries(channel)
 
 
 def _pool(rows: np.ndarray, out: np.ndarray | None = None):
@@ -291,8 +316,19 @@ def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadlin
     The counts are written into ``out`` when it is given; it must have the
     result's shape and type.
     """
-    rx = _rx(channel)
     n, k = _shape(channel)
+    return _capped_tiles(_tiles(channel, (1 << k) - 1), n, k, _rx(channel), snr, rate, tx, deadline, out)
+
+
+def _capped_tiles(tiles, n: int, k: int, rx: int, snr: float, rate: float, tx: int, deadline: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`capped_rounds` of n epochs of k users' channels at ``rx`` receive antennas, given as ``tiles``.
+
+    ``tiles`` are the (epoch slice, channels) pairs of :func:`_tiles` or
+    :func:`_draw_tiles` for the 2^k - 1 subsets, each counted as it comes.
+    Every tile is taken, also where no threshold is compared, so a drawn
+    block is always drawn whole.
+    """
     subsets = (1 << k) - 1
     _check_tile(subsets, rx)
     dtype = np.min_scalar_type(deadline + 1)
@@ -302,10 +338,11 @@ def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadlin
         raise ValueError(f"out must be a {(subsets, n)} {dtype} array, got {out.shape} {out.dtype}")
     out.fill(1)
     limits = [_thresholds(size, snr, rate, tx, rx, deadline) for size in range(k + 1)]
-    if not any(limits):
-        return out
-    for tile in _tiles(channel, subsets):
-        rows = _gram_rows(channel, tile)
+    decide = any(limits)
+    for tile, channel in tiles:
+        if not decide:
+            continue
+        rows = _gram_rows(channel)
         if rx == 1:
             values = _pool(rows[:, 0])
         else:
@@ -329,8 +366,8 @@ def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> n
     subsets = (1 << k) - 1
     bits = (np.bitwise_count(np.arange(1, 1 << k)) * max(rate, 0.0))[:, None]
     worst = np.empty(n)
-    for tile in _tiles(gains, subsets):
-        rows = (snr / tx) * _gram_rows(gains, tile)
+    for tile, block in _tiles(gains, subsets):
+        rows = (snr / tx) * _gram_rows(block)
         # I_S per subset, then in place its demand
         demand = np.log2(_det(_pool(rows, np.empty((subsets, *rows.shape[1:]))), rx))
         silent = ~(demand > 0.0)

@@ -159,10 +159,11 @@ def cmd_dmt(cfg: ExperimentConfig):
     antenna = cfg.antenna()
     rows = []
     for protocol, ell, params in cfg.runs():
-        curve = dmt.tradeoff_curve(protocol, antenna, p_t=params.p_t, deadline=ell)
+        # the IR-ARQ curve is the one at p_t = 1, whatever --pt says
+        p_t = 1.0 if protocol == IRARQ else params.p_t
+        curve = dmt.tradeoff_curve(protocol, antenna, p_t=p_t, deadline=ell)
         for pt_ in curve:
-            rows.append([_fmt(pt_.r_e), _fmt(pt_.d), protocol, _fmt(pt_.deadline),
-                         _fmt(params.p_t)])
+            rows.append([_fmt(pt_.r_e), _fmt(pt_.d), protocol, _fmt(pt_.deadline), _fmt(p_t)])
     _write_rows(cfg, DMT_HEADER, rows)
 
 

@@ -16,8 +16,9 @@ decoding outcomes are deterministic indicator thresholds.
 
 Each thread that runs a call's chunks keeps one set of chunk buffers
 (:func:`channel._scratch`) for all of them, made on its first chunk and
-dropped when the call returns: every chunk draws its channel block, and
-writes its round lattices and epoch lengths, into the same memory.
+dropped when the call returns: every chunk draws its channels (power rows
+a chunk at a time, gains one kernel tile at a time), and writes its round
+lattices and epoch lengths, into the same memory.
 The random stream, the chunk plan and the arithmetic are those of freshly
 allocated arrays, so the contract above is unchanged.
 
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dmt
-from .channel import _check_tile, _draw_buffers, _draw_channel, _scratch, asymptotic_survival
+from .channel import _check_tile, _scratch, asymptotic_survival
 from .protocols import _TILE, _coins, _decode, _gta_tree_batch, _mask_rounds, _schedule
 from .system import (IRARQ, AntennaConfig, ProtocolParams, binom_pmf, check_counts, check_rate,
                      snr_from_db)
@@ -195,16 +196,15 @@ def estimate_beta(
 
     def sums(rng, n, buffers):
         """(K, L + K) survival counts at rounds 1..L, then the cross sums of the epoch lengths."""
-        shape = (n, users, rx, tx)
-        channel = _draw_channel(rng, shape, *_draw_buffers(buffers, shape))
-        worst = _mask_rounds(channel, snr, rate, tx, deadline, buffers)
+        worst = _mask_rounds(rng, (n, users, rx, tx), snr, rate, deadline, buffers)
         needed = [worst[(2 << k) - 1] for k in range(users)]      # the first k + 1 users: mask 2^(k+1) - 1
         survivals = [[np.count_nonzero(row > ell) for ell in range(1, deadline + 1)] for row in needed]
         # epoch lengths are at most L, so every partial sum of the cross sums
         # is an integer at most trials * L^2: exact in float64 below 2^53;
         # one product per row, as x @ x.T runs slower on so wide an x.  The
-        # lengths overwrite the channel block, which no later step reads: a
-        # buffer of their own, held through the kernel, would add to the peak
+        # lengths overwrite the channel buffer, which no later step reads:
+        # with one receive antenna the chunk's power rows, of their size, so
+        # a buffer of their own would add to the peak; with more, one tile
         x = _scratch(buffers, "channel", (users, n))
         for row, length in zip(needed, x):
             np.minimum(row, deadline, dtype=float, out=length)

@@ -14,10 +14,11 @@ makes every draw that no channel decides: GTA and O-NDMA epochs end and
 deliver whatever the channel, so it gives their lengths and delivered
 sets.  The decode (:func:`_decode`) then draws the block's channels, the
 block's last draw, and decides IR-ARQ's lengths and every protocol's
-errors.  Its callers keep the block cache-sized: the queue asks for
-``_TILE`` cells (epochs times the 2^K sets of each) per draw, and a
-fully-loaded estimator's default chunk is ``_TILE`` epochs at one set
-each.
+errors.  It draws them through :func:`channel._draw_tiles`, so with more
+than one receive antenna it holds one kernel tile of gains at a time.
+Its callers keep the block cache-sized: the queue asks for ``_TILE``
+cells (epochs times the 2^K sets of each) per draw, and a fully-loaded
+estimator's default chunk is ``_TILE`` epochs at one set each.
 
 * IR-ARQ: every participant sends a fresh redundancy block each round and
   the receiver jointly decodes across users and rounds, up to the deadline
@@ -45,8 +46,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import (_check_tile, _draw_buffers, _draw_channel, _rx, _scratch, _shape, _thresholds,
-                      asymptotic_survival, capped_rounds)
+from .channel import (_capped_tiles, _check_tile, _det, _draw_tiles, _gram_entries, _scratch, _thresholds,
+                      asymptotic_survival)
 from .system import GTA, IRARQ, ONDMA, AntennaConfig, ProtocolParams
 
 
@@ -93,19 +94,24 @@ def _subset_max(rows: np.ndarray, users: int, out=None) -> np.ndarray:
     return worst
 
 
-def _mask_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadline: int,
+def _mask_rounds(rng: np.random.Generator, shape, snr: float, rate: float, deadline: int,
                  buffers: dict | None = None) -> np.ndarray:
-    """min(rounds needed, L + 1) of every participant mask of a block of k users' channels.
+    """Draw a block of k users' channels of an (epochs, k, rx, tx) ``shape``; min(rounds needed, L + 1) of every mask.
 
-    :func:`_subset_max` of :func:`channel.capped_rounds`, (2^k, epochs) of
-    its count type, row m for mask m (row 0 is 0).  With ``buffers``
-    (:func:`channel._scratch`) the result is held there, and the lattice
-    is written straight into its rows 1.., where the maximum runs in place.
+    :func:`_subset_max` of the :func:`channel.capped_rounds` of the block,
+    (2^k, epochs) of its count type, row m for mask m (row 0 is 0).  The
+    block is drawn and counted a kernel tile at a time
+    (:func:`channel._draw_tiles`).  With ``buffers``
+    (:func:`channel._scratch`) the tile and the result are held there,
+    and the lattice is written straight into the result's rows 1.., where
+    the maximum runs in place.
     """
-    n, k = _shape(channel)
-    _check_tile((1 << k) - 1, _rx(channel))          # before a buffer is sized for the lattice
+    n, k, rx, tx = shape
+    subsets = (1 << k) - 1
+    _check_tile(subsets, rx)                         # before a buffer is sized for the lattice
     worst = _scratch(buffers, "worst", (1 << k, n), np.min_scalar_type(deadline + 1))
-    rounds = capped_rounds(channel, snr, rate, tx, deadline, None if worst is None else worst[1:])
+    rounds = _capped_tiles(_draw_tiles(rng, shape, subsets, buffers), n, k, rx, snr, rate, tx, deadline,
+                           None if worst is None else worst[1:])
     return _subset_max(rounds, k, worst)
 
 
@@ -240,18 +246,26 @@ def _tree_members(masks, count, users: int, rng: np.random.Generator):
     return taken
 
 
-def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, channel):
+def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, rng, n: int, buffers=None):
+    """Draw n epochs' channels; the per-epoch bitmask of the users who fail one round at gain 1.
+
+    The IR-ARQ decision at deadline 1 for each lone user: its power row,
+    or the det of its scaled Gram rows, against its one threshold, as
+    :func:`channel.capped_rounds` compares a one-member subset.  The
+    channels are drawn a kernel tile at a time (:func:`channel._draw_tiles`,
+    one subset per user).  At infinite SNR nothing is drawn.
+    """
     if snr is None:
         lost = asymptotic_survival(config, params.multiplexing_gain, 1)[0, 1]    # one user after one round
         return (1 << config.users) - 1 if lost else 0
-    # one round per user at gain 1: the IR-ARQ decision at deadline 1, one user per call
-    if config.rx > 1:
-        rounds = np.vstack([capped_rounds(channel[:, u:u + 1], snr, params.rate_at(snr), config.tx, 1)
-                            for u in range(config.users)])
-        return _bits((rounds > 1).T)
-    # a lone user's power row against its one threshold, as capped_rounds compares it
-    limits = _thresholds(1, snr, params.rate_at(snr), config.tx, 1, 1)
-    return _bits((channel < limits[0]).T) if limits else 0
+    users, rx, tx = config.users, config.rx, config.tx
+    limits = _thresholds(1, snr, params.rate_at(snr), tx, rx, 1)
+    lost = np.zeros((users, n), dtype=bool)
+    for tile, channel in _draw_tiles(rng, (n, users, rx, tx), users, buffers):
+        if limits:
+            values = channel if rx == 1 else _det((snr / tx) * _gram_entries(channel), rx)
+            np.less(values, limits[0], out=lost[:, tile])
+    return _bits(lost.T)
 
 
 def _schedule(protocol: str, config: AntennaConfig, params: ProtocolParams,
@@ -284,27 +298,28 @@ def _decode(protocol: str, config: AntennaConfig, params: ProtocolParams,
             buffers: dict | None = None):
     """Draw the block's channels and decode the epochs of a :func:`_schedule`.
 
-    The channels and IR-ARQ's :func:`_mask_rounds` are held in ``buffers``
+    IR-ARQ's :func:`_mask_rounds` and the other protocols' :func:`_outage_bits`
+    each draw the channels a kernel tile at a time and decide every tile as
+    it is drawn.  The channels and IR-ARQ's lattice are held in ``buffers``
     (:func:`channel._scratch`) when given, else allocated.
     """
-    users, n = config.users, masks.shape[0]
-    shape = (n, users, config.rx, config.tx)
-    channel = None if snr is None else _draw_channel(rng, shape, *_draw_buffers(buffers, shape))
+    n = masks.shape[0]
     if protocol == IRARQ:
         deadline = params.deadline
-        if channel is None:
+        if snr is None:
             # the row sums min(needed, L + 1) per size; the idle epoch takes one slot
             survival = asymptotic_survival(config, params.multiplexing_gain, deadline)
             needed = np.append(1, np.count_nonzero(survival, axis=1))[np.bitwise_count(masks)]
         else:
-            worst = _mask_rounds(channel, snr, params.rate_at(snr), config.tx, deadline, buffers)
+            shape = (n, config.users, config.rx, config.tx)
+            worst = _mask_rounds(rng, shape, snr, params.rate_at(snr), deadline, buffers)
             worst[0] = 1                                 # the idle epoch takes one slot
             # worst[masks[e, j], e] for every cell, as one flat gather: min(needed, L + 1)
             needed = worst.ravel()[masks * n + np.arange(n)[:, None]]
         errors = np.where(needed > deadline, masks, 0)
         return np.minimum(needed, deadline, dtype=np.int64), masks, errors
     lengths, delivered = schedule
-    out = np.reshape(_outage_bits(config, params, snr, channel), (-1, 1))
+    out = np.reshape(_outage_bits(config, params, snr, rng, n, buffers), (-1, 1))
     return lengths, delivered, delivered & out
 
 

@@ -14,7 +14,6 @@ import pytest
 
 from raclab import AntennaConfig, ProtocolParams
 from raclab.channel import (
-    _DRAW_PIECE,
     _TILE_ENTRIES,
     NEVER,
     _check_tile,
@@ -22,6 +21,7 @@ from raclab.channel import (
     _draw_buffers,
     _draw_channel,
     _draw_gains,
+    _draw_tiles,
     _gram_entries,
     _pool,
     _scratch,
@@ -116,14 +116,43 @@ def test_draw_shapes_and_determinism():
 
 
 @pytest.mark.parametrize("shape", [(0, 2, 1, 1), (5, 1, 1, 1), (7, 3, 2, 4), (3000, 4, 4, 2)])
-def test_draw_pins_the_two_call_stream(shape):
-    # real halves first, then imaginary halves, scaled by 1/sqrt(2)
+def test_draw_pins_the_interleaved_stream(shape):
+    # each gain's real and imaginary normals adjacent, scaled by 1/sqrt(2)
     rng, twin = np.random.default_rng(43), np.random.default_rng(43)
     got = _draw_gains(rng, shape)
-    want = (twin.standard_normal(shape) + 1j * twin.standard_normal(shape)) / math.sqrt(2.0)
+    want = (twin.standard_normal(2 * math.prod(shape)) * (1.0 / math.sqrt(2.0))).view(complex).reshape(shape)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("k, tx, rx", [(4, 2, 4), (3, 2, 2), (2, 1, 3)], ids=["K4-2x4", "K3-2x2", "K2-1x3"])
+def test_gains_stream_does_not_depend_on_the_cut(k, tx, rx):
+    # n epochs in one draw are m epochs and then n - m, for m = 0, 1, n - 1
+    # and one kernel tile; the tiles of _draw_tiles, reused memory and all,
+    # draw the block's stream too, and hold one tile at a time
+    tile = tile_epochs(lattice(k), rx)
+    n = 2 * tile + 17
+    want = _draw_gains(np.random.default_rng(44), (n, k, rx, tx))
+    end = np.random.default_rng(44)
+    _draw_gains(end, (n, k, rx, tx))
+    for m in (0, 1, n - 1, tile):
+        rng = np.random.default_rng(44)
+        parts = [_draw_gains(rng, (m, k, rx, tx)), _draw_gains(rng, (n - m, k, rx, tx))]
+        assert np.concatenate(parts).tobytes() == want.tobytes(), m
+        assert rng.bit_generator.state == end.bit_generator.state
+    for buffers in (None, {}):
+        rng = np.random.default_rng(44)
+        got, held = [], set()
+        for span, gains in _draw_tiles(rng, (n, k, rx, tx), len(lattice(k)), buffers):
+            assert gains.shape == (span.stop - span.start, k, rx, tx) and span.stop - span.start <= tile
+            got.append(gains.copy())
+            held.add(gains.__array_interface__["data"][0])
+        assert [g.shape[0] for g in got] == [tile, tile, 17]
+        assert np.concatenate(got).tobytes() == want.tobytes()
+        assert rng.bit_generator.state == end.bit_generator.state
+        if buffers is not None:
+            assert len(held) == 1 and buffers["channel"].nbytes == tile * k * rx * tx * 16
 
 
 def test_scratch_hands_out_leading_views_of_one_buffer_per_name():
@@ -147,7 +176,8 @@ def test_scratch_hands_out_leading_views_of_one_buffer_per_name():
                                    (7000, 3, 4, 2)])
 def test_draw_into_buffers_is_the_allocating_draw(shape):
     # out= and the spare block draw the same stream and add in the same order,
-    # and a shorter block reads a leading view of the same memory
+    # and a shorter block reads a leading view of the same memory; gains
+    # need no spare, power rows one per transmit antenna after the first
     buffers, addresses = {}, set()
     for n in (shape[0], shape[0] - 17):
         block = (n, *shape[1:])
@@ -157,7 +187,7 @@ def test_draw_into_buffers_is_the_allocating_draw(shape):
         want = _draw_channel(twin, block)
         assert got is out and got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
-        assert (spare is None) == (shape[2] == 1 and shape[3] == 1)
+        assert (spare is None) == (shape[2] > 1 or shape[3] == 1)
         addresses.add(out.__array_interface__["data"][0])
     assert len(addresses) == 1 and len(buffers) == 1 + (spare is not None)
 
@@ -174,8 +204,8 @@ def test_capped_rounds_write_into_out():
 
 
 def test_draw_holds_one_and_a_half_gains_at_peak():
-    # the complex result plus one float buffer for a half; the single
-    # two-half draw it replaced peaked at twice the gains
+    # a two-half draw peaked at twice the gains; the interleaved draw
+    # fills and scales its result in place and holds nothing else
     shape = (20_000, 4, 4, 2)
     tracemalloc.start()
     try:
@@ -184,8 +214,7 @@ def test_draw_holds_one_and_a_half_gains_at_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * gains.nbytes + 65536
-    # the halves go through a buffer of at most _DRAW_PIECE samples
-    assert peak <= gains.nbytes + 8 * _DRAW_PIECE + 65536
+    assert peak <= gains.nbytes + 65536
 
 
 def test_unit_mean_power():
@@ -533,12 +562,23 @@ def test_single_user_outage_matches_exponential_law():
 # the oracle
 # ---------------------------------------------------------------------------
 
-def first_round_by_predicate(gains, snr, rate, cap=64):
-    """Smallest round count with no joint outage, by direct search."""
-    for rounds in range(1, cap + 1):
-        if not joint_outage(gains, range(gains.shape[0]), snr, rate, rounds):
-            return rounds
-    return NEVER
+def first_round_by_predicate(gains, snr, rate):
+    """Smallest round count with no joint outage, by direct search.
+
+    NEVER when some subset's rounds * I_S can never reach |S| * rate: no
+    information at a positive rate (or I_S rounded below 0 at rate 0);
+    otherwise every subset decodes after finitely many rounds, and the
+    search runs until all do.
+    """
+    users = range(gains.shape[0])
+    info = [subset_mutual_information(gains, subset, snr)
+            for size in range(1, len(users) + 1) for subset in combinations(users, size)]
+    if any(i <= 0.0 if rate > 0 else i < 0.0 for i in info):
+        return NEVER
+    rounds = 1
+    while joint_outage(gains, users, snr, rate, rounds):
+        rounds += 1
+    return rounds
 
 
 def test_first_decodable_round_agrees_with_outage_predicate():
@@ -858,6 +898,21 @@ def test_mimo_epochs_draw_the_gains_stream(protocol, params, cfg):
         assert np.array_equal(errors, masks & (out.T @ (1 << np.arange(cfg.users)))[:, None])
 
 
+@pytest.mark.parametrize("protocol", ["irarq", "ondma"])
+@pytest.mark.parametrize("rx", [1, 2])
+def test_a_block_is_drawn_whole_where_nothing_is_compared(protocol, rx):
+    # at rate 0 no threshold is compared, yet every tile of the block is
+    # drawn, so what the generator gives next does not depend on the rate
+    cfg = AntennaConfig(users=3, tx=2, rx=rx)
+    masks = np.full((20_000, 1), 7)
+    states = []
+    for rate in (0.0, 1.0):
+        rng = np.random.default_rng(3)
+        epoch_outcomes(protocol, cfg, ProtocolParams(p_t=1.0, rate=rate, deadline=2), 10.0, masks, rng)
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
+
+
 @pytest.mark.parametrize("cfg, rate", [(AntennaConfig(users=3, tx=2, rx=2), 1.2),
                                        (AntennaConfig(users=4, tx=2, rx=4), 2.0)],
                          ids=["K3-2x2", "K4-2x4"])
@@ -876,6 +931,26 @@ def test_mimo_beta_chunk_reads_the_gains_stream(cfg, rate):
             needed = batch_first_decodable_round(gains[:, :k], 10.0 ** (snr_db / 10.0), rate)
             counts[k - 1] += [(needed > ell).sum() for ell in range(1, deadline + 1)]
     assert table.values[:, 1:].tobytes() == (counts / trials).tobytes()
+
+
+@pytest.mark.parametrize("cfg", MIMO_SHAPES[:2], ids=["K3-2x2", "K4-2x4"])
+def test_mimo_estimates_do_not_depend_on_tile_size_or_workers(cfg, monkeypatch):
+    # the tiles cut one gains stream, so neither their size nor the threads
+    # that run the chunks move a bit of a beta table or an error estimate
+    params = ProtocolParams(p_t=0.7, rate=1.5, deadline=3)
+
+    def run(workers):
+        table = estimate_beta(cfg, 5.0, 1.5, 3, 5000, seed=19, chunk=2048, workers=workers)
+        errors = [system_error_probability(protocol, cfg, params, 5.0, 20_000, seed=19, workers=workers)
+                  for protocol in ("irarq", "ondma")]
+        return [table.values.tobytes(), table.length_cov.tobytes(),
+                *((e.value, e.per_user.tobytes()) for e in errors)]
+
+    want = run(1)
+    assert run(2) == want
+    for entries in (1 << 13, 1 << 20):
+        monkeypatch.setattr("raclab.channel._TILE_ENTRIES", entries)
+        assert run(1) == want, entries
 
 
 def first_round_by_slogdet(gains, snr, rate):

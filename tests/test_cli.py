@@ -35,6 +35,16 @@ def test_dmt_curve_csv(tmp_path):
     assert deadlines["ondma"] == "" and deadlines["irarq"] in {"1", "2"}
 
 
+def test_dmt_rows_carry_the_pt_of_their_curve(tmp_path):
+    # the IR-ARQ curve is computed at p_t = 1, so its rows say 1 under --pt 0.5;
+    # the O-NDMA and GTA curves are computed at the given p_t
+    out = tmp_path / "dmt.csv"
+    assert main(["dmt", "--users", "3", "--pt", "0.5", "--deadline", "1", "2", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    pts = {(r[2], r[4]) for r in rows}
+    assert pts == {("gta", "0.5"), ("ondma", "0.5"), ("irarq", "1")}
+
+
 def test_dmt_vector_irarq_reaches_full_span(tmp_path):
     out = tmp_path / "dmt.csv"
     assert main(["dmt", "--users", "2", "--rx-ant", "2", "--deadline", "1",
@@ -292,7 +302,7 @@ ANALYTIC_OUTPUTS = [
     ("dmt --users 4 --tx-ant 2 --rx-ant 2 --deadline 1 3", 801,
      "f1c462a1127db2a3511cf7b38cc5fe085b08b96ed15b0d71a7cac84140ea2c99"),
     ("dmt --users 3 --pt 0.5 --deadline 1 2 4", 501,
-     "fb6c5675936be122f2c7a8f420eaf505ddaaa59f610e286728ed0a9110bba959"),
+     "a3138c1459b8bcda6e810cdf5dc71d8cb5f9241eeb3105dfef4d3f475f726d26"),
     ("dmt --users 2 --rx-ant 2 --deadline 1", 601,
      "226227b63e67f01092c205a47af94d3c44a0047a98dbc835076e53edc78efe48"),
     ("stability --protocol gta ondma irarq", 3,

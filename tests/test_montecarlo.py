@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import raclab
-from raclab import montecarlo, protocols
+from raclab import channel
 
 from raclab import (
     AntennaConfig,
@@ -117,14 +118,17 @@ def test_beta_deterministic_and_worker_invariant():
         assert np.array_equal(a.length_cov, c.length_cov)
 
 
-def watch_draws(monkeypatch, module):
-    """Thread id -> addresses of the channel blocks drawn through ``module``, and every block.
+def watch_draws(monkeypatch, rx):
+    """Thread id -> addresses of the channel blocks drawn, and every block.
 
-    Each block is kept alive, so a chunk that allocated its own block could
-    not be handed the memory of an earlier one.
+    Power rows (rx = 1) are drawn a chunk at a time by
+    ``channel._draw_channel``, gains a kernel tile at a time by
+    ``channel._draw_gains``.  Each block is kept alive, so a draw that
+    allocated its own block could not be handed the memory of an earlier one.
     """
+    name = "_draw_gains" if rx > 1 else "_draw_channel"
     blocks, drawn = {}, []
-    real = module._draw_channel
+    real = getattr(channel, name)
 
     def draw(*args, **kwargs):
         block = real(*args, **kwargs)
@@ -132,7 +136,7 @@ def watch_draws(monkeypatch, module):
         drawn.append(block)
         return block
 
-    monkeypatch.setattr(module, "_draw_channel", draw)
+    monkeypatch.setattr(channel, name, draw)
     return blocks, drawn
 
 
@@ -140,24 +144,50 @@ def watch_draws(monkeypatch, module):
 @pytest.mark.parametrize("cfg", [AntennaConfig(users=2, tx=2), AntennaConfig(users=2, tx=2, rx=2)],
                          ids=["2x1", "2x2"])
 def test_each_thread_draws_its_chunks_into_one_block(monkeypatch, cfg, workers):
-    # every chunk of a thread, the short last one too, writes its channel
-    # block into the same memory; another thread has its own
+    # every draw of a thread, the short last chunk's too, writes its channels
+    # into the same memory; another thread has its own.  Power rows are one
+    # draw per chunk; gains one per kernel tile of the chunk, so a 16 384-
+    # epoch chunk at K = 2, 2x2 is two draws, of 10 922 and 5 462 epochs
     params = ProtocolParams(p_t=0.7, multiplexing_gain=0.45, deadline=2)
+    step = channel._tile_epochs(3, cfg.rx)
+
+    def draws(n):
+        return 1 if cfg.rx == 1 else -(-n // step)
+
     runs = [
-        (montecarlo, 7, lambda: estimate_beta(cfg, 10.0, 1.0, 2, trials=6 * 1000 + 7, seed=3,
-                                              chunk=1000, workers=workers)),
+        (6 * draws(1000) + draws(7), lambda: estimate_beta(cfg, 10.0, 1.0, 2, trials=6 * 1000 + 7, seed=3,
+                                                           chunk=1000, workers=workers)),
         # the fully-loaded estimators draw through the engine's decode stage
-        (protocols, 4, lambda: system_error_probability("irarq", cfg, params, 10.0, 3 * 16384 + 5,
-                                                        seed=3, workers=workers)),
-        (protocols, None, lambda: fully_loaded_throughput("irarq", cfg, params, 10.0, 40_000, seed=3)),
+        (3 * draws(16384) + draws(5), lambda: system_error_probability("irarq", cfg, params, 10.0,
+                                                                       3 * 16384 + 5, seed=3, workers=workers)),
+        (None, lambda: fully_loaded_throughput("irarq", cfg, params, 10.0, 40_000, seed=3)),
     ]
-    for module, chunks, run in runs:
-        blocks, drawn = watch_draws(monkeypatch, module)
+    for count, run in runs:
+        blocks, drawn = watch_draws(monkeypatch, cfg.rx)
         run()
-        assert len(drawn) == chunks or (chunks is None and len(drawn) > 1)
+        assert len(drawn) == count or (count is None and len(drawn) > 1)
         assert all(len(addresses) == 1 for addresses in blocks.values())
         assert len(set.union(*blocks.values())) == len(blocks) <= workers
         monkeypatch.undo()
+
+
+def test_mimo_beta_holds_one_tile_of_gains_whatever_the_chunk():
+    # one estimate_beta call at K = 4, 2x4: from chunk 2^12 to 2^14 its
+    # traced peak may grow by the uint8 lattice (2^K bytes) and the float64
+    # length rows (8K bytes) per epoch, plus one tile of gains; a chunk of
+    # gains would add their 512 bytes per epoch
+    cfg = AntennaConfig(users=4, tx=2, rx=4)
+    tile = channel._tile_epochs(15, 4) * 4 * 4 * 2 * 16
+    estimate_beta(cfg, 20.0, 2.0, 2, 1 << 12, seed=1, chunk=1 << 12)     # lazy imports out of the count
+    peaks = []
+    for chunk in (1 << 12, 1 << 14):
+        tracemalloc.start()
+        try:
+            estimate_beta(cfg, 20.0, 2.0, 2, chunk, seed=1, chunk=chunk)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= ((1 << 4) + 8 * 4) * ((1 << 14) - (1 << 12)) + tile, peaks
 
 
 def test_threads_keep_to_their_own_chunk_buffers():
