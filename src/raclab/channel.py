@@ -1,4 +1,4 @@
-"""Rayleigh block-fading channels and outage-based decoding decisions.
+"""Rayleigh block-fading channels and the outage-based decoding decision.
 
 Channels are frozen for a whole collision-resolution epoch and redrawn
 independently for the next one.  Decoding is idealised: a set of messages
@@ -10,7 +10,8 @@ nonempty subset S of the active users satisfies
 where I_S = log2 det(I_N + (snr/M) * sum_{i in S} H_i H_i^H) is the
 multiple-access mutual information of the subset (white inputs, per-antenna
 power snr/M so each user is received at total SNR ``snr``).  Outage is the
-sole error mechanism; failed rounds are always detected.
+sole error mechanism; failed rounds are always detected.  This module
+makes the whole decision; the protocols schedule what it decides.
 
 Each user's Gram matrix H H^H is a set of rows of epochs (one row of power
 with one receive antenna).  The kernels read the lattice of all nonempty
@@ -23,11 +24,12 @@ needs no log: S fails after ell rounds iff det < 2^(|S| * rate / ell), and
 with one receive antenna iff its power sum is below (2^(|S| * rate / ell) -
 1) * M / snr.  :func:`capped_rounds` compares against these thresholds,
 computed once per (|S|, ell), and returns min(rounds needed, L + 1) per
-lattice row in the smallest unsigned type.  The uncapped count of the
-benchmark's slogdet check, :func:`batch_first_decodable_round`, rounds up
-the worst demand |S| * rate / I_S with I_S = log2 det.  Both share one tie
-rule: the rate is shaved by a factor 1 - 1e-12, so a subset exactly on its
-boundary decodes.
+lattice row in the smallest unsigned type; a participant set needs the
+most of its subsets' (:func:`_mask_rounds`), and a lone user's one round
+is :func:`_fails_alone`.  The uncapped count of the benchmark's slogdet
+check, :func:`batch_first_decodable_round`, rounds up the worst demand
+|S| * rate / I_S with I_S = log2 det.  All share one tie rule: the rate is
+shaved by a factor 1 - 1e-12, so a subset exactly on its boundary decodes.
 
 A block of channels is what the kernels read, drawn by the callers from
 their own generator streams.  With one receive antenna that is each user's
@@ -35,13 +37,13 @@ received power sum_tx |h|^2, Gamma(tx, 1) distributed, as (users, epochs)
 power rows: no gain is ever drawn.  With N > 1 it is the (epochs, users,
 rx, tx) complex gains of :func:`_draw_gains`, one interleaved stream in
 which n epochs draw what m epochs and then n - m draw, so a block may be
-drawn in any cut.  The estimators and protocols draw through
-:func:`_draw_tiles`: power rows a block at a time, gains one kernel tile
-at a time, each tile decided while it is in cache.  Given gains of any
-shape are read the same way.  Inside the layer the epoch axis is last:
-per-user and per-subset quantities are (users or subsets, epochs) arrays,
-one contiguous row of epochs each, so every elementwise step streams
-along long rows.  Functions other than the draws are pure.
+drawn in any cut.  The kernels read a block in tiles of one format,
+(users, rx^2, epochs) Gram rows (:func:`_tiles`); the estimators and
+protocols draw through :func:`_draw_tiles`, which holds one tile of gains
+at a time.  Inside the layer the epoch axis is last: per-user and
+per-subset quantities are (users or subsets, epochs) arrays, one
+contiguous row of epochs each, so every elementwise step streams along
+long rows.  Functions other than the draws are pure.
 
 In the infinite-SNR limit the decision is deterministic, and
 :func:`asymptotic_survival` gives its round counts as survival indicators.
@@ -112,10 +114,8 @@ def _draw_channel(rng: np.random.Generator, shape, out=None, spare=None) -> np.n
     unit-power complex Gaussian gains is Gamma(tx, 1), drawn as tx standard
     exponentials added in antenna order, each antenna after the first into
     ``spare``.  With rx > 1 they are the gains of :func:`_draw_gains`.
-    Where given, ``out`` and ``spare`` are the C-contiguous arrays of
-    :func:`_draw_buffers`; otherwise they are allocated.  The estimators
-    and protocols draw through :func:`_draw_tiles`, which holds one tile of
-    gains, not a block.
+    Where given, ``out`` and ``spare`` are C-contiguous arrays of the
+    result's shape and type; otherwise they are allocated.
     """
     n, k, rx, tx = shape
     if rx > 1:
@@ -126,41 +126,34 @@ def _draw_channel(rng: np.random.Generator, shape, out=None, spare=None) -> np.n
     return power
 
 
-def _draw_buffers(buffers: dict | None, shape):
-    """:func:`_draw_channel`'s (out, spare) arrays for ``shape``, held in ``buffers`` (:func:`_scratch`)."""
-    n, k, rx, tx = shape
-    if rx > 1:
-        return _scratch(buffers, "channel", shape, complex), None
-    return _scratch(buffers, "channel", (k, n)), _scratch(buffers, "spare", (k, n)) if tx > 1 else None
-
-
 def _draw_tiles(rng: np.random.Generator, shape, subsets: int, buffers: dict | None = None):
     """A block of channels of an (epochs, users, rx, tx) ``shape``, drawn as the :func:`_tiles` for ``subsets``.
 
-    Yields (epoch slice, channels of those epochs) in epoch order.  With
-    rx = 1 the block's power rows are drawn whole by :func:`_draw_channel`
-    and each tile is a view of them.  With rx > 1 each tile's gains are
-    drawn when it is reached, into one tile of memory that every tile
-    reuses: no more than one tile of gains is held, and the tiles draw the
-    block's :func:`_draw_gains` stream whatever their size.  So a caller
-    reads each tile before it asks for the next.  The memory is held in
-    ``buffers`` (:func:`_scratch`) when given.
+    Yields (epoch slice, Gram rows of those epochs) in epoch order.  With
+    rx = 1 the block's power rows are drawn whole by :func:`_draw_channel`.
+    With rx > 1 each tile's gains are drawn when it is reached, into one
+    tile of memory that every tile reuses, so the tiles draw the block's
+    :func:`_draw_gains` stream whatever their size.  The power rows (and
+    spare) or the tile of gains are held in ``buffers`` (:func:`_scratch`)
+    when given.
     """
     n, k, rx, tx = shape
     if rx == 1:
-        yield from _tiles(_draw_channel(rng, shape, *_draw_buffers(buffers, shape)), subsets)
+        power = _scratch(buffers, "channel", (k, n))
+        spare = _scratch(buffers, "spare", (k, n)) if tx > 1 else None
+        yield from _tiles(_draw_channel(rng, shape, power, spare), subsets)
         return
     step = _tile_epochs(subsets, rx)
     block = _scratch(buffers, "channel", (min(step, n), k, rx, tx), complex)
     for start in range(0, n, step):
         size = min(step, n - start)
         gains = _draw_gains(rng, (size, k, rx, tx), None if block is None else block[:size])
-        yield slice(start, start + size), gains
+        yield slice(start, start + size), _gram_entries(gains)
 
 
-def _shape(channel: np.ndarray) -> tuple[int, int]:
-    """(epochs, users) of (users, epochs) power rows or of (epochs, users, rx, tx) gains."""
-    return channel.shape[::-1] if channel.ndim == 2 else channel.shape[:2]
+def _shape(channel: np.ndarray) -> tuple[int, int, int]:
+    """(epochs, users, rx) of (users, epochs) power rows (rx = 1) or of (epochs, users, rx, tx) gains."""
+    return (*channel.shape[::-1], 1) if channel.ndim == 2 else channel.shape[:3]
 
 
 def _gram_entries(gains: np.ndarray) -> np.ndarray:
@@ -192,14 +185,15 @@ def _tile_epochs(subsets: int, rx: int) -> int:
 
 
 def _tiles(channel: np.ndarray, subsets: int):
-    """(epoch slice, channels of those epochs) of consecutive :func:`_tile_epochs` tiles of a given block.
+    """(epoch slice, Gram rows of those epochs) of consecutive :func:`_tile_epochs` tiles of a given block.
 
-    Power rows count as rx = 1; each tile is a view.
+    The rows of power rows are a view; those of gains, their :func:`_gram_entries`.
     """
-    step = _tile_epochs(subsets, _rx(channel))
-    for start in range(0, _shape(channel)[0], step):
+    n, _, rx = _shape(channel)
+    step = _tile_epochs(subsets, rx)
+    for start in range(0, n, step):
         tile = slice(start, start + step)
-        yield tile, channel[:, tile] if channel.ndim == 2 else channel[tile]
+        yield tile, channel[:, None, tile] if channel.ndim == 2 else _gram_entries(channel[tile])
 
 
 def _check_tile(subsets: int, rx: int) -> None:
@@ -212,16 +206,6 @@ def _check_tile(subsets: int, rx: int) -> None:
     if subsets * rx * rx > _TILE_ENTRIES:
         raise ValueError(f"{subsets} subsets at {rx} receive antennas exceed one kernel tile "
                          f"of {_TILE_ENTRIES} entries per epoch: too many users for joint decoding")
-
-
-def _rx(channel: np.ndarray) -> int:
-    """Receive antennas of a block of channels; power rows have one."""
-    return 1 if channel.ndim == 2 else channel.shape[2]
-
-
-def _gram_rows(channel: np.ndarray) -> np.ndarray:
-    """The (users, rx^2, epochs) Gram rows of a tile: a view of power rows, built from gains."""
-    return channel[:, None] if channel.ndim == 2 else _gram_entries(channel)
 
 
 def _pool(rows: np.ndarray, out: np.ndarray | None = None):
@@ -299,8 +283,7 @@ def _thresholds(size: int, snr: float, rate: float, tx: int, rx: int, deadline: 
     return limits
 
 
-def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadline: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadline: int) -> np.ndarray:
     """min(rounds needed, deadline + 1) per nonempty subset of the users and per epoch, without a log.
 
     ``channel`` is a block of k users' channels (module docstring) with
@@ -313,36 +296,31 @@ def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadlin
     drawn), and with N > 1 against the :func:`_det` of the scaled pooled
     Gram rows.  The epochs run in :func:`_tiles`, and a lattice that does
     not fit one epoch in a tile raises ValueError before anything is built.
-    The counts are written into ``out`` when it is given; it must have the
-    result's shape and type.
     """
-    n, k = _shape(channel)
-    return _capped_tiles(_tiles(channel, (1 << k) - 1), n, k, _rx(channel), snr, rate, tx, deadline, out)
+    n, k, rx = _shape(channel)
+    return _capped_tiles(_tiles(channel, (1 << k) - 1), n, k, rx, snr, rate, tx, deadline)
 
 
 def _capped_tiles(tiles, n: int, k: int, rx: int, snr: float, rate: float, tx: int, deadline: int,
                   out: np.ndarray | None = None) -> np.ndarray:
     """:func:`capped_rounds` of n epochs of k users' channels at ``rx`` receive antennas, given as ``tiles``.
 
-    ``tiles`` are the (epoch slice, channels) pairs of :func:`_tiles` or
+    ``tiles`` are the (epoch slice, Gram rows) pairs of :func:`_tiles` or
     :func:`_draw_tiles` for the 2^k - 1 subsets, each counted as it comes.
     Every tile is taken, also where no threshold is compared, so a drawn
-    block is always drawn whole.
+    block is always drawn whole.  The counts are written into ``out``, of
+    the result's shape and type, when it is given.
     """
     subsets = (1 << k) - 1
     _check_tile(subsets, rx)
-    dtype = np.min_scalar_type(deadline + 1)
     if out is None:
-        out = np.empty((subsets, n), dtype)
-    elif out.shape != (subsets, n) or out.dtype != dtype:
-        raise ValueError(f"out must be a {(subsets, n)} {dtype} array, got {out.shape} {out.dtype}")
+        out = np.empty((subsets, n), np.min_scalar_type(deadline + 1))
     out.fill(1)
     limits = [_thresholds(size, snr, rate, tx, rx, deadline) for size in range(k + 1)]
     decide = any(limits)
-    for tile, channel in tiles:
+    for tile, rows in tiles:
         if not decide:
             continue
-        rows = _gram_rows(channel)
         if rx == 1:
             values = _pool(rows[:, 0])
         else:
@@ -351,6 +329,64 @@ def _capped_tiles(tiles, n: int, k: int, rx: int, snr: float, rate: float, tx: i
             for bound in limits[s.bit_count()]:
                 count += value < bound
     return out
+
+
+def _subset_max(rows: np.ndarray, users: int, out=None) -> np.ndarray:
+    """Max of (subsets, epochs) ``rows`` over the nonempty subsets of every mask.
+
+    The result is (2^users, epochs) of the type of ``rows``, row m for mask
+    m, written into ``out`` when it is given (``rows`` may be ``out[1:]``
+    itself); row 0 is 0.
+    """
+    worst = np.empty((1 << users, rows.shape[1]), dtype=rows.dtype) if out is None else out
+    worst[0] = 0
+    worst[1:] = rows
+    for i in range(users):
+        # v[:, 1] are the masks with bit i set, v[:, 0] the same masks without it
+        v = worst.reshape(1 << (users - 1 - i), 2, 1 << i, rows.shape[1])
+        np.maximum(v[:, 1], v[:, 0], out=v[:, 1])
+    return worst
+
+
+def _mask_rounds(rng: np.random.Generator, shape, snr: float, rate: float, deadline: int,
+                 buffers: dict | None = None) -> np.ndarray:
+    """Draw a block of k users' channels of an (epochs, k, rx, tx) ``shape``; min(rounds needed, L + 1) of every mask.
+
+    The joint decision of every participant set: :func:`_subset_max` of
+    the :func:`capped_rounds` of the block, (2^k, epochs) of its count
+    type, row m for mask m (row 0 is 0).  The block is drawn and counted a
+    kernel tile at a time (:func:`_draw_tiles`).  With ``buffers``
+    (:func:`_scratch`) the tile and the result are held there, and the
+    lattice is written straight into the result's rows 1.., where the
+    maximum runs in place.
+    """
+    n, k, rx, tx = shape
+    subsets = (1 << k) - 1
+    _check_tile(subsets, rx)                         # before a buffer is sized for the lattice
+    worst = _scratch(buffers, "worst", (1 << k, n), np.min_scalar_type(deadline + 1))
+    rounds = _capped_tiles(_draw_tiles(rng, shape, subsets, buffers), n, k, rx, snr, rate, tx, deadline,
+                           None if worst is None else worst[1:])
+    return _subset_max(rounds, k, worst)
+
+
+def _fails_alone(rng: np.random.Generator, shape, snr: float, rate: float,
+                 buffers: dict | None = None) -> np.ndarray:
+    """Draw a block of k users' channels of an (epochs, k, rx, tx) ``shape``; (k, epochs) True where a user fails one round alone.
+
+    The decision of a one-member subset at deadline 1, as
+    :func:`capped_rounds` makes it: the user's power row, or the
+    :func:`_det` of its scaled Gram rows, against its one threshold.  The
+    block is drawn a kernel tile at a time, one subset per user
+    (:func:`_draw_tiles`), also where no threshold is compared.
+    """
+    n, k, rx, tx = shape
+    limits = _thresholds(1, snr, rate, tx, rx, 1)
+    lost = np.zeros((k, n), dtype=bool)
+    for tile, rows in _draw_tiles(rng, shape, k, buffers):
+        if limits:
+            values = rows[:, 0] if rx == 1 else _det((snr / tx) * rows, rx)
+            np.less(values, limits[0], out=lost[:, tile])
+    return lost
 
 
 def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> np.ndarray:
@@ -366,8 +402,8 @@ def batch_first_decodable_round(gains: np.ndarray, snr: float, rate: float) -> n
     subsets = (1 << k) - 1
     bits = (np.bitwise_count(np.arange(1, 1 << k)) * max(rate, 0.0))[:, None]
     worst = np.empty(n)
-    for tile, block in _tiles(gains, subsets):
-        rows = (snr / tx) * _gram_rows(block)
+    for tile, rows in _tiles(gains, subsets):
+        rows = (snr / tx) * rows
         # I_S per subset, then in place its demand
         demand = np.log2(_det(_pool(rows, np.empty((subsets, *rows.shape[1:]))), rx))
         silent = ~(demand > 0.0)

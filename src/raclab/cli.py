@@ -188,10 +188,11 @@ def cmd_beta(cfg: ExperimentConfig):
             table = montecarlo.estimate_beta(
                 antenna, snr_db, rate, deadline, cfg.trials, seed, workers=cfg.workers
             )
+            # a table is per collision size and reads no p_t: the field is empty
             for k in range(1, antenna.users + 1):
                 for ell in range(1, deadline + 1):
                     rows.append([
-                        _fmt(snr_db), IRARQ, deadline, _fmt(params.p_t), _fmt(cfg.r),
+                        _fmt(snr_db), IRARQ, deadline, "", _fmt(cfg.r),
                         f"beta_k{k}_l{ell}", _fmt(table.beta(k, ell)),
                         _fmt(float(table.stderr[k - 1, ell])), cfg.trials, seed,
                     ])

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dmt
-from .channel import _check_tile, _scratch, asymptotic_survival
-from .protocols import _TILE, _coins, _decode, _gta_tree_batch, _mask_rounds, _schedule
+from .channel import _check_tile, _mask_rounds, _scratch, _tile_epochs, asymptotic_survival
+from .protocols import _TILE, _coins, _decode, _gta_tree_batch, _schedule
 from .system import (IRARQ, AntennaConfig, ProtocolParams, binom_pmf, check_counts, check_rate,
                      snr_from_db)
 
@@ -180,31 +180,36 @@ def estimate_beta(
     """Monte Carlo survival probabilities for every collision size k = 1..K.
 
     Each trial draws one channel set of all K users.  Row k is the row of
-    mask 2^k - 1 of ``protocols._subset_max`` over one :func:`capped_rounds`
-    call on all 2^K - 1 subsets, so every row is read off the same draws
-    (common random numbers): each row keeps its law, and ``length_cov``
-    carries the covariance of the rows' epoch lengths min(N_k, L) for
-    :func:`renewal_prediction`.  Every round before the first decodable one
-    counts as a survival.  Chunk i draws from ``default_rng([seed,
-    _TAG_BETA + K, i])``.
+    mask 2^k - 1 of ``channel._mask_rounds``, the subset maximum of one
+    :func:`capped_rounds` lattice of all 2^K - 1 subsets, so every row is
+    read off the same draws (common random numbers): each row keeps its
+    law, and ``length_cov`` carries the covariance of the rows' epoch
+    lengths min(N_k, L) for :func:`renewal_prediction`.  Every round before
+    the first decodable one counts as a survival.  Chunk i draws from
+    ``default_rng([seed, _TAG_BETA + K, i])``.
     """
     check_counts(deadline=deadline)
     check_rate("rate", rate)
     snr = snr_from_db(snr_db)
     users, rx, tx = config.users, config.rx, config.tx
     _check_tile((1 << users) - 1, rx)           # before any chunk draws its channels
+    step = _tile_epochs((1 << users) - 1, rx)
 
     def sums(rng, n, buffers):
         """(K, L + K) survival counts at rounds 1..L, then the cross sums of the epoch lengths."""
+        # the epoch lengths below reuse the channel buffer, so it is sized
+        # first for the larger of them and the chunk's draw (power rows of
+        # their size, or one tile of gains: 16 bytes a gain, 8 a length),
+        # and a thread's first chunk allocates it once
+        _scratch(buffers, "channel", (users, n if rx == 1 else max(n, 2 * min(step, n) * rx * tx)))
         worst = _mask_rounds(rng, (n, users, rx, tx), snr, rate, deadline, buffers)
         needed = [worst[(2 << k) - 1] for k in range(users)]      # the first k + 1 users: mask 2^(k+1) - 1
         survivals = [[np.count_nonzero(row > ell) for ell in range(1, deadline + 1)] for row in needed]
         # epoch lengths are at most L, so every partial sum of the cross sums
         # is an integer at most trials * L^2: exact in float64 below 2^53;
-        # one product per row, as x @ x.T runs slower on so wide an x.  The
-        # lengths overwrite the channel buffer, which no later step reads:
-        # with one receive antenna the chunk's power rows, of their size, so
-        # a buffer of their own would add to the peak; with more, one tile
+        # one product per row, as x @ x.T runs slower on so wide an x.  No
+        # later step reads the channels, and a buffer of the lengths' own
+        # would add to the peak
         x = _scratch(buffers, "channel", (users, n))
         for row, length in zip(needed, x):
             np.minimum(row, deadline, dtype=float, out=length)

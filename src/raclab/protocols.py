@@ -9,24 +9,23 @@ once and each epoch evaluated at the participant bitmasks it is asked for
 bitmasks of delivered and of wrongly decoded packets.
 
 :func:`epoch_outcomes` draws and evaluates a block in two stages, with one
-body per protocol.  The schedule (:func:`_schedule`) checks the inputs and
-makes every draw that no channel decides: GTA and O-NDMA epochs end and
-deliver whatever the channel, so it gives their lengths and delivered
-sets.  The decode (:func:`_decode`) then draws the block's channels, the
-block's last draw, and decides IR-ARQ's lengths and every protocol's
-errors.  It draws them through :func:`channel._draw_tiles`, so with more
-than one receive antenna it holds one kernel tile of gains at a time.
-Its callers keep the block cache-sized: the queue asks for ``_TILE``
-cells (epochs times the 2^K sets of each) per draw, and a fully-loaded
-estimator's default chunk is ``_TILE`` epochs at one set each.
+body per protocol.  This module schedules; :mod:`channel` decides.  The
+schedule (:func:`_schedule`) checks the inputs and makes every draw that no
+channel decides: GTA and O-NDMA epochs end and deliver whatever the
+channel, so it gives their lengths and delivered sets.  The decode
+(:func:`_decode`) then has the channel draw the block's channels, the
+block's last draw, and decide IR-ARQ's lengths and every protocol's
+errors, one kernel tile at a time.  Its callers keep the block
+cache-sized: the queue asks for ``_TILE`` cells (epochs times the 2^K sets
+of each) per draw, and a fully-loaded estimator's default chunk is
+``_TILE`` epochs at one set each.
 
 * IR-ARQ: every participant sends a fresh redundancy block each round and
   the receiver jointly decodes across users and rounds, up to the deadline
   L; at round L an ACK is sent regardless, so failed packets still drain.
   The rounds S needs, capped at L + 1, are the most any nonempty T
-  contained in S needs: :func:`_mask_rounds`, the :func:`_subset_max` of
-  :func:`channel.capped_rounds`, or at infinite SNR a row sum of
-  :func:`channel.asymptotic_survival`.
+  contained in S needs: :func:`channel._mask_rounds`, or at infinite SNR a
+  row sum of :func:`channel.asymptotic_survival`.
 * O-NDMA: a k-user collision is resolved in exactly k orthogonal slots and
   each message is decoded by a single-user decoder at combining gain 1: the
   IR-ARQ decision for one user and one round, with the same tie rule.
@@ -46,8 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import (_capped_tiles, _check_tile, _det, _draw_tiles, _gram_entries, _scratch, _thresholds,
-                      asymptotic_survival)
+from .channel import _fails_alone, _mask_rounds, asymptotic_survival
 from .system import GTA, IRARQ, ONDMA, AntennaConfig, ProtocolParams
 
 
@@ -75,44 +73,6 @@ def _coins(rng: np.random.Generator, n: int, users: int, p_t: float) -> np.ndarr
     if p_t < 1.0:
         return _bits(rng.random((n, users)) < p_t)
     return np.full(n, (1 << users) - 1, dtype=np.int64)
-
-
-def _subset_max(rows: np.ndarray, users: int, out=None) -> np.ndarray:
-    """Max of (subsets, epochs) ``rows`` over the nonempty subsets of every mask.
-
-    The result is (2^users, epochs) of the type of ``rows``, row m for mask
-    m, written into ``out`` when it is given (``rows`` may be ``out[1:]``
-    itself); row 0 is 0.
-    """
-    worst = np.empty((1 << users, rows.shape[1]), dtype=rows.dtype) if out is None else out
-    worst[0] = 0
-    worst[1:] = rows
-    for i in range(users):
-        # v[:, 1] are the masks with bit i set, v[:, 0] the same masks without it
-        v = worst.reshape(1 << (users - 1 - i), 2, 1 << i, rows.shape[1])
-        np.maximum(v[:, 1], v[:, 0], out=v[:, 1])
-    return worst
-
-
-def _mask_rounds(rng: np.random.Generator, shape, snr: float, rate: float, deadline: int,
-                 buffers: dict | None = None) -> np.ndarray:
-    """Draw a block of k users' channels of an (epochs, k, rx, tx) ``shape``; min(rounds needed, L + 1) of every mask.
-
-    :func:`_subset_max` of the :func:`channel.capped_rounds` of the block,
-    (2^k, epochs) of its count type, row m for mask m (row 0 is 0).  The
-    block is drawn and counted a kernel tile at a time
-    (:func:`channel._draw_tiles`).  With ``buffers``
-    (:func:`channel._scratch`) the tile and the result are held there,
-    and the lattice is written straight into the result's rows 1.., where
-    the maximum runs in place.
-    """
-    n, k, rx, tx = shape
-    subsets = (1 << k) - 1
-    _check_tile(subsets, rx)                         # before a buffer is sized for the lattice
-    worst = _scratch(buffers, "worst", (1 << k, n), np.min_scalar_type(deadline + 1))
-    rounds = _capped_tiles(_draw_tiles(rng, shape, subsets, buffers), n, k, rx, snr, rate, tx, deadline,
-                           None if worst is None else worst[1:])
-    return _subset_max(rounds, k, worst)
 
 
 # Cells (epochs times participant sets per epoch) of one cache-sized block:
@@ -249,23 +209,14 @@ def _tree_members(masks, count, users: int, rng: np.random.Generator):
 def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, rng, n: int, buffers=None):
     """Draw n epochs' channels; the per-epoch bitmask of the users who fail one round at gain 1.
 
-    The IR-ARQ decision at deadline 1 for each lone user: its power row,
-    or the det of its scaled Gram rows, against its one threshold, as
-    :func:`channel.capped_rounds` compares a one-member subset.  The
-    channels are drawn a kernel tile at a time (:func:`channel._draw_tiles`,
-    one subset per user).  At infinite SNR nothing is drawn.
+    The bits of :func:`channel._fails_alone`.  At infinite SNR nothing is
+    drawn: a lone user fails alike in every epoch.
     """
     if snr is None:
         lost = asymptotic_survival(config, params.multiplexing_gain, 1)[0, 1]    # one user after one round
         return (1 << config.users) - 1 if lost else 0
-    users, rx, tx = config.users, config.rx, config.tx
-    limits = _thresholds(1, snr, params.rate_at(snr), tx, rx, 1)
-    lost = np.zeros((users, n), dtype=bool)
-    for tile, channel in _draw_tiles(rng, (n, users, rx, tx), users, buffers):
-        if limits:
-            values = channel if rx == 1 else _det((snr / tx) * _gram_entries(channel), rx)
-            np.less(values, limits[0], out=lost[:, tile])
-    return _bits(lost.T)
+    shape = (n, config.users, config.rx, config.tx)
+    return _bits(_fails_alone(rng, shape, snr, params.rate_at(snr), buffers).T)
 
 
 def _schedule(protocol: str, config: AntennaConfig, params: ProtocolParams,
@@ -298,10 +249,11 @@ def _decode(protocol: str, config: AntennaConfig, params: ProtocolParams,
             buffers: dict | None = None):
     """Draw the block's channels and decode the epochs of a :func:`_schedule`.
 
-    IR-ARQ's :func:`_mask_rounds` and the other protocols' :func:`_outage_bits`
-    each draw the channels a kernel tile at a time and decide every tile as
-    it is drawn.  The channels and IR-ARQ's lattice are held in ``buffers``
-    (:func:`channel._scratch`) when given, else allocated.
+    IR-ARQ's :func:`channel._mask_rounds` and the other protocols'
+    :func:`_outage_bits` each draw the channels a kernel tile at a time and
+    decide every tile as it is drawn.  The channels and IR-ARQ's lattice
+    are held in ``buffers`` (:func:`channel._scratch`) when given, else
+    allocated.
     """
     n = masks.shape[0]
     if protocol == IRARQ:

@@ -18,11 +18,11 @@ from raclab.channel import (
     NEVER,
     _check_tile,
     _det,
-    _draw_buffers,
     _draw_channel,
     _draw_gains,
     _draw_tiles,
     _gram_entries,
+    _mask_rounds,
     _pool,
     _scratch,
     _shape,
@@ -130,7 +130,7 @@ def test_draw_pins_the_interleaved_stream(shape):
 def test_gains_stream_does_not_depend_on_the_cut(k, tx, rx):
     # n epochs in one draw are m epochs and then n - m, for m = 0, 1, n - 1
     # and one kernel tile; the tiles of _draw_tiles, reused memory and all,
-    # draw the block's stream too, and hold one tile at a time
+    # draw the block's stream too, and hold one tile of gains at a time
     tile = tile_epochs(lattice(k), rx)
     n = 2 * tile + 17
     want = _draw_gains(np.random.default_rng(44), (n, k, rx, tx))
@@ -143,13 +143,14 @@ def test_gains_stream_does_not_depend_on_the_cut(k, tx, rx):
         assert rng.bit_generator.state == end.bit_generator.state
     for buffers in (None, {}):
         rng = np.random.default_rng(44)
-        got, held = [], set()
-        for span, gains in _draw_tiles(rng, (n, k, rx, tx), len(lattice(k)), buffers):
-            assert gains.shape == (span.stop - span.start, k, rx, tx) and span.stop - span.start <= tile
-            got.append(gains.copy())
-            held.add(gains.__array_interface__["data"][0])
-        assert [g.shape[0] for g in got] == [tile, tile, 17]
-        assert np.concatenate(got).tobytes() == want.tobytes()
+        sizes, held = [], set()
+        for span, rows in _draw_tiles(rng, (n, k, rx, tx), len(lattice(k)), buffers):
+            # a tile's Gram rows are those of its slice of the one-call draw
+            assert rows.tobytes() == _gram_entries(want[span]).tobytes()
+            sizes.append(span.stop - span.start)
+            if buffers is not None:
+                held.add(id(buffers["channel"]))
+        assert sizes == [tile, tile, 17]
         assert rng.bit_generator.state == end.bit_generator.state
         if buffers is not None:
             assert len(held) == 1 and buffers["channel"].nbytes == tile * k * rx * tx * 16
@@ -177,30 +178,28 @@ def test_scratch_hands_out_leading_views_of_one_buffer_per_name():
 def test_draw_into_buffers_is_the_allocating_draw(shape):
     # out= and the spare block draw the same stream and add in the same order,
     # and a shorter block reads a leading view of the same memory; gains
-    # need no spare, power rows one per transmit antenna after the first
-    buffers, addresses = {}, set()
+    # need no spare, power rows one per transmit antenna after the first.
+    # The IR-ARQ mask rounds, drawn and counted into chunk buffers, are
+    # those of allocated arrays too
+    buffers, addresses, chunk = {}, set(), {}
     for n in (shape[0], shape[0] - 17):
         block = (n, *shape[1:])
+        _, k, rx, tx = block
         rng, twin = np.random.default_rng(44), np.random.default_rng(44)
-        out, spare = _draw_buffers(buffers, block)
+        if rx > 1:
+            out, spare = _scratch(buffers, "channel", block, complex), None
+        else:
+            out = _scratch(buffers, "channel", (k, n))
+            spare = _scratch(buffers, "spare", (k, n)) if tx > 1 else None
         got = _draw_channel(rng, block, out, spare)
         want = _draw_channel(twin, block)
         assert got is out and got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
-        assert (spare is None) == (shape[2] > 1 or shape[3] == 1)
         addresses.add(out.__array_interface__["data"][0])
+        rounds = _mask_rounds(np.random.default_rng(45), block, 10.0, 1.5 * rx, 3, chunk)
+        assert np.shares_memory(rounds, chunk["worst"])
+        assert rounds.tobytes() == _mask_rounds(np.random.default_rng(45), block, 10.0, 1.5 * rx, 3).tobytes()
     assert len(addresses) == 1 and len(buffers) == 1 + (spare is not None)
-
-
-def test_capped_rounds_write_into_out():
-    channel = _draw_channel(np.random.default_rng(45), (500, 3, 1, 2))
-    want = capped_rounds(channel, 10.0, 1.5, 2, 3)
-    out = np.full((7, 500), 99, dtype=np.uint8)
-    assert capped_rounds(channel, 10.0, 1.5, 2, 3, out) is out
-    assert np.array_equal(out, want)
-    for bad in (np.empty((7, 500), np.uint16), np.empty((7, 499), np.uint8), np.empty((3, 500), np.uint8)):
-        with pytest.raises(ValueError, match="out must be"):
-            capped_rounds(channel, 10.0, 1.5, 2, 3, bad)
 
 
 def test_draw_holds_one_and_a_half_gains_at_peak():

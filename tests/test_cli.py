@@ -91,6 +91,19 @@ def test_beta_runs_every_deadline(tmp_path):
     assert [r for r in rows if r[2] == "3"] == read_csv(alone)[1]
 
 
+def test_beta_rows_carry_no_pt(tmp_path):
+    # a beta table is per collision size and never reads p_t, so --pt
+    # leaves the p_t field empty and changes no other field
+    args = ["beta", "--users", "2", "--deadline", "2", "--snr-db", "10", "--trials", "1000", "--seed", "1"]
+    given, plain = tmp_path / "given.csv", tmp_path / "plain.csv"
+    assert main(args + ["--pt", "0.5", "--out", str(given)]) == 0
+    assert main(args + ["--out", str(plain)]) == 0
+    header, rows = read_csv(given)
+    column = header.index("p_t")
+    assert rows and {r[column] for r in rows} == {""}
+    assert rows == read_csv(plain)[1]
+
+
 def test_pe_csv_and_determinism(tmp_path):
     args = ["pe", "--protocol", "irarq", "--deadline", "2", "--snr-db", "10", "15", "20",
             "--trials", "5000", "--seed", "9"]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import raclab
-from raclab import channel
+from raclab import channel, montecarlo
 
 from raclab import (
     AntennaConfig,
@@ -188,6 +188,28 @@ def test_mimo_beta_holds_one_tile_of_gains_whatever_the_chunk():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= ((1 << 4) + 8 * 4) * ((1 << 14) - (1 << 12)) + tile, peaks
+
+
+@pytest.mark.parametrize("cfg", [AntennaConfig(users=4, tx=2, rx=4), AntennaConfig(users=3, tx=2, rx=2)],
+                         ids=["K4-2x4", "K3-2x2"])
+def test_each_thread_allocates_its_channel_buffer_once(monkeypatch, cfg):
+    # estimate_beta's epoch-length rows reuse the channel buffer, which also
+    # holds one tile of gains: at K = 4, 2x4 the rows are the larger, at
+    # K = 3, 2x2 the tile.  Either way a thread's first chunk sizes it once
+    made = {}                                   # thread id -> {id: buffer}, each kept alive
+    real = channel._scratch
+
+    def scratch(buffers, name, *args):
+        view = real(buffers, name, *args)
+        if name == "channel":
+            made.setdefault(threading.get_ident(), {})[id(buffers[name])] = buffers[name]
+        return view
+
+    monkeypatch.setattr(channel, "_scratch", scratch)
+    monkeypatch.setattr(montecarlo, "_scratch", scratch)
+    estimate_beta(cfg, 20.0, 2.0, 2, 3 * montecarlo.DEFAULT_CHUNK + 5, seed=1, workers=2)
+    assert made and all(len(held) == 1 for held in made.values()), [
+        [flat.nbytes for flat in held.values()] for held in made.values()]
 
 
 def test_threads_keep_to_their_own_chunk_buffers():

@@ -16,6 +16,7 @@ from raclab import (
     simulate_random_arrivals,
 )
 from raclab import montecarlo, protocols
+from raclab.channel import _subset_max
 from raclab.montecarlo import fully_loaded_throughput, gta_collision_stats, system_error_probability
 from raclab.protocols import (
     _bits,
@@ -23,7 +24,6 @@ from raclab.protocols import (
     _gta_tree_batch,
     _schedule,
     _split,
-    _subset_max,
     _tree_members,
     epoch_outcomes,
 )
