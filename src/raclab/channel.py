@@ -31,6 +31,24 @@ check, :func:`batch_first_decodable_round`, rounds up the worst demand
 |S| * rate / I_S with I_S = log2 det.  All share one tie rule: the rate is
 shaved by a factor 1 - 1e-12, so a subset exactly on its boundary decodes.
 
+With N >= 3 most subsets of a capped count need no det.  For PSD
+A = (snr/M) * G_S, det(I + A) = prod (1 + lambda_i) >= 1 + tr A, and the
+thresholds fall with ell, so a subset whose 1 + tr A (the sum of its
+pooled diagonal rows) reaches its round-1 threshold times 1 +
+_TRACE_MARGIN (1e-6) decodes in round 1.  Up to 60 dB, the range the
+tests check, the margin is far above the rounding of the trace and of
+the det (at most about 2e-9 relative, measured on rank-one Grams), so the
+computed det would pass every threshold too: the counts are bitwise
+those of a det of every subset, and no draw moves.  Only the pairs the
+bound leaves open are gathered for the det (:func:`_screened_det`).
+With N = 2 the det is one pivot step, cheaper than gathering, and every
+det is computed.  On a rank-deficient pooled Gram the det's rounding
+grows in proportion to snr and passes the margin from about 90 dB on (up
+to 1e-5 relative at 100 dB).  A certified subset whose det rounds below
+its threshold there decodes in round 1, by the bound, the exact
+decision, where a det of every subset counts more rounds; a subset the
+bound leaves open is the det's decision, rounding and all.
+
 A block of channels is what the kernels read, drawn by the callers from
 their own generator streams.  With one receive antenna that is each user's
 received power sum_tx |h|^2, Gamma(tx, 1) distributed, as (users, epochs)
@@ -63,8 +81,17 @@ NEVER = 10**9
 
 # Subset-matrix entries (epochs * subsets * rx^2, rx = 1 for power rows) per
 # tile of the kernels: 1 MiB of pooled entries, about 2 MiB with the tile's
-# temporaries.
+# temporaries.  With rx >= 3 the pairs that reach the det are first gathered
+# out of the pooled entries (_screened_det): a copy of at most the pooled
+# entries, a few percent of them where most subsets decode in round 1.  With
+# every pair open a K = 4, 2x4 tile peaks at about 3.7 MiB, against 2.6 MiB
+# for a det of every pair in place.
 _TILE_ENTRIES = 1 << 17
+
+# Relative margin of the trace bound: a subset whose 1 + tr A reaches its
+# round-1 threshold times 1 + _TRACE_MARGIN decodes without a det.  It is far
+# above the rounding of the det and of the trace (module docstring).
+_TRACE_MARGIN = 1e-6
 
 
 def _scratch(buffers: dict | None, name: str, shape, dtype=np.float64) -> np.ndarray | None:
@@ -294,8 +321,11 @@ def capped_rounds(channel: np.ndarray, snr: float, rate: float, tx: int, deadlin
     the :func:`_thresholds` of its size: with one receive antenna against
     the power sum of S (:func:`_pool`; a single member's row is read as
     drawn), and with N > 1 against the :func:`_det` of the scaled pooled
-    Gram rows.  The epochs run in :func:`_tiles`, and a lattice that does
-    not fit one epoch in a tile raises ValueError before anything is built.
+    Gram rows, with N >= 3 computed only where the trace bound does not
+    already show that S decodes in round 1 (:func:`_screened_det`); the
+    counts are those of a det of every pair.  The epochs run in
+    :func:`_tiles`, and a lattice that does not fit one epoch in a tile
+    raises ValueError before anything is built.
     """
     n, k, rx = _shape(channel)
     return _capped_tiles(_tiles(channel, (1 << k) - 1), n, k, rx, snr, rate, tx, deadline)
@@ -308,8 +338,14 @@ def _capped_tiles(tiles, n: int, k: int, rx: int, snr: float, rate: float, tx: i
     ``tiles`` are the (epoch slice, Gram rows) pairs of :func:`_tiles` or
     :func:`_draw_tiles` for the 2^k - 1 subsets, each counted as it comes.
     Every tile is taken, also where no threshold is compared, so a drawn
-    block is always drawn whole.  The counts are written into ``out``, of
-    the result's shape and type, when it is given.
+    block is always drawn whole.  With one receive antenna each subset's
+    power row is compared with its thresholds, one pass per round.  With
+    N > 1 the tile's pooled rows go to :func:`_screened_det`: the (subset,
+    epoch) pairs that the trace bound certifies keep count 1, and the det
+    of each open pair is counted by one sorted search of every threshold
+    (:func:`_round_table`), whatever the deadline.  With N = 2 every det
+    is computed and counted one pass per round.  The counts are written
+    into ``out``, of the result's shape and type, when it is given.
     """
     subsets = (1 << k) - 1
     _check_tile(subsets, rx)
@@ -318,17 +354,70 @@ def _capped_tiles(tiles, n: int, k: int, rx: int, snr: float, rate: float, tx: i
     out.fill(1)
     limits = [_thresholds(size, snr, rate, tx, rx, deadline) for size in range(k + 1)]
     decide = any(limits)
+    if decide and rx > 1:
+        sizes = [s.bit_count() for s in range(1, subsets + 1)]
+        first = np.array([limits[size][0] for size in sizes])[:, None]
+        levels, table = _round_table(limits, out.dtype)
+        starts = np.array(sizes) * table.shape[1]        # of each subset's row of the flat table
+        held = {}                                        # one pooled buffer for every tile
     for tile, rows in tiles:
         if not decide:
             continue
         if rx == 1:
             values = _pool(rows[:, 0])
         else:
-            values = _det(_pool((snr / tx) * rows, np.empty((subsets, *rows.shape[1:]))), rx)
+            pooled = _scratch(held, "pooled", (rx * rx, subsets, rows.shape[2]))
+            _pool((snr / tx) * rows, pooled.transpose(1, 0, 2))
+            open_, values = _screened_det(pooled, rx, first)
+            if open_ is not None:
+                start = np.repeat(starts, np.count_nonzero(open_, axis=1))        # of each open pair
+                out[:, tile][open_] = table.take(start + np.searchsorted(levels, values, "right"))
+                continue
         for s, (count, value) in enumerate(zip(out[:, tile], values), 1):
             for bound in limits[s.bit_count()]:
                 count += value < bound
     return out
+
+
+def _screened_det(a: np.ndarray, rx: int, first):
+    """det(I + A) of the (subset, epoch) pairs of scaled pooled Gram rows A that the trace bound leaves open.
+
+    ``a`` holds the entries of A as C-contiguous (rx^2, subsets, epochs)
+    rows in :func:`_gram_entries` order, and ``first`` the round-1
+    thresholds, broadcast against (subsets, epochs).  A pair with
+    1 + tr A >= first * (1 + _TRACE_MARGIN) decodes in round 1 (module
+    docstring) and is left out.  Returns (open, det): the (subsets,
+    epochs) mask of the open pairs and their det in row-major order.  With
+    two receive antennas it returns (None, det) of every pair as (subsets,
+    epochs), computed in place in ``a``: gathering an open pair and
+    searching its count costs about half a det with four receive antennas,
+    but about three with two, where screening lost time with a sixth of
+    the pairs open.
+    """
+    if rx == 2:
+        return None, _det(a.transpose(1, 0, 2), rx)
+    open_ = a[:rx].sum(axis=0) < first * (1.0 + _TRACE_MARGIN) - 1.0
+    det = _det(a.reshape(len(a), -1).take(np.flatnonzero(open_), axis=1)[None], rx)[0]
+    return open_, det
+
+
+def _round_table(limits: list[list[float]], dtype):
+    """(levels, table) that count a subset's failed rounds by one sorted search.
+
+    ``limits`` are the :func:`_thresholds` of sizes 0..k.  A value v of a
+    subset of size m fails exactly the thresholds of size m above v, so its
+    count is table[m, searchsorted(levels, v, 'right')]: levels are every
+    threshold of every size, ascending (a repeated one is passed whole by
+    the search), and table[m, i] is 1 plus the number of thresholds of
+    size m at or above levels[i], and 1 past the last level.  A nan lands
+    past it and counts 1, as it fails no comparison.  (np.unique would do,
+    but its first call holds about 1 MB for the rest of the process.)
+    """
+    levels = np.sort(np.concatenate(limits[1:]))
+    above = [[0] * len(levels)] + [len(limit) - np.searchsorted(np.sort(limit), levels) for limit in limits[1:]]
+    table = np.ones((len(limits), len(levels) + 1), dtype)
+    table[:, :-1] += np.array(above, dtype)
+    return levels, table
 
 
 def _subset_max(rows: np.ndarray, users: int, out=None) -> np.ndarray:
@@ -375,17 +464,25 @@ def _fails_alone(rng: np.random.Generator, shape, snr: float, rate: float,
 
     The decision of a one-member subset at deadline 1, as
     :func:`capped_rounds` makes it: the user's power row, or the
-    :func:`_det` of its scaled Gram rows, against its one threshold.  The
-    block is drawn a kernel tile at a time, one subset per user
-    (:func:`_draw_tiles`), also where no threshold is compared.
+    :func:`_det` of its scaled Gram rows, against its one threshold.  With
+    rx >= 3 a user whose trace bound certifies the round is not lost, and
+    only the others reach the det (:func:`_screened_det`, screening as
+    :func:`_capped_tiles` does).  The block is drawn a kernel tile at a
+    time, one subset per user (:func:`_draw_tiles`), also where no
+    threshold is compared.
     """
     n, k, rx, tx = shape
     limits = _thresholds(1, snr, rate, tx, rx, 1)
     lost = np.zeros((k, n), dtype=bool)
     for tile, rows in _draw_tiles(rng, shape, k, buffers):
-        if limits:
-            values = rows[:, 0] if rx == 1 else _det((snr / tx) * rows, rx)
-            np.less(values, limits[0], out=lost[:, tile])
+        if not limits:
+            continue
+        if rx == 1:
+            np.less(rows[:, 0], limits[0], out=lost[:, tile])
+            continue
+        scaled = np.multiply(rows.transpose(1, 0, 2), snr / tx, out=np.empty((rx * rx, k, rows.shape[2])))
+        open_, det = _screened_det(scaled, rx, limits[0])
+        lost[:, tile][... if open_ is None else open_] = det < limits[0]    # every pair, or the open ones
     return lost
 
 

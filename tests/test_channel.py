@@ -15,17 +15,20 @@ import pytest
 from raclab import AntennaConfig, ProtocolParams
 from raclab.channel import (
     _TILE_ENTRIES,
+    _TRACE_MARGIN,
     NEVER,
     _check_tile,
     _det,
     _draw_channel,
     _draw_gains,
     _draw_tiles,
+    _fails_alone,
     _gram_entries,
     _mask_rounds,
     _pool,
     _scratch,
     _shape,
+    _thresholds,
     batch_first_decodable_round,
     capped_rounds,
 )
@@ -1139,3 +1142,154 @@ def test_first_round_memory_beyond_result_is_flat_in_epochs():
         finally:
             tracemalloc.stop()
     assert extra[1] < 2 * extra[0]
+
+
+# ---------------------------------------------------------------------------
+# the trace screen: rx > 1 counts are those of a det of every pair
+# ---------------------------------------------------------------------------
+# det(I + A) >= 1 + tr A for PSD A, so with rx >= 3 the kernels skip the
+# det of a (subset, epoch) pair whose trace clears its round-1 threshold by
+# the relative margin _TRACE_MARGIN.  The reference below runs _det on every
+# pair of the lattice (kernel_values) and compares with the thresholds one
+# round at a time, as the kernel did before the screen.
+
+def capped_by_det(gains, snr, rate, deadline):
+    """capped_rounds of (epochs, k, rx, tx) gains from a det of every lattice pair, as (subsets, epochs)."""
+    k, rx, tx = gains.shape[1:]
+    det = kernel_values(gains, snr / tx)
+    counts = np.ones(det.shape, dtype=np.int64)
+    for s, (count, value) in enumerate(zip(counts, det), 1):
+        for bound in _thresholds(s.bit_count(), snr, rate, tx, rx, deadline):
+            count += value < bound
+    return counts
+
+
+def mask_max(counts, k):
+    """(2^k, epochs): row m is the most rounds of a nonempty subset of mask m, row 0 is 0."""
+    worst = np.zeros((1 << k, counts.shape[1]), dtype=np.int64)
+    for m in range(1, 1 << k):
+        worst[m] = np.max([counts[s - 1] for s in range(1, m + 1) if s & m == s], axis=0)
+    return worst
+
+
+def det_spy(monkeypatch):
+    """Record (leading rows, epochs) of every _det call the kernels make; the reference's are not seen."""
+    calls = []
+    real = _det
+
+    def spy(a, rx):
+        calls.append((a.shape[0], a.shape[2]))
+        return real(a, rx)
+
+    monkeypatch.setattr("raclab.channel._det", spy)
+    return calls
+
+
+@pytest.mark.parametrize("rx", [2, 3, 4])
+def test_screened_counts_are_bitwise_a_det_of_every_pair(rx, monkeypatch):
+    # K = 1..5, tx = 1..3, 0-60 dB, L = 1, 2, 8, rank-deficient epochs among
+    # Rayleigh ones, at the default tile and at tiles of a few epochs
+    calls = det_spy(monkeypatch)
+    pairs = 0
+    rng = np.random.default_rng(800 + rx)
+    for k in range(1, 6):
+        for tx in range(1, 4):
+            gains = np.concatenate([mimo_battery(k, tx, rx, rng), _draw_gains(rng, (150, k, rx, tx)),
+                                    mimo_battery(k, tx, rx, rng)])
+            for snr_db in (0.0, 20.0, 40.0, 60.0):
+                snr = 10.0 ** (snr_db / 10.0)
+                for r in (0.3, 0.9, 2.0):
+                    rate = r * math.log2(1.0 + snr)
+                    for deadline in (1, 2, 8):
+                        want = capped_by_det(gains, snr, rate, deadline)
+                        for entries in (_TILE_ENTRIES, 1 << 11):
+                            monkeypatch.setattr("raclab.channel._TILE_ENTRIES", entries)
+                            got = capped_rounds(gains, snr, rate, tx, deadline)
+                            assert np.array_equal(got, want), (k, tx, snr_db, r, deadline, entries)
+                            pairs += got.size
+                        monkeypatch.setattr("raclab.channel._TILE_ENTRIES", _TILE_ENTRIES)
+    # rx >= 3 gathers the open pairs into one row, so fewer pairs reached
+    # the det than were counted; rx = 2 computes every det of a tile, a det
+    # of several subset rows
+    assert (sum(rows * epochs for rows, epochs in calls) < pairs) == (rx > 2)
+    assert all(rows == 1 for rows, _ in calls) == (rx > 2)
+
+
+@pytest.mark.parametrize("k, tx, rx", [(1, 2, 2), (3, 2, 2), (2, 1, 3), (4, 2, 4), (5, 3, 4)])
+def test_drawn_decisions_are_bitwise_a_det_of_every_pair(k, tx, rx):
+    # _mask_rounds (the subset maximum) and _fails_alone draw several tiles
+    # of gains; a twin generator gives the same gains to the reference
+    n = 2 * tile_epochs(lattice(k), rx) + 37
+    for snr_db in (0.0, 20.0, 40.0, 60.0):
+        snr = 10.0 ** (snr_db / 10.0)
+        for r in (0.45, 1.5):
+            rate = r * math.log2(1.0 + snr)
+            seed = [k, tx, rx, int(snr_db), int(10 * r)]
+            gains = _draw_gains(np.random.default_rng(seed), (n, k, rx, tx))
+            for deadline in (1, 2, 8):
+                got = _mask_rounds(np.random.default_rng(seed), (n, k, rx, tx), snr, rate, deadline)
+                assert np.array_equal(got, mask_max(capped_by_det(gains, snr, rate, deadline), k))
+            lost = _fails_alone(np.random.default_rng(seed), (n, k, rx, tx), snr, rate)
+            det = _det((snr / tx) * _gram_entries(gains), rx)             # each user as its own subset
+            assert np.array_equal(lost, det < _thresholds(1, snr, rate, tx, rx, 1)[0])
+
+
+def test_a_pair_on_the_trace_bound_reaches_the_det(monkeypatch):
+    # tx = 1 singletons are rank one, so det(I + A) = 1 + tr A.  At snr 3 and
+    # rate 2 a unit column has det 4, exactly the boundary (it decodes by
+    # the tie rule), and a column whose det sits half a margin below the
+    # round-1 threshold fails round 1: neither may be certified by the
+    # trace.  One a margin above it, and 60 strong columns, are certified.
+    threshold = _thresholds(1, 3.0, 2.0, 1, 3, 1)[0]
+    powers = [1.0, (threshold * (1.0 - _TRACE_MARGIN / 2) - 1.0) / 3.0,
+              (threshold * (1.0 + 2 * _TRACE_MARGIN) - 1.0) / 3.0] + [4.0] * 60
+    gains = np.zeros((len(powers), 1, 3, 1), dtype=complex)
+    gains[:, 0, 0, 0] = np.sqrt(powers)
+    calls = det_spy(monkeypatch)
+    got = capped_rounds(gains, 3.0, 2.0, 1, 2)
+    assert calls == [(1, 2)]                         # the tie and the near miss, gathered
+    assert got[0].tolist() == [1, 2] + [1] * 61
+    assert np.array_equal(got, capped_by_det(gains, 3.0, 2.0, 2))
+
+
+def test_rank_one_decisions_at_100_db(monkeypatch):
+    # Beyond the checked 60 dB the det's rounding passes the margin.  A
+    # tx = 1 column at rx = 4 is rank one, det(I + A) = 1 + tr A exactly,
+    # at 100 dB and rate 1.2 log2(1 + snr).  1e-7 above the round-1
+    # threshold it is inside the margin: it reaches the det, which rounds
+    # about 8e-5 below the threshold, so it fails round 1 as a det of every
+    # pair says.  2e-6 above it is certified and decodes in round 1, its
+    # exact decision, where the det (about 1e-5 below) would fail it.
+    snr = 1e10
+    rate = 1.2 * math.log2(1.0 + snr)
+    threshold = _thresholds(1, snr, rate, 1, 4, 1)[0]
+    column = np.array([1.0, 1.0 + 1.0j, 2.0, 3.0]) / math.sqrt(16.0)
+    gains = np.zeros((2, 1, 4, 1), dtype=complex)
+    for epoch, above in enumerate((1e-7, 2e-6)):
+        gains[epoch, 0, :, 0] = column * math.sqrt((threshold * (1.0 + above) - 1.0) / snr)
+    calls = det_spy(monkeypatch)
+    got = capped_rounds(gains, snr, rate, 1, 2)
+    assert calls == [(1, 1)]                          # only the pair inside the margin
+    assert got[0].tolist() == [2, 1]
+    assert capped_by_det(gains, snr, rate, 2)[0].tolist() == [2, 2]
+
+
+def test_trace_screen_leaves_few_pairs_to_the_det(monkeypatch):
+    # the benchmark's K = 4, 2x4 table at 20 dB, r = 0.45, L = 2: the bound
+    # certifies about 93% of the (subset, epoch) pairs.  The pairs that reach
+    # the det are exactly those whose 1 + (snr/M) tr G_S, from the gains,
+    # stays below the round-1 threshold times 1 + _TRACE_MARGIN
+    k, tx, rx, n = 4, 2, 4, 20_000
+    snr, rate = 100.0, 0.45 * math.log2(101.0)
+    gains = _draw_gains(np.random.default_rng(59), (n, k, rx, tx))
+    calls = det_spy(monkeypatch)
+    got = capped_rounds(gains, snr, rate, tx, 2)
+    reached = sum(rows * epochs for rows, epochs in calls)
+    assert reached <= 0.15 * len(lattice(k)) * n
+    masks = (np.array(lattice(k))[:, None] >> np.arange(k)) & 1                # (subsets, k)
+    trace = snr / tx * (masks @ np.sum(np.abs(gains) ** 2, axis=(2, 3)).T)     # (subsets, n)
+    first = np.array([_thresholds(s.bit_count(), snr, rate, tx, rx, 1)[0] for s in lattice(k)])[:, None]
+    bound = first * (1.0 + _TRACE_MARGIN)
+    assert not np.any(np.isclose(1.0 + trace, bound, rtol=1e-12, atol=0.0))
+    assert reached == np.count_nonzero(1.0 + trace < bound)
+    assert np.array_equal(got, capped_by_det(gains, snr, rate, 2))
