@@ -18,12 +18,17 @@ and are eligible again at the very next epoch.
 The simulator keeps each queue as counts only.  Arrivals are drawn as
 per-slot Poisson counts in blocks of slots; a user's arrivals before each
 slot of a block are the running sum of its counts, and its queue holds
-those less its departures.  Each epoch updates only what the next one
-needs (the mask of non-empty queues, the per-user departure counts and
-the slot) and notes the table cell of a non-idle epoch.  When a block of
-epoch outcomes is used up, its noted cells are folded by array gathers
-into the run's counts of non-idle epochs, erred epochs and delivered
-packets, and into the departures per end slot.  Both statistics are read
+those less its departures.  A block of epoch outcomes is read as one
+list of packed cells, length << K | delivered users.  Each epoch updates
+only what the next one needs (the mask of non-empty queues, the per-user
+departure counts and the slot): an epoch without participants reads no
+cell and lasts one slot, which a check of every block's idle cells backs,
+and a non-idle epoch reads its departing users and its length from one
+packed cell and notes the cell.  When a block is used up, its noted cells
+are checked against the packet ledger in one array test (no departure
+from outside an epoch's participants) and folded by array gathers into
+the run's counts of non-idle epochs, erred epochs and delivered packets,
+and into the departures per end slot.  Both statistics are read
 after the loop from the per-slot departures and arrival totals.  No
 packet is paired with its departure: by Little's law the time in system
 summed over the packets is the number in system summed over time.  A
@@ -34,7 +39,7 @@ over the slots after the warm-up divided by their arrivals.  Packets
 still queued at the horizon count for the time they have waited.  The
 backlog at a slot's start is the same count without the half, and the
 stability slope is its least-squares trend over the slots of the second
-half.
+half, sum_t (t - mean t) b(t) / sum_t (t - mean t)^2 from centred sums.
 """
 
 from __future__ import annotations
@@ -190,18 +195,24 @@ def simulate_random_arrivals(
     Epoch outcomes come in fixed-size blocks of :func:`protocols.epoch_outcomes`
     evaluated at all 2^K participant sets, and per-slot Poisson arrival
     counts in fixed-size blocks of slots, each drawn from the one generator
-    when the loop first needs it.  Between draws the loop does integer
-    arithmetic on counts, and folds a used-up block's non-idle epochs into
-    the statistics (module docstring, :func:`_fold_block`).  The delay is
+    when the loop first needs it.  Each table block becomes one list of
+    packed cells, length << K | delivered users, which a non-idle epoch
+    reads once; an idle epoch reads none and advances one slot, and a
+    block whose idle cells are not all one slot long raises
+    AssertionError.  Between draws the loop does integer arithmetic on
+    counts, and folds a used-up block's non-idle epochs into the
+    statistics (module docstring, :func:`_fold_block`).  The delay is
     the occupancy summed over the window [W, H), W = int(WARMUP_FRACTION *
     H), divided by the window's arrivals, and its CI comes from batch means
     of both sums (:func:`_ratio_ci`).  The stability verdict regresses the total
     backlog at each slot start against time over the second half of the
-    horizon, read after the loop from the same per-slot series: trend below
-    STABILITY_SLOPE_EPS in absolute value is stable, a positive trend above
-    it is unstable, anything else is inconclusive.  The packet ledger is
-    checked: an epoch delivers only its participants, whose queues hold a
-    packet, and the departures add up to the delivered epoch outcomes.
+    horizon, read after the loop from the same per-slot series and fitted
+    by centred sums: trend below STABILITY_SLOPE_EPS in absolute value is
+    stable, a positive trend above it is unstable, anything else is
+    inconclusive.  The packet ledger is checked: an epoch delivers only its
+    participants, whose queues hold a packet (tested once per block over
+    its non-idle cells, :func:`_fold_block`), and the departures add up to
+    the delivered epoch outcomes.
     """
     if not is_count(horizon_slots) or horizon_slots < 10:
         raise ValueError(f"horizon_slots must be an integer >= 10, got {horizon_slots!r}")
@@ -217,6 +228,9 @@ def simulate_random_arrivals(
     stride = 1 << config.users               # table cells per epoch
     block = _TILE >> config.users              # one cache-sized block of the engine
     all_sets = np.broadcast_to(np.arange(stride), (block, stride))
+    bits = config.users                      # a packed cell: length << bits | delivered
+    low = stride - 1                         # its delivered field
+    ones = np.ones(config.users, dtype=np.int64)   # counts @ ones: row sums, faster than .sum
 
     # before[u][t] counts user u's arrivals in the slots below base + t
     before = [[0] for _ in users]
@@ -238,29 +252,31 @@ def simulate_random_arrivals(
         tables = epoch_outcomes(protocol, config, params, snr, all_sets, rng)
         if tables[0].min() < 1:
             raise AssertionError("epoch outcomes: an epoch shorter than one slot")
-        lengths, delivered = tables[0].ravel().tolist(), tables[1].ravel().tolist()
+        if (tables[0][:, 0] != 1).any():
+            raise AssertionError("epoch outcomes: an idle epoch longer than one slot")
+        packed = (tables[0] << bits | tables[1]).ravel().tolist()
         first = slot                 # the block's first slot
         cells = []                   # table cell of each non-idle epoch of the block
         # offset is the epoch's first cell, its idle one
         for coin, offset in zip(coins, range(0, block * stride, stride)):
             participants = ready & coin
-            cell = offset | participants
             if participants:
-                gone = delivered[cell]
-                if gone & ~participants:
-                    raise AssertionError("packet ledger: a departure from outside the participants")
+                cell = offset | participants
                 cells.append(cell)
-                for u in members[gone]:
+                outcome = packed[cell]
+                for u in members[outcome & low]:
                     departed[u] += 1
                 # pruned packets stay at the head, eligible next epoch
-            slot += lengths[cell]
+                slot += outcome >> bits
+            else:
+                slot += 1
 
             while drawn < slot:
                 counts = rng.poisson(rate_per_user, size=(_ARRIVAL_BLOCK_SLOTS, config.users))
                 # row 0 is each user's arrivals before ``drawn``, the last block's last entry
                 before = (np.concatenate(([[b[-1] for b in before]], counts))
                           .cumsum(axis=0).T.tolist())
-                arrived.append(counts.sum(axis=1))
+                arrived.append(counts @ ones)
                 base = drawn
                 drawn += _ARRIVAL_BLOCK_SLOTS
             if slot >= horizon_slots:
@@ -287,8 +303,10 @@ def simulate_random_arrivals(
     # the backlog at each slot start of the second half, the arrivals before
     # the slot less the departures ending at or before it
     late = (horizon_slots + 1) // 2
-    slope = float(np.polyfit(np.arange(late, horizon_slots),
-                             (twice[late:] - per_slot[late:]) / 2, 1)[0])
+    # least squares by centred sums: the slots' mean (late + H - 1) / 2 is a
+    # half-integer, so the centred slots are exact and sum to zero
+    centred = np.arange(late, horizon_slots) - (late + horizon_slots - 1) / 2
+    slope = float(centred @ ((twice[late:] - per_slot[late:]) / 2) / (centred @ centred))
     if abs(slope) < STABILITY_SLOPE_EPS:
         verdict = "stable"
     elif slope > STABILITY_SLOPE_EPS:
@@ -326,17 +344,25 @@ def _fold_block(tables, cells: list[int], start: int, left: np.ndarray,
 
     ``cells`` are the non-idle epochs' cells in the block's ``tables``, and
     every other epoch of the block up to the last of them was idle (its
-    first cell); the block's first epoch starts at slot ``start``.  Adds
-    each non-idle epoch's delivered packets to ``left`` at its end slot,
-    clipped to the last entry, and the block's non-idle, erred and delivered
-    counts to ``stats``.
+    first cell); the block's first epoch starts at slot ``start``.  Raises
+    AssertionError, the packet ledger's, when a cell delivers a user
+    outside its participants (the cell's offset in its epoch's row), in one
+    test over all the block's non-idle cells.  Adds each non-idle epoch's
+    delivered packets to ``left`` at its end slot, clipped to the last
+    entry, and the block's non-idle, erred and delivered counts to
+    ``stats``.
     """
     lengths, delivered, erred = (t.ravel() for t in tables)
+    stride = tables[0].shape[1]
     at = np.fromiter(cells, np.intp, len(cells))
-    epoch = at // tables[0].shape[1]
+    out = delivered[at]
+    # a cell's participants are its offset within the epoch's row
+    if (out & ~(at & (stride - 1))).any():
+        raise AssertionError("packet ledger: a departure from outside the participants")
+    epoch = at // stride
     taken = tables[0][:, 0].copy()           # each epoch's length at its cell
     taken[epoch] = lengths[at]
-    gone = np.bitwise_count(delivered[at])
+    gone = np.bitwise_count(out)
     # the ends ascend strictly, so no index repeats
     left[np.minimum(start + np.cumsum(taken)[epoch], left.size - 1)] += gone
     stats[0] += at.size

@@ -318,6 +318,22 @@ def test_rejects_epochs_shorter_than_a_slot(monkeypatch):
         simulate_random_arrivals("irarq", SCALAR2, IR_PARAMS, 0.5, None, 20_000, seed=65)
 
 
+def test_rejects_idle_epochs_longer_than_a_slot(monkeypatch):
+    # the loop advances an epoch without participants by one slot without
+    # reading its cell, so a longer idle epoch must be refused, not skipped
+    real = queueing.epoch_outcomes
+
+    def corrupt(*args):
+        lengths, delivered, errors = real(*args)
+        lengths = lengths.copy()
+        lengths[:, 0] += 1
+        return lengths, delivered, errors
+
+    monkeypatch.setattr(queueing, "epoch_outcomes", corrupt)
+    with pytest.raises(AssertionError, match="idle epoch longer than one slot"):
+        simulate_random_arrivals("irarq", SCALAR2, IR_PARAMS, 0.5, None, 20_000, seed=65)
+
+
 def test_gta_queue_conserves_packets_under_pruning():
     cfg = AntennaConfig(users=3)
     params = ProtocolParams(p_t=1.0, multiplexing_gain=0.1)
@@ -365,7 +381,9 @@ def simulate_packet_by_packet(protocol, config, params, total_rate, snr_db, hori
     is summed packet by packet.  Every term is a multiple of 1/2, so the
     sums are exact.  The backlog at each slot start of the second half is
     counted from the same per-packet arrival slots and departures, and its
-    slope is the simulator's least-squares fit on those (slot, backlog) pairs.
+    slope is the least-squares fit on those (slot, backlog) pairs by the
+    simulator's centred sums.  Returns the report and the (slots, backlog)
+    series.
     """
     rng = np.random.default_rng(seed)
     snr = None if snr_db is None else 10 ** (snr_db / 10)
@@ -426,7 +444,8 @@ def simulate_packet_by_packet(protocol, config, params, total_rate, snr_db, hori
     late = np.arange((horizon_slots + 1) // 2, horizon_slots)
     backlog = (np.searchsorted(np.sort(slots), late, side="left")
                - np.searchsorted(np.sort(departed_at), late, side="right"))
-    slope = float(np.polyfit(late, backlog, 1)[0])
+    centred = late - late.mean()
+    slope = float(centred @ backlog / (centred @ centred))
     if abs(slope) < queueing.STABILITY_SLOPE_EPS:
         verdict = "stable"
     else:
@@ -455,7 +474,7 @@ def simulate_packet_by_packet(protocol, config, params, total_rate, snr_db, hori
         pe=errors / nonidle, nonidle_epochs=nonidle, verdict=verdict, backlog_slope=slope,
         packets=packets, arrivals=sum(bisect_left(queues[u], slot) for u in users),
         delivered=n_delivered, horizon_slots=horizon_slots, seed=seed,
-    )
+    ), (late, backlog)
 
 
 @pytest.mark.parametrize("protocol, config, params, rate, snr_db, seed", [
@@ -482,9 +501,13 @@ def test_simulation_matches_stamp_list_oracle(protocol, config, params, rate, sn
     for horizon in (20_000, 1_000, 10_001):
         args = (protocol, config, params, rate, snr_db, horizon, seed)
         got = simulate_random_arrivals(*args)
-        want = simulate_packet_by_packet(*args)
+        want, (late, backlog) = simulate_packet_by_packet(*args)
         assert got.packets > 0 and got.nonidle_epochs > 0
         assert report_bits(got) == report_bits(want), f"horizon {horizon}"
+        # both fit by centred sums; a centring or sign slip they shared would
+        # still miss the least-squares slope of the oracle's own series
+        fit = np.polyfit(late, backlog, 1)[0]
+        assert got.backlog_slope == pytest.approx(fit, rel=1e-9, abs=0), f"horizon {horizon}"
 
 
 def test_boundary_scan_brackets_tree_protocol():
