@@ -47,7 +47,7 @@ import numpy as np
 
 from . import dmt
 from .channel import _check_tile, _mask_rounds, _scratch, _tile_epochs, asymptotic_survival
-from .protocols import _TILE, _coins, _decode, _gta_tree_batch, _schedule
+from .protocols import _TILE, _check_tree_users, _coins, _decode, _gta_tree_batch, _schedule
 from .system import (IRARQ, AntennaConfig, ProtocolParams, binom_pmf, check_counts, check_rate,
                      snr_from_db)
 
@@ -436,9 +436,10 @@ def gta_collision_stats(k: int, epochs: int, seed: int):
     Monte Carlo counterpart of the exact splitting-tree recursions.
     """
     check_counts(k=k)
+    _check_tree_users(k)        # before the byte-wide sizes, which cannot hold k >= 256
 
     def moments(rng, n, buffers):
-        ell, w = _gta_tree_batch(np.full(n, k, dtype=np.int64), rng)
+        ell, w = _gta_tree_batch(np.full(n, k, dtype=np.uint8), rng)
         return np.array([ell.sum(), ell @ ell, w.sum(), w @ w])      # exact integer dot products
 
     l1, l2, d1, d2 = _sum_chunks(moments, seed, _TAG_GTA_STATS, epochs, "epochs").astype(float)

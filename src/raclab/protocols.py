@@ -6,7 +6,10 @@ and stays fixed until the epoch ends.  Given the participant set, the
 outcome does not depend on the queues, so a block of epochs is drawn at
 once and each epoch evaluated at the participant bitmasks it is asked for
 (bit i set for user i; 0 is the idle epoch): the epoch length and the
-bitmasks of delivered and of wrongly decoded packets.
+bitmasks of delivered and of wrongly decoded packets.  The engine makes
+its masks in :func:`_mask_type`, one byte each up to 8 users and int64
+up to its bound of 63; the passes over them are bound by memory, so the
+byte-wide masks move 8x fewer bytes.
 
 :func:`epoch_outcomes` draws and evaluates a block in two stages, with one
 body per protocol.  This module schedules; :mod:`channel` decides.  The
@@ -49,30 +52,40 @@ from .channel import _fails_alone, _mask_rounds, asymptotic_survival
 from .system import GTA, IRARQ, ONDMA, AntennaConfig, ProtocolParams
 
 
+def _mask_type(users: int):
+    """Bitmask type of ``users`` users: uint8 up to 8, else int64.
+
+    Not ``np.min_scalar_type``: from 33 users it gives uint64, which numpy
+    cannot ``&`` with int64.
+    """
+    return np.uint8 if users <= 8 else np.int64
+
+
 def _bits(flags: np.ndarray) -> np.ndarray:
-    """Per-epoch bitmask of an (epochs, users) boolean array."""
-    out = np.zeros(flags.shape[0], dtype=np.int64)
+    """Per-epoch bitmask of an (epochs, users) boolean array, in :func:`_mask_type`."""
+    t = _mask_type(flags.shape[1])
+    out = np.zeros(flags.shape[0], dtype=t)
     for i in range(flags.shape[1]):
-        out |= flags[:, i].astype(np.int64) << i
+        out |= np.left_shift(flags[:, i], i, dtype=t)
     return out
 
 
 def _check_users(users: int) -> None:
-    """ValueError past 63 users: participant bitmasks are int64."""
+    """ValueError past 63 users: the widest participant bitmask is int64."""
     if users > 63:
-        raise ValueError(f"participant bitmasks are int64: at most 63 users, got {users}")
+        raise ValueError(f"participant bitmasks are at most int64: at most 63 users, got {users}")
 
 
 def _coins(rng: np.random.Generator, n: int, users: int, p_t: float) -> np.ndarray:
     """Participation bitmasks of n epochs, each user's coin 1 with probability p_t.
 
     One uniform per epoch and user, in epoch order; at p_t = 1 every coin
-    is 1 and none is drawn.
+    is 1 and none is drawn.  The masks are of :func:`_mask_type`.
     """
     _check_users(users)
     if p_t < 1.0:
         return _bits(rng.random((n, users)) < p_t)
-    return np.full(n, (1 << users) - 1, dtype=np.int64)
+    return np.full(n, (1 << users) - 1, dtype=_mask_type(users))
 
 
 # Cells (epochs times participant sets per epoch) of one cache-sized block:
@@ -82,6 +95,12 @@ _TILE = 1 << 14
 # the tree's per-epoch accumulator packs length << 32 | users not yet pruned
 _SLOT = 1 << 32
 _MAX_TREE_USERS = 64               # one 64-bit word per group
+
+
+def _check_tree_users(k: int) -> None:
+    """ValueError past 64 users: the tree splits a group with one 64-bit word."""
+    if k > _MAX_TREE_USERS:
+        raise ValueError(f"splitting tree counts at most {_MAX_TREE_USERS} users, got {k}")
 
 
 def _chunk_tables():
@@ -102,7 +121,7 @@ _STRIDE_LOG2, _PAIRS, _LOW = _chunk_tables()
 
 
 def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
-    """Vectorised splitting tree on group sizes only.
+    """Vectorised splitting tree on group sizes only, ``k_init`` of any integer type.
 
     Returns per-epoch (length, delivered count); the other users of an
     epoch are pruned.  Identities are exchangeable, so callers may assign
@@ -120,13 +139,12 @@ def _gta_tree_batch(k_init: np.ndarray, rng: np.random.Generator):
     (:func:`_split`); if none splits, the epoch adds one slot per chunk and
     draws again.
     """
-    k_max = int(k_init.max(initial=1))
-    if k_max > _MAX_TREE_USERS:
-        raise ValueError(f"splitting tree counts at most {_MAX_TREE_USERS} users, got {k_max}")
+    _check_tree_users(int(k_init.max(initial=1)))
     acc = np.add(k_init, _SLOT, dtype=np.int64)     # the first slot; no user pruned yet
     # idx lists the live epochs; None while every epoch is live (idx = 0..n-1)
     idx = None if k_init.min(initial=0) >= 2 else np.flatnonzero(k_init >= 2)
-    group = (k_init if idx is None else k_init[idx]).astype(np.uint8)   # at most 64 users: byte-wide
+    # at most 64 users: byte-wide, as the engine's sizes already are
+    group = (k_init if idx is None else k_init[idx]).astype(np.uint8, copy=False)
     while group.size:
         draw = rng.integers(0, 1 << 64, size=group.size, dtype=np.uint64)
         loops, left = _split(draw, group)
@@ -186,7 +204,7 @@ def _tree_members(masks, count, users: int, rng: np.random.Generator):
     of u.  A member is taken while fewer than ``count`` members of its mask
     rank ahead of it.
     """
-    taken = np.array(masks, dtype=np.int64)
+    taken = np.array(masks)                          # in the masks' own type
     short = np.flatnonzero((count < np.bitwise_count(masks)).any(axis=1))
     if not short.size:
         return taken
@@ -207,16 +225,17 @@ def _tree_members(masks, count, users: int, rng: np.random.Generator):
 
 
 def _outage_bits(config: AntennaConfig, params: ProtocolParams, snr, rng, n: int, buffers=None):
-    """Draw n epochs' channels; the per-epoch bitmask of the users who fail one round at gain 1.
+    """Draw n epochs' channels; the users who fail one round at gain 1, as an (n, 1) bitmask.
 
     The bits of :func:`channel._fails_alone`.  At infinite SNR nothing is
-    drawn: a lone user fails alike in every epoch.
+    drawn: a lone user fails alike in every epoch, and the bitmask is one
+    Python int, which takes the type of the masks it meets.
     """
     if snr is None:
         lost = asymptotic_survival(config, params.multiplexing_gain, 1)[0, 1]    # one user after one round
         return (1 << config.users) - 1 if lost else 0
     shape = (n, config.users, config.rx, config.tx)
-    return _bits(_fails_alone(rng, shape, snr, params.rate_at(snr), buffers).T)
+    return _bits(_fails_alone(rng, shape, snr, params.rate_at(snr), buffers).T)[:, None]
 
 
 def _schedule(protocol: str, config: AntennaConfig, params: ProtocolParams,
@@ -236,9 +255,9 @@ def _schedule(protocol: str, config: AntennaConfig, params: ProtocolParams,
         if params.deadline is None:
             raise ValueError("IR-ARQ needs a deadline")
         return None
-    sizes = np.bitwise_count(masks).astype(np.int64)
+    sizes = np.bitwise_count(masks)                  # uint8, whatever the masks' type
     if protocol == ONDMA:
-        return np.maximum(sizes, 1), masks
+        return np.maximum(sizes, 1, dtype=np.int64), masks
     tree_len, tree_del = _gta_tree_batch(sizes.ravel(), rng)
     taken = _tree_members(masks, tree_del.reshape(masks.shape), users, rng)
     return tree_len.reshape(masks.shape), taken
@@ -266,13 +285,13 @@ def _decode(protocol: str, config: AntennaConfig, params: ProtocolParams,
             shape = (n, config.users, config.rx, config.tx)
             worst = _mask_rounds(rng, shape, snr, params.rate_at(snr), deadline, buffers)
             worst[0] = 1                                 # the idle epoch takes one slot
-            # worst[masks[e, j], e] for every cell, as one flat gather: min(needed, L + 1)
-            needed = worst.ravel()[masks * n + np.arange(n)[:, None]]
+            # worst[masks[e, j], e] for every cell, as one flat gather: min(needed, L + 1);
+            # the cast comes first, as byte-wide masks * n would wrap or overflow
+            needed = worst.ravel()[masks.astype(np.intp) * n + np.arange(n)[:, None]]
         errors = np.where(needed > deadline, masks, 0)
         return np.minimum(needed, deadline, dtype=np.int64), masks, errors
     lengths, delivered = schedule
-    out = np.reshape(_outage_bits(config, params, snr, rng, n, buffers), (-1, 1))
-    return lengths, delivered, delivered & out
+    return lengths, delivered, delivered & _outage_bits(config, params, snr, rng, n, buffers)
 
 
 def epoch_outcomes(
@@ -285,15 +304,17 @@ def epoch_outcomes(
 ):
     """Outcomes of n independent epochs, epoch e evaluated at the sets masks[e].
 
-    ``masks`` is an (n, m) int64 array of participant bitmasks.  Returns
-    (lengths, delivered, errors), each an (n, m) int64 array indexed like
-    ``masks``; ``delivered`` and ``errors`` are bitmasks of users.  The
-    generator is consumed in a fixed order per protocol: for GTA the
-    splitting tree over the masks' sizes and the rankings of its short
-    epochs (:func:`_schedule`), then for every protocol the block's
-    channels unless ``snr`` is None (:func:`_decode`).  So a block replays
-    bitwise for a given generator state, and the channel draws of an epoch
-    do not depend on the masks it is evaluated at.
+    ``masks`` is an (n, m) array of participant bitmasks, of any integer
+    type that holds them (the engine's own are of :func:`_mask_type`).
+    Returns (lengths, delivered, errors), each an (n, m) array indexed like
+    ``masks``: int64 lengths, and bitmasks of users ``delivered`` and
+    ``errors`` in the masks' type.  The generator is consumed in a fixed
+    order per protocol: for GTA the splitting tree over the masks' sizes
+    and the rankings of its short epochs (:func:`_schedule`), then for
+    every protocol the block's channels unless ``snr`` is None
+    (:func:`_decode`).  So a block replays bitwise for a given generator
+    state, and the channel draws of an epoch do not depend on the masks it
+    is evaluated at, nor on their type.
     """
     schedule = _schedule(protocol, config, params, snr, masks, rng)
     return _decode(protocol, config, params, snr, masks, rng, schedule)

@@ -502,6 +502,14 @@ def test_gta_collision_stats_rejects_empty_collisions(k):
         gta_collision_stats(k, 100, seed=1)
 
 
+@pytest.mark.parametrize("k", [65, 300])
+def test_gta_collision_stats_refuses_more_than_64_users(k):
+    # the tree's sizes are byte-wide: the 64-user bound is checked before
+    # they are made, so k >= 256 is refused by name, not by an overflow
+    with pytest.raises(ValueError, match=f"at most 64 users, got {k}"):
+        gta_collision_stats(k, 100, seed=1)
+
+
 def test_beta_rejects_zero_chunk():
     with pytest.raises(ValueError, match="chunk"):
         estimate_beta(SCALAR2, 10.0, 1.0, 2, trials=100, seed=1, chunk=0)

@@ -22,6 +22,7 @@ from raclab.protocols import (
     _bits,
     _coins,
     _gta_tree_batch,
+    _mask_type,
     _schedule,
     _split,
     _tree_members,
@@ -696,13 +697,79 @@ def test_subset_max_matches_epochs_first_oracle(users):
     assert np.array_equal(out, got)
 
 
-@pytest.mark.parametrize("users", [0, 1, 2, 8, 9, 12])
+@pytest.mark.parametrize("users", [0, 1, 2, 8, 9, 12, 63])
 def test_bits_match_matmul(users):
+    # one byte per mask up to 8 users, int64 above, up to the 63-user bound
     flags = np.random.default_rng(80 + users).random((700, users)) < 0.4
     want = flags.astype(np.int64) @ (1 << np.arange(users, dtype=np.int64))
+    mask_type = np.uint8 if users <= 8 else np.int64
+    assert _mask_type(users) is mask_type
     for layout in (flags, np.asfortranarray(flags)):
         got = _bits(layout)
-        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert got.dtype == mask_type and np.array_equal(got, want)
+
+
+def bits_int64(flags):
+    """The int64 bitmask loop the byte-wide masks replaced, kept as their oracle."""
+    out = np.zeros(flags.shape[0], dtype=np.int64)
+    for i in range(flags.shape[1]):
+        out |= flags[:, i].astype(np.int64) << i
+    return out
+
+
+def coins_int64(rng, n, users, p_t):
+    """:func:`_coins` on the int64 oracle: the same draws, int64 masks."""
+    if p_t < 1.0:
+        return bits_int64(rng.random((n, users)) < p_t)
+    return np.full(n, (1 << users) - 1, dtype=np.int64)
+
+
+# IR-ARQ's joint decoder visits 2^K subsets, so it stops far below 63 users
+MASK_WIDTHS = [(protocol, users) for protocol in ("irarq", "ondma", "gta")
+               for users in (1, 2, 3, 8, 9, 63) if protocol != "irarq" or users < 63]
+
+
+@pytest.mark.parametrize("snr", [10.0, None], ids=["10dB", "inf"])
+@pytest.mark.parametrize("p_t", [0.6, 1.0])
+@pytest.mark.parametrize("protocol, users", MASK_WIDTHS)
+def test_outcomes_agree_at_byte_and_int64_masks(protocol, users, p_t, snr):
+    # the same participant sets, as the engine's masks and as int64 masks,
+    # give equal cells and consume the generator alike; the delivered and
+    # error bitmasks come back in the masks' type, the lengths in int64
+    config = AntennaConfig(users=users)
+    params = ProtocolParams(p_t=p_t, multiplexing_gain=0.3, deadline=2)
+    n = 300
+    masks = np.stack([_coins(np.random.default_rng([users, 40, j]), n, users, p_t)
+                      for j in range(3)], axis=1)
+    assert masks.dtype == _mask_type(users)
+    wide = masks.astype(np.int64)
+    assert np.array_equal(wide[:, 0], coins_int64(np.random.default_rng([users, 40, 0]), n, users, p_t))
+    rngs = [np.random.default_rng([users, 41]) for _ in range(2)]
+    got = epoch_outcomes(protocol, config, params, snr, masks, rngs[0])
+    want = epoch_outcomes(protocol, config, params, snr, wide, rngs[1])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    for a, b, dtype in zip(got, want, (np.int64, masks.dtype, masks.dtype), strict=True):
+        assert a.dtype == dtype and b.dtype == np.int64
+        assert a.shape == b.shape == masks.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("trials", [200, (1 << 14) + 200], ids=["short", "chunk+200"])
+@pytest.mark.parametrize("p_t", [0.6, 1.0])
+@pytest.mark.parametrize("users", [3, 8])
+@pytest.mark.parametrize("protocol", ["irarq", "ondma", "gta"])
+def test_estimators_match_int64_coin_oracle(protocol, users, p_t, trials, monkeypatch):
+    # at 200 trials the error chunk has fewer than 256 epochs, where IR-ARQ's
+    # flat gather would wrap a byte-wide mask times the chunk size
+    config = AntennaConfig(users=users)
+    params = ProtocolParams(p_t=p_t, multiplexing_gain=0.4, deadline=2)
+    runs = []
+    for coins in (montecarlo._coins, coins_int64):
+        monkeypatch.setattr(montecarlo, "_coins", coins)
+        est = system_error_probability(protocol, config, params, 10.0, trials, seed=7)
+        thr = fully_loaded_throughput(protocol, config, params, 10.0, trials, seed=7)
+        runs.append((est.value, est.per_user, est.nonidle,
+                     thr.per_rate, thr.per_rate_stderr, thr.slots, thr.epochs))
+    assert all(bitwise(a, b) for a, b in zip(*runs, strict=True)), runs
 
 
 # ---------------------------------------------------------------------------
