@@ -286,8 +286,8 @@ def _decode(protocol: str, config: AntennaConfig, params: ProtocolParams,
             worst = _mask_rounds(rng, shape, snr, params.rate_at(snr), deadline, buffers)
             worst[0] = 1                                 # the idle epoch takes one slot
             # worst[masks[e, j], e] for every cell, as one flat gather: min(needed, L + 1);
-            # the cast comes first, as byte-wide masks * n would wrap or overflow
-            needed = worst.ravel()[masks.astype(np.intp) * n + np.arange(n)[:, None]]
+            # multiplied in intp, as byte-wide masks * n would wrap or overflow
+            needed = worst.ravel()[np.multiply(masks, n, dtype=np.intp) + np.arange(n)[:, None]]
         errors = np.where(needed > deadline, masks, 0)
         return np.minimum(needed, deadline, dtype=np.int64), masks, errors
     lengths, delivered = schedule

@@ -565,7 +565,7 @@ def test_large_user_count_rejected():
 
 @pytest.mark.parametrize("protocol", ["irarq", "ondma", "gta"])
 def test_bitmask_engine_takes_at_most_63_users(protocol):
-    # participant bitmasks are int64, so a 64th user would land on the sign bit
+    # the widest participant bitmask is int64, so a 64th user would land on the sign bit
     params = ProtocolParams(p_t=1.0, rate=1.0, deadline=2)
     rng = np.random.default_rng(11)
     with pytest.raises(ValueError, match="at most 63 users"):
@@ -753,25 +753,6 @@ def test_outcomes_agree_at_byte_and_int64_masks(protocol, users, p_t, snr):
         assert a.shape == b.shape == masks.shape and np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("trials", [200, (1 << 14) + 200], ids=["short", "chunk+200"])
-@pytest.mark.parametrize("p_t", [0.6, 1.0])
-@pytest.mark.parametrize("users", [3, 8])
-@pytest.mark.parametrize("protocol", ["irarq", "ondma", "gta"])
-def test_estimators_match_int64_coin_oracle(protocol, users, p_t, trials, monkeypatch):
-    # at 200 trials the error chunk has fewer than 256 epochs, where IR-ARQ's
-    # flat gather would wrap a byte-wide mask times the chunk size
-    config = AntennaConfig(users=users)
-    params = ProtocolParams(p_t=p_t, multiplexing_gain=0.4, deadline=2)
-    runs = []
-    for coins in (montecarlo._coins, coins_int64):
-        monkeypatch.setattr(montecarlo, "_coins", coins)
-        est = system_error_probability(protocol, config, params, 10.0, trials, seed=7)
-        thr = fully_loaded_throughput(protocol, config, params, 10.0, trials, seed=7)
-        runs.append((est.value, est.per_user, est.nonidle,
-                     thr.per_rate, thr.per_rate_stderr, thr.slots, thr.epochs))
-    assert all(bitwise(a, b) for a, b in zip(*runs, strict=True)), runs
-
-
 # ---------------------------------------------------------------------------
 # the estimators: exact sums over their seeded chunks
 # ---------------------------------------------------------------------------
@@ -910,6 +891,25 @@ def test_tiled_tree_stats_match_whole_chunk_oracle(k, chunking):
     got = gta_collision_stats(k, epochs, seed=20 + k)
     want = tree_stats_by_chunks(k, epochs, 20 + k)
     assert all(bitwise(a, b) for a, b in zip(got, want, strict=True)), (got, want)
+
+
+@pytest.mark.parametrize("trials", [200, (1 << 14) + 200], ids=["short", "chunk+200"])
+@pytest.mark.parametrize("p_t", [0.6, 1.0])
+@pytest.mark.parametrize("users", [3, 8])
+@pytest.mark.parametrize("protocol", ["irarq", "ondma", "gta"])
+def test_estimators_match_int64_coin_oracle(protocol, users, p_t, trials, monkeypatch):
+    # at 200 trials the error chunk has fewer than 256 epochs, where IR-ARQ's
+    # flat gather would wrap a byte-wide mask times the chunk size
+    config = AntennaConfig(users=users)
+    params = ProtocolParams(p_t=p_t, multiplexing_gain=0.4, deadline=2)
+    runs = []
+    for coins in (montecarlo._coins, coins_int64):
+        monkeypatch.setattr(montecarlo, "_coins", coins)
+        est = system_error_probability(protocol, config, params, 10.0, trials, seed=7)
+        thr = fully_loaded_throughput(protocol, config, params, 10.0, trials, seed=7)
+        runs.append((est.value, est.per_user, est.nonidle,
+                     thr.per_rate, thr.per_rate_stderr, thr.slots, thr.epochs))
+    assert all(bitwise(a, b) for a, b in zip(*runs, strict=True)), runs
 
 
 @pytest.mark.parametrize("protocol", ["irarq", "ondma", "gta"])
